@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 
 from netsignal.network import NUM_PHASES, Phase, RoadNetwork
+from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 BRUTE_FORCE_AGENT_CAP = 10
@@ -60,19 +63,27 @@ class CoordinationGraph:
         return self.edge_costs[(j, i)].T
 
 
-def build_cg(state: QueueState, net: RoadNetwork, turning: TurningModel) -> CoordinationGraph:
+def build_cg(
+    state: QueueState,
+    net: RoadNetwork,
+    turning: TurningModel,
+    *,
+    model: Optional[PeriodModel] = None,
+) -> CoordinationGraph:
     """Cost tables from the one-step queue prediction under each phase pair.
 
     A movement queueing on an internal link from a to b drains under b's
     phase and receives a's releases, so its squared next-period queue lands
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
-    individual vector.
+    individual vector. `model` may pass in the `period_model` of the same
+    inputs when the caller has it already.
     """
     from netsignal.prediction import movement_arrays, period_model
 
     arr = movement_arrays(net)
-    model = period_model(net, state, turning)
+    if model is None:
+        model = period_model(net, state, turning)
     agents = tuple(arr.agent_ids)
     edges = tuple(arr.edges)
 

@@ -21,6 +21,7 @@ from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
 from netsignal.network import LinkKind, Phase, RoadNetwork
 from netsignal.ordering import DagOrder, min_diameter_dag
+from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 
@@ -109,19 +110,23 @@ def local_improvement(
     turning: TurningModel,
     budget: Optional[CoorBudget] = None,
     max_sweeps: int = 4,
+    *,
+    model: Optional[PeriodModel] = None,
 ) -> JointAssignment:
     """Synchronized best-response sweeps from `init`.
 
     Every sweep, each agent best-responds to the previous sweep's actions
     (vectorized over agents; per-agent semantics match `best_response`).
     Stops on budget exhaustion, the sweep cap, or a sweep that changes
-    nothing (a fixed point under the keep-current tie rule).
+    nothing (a fixed point under the keep-current tie rule). `model` may
+    pass in the `period_model` of the same inputs when the caller has it.
     """
     from netsignal.prediction import movement_arrays, period_model
 
     start = time.perf_counter()
     arr = movement_arrays(net)
-    model = period_model(net, state, turning)
+    if model is None:
+        model = period_model(net, state, turning)
     actions = np.array([int(init[a]) for a in arr.agent_ids], dtype=np.intp)
     sweeps = max_sweeps
     if budget is not None and budget.rounds is not None:
@@ -157,9 +162,15 @@ def plan_phases_detailed(
     cfg: Optional[PlannerConfig] = None,
     order: Optional[DagOrder] = None,
 ) -> PlanResult:
-    """Coordinate under epsilon of the budget, then sweep under the rest."""
+    """Coordinate under epsilon of the budget, then sweep under the rest.
+
+    Both stages read the same one-step prediction, so it is computed once.
+    """
+    from netsignal.prediction import period_model
+
     cfg = cfg or PlannerConfig()
-    cg = build_cg(state, net, turning)
+    model = period_model(net, state, turning)
+    cg = build_cg(state, net, turning, model=model)
     if order is None:
         order = min_diameter_dag(cg)
     nl_budget = cfg.budget.scaled(cfg.epsilon)
@@ -168,7 +179,13 @@ def plan_phases_detailed(
     coord = coordinate(cg, order, nl_budget)
     sweep_budget = cfg.budget.scaled(1.0 - cfg.epsilon)
     final = local_improvement(
-        coord.assignment, state, net, turning, budget=sweep_budget, max_sweeps=cfg.max_sweeps
+        coord.assignment,
+        state,
+        net,
+        turning,
+        budget=sweep_budget,
+        max_sweeps=cfg.max_sweeps,
+        model=model,
     )
     return PlanResult(final, coord, sweep_budget.wall_ms)
 

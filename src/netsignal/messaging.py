@@ -1,11 +1,15 @@
 """Anytime coordination by min-sum message passing on an oriented graph.
 
-A pass runs `diameter` synchronous rounds in one edge direction; passes
-alternate directions until the budget runs out or a full forward+reverse
-cycle leaves every message unchanged. Messages persist across passes, so the
-second (reverse) pass combines each agent's own cost with everything
-learned on the first pass: on acyclic graphs one cycle yields exact
-min-marginals and the recovered joint action is optimal.
+A pass sweeps the orientation level by level in one edge direction: a
+forward pass takes the edges in order of their sender's longest-path depth,
+a reverse pass in order of the height of their forward receiver. Each
+message is computed once per pass, from inputs that are already final for
+that pass, and one level counts as one round of the budget, so a pass is
+`diameter` rounds. Passes alternate directions until the budget runs out or
+a full forward+reverse cycle leaves every message unchanged. Messages
+persist across passes, so the second (reverse) pass combines each agent's
+own cost with everything learned on the first pass: on acyclic graphs one
+cycle yields exact min-marginals and the recovered joint action is optimal.
 
 A message from sender to receiver scores each receiver phase with the best
 the sender can do given it: its own cost, the shared edge cost, and all
@@ -26,6 +30,8 @@ from netsignal.coordination import CoordinationGraph
 from netsignal.network import NUM_PHASES, Phase
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
+
+_PHASES = tuple(Phase)
 
 
 @dataclass
@@ -99,71 +105,74 @@ def decide(agent: int, cg: CoordinationGraph, table: MessageTable) -> Phase:
 
 
 class _Engine:
-    """Vectorized synchronous rounds over the orientation's edge list.
+    """Messages of one coordination graph in an orientation's level schedule.
 
-    Forward messages travel along `order.edges`, reverse messages against
-    them; both stores persist so each new message can exclude exactly the
-    recipient's own contribution.
+    All messages live in one buffer laid out by `DagOrder.schedule`: forward
+    messages travel along `order.edges`, reverse messages against them, and
+    both persist so each new message can exclude exactly the recipient's own
+    contribution. `update` recomputes a contiguous range of one direction's
+    rows from the buffer as it stands; a pass applies it to one level at a
+    time, and a synchronous round applies it to all rows of a direction.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
-        self.cg = cg
-        self.agents = cg.agents
-        self.index = {a: k for k, a in enumerate(self.agents)}
-        self.c_ind = np.stack([cg.individual[a] for a in self.agents])
-        edges = order.edges
-        self.edges = edges
-        n_edges = len(edges)
-        self.src = np.array([self.index[u] for u, v in edges], dtype=np.intp)
-        self.dst = np.array([self.index[v] for u, v in edges], dtype=np.intp)
-        if n_edges:
-            self.cost_fwd = np.stack([cg.edge_cost(u, v) for u, v in edges])
-        else:
-            self.cost_fwd = np.zeros((0, NUM_PHASES, NUM_PHASES))
-        self.cost_rev = self.cost_fwd.transpose(0, 2, 1)
-        self.r_fwd = np.zeros((n_edges, NUM_PHASES))
-        self.r_rev = np.zeros((n_edges, NUM_PHASES))
-        self.sent_fwd = False
-        self.sent_rev = False
+        sched = order.schedule
+        self.schedule = sched
+        self.agents = sched.agents
+        self.c_ind = np.array([cg.individual[a] for a in self.agents])
+        n_edges = sched.n_edges
+        self.buffer = np.zeros((2 * n_edges + 1, NUM_PHASES))
+        fwd, rev = sched.forward, sched.reverse
+        cost = np.array([cg.edge_costs[key] for key in sched.table_keys])
+        cost = cost.reshape(-1, NUM_PHASES, NUM_PHASES)
+        cost[sched.table_flipped] = cost[sched.table_flipped].transpose(0, 2, 1)
+        # Per direction, keyed by `forward`: the sweep, each row's edge table
+        # indexed [x_sender][row][x_receiver] (the min runs over the leading
+        # axis), and each row's sender's own cost.
+        self.sweeps = {True: fwd, False: rev}
+        self.cost = {
+            True: np.ascontiguousarray(cost.transpose(1, 0, 2)),
+            False: np.ascontiguousarray(cost[rev.excluded].transpose(2, 0, 1)),
+        }
+        self.c_sender = {True: self.c_ind[fwd.sender], False: self.c_ind[rev.sender]}
+        self.sent = {True: False, False: False}
 
-    def _incoming_sums(self) -> np.ndarray:
-        sums = np.zeros_like(self.c_ind)
-        np.add.at(sums, self.dst, self.r_fwd)
-        np.add.at(sums, self.src, self.r_rev)
-        return sums
+    def _incoming_sums(self, slots: np.ndarray) -> np.ndarray:
+        """Sum of the messages in each column of `slots`, added from 0.0 in
+        slot order (a reduction over the leading axis is sequential)."""
+        return np.add.reduce(np.take(self.buffer, slots, axis=0), axis=0, initial=0.0)
 
-    def run_round(self, forward: bool) -> None:
-        sums = self._incoming_sums()
-        if forward:
-            base = self.c_ind[self.src] + sums[self.src] - self.r_rev
-            self.r_fwd = np.min(base[:, :, None] + self.cost_fwd, axis=1)
-            self.sent_fwd = True
-        else:
-            base = self.c_ind[self.dst] + sums[self.dst] - self.r_fwd
-            self.r_rev = np.min(base[:, :, None] + self.cost_rev, axis=1)
-            self.sent_rev = True
+    def update(self, forward: bool, start: int, stop: int) -> None:
+        """Recompute rows [start, stop) of one direction's sweep."""
+        sweep = self.sweeps[forward]
+        base = self._incoming_sums(sweep.inputs[:, start:stop])
+        base += self.c_sender[forward][start:stop]
+        base -= np.take(self.buffer, sweep.excluded[start:stop], axis=0)
+        scores = base.T[:, :, None] + self.cost[forward][:, start:stop]
+        rows = slice(sweep.offset + start, sweep.offset + stop)
+        np.minimum.reduce(scores, axis=0, out=self.buffer[rows])
+        self.sent[forward] = True
 
-    def decide_all(self) -> JointAssignment:
-        totals = self.c_ind + self._incoming_sums()
-        picks = np.argmin(totals, axis=1)
-        return {a: Phase(int(picks[k])) for k, a in enumerate(self.agents)}
+    def picks(self) -> np.ndarray:
+        totals = self.c_ind + self._incoming_sums(self.schedule.slots.T)
+        return np.argmin(totals, axis=1)
+
+    def assignment(self, picks: np.ndarray) -> JointAssignment:
+        return {a: _PHASES[p] for a, p in zip(self.agents, picks.tolist())}
 
     def seed(self, table: MessageTable) -> None:
-        for e, (u, v) in enumerate(self.edges):
-            if (u, v) in table.messages:
-                self.r_fwd[e] = table.messages[(u, v)]
-                self.sent_fwd = True
-            if (v, u) in table.messages:
-                self.r_rev[e] = table.messages[(v, u)]
-                self.sent_rev = True
+        for forward, sweep in self.sweeps.items():
+            for p, pair in enumerate(sweep.pairs):
+                if pair in table.messages:
+                    self.buffer[sweep.offset + p] = table.messages[pair]
+                    self.sent[forward] = True
 
     def table(self, rounds: int) -> MessageTable:
         messages: dict[tuple[int, int], np.ndarray] = {}
-        for e, (u, v) in enumerate(self.edges):
-            if self.sent_fwd:
-                messages[(u, v)] = self.r_fwd[e].copy()
-            if self.sent_rev:
-                messages[(v, u)] = self.r_rev[e].copy()
+        for forward, sweep in self.sweeps.items():
+            if self.sent[forward]:
+                for p, pair in enumerate(sweep.pairs):
+                    messages[pair] = self.buffer[sweep.offset + p].copy()
         return MessageTable(messages=messages, rounds=rounds)
 
 
@@ -173,7 +182,8 @@ def message_passing(
     rounds: Optional[int] = None,
     table: Optional[MessageTable] = None,
 ) -> MessageTable:
-    """Run synchronous rounds along the orientation; defaults to diameter
+    """Run synchronous rounds along the orientation: every round recomputes
+    all forward messages from the previous round's. Defaults to diameter
     rounds, after which the table is a fixpoint."""
     if rounds is None:
         rounds = order.diameter
@@ -184,7 +194,7 @@ def message_passing(
     for _ in range(rounds):
         if not order.edges:
             break
-        engine.run_round(forward=True)
+        engine.update(True, 0, len(order.edges))
         done += 1
     return engine.table((table.rounds if table else 0) + done)
 
@@ -213,7 +223,7 @@ def coordinate(
     start = time.perf_counter()
     engine = _Engine(cg, order)
     if not order.edges:
-        return CoordResult(engine.decide_all(), 0, 0, True)
+        return CoordResult(engine.assignment(engine.picks()), 0, 0, True)
 
     def exhausted(done: int) -> bool:
         if budget.rounds is not None and done >= budget.rounds:
@@ -224,27 +234,26 @@ def coordinate(
 
     rounds_done = 0
     passes = 0
-    snapshot: Optional[JointAssignment] = None
-    previous_cycle: Optional[tuple[np.ndarray, np.ndarray]] = None
+    snapshot: Optional[np.ndarray] = None
+    previous_cycle: Optional[np.ndarray] = None
     forward = True
     while True:
-        for _ in range(order.diameter):
+        for level_start, level_stop in engine.sweeps[forward].levels:
             if exhausted(rounds_done):
                 if snapshot is None:
-                    snapshot = engine.decide_all()
-                return CoordResult(snapshot, passes, rounds_done, False)
-            engine.run_round(forward)
+                    snapshot = engine.picks()
+                return CoordResult(engine.assignment(snapshot), passes, rounds_done, False)
+            engine.update(forward, level_start, level_stop)
             rounds_done += 1
         passes += 1
-        snapshot = engine.decide_all()
+        snapshot = engine.picks()
         if trace is not None:
-            trace(passes, rounds_done, snapshot)
+            trace(passes, rounds_done, engine.assignment(snapshot))
         if not forward:
-            cycle = (engine.r_fwd.copy(), engine.r_rev.copy())
-            if previous_cycle is not None and all(
-                np.allclose(a, b, rtol=0.0, atol=1e-9)
-                for a, b in zip(cycle, previous_cycle)
+            cycle = engine.buffer.copy()
+            if previous_cycle is not None and np.allclose(
+                cycle, previous_cycle, rtol=0.0, atol=1e-9
             ):
-                return CoordResult(snapshot, passes, rounds_done, True)
+                return CoordResult(engine.assignment(snapshot), passes, rounds_done, True)
             previous_cycle = cycle
         forward = not forward

@@ -1,0 +1,205 @@
+"""The level-scheduled solver against synchronous rounds of the message rule.
+
+`sync_coordinate` is the solver's reference: every round recomputes all of
+one direction's messages from the previous round's table with the scalar
+rule `compute_message`, `diameter` rounds make a pass, and decisions come
+from `decide`. The level schedule must give the same decisions, passes,
+rounds and convergence under every round cap that lands in or after the
+first pass's end.
+"""
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    random_cg,
+    random_connected_edges,
+    random_macro_state,
+    random_tree_edges,
+    random_turning,
+)
+from netsignal.coordination import brute_force_optimum, build_cg, global_cost
+from netsignal.messaging import (
+    CoorBudget,
+    MessageTable,
+    _Engine,
+    compute_message,
+    coordinate,
+    decide,
+    message_passing,
+)
+from netsignal.network import build_grid
+from netsignal.ordering import min_diameter_dag
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+
+
+def sync_round(cg, pairs, table):
+    new = {(u, v): compute_message(u, v, cg, table) for u, v in pairs}
+    return MessageTable({**table.messages, **new}, table.rounds + 1)
+
+
+def sync_coordinate(cg, order, rounds_cap):
+    """Alternating passes of `diameter` synchronous rounds, capped in rounds."""
+    directions = (order.edges, tuple((v, u) for u, v in order.edges))
+    table = MessageTable()
+    done = passes = 0
+    snapshot = previous = None
+    forward = True
+    while True:
+        for _ in range(order.diameter):
+            if done >= rounds_cap:
+                if snapshot is None:
+                    snapshot = {a: decide(a, cg, table) for a in cg.agents}
+                return snapshot, passes, done, False
+            table = sync_round(cg, directions[0 if forward else 1], table)
+            done += 1
+        passes += 1
+        snapshot = {a: decide(a, cg, table) for a in cg.agents}
+        if not forward:
+            cycle = dict(table.messages)
+            if previous is not None and all(
+                np.allclose(cycle[k], previous[k], rtol=0.0, atol=1e-9) for k in cycle
+            ):
+                return snapshot, passes, done, True
+            previous = cycle
+        forward = not forward
+
+
+def longest_directed_path(order):
+    followers = order.followers()
+
+    @lru_cache(maxsize=None)
+    def down(a):
+        return max((1 + down(b) for b in followers[a]), default=0)
+
+    return max(down(a) for a in followers)
+
+
+def is_bipartite(n, edges):
+    adj = {k: [] for k in range(n)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    color = {0: 0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v not in color:
+                color[v] = 1 - color[u]
+                frontier.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Random connected graphs with at least one odd cycle."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(3, 16))
+    extra = draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    edges = random_connected_edges(rng, n, extra=extra)
+    assume(not is_bipartite(n, edges))
+    return random_cg(rng, n, edges)
+
+
+def forward_pass(cg, order):
+    """The messages after one forward pass, taken level by level as
+    `coordinate` takes them."""
+    engine = _Engine(cg, order)
+    for start, stop in order.schedule.forward.levels:
+        engine.update(True, start, stop)
+    return engine.table(order.diameter)
+
+
+@pytest.mark.parametrize("rows", range(2, 7))
+@pytest.mark.parametrize("cols", range(2, 7))
+def test_coordinate_matches_synchronous_rounds_on_grids(rows, cols):
+    net = build_grid(rows, cols)
+    rng = np.random.default_rng(1000 * rows + cols)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    order = min_diameter_dag(cg)
+    dia = order.diameter
+    caps = [k * dia for k in range(1, 5)] + [dia + max(1, dia // 2)]
+    for cap in caps:
+        got = coordinate(cg, order, CoorBudget.from_rounds(cap))
+        want, passes, rounds, converged = sync_coordinate(cg, order, cap)
+        assert got.assignment == want, cap
+        assert (got.passes, got.rounds, got.converged) == (passes, rounds, converged), cap
+
+
+@PROPERTY_SETTINGS
+@given(loopy_graphs())
+def test_one_forward_pass_is_a_fixpoint_on_loopy_graphs(cg):
+    order = min_diameter_dag(cg)
+    table = forward_pass(cg, order)
+    again = sync_round(cg, order.edges, table)
+    for pair in order.edges:
+        assert np.allclose(again.messages[pair], table.messages[pair], rtol=0.0, atol=1e-9)
+    # the same messages, bit for bit, as `diameter` synchronous rounds
+    rounds = message_passing(cg, order)
+    for pair in order.edges:
+        assert np.array_equal(rounds.messages[pair], table.messages[pair])
+
+
+@PROPERTY_SETTINGS
+@given(loopy_graphs())
+def test_rounds_per_pass_equal_longest_directed_path(cg):
+    order = min_diameter_dag(cg)
+    assert order.diameter == longest_directed_path(order)
+    sched = order.schedule
+    assert len(sched.forward.levels) == len(sched.reverse.levels) == order.diameter
+    seen = []
+    result = coordinate(
+        cg,
+        order,
+        CoorBudget.from_rounds(6 * order.diameter),
+        trace=lambda passes, rounds, x: seen.append((passes, rounds)),
+    )
+    assert seen and all(rounds == passes * order.diameter for passes, rounds in seen)
+    assert result.rounds == result.passes * order.diameter
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_one_cycle_is_optimal_on_trees(seed, n):
+    rng = np.random.default_rng(seed)
+    cg = random_cg(rng, n, random_tree_edges(rng, n))
+    order = min_diameter_dag(cg)
+    result = coordinate(cg, order, CoorBudget.from_rounds(2 * order.diameter))
+    assert result.passes == 2
+    _, best = brute_force_optimum(cg)
+    assert global_cost(cg, result.assignment) == pytest.approx(best, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(loopy_graphs(), st.integers(0, 2**32 - 1))
+def test_incoming_sums_follow_edge_order(cg, seed):
+    # Each agent's sum adds its incoming forward messages, then its incoming
+    # reverse messages, each in edge order, whatever the level layout.
+    order = min_diameter_dag(cg)
+    rng = np.random.default_rng(seed)
+    pairs = [*order.edges, *((v, u) for u, v in order.edges)]
+    scales = 10.0 ** rng.integers(-3, 4, len(pairs))
+    table = MessageTable({pair: rng.random(4) * k for pair, k in zip(pairs, scales)})
+    engine = _Engine(cg, order)
+    engine.seed(table)
+    index = {a: k for k, a in enumerate(engine.agents)}
+    src = [index[u] for u, _ in order.edges]
+    dst = [index[v] for _, v in order.edges]
+    want = np.zeros((len(engine.agents), 4))
+    np.add.at(want, dst, np.array([table.messages[(u, v)] for u, v in order.edges]))
+    np.add.at(want, src, np.array([table.messages[(v, u)] for u, v in order.edges]))
+    assert np.array_equal(engine._incoming_sums(order.schedule.slots.T), want)
