@@ -2,7 +2,7 @@
 
 Each intersection is an agent on a coordination graph whose cost tables
 encode the predicted next-period squared-queue balance of the links between
-neighbors. An anytime alternating-direction message-passing pass minimizes
+neighbors. Anytime alternating-direction min-sum message passing minimizes
 the network-wide balance, a few local best-response sweeps recover
 throughput, and a built-in queue-dynamics simulator evaluates the result
 against fixed-time and max-pressure baselines.
@@ -30,20 +30,11 @@ from netsignal.harness import (
 )
 from netsignal.improvement import (
     PlannerConfig,
-    best_response,
     local_improvement,
     plan_phases,
     plan_phases_detailed,
 )
-from netsignal.messaging import (
-    CoorBudget,
-    CoordResult,
-    MessageTable,
-    compute_message,
-    coordinate,
-    decide,
-    message_passing,
-)
+from netsignal.messaging import CoorBudget, CoordResult, coordinate
 from netsignal.network import (
     Link,
     LinkKind,
@@ -92,7 +83,6 @@ __all__ = [
     "Link",
     "LinkKind",
     "LoadError",
-    "MessageTable",
     "Metrics",
     "MetricsError",
     "Movement",
@@ -108,13 +98,10 @@ __all__ = [
     "TurningModel",
     "Vehicle",
     "balance_index",
-    "best_response",
     "brute_force_optimum",
     "build_cg",
     "build_grid",
-    "compute_message",
     "coordinate",
-    "decide",
     "dump_edge_costs",
     "eccentricity",
     "estimate_turning",
@@ -126,7 +113,6 @@ __all__ = [
     "load_network",
     "local_improvement",
     "max_pressure",
-    "message_passing",
     "min_diameter_dag",
     "network_order",
     "phase_pressure",

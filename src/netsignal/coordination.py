@@ -7,11 +7,15 @@ entry links to the individual cost of their boundary agent. Summing all
 terms under a joint assignment therefore reproduces the network-wide
 predicted balance exactly, which is what `brute_force_optimum` and the
 message-passing solver minimize.
+
+The graph holds its tables as arrays in sorted agent and edge order: one
+(E, 4, 4) stack of edge tables and one (N, 4) matrix of individual costs,
+the layout `build_cg` computes and the message-passing engine reads.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,44 +27,36 @@ from netsignal.simulation import JointAssignment, QueueState, TurningModel
 BRUTE_FORCE_AGENT_CAP = 10
 
 
-@dataclass
+@dataclass(eq=False)
 class CoordinationGraph:
-    """Agents, 4-phase domains, pairwise edge tables and individual vectors.
+    """Agents, 4-phase domains, one stack of edge tables, one cost matrix.
 
-    Edge tables are stored once per unordered pair under the (min, max) key,
-    indexed [x_min][x_max]; `edge_cost(i, j)` returns the view indexed
-    [x_i][x_j] for any orientation.
+    `agents` are sorted ids and `edges` the sorted (i, j) pairs with i < j.
+    Row e of `edge_costs` (E, 4, 4) is the table of `edges[e]`, indexed
+    [x_i][x_j]; row k of `individual` (N, 4) is the cost vector of
+    `agents[k]`.
     """
 
     agents: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_costs: dict[tuple[int, int], np.ndarray]
-    individual: dict[int, np.ndarray]
-    neighbors: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    edge_costs: np.ndarray
+    individual: np.ndarray
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
-        canonical = []
-        for (i, j) in self.edges:
-            a, b = (i, j) if i < j else (j, i)
-            canonical.append((a, b))
-            if (a, b) not in self.edge_costs and (b, a) in self.edge_costs:
-                self.edge_costs[(a, b)] = self.edge_costs.pop((b, a)).T
-        self.edges = tuple(canonical)
-        for a in self.agents:
-            if a not in self.individual:
-                self.individual[a] = np.zeros(NUM_PHASES)
-        if not self.neighbors:
-            nbrs: dict[int, list[int]] = {a: [] for a in self.agents}
-            for (i, j) in self.edges:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self.neighbors = {a: tuple(sorted(ns)) for a, ns in nbrs.items()}
-
-    def edge_cost(self, i: int, j: int) -> np.ndarray:
-        if i < j:
-            return self.edge_costs[(i, j)]
-        return self.edge_costs[(j, i)].T
+        self.edges = tuple(self.edges)
+        self.edge_costs = np.asarray(self.edge_costs, dtype=float)
+        self.individual = np.asarray(self.individual, dtype=float)
+        if any(a >= b for a, b in zip(self.agents, self.agents[1:])):
+            raise ValueError("agents must be sorted and distinct")
+        if any(i >= j for i, j in self.edges) or any(
+            e >= f for e, f in zip(self.edges, self.edges[1:])
+        ):
+            raise ValueError("edges must be sorted, distinct (i, j) pairs with i < j")
+        shapes = (np.shape(self.edge_costs), np.shape(self.individual))
+        want = ((len(self.edges), NUM_PHASES, NUM_PHASES), (len(self.agents), NUM_PHASES))
+        if shapes != want:
+            raise ValueError(f"table shapes {shapes}, expected {want}")
 
 
 def build_cg(
@@ -105,9 +101,7 @@ def build_cg(
         np.add.at(edge_stack, idx[~flip], contrib[~flip])
         np.add.at(edge_stack, idx[flip], contrib[flip].transpose(0, 2, 1))
 
-    edge_costs = {e: edge_stack[k] for k, e in enumerate(edges)}
-    individual = {a: individual_mat[k] for k, a in enumerate(agents)}
-    return CoordinationGraph(agents, edges, edge_costs, individual)
+    return CoordinationGraph(agents, edges, edge_stack, individual_mat)
 
 
 def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:
@@ -116,10 +110,10 @@ def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:
     if missing:
         raise ValueError(f"assignment missing agents: {sorted(missing)}")
     total = 0.0
-    for a in cg.agents:
-        total += float(cg.individual[a][int(x[a])])
-    for (i, j) in cg.edges:
-        total += float(cg.edge_costs[(i, j)][int(x[i]), int(x[j])])
+    for k, a in enumerate(cg.agents):
+        total += float(cg.individual[k, int(x[a])])
+    for e, (i, j) in enumerate(cg.edges):
+        total += float(cg.edge_costs[e, int(x[i]), int(x[j])])
     return total
 
 
@@ -134,12 +128,12 @@ def brute_force_optimum(cg: CoordinationGraph) -> tuple[JointAssignment, float]:
     index_of = {a: k for k, a in enumerate(cg.agents)}
     assign = np.indices((NUM_PHASES,) * n).reshape(n, -1)
     costs = np.zeros(assign.shape[1])
-    for a in cg.agents:
-        costs += cg.individual[a][assign[index_of[a]]]
-    for (i, j) in cg.edges:
-        costs += cg.edge_costs[(i, j)][assign[index_of[i]], assign[index_of[j]]]
+    for k in range(n):
+        costs += cg.individual[k][assign[k]]
+    for e, (i, j) in enumerate(cg.edges):
+        costs += cg.edge_costs[e][assign[index_of[i]], assign[index_of[j]]]
     best = int(np.argmin(costs))
-    assignment = {a: Phase(int(assign[index_of[a], best])) for a in cg.agents}
+    assignment = {a: Phase(int(assign[k, best])) for k, a in enumerate(cg.agents)}
     return assignment, float(costs[best])
 
 
@@ -148,8 +142,7 @@ def dump_edge_costs(cg: CoordinationGraph, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["agent_i", "agent_j", "x_i", "x_j", "cost"])
-        for (i, j) in cg.edges:
-            table = cg.edge_costs[(i, j)]
+        for (i, j), table in zip(cg.edges, cg.edge_costs):
             for xi in range(NUM_PHASES):
                 for xj in range(NUM_PHASES):
                     writer.writerow([i, j, xi, xj, table[xi, xj]])

@@ -12,17 +12,17 @@ from __future__ import annotations
 import csv
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure
-from netsignal.coordination import build_cg
+from netsignal.coordination import CoordinationGraph
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
-from netsignal.messaging import coordinate
-from netsignal.network import RoadNetwork
+from netsignal.network import NUM_PHASES, RoadNetwork
 from netsignal.ordering import DagOrder, min_diameter_dag
+from netsignal.prediction import movement_arrays
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -128,27 +128,6 @@ class _MaxPressureController:
         return max_pressure(state, self.net, turning)
 
 
-class _MessagePassingController:
-    """Coordination stage only, under the full planner budget."""
-
-    needs_order = True
-
-    def __init__(self, scenario: Scenario):
-        self.net = scenario.network
-        self.cfg = scenario.planner
-        self.order = network_order(self.net)
-        self.rounds_last = 0
-
-    def decide(self, state: QueueState, turning: TurningModel, period: int) -> JointAssignment:
-        cg = build_cg(state, self.net, turning)
-        budget = self.cfg.budget
-        if self.cfg.max_cycles is not None:
-            budget = budget.capped_rounds(2 * self.cfg.max_cycles * max(self.order.diameter, 1))
-        result = coordinate(cg, self.order, budget)
-        self.rounds_last = result.rounds
-        return result.assignment
-
-
 class _PlannerController:
     needs_order = True
 
@@ -166,17 +145,28 @@ class _PlannerController:
 
 def network_order(net: RoadNetwork) -> DagOrder:
     """Message-passing orientation for a network; topology-only, so it can
-    be computed once and reused every period."""
-    zero = initial_state(net)
-    turning = TurningModel(r={}, d={})
-    return min_diameter_dag(build_cg(zero, net, turning))
+    be computed once and reused every period. Builds the network's cached
+    movement arrays on first use."""
+    arr = movement_arrays(net)
+    n_agents, n_edges = len(arr.agent_ids), len(arr.edges)
+    topology = CoordinationGraph(
+        arr.agent_ids,
+        arr.edges,
+        np.zeros((n_edges, NUM_PHASES, NUM_PHASES)),
+        np.zeros((n_agents, NUM_PHASES)),
+    )
+    return min_diameter_dag(topology)
 
 
 def make_controller(scenario: Scenario):
+    if scenario.controller == "nlcoor":
+        # coordination only: the whole budget to message passing, no sweeps
+        planner = replace(scenario.planner, epsilon=1.0, max_sweeps=0)
+        scenario = replace(scenario, planner=planner)
     return {
         "fixedtime": _FixedTimeController,
         "maxpressure": _MaxPressureController,
-        "nlcoor": _MessagePassingController,
+        "nlcoor": _PlannerController,
         "emc": _PlannerController,
     }[scenario.controller](scenario)
 

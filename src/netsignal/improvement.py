@@ -4,7 +4,9 @@ Network-wide coordination minimizes total predicted balance, which can
 strand vehicles on internal links when pushing others out reduces the sum.
 A few synchronized best-response sweeps afterwards let every intersection
 cut its own predicted balance given its neighbors' announced phases, which
-recovers the throughput such "clean-out" assignments give up.
+recovers the throughput such "clean-out" assignments give up. Each sweep
+scores every agent's four phases at once from the period's prediction
+arrays (`PeriodModel.sweep_scores`).
 
 `plan_phases` is the full per-period pipeline: build the coordination graph,
 message-pass under a fraction of the time budget, then sweep the remainder.
@@ -19,7 +21,7 @@ import numpy as np
 
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
-from netsignal.network import LinkKind, Phase, RoadNetwork
+from netsignal.network import Phase, RoadNetwork
 from netsignal.ordering import DagOrder, min_diameter_dag
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
@@ -47,62 +49,6 @@ class PlannerConfig:
             raise ValueError("max_sweeps must be >= 0")
 
 
-def _predicted_own_balance(
-    agent: int,
-    candidate: Phase,
-    actions: JointAssignment,
-    state: QueueState,
-    net: RoadNetwork,
-    turning: TurningModel,
-) -> float:
-    """Next-period sum of squared queues on the agent's input links, given
-    the neighbors' phases fixed."""
-    total = 0.0
-    for l in net.in_links[agent]:
-        link = net.links[l]
-        if link.kind is LinkKind.ENTRY:
-            inflow = turning.demand(l)
-        else:
-            inflow = 0.0
-            upstream_phase = actions[link.start]
-            for m in net.movements_into[l]:
-                if m.phase is None or m.phase == upstream_phase:
-                    inflow += min(m.sat_flow, state.q[m.key])
-        for m in net.movements_from[l]:
-            q = state.q[m.key]
-            if m.phase is None or m.phase == candidate:
-                q -= min(m.sat_flow, q)
-            q += inflow * turning.proportion(l, m.to)
-            total += q * q
-    return total
-
-
-def best_response(
-    agent: int,
-    actions: JointAssignment,
-    state: QueueState,
-    net: RoadNetwork,
-    turning: TurningModel,
-) -> Phase:
-    """Phase minimizing the agent's own predicted balance.
-
-    `actions` must cover every neighbor (their releases feed the agent's
-    input queues); it may include the agent itself, in which case ties keep
-    the current phase before falling back to the lowest index.
-    """
-    missing = [j for j in net.neighbors[agent] if j not in actions]
-    if missing:
-        raise ValueError(f"agent {agent}: missing neighbor actions {missing}")
-    scores = [
-        _predicted_own_balance(agent, p, actions, state, net, turning) for p in Phase
-    ]
-    best = min(scores)
-    current = actions.get(agent)
-    if current is not None and scores[int(current)] <= best + 1e-9:
-        return current
-    return Phase(int(np.argmin(scores)))
-
-
 def local_improvement(
     init: JointAssignment,
     state: QueueState,
@@ -115,11 +61,12 @@ def local_improvement(
 ) -> JointAssignment:
     """Synchronized best-response sweeps from `init`.
 
-    Every sweep, each agent best-responds to the previous sweep's actions
-    (vectorized over agents; per-agent semantics match `best_response`).
-    Stops on budget exhaustion, the sweep cap, or a sweep that changes
-    nothing (a fixed point under the keep-current tie rule). `model` may
-    pass in the `period_model` of the same inputs when the caller has it.
+    Every sweep, each agent picks the phase that minimizes its own predicted
+    balance (`PeriodModel.sweep_scores`) given the previous sweep's actions,
+    keeping its current phase on ties and otherwise the lowest index. Stops
+    on budget exhaustion, the sweep cap, or a sweep that changes nothing.
+    `init` must cover every agent. `model` may pass in the `period_model`
+    of the same inputs when the caller has it.
     """
     from netsignal.prediction import movement_arrays, period_model
 
@@ -127,7 +74,11 @@ def local_improvement(
     arr = movement_arrays(net)
     if model is None:
         model = period_model(net, state, turning)
-    actions = np.array([int(init[a]) for a in arr.agent_ids], dtype=np.intp)
+    try:
+        actions = np.array([int(init[a]) for a in arr.agent_ids], dtype=np.intp)
+    except KeyError:
+        missing = [a for a in arr.agent_ids if a not in init]
+        raise ValueError(f"init is missing agents {missing}") from None
     sweeps = max_sweeps
     if budget is not None and budget.rounds is not None:
         sweeps = min(sweeps, budget.rounds)

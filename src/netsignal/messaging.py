@@ -21,7 +21,7 @@ interruptible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,14 +32,6 @@ from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
 
 _PHASES = tuple(Phase)
-
-
-@dataclass
-class MessageTable:
-    """Per-directed-edge message vectors over the receiver's phase domain."""
-
-    messages: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    rounds: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,30 +72,6 @@ class CoorBudget:
         return CoorBudget(rounds=rounds, wall_ms=self.wall_ms)
 
 
-def compute_message(sender: int, receiver: int, cg: CoordinationGraph, table: MessageTable) -> np.ndarray:
-    """Message vector over the receiver's phases (missing inputs are zero)."""
-    u = cg.individual[sender].copy()
-    for k in cg.neighbors[sender]:
-        if k == receiver:
-            continue
-        incoming = table.messages.get((k, sender))
-        if incoming is not None:
-            u = u + incoming
-    pair = cg.edge_cost(sender, receiver)  # [x_sender][x_receiver]
-    return (u[:, None] + pair).min(axis=0)
-
-
-def decide(agent: int, cg: CoordinationGraph, table: MessageTable) -> Phase:
-    """Phase minimizing own cost plus all received messages; lowest index on
-    ties. Works on any partial table, including an empty one."""
-    vec = cg.individual[agent].copy()
-    for j in cg.neighbors[agent]:
-        incoming = table.messages.get((j, agent))
-        if incoming is not None:
-            vec = vec + incoming
-    return Phase(int(np.argmin(vec)))
-
-
 class _Engine:
     """Messages of one coordination graph in an orientation's level schedule.
 
@@ -112,19 +80,21 @@ class _Engine:
     both persist so each new message can exclude exactly the recipient's own
     contribution. `update` recomputes a contiguous range of one direction's
     rows from the buffer as it stands; a pass applies it to one level at a
-    time, and a synchronous round applies it to all rows of a direction.
+    time. The graph's tables are read as they are: its individual costs are
+    already in agent order, and one gather by `table_rows` puts its edge
+    tables in forward-row order.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
         sched = order.schedule
+        if cg.agents != sched.agents or cg.edges != sched.edges:
+            raise ValueError("the orientation was built for a different coordination graph")
         self.schedule = sched
         self.agents = sched.agents
-        self.c_ind = np.array([cg.individual[a] for a in self.agents])
-        n_edges = sched.n_edges
-        self.buffer = np.zeros((2 * n_edges + 1, NUM_PHASES))
+        self.c_ind = cg.individual
+        self.buffer = np.zeros((2 * sched.n_edges + 1, NUM_PHASES))
         fwd, rev = sched.forward, sched.reverse
-        cost = np.array([cg.edge_costs[key] for key in sched.table_keys])
-        cost = cost.reshape(-1, NUM_PHASES, NUM_PHASES)
+        cost = cg.edge_costs[sched.table_rows]
         cost[sched.table_flipped] = cost[sched.table_flipped].transpose(0, 2, 1)
         # Per direction, keyed by `forward`: the sweep, each row's edge table
         # indexed [x_sender][row][x_receiver] (the min runs over the leading
@@ -135,7 +105,6 @@ class _Engine:
             False: np.ascontiguousarray(cost[rev.excluded].transpose(2, 0, 1)),
         }
         self.c_sender = {True: self.c_ind[fwd.sender], False: self.c_ind[rev.sender]}
-        self.sent = {True: False, False: False}
 
     def _incoming_sums(self, slots: np.ndarray) -> np.ndarray:
         """Sum of the messages in each column of `slots`, added from 0.0 in
@@ -151,7 +120,6 @@ class _Engine:
         scores = base.T[:, :, None] + self.cost[forward][:, start:stop]
         rows = slice(sweep.offset + start, sweep.offset + stop)
         np.minimum.reduce(scores, axis=0, out=self.buffer[rows])
-        self.sent[forward] = True
 
     def picks(self) -> np.ndarray:
         totals = self.c_ind + self._incoming_sums(self.schedule.slots.T)
@@ -159,45 +127,6 @@ class _Engine:
 
     def assignment(self, picks: np.ndarray) -> JointAssignment:
         return {a: _PHASES[p] for a, p in zip(self.agents, picks.tolist())}
-
-    def seed(self, table: MessageTable) -> None:
-        for forward, sweep in self.sweeps.items():
-            for p, pair in enumerate(sweep.pairs):
-                if pair in table.messages:
-                    self.buffer[sweep.offset + p] = table.messages[pair]
-                    self.sent[forward] = True
-
-    def table(self, rounds: int) -> MessageTable:
-        messages: dict[tuple[int, int], np.ndarray] = {}
-        for forward, sweep in self.sweeps.items():
-            if self.sent[forward]:
-                for p, pair in enumerate(sweep.pairs):
-                    messages[pair] = self.buffer[sweep.offset + p].copy()
-        return MessageTable(messages=messages, rounds=rounds)
-
-
-def message_passing(
-    cg: CoordinationGraph,
-    order: DagOrder,
-    rounds: Optional[int] = None,
-    table: Optional[MessageTable] = None,
-) -> MessageTable:
-    """Run synchronous rounds along the orientation: every round recomputes
-    all forward messages from the previous round's. Defaults to diameter
-    rounds, after which the table is a fixpoint."""
-    if rounds is None:
-        rounds = order.diameter
-    engine = _Engine(cg, order)
-    if table is not None:
-        engine.seed(table)
-    done = 0
-    for _ in range(rounds):
-        if not order.edges:
-            break
-        engine.update(True, 0, len(order.edges))
-        done += 1
-    return engine.table((table.rounds if table else 0) + done)
-
 
 @dataclass
 class CoordResult:

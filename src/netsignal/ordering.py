@@ -59,6 +59,11 @@ class LevelSchedule:
     forward messages, then incoming reverse messages, each in edge order,
     padded with the zero row. Every incoming-message sum adds them left to
     right, so it does not depend on how rows are grouped into levels.
+
+    `edges` are the order's edges as (i < j) pairs, which is the edge order
+    of the `CoordinationGraph` it was built from; `table_rows` is the
+    `edge_costs` row of each forward row's table, and `table_flipped` marks
+    the rows whose sender is the higher id, whose table is stored transposed.
     """
 
     def __init__(self, order: "DagOrder"):
@@ -96,9 +101,8 @@ class LevelSchedule:
         self.reverse = sweep(
             tuple((v, u) for u, v in (edges[e] for e in rev)), n_edges, rev_levels, fwd_row[rev]
         )
-        # the `CoordinationGraph.edge_costs` key of each forward row's table,
-        # and whether that table is stored transposed
-        self.table_keys = tuple((min(u, v), max(u, v)) for u, v in self.forward.pairs)
+        self.edges = tuple((u, v) if u < v else (v, u) for u, v in edges)
+        self.table_rows = np.array(fwd, dtype=np.intp)
         self.table_flipped = np.array([u > v for u, v in self.forward.pairs], dtype=bool)
 
 
@@ -156,25 +160,37 @@ def _longest_path_depths(agents, edges) -> dict[int, int]:
     return depth
 
 
-def _bfs_distances(cg: CoordinationGraph, source: int) -> dict[int, int]:
+def _adjacency(cg: CoordinationGraph) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {a: [] for a in cg.agents}
+    for i, j in cg.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for nbr in cg.neighbors[node]:
+        for nbr in adj[node]:
             if nbr not in dist:
                 dist[nbr] = dist[node] + 1
                 queue.append(nbr)
     return dist
 
 
-def eccentricity(cg: CoordinationGraph, agent: int) -> int:
-    """Max BFS hop distance from `agent` to any other agent."""
-    dist = _bfs_distances(cg, agent)
-    if len(dist) != len(cg.agents):
-        missing = sorted(set(cg.agents) - dist.keys())
+def _eccentricity(adj: dict[int, list[int]], agent: int) -> int:
+    dist = _bfs_distances(adj, agent)
+    if len(dist) != len(adj):
+        missing = sorted(adj.keys() - dist.keys())
         raise TopologyError(f"coordination graph disconnected, unreachable from {agent}: {missing}")
     return max(dist.values())
+
+
+def eccentricity(cg: CoordinationGraph, agent: int) -> int:
+    """Max BFS hop distance from `agent` to any other agent."""
+    return _eccentricity(_adjacency(cg), agent)
 
 
 def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
@@ -184,17 +200,19 @@ def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
     The sink is the agent of minimum eccentricity (lowest id on ties);
     equal-distance edges point from the higher id to the lower id, so the
     orientation is acyclic and deterministic. `diameter` is the longest
-    directed path of the result.
+    directed path of the result. `edges[e]` orients `cg.edges[e]`, so the
+    order's edges keep the graph's edge order.
     """
+    adj = _adjacency(cg)
     best_sink = None
     best_ecc = None
     for a in cg.agents:
-        ecc = eccentricity(cg, a)
+        ecc = _eccentricity(adj, a)
         if best_ecc is None or ecc < best_ecc or (ecc == best_ecc and a < best_sink):
             best_sink, best_ecc = a, ecc
-    dist = _bfs_distances(cg, best_sink)
+    dist = _bfs_distances(adj, best_sink)
     edges = []
-    for (i, j) in sorted(cg.edges):
+    for (i, j) in cg.edges:
         if dist[i] < dist[j]:
             edges.append((j, i))
         elif dist[j] < dist[i]:

@@ -107,16 +107,49 @@ def all_phase(net, phase):
 
 
 def random_cg(rng, n_agents, edge_pairs, scale=10.0):
-    """A hand-rolled coordination graph with random non-negative tables."""
+    """A hand-rolled coordination graph with random non-negative tables.
+
+    Tables are drawn in `edge_pairs` order, then the individual vectors in
+    agent order; the (pair, table) rows are then sorted by pair.
+    """
     from netsignal.coordination import CoordinationGraph
 
     agents = tuple(range(n_agents))
-    edge_costs = {
+    tables = {
         (min(i, j), max(i, j)): np.round(rng.random((4, 4)) * scale, 3)
         for (i, j) in edge_pairs
     }
-    individual = {a: np.round(rng.random(4) * scale, 3) for a in agents}
-    return CoordinationGraph(agents, tuple(edge_costs), edge_costs, individual)
+    individual = np.array([np.round(rng.random(4) * scale, 3) for _ in agents])
+    edges = sorted(tables)
+    stack = np.array([tables[e] for e in edges]).reshape(-1, 4, 4)
+    return CoordinationGraph(agents, edges, stack, individual)
+
+
+def engine_messages(engine):
+    """Every message in an engine's buffer, keyed by (sender, receiver)."""
+    sched = engine.schedule
+    return {
+        pair: engine.buffer[sweep.offset + p].copy()
+        for sweep in (sched.forward, sched.reverse)
+        for p, pair in enumerate(sweep.pairs)
+    }
+
+
+def forward_messages(cg, order, sync_rounds=0, level_pass=True):
+    """Forward messages of the shipped kernel after one level pass (taken
+    level by level as `coordinate` takes it) and then `sync_rounds` rounds
+    that recompute every forward message at once from the previous round's.
+    """
+    from netsignal.messaging import _Engine
+
+    engine = _Engine(cg, order)
+    if level_pass:
+        for start, stop in order.schedule.forward.levels:
+            engine.update(True, start, stop)
+    for _ in range(sync_rounds):
+        engine.update(True, 0, len(order.edges))
+    messages = engine_messages(engine)
+    return {pair: messages[pair] for pair in order.edges}
 
 
 def random_tree_edges(rng, n_agents):

@@ -8,7 +8,9 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from conftest import (
+    forward_messages,
     random_cg,
     random_connected_edges,
     random_macro_state,
@@ -26,10 +28,11 @@ from netsignal.harness import (
     run_experiment,
     simulate_comm_delay,
 )
-from netsignal.improvement import PlannerConfig, best_response
-from netsignal.messaging import CoorBudget, coordinate, message_passing
+from netsignal.improvement import PlannerConfig, local_improvement
+from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import eccentricity, min_diameter_dag
+from netsignal.prediction import period_model
 from netsignal.simulation import (
     Flow,
     SimConfig,
@@ -106,10 +109,10 @@ def test_criterion_03_fixpoint_in_diameter_rounds():
             net = build_grid(rows, cols)
             cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
             order = min_diameter_dag(cg)
-            at_dia = message_passing(cg, order)
-            extra = message_passing(cg, order, rounds=1, table=at_dia)
-            for key in at_dia.messages:
-                assert np.allclose(at_dia.messages[key], extra.messages[key], atol=1e-9)
+            at_dia = forward_messages(cg, order)
+            extra = forward_messages(cg, order, sync_rounds=1)
+            for key in at_dia:
+                assert np.allclose(at_dia[key], extra[key], atol=1e-9)
             checked += 1
     print(f"ACCEPTANCE 3 PASS - message fixpoint within diameter rounds on {checked} grids")
 
@@ -147,14 +150,18 @@ def test_criterion_05_worked_example_reproduced(fig_two):
     assert cost == pytest.approx(16.0)
 
     actions = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
-    choice = best_response(fig_two.i, actions, fig_two.state, fig_two.net, fig_two.turning)
+    args = (fig_two.state, fig_two.net, fig_two.turning)
+    choice = local_improvement(actions, *args, max_sweeps=1)[fig_two.i]
     assert choice == Phase.WE_STRAIGHT
-    from netsignal.improvement import _predicted_own_balance
-
-    own = _predicted_own_balance(
-        fig_two.i, Phase.WE_STRAIGHT, actions, fig_two.state, fig_two.net, fig_two.turning
-    )
+    assert choice == oracle.best_response(fig_two.i, actions, *args)
+    model = period_model(fig_two.net, fig_two.state, fig_two.turning)
+    row = model.arrays.agent_index[fig_two.i]
+    picks = np.array([int(actions[a]) for a in model.arrays.agent_ids], dtype=np.intp)
+    own = model.sweep_scores(picks)[row, Phase.WE_STRAIGHT]
     assert own == pytest.approx(4.0)
+    assert own == pytest.approx(
+        oracle.predicted_own_balance(fig_two.i, Phase.WE_STRAIGHT, actions, *args)
+    )
 
     cfg = PlannerConfig(budget=CoorBudget.from_rounds(64), epsilon=0.8)
     from netsignal.improvement import plan_phases

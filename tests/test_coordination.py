@@ -17,11 +17,12 @@ from netsignal.simulation import balance_index, initial_state, predict_next_queu
 
 def test_two_intersection_individual_costs(fig_two):
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
-    ci = cg.individual[fig_two.i]
+    assert cg.agents == (fig_two.i, fig_two.j) and cg.edges == ((fig_two.i, fig_two.j),)
+    ci = cg.individual[0]
     assert ci[Phase.WE_LEFT] == 16
     assert ci[Phase.WE_STRAIGHT] == 4
     # releasing the through queue loads the internal link for any x_j
-    table = cg.edge_cost(fig_two.i, fig_two.j)
+    table = cg.edge_costs[0]
     assert np.all(table[Phase.WE_STRAIGHT, :] == 16)
     assert np.all(table[Phase.WE_LEFT, :] == 0)
 
@@ -30,12 +31,15 @@ def test_edges_follow_internal_links():
     net = build_grid(2, 3)
     state = initial_state(net)
     cg = build_cg(state, net, random_turning(net, np.random.default_rng(0)))
-    assert set(cg.edges) == {
-        (i, j) for i in net.intersections for j in net.neighbors[i] if i < j
-    }
-    for i in net.intersections:
+    assert cg.edges == tuple(
+        sorted((i, j) for i in net.intersections for j in net.neighbors[i] if i < j)
+    )
+    assert cg.agents == tuple(sorted(net.intersections))
+    assert cg.edge_costs.shape == (len(cg.edges), 4, 4)
+    assert cg.individual.shape == (len(cg.agents), 4)
+    for k, i in enumerate(cg.agents):
         if i not in net.boundary:
-            assert np.all(cg.individual[i] == 0)
+            assert np.all(cg.individual[k] == 0)
 
 
 def test_zero_state_zero_costs():
@@ -43,10 +47,8 @@ def test_zero_state_zero_costs():
     turning = random_turning(net, np.random.default_rng(1), max_demand=0.0)
     turning.d = {l: 0.0 for l in turning.d}
     cg = build_cg(initial_state(net), net, turning)
-    for table in cg.edge_costs.values():
-        assert np.all(table == 0)
-    for vec in cg.individual.values():
-        assert np.all(vec == 0)
+    assert np.all(cg.edge_costs == 0)
+    assert np.all(cg.individual == 0)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -72,7 +74,7 @@ def test_edge_cost_depends_only_on_queues_feeding_it():
     rng = np.random.default_rng(5)
     state = random_macro_state(net, rng)
     turning = random_turning(net, rng)
-    base = build_cg(state, net, turning).edge_cost(0, 1).copy()
+    base = build_cg(state, net, turning).edge_costs[0].copy()
     link_01 = {
         l
         for l in net.internal_links()
@@ -88,7 +90,9 @@ def test_edge_cost_depends_only_on_queues_feeding_it():
             bumped[m.key] += 3
             changed += 1
     assert changed > 0
-    perturbed = build_cg(replace(state, q=bumped), net, turning).edge_cost(0, 1)
+    perturbed = build_cg(replace(state, q=bumped), net, turning)
+    assert perturbed.edges[0] == (0, 1)
+    perturbed = perturbed.edge_costs[0]
     assert np.array_equal(base, perturbed)
 
 
@@ -97,10 +101,8 @@ def test_costs_finite_and_non_negative():
     rng = np.random.default_rng(2)
     state = random_macro_state(net, rng)
     cg = build_cg(state, net, random_turning(net, rng))
-    for table in cg.edge_costs.values():
+    for table in (cg.edge_costs, cg.individual):
         assert np.all(np.isfinite(table)) and np.all(table >= 0)
-    for vec in cg.individual.values():
-        assert np.all(np.isfinite(vec)) and np.all(vec >= 0)
 
 
 def test_global_cost_zero_tables():
@@ -123,8 +125,8 @@ def test_global_cost_matches_double_loop():
             cg.individual[0][x0]
             + cg.individual[1][x1]
             + cg.individual[2][x2]
-            + cg.edge_costs[(0, 1)][x0, x1]
-            + cg.edge_costs[(1, 2)][x1, x2]
+            + cg.edge_costs[0][x0, x1]
+            + cg.edge_costs[1][x1, x2]
         )
         assert global_cost(cg, x) == pytest.approx(manual)
 
@@ -136,7 +138,7 @@ def test_global_cost_missing_agent():
 
 
 def test_brute_force_single_agent_vector():
-    cg = CoordinationGraph((0,), (), {}, {0: np.array([3.0, 1.0, 2.0, 5.0])})
+    cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [[3.0, 1.0, 2.0, 5.0]])
     assignment, cost = brute_force_optimum(cg)
     assert assignment == {0: Phase(1)}
     assert cost == 1
@@ -175,19 +177,32 @@ def test_brute_force_agent_cap():
         brute_force_optimum(cg)
 
 
-def test_edge_cost_view_is_consistent():
-    rng = np.random.default_rng(21)
-    cg = random_cg(rng, 2, [(0, 1)])
-    t = cg.edge_cost(0, 1)
-    r = cg.edge_cost(1, 0)
-    for xi in range(4):
-        for xj in range(4):
-            assert t[xi, xj] == r[xj, xi]
-
-
 def test_dump_edge_costs(tmp_path):
     cg = random_cg(np.random.default_rng(3), 3, [(0, 1), (1, 2)])
     path = tmp_path / "costs.csv"
     dump_edge_costs(cg, str(path))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 16
+
+
+@pytest.mark.parametrize(
+    "agents,edges,n_tables",
+    [
+        ((1, 0), ((0, 1),), 1),  # unsorted agents
+        ((0, 0), (), 0),  # repeated agent
+        ((0, 1), ((1, 0),), 1),  # edge not (i < j)
+        ((0, 1, 2), ((1, 2), (0, 1)), 2),  # edges out of order
+        ((0, 1), ((0, 1), (0, 1)), 2),  # repeated edge
+        ((0, 1, 2), ((0, 1),), 2),  # one table too many
+    ],
+)
+def test_graph_rejects_non_canonical_layout(agents, edges, n_tables):
+    with pytest.raises(ValueError):
+        CoordinationGraph(agents, edges, np.zeros((n_tables, 4, 4)), np.zeros((len(agents), 4)))
+
+
+def test_graph_rejects_wrong_individual_shape():
+    with pytest.raises(ValueError, match="shapes"):
+        CoordinationGraph((0, 1), ((0, 1),), np.zeros((1, 4, 4)), np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="shapes"):
+        CoordinationGraph((0, 1), ((0, 1),), np.zeros((1, 4, 3)), np.zeros((2, 4)))

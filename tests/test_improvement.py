@@ -5,8 +5,6 @@ from conftest import all_phase, random_macro_state, random_turning
 from netsignal.coordination import build_cg
 from netsignal.improvement import (
     PlannerConfig,
-    _predicted_own_balance,
-    best_response,
     local_improvement,
     plan_phases,
     plan_phases_detailed,
@@ -14,21 +12,29 @@ from netsignal.improvement import (
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag
+from netsignal.prediction import period_model
 from netsignal.simulation import balance_index, initial_state, predict_next_queues
+from oracle import best_response, predicted_own_balance
+
+
+def kernel_scores(actions, state, net, turning):
+    """Each agent's own-balance score per phase from the shipped sweep kernel,
+    given everyone plays `actions`."""
+    model = period_model(net, state, turning)
+    agents = model.arrays.agent_ids
+    scores = model.sweep_scores(np.array([int(actions[a]) for a in agents], dtype=np.intp))
+    return dict(zip(agents, scores))
 
 
 def test_best_response_two_intersections(fig_two):
     actions = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
-    assert _predicted_own_balance(
-        fig_two.i, Phase.WE_LEFT, actions, fig_two.state, fig_two.net, fig_two.turning
-    ) == pytest.approx(16)
-    assert _predicted_own_balance(
-        fig_two.i, Phase.WE_STRAIGHT, actions, fig_two.state, fig_two.net, fig_two.turning
-    ) == pytest.approx(4)
-    assert (
-        best_response(fig_two.i, actions, fig_two.state, fig_two.net, fig_two.turning)
-        == Phase.WE_STRAIGHT
-    )
+    args = (fig_two.state, fig_two.net, fig_two.turning)
+    own = [predicted_own_balance(fig_two.i, p, actions, *args) for p in Phase]
+    assert own[Phase.WE_LEFT] == pytest.approx(16)
+    assert own[Phase.WE_STRAIGHT] == pytest.approx(4)
+    assert kernel_scores(actions, *args)[fig_two.i] == pytest.approx(own)
+    assert best_response(fig_two.i, actions, *args) == Phase.WE_STRAIGHT
+    assert local_improvement(actions, *args, max_sweeps=1)[fig_two.i] == Phase.WE_STRAIGHT
 
 
 def test_best_response_all_tie_keeps_current():
@@ -38,10 +44,11 @@ def test_best_response_all_tie_keeps_current():
     turning.d = {l: 0.0 for l in turning.d}
     actions = all_phase(net, Phase.SN_LEFT)
     assert best_response(0, actions, state, net, turning) == Phase.SN_LEFT
+    assert local_improvement(actions, state, net, turning, max_sweeps=1) == actions
 
 
 def test_best_response_matches_full_prediction():
-    # Cross-check the local predictor against the network-wide one.
+    # Cross-check the local predictors against the network-wide one.
     net = build_grid(2, 2)
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -50,6 +57,7 @@ def test_best_response_matches_full_prediction():
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         agent = int(rng.integers(4))
         got = best_response(agent, actions, state, net, turning)
+        swept = local_improvement(actions, state, net, turning, max_sweeps=1)[agent]
         scores = {}
         for p in Phase:
             joint = dict(actions)
@@ -58,18 +66,21 @@ def test_best_response_matches_full_prediction():
             scores[p] = balance_index(predicted, net, agent)
         best = min(scores.values())
         assert scores[got] == pytest.approx(best)
+        assert scores[swept] == pytest.approx(best)
+        kernel = kernel_scores(actions, state, net, turning)[agent]
         for p in Phase:
-            assert _predicted_own_balance(agent, p, actions, state, net, turning) == pytest.approx(
+            assert predicted_own_balance(agent, p, actions, state, net, turning) == pytest.approx(
                 scores[p]
             )
+            assert kernel[p] == pytest.approx(scores[p])
 
 
 def test_best_response_requires_neighbors():
     net = build_grid(1, 2)
     state = initial_state(net)
     turning = random_turning(net, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="missing neighbor"):
-        best_response(0, {0: Phase(0)}, state, net, turning)
+    with pytest.raises(ValueError, match=r"missing agents \[1\]"):
+        local_improvement({0: Phase(0)}, state, net, turning)
 
 
 def test_best_response_never_increases_own_balance():
@@ -79,12 +90,15 @@ def test_best_response_never_increases_own_balance():
         state = random_macro_state(net, rng)
         turning = random_turning(net, rng)
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
+        swept = local_improvement(actions, state, net, turning, max_sweeps=1)
+        kernel = kernel_scores(actions, state, net, turning)
         for agent in net.intersections:
-            chosen = best_response(agent, actions, state, net, turning)
-            before = _predicted_own_balance(
+            chosen = swept[agent]
+            assert kernel[agent][chosen] <= kernel[agent][actions[agent]] + 1e-9
+            before = predicted_own_balance(
                 agent, actions[agent], actions, state, net, turning
             )
-            after = _predicted_own_balance(agent, chosen, actions, state, net, turning)
+            after = predicted_own_balance(agent, chosen, actions, state, net, turning)
             assert after <= before + 1e-9
 
 
@@ -137,7 +151,7 @@ def test_plan_epsilon_zero_seeds_from_own_costs(fig_two):
     detail = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg)
     assert detail.coordination.rounds == 0
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
-    seed = {a: Phase(int(np.argmin(cg.individual[a]))) for a in cg.agents}
+    seed = {a: Phase(int(np.argmin(cg.individual[k]))) for k, a in enumerate(cg.agents)}
     assert detail.coordination.assignment == seed
     expected = local_improvement(seed, fig_two.state, fig_two.net, fig_two.turning)
     assert detail.assignment == expected

@@ -1,27 +1,31 @@
 import numpy as np
 import pytest
 
-from conftest import random_cg, random_tree_edges
+from conftest import engine_messages, forward_messages, random_cg, random_tree_edges
 from netsignal.coordination import CoordinationGraph, brute_force_optimum, build_cg, global_cost
-from netsignal.messaging import (
-    CoorBudget,
-    MessageTable,
-    compute_message,
-    coordinate,
-    decide,
-    message_passing,
-)
+from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase
 from netsignal.ordering import min_diameter_dag, reverse
+from oracle import ScalarGraph
 
 
-def reference_rounds(cg, order, rounds, table=None):
+def reference_rounds(cg, order, rounds):
     """Synchronous rounds straight off the per-edge message rule."""
-    table = table or MessageTable()
+    ref = ScalarGraph(cg)
+    messages = {}
     for _ in range(rounds):
-        new = {edge: compute_message(edge[0], edge[1], cg, table) for edge in order.edges}
-        table = MessageTable({**table.messages, **new}, table.rounds + 1)
-    return table
+        messages = ref.sync_round(order.edges, messages)
+    return messages
+
+
+def one_cycle(cg):
+    """An engine after one forward and one reverse level pass."""
+    order = min_diameter_dag(cg)
+    engine = _Engine(cg, order)
+    for forward in (True, False):
+        for start, stop in engine.sweeps[forward].levels:
+            engine.update(forward, start, stop)
+    return engine
 
 
 def two_agent_cg(rng):
@@ -30,32 +34,36 @@ def two_agent_cg(rng):
 
 def test_message_zero_costs():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
-    msg = compute_message(0, 1, cg, MessageTable())
-    assert np.array_equal(msg, np.zeros(4))
+    messages = engine_messages(one_cycle(cg))
+    assert np.array_equal(messages[(0, 1)], np.zeros(4))
+    assert np.array_equal(messages[(1, 0)], np.zeros(4))
 
 
 def test_message_constant_edge_cost():
     cg = CoordinationGraph(
-        (0, 1), ((0, 1),), {(0, 1): np.zeros((4, 4))}, {0: np.array([3.0, 1.0, 2.0, 5.0])}
+        (0, 1), ((0, 1),), np.zeros((1, 4, 4)), [[3.0, 1.0, 2.0, 5.0], [0.0] * 4]
     )
-    msg = compute_message(0, 1, cg, MessageTable())
+    msg = engine_messages(one_cycle(cg))[(0, 1)]
     assert np.array_equal(msg, np.full(4, 1.0))
+    assert np.array_equal(msg, ScalarGraph(cg).message(0, 1, {}))
 
 
 def test_two_agent_chain_reaches_global_min():
     rng = np.random.default_rng(1)
     for _ in range(200):
         cg = two_agent_cg(rng)
-        msg = compute_message(0, 1, cg, MessageTable())
+        msg = engine_messages(one_cycle(cg))[(0, 1)]
+        assert np.allclose(msg, ScalarGraph(cg).message(0, 1, {}), rtol=0.0, atol=1e-9)
         chained = float(np.min(cg.individual[1] + msg))
         _, best = brute_force_optimum(cg)
         assert chained == pytest.approx(best)
 
 
 def test_message_passing_single_agent_empty():
-    cg = CoordinationGraph((0,), (), {}, {0: np.arange(4.0)})
-    table = message_passing(cg, min_diameter_dag(cg))
-    assert table.messages == {}
+    cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [np.arange(4.0)])
+    order = min_diameter_dag(cg)
+    assert forward_messages(cg, order, sync_rounds=order.diameter) == {}
+    assert engine_messages(_Engine(cg, order)) == {}
 
 
 def test_three_agent_path_fixpoint_after_one_round():
@@ -63,10 +71,10 @@ def test_three_agent_path_fixpoint_after_one_round():
     cg = random_cg(rng, 3, [(0, 1), (1, 2)])
     order = min_diameter_dag(cg)
     assert order.diameter == 1
-    table = message_passing(cg, order)
-    again = message_passing(cg, order, rounds=1, table=table)
-    for key in table.messages:
-        assert np.allclose(table.messages[key], again.messages[key], atol=1e-9)
+    table = forward_messages(cg, order)
+    again = forward_messages(cg, order, sync_rounds=1)
+    for key in table:
+        assert np.allclose(table[key], again[key], atol=1e-9)
 
 
 def test_engine_matches_reference_rule():
@@ -77,12 +85,11 @@ def test_engine_matches_reference_rule():
         edges = sorted(set(random_tree_edges(rng, n)) | set())
         cg = random_cg(rng, n, edges)
         order = min_diameter_dag(cg)
-        rounds = order.diameter + extra
-        fast = message_passing(cg, order, rounds=rounds)
-        slow = reference_rounds(cg, order, rounds)
-        assert set(fast.messages) == set(slow.messages)
-        for key in fast.messages:
-            assert np.allclose(fast.messages[key], slow.messages[key], atol=1e-9)
+        fast = forward_messages(cg, order, sync_rounds=extra)
+        slow = reference_rounds(cg, order, order.diameter + extra)
+        assert set(fast) == set(slow)
+        for key in fast:
+            assert np.allclose(fast[key], slow[key], atol=1e-9)
 
 
 def test_grid_fixpoint_in_exactly_diameter_rounds():
@@ -93,36 +100,37 @@ def test_grid_fixpoint_in_exactly_diameter_rounds():
     rng = np.random.default_rng(17)
     cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
     order = min_diameter_dag(cg)
-    at_dia = message_passing(cg, order)
-    one_more = message_passing(cg, order, rounds=1, table=at_dia)
-    for key in at_dia.messages:
-        assert np.allclose(at_dia.messages[key], one_more.messages[key], atol=1e-9)
+    at_dia = forward_messages(cg, order)
+    one_more = forward_messages(cg, order, sync_rounds=1)
+    for key in at_dia:
+        assert np.allclose(at_dia[key], one_more[key], atol=1e-9)
     # and the round before the bound is not yet stable for this state
-    early = message_passing(cg, order, rounds=order.diameter - 1)
+    early = forward_messages(cg, order, sync_rounds=order.diameter - 1, level_pass=False)
     assert any(
-        not np.allclose(early.messages[key], at_dia.messages[key], atol=1e-9)
-        for key in early.messages
+        not np.allclose(early[key], at_dia[key], atol=1e-9)
+        for key in early
     )
 
 
 def test_decide_empty_table_uses_own_cost():
-    cg = CoordinationGraph((0,), (), {}, {0: np.array([3.0, 1.0, 2.0, 5.0])})
-    assert decide(0, cg, MessageTable()) == Phase(1)
+    cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [[3.0, 1.0, 2.0, 5.0]])
+    engine = _Engine(cg, min_diameter_dag(cg))
+    assert engine.assignment(engine.picks()) == {0: Phase(1)}
 
 
 def test_decide_tie_break_lowest_index():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
-    assert decide(0, cg, MessageTable()) == Phase(0)
+    engine = _Engine(cg, min_diameter_dag(cg))
+    assert engine.assignment(engine.picks()) == {0: Phase(0), 1: Phase(0)}
 
 
 def test_decide_after_convergence_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(200):
         cg = two_agent_cg(rng)
-        order = min_diameter_dag(cg)
-        table = message_passing(cg, order)
-        table = message_passing(cg, reverse(order), rounds=order.diameter, table=table)
-        joint = {a: decide(a, cg, table) for a in cg.agents}
+        engine = one_cycle(cg)
+        joint = engine.assignment(engine.picks())
+        assert joint == ScalarGraph(cg).decisions(engine_messages(engine))
         _, best = brute_force_optimum(cg)
         assert global_cost(cg, joint) == pytest.approx(best)
 
@@ -152,7 +160,7 @@ def test_coordinate_zero_budget_decides_from_own_costs():
     rng = np.random.default_rng(23)
     cg = random_cg(rng, 5, random_tree_edges(rng, 5))
     result = coordinate(cg, min_diameter_dag(cg), CoorBudget.from_rounds(0))
-    expected = {a: Phase(int(np.argmin(cg.individual[a]))) for a in cg.agents}
+    expected = {a: Phase(int(np.argmin(cg.individual[k]))) for k, a in enumerate(cg.agents)}
     assert result.assignment == expected
     assert result.rounds == 0 and result.passes == 0
 
@@ -237,3 +245,14 @@ def test_budget_validation():
     assert CoorBudget.wall_clock(100).wall_ms == 100
     scaled = CoorBudget(rounds=10, wall_ms=1000).scaled(0.8)
     assert scaled.rounds == 8 and scaled.wall_ms == 800
+
+
+def test_engine_rejects_an_orientation_of_another_graph():
+    rng = np.random.default_rng(43)
+    cg = random_cg(rng, 4, [(0, 1), (1, 2), (2, 3)])
+    other = random_cg(rng, 4, [(0, 1), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="different coordination graph"):
+        _Engine(cg, min_diameter_dag(other))
+    with pytest.raises(ValueError, match="different coordination graph"):
+        coordinate(cg, min_diameter_dag(other), CoorBudget.from_rounds(4))
+    assert _Engine(cg, reverse(min_diameter_dag(cg))).agents == cg.agents

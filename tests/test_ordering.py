@@ -50,7 +50,7 @@ def test_eccentricity_grid_corner():
 
 
 def test_eccentricity_disconnected_raises():
-    cg = CoordinationGraph((0, 1, 2), ((0, 1),), {(0, 1): np.zeros((4, 4))}, {})
+    cg = CoordinationGraph((0, 1, 2), ((0, 1),), np.zeros((1, 4, 4)), np.zeros((3, 4)))
     with pytest.raises(TopologyError):
         eccentricity(cg, 0)
     with pytest.raises(TopologyError):
@@ -65,7 +65,7 @@ def test_min_diameter_path():
 
 
 def test_min_diameter_single_agent():
-    cg = CoordinationGraph((0,), (), {}, {})
+    cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), np.zeros((1, 4)))
     order = min_diameter_dag(cg)
     assert order.sink == 0
     assert order.edges == ()
@@ -92,7 +92,7 @@ def test_reverse_is_involution():
 
 
 def test_reverse_single_agent_unchanged():
-    order = min_diameter_dag(CoordinationGraph((0,), (), {}, {}))
+    order = min_diameter_dag(CoordinationGraph((0,), (), np.zeros((0, 4, 4)), np.zeros((1, 4))))
     assert reverse(order) == order
 
 

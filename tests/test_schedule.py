@@ -2,19 +2,18 @@
 
 `sync_coordinate` is the solver's reference: every round recomputes all of
 one direction's messages from the previous round's table with the scalar
-rule `compute_message`, `diameter` rounds make a pass, and decisions come
-from `decide`. The level schedule must give the same decisions, passes,
-rounds and convergence under every round cap that lands in or after the
-first pass's end.
+message rule of `oracle.ScalarGraph`, `diameter` rounds make a pass, and
+decisions come from its scalar `decide`. The level schedule must give the
+same decisions, passes, rounds and convergence under every round cap that
+lands in or after the first pass's end.
 """
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    forward_messages,
     random_cg,
     random_connected_edges,
     random_macro_state,
@@ -22,17 +21,10 @@ from conftest import (
     random_turning,
 )
 from netsignal.coordination import brute_force_optimum, build_cg, global_cost
-from netsignal.messaging import (
-    CoorBudget,
-    MessageTable,
-    _Engine,
-    compute_message,
-    coordinate,
-    decide,
-    message_passing,
-)
+from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import build_grid
 from netsignal.ordering import min_diameter_dag
+from oracle import ScalarGraph, longest_directed_path
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -43,15 +35,11 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def sync_round(cg, pairs, table):
-    new = {(u, v): compute_message(u, v, cg, table) for u, v in pairs}
-    return MessageTable({**table.messages, **new}, table.rounds + 1)
-
-
 def sync_coordinate(cg, order, rounds_cap):
     """Alternating passes of `diameter` synchronous rounds, capped in rounds."""
+    ref = ScalarGraph(cg)
     directions = (order.edges, tuple((v, u) for u, v in order.edges))
-    table = MessageTable()
+    table = {}
     done = passes = 0
     snapshot = previous = None
     forward = True
@@ -59,30 +47,20 @@ def sync_coordinate(cg, order, rounds_cap):
         for _ in range(order.diameter):
             if done >= rounds_cap:
                 if snapshot is None:
-                    snapshot = {a: decide(a, cg, table) for a in cg.agents}
+                    snapshot = ref.decisions(table)
                 return snapshot, passes, done, False
-            table = sync_round(cg, directions[0 if forward else 1], table)
+            table = ref.sync_round(directions[0 if forward else 1], table)
             done += 1
         passes += 1
-        snapshot = {a: decide(a, cg, table) for a in cg.agents}
+        snapshot = ref.decisions(table)
         if not forward:
-            cycle = dict(table.messages)
+            cycle = dict(table)
             if previous is not None and all(
                 np.allclose(cycle[k], previous[k], rtol=0.0, atol=1e-9) for k in cycle
             ):
                 return snapshot, passes, done, True
             previous = cycle
         forward = not forward
-
-
-def longest_directed_path(order):
-    followers = order.followers()
-
-    @lru_cache(maxsize=None)
-    def down(a):
-        return max((1 + down(b) for b in followers[a]), default=0)
-
-    return max(down(a) for a in followers)
 
 
 def is_bipartite(n, edges):
@@ -115,15 +93,6 @@ def loopy_graphs(draw):
     return random_cg(rng, n, edges)
 
 
-def forward_pass(cg, order):
-    """The messages after one forward pass, taken level by level as
-    `coordinate` takes them."""
-    engine = _Engine(cg, order)
-    for start, stop in order.schedule.forward.levels:
-        engine.update(True, start, stop)
-    return engine.table(order.diameter)
-
-
 @pytest.mark.parametrize("rows", range(2, 7))
 @pytest.mark.parametrize("cols", range(2, 7))
 def test_coordinate_matches_synchronous_rounds_on_grids(rows, cols):
@@ -144,14 +113,14 @@ def test_coordinate_matches_synchronous_rounds_on_grids(rows, cols):
 @given(loopy_graphs())
 def test_one_forward_pass_is_a_fixpoint_on_loopy_graphs(cg):
     order = min_diameter_dag(cg)
-    table = forward_pass(cg, order)
-    again = sync_round(cg, order.edges, table)
+    table = forward_messages(cg, order)
+    again = ScalarGraph(cg).sync_round(order.edges, table)
     for pair in order.edges:
-        assert np.allclose(again.messages[pair], table.messages[pair], rtol=0.0, atol=1e-9)
+        assert np.allclose(again[pair], table[pair], rtol=0.0, atol=1e-9)
     # the same messages, bit for bit, as `diameter` synchronous rounds
-    rounds = message_passing(cg, order)
+    rounds = forward_messages(cg, order, sync_rounds=order.diameter, level_pass=False)
     for pair in order.edges:
-        assert np.array_equal(rounds.messages[pair], table.messages[pair])
+        assert np.array_equal(rounds[pair], table[pair])
 
 
 @PROPERTY_SETTINGS
@@ -193,13 +162,15 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     rng = np.random.default_rng(seed)
     pairs = [*order.edges, *((v, u) for u, v in order.edges)]
     scales = 10.0 ** rng.integers(-3, 4, len(pairs))
-    table = MessageTable({pair: rng.random(4) * k for pair, k in zip(pairs, scales)})
+    table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
     engine = _Engine(cg, order)
-    engine.seed(table)
+    for sweep in (order.schedule.forward, order.schedule.reverse):
+        for p, pair in enumerate(sweep.pairs):
+            engine.buffer[sweep.offset + p] = table[pair]
     index = {a: k for k, a in enumerate(engine.agents)}
     src = [index[u] for u, _ in order.edges]
     dst = [index[v] for _, v in order.edges]
     want = np.zeros((len(engine.agents), 4))
-    np.add.at(want, dst, np.array([table.messages[(u, v)] for u, v in order.edges]))
-    np.add.at(want, src, np.array([table.messages[(v, u)] for u, v in order.edges]))
+    np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
+    np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
     assert np.array_equal(engine._incoming_sums(order.schedule.slots.T), want)
