@@ -8,7 +8,7 @@ throughput, and a built-in queue-dynamics simulator evaluates the result
 against fixed-time and max-pressure baselines.
 """
 
-from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressure
+from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressures
 from netsignal.coordination import (
     CoordinationGraph,
     brute_force_optimum,
@@ -54,7 +54,6 @@ from netsignal.simulation import (
     MetricsError,
     QueueState,
     SimConfig,
-    SimMode,
     TurningModel,
     Vehicle,
     balance_index,
@@ -93,7 +92,6 @@ __all__ = [
     "RoadNetwork",
     "Scenario",
     "SimConfig",
-    "SimMode",
     "TopologyError",
     "TurningModel",
     "Vehicle",
@@ -115,7 +113,7 @@ __all__ = [
     "max_pressure",
     "min_diameter_dag",
     "network_order",
-    "phase_pressure",
+    "phase_pressures",
     "plan_phases",
     "plan_phases_detailed",
     "predict_next_queues",

@@ -4,15 +4,21 @@ Both act per intersection with no communication. The pressure of a movement
 is its saturation flow times the gap between its upstream queue and the
 turning-weighted queues downstream; picking the phase with the highest
 total pressure is the classic stabilizing greedy rule the coordinated
-planner is measured against.
+planner is measured against. Pressures for every intersection and phase
+come from one pass over the network's movement arrays (`prediction`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from netsignal.network import LinkKind, Phase, RoadNetwork
+import numpy as np
+
+from netsignal.network import NUM_PHASES, Phase, RoadNetwork
+from netsignal.prediction import movement_arrays
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
+
+_PHASES = tuple(Phase)
 
 
 @dataclass
@@ -38,40 +44,28 @@ def fixed_time(period: int, cfg: FixedTimeConfig, intersections: Iterable[int]) 
     return {i: phase for i in intersections}
 
 
-def phase_pressure(
-    agent: int,
-    phase: Phase,
-    state: QueueState,
-    net: RoadNetwork,
-    turning: TurningModel,
-) -> float:
-    """Total pressure of the movements the phase would activate.
+def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) -> np.ndarray:
+    """Total pressure of each phase at each intersection, shape (N, 4) with
+    rows in `movement_arrays(net).agent_ids` order.
 
-    Right turns run regardless of phase and are excluded. Exit links have no
-    downstream queues, so their term is the upstream queue alone.
+    A phase's pressure sums its movements' sat_flow * (upstream queue -
+    turning-weighted downstream queues). Right turns run regardless of phase
+    and are excluded. Exit links have no downstream queues, so their term is
+    the upstream queue alone. Both sums run in movement order from 0.0.
     """
-    total = 0.0
-    for m in net.movements_at[agent]:
-        if m.phase != phase:
-            continue
-        downstream = 0.0
-        if net.links[m.to].kind is not LinkKind.EXIT:
-            for down in net.movements_from[m.to]:
-                downstream += turning.proportion(m.to, down.to) * state.q[down.key]
-        total += m.sat_flow * (state.q[m.key] - downstream)
-    return total
+    arr = movement_arrays(net)
+    q = arr.q_vector(state)
+    downstream = np.zeros(arr.n_links)
+    np.add.at(downstream, arr.mov_from, arr.r_vector(turning) * q)
+    pressure = arr.sat * (q - downstream[arr.mov_to])
+    phased = arr.mov_phase >= 0
+    totals = np.zeros((len(arr.agent_ids), NUM_PHASES))
+    np.add.at(totals, (arr.mov_agent[phased], arr.mov_phase[phased]), pressure[phased])
+    return totals
 
 
 def max_pressure(state: QueueState, net: RoadNetwork, turning: TurningModel) -> JointAssignment:
     """Independently per intersection, the highest-pressure phase (lowest
     index on ties)."""
-    decision: JointAssignment = {}
-    for i in sorted(net.intersections):
-        best_phase = Phase(0)
-        best_value = None
-        for p in Phase:
-            value = phase_pressure(i, p, state, net, turning)
-            if best_value is None or value > best_value:
-                best_phase, best_value = p, value
-        decision[i] = best_phase
-    return decision
+    best = np.argmax(phase_pressures(state, net, turning), axis=1)
+    return {a: _PHASES[p] for a, p in zip(movement_arrays(net).agent_ids, best.tolist())}

@@ -78,7 +78,6 @@ class Scenario:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     fixed: FixedTimeConfig = field(default_factory=FixedTimeConfig)
     delay: Optional[DelayModel] = None
-    delay_nodes: Optional[int] = None
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -242,9 +241,7 @@ def run_experiment(scenario: Scenario) -> Metrics:
         comm_ms = 0.0
         if delay_model is not None and controller.rounds_last > 0:
             per_period = DelayModel(delay_model.mu_ms, delay_model.sigma_ms, delay_seed + t)
-            comm_ms = modeled_delay_ms(
-                controller.order, controller.rounds_last, per_period, scenario.delay_nodes
-            )
+            comm_ms = modeled_delay_ms(controller.order, controller.rounds_last, per_period)
         state = step(state, decision, net, cfg, flow=flow)
         rows.append(
             PeriodRow(t, state.total_queue(), balance_index(state), decision_ms, comm_ms)

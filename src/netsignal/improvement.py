@@ -103,7 +103,6 @@ def local_improvement(
 class PlanResult:
     assignment: JointAssignment
     coordination: CoordResult
-    sweeps_budget_ms: Optional[float]
 
 
 def plan_phases_detailed(
@@ -138,7 +137,7 @@ def plan_phases_detailed(
         max_sweeps=cfg.max_sweeps,
         model=model,
     )
-    return PlanResult(final, coord, sweep_budget.wall_ms)
+    return PlanResult(final, coord)
 
 
 def plan_phases(

@@ -1,11 +1,13 @@
-"""Vectorized one-step prediction arrays shared by the cost builders.
+"""Vectorized one-step prediction arrays shared by the planner and the
+max-pressure baseline.
 
 Cost-table construction and best-response sweeps both evaluate the same
 quantities for every movement: how much a phase choice drains its queue and
 how much upstream releases feed its link. Doing that per movement in Python
 dominates the per-period budget on large grids, so this module flattens the
-network into index arrays once and evaluates whole periods as numpy
-expressions.
+network into index arrays once (`MovementArrays`, cached per network) and
+evaluates whole periods as numpy expressions. Max-pressure reads the same
+arrays for its per-phase pressures.
 """
 from __future__ import annotations
 
@@ -30,13 +32,13 @@ class MovementArrays:
         self.mov_agent = np.array([agent_index[m.intersection] for m in movements], dtype=np.intp)
         self.sat = np.array([m.sat_flow for m in movements])
 
-        # activation of each movement under each phase of its intersection
-        self.act = np.zeros((self.n_mov, NUM_PHASES))
-        for k, m in enumerate(movements):
-            if m.phase is None:
-                self.act[k, :] = 1.0
-            else:
-                self.act[k, int(m.phase)] = 1.0
+        # each movement's phase, -1 for right turns, which run under every
+        # phase; `act` is its activation under each phase of its intersection
+        self.mov_phase = np.array(
+            [-1 if m.phase is None else int(m.phase) for m in movements], dtype=np.intp
+        )
+        phases = np.arange(NUM_PHASES)
+        self.act = ((self.mov_phase[:, None] < 0) | (self.mov_phase[:, None] == phases)).astype(float)
 
         link_ids = sorted(net.links)
         link_index = {l: k for k, l in enumerate(link_ids)}

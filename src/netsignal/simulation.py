@@ -1,24 +1,23 @@
 """Discrete-period traffic dynamics.
 
-Two modes share one update law. Micro mode moves individual vehicles through
-per-movement FIFO queues and link transit, and is what experiments measure
-travel time on. Macro mode propagates expected (fractional) queue counts and
-is the controllers' one-step lookahead; `predict_next_queues` is exactly one
-macro update.
+`step` is the micro simulator experiments measure travel time on: it moves
+individual vehicles through per-movement FIFO queues and link transit.
+`predict_next_queues` is the macro one-step update, propagating expected
+(fractional) queue counts; it is the scalar reference for the lookahead the
+planner's cost tables encode.
 
 Per period, an active movement (l, h) discharges up to its saturation flow
 from queue (l, h); discharged vehicles either leave through an exit link or
-traverse the downstream link and join its queue. In macro mode the traversal
-takes one period and arrivals split by turning proportion; in micro mode a
-vehicle spends ceil(length / (speed * tau)) periods in transit and follows
-its own route.
+traverse the downstream link and join its queue. In the macro update the
+traversal takes one period and arrivals split by turning proportion; in the
+micro simulator a vehicle spends ceil(length / (speed * tau)) periods in
+transit and follows its own route.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,17 +32,11 @@ class MetricsError(ValueError):
     """Raised when a metric is undefined (e.g. no vehicles)."""
 
 
-class SimMode(Enum):
-    MICRO = "micro"
-    MACRO = "macro"
-
-
 @dataclass
 class SimConfig:
     tau: float = 10.0
     horizon: int = 360
     seed: int = 0
-    mode: SimMode = SimMode.MICRO
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -80,10 +73,11 @@ class TransitEntry:
 class QueueState:
     """Snapshot of all movement queues at a period boundary.
 
-    `q` maps every movement key to its queue length (integers in micro mode,
-    expectations in macro mode). Micro mode additionally carries the FIFO
-    vehicle ids per movement and the in-transit set. Treated as an immutable
-    value: steps build new snapshots.
+    `q` maps every movement key to its queue length: vehicle counts from
+    `step`, expectations from `predict_next_queues`. A simulator state also
+    carries the FIFO vehicle ids per movement and the in-transit set; a
+    predicted state has neither. Treated as an immutable value: steps build
+    new snapshots.
     """
 
     period: int
@@ -135,11 +129,9 @@ class Flow:
         return self._next_link[vehicle_id].get(link)
 
 
-def initial_state(net: RoadNetwork, mode: SimMode = SimMode.MICRO) -> QueueState:
+def initial_state(net: RoadNetwork) -> QueueState:
     keys = net.movement_keys()
-    q = {k: 0.0 for k in keys}
-    fifo = {k: () for k in keys} if mode is SimMode.MICRO else {}
-    return QueueState(period=0, q=q, fifo=fifo, transit=())
+    return QueueState(period=0, q={k: 0.0 for k in keys}, fifo={k: () for k in keys})
 
 
 def _movement_active(phase: Optional[Phase], decision_phase: Phase) -> bool:
@@ -195,16 +187,10 @@ def step(
     decision: JointAssignment,
     net: RoadNetwork,
     cfg: SimConfig,
-    flow: Optional[Flow] = None,
-    turning: Optional[TurningModel] = None,
+    flow: Flow,
 ) -> QueueState:
-    """Advance the simulation one period under the given joint phase decision."""
-    if cfg.mode is SimMode.MACRO:
-        if turning is None:
-            raise ValueError("macro mode requires a TurningModel")
-        return predict_next_queues(state, decision, net, turning)
-    if flow is None:
-        raise ValueError("micro mode requires a Flow")
+    """Advance the micro simulation one period under the given joint phase
+    decision."""
     _check_decision(decision, net)
 
     t = state.period
@@ -323,11 +309,11 @@ def _route_distances(net: RoadNetwork, destination: int) -> dict[int, int]:
     return dist
 
 
-def shortest_route(net: RoadNetwork, origin: int, destination: int, rng) -> tuple[int, ...]:
-    """Shortest route by link hops; ties broken by the caller's rng."""
-    dist = _route_distances(net, destination)
-    if origin not in dist:
-        raise ValueError(f"no route from link {origin} to link {destination}")
+def _walk_route(
+    net: RoadNetwork, origin: int, destination: int, dist: dict[int, int], rng
+) -> tuple[int, ...]:
+    """Follow `dist` (a `_route_distances` map) down to the destination,
+    drawing among equally short next links with the rng."""
     route = [origin]
     current = origin
     while current != destination:
@@ -335,6 +321,14 @@ def shortest_route(net: RoadNetwork, origin: int, destination: int, rng) -> tupl
         current = options[rng.integers(len(options))] if len(options) > 1 else options[0]
         route.append(current)
     return tuple(route)
+
+
+def shortest_route(net: RoadNetwork, origin: int, destination: int, rng) -> tuple[int, ...]:
+    """Shortest route by link hops; ties broken by the caller's rng."""
+    dist = _route_distances(net, destination)
+    if origin not in dist:
+        raise ValueError(f"no route from link {origin} to link {destination}")
+    return _walk_route(net, origin, destination, dist, rng)
 
 
 def generate_uniform_flow(
@@ -346,8 +340,9 @@ def generate_uniform_flow(
     """Evenly spaced arrivals over `duration` seconds at `rate` vehicles/s.
 
     Origins cycle round-robin through a seeded shuffle of the entry links;
-    destinations are drawn uniformly over exit links; routes are shortest by
-    hop count with seeded tie-breaks.
+    destinations are drawn uniformly over the exit links reachable from the
+    origin; routes are shortest by hop count with seeded tie-breaks. Raises
+    `ValueError` naming the entry links that reach no exit.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -355,26 +350,23 @@ def generate_uniform_flow(
     exits = net.exit_links()
     if not entries or not exits:
         raise ValueError("network needs entry and exit links to generate flow")
+    dist = {x: _route_distances(net, x) for x in exits}
+    reachable = {o: [x for x in exits if o in dist[x]] for o in entries}
+    stranded = [o for o in entries if not reachable[o]]
+    if stranded:
+        raise ValueError(f"entry links {stranded} reach no exit link")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x665F]))
     shuffled = list(entries)
     rng.shuffle(shuffled)
     n = int(rate * duration)
-    dist_cache: dict[int, dict[int, int]] = {}
     vehicles: list[Vehicle] = []
     for i in range(n):
         origin = shuffled[i % len(shuffled)]
-        destination = int(exits[rng.integers(len(exits))])
-        if destination not in dist_cache:
-            dist_cache[destination] = _route_distances(net, destination)
-        dist = dist_cache[destination]
-        route = [origin]
-        current = origin
-        while current != destination:
-            options = [h for h in net.down_links[current] if dist.get(h, -1) == dist[current] - 1]
-            current = int(options[rng.integers(len(options))]) if len(options) > 1 else options[0]
-            route.append(current)
-        vehicles.append(Vehicle(id=i, origin=origin, depart_s=i / rate, destination=destination, route=tuple(route)))
+        targets = reachable[origin]
+        destination = targets[rng.integers(len(targets))]
+        route = _walk_route(net, origin, destination, dist[destination], rng)
+        vehicles.append(Vehicle(id=i, origin=origin, depart_s=i / rate, destination=destination, route=route))
     return vehicles
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netsignal.network import Phase, RoadNetwork, build_grid
-from netsignal.simulation import Flow, QueueState, SimMode, TurningModel, Vehicle, initial_state
+from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle, initial_state
 
 
 def micro_state_with(net, queued, period=0):
@@ -17,7 +17,7 @@ def micro_state_with(net, queued, period=0):
     (state, flow).
     """
     vehicles = [v for vs in queued.values() for v in vs]
-    state = initial_state(net, SimMode.MICRO)
+    state = initial_state(net)
     fifo = dict(state.fifo)
     q = dict(state.q)
     for key, vs in queued.items():
@@ -31,15 +31,16 @@ def micro_state_with(net, queued, period=0):
 
 
 def macro_state_with(net, queues, period=0):
-    state = initial_state(net, SimMode.MACRO)
-    q = dict(state.q)
+    """A queue-only state (no vehicles or transit) as `predict_next_queues`
+    produces: every movement at 0 except the given queues."""
+    q = {k: 0.0 for k in net.movement_keys()}
     q.update({k: float(v) for k, v in queues.items()})
-    return replace(state, q=q, period=period)
+    return QueueState(period=period, q=q)
 
 
 def random_macro_state(net, rng, max_q=10):
     q = {k: float(rng.integers(0, max_q + 1)) for k in net.movement_keys()}
-    return replace(initial_state(net, SimMode.MACRO), q=q)
+    return QueueState(period=0, q=q)
 
 
 def random_turning(net, rng, max_demand=4.0):

@@ -3,7 +3,9 @@
 `ScalarGraph` reads a `CoordinationGraph` through per-agent neighbour lists
 built from its edges and applies the min-sum message rule one edge at a
 time. `predicted_own_balance` and `best_response` evaluate one agent's
-next-period balance by walking the road network's links and movements.
+next-period balance, and `phase_pressure` one phase's max-pressure value
+(`phase_pressure_table` all of them), by walking the road network's links
+and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
 by recursion.
 """
@@ -110,6 +112,31 @@ def best_response(agent, actions, state, net, turning):
     if current is not None and scores[int(current)] <= best + 1e-9:
         return current
     return Phase(int(np.argmin(scores)))
+
+
+def phase_pressure(agent, phase, state, net, turning):
+    """Total pressure of the movements the phase would activate.
+
+    Right turns run regardless of phase and are excluded. Exit links have no
+    downstream queues, so their term is the upstream queue alone.
+    """
+    total = 0.0
+    for m in net.movements_at[agent]:
+        if m.phase != phase:
+            continue
+        downstream = 0.0
+        if net.links[m.to].kind is not LinkKind.EXIT:
+            for down in net.movements_from[m.to]:
+                downstream += turning.proportion(m.to, down.to) * state.q[down.key]
+        total += m.sat_flow * (state.q[m.key] - downstream)
+    return total
+
+
+def phase_pressure_table(state, net, turning):
+    """Every agent's `phase_pressure` per phase, rows in sorted agent order."""
+    return np.array(
+        [[phase_pressure(i, p, state, net, turning) for p in Phase] for i in sorted(net.intersections)]
+    )
 
 
 def longest_directed_path(order):

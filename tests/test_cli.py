@@ -31,6 +31,13 @@ def test_run_happy_path(tmp_path, capsys):
     assert "travel_time" in capsys.readouterr().out
 
 
+def test_run_on_a_single_row_grid(capsys):
+    # a 1xN grid's entries cannot reach the exit on their own side
+    code = cli_main(["run", "--grid", "1x2", "--rate", "0.5", "--duration", "200"])
+    assert code == 0
+    assert "travel_time" in capsys.readouterr().out
+
+
 def test_zero_grid_is_usage_error(capsys):
     code = cli_main(["run", "--grid", "0x4", "--rate", "1", "--duration", "100"])
     capsys.readouterr()

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle
 from conftest import macro_state_with, random_macro_state, random_turning
-from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressure
+from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressures
 from netsignal.network import LinkKind, Phase, build_grid
 from netsignal.simulation import initial_state
 
@@ -41,7 +42,8 @@ def test_pressure_exit_link_has_no_downstream():
     assert net.links[m.to].kind is LinkKind.EXIT
     state = macro_state_with(net, {m.key: 4})
     turning = random_turning(net, np.random.default_rng(0))
-    assert phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == 20
+    assert phase_pressures(state, net, turning)[0, Phase.WE_STRAIGHT] == 20
+    assert oracle.phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == 20
 
 
 def test_pressure_balanced_queues_cancel():
@@ -53,7 +55,8 @@ def test_pressure_balanced_queues_cancel():
     turning = random_turning(net, np.random.default_rng(0))
     turning.r = {k: 0.0 for k in turning.r}
     turning.r[down.key] = 1.0
-    assert phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == 0
+    assert phase_pressures(state, net, turning)[0, Phase.WE_STRAIGHT] == 0
+    assert oracle.phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == 0
 
 
 def test_pressure_hand_computed_sum():
@@ -68,7 +71,8 @@ def test_pressure_hand_computed_sum():
     turning = random_turning(net, np.random.default_rng(0))
     turning.r = {k: 0.0 for k in turning.r}
     turning.r[down.key] = 0.5
-    assert phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == pytest.approx(22.5)
+    assert phase_pressures(state, net, turning)[0, Phase.WE_STRAIGHT] == pytest.approx(22.5)
+    assert oracle.phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == pytest.approx(22.5)
 
 
 def test_right_turns_excluded_from_pressure():
@@ -76,8 +80,10 @@ def test_right_turns_excluded_from_pressure():
     right = next(m for m in net.movements if m.phase is None)
     state = macro_state_with(net, {right.key: 9})
     turning = random_turning(net, np.random.default_rng(0))
+    pressures = phase_pressures(state, net, turning)
     for p in Phase:
-        assert phase_pressure(0, p, state, net, turning) == 0
+        assert pressures[0, p] == 0
+        assert oracle.phase_pressure(0, p, state, net, turning) == 0
 
 
 def test_max_pressure_all_zero_ties_to_first_phase():
@@ -103,7 +109,7 @@ def test_max_pressure_matches_enumeration():
         turning = random_turning(net, rng)
         decision = max_pressure(state, net, turning)
         for i in net.intersections:
-            values = [phase_pressure(i, p, state, net, turning) for p in Phase]
+            values = [oracle.phase_pressure(i, p, state, net, turning) for p in Phase]
             assert values[int(decision[i])] == max(values)
             assert int(decision[i]) == int(np.argmax(values))
 
@@ -130,7 +136,20 @@ def test_pressure_scale_invariance():
         state = random_macro_state(net, rng)
         turning = random_turning(net, rng)
         scaled = replace(state, q={k: 3.5 * v for k, v in state.q.items()})
-        for i in net.intersections:
-            base = [phase_pressure(i, p, state, net, turning) for p in Phase]
-            big = [phase_pressure(i, p, scaled, net, turning) for p in Phase]
-            assert int(np.argmax(base)) == int(np.argmax(big))
+        base = phase_pressures(state, net, turning)
+        big = phase_pressures(scaled, net, turning)
+        assert np.array_equal(np.argmax(base, axis=1), np.argmax(big, axis=1))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (4, 5)])
+def test_phase_pressures_equal_oracle(rows, cols):
+    net = build_grid(rows, cols)
+    rng = np.random.default_rng(100 * rows + cols)
+    for _ in range(20):
+        state = random_macro_state(net, rng)
+        fractional = replace(state, q={k: v * rng.random() for k, v in state.q.items()})
+        turning = random_turning(net, rng)
+        for s in (state, fractional):
+            pressures = phase_pressures(s, net, turning)
+            assert pressures.shape == (rows * cols, len(Phase))
+            assert np.array_equal(pressures, oracle.phase_pressure_table(s, net, turning))

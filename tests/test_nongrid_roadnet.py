@@ -13,8 +13,9 @@ import pytest
 import oracle
 from conftest import forward_messages, random_macro_state, random_turning
 from netsignal import harness
+from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg, global_cost
-from netsignal.harness import RateSpec, Scenario, network_order, run_experiment
+from netsignal.harness import CONTROLLERS, RateSpec, Scenario, network_order, run_experiment
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import Phase, build_grid, load_network
@@ -115,7 +116,13 @@ def test_decisions_map_rows_to_ids(net):
         assert set(result.assignment) == set(IDS)
 
 
-@pytest.mark.parametrize("controller", ["emc", "nlcoor"])
+def test_phase_pressures_equal_oracle(net):
+    for state, turning, _, _ in random_cgs(net, 6, 20):
+        expected = oracle.phase_pressure_table(state, net, turning)
+        assert np.array_equal(phase_pressures(state, net, turning), expected)
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
 def test_run_experiment_decides_every_intersection(net, controller, monkeypatch):
     decisions = []
     step = harness.step

@@ -1,21 +1,15 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (
-    all_phase,
-    macro_state_with,
-    micro_state_with,
-    random_macro_state,
-    random_turning,
-)
-from netsignal.network import LinkKind, Phase, build_grid
+from conftest import all_phase, macro_state_with, micro_state_with
+from netsignal.network import LinkKind, Phase, build_grid, network_from_dict, validate
 from netsignal.simulation import (
     Flow,
     MetricsError,
     SimConfig,
-    SimMode,
     TurningModel,
     Vehicle,
     balance_index,
@@ -43,8 +37,7 @@ def test_macro_release_clamped_by_saturation():
     net = build_grid(1, 1, 300, 300, sat_flow=3)
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 5})
-    cfg = SimConfig(mode=SimMode.MACRO)
-    out = step(state, {0: Phase.WE_STRAIGHT}, net, cfg, turning=zero_turning(net))
+    out = predict_next_queues(state, {0: Phase.WE_STRAIGHT}, net, zero_turning(net))
     assert out.q[m.key] == 2
 
 
@@ -52,7 +45,7 @@ def test_macro_release_clamped_by_queue():
     net = build_grid(1, 1, 300, 300, sat_flow=3)
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 2})
-    out = step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(mode=SimMode.MACRO), turning=zero_turning(net))
+    out = predict_next_queues(state, {0: Phase.WE_STRAIGHT}, net, zero_turning(net))
     assert out.q[m.key] == 0
 
 
@@ -60,12 +53,12 @@ def test_inactive_phase_holds_queue():
     net = build_grid(1, 1)
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 4})
-    out = step(state, {0: Phase.SN_LEFT}, net, SimConfig(mode=SimMode.MACRO), turning=zero_turning(net))
+    out = predict_next_queues(state, {0: Phase.SN_LEFT}, net, zero_turning(net))
     assert out.q[m.key] == 4
 
 
 def test_micro_step_two_intersections(fig_two):
-    cfg = SimConfig(tau=10.0, mode=SimMode.MICRO)
+    cfg = SimConfig(tau=10.0)
     decision = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
     out = step(fig_two.state, decision, fig_two.net, cfg, flow=fig_two.flow)
     assert out.q[(fig_two.l1, fig_two.l3)] == 0
@@ -80,7 +73,7 @@ def test_micro_release_is_fifo_and_capped():
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     vehicles = [Vehicle(k, m.frm, 0.0, m.to, (m.frm, m.to)) for k in range(5)]
     state, flow = micro_state_with(net, {m.key: vehicles})
-    out = step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(mode=SimMode.MICRO), flow=flow)
+    out = step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=flow)
     assert out.fifo[m.key] == (3, 4)
     assert [v.id for v in flow.vehicles if v.exit_time is not None] == [0, 1, 2]
 
@@ -89,7 +82,7 @@ def test_micro_transit_delay_matches_link_length(fig_two):
     # 300 m at 10 m/s with tau=10 -> 3 periods on the internal link
     net = fig_two.net
     assert link_delay_periods(net, fig_two.l2, 10.0) == 3
-    cfg = SimConfig(tau=10.0, mode=SimMode.MICRO)
+    cfg = SimConfig(tau=10.0)
     state = fig_two.state
     decision = {fig_two.i: Phase.WE_STRAIGHT, fig_two.j: Phase.WE_STRAIGHT}
     state = step(state, decision, net, cfg, flow=fig_two.flow)
@@ -107,7 +100,7 @@ def test_micro_transit_delay_matches_link_length(fig_two):
 
 def test_predict_zero_fixed_point():
     net = build_grid(2, 2)
-    state = initial_state(net, SimMode.MACRO)
+    state = macro_state_with(net, {})
     out = predict_next_queues(state, all_phase(net, Phase.WE_STRAIGHT), net, zero_turning(net))
     assert all(v == 0 for v in out.q.values())
 
@@ -120,24 +113,11 @@ def test_predict_two_intersection_example(fig_two):
     assert balance_index(out) == 20
 
 
-def test_predict_matches_macro_step_on_random_states():
-    net = build_grid(2, 2)
-    rng = np.random.default_rng(7)
-    cfg = SimConfig(mode=SimMode.MACRO)
-    for _ in range(100):
-        state = random_macro_state(net, rng)
-        turning = random_turning(net, rng)
-        decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        predicted = predict_next_queues(state, decision, net, turning)
-        stepped = step(state, decision, net, cfg, turning=turning)
-        assert predicted.q == stepped.q
-
-
 def test_step_requires_full_decision():
     net = build_grid(2, 1)
-    state = initial_state(net, SimMode.MACRO)
+    state = initial_state(net)
     with pytest.raises(ValueError, match="missing"):
-        step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(mode=SimMode.MACRO), turning=zero_turning(net))
+        step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], tau=10.0))
 
 
 def test_balance_examples(fig_two):
@@ -182,8 +162,8 @@ def test_vehicle_conservation_every_period():
 
 
 def test_macro_micro_agreement_single_route():
-    # 100 m links -> one-period traversal, the regime where both modes obey
-    # the same one-step arrival law.
+    # 100 m links -> one-period traversal, the regime where the micro
+    # simulator and the macro update obey the same one-step arrival law.
     net = build_grid(1, 2, 100, 100, 5)
     i, j = 0, 1
     l2 = next(l for l in net.internal_links() if net.links[l].start == i)
@@ -192,37 +172,21 @@ def test_macro_micro_agreement_single_route():
 
     vehicles = [Vehicle(k, l1, 10.0 * k, exit_j, (l1, l2, exit_j)) for k in range(8)]
     flow = Flow(vehicles, tau=10.0)
-    micro = initial_state(net, SimMode.MICRO)
-    macro = initial_state(net, SimMode.MACRO)
+    micro = initial_state(net)
+    macro = macro_state_with(net, {})
     r = {key: 0.0 for key in zero_turning(net).r}
     r[(l1, l2)] = 1.0
     r[(l2, exit_j)] = 1.0
-    cfg_micro = SimConfig(tau=10.0, mode=SimMode.MICRO)
-    cfg_macro = SimConfig(tau=10.0, mode=SimMode.MACRO)
+    cfg = SimConfig(tau=10.0)
     decision = all_phase(net, Phase.WE_STRAIGHT)
     for t in range(12):
         d = {l: 0.0 for l in net.entry_links()}
         d[l1] = sum(1 for v in flow.departures(t))
         turning = TurningModel(r=r, d=d)
-        micro = step(micro, decision, net, cfg_micro, flow=flow)
-        macro = step(macro, decision, net, cfg_macro, turning=turning)
+        micro = step(micro, decision, net, cfg, flow=flow)
+        macro = predict_next_queues(macro, decision, net, turning)
         assert micro.q[(l1, l2)] == pytest.approx(macro.q[(l1, l2)])
         assert micro.q[(l2, exit_j)] == pytest.approx(macro.q[(l2, exit_j)])
-
-
-def test_iterated_predict_reproduces_macro_trajectory():
-    net = build_grid(2, 2)
-    rng = np.random.default_rng(9)
-    state = random_macro_state(net, rng)
-    turning = random_turning(net, rng)
-    cfg = SimConfig(mode=SimMode.MACRO)
-    predicted = state
-    stepped = state
-    for t in range(5):
-        decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        predicted = predict_next_queues(predicted, decision, net, turning)
-        stepped = step(stepped, decision, net, cfg, turning=turning)
-        assert predicted.q == stepped.q
 
 
 def test_full_release_drains_into_downstream(fig_two):
@@ -309,6 +273,52 @@ def test_flow_routes_are_valid_movement_chains():
         assert net.links[v.destination].kind is LinkKind.EXIT
         for a, b in zip(v.route, v.route[1:]):
             assert (a, b) in net.movement_map
+
+
+def one_way_1x2():
+    """The 1x2 grid without the internal link from 0 to 1: the west entry
+    cannot reach the exits of intersection 1."""
+    doc = build_grid(1, 2).to_dict()
+    gone = next(d["id"] for d in doc["links"] if (d.get("start"), d.get("end")) == (0, 1))
+    doc["links"] = [d for d in doc["links"] if d["id"] != gone]
+    doc["movements"] = [d for d in doc["movements"] if gone not in (d["from"], d["to"])]
+    return network_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_grid(1, 1), build_grid(1, 2), build_grid(2, 1), one_way_1x2()],
+    ids=["1x1", "1x2", "2x1", "1x2-one-way"],
+)
+def test_flow_routes_valid_where_some_exits_are_unreachable(net):
+    assert validate(net) == []
+    vehicles = generate_uniform_flow(net, 1.0, 400, seed=3)
+    assert len(vehicles) == 400
+    for v in vehicles:
+        assert v.route[0] == v.origin and v.route[-1] == v.destination
+        assert net.links[v.destination].kind is LinkKind.EXIT
+        for a, b in zip(v.route, v.route[1:]):
+            assert (a, b) in net.movement_map
+
+
+def test_flow_names_entries_that_reach_no_exit():
+    doc = build_grid(1, 1).to_dict()
+    entry = min(d["id"] for d in doc["links"] if d["kind"] == "entry")
+    doc["movements"] = [d for d in doc["movements"] if d["from"] != entry]
+    net = network_from_dict(doc)
+    assert validate(net) == []
+    with pytest.raises(ValueError, match=rf"\[{entry}\] reach no exit"):
+        generate_uniform_flow(net, 1.0, 100)
+
+
+def test_flow_unchanged_where_every_exit_is_reachable():
+    # (origin, destination, route) of every vehicle, as drawn before
+    # destinations were restricted to reachable exits
+    vehicles = generate_uniform_flow(build_grid(4, 4), 1.76, 3600, seed=1)
+    trips = repr([(v.origin, v.destination, v.route) for v in vehicles]).encode()
+    assert hashlib.sha256(trips).hexdigest() == (
+        "ace31f5815ee75b301d3dd44ad3991f3ce55d59a82e94dc2ae94aadb52cca7e0"
+    )
 
 
 def test_flow_requires_entries():
