@@ -5,7 +5,7 @@ is its saturation flow times the gap between its upstream queue and the
 turning-weighted queues downstream; picking the phase with the highest
 total pressure is the classic stabilizing greedy rule the coordinated
 planner is measured against. Pressures for every intersection and phase
-come from one pass over the network's movement arrays (`prediction`).
+come from one pass over the network's movement arrays.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, Phase, RoadNetwork
-from netsignal.prediction import movement_arrays
+from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 _PHASES = tuple(Phase)
@@ -54,9 +53,9 @@ def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) 
     the upstream queue alone. Both sums run in movement order from 0.0.
     """
     arr = movement_arrays(net)
-    q = arr.q_vector(state)
+    q = state.q
     downstream = np.zeros(arr.n_links)
-    np.add.at(downstream, arr.mov_from, arr.r_vector(turning) * q)
+    np.add.at(downstream, arr.mov_from, turning.r * q)
     pressure = arr.sat * (q - downstream[arr.mov_to])
     phased = arr.mov_phase >= 0
     totals = np.zeros((len(arr.agent_ids), NUM_PHASES))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, Phase, RoadNetwork
+from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
@@ -75,7 +75,7 @@ def build_cg(
     individual vector. `model` may pass in the `period_model` of the same
     inputs when the caller has it already.
     """
-    from netsignal.prediction import movement_arrays, period_model
+    from netsignal.prediction import period_model
 
     arr = movement_arrays(net)
     if model is None:

@@ -20,9 +20,8 @@ import numpy as np
 from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure
 from netsignal.coordination import CoordinationGraph
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
-from netsignal.network import NUM_PHASES, RoadNetwork
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays
 from netsignal.ordering import DagOrder, min_diameter_dag
-from netsignal.prediction import movement_arrays
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -93,15 +92,28 @@ class PeriodRow:
     comm_delay_ms: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Metrics:
+    """Run summary plus one value per period in each of the last four
+    arrays; `rows` presents those as `PeriodRow`s. Arrays rather than row
+    objects, so that holding the metrics of many runs stays cheap."""
+
     avg_travel_time_s: float
     throughput: int
     mean_balance: float
     max_total_queue: float
     mean_decision_ms: float
     mean_comm_delay_ms: float
-    rows: list[PeriodRow]
+    total_queue: np.ndarray
+    balance: np.ndarray
+    decision_ms: np.ndarray
+    comm_delay_ms: np.ndarray
+
+    @property
+    def rows(self) -> list[PeriodRow]:
+        """The per-period table, built anew on each access."""
+        columns = (self.total_queue, self.balance, self.decision_ms, self.comm_delay_ms)
+        return [PeriodRow(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 class _FixedTimeController:
@@ -221,13 +233,14 @@ def run_experiment(scenario: Scenario) -> Metrics:
     net = scenario.network
     cfg = scenario.sim
     vehicles = resolve_flow(scenario)
-    flow = Flow(vehicles, cfg.tau)
+    flow = Flow(vehicles, cfg.tau, net)
     controller = make_controller(scenario)
     budget_wall = scenario.planner.budget.wall_ms if controller.needs_order else None
     delay_model = scenario.delay if controller.needs_order else None
 
     state = initial_state(net)
-    rows: list[PeriodRow] = []
+    # total queue, balance, decision ms and modeled delay ms per period
+    columns = np.empty((4, cfg.horizon))
     delay_seed = substream_seed(cfg.seed, "delay")
     for t in range(cfg.horizon):
         turning = estimate_turning(state, net, flow)
@@ -243,24 +256,26 @@ def run_experiment(scenario: Scenario) -> Metrics:
             per_period = DelayModel(delay_model.mu_ms, delay_model.sigma_ms, delay_seed + t)
             comm_ms = modeled_delay_ms(controller.order, controller.rounds_last, per_period)
         state = step(state, decision, net, cfg, flow=flow)
-        rows.append(
-            PeriodRow(t, state.total_queue(), balance_index(state), decision_ms, comm_ms)
-        )
+        columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, comm_ms)
 
+    total_queue, balance, decision_ms, comm_ms = columns
     base = travel_time_metrics(
         vehicles,
         end_time=cfg.horizon * cfg.tau,
-        balance_series=[r.balance for r in rows],
-        queue_series=[r.total_queue for r in rows],
+        balance_series=balance.tolist(),
+        queue_series=total_queue.tolist(),
     )
     return Metrics(
         avg_travel_time_s=base.avg_travel_time_s,
         throughput=base.throughput,
         mean_balance=base.mean_balance,
         max_total_queue=base.max_total_queue,
-        mean_decision_ms=float(np.mean([r.decision_ms for r in rows])),
-        mean_comm_delay_ms=float(np.mean([r.comm_delay_ms for r in rows])),
-        rows=rows,
+        mean_decision_ms=float(np.mean(decision_ms)),
+        mean_comm_delay_ms=float(np.mean(comm_ms)),
+        total_queue=total_queue,
+        balance=balance,
+        decision_ms=decision_ms,
+        comm_delay_ms=comm_ms,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
-from netsignal.network import Phase, RoadNetwork
+from netsignal.network import Phase, RoadNetwork, movement_arrays
 from netsignal.ordering import DagOrder, min_diameter_dag
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
@@ -68,7 +68,7 @@ def local_improvement(
     `init` must cover every agent. `model` may pass in the `period_model`
     of the same inputs when the caller has it.
     """
-    from netsignal.prediction import movement_arrays, period_model
+    from netsignal.prediction import period_model
 
     start = time.perf_counter()
     arr = movement_arrays(net)

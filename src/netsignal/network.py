@@ -4,7 +4,8 @@ The network is a directed-link graph. Entry links feed traffic into boundary
 intersections, internal links connect intersections, exit links drain traffic
 out. A movement (l, h) is traffic crossing one intersection from input link l
 to output link h; phased movements are gated by one of four signal phases,
-right turns run unphased every period.
+right turns run unphased every period. `MovementArrays` flattens a network
+into index arrays over its movement list once, for every array kernel.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
+
+import numpy as np
 
 
 class Phase(IntEnum):
@@ -181,6 +184,91 @@ class RoadNetwork:
                 entry["phase"] = int(m.phase)
             movements.append(entry)
         return {"intersections": inter, "links": links, "movements": movements}
+
+
+
+class MovementArrays:
+    """Static per-network index arrays over the movement list.
+
+    Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids)
+    and agent a is `agent_ids[a]` (sorted ids). Queue, turning and demand
+    vectors everywhere in the package use these orders.
+    """
+
+    def __init__(self, net: RoadNetwork):
+        movements = net.movements
+        self.keys = [m.key for m in movements]
+        self.n_mov = len(movements)
+        self.agent_ids = sorted(net.intersections)
+        agent_index = {a: k for k, a in enumerate(self.agent_ids)}
+        self.agent_index = agent_index
+        self.mov_agent = np.array([agent_index[m.intersection] for m in movements], dtype=np.intp)
+        self.sat = np.array([m.sat_flow for m in movements])
+        # whole vehicles a movement may release per period
+        self.release_cap = np.array([int(m.sat_flow) for m in movements], dtype=np.intp)
+
+        # each movement's phase, -1 for right turns, which run under every
+        # phase; `act` is its activation under each phase of its intersection
+        self.mov_phase = np.array(
+            [-1 if m.phase is None else int(m.phase) for m in movements], dtype=np.intp
+        )
+        phases = np.arange(NUM_PHASES)
+        self.act = ((self.mov_phase[:, None] < 0) | (self.mov_phase[:, None] == phases)).astype(float)
+
+        link_ids = sorted(net.links)
+        link_index = {l: k for k, l in enumerate(link_ids)}
+        self.link_ids = link_ids
+        self.link_index = link_index
+        self.n_links = len(link_ids)
+        self.mov_from = np.array([link_index[m.frm] for m in movements], dtype=np.intp)
+        self.mov_to = np.array([link_index[m.to] for m in movements], dtype=np.intp)
+        self.from_entry = np.array(
+            [net.links[m.frm].kind is LinkKind.ENTRY for m in movements], dtype=bool
+        )
+        self.to_exit = np.array([net.links[m.to].kind is LinkKind.EXIT for m in movements], dtype=bool)
+        # the turning share of each movement when its link carries no vehicles
+        self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]
+        # upstream agent controlling releases onto each link (-1 for none)
+        self.link_upstream_agent = np.full(self.n_links, -1, dtype=np.intp)
+        self.entry_link_mask = np.zeros(self.n_links, dtype=bool)
+        for l, link in net.links.items():
+            if link.start is not None:
+                self.link_upstream_agent[link_index[l]] = agent_index[link.start]
+            if link.kind is LinkKind.ENTRY:
+                self.entry_link_mask[link_index[l]] = True
+
+        # one edge per neighboring pair; movements queueing on internal links
+        # accumulate into their pair's table
+        edges: list[tuple[int, int]] = []
+        edge_index: dict[tuple[int, int], int] = {}
+        for i in self.agent_ids:
+            for j in net.neighbors[i]:
+                key = (i, j) if i < j else (j, i)
+                if key not in edge_index:
+                    edge_index[key] = len(edges)
+                    edges.append(key)
+        mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
+        mov_edge_flip = np.zeros(self.n_mov, dtype=bool)
+        for k, m in enumerate(movements):
+            link = net.links[m.frm]
+            if link.kind is not LinkKind.INTERNAL:
+                continue
+            a, b = link.start, link.end
+            mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
+            mov_edge_flip[k] = a > b  # contribution axes are [x_start][x_end]
+        self.edges = edges
+        self.mov_edge = mov_edge
+        self.mov_edge_flip = mov_edge_flip
+        self.internal_from = mov_edge >= 0
+
+
+def movement_arrays(net: RoadNetwork) -> MovementArrays:
+    """The network's `MovementArrays`, built on first use and cached on it."""
+    cached = getattr(net, "_movement_arrays", None)
+    if cached is None:
+        cached = MovementArrays(net)
+        net._movement_arrays = cached
+    return cached
 
 
 # Compass handling for grid construction. Directions are indexed N, E, S, W;

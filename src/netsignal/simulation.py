@@ -12,20 +12,28 @@ traverse the downstream link and join its queue. In the macro update the
 traversal takes one period and arrivals split by turning proportion; in the
 micro simulator a vehicle spends ceil(length / (speed * tau)) periods in
 transit and follows its own route.
+
+State is arrays in `MovementArrays` order: the queue vector of a state, the
+turning shares and the entry demand. `step` and `estimate_turning` are
+whole-network numpy passes over them; per-vehicle Python work is limited to
+writing the enter and exit times of the vehicles that move.
 """
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from netsignal.network import LinkKind, LoadError, Phase, RoadNetwork
+from netsignal.network import LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
 
 MovementKey = tuple[int, int]
 JointAssignment = dict[int, Phase]
+
+_NONE = np.zeros(0, dtype=np.intp)
 
 
 class MetricsError(ValueError):
@@ -58,96 +66,113 @@ class Vehicle:
     exit_time: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class TransitEntry:
-    """A vehicle traversing `link`, joining queue (link, next_link) at `arrive`."""
-
-    arrive: int
-    seq: int
-    vehicle: int
-    link: int
-    next_link: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueueState:
     """Snapshot of all movement queues at a period boundary.
 
-    `q` maps every movement key to its queue length: vehicle counts from
-    `step`, expectations from `predict_next_queues`. A simulator state also
-    carries the FIFO vehicle ids per movement and the in-transit set; a
-    predicted state has neither. Treated as an immutable value: steps build
-    new snapshots.
+    `q[m]` is the queue of movement m in `movement_arrays(net)` order:
+    vehicle counts from `step`, expectations from `predict_next_queues`.
+    A simulator state also holds its vehicles as positions in the flow's
+    route table (`Flow.route_mov`), each the hop the vehicle waits to make
+    next: `waiting` in the order they joined their queues, `transit` in the
+    order they were released onto the link they traverse, with `arrive`, the
+    period in which each transit vehicle joins its queue. A predicted state
+    holds no vehicles. States are immutable snapshots: their arrays are
+    read-only and every step builds new ones.
     """
 
     period: int
-    q: dict[MovementKey, float]
-    fifo: dict[MovementKey, tuple[int, ...]] = field(default_factory=dict)
-    transit: tuple[TransitEntry, ...] = ()
-    next_seq: int = 0
+    q: np.ndarray
+    waiting: np.ndarray = field(default_factory=lambda: _NONE)
+    transit: np.ndarray = field(default_factory=lambda: _NONE)
+    arrive: np.ndarray = field(default_factory=lambda: _NONE)
+
+    def __post_init__(self):
+        for a in (self.q, self.waiting, self.transit, self.arrive):
+            a.flags.writeable = False
 
     def total_queue(self) -> float:
-        return sum(self.q.values())
+        return float(self.q.sum())
 
 
 @dataclass
 class TurningModel:
-    """Turning proportions r(l, h) plus expected entry arrivals d(l)."""
+    """Turning proportions and entry demand as arrays over `MovementArrays`.
 
-    r: dict[MovementKey, float]
-    d: dict[int, float]
+    `r[m]` is the share of movement m's input-link traffic bound for its
+    output link; `d[k]` the vehicles expected on link `link_ids[k]` next
+    period (zero off entry links).
+    """
 
-    def proportion(self, frm: int, to: int) -> float:
-        return self.r.get((frm, to), 0.0)
+    r: np.ndarray
+    d: np.ndarray
 
-    def demand(self, link: int) -> float:
-        return self.d.get(link, 0.0)
+
+def link_delay_periods(net: RoadNetwork, tau: float) -> np.ndarray:
+    """Traversal time of every link in whole periods (at least one), in
+    `MovementArrays.link_ids` order."""
+    links = [net.links[l] for l in movement_arrays(net).link_ids]
+    length, speed = np.array([(l.length_m, l.speed_mps) for l in links]).reshape(-1, 2).T
+    return np.maximum(1, np.ceil(length / (speed * tau))).astype(np.intp)
 
 
 class Flow:
-    """Vehicle registry with per-period arrival buckets and route lookups."""
+    """The vehicles of one run, with their routes as one flat hop table.
 
-    def __init__(self, vehicles: Sequence[Vehicle], tau: float):
+    Every hop (one movement) of every route has a position in `route_mov`
+    (its movement index) and `route_vehicle` (its vehicle's row in
+    `vehicles`); a route's hops are consecutive, so the hop after position p
+    is p + 1. `departures_by_period` maps a period to the first-hop
+    positions of the vehicles departing in it, in flow order, and `delay` is
+    `link_delay_periods` of the network. A route must run from the origin
+    over movements of the network to an exit link, the destination.
+    """
+
+    def __init__(self, vehicles: Sequence[Vehicle], tau: float, net: RoadNetwork):
+        arr = movement_arrays(net)
+        self.arrays = arr
         self.vehicles: list[Vehicle] = list(vehicles)
-        self.tau = tau
-        self.by_id: dict[int, Vehicle] = {v.id: v for v in self.vehicles}
-        if len(self.by_id) != len(self.vehicles):
+        vs, n = self.vehicles, len(self.vehicles)
+        if len({v.id for v in vs}) != n:
             raise ValueError("duplicate vehicle ids in flow")
-        self.departures_by_period: dict[int, list[Vehicle]] = {}
-        self._next_link: dict[int, dict[int, int]] = {}
-        for v in self.vehicles:
-            if not v.route or v.route[0] != v.origin or v.route[-1] != v.destination:
-                raise ValueError(f"vehicle {v.id}: route must run origin -> destination")
-            period = int(math.floor(v.depart_s / tau))
-            self.departures_by_period.setdefault(period, []).append(v)
-            self._next_link[v.id] = {a: b for a, b in zip(v.route, v.route[1:])}
+        hops = np.fromiter((len(v.route) - 1 for v in vs), np.intp, n)
+        period = np.floor(np.fromiter((v.depart_s for v in vs), float, n) / tau)
+        _reject(vs, (hops > 0) & np.isfinite(period), "needs a route of two or more links, finite depart_s")
+        ends = np.fromiter((v.route[0] == v.origin and v.route[-1] == v.destination for v in vs), bool, n)
+        _reject(vs, ends, "route does not run from the origin to the destination")
 
-    def departures(self, period: int) -> list[Vehicle]:
-        return self.departures_by_period.get(period, [])
+        index = {key: m for m, key in enumerate(arr.keys)}
+        pairs = chain.from_iterable(zip(v.route, v.route[1:]) for v in vs)
+        try:
+            self.route_mov = np.fromiter(map(index.__getitem__, pairs), np.intp, int(hops.sum()))
+        except KeyError:
+            chains = (all(pair in index for pair in zip(v.route, v.route[1:])) for v in vs)
+            _reject(vs, np.fromiter(chains, bool, n), "route takes a turn that is no movement")
+        self.route_vehicle = np.repeat(np.arange(n, dtype=np.intp), hops)
+        first_hop = np.cumsum(hops) - hops
+        _reject(vs, arr.to_exit[self.route_mov[first_hop + hops - 1]], "destination is not an exit link")
 
-    def next_link(self, vehicle_id: int, link: int) -> Optional[int]:
-        return self._next_link[vehicle_id].get(link)
+        order = np.argsort(period, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(period[order])) + 1) if n else []
+        self.departures_by_period = {int(period[g[0]]): first_hop[g] for g in groups}
+        self.delay = link_delay_periods(net, tau)
+
+
+def _reject(vehicles: Sequence[Vehicle], ok: np.ndarray, why: str) -> None:
+    """Raise a `ValueError` naming the first vehicle that is not `ok`."""
+    if not ok.all():
+        v = vehicles[int(np.argmin(ok))]
+        raise ValueError(f"vehicle {v.id}: {why}: route {v.route}, depart_s {v.depart_s}")
 
 
 def initial_state(net: RoadNetwork) -> QueueState:
-    keys = net.movement_keys()
-    return QueueState(period=0, q={k: 0.0 for k in keys}, fifo={k: () for k in keys})
-
-
-def _movement_active(phase: Optional[Phase], decision_phase: Phase) -> bool:
-    return phase is None or phase == decision_phase
+    return QueueState(period=0, q=np.zeros(movement_arrays(net).n_mov))
 
 
 def _check_decision(decision: JointAssignment, net: RoadNetwork) -> None:
     missing = net.intersections - decision.keys()
     if missing:
         raise ValueError(f"decision missing intersections: {sorted(missing)}")
-
-
-def link_delay_periods(net: RoadNetwork, link: int, tau: float) -> int:
-    """Traversal time of a link in whole periods (at least one)."""
-    l = net.links[link]
-    return max(1, math.ceil(l.length_m / (l.speed_mps * tau)))
 
 
 def predict_next_queues(
@@ -161,25 +186,31 @@ def predict_next_queues(
     Every active movement discharges min(sat_flow, queue); discharged flow
     from upstream movements lands on the downstream link's queues split by
     the turning proportions, and entry links receive their exogenous demand.
+    Scalar on purpose, over dict views of the arrays: it is the reference
+    the cost tables are checked against.
     """
     _check_decision(decision, net)
+    arr = movement_arrays(net)
+    q = dict(zip(arr.keys, state.q.tolist()))
+    r = dict(zip(arr.keys, turning.r.tolist()))
+    d = dict(zip(arr.link_ids, turning.d.tolist()))
     out: dict[MovementKey, float] = {}
     inflow: dict[int, float] = {l: 0.0 for l in net.links}
     for m in net.movements:
         served = 0.0
-        if _movement_active(m.phase, decision[m.intersection]):
-            served = min(m.sat_flow, state.q[m.key])
+        if m.phase is None or m.phase == decision[m.intersection]:
+            served = min(m.sat_flow, q[m.key])
         out[m.key] = served
         inflow[m.to] += served
-    new_q: dict[MovementKey, float] = {}
+    new_q: list[float] = []
     for m in net.movements:
         l = net.links[m.frm]
         if l.kind is LinkKind.ENTRY:
-            arriving = turning.demand(m.frm) * turning.proportion(m.frm, m.to)
+            arriving = d[m.frm] * r[m.key]
         else:
-            arriving = inflow[m.frm] * turning.proportion(m.frm, m.to)
-        new_q[m.key] = state.q[m.key] - out[m.key] + arriving
-    return QueueState(period=state.period + 1, q=new_q)
+            arriving = inflow[m.frm] * r[m.key]
+        new_q.append(q[m.key] - out[m.key] + arriving)
+    return QueueState(period=state.period + 1, q=np.array(new_q))
 
 
 def step(
@@ -190,58 +221,58 @@ def step(
     flow: Flow,
 ) -> QueueState:
     """Advance the micro simulation one period under the given joint phase
-    decision."""
-    _check_decision(decision, net)
+    decision.
 
+    Every active movement releases the first min(sat_flow, queue) vehicles
+    that joined it, all reading the pre-step queues. Released vehicles leave
+    through an exit link or traverse their next link; traversals that end
+    this period join their next queue in (arrival period, release order),
+    then this period's departures join their entry queue in flow order.
+    """
+    arr = movement_arrays(net)
+    if flow.arrays is not arr:
+        raise ValueError("flow was built for another network")
+    try:
+        phase = np.array([decision[a] for a in arr.agent_ids], dtype=np.intp)
+    except KeyError:
+        _check_decision(decision, net)
+        raise
     t = state.period
     tau = cfg.tau
-    fifo = dict(state.fifo)
-    seq = state.next_seq
-    new_transit: list[TransitEntry] = []
+    route_mov = flow.route_mov
 
-    # Synchronous release pass: all discharges read the pre-step queues.
-    for m in net.movements:
-        if not _movement_active(m.phase, decision[m.intersection]):
-            continue
-        key = m.key
-        waiting = fifo[key]
-        n = min(int(m.sat_flow), len(waiting))
-        if n == 0:
-            continue
-        released, fifo[key] = waiting[:n], waiting[n:]
-        if net.links[m.to].kind is LinkKind.EXIT:
-            for vid in released:
-                flow.by_id[vid].exit_time = (t + 1) * tau
-        else:
-            delay = link_delay_periods(net, m.to, tau)
-            for vid in released:
-                nxt = flow.next_link(vid, m.to)
-                if nxt is None:
-                    raise ValueError(f"vehicle {vid}: route has no continuation from link {m.to}")
-                new_transit.append(TransitEntry(t + delay, seq, vid, m.to, nxt))
-                seq += 1
+    # FIFO release: rank each waiting vehicle within its movement's queue
+    # by join order, and release the ranks under the movement's quota.
+    active = (arr.mov_phase < 0) | (arr.mov_phase == phase[arr.mov_agent])
+    quota = np.where(active, arr.release_cap, 0)
+    waiting = state.waiting
+    mov = route_mov[waiting]
+    order = np.argsort(mov, kind="stable")
+    sorted_mov = mov[order]
+    rank = np.arange(len(order)) - np.searchsorted(sorted_mov, sorted_mov)
+    out = rank < quota[sorted_mov]
+    released = waiting[order[out]]  # by movement, then FIFO
+    released_mov = sorted_mov[out]
+    stays = np.ones(len(waiting), dtype=bool)
+    stays[order[out]] = False
 
-    # Vehicles whose traversal completes join their downstream queue FIFO by
-    # (arrival period, release order).
-    pending: list[TransitEntry] = []
-    due: list[TransitEntry] = []
-    for entry in state.transit + tuple(new_transit):
-        (due if entry.arrive <= t + 1 else pending).append(entry)
-    due.sort(key=lambda e: (e.arrive, e.seq))
-    for entry in due:
-        fifo[(entry.link, entry.next_link)] = fifo[(entry.link, entry.next_link)] + (entry.vehicle,)
+    exits = arr.to_exit[released_mov]
+    for row in flow.route_vehicle[released[exits]].tolist():
+        flow.vehicles[row].exit_time = (t + 1) * tau
+    moving = ~exits
+    # Every earlier traversal ends at t + 1 or later and was released
+    # before this period's, so `transit` stays in (arrival, release) order
+    # for the vehicles due at t + 1.
+    transit = np.concatenate((state.transit, released[moving] + 1))
+    arrive = np.concatenate((state.arrive, t + flow.delay[arr.mov_to[released_mov[moving]]]))
+    due = arrive <= t + 1
 
-    # Exogenous arrivals during this period appear on their entry queue next
-    # period.
-    for v in flow.departures(t):
-        nxt = flow.next_link(v.id, v.origin)
-        if nxt is None:
-            raise ValueError(f"vehicle {v.id}: route has no continuation from origin {v.origin}")
-        fifo[(v.origin, nxt)] = fifo[(v.origin, nxt)] + (v.id,)
-        v.enter_time = (t + 1) * tau
-
-    q = {key: float(len(ids)) for key, ids in fifo.items()}
-    return QueueState(period=t + 1, q=q, fifo=fifo, transit=tuple(pending), next_seq=seq)
+    departing = flow.departures_by_period.get(t, _NONE)
+    for row in flow.route_vehicle[departing].tolist():
+        flow.vehicles[row].enter_time = (t + 1) * tau
+    waiting = np.concatenate((waiting[stays], transit[due], departing))
+    q = np.bincount(route_mov[waiting], minlength=arr.n_mov).astype(float)
+    return QueueState(t + 1, q, waiting, transit[~due], arrive[~due])
 
 
 def balance_index(
@@ -250,48 +281,31 @@ def balance_index(
     intersection: Optional[int] = None,
 ) -> float:
     """Sum of squared movement queues, network-wide or for one intersection."""
+    q = state.q
     if intersection is None:
-        return float(sum(v * v for v in state.q.values()))
+        return float(q @ q)
     if net is None:
         raise ValueError("intersection scope requires the network")
-    return float(
-        sum(state.q[m.key] ** 2 for m in net.movements_at[intersection])
-    )
+    arr = movement_arrays(net)
+    mine = q[arr.mov_agent == arr.agent_index[intersection]]
+    return float(mine @ mine)
 
 
-def estimate_turning(state: QueueState, net: RoadNetwork, flow: Optional[Flow] = None) -> TurningModel:
+def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> TurningModel:
     """Turning proportions from the routes of vehicles currently on each link.
 
-    Links carrying no vehicles fall back to a uniform split over their
-    movement successors. Entry demand d(l) counts vehicles scheduled to
-    appear on l next period.
+    A movement's count is its queue plus the vehicles in transit towards it;
+    its share is that count over its input link's total. Links carrying no
+    vehicles fall back to a uniform split over their movements. Entry
+    demand d(l) counts vehicles scheduled to appear on l next period.
     """
-    counts: dict[int, dict[int, float]] = {l: {} for l in net.links}
-    for (l, h), ids in state.fifo.items():
-        if ids:
-            counts[l][h] = counts[l].get(h, 0.0) + len(ids)
-    for entry in state.transit:
-        counts[entry.link][entry.next_link] = counts[entry.link].get(entry.next_link, 0.0) + 1
-
-    r: dict[MovementKey, float] = {}
-    for l, succs in net.down_links.items():
-        if not succs:
-            continue
-        total = sum(counts[l].values())
-        if total > 0:
-            for h in succs:
-                r[(l, h)] = counts[l].get(h, 0.0) / total
-        else:
-            share = 1.0 / len(succs)
-            for h in succs:
-                r[(l, h)] = share
-
-    d: dict[int, float] = {l: 0.0 for l in net.entry_links()}
-    if flow is not None:
-        for v in flow.departures(state.period):
-            if v.origin in d:
-                d[v.origin] += 1.0
-    return TurningModel(r=r, d=d)
+    arr = movement_arrays(net)
+    counts = state.q + np.bincount(flow.route_mov[state.transit], minlength=arr.n_mov)
+    total = np.bincount(arr.mov_from, weights=counts, minlength=arr.n_links)[arr.mov_from]
+    r = np.divide(counts, total, out=arr.uniform_turn.copy(), where=total > 0)
+    departing = flow.departures_by_period.get(state.period, _NONE)
+    entries = np.bincount(arr.mov_from[flow.route_mov[departing]], minlength=arr.n_links)
+    return TurningModel(r=r, d=np.where(arr.entry_link_mask, entries, 0.0))
 
 
 def _route_distances(net: RoadNetwork, destination: int) -> dict[int, int]:
@@ -404,8 +418,35 @@ def travel_time_metrics(
     )
 
 
+def _trip_problem(
+    net: RoadNetwork, v: Vehicle, seen: set[int], dist: dict[int, dict[int, int]]
+) -> Optional[str]:
+    """Why a vehicle read from a flow file cannot run on the network, or
+    None. Adds the destination's `_route_distances` map to `dist`."""
+    origin, destination = net.links.get(v.origin), net.links.get(v.destination)
+    if v.id in seen:
+        return f"duplicate vehicle id {v.id}"
+    if origin is None or origin.kind is not LinkKind.ENTRY:
+        return f"origin {v.origin} is not an entry link"
+    if destination is None or destination.kind is not LinkKind.EXIT:
+        return f"destination {v.destination} is not an exit link"
+    if not 0.0 <= v.depart_s < math.inf:
+        return f"depart_s {v.depart_s} is not a finite time >= 0"
+    if v.destination not in dist:
+        dist[v.destination] = _route_distances(net, v.destination)
+    if v.origin not in dist[v.destination]:
+        return f"no route from link {v.origin} to link {v.destination}"
+    return None
+
+
 def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
-    """Read a flow file: either a vehicle array or a rate spec object."""
+    """Read a flow file: either a vehicle array or a rate spec object.
+
+    Every vehicle needs a unique id, an entry link as origin, an exit link
+    it can reach as destination and a finite `depart_s` >= 0; anything else
+    raises a `LoadError` naming the entry. Routes are shortest by hop
+    count, ties drawn from one seeded stream in file order.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -419,22 +460,25 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         except KeyError as exc:
             raise LoadError(f"flow rate spec missing field: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))
+    dist: dict[int, dict[int, int]] = {}
+    seen: set[int] = set()
     vehicles = []
     for entry in doc:
         try:
-            origin = int(entry["origin"])
-            destination = int(entry["destination"])
-            vehicles.append(
-                Vehicle(
-                    id=int(entry["id"]),
-                    origin=origin,
-                    depart_s=float(entry["depart_s"]),
-                    destination=destination,
-                    route=shortest_route(net, origin, destination, rng),
-                )
+            v = Vehicle(
+                id=int(entry["id"]),
+                origin=int(entry["origin"]),
+                depart_s=float(entry["depart_s"]),
+                destination=int(entry["destination"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"bad flow entry {entry!r}: {exc}") from exc
+        problem = _trip_problem(net, v, seen, dist)
+        if problem is not None:
+            raise LoadError(f"bad flow entry {entry!r}: {problem}")
+        seen.add(v.id)
+        v.route = _walk_route(net, v.origin, v.destination, dist[v.destination], rng)
+        vehicles.append(v)
     return vehicles
 
 

@@ -1,33 +1,37 @@
 """Shared fixtures: small networks and hand-built traffic states."""
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from netsignal.network import Phase, RoadNetwork, build_grid
-from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle, initial_state
+from netsignal.network import Phase, RoadNetwork, build_grid, movement_arrays
+from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
+
+
+def mov(net, key):
+    """Index of the movement with this (from, to) key in the state arrays."""
+    return movement_arrays(net).keys.index(key)
 
 
 def micro_state_with(net, queued, period=0):
     """Build a micro QueueState holding the given vehicles per movement.
 
     `queued` maps movement keys to lists of Vehicle objects whose routes pass
-    through that movement. The vehicles are marked as already entered (depart
-    before period 0) so the flow does not re-inject them. Returns
-    (state, flow).
+    through that movement; they join in the order given. The vehicles are
+    marked as already entered (depart before period 0) so the flow does not
+    re-inject them. Returns (state, flow).
     """
-    vehicles = [v for vs in queued.values() for v in vs]
-    state = initial_state(net)
-    fifo = dict(state.fifo)
-    q = dict(state.q)
-    for key, vs in queued.items():
-        fifo[key] = tuple(v.id for v in vs)
-        q[key] = float(len(vs))
+    pairs = [(key, v) for key, vs in queued.items() for v in vs]
+    vehicles = [v for _, v in pairs]
     for v in vehicles:
         v.depart_s = -10.0
         v.enter_time = 0.0
-    flow = Flow(vehicles, tau=10.0)
-    return replace(state, q=q, fifo=fifo), flow
+    flow = Flow(vehicles, 10.0, net)
+    # a vehicle's hop from link l is its first hop's position plus l's place in its route
+    hops = [np.searchsorted(flow.route_vehicle, row) + v.route.index(key[0]) for row, (key, v) in enumerate(pairs)]
+    waiting = np.array(hops, dtype=np.intp)
+    q = np.bincount(flow.route_mov[waiting], minlength=movement_arrays(net).n_mov).astype(float)
+    return QueueState(period=period, q=q, waiting=waiting), flow
 
 
 def macro_state_with(net, queues, period=0):
@@ -35,12 +39,21 @@ def macro_state_with(net, queues, period=0):
     produces: every movement at 0 except the given queues."""
     q = {k: 0.0 for k in net.movement_keys()}
     q.update({k: float(v) for k, v in queues.items()})
-    return QueueState(period=period, q=q)
+    return QueueState(period=period, q=np.array([q[k] for k in net.movement_keys()]))
 
 
 def random_macro_state(net, rng, max_q=10):
-    q = {k: float(rng.integers(0, max_q + 1)) for k in net.movement_keys()}
-    return QueueState(period=0, q=q)
+    q = [float(rng.integers(0, max_q + 1)) for _ in net.movement_keys()]
+    return QueueState(period=0, q=np.array(q))
+
+
+def turning_model(net, r, d):
+    """A TurningModel from r by movement key and d by link id (missing
+    entries are 0)."""
+    arr = movement_arrays(net)
+    return TurningModel(
+        r=np.array([r.get(k, 0.0) for k in arr.keys]), d=np.array([d.get(l, 0.0) for l in arr.link_ids])
+    )
 
 
 def random_turning(net, rng, max_demand=4.0):
@@ -53,7 +66,7 @@ def random_turning(net, rng, max_demand=4.0):
         for h, w in zip(succs, weights):
             r[(l, h)] = float(w)
     d = {l: float(rng.random() * max_demand) for l in net.entry_links()}
-    return TurningModel(r=r, d=d)
+    return turning_model(net, r, d)
 
 
 @dataclass
@@ -94,11 +107,11 @@ def fig_two(request):
     state, flow = micro_state_with(net, {(l1, l2): through, (l1, l3): turners})
 
     turning = random_turning(net, np.random.default_rng(0), max_demand=0.0)
-    turning.d = {l: 0.0 for l in net.entry_links()}
+    turning.d = np.zeros_like(turning.d)
     for h in net.down_links[l2]:
-        turning.r[(l2, h)] = 1.0 if h == exit_j else 0.0
+        turning.r[mov(net, (l2, h))] = 1.0 if h == exit_j else 0.0
     for h in net.down_links[l1]:
-        turning.r[(l1, h)] = 0.0
+        turning.r[mov(net, (l1, h))] = 0.0
 
     return TwoIntersectionCase(net, i, j, l1, l2, l3, exit_j, state, flow, turning)
 

@@ -8,12 +8,44 @@ next-period balance, and `phase_pressure` one phase's max-pressure value
 and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
 by recursion.
+
+`step` is the scalar micro simulator: dicts of per-movement vehicle-id
+tuples, a tuple of transit entries and per-vehicle route dicts
+(`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
+`estimate_turning` counts the same state vehicle by vehicle. The package's
+array `step` and `estimate_turning` must match them exactly. The scalar
+rules read the package's array states through `queue_view`, `turning_view`
+and `fifo_view`.
 """
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from netsignal.network import LinkKind, Phase
+from netsignal.network import LinkKind, Phase, movement_arrays
+
+
+def queue_view(state, net):
+    """A state's queue vector as a dict by movement key."""
+    return dict(zip(movement_arrays(net).keys, state.q.tolist()))
+
+
+def turning_view(turning, net):
+    """A turning model as (r by movement key, d by link id) dicts."""
+    arr = movement_arrays(net)
+    return dict(zip(arr.keys, turning.r.tolist())), dict(zip(arr.link_ids, turning.d.tolist()))
+
+
+def fifo_view(state, net, flow):
+    """Vehicle ids waiting per movement key, in FIFO order."""
+    keys = movement_arrays(net).keys
+    fifo = {key: () for key in keys}
+    for p in state.waiting.tolist():
+        key = keys[flow.route_mov[p]]
+        fifo[key] = fifo[key] + (flow.vehicles[flow.route_vehicle[p]].id,)
+    return fifo
 
 
 class ScalarGraph:
@@ -77,22 +109,24 @@ class ScalarGraph:
 def predicted_own_balance(agent, candidate, actions, state, net, turning):
     """Next-period sum of squared queues on the agent's input links, given
     the neighbors' phases fixed."""
+    queues = queue_view(state, net)
+    r, d = turning_view(turning, net)
     total = 0.0
     for l in net.in_links[agent]:
         link = net.links[l]
         if link.kind is LinkKind.ENTRY:
-            inflow = turning.demand(l)
+            inflow = d[l]
         else:
             inflow = 0.0
             upstream_phase = actions[link.start]
             for m in net.movements_into[l]:
                 if m.phase is None or m.phase == upstream_phase:
-                    inflow += min(m.sat_flow, state.q[m.key])
+                    inflow += min(m.sat_flow, queues[m.key])
         for m in net.movements_from[l]:
-            q = state.q[m.key]
+            q = queues[m.key]
             if m.phase is None or m.phase == candidate:
                 q -= min(m.sat_flow, q)
-            q += inflow * turning.proportion(l, m.to)
+            q += inflow * r[m.key]
             total += q * q
     return total
 
@@ -120,6 +154,8 @@ def phase_pressure(agent, phase, state, net, turning):
     Right turns run regardless of phase and are excluded. Exit links have no
     downstream queues, so their term is the upstream queue alone.
     """
+    q = queue_view(state, net)
+    r, _ = turning_view(turning, net)
     total = 0.0
     for m in net.movements_at[agent]:
         if m.phase != phase:
@@ -127,8 +163,8 @@ def phase_pressure(agent, phase, state, net, turning):
         downstream = 0.0
         if net.links[m.to].kind is not LinkKind.EXIT:
             for down in net.movements_from[m.to]:
-                downstream += turning.proportion(m.to, down.to) * state.q[down.key]
-        total += m.sat_flow * (state.q[m.key] - downstream)
+                downstream += r[down.key] * q[down.key]
+        total += m.sat_flow * (q[m.key] - downstream)
     return total
 
 
@@ -148,3 +184,167 @@ def longest_directed_path(order):
         return max((1 + down(b) for b in followers[a]), default=0)
 
     return max(down(a) for a in followers)
+
+
+@dataclass(frozen=True)
+class TransitEntry:
+    """A vehicle traversing `link`, joining queue (link, next_link) at `arrive`."""
+
+    arrive: int
+    seq: int
+    vehicle: int
+    link: int
+    next_link: int
+
+
+@dataclass(frozen=True)
+class ScalarState:
+    """Snapshot of all movement queues at a period boundary: `q` by movement
+    key, the FIFO vehicle ids per movement and the in-transit set."""
+
+    period: int
+    q: dict
+    fifo: dict = field(default_factory=dict)
+    transit: tuple = ()
+    next_seq: int = 0
+
+    def total_queue(self):
+        return sum(self.q.values())
+
+
+class ScalarFlow:
+    """Vehicle registry with per-period arrival buckets and route lookups."""
+
+    def __init__(self, vehicles, tau):
+        self.vehicles = list(vehicles)
+        self.tau = tau
+        self.by_id = {v.id: v for v in self.vehicles}
+        if len(self.by_id) != len(self.vehicles):
+            raise ValueError("duplicate vehicle ids in flow")
+        self.departures_by_period = {}
+        self._next_link = {}
+        for v in self.vehicles:
+            if not v.route or v.route[0] != v.origin or v.route[-1] != v.destination:
+                raise ValueError(f"vehicle {v.id}: route must run origin -> destination")
+            period = int(math.floor(v.depart_s / tau))
+            self.departures_by_period.setdefault(period, []).append(v)
+            self._next_link[v.id] = {a: b for a, b in zip(v.route, v.route[1:])}
+
+    def departures(self, period):
+        return self.departures_by_period.get(period, [])
+
+    def next_link(self, vehicle_id, link) -> Optional[int]:
+        return self._next_link[vehicle_id].get(link)
+
+
+def initial_state(net):
+    keys = net.movement_keys()
+    return ScalarState(period=0, q={k: 0.0 for k in keys}, fifo={k: () for k in keys})
+
+
+def _movement_active(phase, decision_phase):
+    return phase is None or phase == decision_phase
+
+
+def _check_decision(decision, net):
+    missing = net.intersections - decision.keys()
+    if missing:
+        raise ValueError(f"decision missing intersections: {sorted(missing)}")
+
+
+def link_delay_periods(net, link, tau):
+    """Traversal time of a link in whole periods (at least one)."""
+    l = net.links[link]
+    return max(1, math.ceil(l.length_m / (l.speed_mps * tau)))
+
+
+def step(state, decision, net, cfg, flow):
+    """Advance the micro simulation one period under the given joint phase
+    decision."""
+    _check_decision(decision, net)
+
+    t = state.period
+    tau = cfg.tau
+    fifo = dict(state.fifo)
+    seq = state.next_seq
+    new_transit = []
+
+    # Synchronous release pass: all discharges read the pre-step queues.
+    for m in net.movements:
+        if not _movement_active(m.phase, decision[m.intersection]):
+            continue
+        key = m.key
+        waiting = fifo[key]
+        n = min(int(m.sat_flow), len(waiting))
+        if n == 0:
+            continue
+        released, fifo[key] = waiting[:n], waiting[n:]
+        if net.links[m.to].kind is LinkKind.EXIT:
+            for vid in released:
+                flow.by_id[vid].exit_time = (t + 1) * tau
+        else:
+            delay = link_delay_periods(net, m.to, tau)
+            for vid in released:
+                nxt = flow.next_link(vid, m.to)
+                if nxt is None:
+                    raise ValueError(f"vehicle {vid}: route has no continuation from link {m.to}")
+                new_transit.append(TransitEntry(t + delay, seq, vid, m.to, nxt))
+                seq += 1
+
+    # Vehicles whose traversal completes join their downstream queue FIFO by
+    # (arrival period, release order).
+    pending = []
+    due = []
+    for entry in state.transit + tuple(new_transit):
+        (due if entry.arrive <= t + 1 else pending).append(entry)
+    due.sort(key=lambda e: (e.arrive, e.seq))
+    for entry in due:
+        fifo[(entry.link, entry.next_link)] = fifo[(entry.link, entry.next_link)] + (entry.vehicle,)
+
+    # Exogenous arrivals during this period appear on their entry queue next
+    # period.
+    for v in flow.departures(t):
+        nxt = flow.next_link(v.id, v.origin)
+        if nxt is None:
+            raise ValueError(f"vehicle {v.id}: route has no continuation from origin {v.origin}")
+        fifo[(v.origin, nxt)] = fifo[(v.origin, nxt)] + (v.id,)
+        v.enter_time = (t + 1) * tau
+
+    q = {key: float(len(ids)) for key, ids in fifo.items()}
+    return ScalarState(period=t + 1, q=q, fifo=fifo, transit=tuple(pending), next_seq=seq)
+
+
+def estimate_turning(state, net, flow=None):
+    """Turning proportions from the routes of vehicles currently on each link,
+    as (r by movement key, d by entry link) dicts.
+
+    Links carrying no vehicles fall back to a uniform split over their
+    movement successors. Entry demand d(l) counts vehicles scheduled to
+    appear on l next period.
+    """
+    counts = {l: {} for l in net.links}
+    for (l, h), ids in state.fifo.items():
+        if ids:
+            counts[l][h] = counts[l].get(h, 0.0) + len(ids)
+    for entry in state.transit:
+        counts[entry.link][entry.next_link] = counts[entry.link].get(entry.next_link, 0.0) + 1
+
+    r = {}
+    for l, succs in net.down_links.items():
+        if not succs:
+            continue
+        total = sum(counts[l].values())
+        if total > 0:
+            for h in succs:
+                r[(l, h)] = counts[l].get(h, 0.0) / total
+        else:
+            share = 1.0 / len(succs)
+            for h in succs:
+                r[(l, h)] = share
+
+    d = {l: 0.0 for l in net.entry_links()}
+    if flow is not None:
+        for v in flow.departures(state.period):
+            if v.origin in d:
+                d[v.origin] += 1.0
+    return r, d

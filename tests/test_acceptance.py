@@ -189,7 +189,7 @@ def test_criterion_06_balance_dominance():
     for driver in ("nlcoor", "maxpressure"):
         sc = scenario(4, 4, 1.76, driver, seed=0)
         vehicles = resolve_flow(sc)
-        flow = Flow(vehicles, 10.0)
+        flow = Flow(vehicles, 10.0, net)
         cfg = sc.sim
         state = initial_state(net)
         realized = []

@@ -1,0 +1,37 @@
+"""What the benchmark in `perfbench/` reads from the package still works.
+
+Runs one traced benchmark run per controller kind on a small grid, with
+the layer expectations of the real workloads. A traced run checks vehicle
+conservation after every period, one complete decision per period, exact
+cost decomposition on sampled planner states and the traced layers, so a
+change to the simulator's or the planner's state that breaks any of them
+fails here rather than in the benchmark.
+"""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench as module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("workload", ["grid20_emc", "grid15_maxpressure"])
+def test_traced_run_passes_the_bench_checks(bench, workload):
+    spec = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"][workload]
+    w = bench.Workload(name=workload, **{**spec, "rows": 3, "cols": 3, "horizon": 40})
+    setup, _ = bench.set_up(w, seed=1)
+    run = bench.run_once(w, setup, seed=1, traced=True)
+    assert run.errors == []
+    assert len(run.metrics.rows) == 40
+    assert len(run.tracer.kept["step"]) == 40

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from netsignal.cli import cli_main, grid_spec
+from netsignal.network import build_grid, save_network
 
 
 def test_run_happy_path(tmp_path, capsys):
@@ -112,6 +113,21 @@ def test_gen_grid_and_flow_roundtrip(tmp_path, capsys):
         ]
     )
     assert code == 0
+
+
+def test_run_rejects_a_flow_file_with_a_bad_vehicle(tmp_path, capsys):
+    net = build_grid(2, 2)
+    net_path, flow_path = tmp_path / "net.json", tmp_path / "flow.json"
+    save_network(net, str(net_path))
+    internal = net.internal_links()[0]
+    flow_path.write_text(
+        json.dumps([{"id": 3, "origin": internal, "depart_s": 0.0, "destination": net.exit_links()[0]}])
+    )
+    code = cli_main(["run", "--roadnet", str(net_path), "--flow", str(flow_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"origin {internal} is not an entry link" in err
+    assert "'id': 3" in err
 
 
 def test_missing_roadnet_file(capsys):

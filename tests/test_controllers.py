@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import macro_state_with, random_macro_state, random_turning
+from conftest import macro_state_with, mov, random_macro_state, random_turning
 from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressures
 from netsignal.network import LinkKind, Phase, build_grid
 from netsignal.simulation import initial_state
@@ -53,8 +53,8 @@ def test_pressure_balanced_queues_cancel():
     down = net.movements_from[internal][0]
     state = macro_state_with(net, {up.key: 4, down.key: 4})
     turning = random_turning(net, np.random.default_rng(0))
-    turning.r = {k: 0.0 for k in turning.r}
-    turning.r[down.key] = 1.0
+    turning.r = np.zeros_like(turning.r)
+    turning.r[mov(net, down.key)] = 1.0
     assert phase_pressures(state, net, turning)[0, Phase.WE_STRAIGHT] == 0
     assert oracle.phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == 0
 
@@ -69,8 +69,8 @@ def test_pressure_hand_computed_sum():
     down = net.movements_from[internal_move.to][0]
     state = macro_state_with(net, {exit_move.key: 3, internal_move.key: 2, down.key: 1})
     turning = random_turning(net, np.random.default_rng(0))
-    turning.r = {k: 0.0 for k in turning.r}
-    turning.r[down.key] = 0.5
+    turning.r = np.zeros_like(turning.r)
+    turning.r[mov(net, down.key)] = 0.5
     assert phase_pressures(state, net, turning)[0, Phase.WE_STRAIGHT] == pytest.approx(22.5)
     assert oracle.phase_pressure(0, Phase.WE_STRAIGHT, state, net, turning) == pytest.approx(22.5)
 
@@ -121,11 +121,11 @@ def test_max_pressure_is_local():
     turning = random_turning(net, rng)
     base = max_pressure(state, net, turning)[0]
     # queues at agent 2 (two hops away) cannot influence agent 0
-    bumped = dict(state.q)
+    bumped = state.q.copy()
     for m in net.movements_at[2]:
         link_0_links = set(net.in_links[0]) | set(net.out_links[0])
         if m.frm not in link_0_links and m.to not in link_0_links:
-            bumped[m.key] += 7
+            bumped[mov(net, m.key)] += 7
     assert max_pressure(replace(state, q=bumped), net, turning)[0] == base
 
 
@@ -135,7 +135,7 @@ def test_pressure_scale_invariance():
     for _ in range(10):
         state = random_macro_state(net, rng)
         turning = random_turning(net, rng)
-        scaled = replace(state, q={k: 3.5 * v for k, v in state.q.items()})
+        scaled = replace(state, q=3.5 * state.q)
         base = phase_pressures(state, net, turning)
         big = phase_pressures(scaled, net, turning)
         assert np.array_equal(np.argmax(base, axis=1), np.argmax(big, axis=1))
@@ -147,7 +147,7 @@ def test_phase_pressures_equal_oracle(rows, cols):
     rng = np.random.default_rng(100 * rows + cols)
     for _ in range(20):
         state = random_macro_state(net, rng)
-        fractional = replace(state, q={k: v * rng.random() for k, v in state.q.items()})
+        fractional = replace(state, q=np.array([v * rng.random() for v in state.q.tolist()]))
         turning = random_turning(net, rng)
         for s in (state, fractional):
             pressures = phase_pressures(s, net, turning)

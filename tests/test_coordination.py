@@ -45,7 +45,7 @@ def test_edges_follow_internal_links():
 def test_zero_state_zero_costs():
     net = build_grid(2, 2)
     turning = random_turning(net, np.random.default_rng(1), max_demand=0.0)
-    turning.d = {l: 0.0 for l in turning.d}
+    turning.d = np.zeros_like(turning.d)
     cg = build_cg(initial_state(net), net, turning)
     assert np.all(cg.edge_costs == 0)
     assert np.all(cg.individual == 0)
@@ -82,12 +82,12 @@ def test_edge_cost_depends_only_on_queues_feeding_it():
     }
     from dataclasses import replace
 
-    bumped = dict(state.q)
+    bumped = state.q.copy()
     changed = 0
-    for m in net.movements:
+    for k, m in enumerate(net.movements):
         touches_edge = m.frm in link_01 or m.to in link_01
         if not touches_edge and m.intersection in (1, 2):
-            bumped[m.key] += 3
+            bumped[k] += 3
             changed += 1
     assert changed > 0
     perturbed = build_cg(replace(state, q=bumped), net, turning)

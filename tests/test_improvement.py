@@ -41,7 +41,7 @@ def test_best_response_all_tie_keeps_current():
     net = build_grid(2, 1)
     state = initial_state(net)
     turning = random_turning(net, np.random.default_rng(0), max_demand=0.0)
-    turning.d = {l: 0.0 for l in turning.d}
+    turning.d = np.zeros_like(turning.d)
     actions = all_phase(net, Phase.SN_LEFT)
     assert best_response(0, actions, state, net, turning) == Phase.SN_LEFT
     assert local_improvement(actions, state, net, turning, max_sweeps=1) == actions
@@ -106,7 +106,7 @@ def test_local_improvement_zero_traffic_fixed_point():
     net = build_grid(2, 2)
     state = initial_state(net)
     turning = random_turning(net, np.random.default_rng(1), max_demand=0.0)
-    turning.d = {l: 0.0 for l in turning.d}
+    turning.d = np.zeros_like(turning.d)
     init = {i: Phase(int(i % 4)) for i in net.intersections}
     assert local_improvement(init, state, net, turning) == init
 

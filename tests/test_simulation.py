@@ -1,16 +1,27 @@
 import hashlib
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import all_phase, macro_state_with, micro_state_with
-from netsignal.network import LinkKind, Phase, build_grid, network_from_dict, validate
+import oracle
+from conftest import all_phase, macro_state_with, micro_state_with, mov, turning_model
+from netsignal import simulation
+from netsignal.network import (
+    LinkKind,
+    LoadError,
+    Phase,
+    build_grid,
+    movement_arrays,
+    network_from_dict,
+    validate,
+)
 from netsignal.simulation import (
     Flow,
     MetricsError,
     SimConfig,
-    TurningModel,
     Vehicle,
     balance_index,
     estimate_turning,
@@ -20,6 +31,7 @@ from netsignal.simulation import (
     load_flow,
     predict_next_queues,
     save_flow,
+    shortest_route,
     step,
     travel_time_metrics,
 )
@@ -30,7 +42,7 @@ def zero_turning(net):
     for l, succs in net.down_links.items():
         for h in succs:
             r[(l, h)] = 1.0 / len(succs)
-    return TurningModel(r=r, d={l: 0.0 for l in net.entry_links()})
+    return turning_model(net, r, {})
 
 
 def test_macro_release_clamped_by_saturation():
@@ -38,7 +50,7 @@ def test_macro_release_clamped_by_saturation():
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 5})
     out = predict_next_queues(state, {0: Phase.WE_STRAIGHT}, net, zero_turning(net))
-    assert out.q[m.key] == 2
+    assert out.q[mov(net, m.key)] == 2
 
 
 def test_macro_release_clamped_by_queue():
@@ -46,7 +58,7 @@ def test_macro_release_clamped_by_queue():
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 2})
     out = predict_next_queues(state, {0: Phase.WE_STRAIGHT}, net, zero_turning(net))
-    assert out.q[m.key] == 0
+    assert out.q[mov(net, m.key)] == 0
 
 
 def test_inactive_phase_holds_queue():
@@ -54,15 +66,16 @@ def test_inactive_phase_holds_queue():
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     state = macro_state_with(net, {m.key: 4})
     out = predict_next_queues(state, {0: Phase.SN_LEFT}, net, zero_turning(net))
-    assert out.q[m.key] == 4
+    assert out.q[mov(net, m.key)] == 4
 
 
 def test_micro_step_two_intersections(fig_two):
     cfg = SimConfig(tau=10.0)
     decision = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
     out = step(fig_two.state, decision, fig_two.net, cfg, flow=fig_two.flow)
-    assert out.q[(fig_two.l1, fig_two.l3)] == 0
-    assert out.q[(fig_two.l1, fig_two.l2)] == 4
+    q = oracle.queue_view(out, fig_two.net)
+    assert q[(fig_two.l1, fig_two.l3)] == 0
+    assert q[(fig_two.l1, fig_two.l2)] == 4
     exited = [v for v in fig_two.flow.vehicles if v.exit_time is not None]
     assert len(exited) == 2
     assert all(v.destination == fig_two.l3 for v in exited)
@@ -74,27 +87,29 @@ def test_micro_release_is_fifo_and_capped():
     vehicles = [Vehicle(k, m.frm, 0.0, m.to, (m.frm, m.to)) for k in range(5)]
     state, flow = micro_state_with(net, {m.key: vehicles})
     out = step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=flow)
-    assert out.fifo[m.key] == (3, 4)
+    assert oracle.fifo_view(out, net, flow)[m.key] == (3, 4)
     assert [v.id for v in flow.vehicles if v.exit_time is not None] == [0, 1, 2]
 
 
 def test_micro_transit_delay_matches_link_length(fig_two):
     # 300 m at 10 m/s with tau=10 -> 3 periods on the internal link
     net = fig_two.net
-    assert link_delay_periods(net, fig_two.l2, 10.0) == 3
+    assert link_delay_periods(net, 10.0)[movement_arrays(net).link_index[fig_two.l2]] == 3
+    assert oracle.link_delay_periods(net, fig_two.l2, 10.0) == 3
     cfg = SimConfig(tau=10.0)
     state = fig_two.state
     decision = {fig_two.i: Phase.WE_STRAIGHT, fig_two.j: Phase.WE_STRAIGHT}
+    l1_l2, l2_exit = mov(net, (fig_two.l1, fig_two.l2)), mov(net, (fig_two.l2, fig_two.exit_j))
     state = step(state, decision, net, cfg, flow=fig_two.flow)
-    assert state.q[(fig_two.l1, fig_two.l2)] == 0
+    assert state.q[l1_l2] == 0
     assert len(state.transit) == 4
     # nothing readable on l2 until the traversal completes
     state = step(state, decision, net, cfg, flow=fig_two.flow)
-    assert state.q[(fig_two.l2, fig_two.exit_j)] == 0
+    assert state.q[l2_exit] == 0
     state = step(state, decision, net, cfg, flow=fig_two.flow)
-    assert state.q[(fig_two.l2, fig_two.exit_j)] == 4
+    assert state.q[l2_exit] == 4
     state = step(state, decision, net, cfg, flow=fig_two.flow)
-    assert state.q[(fig_two.l2, fig_two.exit_j)] == 0
+    assert state.q[l2_exit] == 0
     assert sum(1 for v in fig_two.flow.vehicles if v.exit_time is not None) == 4
 
 
@@ -102,14 +117,15 @@ def test_predict_zero_fixed_point():
     net = build_grid(2, 2)
     state = macro_state_with(net, {})
     out = predict_next_queues(state, all_phase(net, Phase.WE_STRAIGHT), net, zero_turning(net))
-    assert all(v == 0 for v in out.q.values())
+    assert np.all(out.q == 0)
 
 
 def test_predict_two_intersection_example(fig_two):
     decision = {fig_two.i: Phase.WE_STRAIGHT, fig_two.j: Phase.WE_STRAIGHT}
     out = predict_next_queues(fig_two.state, decision, fig_two.net, fig_two.turning)
-    assert out.q[(fig_two.l1, fig_two.l3)] == 2
-    assert out.q[(fig_two.l2, fig_two.exit_j)] == 4
+    q = oracle.queue_view(out, fig_two.net)
+    assert q[(fig_two.l1, fig_two.l3)] == 2
+    assert q[(fig_two.l2, fig_two.exit_j)] == 4
     assert balance_index(out) == 20
 
 
@@ -117,7 +133,7 @@ def test_step_requires_full_decision():
     net = build_grid(2, 1)
     state = initial_state(net)
     with pytest.raises(ValueError, match="missing"):
-        step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], tau=10.0))
+        step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], 10.0, net))
 
 
 def test_balance_examples(fig_two):
@@ -136,20 +152,20 @@ def test_non_negative_queues_under_random_decisions():
     net = build_grid(2, 2)
     rng = np.random.default_rng(3)
     vehicles = generate_uniform_flow(net, rate=1.0, duration=200, seed=5)
-    flow = Flow(vehicles, tau=10.0)
+    flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
     cfg = SimConfig(tau=10.0, horizon=40)
     for t in range(40):
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         state = step(state, decision, net, cfg, flow=flow)
-        assert all(v >= 0 for v in state.q.values())
+        assert np.all(state.q >= 0)
 
 
 def test_vehicle_conservation_every_period():
     net = build_grid(2, 2)
     rng = np.random.default_rng(11)
     vehicles = generate_uniform_flow(net, rate=0.8, duration=300, seed=2)
-    flow = Flow(vehicles, tau=10.0)
+    flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
     cfg = SimConfig(tau=10.0, horizon=60)
     for t in range(60):
@@ -171,33 +187,32 @@ def test_macro_micro_agreement_single_route():
     exit_j = next(m.to for m in net.movements_at[j] if m.frm == l2 and m.phase == Phase.WE_STRAIGHT)
 
     vehicles = [Vehicle(k, l1, 10.0 * k, exit_j, (l1, l2, exit_j)) for k in range(8)]
-    flow = Flow(vehicles, tau=10.0)
+    flow = Flow(vehicles, 10.0, net)
     micro = initial_state(net)
     macro = macro_state_with(net, {})
-    r = {key: 0.0 for key in zero_turning(net).r}
-    r[(l1, l2)] = 1.0
-    r[(l2, exit_j)] = 1.0
+    r = {(l1, l2): 1.0, (l2, exit_j): 1.0}
     cfg = SimConfig(tau=10.0)
     decision = all_phase(net, Phase.WE_STRAIGHT)
     for t in range(12):
-        d = {l: 0.0 for l in net.entry_links()}
-        d[l1] = sum(1 for v in flow.departures(t))
-        turning = TurningModel(r=r, d=d)
+        d = {l1: sum(1 for v in vehicles if math.floor(v.depart_s / 10.0) == t)}
+        turning = turning_model(net, r, d)
         micro = step(micro, decision, net, cfg, flow=flow)
         macro = predict_next_queues(macro, decision, net, turning)
-        assert micro.q[(l1, l2)] == pytest.approx(macro.q[(l1, l2)])
-        assert micro.q[(l2, exit_j)] == pytest.approx(macro.q[(l2, exit_j)])
+        for key in ((l1, l2), (l2, exit_j)):
+            assert micro.q[mov(net, key)] == pytest.approx(macro.q[mov(net, key)])
 
 
 def test_full_release_drains_into_downstream(fig_two):
     # All loaded movements active with sat_flow >= queue: originals all leave.
     decision = {fig_two.i: Phase.WE_STRAIGHT, fig_two.j: Phase.WE_STRAIGHT}
-    state = macro_state_with(fig_two.net, {(fig_two.l1, fig_two.l2): 4, (fig_two.l2, fig_two.exit_j): 3})
+    upstream, downstream = (fig_two.l1, fig_two.l2), (fig_two.l2, fig_two.exit_j)
+    state = macro_state_with(fig_two.net, {upstream: 4, downstream: 3})
+    l1_l2, l2_exit = mov(fig_two.net, upstream), mov(fig_two.net, downstream)
     out = predict_next_queues(state, decision, fig_two.net, fig_two.turning)
-    assert out.q[(fig_two.l1, fig_two.l2)] == 0
-    assert out.q[(fig_two.l2, fig_two.exit_j)] == 4  # only the new arrivals
+    assert out.q[l1_l2] == 0
+    assert out.q[l2_exit] == 4  # only the new arrivals
     out = predict_next_queues(out, decision, fig_two.net, fig_two.turning)
-    assert out.q[(fig_two.l2, fig_two.exit_j)] == 0
+    assert out.q[l2_exit] == 0
 
 
 def test_estimate_turning_counts_routes():
@@ -207,11 +222,11 @@ def test_estimate_turning_counts_routes():
     h1, h2 = moves[0].to, moves[1].to
     vehicles = [Vehicle(k, entry, 0.0, h1, (entry, h1)) for k in range(3)]
     vehicles.append(Vehicle(3, entry, 0.0, h2, (entry, h2)))
-    state, _ = micro_state_with(net, {(entry, h1): vehicles[:3], (entry, h2): vehicles[3:]})
-    model = estimate_turning(state, net)
-    assert model.r[(entry, h1)] == pytest.approx(0.75)
-    assert model.r[(entry, h2)] == pytest.approx(0.25)
-    assert model.r[(moves[2].frm, moves[2].to)] == pytest.approx(0.0)
+    state, flow = micro_state_with(net, {(entry, h1): vehicles[:3], (entry, h2): vehicles[3:]})
+    model = estimate_turning(state, net, flow)
+    assert model.r[mov(net, (entry, h1))] == pytest.approx(0.75)
+    assert model.r[mov(net, (entry, h2))] == pytest.approx(0.25)
+    assert model.r[mov(net, moves[2].key)] == pytest.approx(0.0)
 
 
 def test_estimate_turning_single_target():
@@ -219,17 +234,17 @@ def test_estimate_turning_single_target():
     entry = net.entry_links()[0]
     h = net.movements_from[entry][0].to
     vehicles = [Vehicle(k, entry, 0.0, h, (entry, h)) for k in range(4)]
-    state, _ = micro_state_with(net, {(entry, h): vehicles})
-    assert estimate_turning(state, net).r[(entry, h)] == 1.0
+    state, flow = micro_state_with(net, {(entry, h): vehicles})
+    assert estimate_turning(state, net, flow).r[mov(net, (entry, h))] == 1.0
 
 
 def test_estimate_turning_uniform_fallback():
     net = build_grid(1, 1)
     entry = net.entry_links()[0]
     state = initial_state(net)
-    model = estimate_turning(state, net)
+    model = estimate_turning(state, net, Flow([], 10.0, net))
     for m in net.movements_from[entry]:
-        assert model.r[m.key] == pytest.approx(1 / 3)
+        assert model.r[mov(net, m.key)] == pytest.approx(1 / 3)
 
 
 def test_estimate_turning_demand_counts_next_period():
@@ -237,11 +252,12 @@ def test_estimate_turning_demand_counts_next_period():
     entry = net.entry_links()[0]
     h = net.movements_from[entry][0].to
     vehicles = [Vehicle(0, entry, 3.0, h, (entry, h)), Vehicle(1, entry, 27.0, h, (entry, h))]
-    flow = Flow(vehicles, tau=10.0)
+    flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
-    assert estimate_turning(state, net, flow).d[entry] == 1.0
-    assert estimate_turning(replace(state, period=2), net, flow).d[entry] == 1.0
-    assert estimate_turning(replace(state, period=1), net, flow).d[entry] == 0.0
+    k = movement_arrays(net).link_index[entry]
+    assert estimate_turning(state, net, flow).d[k] == 1.0
+    assert estimate_turning(replace(state, period=2), net, flow).d[k] == 1.0
+    assert estimate_turning(replace(state, period=1), net, flow).d[k] == 0.0
 
 
 def test_flow_counts_match_rate():
@@ -368,3 +384,97 @@ def test_flow_rate_spec(tmp_path):
     path.write_text('{"rate_vps": 0.5, "duration_s": 100, "seed": 3}')
     vehicles = load_flow(str(path), net)
     assert len(vehicles) == 50
+
+
+def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
+    net = build_grid(3, 3)
+    vehicles = generate_uniform_flow(net, 0.5, 400, seed=4)
+    path = tmp_path / "flow.json"
+    save_flow(vehicles, str(path))
+    loaded = load_flow(str(path), net, seed=9)
+    rng = np.random.default_rng(np.random.SeedSequence([9, 0x72E5]))
+    expected = [shortest_route(net, v.origin, v.destination, rng) for v in vehicles]
+    assert [v.route for v in loaded] == expected
+
+
+def test_flow_file_runs_one_route_search_per_destination(tmp_path, monkeypatch):
+    net = build_grid(3, 3)
+    vehicles = generate_uniform_flow(net, 0.5, 400, seed=4)
+    path = tmp_path / "flow.json"
+    save_flow(vehicles, str(path))
+    searched = []
+    search = simulation._route_distances
+
+    def counting(net, destination):
+        searched.append(destination)
+        return search(net, destination)
+
+    monkeypatch.setattr(simulation, "_route_distances", counting)
+    load_flow(str(path), net)
+    assert sorted(searched) == sorted({v.destination for v in vehicles})
+
+
+def bad_flow_case(case):
+    """A 2x2 grid and a flow file whose second vehicle is bad in one way;
+    returns (net, entries, pattern the LoadError must match)."""
+    net = build_grid(2, 2)
+    entry, exit_link, internal = net.entry_links()[0], net.exit_links()[0], net.internal_links()[0]
+    good = {"id": 0, "origin": entry, "depart_s": 0.0, "destination": exit_link}
+    bad = dict(good, id=1)
+    pattern = {
+        "internal-origin": (dict(bad, origin=internal), f"origin {internal} is not an entry link"),
+        "exit-origin": (dict(bad, origin=exit_link), f"origin {exit_link} is not an entry link"),
+        "entry-destination": (dict(bad, destination=entry), f"destination {entry} is not an exit link"),
+        "internal-destination": (
+            dict(bad, destination=internal),
+            f"destination {internal} is not an exit link",
+        ),
+        "negative-depart": (dict(bad, depart_s=-5.0), r"depart_s -5.0 is not a finite time >= 0"),
+        "nan-depart": (dict(bad, depart_s=float("nan")), r"depart_s nan is not a finite time >= 0"),
+        "duplicate-id": (dict(bad, id=0, depart_s=5.0), "duplicate vehicle id 0"),
+    }[case]
+    return net, [good, pattern[0]], pattern[1]
+
+
+BAD_FLOW_CASES = [
+    "internal-origin",
+    "exit-origin",
+    "entry-destination",
+    "internal-destination",
+    "negative-depart",
+    "nan-depart",
+    "duplicate-id",
+]
+
+
+@pytest.mark.parametrize("case", BAD_FLOW_CASES)
+def test_flow_file_rejects_bad_vehicle(tmp_path, case):
+    net, entries, pattern = bad_flow_case(case)
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(LoadError, match=pattern) as caught:
+        load_flow(str(path), net)
+    assert repr(json.loads(json.dumps(entries[1]))) in str(caught.value)
+
+
+def test_flow_rejects_routes_that_are_not_movement_chains():
+    net = build_grid(1, 2)
+    entry = net.entry_links()[0]
+    succs = net.down_links[entry]
+    internal = next(h for h in succs if net.links[h].kind is LinkKind.INTERNAL)
+    exit_link = next(h for h in succs if net.links[h].kind is LinkKind.EXIT)
+    unreachable = next(l for l in net.exit_links() if l not in succs)
+    chains = [
+        (entry, internal),  # ends on an internal link
+        (entry, unreachable),  # no such movement
+        (entry, 10**6),  # no such link
+        (exit_link,),  # a single link
+    ]
+    for k, route in enumerate(chains):
+        v = Vehicle(k, route[0], 0.0, route[-1], route)
+        with pytest.raises(ValueError, match=f"vehicle {k}: "):
+            Flow([Vehicle(99, entry, 0.0, exit_link, (entry, exit_link)), v], 10.0, net)
+    with pytest.raises(ValueError, match="finite depart_s"):
+        Flow([Vehicle(0, entry, float("nan"), exit_link, (entry, exit_link))], 10.0, net)
+    with pytest.raises(ValueError, match="duplicate vehicle ids"):
+        Flow([Vehicle(0, entry, 0.0, exit_link, (entry, exit_link))] * 2, 10.0, net)
