@@ -14,10 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays
+from netsignal.network import NUM_PHASES, PHASES, Phase, RoadNetwork, movement_arrays, segment_sum
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
-
-_PHASES = tuple(Phase)
 
 
 @dataclass
@@ -50,21 +48,23 @@ def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) 
     A phase's pressure sums its movements' sat_flow * (upstream queue -
     turning-weighted downstream queues). Right turns run regardless of phase
     and are excluded. Exit links have no downstream queues, so their term is
-    the upstream queue alone. Both sums run in movement order from 0.0.
+    the upstream queue alone. Both sums are `segment_sum`s through the
+    movement arrays' `from_link_table` and `phase_table`, in movement order
+    from 0.0.
     """
     arr = movement_arrays(net)
     q = state.q
-    downstream = np.zeros(arr.n_links)
-    np.add.at(downstream, arr.mov_from, turning.r * q)
-    pressure = arr.sat * (q - downstream[arr.mov_to])
-    phased = arr.mov_phase >= 0
-    totals = np.zeros((len(arr.agent_ids), NUM_PHASES))
-    np.add.at(totals, (arr.mov_agent[phased], arr.mov_phase[phased]), pressure[phased])
-    return totals
+    # per-movement inputs carry a zero row for the tables' padding
+    weighted = np.zeros(arr.n_mov + 1)
+    np.multiply(turning.r, q, out=weighted[:-1])
+    downstream = segment_sum(weighted, arr.from_link_table)
+    pressure = np.zeros(arr.n_mov + 1)
+    np.multiply(arr.sat, q - downstream[arr.mov_to], out=pressure[:-1])
+    return segment_sum(pressure, arr.phase_table).reshape(len(arr.agent_ids), NUM_PHASES)
 
 
 def max_pressure(state: QueueState, net: RoadNetwork, turning: TurningModel) -> JointAssignment:
     """Independently per intersection, the highest-pressure phase (lowest
     index on ties)."""
     best = np.argmax(phase_pressures(state, net, turning), axis=1)
-    return {a: _PHASES[p] for a, p in zip(movement_arrays(net).agent_ids, best.tolist())}
+    return {a: PHASES[p] for a, p in zip(movement_arrays(net).agent_ids, best.tolist())}

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays
+from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays, segment_sum
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
@@ -47,16 +48,24 @@ class CoordinationGraph:
         self.edges = tuple(self.edges)
         self.edge_costs = np.asarray(self.edge_costs, dtype=float)
         self.individual = np.asarray(self.individual, dtype=float)
-        if any(a >= b for a, b in zip(self.agents, self.agents[1:])):
-            raise ValueError("agents must be sorted and distinct")
-        if any(i >= j for i, j in self.edges) or any(
-            e >= f for e, f in zip(self.edges, self.edges[1:])
-        ):
-            raise ValueError("edges must be sorted, distinct (i, j) pairs with i < j")
+        problem = _layout_problem(self.agents, self.edges)
+        if problem is not None:
+            raise ValueError(problem)
         shapes = (np.shape(self.edge_costs), np.shape(self.individual))
         want = ((len(self.edges), NUM_PHASES, NUM_PHASES), (len(self.agents), NUM_PHASES))
         if shapes != want:
             raise ValueError(f"table shapes {shapes}, expected {want}")
+
+
+@lru_cache(maxsize=16)
+def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
+    """What is wrong with an agent and edge layout, or None. A planner
+    builds one graph per period on the same layout, so the answer is kept."""
+    if any(a >= b for a, b in zip(agents, agents[1:])):
+        return "agents must be sorted and distinct"
+    if any(i >= j for i, j in edges) or any(e >= f for e, f in zip(edges, edges[1:])):
+        return "edges must be sorted, distinct (i, j) pairs with i < j"
+    return None
 
 
 def build_cg(
@@ -72,36 +81,35 @@ def build_cg(
     phase and receives a's releases, so its squared next-period queue lands
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
-    individual vector. `model` may pass in the `period_model` of the same
-    inputs when the caller has it already.
+    individual vector. Each table is the `segment_sum` of its movements'
+    terms through `MovementArrays.edge_table` and `entry_table`, which fix
+    the order they are added in. `model` may pass in the `period_model` of
+    the same inputs when the caller has it already.
     """
     from netsignal.prediction import period_model
 
     arr = movement_arrays(net)
     if model is None:
         model = period_model(net, state, turning)
-    agents = tuple(arr.agent_ids)
-    edges = tuple(arr.edges)
+    n = arr.n_mov
 
-    individual_mat = np.zeros((len(agents), NUM_PHASES))
-    entry = arr.from_entry
-    if entry.any():
-        inflow = model.demand[arr.mov_from[entry]] * model.r[entry]
-        vectors = (model.drained[entry] + inflow[:, None]) ** 2
-        np.add.at(individual_mat, arr.mov_agent[entry], vectors)
+    # every per-movement input below carries a zero row at n for padding
+    vectors = np.zeros((n + 1, NUM_PHASES))
+    inflow = model.demand[arr.mov_from] * model.r
+    np.square(model.drained + inflow[:, None], out=vectors[:-1])
+    individual = segment_sum(vectors, arr.entry_table)
 
-    edge_stack = np.zeros((len(edges), NUM_PHASES, NUM_PHASES))
-    sel = arr.internal_from
-    if sel.any():
-        incoming = model.release_onto[arr.mov_from[sel]] * model.r[sel][:, None]
-        drained = model.drained[sel]
-        contrib = (incoming[:, :, None] + drained[:, None, :]) ** 2  # [x_a][x_b]
-        idx = arr.mov_edge[sel]
-        flip = arr.mov_edge_flip[sel]
-        np.add.at(edge_stack, idx[~flip], contrib[~flip])
-        np.add.at(edge_stack, idx[flip], contrib[flip].transpose(0, 2, 1))
+    # a flipped movement's table is stored transposed, so its drained
+    # vector runs along the first axis and its incoming one along the second
+    incoming = model.release_onto[arr.mov_from] * model.r[:, None]
+    first = np.where(arr.mov_edge_flip, model.drained, incoming)
+    second = np.where(arr.mov_edge_flip, incoming, model.drained)
+    contrib = np.zeros((n + 1, NUM_PHASES, NUM_PHASES))
+    np.add(first[:, :, None], second[:, None, :], out=contrib[:-1])
+    np.square(contrib, out=contrib)
+    edge_stack = segment_sum(contrib, arr.edge_table)
 
-    return CoordinationGraph(agents, edges, edge_stack, individual_mat)
+    return CoordinationGraph(tuple(arr.agent_ids), arr.edges, edge_stack, individual)
 
 
 def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
-from netsignal.network import Phase, RoadNetwork, movement_arrays
+from netsignal.network import PHASES, RoadNetwork, movement_arrays
 from netsignal.ordering import DagOrder, min_diameter_dag
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
@@ -74,10 +74,11 @@ def local_improvement(
     arr = movement_arrays(net)
     if model is None:
         model = period_model(net, state, turning)
+    agents = arr.agent_ids
     try:
-        actions = np.array([int(init[a]) for a in arr.agent_ids], dtype=np.intp)
+        actions = np.fromiter(map(init.__getitem__, agents), dtype=np.intp, count=len(agents))
     except KeyError:
-        missing = [a for a in arr.agent_ids if a not in init]
+        missing = [a for a in agents if a not in init]
         raise ValueError(f"init is missing agents {missing}") from None
     sweeps = max_sweeps
     if budget is not None and budget.rounds is not None:
@@ -96,7 +97,7 @@ def local_improvement(
         if np.array_equal(proposal, actions):
             break
         actions = proposal
-    return {a: Phase(int(actions[k])) for k, a in enumerate(arr.agent_ids)}
+    return dict(zip(agents, map(PHASES.__getitem__, actions.tolist())))
 
 
 @dataclass

@@ -27,11 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, Phase
+from netsignal.network import NUM_PHASES, PHASES, segment_sum
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
-
-_PHASES = tuple(Phase)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,9 @@ class _Engine:
 
     def _incoming_sums(self, slots: np.ndarray) -> np.ndarray:
         """Sum of the messages in each column of `slots`, added from 0.0 in
-        slot order (a reduction over the leading axis is sequential)."""
-        return np.add.reduce(np.take(self.buffer, slots, axis=0), axis=0, initial=0.0)
+        slot order: `slots` is a gather table into the message buffer, whose
+        last row is the zero row its padding points at."""
+        return segment_sum(self.buffer, slots)
 
     def update(self, forward: bool, start: int, stop: int) -> None:
         """Recompute rows [start, stop) of one direction's sweep."""
@@ -126,7 +125,8 @@ class _Engine:
         return np.argmin(totals, axis=1)
 
     def assignment(self, picks: np.ndarray) -> JointAssignment:
-        return {a: _PHASES[p] for a, p in zip(self.agents, picks.tolist())}
+        return {a: PHASES[p] for a, p in zip(self.agents, picks.tolist())}
+
 
 @dataclass
 class CoordResult:

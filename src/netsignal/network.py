@@ -10,6 +10,7 @@ into index arrays over its movement list once, for every array kernel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
@@ -190,9 +191,26 @@ class RoadNetwork:
 class MovementArrays:
     """Static per-network index arrays over the movement list.
 
-    Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids)
-    and agent a is `agent_ids[a]` (sorted ids). Queue, turning and demand
+    Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids),
+    agent a is `agent_ids[a]` (sorted ids) and edge e is `edges[e]`, the
+    sorted (i < j) pairs of neighbouring agents. Queue, turning and demand
     vectors everywhere in the package use these orders.
+
+    The `*_table` fields are gather tables for `segment_sum`: column t lists
+    the movements that add into target t, in the order they are added, padded
+    with `n_mov`, the zero row every per-movement input carries after its
+    movements. They are built once here, so each per-period scatter-add is
+    one gather and one reduction:
+
+    - `from_link_table` (K, links): movements by input link, in movement order.
+    - `to_link_table` (K, links): movements by output link, in movement order.
+    - `agent_table` (K, agents): movements by intersection, in movement order.
+    - `phase_table` (K, agents * 4): phased movements by (agent, phase) at
+      `agent * 4 + phase`, in movement order; right turns are in no column.
+    - `entry_table` (K, agents): movements from entry links by intersection.
+    - `edge_table` (K, edges): movements queueing on an internal link by the
+      edge of its two endpoints, the links running from lower to higher id
+      first, then the others, each in movement order.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -222,9 +240,7 @@ class MovementArrays:
         self.n_links = len(link_ids)
         self.mov_from = np.array([link_index[m.frm] for m in movements], dtype=np.intp)
         self.mov_to = np.array([link_index[m.to] for m in movements], dtype=np.intp)
-        self.from_entry = np.array(
-            [net.links[m.frm].kind is LinkKind.ENTRY for m in movements], dtype=bool
-        )
+        from_entry = np.array([net.links[m.frm].kind is LinkKind.ENTRY for m in movements], dtype=bool)
         self.to_exit = np.array([net.links[m.to].kind is LinkKind.EXIT for m in movements], dtype=bool)
         # the turning share of each movement when its link carries no vehicles
         self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]
@@ -256,10 +272,57 @@ class MovementArrays:
             a, b = link.start, link.end
             mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
             mov_edge_flip[k] = a > b  # contribution axes are [x_start][x_end]
-        self.edges = edges
-        self.mov_edge = mov_edge
-        self.mov_edge_flip = mov_edge_flip
-        self.internal_from = mov_edge >= 0
+        self.edges = tuple(edges)
+        # whether a movement's edge table holds its contribution transposed,
+        # as a column so that it picks whole phase vectors
+        self.mov_edge_flip = mov_edge_flip[:, None]
+
+        n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
+        phased = np.flatnonzero(self.mov_phase >= 0)
+        entry = np.flatnonzero(from_entry)
+        internal = np.flatnonzero(mov_edge >= 0)
+        on_edges = np.concatenate(
+            (internal[~mov_edge_flip[internal]], internal[mov_edge_flip[internal]])
+        )
+        pad = self.n_mov
+        self.from_link_table = gather_table(every, self.mov_from, self.n_links, pad)
+        self.to_link_table = gather_table(every, self.mov_to, self.n_links, pad)
+        self.agent_table = gather_table(every, self.mov_agent, n_agents, pad)
+        phase_slot = self.mov_agent[phased] * NUM_PHASES + self.mov_phase[phased]
+        self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
+        self.entry_table = gather_table(entry, self.mov_agent[entry], n_agents, pad)
+        self.edge_table = gather_table(on_edges, mov_edge[on_edges], len(edges), pad)
+
+
+def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
+    """The (K, n_targets) gather table that adds `sources[k]` into target
+    `targets[k]`: column t lists the sources of t in the order they appear,
+    padded with `pad` up to K, the most any target has."""
+    sources = np.asarray(sources, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets, minlength=n_targets)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(len(targets)) - first[targets[order]]
+    table = np.full((counts.max(initial=0), n_targets), pad, dtype=np.intp)
+    table[rank, targets[order]] = sources[order]
+    return table
+
+
+def segment_sum(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per column of a gather table, the sum of the rows of `padded` it lists.
+
+    Rows are added one at a time from 0.0, in table order, which is how
+    `np.add.at` adds them, so the sums equal its sums bit for bit. Padding
+    entries point at a zero row of `padded`; adding it changes no sum.
+    """
+    gathered = np.take(padded, table, axis=0)
+    if gathered.size == len(gathered) > 0:
+        # numpy reduces a lone column as one run, which it sums pairwise;
+        # an accumulation from a zero row adds its entries in order
+        gathered = np.concatenate((np.zeros_like(gathered[:1]), gathered))
+        return np.add.accumulate(gathered, axis=0)[-1]
+    return np.add.reduce(gathered, axis=0, initial=0.0)
 
 
 def movement_arrays(net: RoadNetwork) -> MovementArrays:
@@ -437,6 +500,8 @@ def validate(net: RoadNetwork) -> list[str]:
                     f"{name}: phase {m.phase.name} already used by another movement on link {m.frm}"
                 )
             group.add(m.phase)
+    for i in sorted(net.intersections - {m.intersection for m in net.movements}):
+        violations.append(f"intersection {i}: no movements")
     we = {Phase.WE_STRAIGHT, Phase.WE_LEFT}
     sn = {Phase.SN_STRAIGHT, Phase.SN_LEFT}
     for (i, l), phases in axis_groups.items():
@@ -467,59 +532,112 @@ def validate(net: RoadNetwork) -> list[str]:
     return violations
 
 
-def _parse_phase(value) -> Optional[Phase]:
+def _parse_phase(value, name: str) -> Optional[Phase]:
     if value is None:
         return None
     try:
         return Phase(int(value))
-    except ValueError as exc:
-        raise LoadError(f"invalid phase value {value!r}") from exc
+    except (TypeError, ValueError):
+        raise LoadError(f"{name}: invalid phase value {value!r}") from None
+
+
+def _entries(doc: dict, section: str) -> list[dict]:
+    """The entries of one roadnet section, each checked to be an object."""
+    try:
+        entries = doc[section]
+    except (KeyError, TypeError) as exc:
+        raise LoadError(f"roadnet document missing section: {exc}") from exc
+    if not isinstance(entries, list):
+        raise LoadError(f"roadnet section {section!r} must be a list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise LoadError(f"{section}[{k}]: expected an object, got {json.dumps(entry, default=repr)}")
+    return entries
+
+
+def _value(entry: dict, key: str, name: str, cast, default=None):
+    """`cast` of a required field, or of an optional one if `default` is given."""
+    if key not in entry and default is None:
+        raise LoadError(f"{name}: missing {key}")
+    value = entry.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise LoadError(f"{name}: invalid {key} {value!r}") from None
+
+
+def _integer(value) -> int:
+    """`value` as an id; a fraction or a bool is no id."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
+
+
+def _finite(entry: dict, key: str, name: str, default=None) -> float:
+    value = _value(entry, key, name, float, default)
+    if not math.isfinite(value):
+        raise LoadError(f"{name}: {key} must be finite, got {value}")
+    return value
+
+
+def _optional_id(entry: dict, key: str, name: str) -> Optional[int]:
+    return None if entry.get(key) is None else _value(entry, key, name, _integer)
 
 
 def network_from_dict(doc: dict) -> RoadNetwork:
-    try:
-        inter_docs = doc["intersections"]
-        link_docs = doc["links"]
-        movement_docs = doc["movements"]
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"roadnet document missing section: {exc}") from exc
+    """Parse a roadnet document; raise LoadError naming the first bad entry.
 
-    intersections = []
+    Every field must be present (or have a default) and parse, ids must be
+    integers, numbers must be finite, and link and intersection ids must be
+    unique.
+    """
+    inter_docs = _entries(doc, "intersections")
+    link_docs = _entries(doc, "links")
+    movement_docs = _entries(doc, "movements")
+
     coords = {}
-    for d in inter_docs:
-        intersections.append(int(d["id"]))
-        coords[int(d["id"])] = (float(d.get("x", 0.0)), float(d.get("y", 0.0)))
+    for k, d in enumerate(inter_docs):
+        iid = _value(d, "id", f"intersections[{k}]", _integer)
+        name = f"intersection {iid}"
+        if iid in coords:
+            raise LoadError(f"{name}: duplicate intersection id")
+        coords[iid] = (_finite(d, "x", name, 0.0), _finite(d, "y", name, 0.0))
 
-    links = []
-    for d in link_docs:
+    links = {}
+    for k, d in enumerate(link_docs):
+        lid = _value(d, "id", f"links[{k}]", _integer)
+        name = f"link {lid}"
+        if lid in links:
+            raise LoadError(f"{name}: duplicate link id")
         try:
-            kind = LinkKind(d["kind"])
+            kind = LinkKind(d.get("kind"))
         except ValueError as exc:
-            raise LoadError(f"link {d.get('id')}: unknown kind {d.get('kind')!r}") from exc
-        links.append(
-            Link(
-                id=int(d["id"]),
-                kind=kind,
-                start=int(d["start"]) if d.get("start") is not None else None,
-                end=int(d["end"]) if d.get("end") is not None else None,
-                length_m=float(d["length_m"]),
-                speed_mps=float(d.get("speed_mps", DEFAULT_SPEED_MPS)),
-            )
+            raise LoadError(f"{name}: unknown kind {d.get('kind')!r}") from exc
+        links[lid] = Link(
+            id=lid,
+            kind=kind,
+            start=_optional_id(d, "start", name),
+            end=_optional_id(d, "end", name),
+            length_m=_finite(d, "length_m", name),
+            speed_mps=_finite(d, "speed_mps", name, DEFAULT_SPEED_MPS),
         )
 
     movements = []
-    for d in movement_docs:
+    for k, d in enumerate(movement_docs):
+        name = f"movements[{k}]"
+        frm, to = _value(d, "from", name, _integer), _value(d, "to", name, _integer)
+        name = f"movement ({frm}->{to})"
         movements.append(
             Movement(
-                frm=int(d["from"]),
-                to=int(d["to"]),
-                intersection=int(d["intersection"]),
-                phase=_parse_phase(d.get("phase")),
-                sat_flow=float(d.get("sat_flow", DEFAULT_SAT_FLOW)),
+                frm=frm,
+                to=to,
+                intersection=_value(d, "intersection", name, _integer),
+                phase=_parse_phase(d.get("phase"), name),
+                sat_flow=_finite(d, "sat_flow", name, DEFAULT_SAT_FLOW),
             )
         )
 
-    return RoadNetwork(intersections, links, movements, coords)
+    return RoadNetwork(coords, links.values(), movements, coords)
 
 
 def load_network(path: str) -> RoadNetwork:

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
+from netsignal.network import gather_table
 
 
 class TopologyError(ValueError):
@@ -57,8 +58,9 @@ class LevelSchedule:
 
     `slots[n]` lists the rows of all messages agent n receives: incoming
     forward messages, then incoming reverse messages, each in edge order,
-    padded with the zero row. Every incoming-message sum adds them left to
-    right, so it does not depend on how rows are grouped into levels.
+    padded with the zero row; `slots.T` is the `gather_table` of those rows,
+    which `segment_sum` adds left to right. So an incoming-message sum does
+    not depend on how rows are grouped into levels.
 
     `edges` are the order's edges as (i < j) pairs, which is the edge order
     of the `CoordinationGraph` it was built from; `table_rows` is the
@@ -82,15 +84,13 @@ class LevelSchedule:
         rev_row = np.empty(n_edges, dtype=np.intp)
         rev_row[rev] = np.arange(n_edges, 2 * n_edges)
 
-        incoming: list[list[int]] = [[] for _ in self.agents]
-        for e, (u, v) in enumerate(edges):
-            incoming[index[v]].append(int(fwd_row[e]))
-        for e, (u, v) in enumerate(edges):
-            incoming[index[u]].append(int(rev_row[e]))
-        width = max((len(rows) for rows in incoming), default=0)
-        zero = 2 * n_edges
-        padded = [rows + [zero] * (width - len(rows)) for rows in incoming]
-        self.slots = np.array(padded, dtype=np.intp)
+        ends = np.array([(index[u], index[v]) for u, v in edges], dtype=np.intp).reshape(-1, 2)
+        self.slots = gather_table(
+            np.concatenate((fwd_row, rev_row)),
+            np.concatenate((ends[:, 1], ends[:, 0])),
+            len(self.agents),
+            2 * n_edges,
+        ).T
 
         def sweep(pairs, offset, levels, excluded) -> Sweep:
             sender = np.array([index[s] for s, _ in pairs], dtype=np.intp)

@@ -5,7 +5,8 @@ Both evaluate the same quantities for every movement: how much a phase
 choice drains its queue and how much upstream releases feed its link.
 `period_model` computes them for a whole period as numpy expressions over
 the network's `MovementArrays`, reading the state's queue vector and the
-turning model's arrays as they are.
+turning model's arrays as they are. Sums per link and per agent are
+`segment_sum`s through the arrays' gather tables.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork, movement_arrays
+from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork, movement_arrays, segment_sum
 from netsignal.simulation import QueueState, TurningModel
 
 
@@ -44,24 +45,22 @@ class PeriodModel:
         rows = np.nonzero(has_upstream)[0]
         inflow_link[rows] = self.release_onto[rows, actions[upstream[rows]]]
         inflow_m = inflow_link[arr.mov_from] * self.r
-        scores_m = (self.drained + inflow_m[:, None]) ** 2
-        agent_scores = np.zeros((len(arr.agent_ids), NUM_PHASES))
-        np.add.at(agent_scores, arr.mov_agent, scores_m)
-        return agent_scores
+        scores = np.zeros((arr.n_mov + 1, NUM_PHASES))
+        np.square(self.drained + inflow_m[:, None], out=scores[:-1])
+        return segment_sum(scores, arr.agent_table)
 
 
 def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> PeriodModel:
     arr = movement_arrays(net)
     q = state.q
     cap = np.minimum(arr.sat, q)
-    drained = q[:, None] - arr.act * cap[:, None]
-    release_onto = np.zeros((arr.n_links, NUM_PHASES))
-    np.add.at(release_onto, arr.mov_to, arr.act * cap[:, None])
+    released = np.zeros((arr.n_mov + 1, NUM_PHASES))
+    np.multiply(arr.act, cap[:, None], out=released[:-1])
     return PeriodModel(
         arrays=arr,
         q=q,
         r=turning.r,
-        drained=drained,
-        release_onto=release_onto,
+        drained=q[:, None] - released[:-1],
+        release_onto=segment_sum(released, arr.to_link_table),
         demand=turning.d,
     )

@@ -9,6 +9,11 @@ and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
 by recursion.
 
+`period_model_at`, `sweep_scores_at`, `build_cg_at` and `phase_pressures_at`
+are the per-period scatter-adds as `np.add.at` computes them, in movement
+order into zeros; the shipped versions sum through precomputed gather
+tables and must equal them bit for bit.
+
 `step` is the scalar micro simulator: dicts of per-movement vehicle-id
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
@@ -24,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from netsignal.network import LinkKind, Phase, movement_arrays
+from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
 
 
 def queue_view(state, net):
@@ -173,6 +178,83 @@ def phase_pressure_table(state, net, turning):
     return np.array(
         [[phase_pressure(i, p, state, net, turning) for p in Phase] for i in sorted(net.intersections)]
     )
+
+
+def period_model_at(net, state, turning):
+    """`(drained, release_onto)` of `period_model`."""
+    arr = movement_arrays(net)
+    q = state.q
+    cap = np.minimum(arr.sat, q)
+    drained = q[:, None] - arr.act * cap[:, None]
+    release_onto = np.zeros((arr.n_links, NUM_PHASES))
+    np.add.at(release_onto, arr.mov_to, arr.act * cap[:, None])
+    return drained, release_onto
+
+
+def sweep_scores_at(model, actions):
+    """`PeriodModel.sweep_scores(actions)`."""
+    arr = model.arrays
+    upstream = arr.link_upstream_agent
+    inflow_link = np.where(arr.entry_link_mask, model.demand, 0.0)
+    rows = np.nonzero(upstream >= 0)[0]
+    inflow_link[rows] = model.release_onto[rows, actions[upstream[rows]]]
+    inflow_m = inflow_link[arr.mov_from] * model.r
+    scores_m = (model.drained + inflow_m[:, None]) ** 2
+    agent_scores = np.zeros((len(arr.agent_ids), NUM_PHASES))
+    np.add.at(agent_scores, arr.mov_agent, scores_m)
+    return agent_scores
+
+
+def _movement_edges(net):
+    """Per movement: whether its input link is an entry link, the edge of its
+    internal input link (-1 for none), and whether that link runs from the
+    higher to the lower id."""
+    arr = movement_arrays(net)
+    edge_index = {e: k for k, e in enumerate(arr.edges)}
+    entry = np.zeros(arr.n_mov, dtype=bool)
+    edge = np.full(arr.n_mov, -1, dtype=np.intp)
+    flip = np.zeros(arr.n_mov, dtype=bool)
+    for k, m in enumerate(net.movements):
+        link = net.links[m.frm]
+        entry[k] = link.kind is LinkKind.ENTRY
+        if link.kind is LinkKind.INTERNAL:
+            a, b = link.start, link.end
+            edge[k] = edge_index[(min(a, b), max(a, b))]
+            flip[k] = a > b
+    return entry, edge, flip
+
+
+def build_cg_at(net, model):
+    """`(edge_costs, individual)` of `build_cg` from the same period model:
+    unflipped contributions first, then the transposed flipped ones."""
+    arr = movement_arrays(net)
+    entry, edge, flip = _movement_edges(net)
+    individual = np.zeros((len(arr.agent_ids), NUM_PHASES))
+    inflow = model.demand[arr.mov_from[entry]] * model.r[entry]
+    vectors = (model.drained[entry] + inflow[:, None]) ** 2
+    np.add.at(individual, arr.mov_agent[entry], vectors)
+
+    edge_costs = np.zeros((len(arr.edges), NUM_PHASES, NUM_PHASES))
+    sel = edge >= 0
+    incoming = model.release_onto[arr.mov_from[sel]] * model.r[sel][:, None]
+    contrib = (incoming[:, :, None] + model.drained[sel][:, None, :]) ** 2
+    idx, flip = edge[sel], flip[sel]
+    np.add.at(edge_costs, idx[~flip], contrib[~flip])
+    np.add.at(edge_costs, idx[flip], contrib[flip].transpose(0, 2, 1))
+    return edge_costs, individual
+
+
+def phase_pressures_at(state, net, turning):
+    """`phase_pressures(state, net, turning)`."""
+    arr = movement_arrays(net)
+    q = state.q
+    downstream = np.zeros(arr.n_links)
+    np.add.at(downstream, arr.mov_from, turning.r * q)
+    pressure = arr.sat * (q - downstream[arr.mov_to])
+    phased = arr.mov_phase >= 0
+    totals = np.zeros((len(arr.agent_ids), NUM_PHASES))
+    np.add.at(totals, (arr.mov_agent[phased], arr.mov_phase[phased]), pressure[phased])
+    return totals
 
 
 def longest_directed_path(order):

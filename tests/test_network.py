@@ -197,3 +197,88 @@ def test_network_from_dict_rejects_bad_phase():
     }
     with pytest.raises(LoadError):
         network_from_dict(doc)
+
+
+def _first(doc, section, kind=None):
+    return next(d for d in doc[section] if kind is None or d.get("kind") == kind)
+
+
+def _drop_length(doc):
+    link = _first(doc, "links")
+    del link["length_m"]
+    return f"link {link['id']}: missing length_m"
+
+
+def _text_length(doc):
+    link = _first(doc, "links")
+    link["length_m"] = "long"
+    return f"link {link['id']}: invalid length_m 'long'"
+
+
+def _fractional_id(doc):
+    m = doc["movements"][0]
+    m["from"] += 0.7
+    return rf"movements\[0\]: invalid from {m['from']}"
+
+
+def _null_intersection(doc):
+    doc["intersections"][2] = None
+    return r"intersections\[2\]: expected an object, got null"
+
+
+def _nan_speed(doc):
+    link = _first(doc, "links", "internal")
+    link["speed_mps"] = float("nan")
+    return f"link {link['id']}: speed_mps must be finite"
+
+
+def _infinite_length(doc):
+    link = _first(doc, "links", "exit")
+    link["length_m"] = float("inf")
+    return f"link {link['id']}: length_m must be finite"
+
+
+def _nan_sat_flow(doc):
+    m = doc["movements"][5]
+    m["sat_flow"] = float("nan")
+    return rf"movement \({m['from']}->{m['to']}\): sat_flow must be finite"
+
+
+def _duplicate_link(doc):
+    doc["links"].append(dict(doc["links"][3]))
+    return f"link {doc['links'][3]['id']}: duplicate link id"
+
+
+def _duplicate_intersection(doc):
+    doc["intersections"].append({"id": 1, "x": 9.0, "y": 9.0})
+    return "intersection 1: duplicate intersection id"
+
+
+def _no_movements(doc):
+    doc["movements"] = [m for m in doc["movements"] if m["intersection"] != 3]
+    return "intersection 3: no movements"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_length,
+        _text_length,
+        _fractional_id,
+        _null_intersection,
+        _nan_speed,
+        _infinite_length,
+        _nan_sat_flow,
+        _duplicate_link,
+        _duplicate_intersection,
+        _no_movements,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_load_rejects_bad_entry_by_name(tmp_path, corrupt):
+    doc = build_grid(2, 2).to_dict()
+    message = corrupt(doc)
+    path = tmp_path / "roadnet.json"
+    path.write_text(__import__("json").dumps(doc))
+    with pytest.raises(LoadError, match=message):
+        load_network(str(path))

@@ -1,0 +1,120 @@
+"""The gather-table segment sum against `np.add.at`, bit for bit.
+
+`segment_sum` is the package's one scatter-add kernel. It must add every
+target's sources in the order `np.add.at` does, from 0.0, so the property
+test compares the raw bytes: equal values and equal signs of zero. The
+call-site tests hold each per-period caller to its `np.add.at` reference in
+`oracle` on grids from 1x1 to 5x5 and on the non-grid roadnet.
+"""
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import oracle
+from conftest import random_macro_state, random_turning
+from netsignal.controllers import phase_pressures
+from netsignal.coordination import build_cg
+from netsignal.network import build_grid, gather_table, load_network, segment_sum
+from netsignal.prediction import period_model
+from test_nongrid_roadnet import write_roadnet
+
+# mixed magnitudes make the sum depend on the order of the additions
+FLOATS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([-0.0, 0.0, 1.0, 0.1, -1e16, 1e16, 3e-17]),
+)
+
+# 6.0 summed pairwise, 0.0 summed in order
+LONE_COLUMN = np.array([1e16] + [1.0] * 8 + [-1e16] + [0.0] * 6)
+
+
+def scatter(targets, n_targets, values):
+    """`segment_sum` through a table built from `targets`, and `np.add.at`."""
+    n = len(targets)
+    table = gather_table(np.arange(n), targets, n_targets, n)
+    padded = np.concatenate((values, np.zeros((1,) + values.shape[1:])))
+    want = np.zeros((n_targets,) + values.shape[1:])
+    np.add.at(want, targets, values)
+    return segment_sum(padded, table), want
+
+
+@st.composite
+def cases(draw):
+    n_targets = draw(st.integers(1, 5))
+    targets = draw(st.lists(st.integers(0, n_targets - 1), max_size=40))
+    tail = draw(st.sampled_from([(), (4,), (4, 4)]))
+    values = draw(arrays(np.float64, (len(targets),) + tail, elements=FLOATS))
+    return np.array(targets, dtype=np.intp), n_targets, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+# no sources at all
+@example((np.zeros(0, dtype=np.intp), 3, np.zeros((0, 4))))
+# one target with 16 sources, one value each: numpy would sum the lone
+# column pairwise if the kernel reduced it as it reduces wider arrays
+@example((np.zeros(16, dtype=np.intp), 1, LONE_COLUMN))
+# targets 1 and 3 get nothing; -0.0 sums to +0.0 from the 0.0 start
+@example((np.array([0, 2, 2, 0], dtype=np.intp), 4, np.array([-0.0, -0.0, 1.5, -0.0])))
+def test_segment_sum_equals_add_at(case):
+    got, want = scatter(*case)
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lone_column_example_tells_the_orders_apart():
+    assert np.add.reduce(LONE_COLUMN) == 6.0
+    assert scatter(np.zeros(16, dtype=np.intp), 1, LONE_COLUMN)[1][0] == 0.0
+
+
+def test_gather_table_lists_sources_in_order_and_pads():
+    table = gather_table([5, 6, 7, 8], [2, 0, 2, 2], 4, pad=9)
+    assert table.tolist() == [[6, 9, 5, 9], [9, 9, 7, 9], [9, 9, 8, 9]]
+    assert gather_table([], [], 3, pad=0).shape == (0, 3)
+
+
+def networks(tmp_path_factory):
+    yield from (build_grid(rows, cols) for rows in range(1, 6) for cols in range(1, 6))
+    yield load_network(write_roadnet(tmp_path_factory.mktemp("roadnet") / "roadnet.json"))
+
+
+def test_call_sites_equal_their_add_at_references(tmp_path_factory):
+    rng = np.random.default_rng(11)
+    for net in networks(tmp_path_factory):
+        for _ in range(3):
+            state = random_macro_state(net, rng)
+            turning = random_turning(net, rng)
+            model = period_model(net, state, turning)
+            drained, release_onto = oracle.period_model_at(net, state, turning)
+            assert model.drained.tobytes() == drained.tobytes()
+            assert model.release_onto.tobytes() == release_onto.tobytes()
+
+            actions = rng.integers(0, 4, len(model.arrays.agent_ids)).astype(np.intp)
+            scores = model.sweep_scores(actions)
+            assert scores.tobytes() == oracle.sweep_scores_at(model, actions).tobytes()
+
+            cg = build_cg(state, net, turning, model=model)
+            edge_costs, individual = oracle.build_cg_at(net, model)
+            assert cg.edge_costs.shape == edge_costs.shape
+            assert cg.edge_costs.tobytes() == edge_costs.tobytes()
+            assert cg.individual.tobytes() == individual.tobytes()
+
+            pressures = phase_pressures(state, net, turning)
+            assert pressures.tobytes() == oracle.phase_pressures_at(state, net, turning).tobytes()
+
+
+def test_package_has_no_ufunc_at():
+    # every scatter-add goes through `segment_sum`'s precomputed tables
+    files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
+    hits = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in files
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\.at\(", line)
+    ]
+    assert files and hits == []
