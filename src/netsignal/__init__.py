@@ -47,7 +47,7 @@ from netsignal.network import (
     save_network,
     validate,
 )
-from netsignal.ordering import DagOrder, TopologyError, eccentricity, min_diameter_dag, reverse
+from netsignal.ordering import DagOrder, TopologyError, eccentricity, min_diameter_dag
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -117,7 +117,6 @@ __all__ = [
     "plan_phases",
     "plan_phases_detailed",
     "predict_next_queues",
-    "reverse",
     "run_experiment",
     "save_flow",
     "save_network",

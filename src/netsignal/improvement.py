@@ -26,21 +26,24 @@ from netsignal.ordering import DagOrder, min_diameter_dag
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
+# full forward+reverse message cycles the planner runs at most per period
+MAX_CYCLES = 2
+
 
 @dataclass
 class PlannerConfig:
-    """Budget split for the two stages plus determinism caps.
+    """Budget split for the two stages plus the sweep cap.
 
     `epsilon` is the fraction of the budget spent on message passing; the
-    rest goes to best-response sweeps. `max_cycles` bounds message passes in
-    rounds so identical inputs give identical decisions regardless of
-    hardware; the wall-clock budget still applies on top.
+    rest goes to best-response sweeps. Message passing is also capped at
+    `MAX_CYCLES` cycles in rounds, so identical inputs give identical
+    decisions regardless of hardware; the wall-clock budget still applies on
+    top.
     """
 
     budget: CoorBudget = field(default_factory=lambda: CoorBudget.wall_clock(3000.0))
     epsilon: float = 0.8
     max_sweeps: int = 4
-    max_cycles: Optional[int] = 2
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -124,9 +127,7 @@ def plan_phases_detailed(
     cg = build_cg(state, net, turning, model=model)
     if order is None:
         order = min_diameter_dag(cg)
-    nl_budget = cfg.budget.scaled(cfg.epsilon)
-    if cfg.max_cycles is not None:
-        nl_budget = nl_budget.capped_rounds(2 * cfg.max_cycles * max(order.diameter, 1))
+    nl_budget = cfg.budget.scaled(cfg.epsilon).capped_rounds(2 * MAX_CYCLES * max(order.diameter, 1))
     coord = coordinate(cg, order, nl_budget)
     sweep_budget = cfg.budget.scaled(1.0 - cfg.epsilon)
     final = local_improvement(

@@ -1,4 +1,4 @@
-"""Road-network topology: links, movements, phases, and adjacency queries.
+"""Road-network topology: links, movements and phases.
 
 The network is a directed-link graph. Entry links feed traffic into boundary
 intersections, internal links connect intersections, exit links drain traffic
@@ -82,12 +82,9 @@ class Movement:
 
 
 class RoadNetwork:
-    """Immutable-by-convention topology with adjacency caches.
-
-    Caches are derived from `links` and `movements` at construction and are
-    not kept in sync with later mutation; mutate-then-revalidate is only done
-    by tests probing `validate`.
-    """
+    """A road network as plain data: intersection ids, links by id, the
+    movement list and plotting coordinates. Derived indexes (adjacency,
+    movements per link or intersection) live in `MovementArrays`."""
 
     def __init__(
         self,
@@ -100,56 +97,6 @@ class RoadNetwork:
         self.links: dict[int, Link] = {l.id: l for l in links}
         self.movements: list[Movement] = list(movements)
         self.coords: dict[int, tuple[float, float]] = dict(coords or {})
-        self._build_caches()
-
-    def _build_caches(self) -> None:
-        self.in_links: dict[int, list[int]] = {i: [] for i in self.intersections}
-        self.out_links: dict[int, list[int]] = {i: [] for i in self.intersections}
-        for lid in sorted(self.links):
-            link = self.links[lid]
-            if link.end in self.in_links:
-                self.in_links[link.end].append(lid)
-            if link.start in self.out_links:
-                self.out_links[link.start].append(lid)
-
-        self.neighbors: dict[int, list[int]] = {i: [] for i in self.intersections}
-        seen: set[tuple[int, int]] = set()
-        for link in self.links.values():
-            if link.kind is LinkKind.INTERNAL and link.start is not None and link.end is not None:
-                for a, b in ((link.start, link.end), (link.end, link.start)):
-                    if (a, b) not in seen and a in self.neighbors:
-                        seen.add((a, b))
-                        self.neighbors[a].append(b)
-        for i in self.neighbors:
-            self.neighbors[i].sort()
-
-        self.boundary: set[int] = {
-            i
-            for i in self.intersections
-            if any(self.links[l].kind is LinkKind.ENTRY for l in self.in_links[i])
-        }
-
-        # Movement-derived adjacency: downstream/upstream links of a link are
-        # the targets/sources of its movements (U-turn links are never
-        # movement targets, so they do not appear here).
-        self.movement_map: dict[tuple[int, int], Movement] = {}
-        self.movements_at: dict[int, list[Movement]] = {i: [] for i in self.intersections}
-        self.movements_from: dict[int, list[Movement]] = {l: [] for l in self.links}
-        self.movements_into: dict[int, list[Movement]] = {l: [] for l in self.links}
-        for m in self.movements:
-            self.movement_map[m.key] = m
-            if m.intersection in self.movements_at:
-                self.movements_at[m.intersection].append(m)
-            if m.frm in self.movements_from:
-                self.movements_from[m.frm].append(m)
-            if m.to in self.movements_into:
-                self.movements_into[m.to].append(m)
-        self.down_links: dict[int, list[int]] = {
-            l: [m.to for m in ms] for l, ms in self.movements_from.items()
-        }
-        self.up_links: dict[int, list[int]] = {
-            l: [m.frm for m in ms] for l, ms in self.movements_into.items()
-        }
 
     def entry_links(self) -> list[int]:
         return [l for l in sorted(self.links) if self.links[l].kind is LinkKind.ENTRY]
@@ -159,9 +106,6 @@ class RoadNetwork:
 
     def internal_links(self) -> list[int]:
         return [l for l in sorted(self.links) if self.links[l].kind is LinkKind.INTERNAL]
-
-    def movement_keys(self) -> list[tuple[int, int]]:
-        return [m.key for m in self.movements]
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready form (also used for structural equality)."""
@@ -189,12 +133,17 @@ class RoadNetwork:
 
 
 class MovementArrays:
-    """Static per-network index arrays over the movement list.
+    """Static per-network index arrays over the movement list: the one
+    derived index of a `RoadNetwork`.
 
     Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids),
     agent a is `agent_ids[a]` (sorted ids) and edge e is `edges[e]`, the
-    sorted (i < j) pairs of neighbouring agents. Queue, turning and demand
-    vectors everywhere in the package use these orders.
+    sorted (i < j) endpoint pairs of the internal links, which are the
+    neighbouring agents of the coordination graph. Queue, turning and demand
+    vectors everywhere in the package use these orders. `down_link_rows[k]`
+    lists the rows of the links that movements from link k lead to, and
+    `up_link_rows[k]` those of the links whose movements lead onto it, each
+    in movement order; the route search walks them.
 
     The `*_table` fields are gather tables for `segment_sum`: column t lists
     the movements that add into target t, in the order they are added, padded
@@ -253,16 +202,12 @@ class MovementArrays:
             if link.kind is LinkKind.ENTRY:
                 self.entry_link_mask[link_index[l]] = True
 
-        # one edge per neighboring pair; movements queueing on internal links
-        # accumulate into their pair's table
-        edges: list[tuple[int, int]] = []
-        edge_index: dict[tuple[int, int], int] = {}
-        for i in self.agent_ids:
-            for j in net.neighbors[i]:
-                key = (i, j) if i < j else (j, i)
-                if key not in edge_index:
-                    edge_index[key] = len(edges)
-                    edges.append(key)
+        # one edge per neighboring pair, the endpoints of some internal link;
+        # movements queueing on internal links accumulate into their pair's
+        # table
+        ends = [(l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
+        edges = sorted({(min(a, b), max(a, b)) for a, b in ends})
+        edge_index = {e: k for k, e in enumerate(edges)}
         mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
         mov_edge_flip = np.zeros(self.n_mov, dtype=bool)
         for k, m in enumerate(movements):
@@ -292,6 +237,12 @@ class MovementArrays:
         self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
         self.entry_table = gather_table(entry, self.mov_agent[entry], n_agents, pad)
         self.edge_table = gather_table(on_edges, mov_edge[on_edges], len(edges), pad)
+
+        self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
+        self.up_link_rows: list[list[int]] = [[] for _ in link_ids]
+        for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
+            self.down_link_rows[l].append(h)
+            self.up_link_rows[h].append(l)
 
 
 def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
@@ -351,19 +302,20 @@ def build_grid(
     h_len: float = 300.0,
     v_len: float = 300.0,
     sat_flow: float = DEFAULT_SAT_FLOW,
-    right_turn_flow: float = DEFAULT_RIGHT_TURN_FLOW,
-    speed_mps: float = DEFAULT_SPEED_MPS,
 ) -> RoadNetwork:
     """Build a rows x cols grid of bi-directional 4-way intersections.
 
     Boundary intersections get entry/exit stubs on approaches without an
     internal neighbor, so every intersection keeps the full 12-movement
-    structure (4 approaches x straight/left/right).
+    structure (4 approaches x straight/left/right). Links run at
+    `DEFAULT_SPEED_MPS` and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
-    if h_len <= 0 or v_len <= 0:
-        raise ValueError("link lengths must be positive")
+    if not (0 < h_len < math.inf and 0 < v_len < math.inf):
+        raise ValueError(f"link lengths must be positive and finite, got {h_len} and {v_len}")
+    if not 0 <= sat_flow < math.inf:
+        raise ValueError(f"sat_flow must be finite and >= 0, got {sat_flow}")
 
     def iid(r: int, c: int) -> int:
         return r * cols + c
@@ -399,7 +351,7 @@ def build_grid(
             for d in _DIRS:
                 j = neighbor(r, c, d)
                 if j is not None:
-                    links.append(Link(next_id, LinkKind.INTERNAL, i, j, length_for(d), speed_mps))
+                    links.append(Link(next_id, LinkKind.INTERNAL, i, j, length_for(d)))
                     internal_out[(i, d)] = next_id
                     next_id += 1
     for r in range(rows):
@@ -418,10 +370,10 @@ def build_grid(
             i = iid(r, c)
             for d in _DIRS:
                 if neighbor(r, c, d) is None:
-                    links.append(Link(next_id, LinkKind.ENTRY, None, i, length_for(d), speed_mps))
+                    links.append(Link(next_id, LinkKind.ENTRY, None, i, length_for(d)))
                     entry_id = next_id
                     next_id += 1
-                    links.append(Link(next_id, LinkKind.EXIT, i, None, length_for(d), speed_mps))
+                    links.append(Link(next_id, LinkKind.EXIT, i, None, length_for(d)))
                     ports[i][d] = (entry_id, next_id)
                     next_id += 1
 
@@ -435,7 +387,7 @@ def build_grid(
             movements.append(
                 Movement(in_id, ports[i][_LEFT_OF[d]][1], i, _LEFT_PHASE[d], sat_flow)
             )
-            movements.append(Movement(in_id, ports[i][_RIGHT_OF[d]][1], i, None, right_turn_flow))
+            movements.append(Movement(in_id, ports[i][_RIGHT_OF[d]][1], i, None, DEFAULT_RIGHT_TURN_FLOW))
 
     return RoadNetwork(intersections, links, movements, coords)
 
@@ -449,10 +401,10 @@ def validate(net: RoadNetwork) -> list[str]:
     violations: list[str] = []
     bad_links: set[int] = set()
     for lid, link in net.links.items():
-        if link.length_m <= 0:
-            violations.append(f"link {lid}: non-positive length {link.length_m}")
-        if link.speed_mps <= 0:
-            violations.append(f"link {lid}: non-positive speed {link.speed_mps}")
+        if not 0 < link.length_m < math.inf:
+            violations.append(f"link {lid}: length must be positive and finite, got {link.length_m}")
+        if not 0 < link.speed_mps < math.inf:
+            violations.append(f"link {lid}: speed must be positive and finite, got {link.speed_mps}")
         if link.kind is LinkKind.ENTRY:
             if link.start is not None:
                 violations.append(f"link {lid}: entry link must not have a start intersection")
@@ -488,8 +440,8 @@ def validate(net: RoadNetwork) -> list[str]:
             violations.append(f"{name}: source is not an input link of intersection {m.intersection}")
         if m.to not in bad_links and (to is None or to.start != m.intersection):
             violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
-        if m.sat_flow < 0:
-            violations.append(f"{name}: negative saturation flow")
+        if not 0 <= m.sat_flow < math.inf:
+            violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow}")
         if m.key in seen_keys:
             violations.append(f"{name}: duplicate movement")
         seen_keys.add(m.key)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -129,12 +129,6 @@ class DagOrder:
     dist: dict[int, int]
     diameter: int
 
-    def followers(self) -> dict[int, list[int]]:
-        foll: dict[int, list[int]] = {a: [] for a in self.dist}
-        for u, v in self.edges:
-            foll[u].append(v)
-        return foll
-
     @cached_property
     def schedule(self) -> LevelSchedule:
         """The level schedule, built on first use and kept with the order."""
@@ -221,8 +215,3 @@ def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
             edges.append((max(i, j), min(i, j)))
     longest = max(_longest_path_depths(cg.agents, edges).values())
     return DagOrder(sink=best_sink, edges=tuple(edges), dist=dict(dist), diameter=longest)
-
-
-def reverse(order: DagOrder) -> DagOrder:
-    """Flip every edge; an involution that preserves the longest path."""
-    return replace(order, edges=tuple((v, u) for (u, v) in order.edges))

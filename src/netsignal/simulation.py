@@ -308,41 +308,41 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
     return TurningModel(r=r, d=np.where(arr.entry_link_mask, entries, 0.0))
 
 
-def _route_distances(net: RoadNetwork, destination: int) -> dict[int, int]:
-    """Hop distance from every link to the destination link over movements."""
-    dist = {destination: 0}
-    frontier = [destination]
+def _route_distances(net: RoadNetwork, destination: int) -> list[int]:
+    """Hop distance over movements from every link row to the destination
+    link, -1 where it is unreachable."""
+    arr = movement_arrays(net)
+    up = arr.up_link_rows
+    end = arr.link_index[destination]
+    dist = [-1] * arr.n_links
+    dist[end] = 0
+    frontier = [end]
     while frontier:
         nxt: list[int] = []
         for h in frontier:
-            for m in net.movements_into[h]:
-                if m.frm not in dist:
-                    dist[m.frm] = dist[h] + 1
-                    nxt.append(m.frm)
+            for l in up[h]:
+                if dist[l] < 0:
+                    dist[l] = dist[h] + 1
+                    nxt.append(l)
         frontier = nxt
     return dist
 
 
 def _walk_route(
-    net: RoadNetwork, origin: int, destination: int, dist: dict[int, int], rng
+    net: RoadNetwork, origin: int, destination: int, dist: list[int], rng
 ) -> tuple[int, ...]:
-    """Follow `dist` (a `_route_distances` map) down to the destination,
+    """Follow `dist` (a `_route_distances` list) down to the destination,
     drawing among equally short next links with the rng."""
-    route = [origin]
-    current = origin
-    while current != destination:
-        options = [h for h in net.down_links[current] if dist.get(h, -1) == dist[current] - 1]
+    arr = movement_arrays(net)
+    down = arr.down_link_rows
+    current, end = arr.link_index[origin], arr.link_index[destination]
+    route = [current]
+    while current != end:
+        closer = dist[current] - 1
+        options = [h for h in down[current] if dist[h] == closer]
         current = options[rng.integers(len(options))] if len(options) > 1 else options[0]
         route.append(current)
-    return tuple(route)
-
-
-def shortest_route(net: RoadNetwork, origin: int, destination: int, rng) -> tuple[int, ...]:
-    """Shortest route by link hops; ties broken by the caller's rng."""
-    dist = _route_distances(net, destination)
-    if origin not in dist:
-        raise ValueError(f"no route from link {origin} to link {destination}")
-    return _walk_route(net, origin, destination, dist, rng)
+    return tuple(map(arr.link_ids.__getitem__, route))
 
 
 def generate_uniform_flow(
@@ -365,7 +365,8 @@ def generate_uniform_flow(
     if not entries or not exits:
         raise ValueError("network needs entry and exit links to generate flow")
     dist = {x: _route_distances(net, x) for x in exits}
-    reachable = {o: [x for x in exits if o in dist[x]] for o in entries}
+    row = movement_arrays(net).link_index
+    reachable = {o: [x for x in exits if dist[x][row[o]] >= 0] for o in entries}
     stranded = [o for o in entries if not reachable[o]]
     if stranded:
         raise ValueError(f"entry links {stranded} reach no exit link")
@@ -419,10 +420,10 @@ def travel_time_metrics(
 
 
 def _trip_problem(
-    net: RoadNetwork, v: Vehicle, seen: set[int], dist: dict[int, dict[int, int]]
+    net: RoadNetwork, v: Vehicle, seen: set[int], dist: dict[int, list[int]]
 ) -> Optional[str]:
     """Why a vehicle read from a flow file cannot run on the network, or
-    None. Adds the destination's `_route_distances` map to `dist`."""
+    None. Adds the destination's `_route_distances` list to `dist`."""
     origin, destination = net.links.get(v.origin), net.links.get(v.destination)
     if v.id in seen:
         return f"duplicate vehicle id {v.id}"
@@ -434,7 +435,7 @@ def _trip_problem(
         return f"depart_s {v.depart_s} is not a finite time >= 0"
     if v.destination not in dist:
         dist[v.destination] = _route_distances(net, v.destination)
-    if v.origin not in dist[v.destination]:
+    if dist[v.destination][movement_arrays(net).link_index[v.origin]] < 0:
         return f"no route from link {v.origin} to link {v.destination}"
     return None
 
@@ -460,7 +461,7 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         except KeyError as exc:
             raise LoadError(f"flow rate spec missing field: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))
-    dist: dict[int, dict[int, int]] = {}
+    dist: dict[int, list[int]] = {}
     seen: set[int] = set()
     vehicles = []
     for entry in doc:

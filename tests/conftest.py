@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracle import topology
 from netsignal.network import Phase, RoadNetwork, build_grid, movement_arrays
 from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
 
@@ -37,13 +38,14 @@ def micro_state_with(net, queued, period=0):
 def macro_state_with(net, queues, period=0):
     """A queue-only state (no vehicles or transit) as `predict_next_queues`
     produces: every movement at 0 except the given queues."""
-    q = {k: 0.0 for k in net.movement_keys()}
+    keys = movement_arrays(net).keys
+    q = {k: 0.0 for k in keys}
     q.update({k: float(v) for k, v in queues.items()})
-    return QueueState(period=period, q=np.array([q[k] for k in net.movement_keys()]))
+    return QueueState(period=period, q=np.array([q[k] for k in keys]))
 
 
 def random_macro_state(net, rng, max_q=10):
-    q = [float(rng.integers(0, max_q + 1)) for _ in net.movement_keys()]
+    q = [float(rng.integers(0, max_q + 1)) for _ in net.movements]
     return QueueState(period=0, q=np.array(q))
 
 
@@ -58,7 +60,7 @@ def turning_model(net, r, d):
 
 def random_turning(net, rng, max_demand=4.0):
     r = {}
-    for l, succs in net.down_links.items():
+    for l, succs in topology(net).down_links.items():
         if not succs:
             continue
         weights = rng.random(len(succs)) + 1e-3
@@ -94,13 +96,14 @@ def fig_two(request):
     l2 = next(
         l for l in net.internal_links() if net.links[l].start == i and net.links[l].end == j
     )
+    topo = topology(net)
     l1 = next(
         m.frm
-        for m in net.movements_at[i]
+        for m in topo.movements_at[i]
         if m.to == l2 and m.phase == Phase.WE_STRAIGHT
     )
-    l3 = next(m.to for m in net.movements_at[i] if m.frm == l1 and m.phase == Phase.WE_LEFT)
-    exit_j = next(m.to for m in net.movements_at[j] if m.frm == l2 and m.phase == Phase.WE_STRAIGHT)
+    l3 = next(m.to for m in topo.movements_at[i] if m.frm == l1 and m.phase == Phase.WE_LEFT)
+    exit_j = next(m.to for m in topo.movements_at[j] if m.frm == l2 and m.phase == Phase.WE_STRAIGHT)
 
     through = [Vehicle(k, l1, 0.0, exit_j, (l1, l2, exit_j)) for k in range(4)]
     turners = [Vehicle(4 + k, l1, 0.0, l3, (l1, l3)) for k in range(2)]
@@ -108,9 +111,9 @@ def fig_two(request):
 
     turning = random_turning(net, np.random.default_rng(0), max_demand=0.0)
     turning.d = np.zeros_like(turning.d)
-    for h in net.down_links[l2]:
+    for h in topo.down_links[l2]:
         turning.r[mov(net, (l2, h))] = 1.0 if h == exit_j else 0.0
-    for h in net.down_links[l1]:
+    for h in topo.down_links[l1]:
         turning.r[mov(net, (l1, h))] = 0.0
 
     return TwoIntersectionCase(net, i, j, l1, l2, l3, exit_j, state, flow, turning)

@@ -14,6 +14,12 @@ are the per-period scatter-adds as `np.add.at` computes them, in movement
 order into zeros; the shipped versions sum through precomputed gather
 tables and must equal them bit for bit.
 
+`topology` is the dict view of a road network the scalar rules and the
+structure tests read: adjacency and movements per link and intersection,
+built from `net.links` and `net.movements` alone. `shortest_route` is the
+per-vehicle route search on it, a breadth-first search over link ids;
+`reverse` flips an orientation and `followers` lists where its edges point.
+
 `step` is the scalar micro simulator: dicts of per-movement vehicle-id
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
@@ -23,13 +29,64 @@ rules read the package's array states through `queue_view`, `turning_view`
 and `fifo_view`.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
+
+
+class Topology:
+    """Dict views of a road network, from its links and movements.
+
+    `in_links`/`out_links` per intersection and `down_links`/`up_links` per
+    link list link ids, `neighbors` the sorted adjacent intersections,
+    `boundary` the intersections fed by an entry link; `movements_at`,
+    `movements_from` and `movements_into` list movements per intersection,
+    input link and output link, and `movement_map` holds them by key. Every
+    list keeps link-id or movement order.
+    """
+
+    def __init__(self, net):
+        self.in_links = {i: [] for i in net.intersections}
+        self.out_links = {i: [] for i in net.intersections}
+        for lid in sorted(net.links):
+            link = net.links[lid]
+            if link.end in self.in_links:
+                self.in_links[link.end].append(lid)
+            if link.start in self.out_links:
+                self.out_links[link.start].append(lid)
+
+        nbrs = {i: set() for i in net.intersections}
+        for link in net.links.values():
+            if link.kind is LinkKind.INTERNAL:
+                nbrs[link.start].add(link.end)
+                nbrs[link.end].add(link.start)
+        self.neighbors = {i: sorted(ns) for i, ns in nbrs.items()}
+        self.boundary = {
+            i for i in net.intersections if any(net.links[l].kind is LinkKind.ENTRY for l in self.in_links[i])
+        }
+
+        self.movement_map = {m.key: m for m in net.movements}
+        self.movements_at = {i: [] for i in net.intersections}
+        self.movements_from = {l: [] for l in net.links}
+        self.movements_into = {l: [] for l in net.links}
+        for m in net.movements:
+            self.movements_at[m.intersection].append(m)
+            self.movements_from[m.frm].append(m)
+            self.movements_into[m.to].append(m)
+        self.down_links = {l: [m.to for m in ms] for l, ms in self.movements_from.items()}
+        self.up_links = {l: [m.frm for m in ms] for l, ms in self.movements_into.items()}
+
+
+def topology(net):
+    """The network's `Topology`, built on first use and kept on it, as
+    `movement_arrays` keeps its arrays."""
+    if not hasattr(net, "_topology"):
+        net._topology = Topology(net)
+    return net._topology
 
 
 def queue_view(state, net):
@@ -116,18 +173,19 @@ def predicted_own_balance(agent, candidate, actions, state, net, turning):
     the neighbors' phases fixed."""
     queues = queue_view(state, net)
     r, d = turning_view(turning, net)
+    topo = topology(net)
     total = 0.0
-    for l in net.in_links[agent]:
+    for l in topo.in_links[agent]:
         link = net.links[l]
         if link.kind is LinkKind.ENTRY:
             inflow = d[l]
         else:
             inflow = 0.0
             upstream_phase = actions[link.start]
-            for m in net.movements_into[l]:
+            for m in topo.movements_into[l]:
                 if m.phase is None or m.phase == upstream_phase:
                     inflow += min(m.sat_flow, queues[m.key])
-        for m in net.movements_from[l]:
+        for m in topo.movements_from[l]:
             q = queues[m.key]
             if m.phase is None or m.phase == candidate:
                 q -= min(m.sat_flow, q)
@@ -142,7 +200,7 @@ def best_response(agent, actions, state, net, turning):
     `actions` must cover every neighbor; if it includes the agent itself,
     ties keep the current phase before falling back to the lowest index.
     """
-    missing = [j for j in net.neighbors[agent] if j not in actions]
+    missing = [j for j in topology(net).neighbors[agent] if j not in actions]
     if missing:
         raise ValueError(f"agent {agent}: missing neighbor actions {missing}")
     scores = [predicted_own_balance(agent, p, actions, state, net, turning) for p in Phase]
@@ -161,13 +219,14 @@ def phase_pressure(agent, phase, state, net, turning):
     """
     q = queue_view(state, net)
     r, _ = turning_view(turning, net)
+    topo = topology(net)
     total = 0.0
-    for m in net.movements_at[agent]:
+    for m in topo.movements_at[agent]:
         if m.phase != phase:
             continue
         downstream = 0.0
         if net.links[m.to].kind is not LinkKind.EXIT:
-            for down in net.movements_from[m.to]:
+            for down in topo.movements_from[m.to]:
                 downstream += r[down.key] * q[down.key]
         total += m.sat_flow * (q[m.key] - downstream)
     return total
@@ -257,15 +316,60 @@ def phase_pressures_at(state, net, turning):
     return totals
 
 
+def reverse(order):
+    """Flip every edge of a `DagOrder`; an involution that preserves the
+    longest path."""
+    return replace(order, edges=tuple((v, u) for (u, v) in order.edges))
+
+
+def followers(order):
+    """Per agent, the agents its edges of a `DagOrder` point to."""
+    foll = {a: [] for a in order.dist}
+    for u, v in order.edges:
+        foll[u].append(v)
+    return foll
+
+
 def longest_directed_path(order):
     """Edges on the longest directed path of an orientation."""
-    followers = order.followers()
+    foll = followers(order)
 
     @lru_cache(maxsize=None)
     def down(a):
-        return max((1 + down(b) for b in followers[a]), default=0)
+        return max((1 + down(b) for b in foll[a]), default=0)
 
-    return max(down(a) for a in followers)
+    return max(down(a) for a in foll)
+
+
+def route_distances(net, destination):
+    """Hop distance over movements to the destination link, by link id, for
+    every link that reaches it."""
+    up = topology(net).up_links
+    dist = {destination: 0}
+    frontier = [destination]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for l in up[h]:
+                if l not in dist:
+                    dist[l] = dist[h] + 1
+                    nxt.append(l)
+        frontier = nxt
+    return dist
+
+
+def shortest_route(net, origin, destination, rng):
+    """Shortest route by link hops; ties among equally short next links
+    drawn with the caller's rng."""
+    dist = route_distances(net, destination)
+    if origin not in dist:
+        raise ValueError(f"no route from link {origin} to link {destination}")
+    down = topology(net).down_links
+    route = [origin]
+    while route[-1] != destination:
+        options = [h for h in down[route[-1]] if dist.get(h, -1) == dist[route[-1]] - 1]
+        route.append(options[rng.integers(len(options))] if len(options) > 1 else options[0])
+    return tuple(route)
 
 
 @dataclass(frozen=True)
@@ -320,7 +424,7 @@ class ScalarFlow:
 
 
 def initial_state(net):
-    keys = net.movement_keys()
+    keys = [m.key for m in net.movements]
     return ScalarState(period=0, q={k: 0.0 for k in keys}, fifo={k: () for k in keys})
 
 
@@ -412,7 +516,7 @@ def estimate_turning(state, net, flow=None):
         counts[entry.link][entry.next_link] = counts[entry.link].get(entry.next_link, 0.0) + 1
 
     r = {}
-    for l, succs in net.down_links.items():
+    for l, succs in topology(net).down_links.items():
         if not succs:
             continue
         total = sum(counts[l].values())

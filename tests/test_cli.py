@@ -78,6 +78,14 @@ def test_grid_spec_parsing():
         grid_spec("4by4")
 
 
+@pytest.mark.parametrize("flag, value", [("--h-len", "nan"), ("--v-len", "inf"), ("--sat-flow", "nan")])
+def test_gen_grid_rejects_values_that_are_not_finite(tmp_path, capsys, flag, value):
+    net_path = tmp_path / "net.json"
+    assert cli_main(["gen-grid", "--grid", "2x2", flag, value, "--out", str(net_path)]) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not net_path.exists()
+
+
 def test_gen_grid_and_flow_roundtrip(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     flow_path = tmp_path / "flow.json"

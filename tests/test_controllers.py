@@ -49,8 +49,9 @@ def test_pressure_exit_link_has_no_downstream():
 def test_pressure_balanced_queues_cancel():
     net = build_grid(1, 2, sat_flow=5)
     internal = next(l for l in net.internal_links() if net.links[l].start == 0)
-    up = next(m for m in net.movements_at[0] if m.to == internal and m.phase == Phase.WE_STRAIGHT)
-    down = net.movements_from[internal][0]
+    topo = oracle.topology(net)
+    up = next(m for m in topo.movements_at[0] if m.to == internal and m.phase == Phase.WE_STRAIGHT)
+    down = topo.movements_from[internal][0]
     state = macro_state_with(net, {up.key: 4, down.key: 4})
     turning = random_turning(net, np.random.default_rng(0))
     turning.r = np.zeros_like(turning.r)
@@ -63,10 +64,11 @@ def test_pressure_hand_computed_sum():
     # straight (q=3, exit) + paired straight from the opposite approach
     # (q=2, downstream 1 with r=0.5), f=5: 5*3 + 5*(2 - 0.5) = 22.5
     net = build_grid(1, 2, sat_flow=5)
-    moves = [m for m in net.movements_at[0] if m.phase == Phase.WE_STRAIGHT]
+    topo = oracle.topology(net)
+    moves = [m for m in topo.movements_at[0] if m.phase == Phase.WE_STRAIGHT]
     exit_move = next(m for m in moves if net.links[m.to].kind is LinkKind.EXIT)
     internal_move = next(m for m in moves if net.links[m.to].kind is LinkKind.INTERNAL)
-    down = net.movements_from[internal_move.to][0]
+    down = topo.movements_from[internal_move.to][0]
     state = macro_state_with(net, {exit_move.key: 3, internal_move.key: 2, down.key: 1})
     turning = random_turning(net, np.random.default_rng(0))
     turning.r = np.zeros_like(turning.r)
@@ -122,8 +124,9 @@ def test_max_pressure_is_local():
     base = max_pressure(state, net, turning)[0]
     # queues at agent 2 (two hops away) cannot influence agent 0
     bumped = state.q.copy()
-    for m in net.movements_at[2]:
-        link_0_links = set(net.in_links[0]) | set(net.out_links[0])
+    topo = oracle.topology(net)
+    for m in topo.movements_at[2]:
+        link_0_links = set(topo.in_links[0]) | set(topo.out_links[0])
         if m.frm not in link_0_links and m.to not in link_0_links:
             bumped[mov(net, m.key)] += 7
     assert max_pressure(replace(state, q=bumped), net, turning)[0] == base

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 from conftest import random_cg, random_macro_state, random_turning
 from netsignal.coordination import (
     CoordinationGraph,
@@ -31,14 +32,15 @@ def test_edges_follow_internal_links():
     net = build_grid(2, 3)
     state = initial_state(net)
     cg = build_cg(state, net, random_turning(net, np.random.default_rng(0)))
+    topo = oracle.topology(net)
     assert cg.edges == tuple(
-        sorted((i, j) for i in net.intersections for j in net.neighbors[i] if i < j)
+        sorted((i, j) for i in net.intersections for j in topo.neighbors[i] if i < j)
     )
     assert cg.agents == tuple(sorted(net.intersections))
     assert cg.edge_costs.shape == (len(cg.edges), 4, 4)
     assert cg.individual.shape == (len(cg.agents), 4)
     for k, i in enumerate(cg.agents):
-        if i not in net.boundary:
+        if i not in topo.boundary:
             assert np.all(cg.individual[k] == 0)
 
 

@@ -5,8 +5,8 @@ from conftest import engine_messages, forward_messages, random_cg, random_tree_e
 from netsignal.coordination import CoordinationGraph, brute_force_optimum, build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase
-from netsignal.ordering import min_diameter_dag, reverse
-from oracle import ScalarGraph
+from netsignal.ordering import min_diameter_dag
+from oracle import ScalarGraph, reverse
 
 
 def reference_rounds(cg, order, rounds):

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from oracle import topology
 from netsignal.network import (
     Link,
     LinkKind,
@@ -8,10 +11,13 @@ from netsignal.network import (
     RoadNetwork,
     build_grid,
     load_network,
+    movement_arrays,
     network_from_dict,
     save_network,
     validate,
 )
+from test_nongrid_roadnet import write_roadnet
+from test_simulation import one_way_1x2
 
 
 def test_single_intersection_counts():
@@ -47,7 +53,7 @@ def test_zero_dimension_rejected():
 def test_every_intersection_has_12_movements():
     net = build_grid(3, 2)
     for i in net.intersections:
-        moves = net.movements_at[i]
+        moves = topology(net).movements_at[i]
         assert len(moves) == 12
         phased = [m for m in moves if m.phase is not None]
         rights = [m for m in moves if m.phase is None]
@@ -60,40 +66,62 @@ def test_every_intersection_has_12_movements():
 
 def test_neighbor_symmetry_and_boundary():
     net = build_grid(3, 3)
+    topo = topology(net)
     for i in net.intersections:
-        for j in net.neighbors[i]:
-            assert i in net.neighbors[j]
+        for j in topo.neighbors[i]:
+            assert i in topo.neighbors[j]
     # 3x3: all but the center are boundary
-    assert net.boundary == net.intersections - {4}
-    for i in net.boundary:
-        assert any(net.links[l].kind is LinkKind.ENTRY for l in net.in_links[i])
+    assert topo.boundary == net.intersections - {4}
+    for i in topo.boundary:
+        assert any(net.links[l].kind is LinkKind.ENTRY for l in topo.in_links[i])
 
 
 def test_internal_links_in_both_adjacency_caches():
     net = build_grid(2, 3)
+    topo = topology(net)
     for l in net.internal_links():
         link = net.links[l]
-        assert l in net.out_links[link.start]
-        assert l in net.in_links[link.end]
+        assert l in topo.out_links[link.start]
+        assert l in topo.in_links[link.end]
 
 
 def test_entry_links_have_unique_boundary_intersection():
     net = build_grid(4, 4)
     total = 0
     for i in net.intersections:
-        total += sum(1 for l in net.in_links[i] if net.links[l].kind is LinkKind.ENTRY)
+        total += sum(1 for l in topology(net).in_links[i] if net.links[l].kind is LinkKind.ENTRY)
     assert total == len(net.entry_links())
 
 
 def test_up_down_links_consistent():
     net = build_grid(2, 2)
-    for l, downs in net.down_links.items():
+    topo = topology(net)
+    for l, downs in topo.down_links.items():
         for h in downs:
             assert net.links[h].start == net.links[l].end
-            assert l in net.up_links[h]
+            assert l in topo.up_links[h]
     # a 4-way approach has 3 movement successors (no U-turn)
     for l in net.entry_links():
-        assert len(net.down_links[l]) == 3
+        assert len(topo.down_links[l]) == 3
+
+
+ADJACENCY_CASES = [f"{r}x{c}" for r in range(1, 6) for c in range(1, 6)] + ["1x2-one-way", "diagonal"]
+
+
+@pytest.mark.parametrize("case", ADJACENCY_CASES)
+def test_movement_arrays_adjacency_equals_the_link_views(tmp_path, case):
+    if case == "1x2-one-way":
+        net = one_way_1x2()  # link ids are not link rows here
+    elif case == "diagonal":
+        net = load_network(write_roadnet(tmp_path / "roadnet.json"))
+    else:
+        net = build_grid(*map(int, case.split("x")))
+    arr = movement_arrays(net)
+    topo = topology(net)
+    assert arr.edges == tuple((i, j) for i in sorted(topo.neighbors) for j in topo.neighbors[i] if i < j)
+    ids = arr.link_ids
+    assert [[ids[h] for h in hs] for hs in arr.down_link_rows] == [topo.down_links[l] for l in ids]
+    assert [[ids[l] for l in ls] for ls in arr.up_link_rows] == [topo.up_links[l] for l in ids]
 
 
 def test_all_small_grids_validate_clean():
@@ -111,6 +139,47 @@ def test_validate_flags_missing_end():
     problems = validate(net)
     assert len(problems) == 1
     assert str(lid) in problems[0]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_flags_a_length_that_is_not_positive_and_finite(value):
+    net = build_grid(2, 2)
+    lid = net.internal_links()[1]
+    net.links[lid].length_m = value
+    assert validate(net) == [f"link {lid}: length must be positive and finite, got {value}"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_flags_a_speed_that_is_not_positive_and_finite(value):
+    net = build_grid(2, 2)
+    lid = net.exit_links()[0]
+    net.links[lid].speed_mps = value
+    assert validate(net) == [f"link {lid}: speed must be positive and finite, got {value}"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_flags_a_saturation_flow_that_is_not_finite(value):
+    net = build_grid(2, 2)
+    m = net.movements[5]
+    m.sat_flow = value
+    message = f"movement ({m.frm}->{m.to}): saturation flow must be finite and >= 0, got {value}"
+    assert validate(net) == [message]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"h_len": math.nan},
+        {"v_len": math.inf},
+        {"sat_flow": math.nan},
+        {"sat_flow": math.inf},
+        {"sat_flow": -1.0},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_build_grid_rejects_values_that_are_not_finite(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        build_grid(2, 2, **kwargs)
 
 
 def test_validate_flags_phase_geometry_conflict():
@@ -185,8 +254,8 @@ def test_load_two_intersection_network(tmp_path):
     assert net.links[1].kind is LinkKind.ENTRY
     assert net.links[2].kind is LinkKind.INTERNAL
     assert net.links[3].kind is LinkKind.EXIT
-    assert net.boundary == {0}
-    assert net.neighbors[0] == [1]
+    assert topology(net).boundary == {0}
+    assert topology(net).neighbors[0] == [1]
 
 
 def test_network_from_dict_rejects_bad_phase():

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_cg, random_connected_edges, random_macro_state, random_turning
 from netsignal.coordination import CoordinationGraph, build_cg
 from netsignal.network import build_grid
-from netsignal.ordering import TopologyError, eccentricity, min_diameter_dag, reverse
+from netsignal.ordering import TopologyError, eccentricity, min_diameter_dag
+from oracle import followers, reverse
 
 
 def path_cg(n):
@@ -109,7 +110,7 @@ def test_orientation_acyclic_by_topological_sort():
         edges = random_connected_edges(rng, n, extra=int(rng.integers(0, n)))
         order = min_diameter_dag(random_cg(rng, n, edges))
         indeg = {a: 0 for a in range(n)}
-        foll = order.followers()
+        foll = followers(order)
         for _, v in order.edges:
             indeg[v] += 1
         ready = [a for a, d in indeg.items() if d == 0]

@@ -31,7 +31,6 @@ from netsignal.simulation import (
     load_flow,
     predict_next_queues,
     save_flow,
-    shortest_route,
     step,
     travel_time_metrics,
 )
@@ -39,7 +38,7 @@ from netsignal.simulation import (
 
 def zero_turning(net):
     r = {}
-    for l, succs in net.down_links.items():
+    for l, succs in oracle.topology(net).down_links.items():
         for h in succs:
             r[(l, h)] = 1.0 / len(succs)
     return turning_model(net, r, {})
@@ -183,8 +182,9 @@ def test_macro_micro_agreement_single_route():
     net = build_grid(1, 2, 100, 100, 5)
     i, j = 0, 1
     l2 = next(l for l in net.internal_links() if net.links[l].start == i)
-    l1 = next(m.frm for m in net.movements_at[i] if m.to == l2 and m.phase == Phase.WE_STRAIGHT)
-    exit_j = next(m.to for m in net.movements_at[j] if m.frm == l2 and m.phase == Phase.WE_STRAIGHT)
+    at = oracle.topology(net).movements_at
+    l1 = next(m.frm for m in at[i] if m.to == l2 and m.phase == Phase.WE_STRAIGHT)
+    exit_j = next(m.to for m in at[j] if m.frm == l2 and m.phase == Phase.WE_STRAIGHT)
 
     vehicles = [Vehicle(k, l1, 10.0 * k, exit_j, (l1, l2, exit_j)) for k in range(8)]
     flow = Flow(vehicles, 10.0, net)
@@ -218,7 +218,7 @@ def test_full_release_drains_into_downstream(fig_two):
 def test_estimate_turning_counts_routes():
     net = build_grid(1, 1)
     entry = net.entry_links()[0]
-    moves = net.movements_from[entry]
+    moves = oracle.topology(net).movements_from[entry]
     h1, h2 = moves[0].to, moves[1].to
     vehicles = [Vehicle(k, entry, 0.0, h1, (entry, h1)) for k in range(3)]
     vehicles.append(Vehicle(3, entry, 0.0, h2, (entry, h2)))
@@ -232,7 +232,7 @@ def test_estimate_turning_counts_routes():
 def test_estimate_turning_single_target():
     net = build_grid(1, 1)
     entry = net.entry_links()[0]
-    h = net.movements_from[entry][0].to
+    h = oracle.topology(net).movements_from[entry][0].to
     vehicles = [Vehicle(k, entry, 0.0, h, (entry, h)) for k in range(4)]
     state, flow = micro_state_with(net, {(entry, h): vehicles})
     assert estimate_turning(state, net, flow).r[mov(net, (entry, h))] == 1.0
@@ -243,14 +243,14 @@ def test_estimate_turning_uniform_fallback():
     entry = net.entry_links()[0]
     state = initial_state(net)
     model = estimate_turning(state, net, Flow([], 10.0, net))
-    for m in net.movements_from[entry]:
+    for m in oracle.topology(net).movements_from[entry]:
         assert model.r[mov(net, m.key)] == pytest.approx(1 / 3)
 
 
 def test_estimate_turning_demand_counts_next_period():
     net = build_grid(1, 1)
     entry = net.entry_links()[0]
-    h = net.movements_from[entry][0].to
+    h = oracle.topology(net).movements_from[entry][0].to
     vehicles = [Vehicle(0, entry, 3.0, h, (entry, h)), Vehicle(1, entry, 27.0, h, (entry, h))]
     flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
@@ -288,7 +288,7 @@ def test_flow_routes_are_valid_movement_chains():
         assert net.links[v.origin].kind is LinkKind.ENTRY
         assert net.links[v.destination].kind is LinkKind.EXIT
         for a, b in zip(v.route, v.route[1:]):
-            assert (a, b) in net.movement_map
+            assert (a, b) in oracle.topology(net).movement_map
 
 
 def one_way_1x2():
@@ -314,7 +314,7 @@ def test_flow_routes_valid_where_some_exits_are_unreachable(net):
         assert v.route[0] == v.origin and v.route[-1] == v.destination
         assert net.links[v.destination].kind is LinkKind.EXIT
         for a, b in zip(v.route, v.route[1:]):
-            assert (a, b) in net.movement_map
+            assert (a, b) in oracle.topology(net).movement_map
 
 
 def test_flow_names_entries_that_reach_no_exit():
@@ -335,6 +335,23 @@ def test_flow_unchanged_where_every_exit_is_reachable():
     assert hashlib.sha256(trips).hexdigest() == (
         "ace31f5815ee75b301d3dd44ad3991f3ce55d59a82e94dc2ae94aadb52cca7e0"
     )
+
+
+@pytest.mark.parametrize(
+    "rows, rate, seed, digest",
+    [
+        (15, 0.80, 1, "91eb0a19ca237846b5e50404e99f6aaf4af0ee2f176ff0a6506b8bdde0b5e05a"),
+        (15, 0.80, 7919, "f4b5a168220da6048f8e98a0be7383504508b6c7160f0fe33ffbf57724393f0b"),
+        (20, 0.77, 1, "b2d703be2480c2083035213a25da0a50c8b0d56e7af22c79c36784119b95d7bb"),
+        (20, 0.77, 7919, "4a4c3248becebee0f57463d1dd14496971bcc366a81ad81c6cd974e2e2113a4b"),
+    ],
+)
+def test_flow_unchanged_on_the_bench_grids(rows, rate, seed, digest):
+    # (origin, destination, route) of every vehicle of an hour at the
+    # benchmark's rates; the benchmark's shorter flows are prefixes of these
+    vehicles = generate_uniform_flow(build_grid(rows, rows), rate, 3600, seed=seed)
+    trips = repr([(v.origin, v.destination, v.route) for v in vehicles]).encode()
+    assert hashlib.sha256(trips).hexdigest() == digest
 
 
 def test_flow_requires_entries():
@@ -393,7 +410,7 @@ def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
     save_flow(vehicles, str(path))
     loaded = load_flow(str(path), net, seed=9)
     rng = np.random.default_rng(np.random.SeedSequence([9, 0x72E5]))
-    expected = [shortest_route(net, v.origin, v.destination, rng) for v in vehicles]
+    expected = [oracle.shortest_route(net, v.origin, v.destination, rng) for v in vehicles]
     assert [v.route for v in loaded] == expected
 
 
@@ -460,7 +477,7 @@ def test_flow_file_rejects_bad_vehicle(tmp_path, case):
 def test_flow_rejects_routes_that_are_not_movement_chains():
     net = build_grid(1, 2)
     entry = net.entry_links()[0]
-    succs = net.down_links[entry]
+    succs = oracle.topology(net).down_links[entry]
     internal = next(h for h in succs if net.links[h].kind is LinkKind.INTERNAL)
     exit_link = next(h for h in succs if net.links[h].kind is LinkKind.EXIT)
     unreachable = next(l for l in net.exit_links() if l not in succs)

@@ -18,10 +18,8 @@ from netsignal.simulation import (
     Flow,
     SimConfig,
     Vehicle,
-    _route_distances,
     estimate_turning,
     initial_state,
-    shortest_route,
     step,
 )
 from test_nongrid_roadnet import write_roadnet
@@ -35,14 +33,14 @@ def random_vehicles(net, rng, n):
     the first 40 periods; departure times are rounded to 5 s, so several
     vehicles often depart in one period, and are not sorted."""
     entries, exits = net.entry_links(), net.exit_links()
-    dist = {x: _route_distances(net, x) for x in exits}
+    dist = {x: oracle.route_distances(net, x) for x in exits}
     vehicles = []
     for k in range(n):
         origin = entries[rng.integers(len(entries))]
         reachable = [x for x in exits if origin in dist[x]]
         destination = reachable[rng.integers(len(reachable))]
         depart = float(rng.integers(0, 40 * TAU / 5)) * 5.0
-        route = shortest_route(net, origin, destination, rng)
+        route = oracle.shortest_route(net, origin, destination, rng)
         vehicles.append(Vehicle(k, origin, depart, destination, route))
     return vehicles
 
@@ -83,7 +81,10 @@ def assert_same_run(net, vehicles, rng):
     seed=st.integers(0, 2**16),
 )
 def test_step_and_turning_equal_the_oracle_on_grids(rows, cols, h_len, v_len, sat_flow, right_turn, seed):
-    net = build_grid(rows, cols, h_len, v_len, sat_flow, right_turn)
+    net = build_grid(rows, cols, h_len, v_len, sat_flow)
+    for m in net.movements:
+        if m.phase is None:
+            m.sat_flow = right_turn
     rng = np.random.default_rng(seed)
     vehicles = random_vehicles(net, rng, int(rng.integers(10, 30 * rows * cols + 20)))
     assert_same_run(net, vehicles, rng)
