@@ -47,7 +47,7 @@ from netsignal.network import (
     save_network,
     validate,
 )
-from netsignal.ordering import DagOrder, TopologyError, eccentricity, min_diameter_dag
+from netsignal.ordering import DagOrder, TopologyError, min_diameter_dag
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -101,7 +101,6 @@ __all__ = [
     "build_grid",
     "coordinate",
     "dump_edge_costs",
-    "eccentricity",
     "estimate_turning",
     "fixed_time",
     "generate_uniform_flow",

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 from netsignal.harness import (
     CONTROLLERS,
+    BudgetOverrunError,
     DelayModel,
     Metrics,
     RateSpec,
@@ -104,6 +105,10 @@ def _load_net(args):
 
 
 def _build_scenario(args, controller: str) -> Scenario:
+    if args.duration is not None and not math.isfinite(args.duration):
+        raise LoadError(f"--duration must be finite, got {args.duration}")
+    if not 0 < args.tau < math.inf:
+        raise LoadError(f"--tau must be positive and finite, got {args.tau}")
     net = _load_net(args)
     if args.rate is not None:
         if args.duration is None:
@@ -178,7 +183,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"agents {len(net.intersections)}  rounds {args.passes * order.diameter}  "
                 f"modeled delay {total / 1e3:.3f} s"
             )
-    except (LoadError, MetricsError, ValueError, OSError) as exc:
+    except (LoadError, MetricsError, ValueError, OSError, BudgetOverrunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

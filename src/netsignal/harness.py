@@ -18,10 +18,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure
-from netsignal.coordination import CoordinationGraph
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
-from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays
-from netsignal.ordering import DagOrder, min_diameter_dag
+from netsignal.network import RoadNetwork
+from netsignal.ordering import DagOrder, network_order
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -64,8 +63,8 @@ class DelayModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu_ms < 0:
-            raise ValueError("mu must be >= 0")
+        if not (0 <= self.mu_ms < np.inf and 0 <= self.sigma_ms < np.inf):
+            raise ValueError(f"mu and sigma must be finite and >= 0, got {self.mu_ms} and {self.sigma_ms}")
 
 
 @dataclass
@@ -149,24 +148,9 @@ class _PlannerController:
         self.rounds_last = 0
 
     def decide(self, state: QueueState, turning: TurningModel, period: int) -> JointAssignment:
-        detail = plan_phases_detailed(state, self.net, turning, self.cfg, order=self.order)
+        detail = plan_phases_detailed(state, self.net, turning, self.cfg)
         self.rounds_last = detail.coordination.rounds
         return detail.assignment
-
-
-def network_order(net: RoadNetwork) -> DagOrder:
-    """Message-passing orientation for a network; topology-only, so it can
-    be computed once and reused every period. Builds the network's cached
-    movement arrays on first use."""
-    arr = movement_arrays(net)
-    n_agents, n_edges = len(arr.agent_ids), len(arr.edges)
-    topology = CoordinationGraph(
-        arr.agent_ids,
-        arr.edges,
-        np.zeros((n_edges, NUM_PHASES, NUM_PHASES)),
-        np.zeros((n_agents, NUM_PHASES)),
-    )
-    return min_diameter_dag(topology)
 
 
 def make_controller(scenario: Scenario):
@@ -200,7 +184,9 @@ def modeled_delay_ms(
     nodes: Optional[int] = None,
 ) -> float:
     """Virtual-clock total: per round, the slowest message on the critical
-    path; intra-node messages are free under a node partition."""
+    path; intra-node messages are free under a partition into `nodes` >= 1."""
+    if nodes is not None and nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
     n_edges = len(order.edges)
     if rounds <= 0 or n_edges == 0:
         return 0.0
@@ -209,10 +195,9 @@ def modeled_delay_ms(
     np.clip(samples, 0.0, None, out=samples)
     if nodes:
         # intra-node messages are free; same per-message draws either way
-        agents = sorted(order.dist)
-        perm = rng.permutation(len(agents))
-        node_of = {a: int(perm[k]) % nodes for k, a in enumerate(agents)}
-        mask = np.array([node_of[u] != node_of[v] for u, v in order.edges])
+        node = rng.permutation(len(order.dist)) % nodes
+        ends = np.searchsorted(order.schedule.agents, np.array(order.edges))
+        mask = node[ends[:, 0]] != node[ends[:, 1]]
         if not mask.any():
             return 0.0
         samples = samples[:, mask]
@@ -225,7 +210,9 @@ def simulate_comm_delay(
     model: DelayModel,
     nodes: Optional[int] = None,
 ) -> float:
-    """Modeled communication time (ms) for `passes` full message passes."""
+    """Modeled communication time (ms) for `passes` >= 0 full message passes."""
+    if passes < 0:
+        raise ValueError(f"passes must be >= 0, got {passes}")
     return modeled_delay_ms(order, passes * order.diameter, model, nodes)
 
 

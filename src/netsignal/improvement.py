@@ -22,7 +22,7 @@ import numpy as np
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
 from netsignal.network import PHASES, RoadNetwork, movement_arrays
-from netsignal.ordering import DagOrder, min_diameter_dag
+from netsignal.ordering import network_order
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
@@ -114,19 +114,17 @@ def plan_phases_detailed(
     net: RoadNetwork,
     turning: TurningModel,
     cfg: Optional[PlannerConfig] = None,
-    order: Optional[DagOrder] = None,
 ) -> PlanResult:
     """Coordinate under epsilon of the budget, then sweep under the rest.
 
-    Both stages read the same one-step prediction, so it is computed once.
+    Both stages share one one-step prediction; messages pass on `network_order`.
     """
     from netsignal.prediction import period_model
 
     cfg = cfg or PlannerConfig()
     model = period_model(net, state, turning)
     cg = build_cg(state, net, turning, model=model)
-    if order is None:
-        order = min_diameter_dag(cg)
+    order = network_order(net)
     nl_budget = cfg.budget.scaled(cfg.epsilon).capped_rounds(2 * MAX_CYCLES * max(order.diameter, 1))
     coord = coordinate(cg, order, nl_budget)
     sweep_budget = cfg.budget.scaled(1.0 - cfg.epsilon)
@@ -147,6 +145,5 @@ def plan_phases(
     net: RoadNetwork,
     turning: TurningModel,
     cfg: Optional[PlannerConfig] = None,
-    order: Optional[DagOrder] = None,
 ) -> JointAssignment:
-    return plan_phases_detailed(state, net, turning, cfg, order).assignment
+    return plan_phases_detailed(state, net, turning, cfg).assignment

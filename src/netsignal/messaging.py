@@ -46,10 +46,10 @@ class CoorBudget:
     def __post_init__(self):
         if self.rounds is None and self.wall_ms is None:
             raise ValueError("budget needs a rounds or wall-clock cap")
-        if self.rounds is not None and self.rounds < 0:
-            raise ValueError("rounds cap must be >= 0")
-        if self.wall_ms is not None and self.wall_ms < 0:
-            raise ValueError("wall-clock cap must be >= 0")
+        if self.rounds is not None and not self.rounds >= 0:
+            raise ValueError(f"rounds cap must be >= 0, got {self.rounds}")
+        if self.wall_ms is not None and not 0 <= self.wall_ms < np.inf:
+            raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms}")
 
     @classmethod
     def from_rounds(cls, n: int) -> "CoorBudget":

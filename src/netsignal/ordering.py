@@ -7,11 +7,13 @@ orientation. On bipartite graphs such as grids no edge joins two agents at
 the same distance, so every directed path shortens the distance to the sink
 by one per hop and the longest path equals the sink's eccentricity. Elsewhere
 same-distance edges can chain, and the longest path may exceed it.
+
+All of it runs on agent positions (sorted-id order) as numpy arrays. The
+sink comes from eccentricity bounds (Takes & Kosters, Algorithms 6(1), 2013),
+which need a few breadth-first searches instead of one per agent.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import gather_table
+from netsignal.network import RoadNetwork, gather_table, movement_arrays
 
 
 class TopologyError(ValueError):
@@ -70,49 +72,91 @@ class LevelSchedule:
 
     def __init__(self, order: "DagOrder"):
         self.agents = tuple(sorted(order.dist))
-        index = {a: k for k, a in enumerate(self.agents)}
-        edges = order.edges
-        n_edges = len(edges)
-        self.n_edges = n_edges
-        depth = _longest_path_depths(self.agents, edges)
-        height = _longest_path_depths(self.agents, [(v, u) for u, v in edges])
+        ids = np.array(self.agents, dtype=np.intp)
+        n_agents = len(ids)
+        self.n_edges = n_edges = len(order.edges)
+        sender, receiver = np.searchsorted(ids, np.array(order.edges, dtype=np.intp).reshape(-1, 2)).T
+        fwd, fwd_levels = _level_order(_longest_paths(sender, receiver, n_agents)[sender])
+        rev, rev_levels = _level_order(_longest_paths(receiver, sender, n_agents)[receiver])
+        # the buffer row of each edge's forward message, then of its reverse one
+        row = np.empty(2 * n_edges, dtype=np.intp)
+        row[np.concatenate((fwd, n_edges + rev))] = np.arange(2 * n_edges)
+        fwd_row, rev_row = row[:n_edges], row[n_edges:]
+        self.slots = gather_table(row, np.concatenate((receiver, sender)), n_agents, 2 * n_edges).T
 
-        fwd, fwd_levels = _level_order([depth[u] for u, _ in edges])
-        rev, rev_levels = _level_order([height[v] for _, v in edges])
-        fwd_row = np.empty(n_edges, dtype=np.intp)
-        fwd_row[fwd] = np.arange(n_edges)
-        rev_row = np.empty(n_edges, dtype=np.intp)
-        rev_row[rev] = np.arange(n_edges, 2 * n_edges)
+        def sweep(pairs, senders, offset, levels, excluded) -> Sweep:
+            inputs = np.ascontiguousarray(self.slots[senders].T)
+            return Sweep(pairs, offset, levels, senders, inputs, excluded)
 
-        ends = np.array([(index[u], index[v]) for u, v in edges], dtype=np.intp).reshape(-1, 2)
-        self.slots = gather_table(
-            np.concatenate((fwd_row, rev_row)),
-            np.concatenate((ends[:, 1], ends[:, 0])),
-            len(self.agents),
-            2 * n_edges,
-        ).T
-
-        def sweep(pairs, offset, levels, excluded) -> Sweep:
-            sender = np.array([index[s] for s, _ in pairs], dtype=np.intp)
-            inputs = np.ascontiguousarray(self.slots[sender].T)
-            return Sweep(pairs, offset, levels, sender, inputs, excluded)
-
-        self.forward = sweep(tuple(edges[e] for e in fwd), 0, fwd_levels, rev_row[fwd])
-        self.reverse = sweep(
-            tuple((v, u) for u, v in (edges[e] for e in rev)), n_edges, rev_levels, fwd_row[rev]
-        )
-        self.edges = tuple((u, v) if u < v else (v, u) for u, v in edges)
-        self.table_rows = np.array(fwd, dtype=np.intp)
-        self.table_flipped = np.array([u > v for u, v in self.forward.pairs], dtype=bool)
+        # id pairs are built from the order's own, so they share its id objects
+        forward_pairs = tuple(map(order.edges.__getitem__, fwd.tolist()))
+        reverse_pairs = tuple((v, u) for u, v in map(order.edges.__getitem__, rev.tolist()))
+        self.forward = sweep(forward_pairs, sender[fwd], 0, fwd_levels, rev_row[fwd])
+        self.reverse = sweep(reverse_pairs, receiver[rev], n_edges, rev_levels, fwd_row[rev])
+        self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
+        self.table_rows = fwd
+        self.table_flipped = sender[fwd] > receiver[fwd]
 
 
-def _level_order(level: list[int]) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Edge indices sorted by level (edge order within a level) and the
     (start, stop) positions of each level in that order."""
-    perm = sorted(range(len(level)), key=level.__getitem__)
-    ordered = sorted(level)
-    bounds = [bisect_left(ordered, k) for k in range(max(level, default=-1) + 2)]
-    return perm, tuple(zip(bounds[:-1], bounds[1:]))
+    bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
+    return np.argsort(level, kind="stable"), tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def _longest_paths(sender: np.ndarray, receiver: np.ndarray, n_agents: int) -> np.ndarray:
+    """Edges on the longest directed path ending at each agent of a DAG,
+    relaxed over every agent's incoming edges until nothing changes."""
+    incoming = gather_table(sender, receiver, n_agents, n_agents)
+    depth = np.zeros(n_agents + 1, dtype=np.intp)
+    depth[-1] = -1  # so that padding offers a path of 0
+    while True:
+        relaxed = np.max(depth[incoming], axis=0, initial=-1) + 1
+        if np.array_equal(relaxed, depth[:-1]):
+            return relaxed
+        depth[:-1] = relaxed
+
+
+def _hops(neighbours: np.ndarray, source: int) -> np.ndarray:
+    """Hop distance from position `source` to every agent (-1 where
+    unreachable), one frontier sweep per hop over a neighbour table padded
+    with the agent count."""
+    dist = np.full(neighbours.shape[1] + 1, -1, dtype=np.intp)
+    dist[[source, -1]] = 0  # the pad counts as reached, so it joins no frontier
+    frontier, hops = np.array([source], dtype=np.intp), 0
+    while frontier.size:
+        hops += 1
+        reached = neighbours[:, frontier].ravel()
+        dist[reached[dist[reached] < 0]] = hops
+        frontier = np.flatnonzero(dist == hops)
+    return dist[:-1]
+
+
+def _min_eccentricity_sink(neighbours: np.ndarray, ids: np.ndarray) -> int:
+    """Position of the lowest-id agent of minimum eccentricity.
+
+    A search from v with eccentricity e bounds every agent w by
+    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). The next search
+    starts at the lowest lower bound among undecided agents (lower < upper);
+    once none of them can reach the lowest upper bound, every agent that
+    attains it is decided.
+    """
+    lower = np.zeros(len(ids), dtype=np.intp)
+    upper = np.full(len(ids), len(ids), dtype=np.intp)
+    while True:
+        best = upper.min()
+        candidates = np.where(lower < upper, lower, best + 1)
+        source = int(np.argmin(candidates))
+        if candidates[source] > best:
+            return int(np.argmin(upper))
+        dist = _hops(neighbours, source)
+        if dist.min() < 0:
+            missing = ids[dist < 0].tolist()
+            raise TopologyError(f"coordination graph disconnected, unreachable from {ids[source]}: {missing}")
+        ecc = dist.max()
+        np.maximum(lower, np.maximum(dist, ecc - dist), out=lower)
+        np.minimum(upper, ecc + dist, out=upper)
 
 
 @dataclass(frozen=True)
@@ -127,64 +171,33 @@ class DagOrder:
     sink: int
     edges: tuple[tuple[int, int], ...]
     dist: dict[int, int]
-    diameter: int
 
     @cached_property
     def schedule(self) -> LevelSchedule:
         """The level schedule, built on first use and kept with the order."""
         return LevelSchedule(self)
 
-
-def _longest_path_depths(agents, edges) -> dict[int, int]:
-    """Edges on the longest directed path ending at each agent of a DAG."""
-    depth = {a: 0 for a in agents}
-    indeg = {a: 0 for a in agents}
-    out: dict[int, list[int]] = {a: [] for a in agents}
-    for u, v in edges:
-        out[u].append(v)
-        indeg[v] += 1
-    ready = [a for a in agents if indeg[a] == 0]
-    while ready:
-        u = ready.pop()
-        for v in out[u]:
-            depth[v] = max(depth[v], depth[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    return depth
+    @property
+    def diameter(self) -> int:
+        return len(self.schedule.forward.levels)
 
 
-def _adjacency(cg: CoordinationGraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {a: [] for a in cg.agents}
-    for i, j in cg.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
-def _bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nbr in adj[node]:
-            if nbr not in dist:
-                dist[nbr] = dist[node] + 1
-                queue.append(nbr)
-    return dist
-
-
-def _eccentricity(adj: dict[int, list[int]], agent: int) -> int:
-    dist = _bfs_distances(adj, agent)
-    if len(dist) != len(adj):
-        missing = sorted(adj.keys() - dist.keys())
-        raise TopologyError(f"coordination graph disconnected, unreachable from {agent}: {missing}")
-    return max(dist.values())
-
-
-def eccentricity(cg: CoordinationGraph, agent: int) -> int:
-    """Max BFS hop distance from `agent` to any other agent."""
-    return _eccentricity(_adjacency(cg), agent)
+def _orient(agents, edges) -> DagOrder:
+    """`min_diameter_dag` of sorted agent ids and their sorted (i < j) edges."""
+    agents = np.array(agents, dtype=object)  # the callers' id objects, which the order shares
+    ids = agents.astype(np.intp)
+    low, high = np.searchsorted(ids, np.array(edges, dtype=np.intp).reshape(-1, 2)).T
+    neighbours = gather_table(np.concatenate((high, low)), np.concatenate((low, high)), len(ids), len(ids))
+    sink = _min_eccentricity_sink(neighbours, ids)
+    dist = _hops(neighbours, sink)
+    # the farther end sends, and on a tie the higher id, which is `high`
+    toward_low = dist[low] <= dist[high]
+    sender, receiver = np.where(toward_low, high, low), np.where(toward_low, low, high)
+    return DagOrder(
+        sink=agents[sink],
+        edges=tuple(zip(agents[sender].tolist(), agents[receiver].tolist())),
+        dist=dict(zip(agents.tolist(), dist.tolist())),
+    )
 
 
 def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
@@ -195,23 +208,17 @@ def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
     equal-distance edges point from the higher id to the lower id, so the
     orientation is acyclic and deterministic. `diameter` is the longest
     directed path of the result. `edges[e]` orients `cg.edges[e]`, so the
-    order's edges keep the graph's edge order.
+    order's edges keep the graph's edge order. Raises `TopologyError` if
+    the graph is not connected.
     """
-    adj = _adjacency(cg)
-    best_sink = None
-    best_ecc = None
-    for a in cg.agents:
-        ecc = _eccentricity(adj, a)
-        if best_ecc is None or ecc < best_ecc or (ecc == best_ecc and a < best_sink):
-            best_sink, best_ecc = a, ecc
-    dist = _bfs_distances(adj, best_sink)
-    edges = []
-    for (i, j) in cg.edges:
-        if dist[i] < dist[j]:
-            edges.append((j, i))
-        elif dist[j] < dist[i]:
-            edges.append((i, j))
-        else:
-            edges.append((max(i, j), min(i, j)))
-    longest = max(_longest_path_depths(cg.agents, edges).values())
-    return DagOrder(sink=best_sink, edges=tuple(edges), dist=dict(dist), diameter=longest)
+    return _orient(cg.agents, cg.edges)
+
+
+def network_order(net: RoadNetwork) -> DagOrder:
+    """Message-passing orientation of a network; it depends on the topology
+    only, so it is computed once and kept with the network's
+    `MovementArrays`, which this builds on first use."""
+    arr = movement_arrays(net)
+    if not hasattr(arr, "_order"):
+        arr._order = _orient(arr.agent_ids, arr.edges)
+    return arr._order

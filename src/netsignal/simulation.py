@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from netsignal.network import LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
+from netsignal.network import _finite, _integer, _value
 
 MovementKey = tuple[int, int]
 JointAssignment = dict[int, Phase]
@@ -47,8 +48,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -356,10 +357,13 @@ def generate_uniform_flow(
     Origins cycle round-robin through a seeded shuffle of the entry links;
     destinations are drawn uniformly over the exit links reachable from the
     origin; routes are shortest by hop count with seeded tie-breaks. Raises
-    `ValueError` naming the entry links that reach no exit.
+    `ValueError` naming a rate or duration that is not finite, or the entry
+    links that reach no exit.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     entries = net.entry_links()
     exits = net.exit_links()
     if not entries or not exits:
@@ -443,10 +447,11 @@ def _trip_problem(
 def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     """Read a flow file: either a vehicle array or a rate spec object.
 
-    Every vehicle needs a unique id, an entry link as origin, an exit link
-    it can reach as destination and a finite `depart_s` >= 0; anything else
-    raises a `LoadError` naming the entry. Routes are shortest by hop
-    count, ties drawn from one seeded stream in file order.
+    Every vehicle needs a unique integer id, an entry link as origin, an exit
+    link it can reach as destination and a finite `depart_s` >= 0, and a rate
+    spec finite numbers; anything else raises a `LoadError` naming the entry.
+    Routes are shortest by hop count, ties drawn from one seeded stream in
+    file order.
     """
     try:
         with open(path) as fh:
@@ -454,29 +459,26 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     except (OSError, json.JSONDecodeError) as exc:
         raise LoadError(f"cannot read flow file {path}: {exc}") from exc
     if isinstance(doc, dict):
-        try:
-            return generate_uniform_flow(
-                net, float(doc["rate_vps"]), float(doc["duration_s"]), int(doc.get("seed", seed))
-            )
-        except KeyError as exc:
-            raise LoadError(f"flow rate spec missing field: {exc}") from exc
+        name = "flow rate spec"
+        rate, duration = _finite(doc, "rate_vps", name), _finite(doc, "duration_s", name)
+        return generate_uniform_flow(net, rate, duration, _value(doc, "seed", name, _integer, seed))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))
     dist: dict[int, list[int]] = {}
     seen: set[int] = set()
     vehicles = []
     for entry in doc:
-        try:
-            v = Vehicle(
-                id=int(entry["id"]),
-                origin=int(entry["origin"]),
-                depart_s=float(entry["depart_s"]),
-                destination=int(entry["destination"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"bad flow entry {entry!r}: {exc}") from exc
+        name = f"bad flow entry {entry!r}"
+        if not isinstance(entry, dict):
+            raise LoadError(f"{name}: expected an object")
+        v = Vehicle(
+            id=_value(entry, "id", name, _integer),
+            origin=_value(entry, "origin", name, _integer),
+            depart_s=_value(entry, "depart_s", name, float),
+            destination=_value(entry, "destination", name, _integer),
+        )
         problem = _trip_problem(net, v, seen, dist)
         if problem is not None:
-            raise LoadError(f"bad flow entry {entry!r}: {problem}")
+            raise LoadError(f"{name}: {problem}")
         seen.add(v.id)
         v.route = _walk_route(net, v.origin, v.destination, dist[v.destination], rng)
         vehicles.append(v)

@@ -178,6 +178,25 @@ def random_tree_edges(rng, n_agents):
     return edges
 
 
+def is_bipartite(n, edges):
+    """Whether a connected graph on agents 0..n-1 has no odd cycle."""
+    adj = {k: [] for k in range(n)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    color = {0: 0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v not in color:
+                color[v] = 1 - color[u]
+                frontier.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
 def random_connected_edges(rng, n_agents, extra=0):
     edges = set(random_tree_edges(rng, n_agents))
     attempts = 0

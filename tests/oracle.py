@@ -7,7 +7,9 @@ next-period balance, and `phase_pressure` one phase's max-pressure value
 (`phase_pressure_table` all of them), by walking the road network's links
 and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
-by recursion.
+by recursion. `eccentricity` is one agent's breadth-first search over dict
+neighbour lists, and `min_diameter_order` orients a graph from such a
+search from every agent, with the level rows of its schedule.
 
 `period_model_at`, `sweep_scores_at`, `build_cg_at` and `phase_pressures_at`
 are the per-period scatter-adds as `np.add.at` computes them, in movement
@@ -36,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
+from netsignal.ordering import TopologyError
 
 
 class Topology:
@@ -339,6 +342,74 @@ def longest_directed_path(order):
         return max((1 + down(b) for b in foll[a]), default=0)
 
     return max(down(a) for a in foll)
+
+
+def _adjacency(cg):
+    adj = {a: [] for a in cg.agents}
+    for i, j in cg.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _bfs_distances(adj, source):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def eccentricity(cg, agent):
+    """Max BFS hop distance from `agent` to any other agent; raises
+    `TopologyError` if some agent is unreachable."""
+    adj = _adjacency(cg)
+    dist = _bfs_distances(adj, agent)
+    if len(dist) != len(adj):
+        missing = sorted(adj.keys() - dist.keys())
+        raise TopologyError(f"coordination graph disconnected, unreachable from {agent}: {missing}")
+    return max(dist.values())
+
+
+def _longest_path_depths(agents, edges):
+    """Edges on the longest directed path ending at each agent of a DAG."""
+    depth = {a: 0 for a in agents}
+    indeg = {a: 0 for a in agents}
+    out = {a: [] for a in agents}
+    for u, v in edges:
+        out[u].append(v)
+        indeg[v] += 1
+    ready = [a for a in agents if indeg[a] == 0]
+    while ready:
+        u = ready.pop()
+        for v in out[u]:
+            depth[v] = max(depth[v], depth[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return depth
+
+
+def min_diameter_order(cg):
+    """`min_diameter_dag` by a BFS from every agent: the sink, the oriented
+    edges, `dist`, `diameter`, and the (sender, receiver) pairs of each
+    forward and each reverse level of its schedule."""
+    adj = _adjacency(cg)
+    sink = min(cg.agents, key=lambda a: (eccentricity(cg, a), a))
+    dist = _bfs_distances(adj, sink)
+    edges = tuple((j, i) if (dist[i], i) < (dist[j], j) else (i, j) for i, j in cg.edges)
+    depth = _longest_path_depths(cg.agents, edges)
+    height = _longest_path_depths(cg.agents, [(v, u) for u, v in edges])
+    diameter = max(depth.values())
+    forward = [tuple(e for e in edges if depth[e[0]] == k) for k in range(diameter)]
+    reverse = [tuple((v, u) for u, v in edges if height[v] == k) for k in range(diameter)]
+    return sink, edges, dist, diameter, forward, reverse
 
 
 def route_distances(net, destination):

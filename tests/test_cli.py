@@ -173,3 +173,37 @@ def test_comm_delay_command(capsys):
     code = cli_main(["comm-delay", "--grid", "3x3", "--mu", "20", "--passes", "2", "--seed", "2"])
     assert code == 0
     assert "modeled delay" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen-flow", "--grid", "2x2", "--rate", "inf", "--duration", "100"], "inf"),
+        (["gen-flow", "--grid", "2x2", "--rate", "nan", "--duration", "100"], "nan"),
+        (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "inf"], "inf"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "inf"], "inf"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "nan"], "nan"),
+        (["run", "--grid", "2x2", "--rate", "inf", "--duration", "100"], "inf"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--tau", "0"], "0.0"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--budget-ms", "nan"], "nan"),
+        (["comm-delay", "--grid", "3x3", "--mu", "nan"], "nan"),
+        (["comm-delay", "--grid", "3x3", "--mu", "20", "--passes", "-1"], "-1"),
+        (["comm-delay", "--grid", "3x3", "--mu", "20", "--nodes", "0"], "0"),
+    ],
+)
+def test_values_that_switch_a_check_off_exit_with_one_line(tmp_path, capsys, argv, named):
+    if argv[0] == "gen-flow":
+        argv = argv + ["--out", str(tmp_path / "flow.json")]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+    assert "modeled delay" not in captured.out
+    assert not (tmp_path / "flow.json").exists()
+
+
+def test_budget_overrun_exits_with_one_line(capsys):
+    argv = ["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--budget-ms", "0"]
+    assert cli_main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: controller took")

@@ -115,6 +115,24 @@ def test_delay_model_validation():
         DelayModel(mu_ms=-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"mu_ms": float("nan")}, {"mu_ms": float("inf")}, {"mu_ms": 1.0, "sigma_ms": float("nan")}],
+)
+def test_delay_model_rejects_values_that_are_not_finite(fields):
+    with pytest.raises(ValueError, match="nan|inf"):
+        DelayModel(**fields)
+
+
+@pytest.mark.parametrize(
+    "passes, nodes, named", [(2, 0, "nodes"), (2, -2, "nodes"), (-1, None, "passes")]
+)
+def test_comm_delay_rejects_negative_passes_and_empty_partitions(passes, nodes, named):
+    order = network_order(build_grid(3, 3))
+    with pytest.raises(ValueError, match=f"{named} must be"):
+        simulate_comm_delay(order, passes, DelayModel(mu_ms=20.0), nodes=nodes)
+
+
 def test_metrics_csv(tmp_path):
     metrics = run_experiment(small_scenario("maxpressure", horizon=12))
     path = tmp_path / "m.csv"

@@ -256,3 +256,11 @@ def test_engine_rejects_an_orientation_of_another_graph():
     with pytest.raises(ValueError, match="different coordination graph"):
         coordinate(cg, min_diameter_dag(other), CoorBudget.from_rounds(4))
     assert _Engine(cg, reverse(min_diameter_dag(cg))).agents == cg.agents
+
+
+@pytest.mark.parametrize(
+    "caps", [{"wall_ms": float("nan")}, {"wall_ms": float("inf")}, {"rounds": float("nan")}]
+)
+def test_budget_rejects_caps_that_switch_it_off(caps):
+    with pytest.raises(ValueError, match="cap must be"):
+        CoorBudget(**caps)

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_cg, random_connected_edges, random_macro_state, random_turning
+import netsignal.improvement as improvement
+import netsignal.ordering as ordering
+from conftest import (
+    is_bipartite,
+    random_cg,
+    random_connected_edges,
+    random_macro_state,
+    random_tree_edges,
+    random_turning,
+)
 from netsignal.coordination import CoordinationGraph, build_cg
+from netsignal.improvement import plan_phases_detailed
 from netsignal.network import build_grid
-from netsignal.ordering import TopologyError, eccentricity, min_diameter_dag
-from oracle import followers, reverse
+from netsignal.ordering import TopologyError, min_diameter_dag, network_order
+from oracle import eccentricity, followers, min_diameter_order, reverse
 
 
 def path_cg(n):
@@ -150,3 +162,60 @@ def test_sink_minimizes_eccentricity_random_graphs():
         order = min_diameter_dag(cg)
         eccs = {a: bfs_ecc_oracle(edges, n, a) for a in range(n)}
         assert eccs[order.sink] == min(eccs.values())
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random trees and connected graphs with an odd cycle, on agent ids
+    0..n-1 or on sparse ids."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        edges = random_tree_edges(rng, n)
+    else:
+        edges = random_connected_edges(rng, n, extra=draw(st.integers(1, n + 1)))
+        assume(not is_bipartite(n, edges))
+    ids = np.arange(n)
+    if draw(st.booleans()):
+        ids = np.sort(rng.choice(10**6, size=n, replace=False))
+    agents = tuple(ids.tolist())
+    pairs = sorted((agents[i], agents[j]) for i, j in edges)
+    return CoordinationGraph(agents, pairs, np.zeros((len(pairs), 4, 4)), np.zeros((n, 4)))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(connected_graphs())
+def test_orientation_equals_the_all_bfs_oracle(cg):
+    order = min_diameter_dag(cg)
+    sink, edges, dist, diameter, forward, reverse_levels = min_diameter_order(cg)
+    assert (order.sink, order.edges, order.dist, order.diameter) == (sink, edges, dist, diameter)
+    sched = order.schedule
+    assert [sched.forward.pairs[a:b] for a, b in sched.forward.levels] == forward
+    assert [sched.reverse.pairs[a:b] for a, b in sched.reverse.levels] == reverse_levels
+
+
+def test_network_order_is_oriented_once_per_network(monkeypatch):
+    net = build_grid(3, 4)
+    order = network_order(net)
+    assert network_order(net) is order
+
+    def orient_again(*args):
+        raise AssertionError("oriented the network again")
+
+    used = []
+    coordinate = improvement.coordinate
+    monkeypatch.setattr(ordering, "_orient", orient_again)
+    monkeypatch.setattr(
+        improvement, "coordinate", lambda cg, o, budget: used.append(o) or coordinate(cg, o, budget)
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        plan_phases_detailed(random_macro_state(net, rng), net, random_turning(net, rng))
+    assert len(used) == 4 and all(o is order for o in used)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     forward_messages,
+    is_bipartite,
     random_cg,
     random_connected_edges,
     random_macro_state,
@@ -61,24 +62,6 @@ def sync_coordinate(cg, order, rounds_cap):
                 return snapshot, passes, done, True
             previous = cycle
         forward = not forward
-
-
-def is_bipartite(n, edges):
-    adj = {k: [] for k in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color = {0: 0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in color:
-                color[v] = 1 - color[u]
-                frontier.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
 
 
 @st.composite

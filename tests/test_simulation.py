@@ -403,6 +403,42 @@ def test_flow_rate_spec(tmp_path):
     assert len(vehicles) == 50
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("id", True), ("id", 0.5), ("origin", 8.9), ("destination", "3"), ("origin", None)],
+)
+def test_flow_file_rejects_ids_that_are_not_integers(tmp_path, field, value):
+    net = build_grid(2, 2)
+    entry, exit_link = net.entry_links()[0], net.exit_links()[0]
+    good = {"id": 0, "origin": entry, "depart_s": 0.0, "destination": exit_link}
+    bad = {**good, "id": 1, field: value}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(LoadError, match=f"invalid {field}") as caught:
+        load_flow(str(path), net)
+    assert repr(json.loads(json.dumps(bad))) in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "rate, duration, named",
+    [
+        (math.inf, 100.0, "rate"),
+        (math.nan, 100.0, "rate"),
+        (1.0, math.inf, "duration"),
+        (1.0, math.nan, "duration"),
+    ],
+)
+def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, duration, named):
+    net = build_grid(2, 2)
+    value = rate if named == "rate" else duration
+    with pytest.raises(ValueError, match=f"{named} must be .*finite, got {value}"):
+        generate_uniform_flow(net, rate, duration)
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"rate_vps": rate, "duration_s": duration}))
+    with pytest.raises(LoadError, match="must be finite"):
+        load_flow(str(path), net)
+
+
 def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
     net = build_grid(3, 3)
     vehicles = generate_uniform_flow(net, 0.5, 400, seed=4)
