@@ -8,7 +8,7 @@ throughput, and a built-in queue-dynamics simulator evaluates the result
 against fixed-time and max-pressure baselines.
 """
 
-from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressures
+from netsignal.controllers import fixed_time, max_pressure, phase_pressures
 from netsignal.coordination import (
     CoordinationGraph,
     brute_force_optimum,
@@ -76,7 +76,6 @@ __all__ = [
     "CoordinationGraph",
     "DagOrder",
     "DelayModel",
-    "FixedTimeConfig",
     "Flow",
     "JointAssignment",
     "Link",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from netsignal.harness import (
@@ -154,10 +155,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 write_metrics_csv(metrics, args.out)
                 print(f"wrote {args.out}")
         elif args.command == "compare":
+            scenario = _build_scenario(args, CONTROLLERS[0])
             results = {}
             for controller in CONTROLLERS:
-                scenario = _build_scenario(args, controller)
-                results[controller] = run_experiment(scenario)
+                results[controller] = run_experiment(replace(scenario, controller=controller))
                 _print_metrics(controller, results[controller])
             if args.out:
                 write_comparison_csv(results, args.out)

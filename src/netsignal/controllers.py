@@ -9,35 +9,17 @@ come from one pass over the network's movement arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, PHASES, Phase, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, PHASES, RoadNetwork, movement_arrays, segment_sum
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 
-@dataclass
-class FixedTimeConfig:
-    sequence: tuple[Phase, ...] = (
-        Phase.WE_STRAIGHT,
-        Phase.WE_LEFT,
-        Phase.SN_STRAIGHT,
-        Phase.SN_LEFT,
-    )
-    phase_duration: int = 1  # periods per phase
-
-    def __post_init__(self):
-        if not self.sequence:
-            raise ValueError("sequence must be non-empty")
-        if self.phase_duration < 1:
-            raise ValueError("phase_duration must be >= 1")
-
-
-def fixed_time(period: int, cfg: FixedTimeConfig, intersections: Iterable[int]) -> JointAssignment:
-    """Every intersection shows the same scheduled phase."""
-    phase = cfg.sequence[(period // cfg.phase_duration) % len(cfg.sequence)]
+def fixed_time(period: int, intersections: Iterable[int]) -> JointAssignment:
+    """Every intersection shows the same phase, cycling `PHASES` one period each."""
+    phase = PHASES[period % NUM_PHASES]
     return {i: phase for i in intersections}
 
 

@@ -13,11 +13,11 @@ import csv
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure
+from netsignal.controllers import fixed_time, max_pressure
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
 from netsignal.network import RoadNetwork
 from netsignal.ordering import DagOrder, network_order
@@ -37,6 +37,8 @@ from netsignal.simulation import (
 )
 
 CONTROLLERS = ("fixedtime", "maxpressure", "nlcoor", "emc")
+# standard deviation of the modeled per-message latency
+DELAY_SIGMA_MS = 3.0
 
 
 class BudgetOverrunError(RuntimeError):
@@ -56,15 +58,15 @@ class RateSpec:
 
 @dataclass
 class DelayModel:
-    """Per-message latency N(mu, sigma^2) in milliseconds, clamped at zero."""
+    """Per-message latency N(mu, `DELAY_SIGMA_MS`^2) in milliseconds,
+    clamped at zero."""
 
     mu_ms: float
-    sigma_ms: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.mu_ms < np.inf and 0 <= self.sigma_ms < np.inf):
-            raise ValueError(f"mu and sigma must be finite and >= 0, got {self.mu_ms} and {self.sigma_ms}")
+        if not 0 <= self.mu_ms < np.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu_ms}")
 
 
 @dataclass
@@ -74,7 +76,6 @@ class Scenario:
     sim: SimConfig
     controller: str = "emc"
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    fixed: FixedTimeConfig = field(default_factory=FixedTimeConfig)
     delay: Optional[DelayModel] = None
 
     def __post_init__(self):
@@ -93,20 +94,33 @@ class PeriodRow:
 
 @dataclass(eq=False)
 class Metrics:
-    """Run summary plus one value per period in each of the last four
-    arrays; `rows` presents those as `PeriodRow`s. Arrays rather than row
+    """Trip summary plus one value per period in each of the four arrays;
+    the run-wide queue, balance and timing figures are derived from those,
+    and `rows` presents them as `PeriodRow`s. Arrays rather than row
     objects, so that holding the metrics of many runs stays cheap."""
 
     avg_travel_time_s: float
     throughput: int
-    mean_balance: float
-    max_total_queue: float
-    mean_decision_ms: float
-    mean_comm_delay_ms: float
     total_queue: np.ndarray
     balance: np.ndarray
     decision_ms: np.ndarray
     comm_delay_ms: np.ndarray
+
+    @property
+    def mean_balance(self) -> float:
+        return float(np.mean(self.balance))
+
+    @property
+    def max_total_queue(self) -> float:
+        return float(np.max(self.total_queue))
+
+    @property
+    def mean_decision_ms(self) -> float:
+        return float(np.mean(self.decision_ms))
+
+    @property
+    def mean_comm_delay_ms(self) -> float:
+        return float(np.mean(self.comm_delay_ms))
 
     @property
     def rows(self) -> list[PeriodRow]:
@@ -115,55 +129,29 @@ class Metrics:
         return [PeriodRow(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
-class _FixedTimeController:
-    needs_order = False
-
-    def __init__(self, scenario: Scenario):
-        self.cfg = scenario.fixed
-        self.intersections = sorted(scenario.network.intersections)
-        self.rounds_last = 0
-
-    def decide(self, state: QueueState, turning: TurningModel, period: int) -> JointAssignment:
-        return fixed_time(period, self.cfg, self.intersections)
+Controller = Callable[[QueueState, TurningModel, int], tuple[JointAssignment, int]]
 
 
-class _MaxPressureController:
-    needs_order = False
-
-    def __init__(self, scenario: Scenario):
-        self.net = scenario.network
-        self.rounds_last = 0
-
-    def decide(self, state: QueueState, turning: TurningModel, period: int) -> JointAssignment:
-        return max_pressure(state, self.net, turning)
-
-
-class _PlannerController:
-    needs_order = True
-
-    def __init__(self, scenario: Scenario):
-        self.net = scenario.network
-        self.cfg = scenario.planner
-        self.order = network_order(self.net)
-        self.rounds_last = 0
-
-    def decide(self, state: QueueState, turning: TurningModel, period: int) -> JointAssignment:
-        detail = plan_phases_detailed(state, self.net, turning, self.cfg)
-        self.rounds_last = detail.coordination.rounds
-        return detail.assignment
-
-
-def make_controller(scenario: Scenario):
+def make_controller(scenario: Scenario) -> Controller:
+    """The scenario's controller as `decide(state, turning, period)`, which
+    returns the joint decision and the message rounds it took (0 for the
+    baselines)."""
+    net = scenario.network
+    if scenario.controller == "fixedtime":
+        agents = sorted(net.intersections)
+        return lambda state, turning, period: (fixed_time(period, agents), 0)
+    if scenario.controller == "maxpressure":
+        return lambda state, turning, period: (max_pressure(state, net, turning), 0)
+    planner = scenario.planner
     if scenario.controller == "nlcoor":
         # coordination only: the whole budget to message passing, no sweeps
-        planner = replace(scenario.planner, epsilon=1.0, max_sweeps=0)
-        scenario = replace(scenario, planner=planner)
-    return {
-        "fixedtime": _FixedTimeController,
-        "maxpressure": _MaxPressureController,
-        "nlcoor": _PlannerController,
-        "emc": _PlannerController,
-    }[scenario.controller](scenario)
+        planner = replace(planner, epsilon=1.0)
+
+    def decide(state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, int]:
+        detail = plan_phases_detailed(state, net, turning, planner)
+        return detail.assignment, detail.coordination.rounds
+
+    return decide
 
 
 def resolve_flow(scenario: Scenario) -> list[Vehicle]:
@@ -191,7 +179,7 @@ def modeled_delay_ms(
     if rounds <= 0 or n_edges == 0:
         return 0.0
     rng = np.random.default_rng(np.random.SeedSequence([model.seed, 0xD31A]))
-    samples = rng.normal(model.mu_ms, model.sigma_ms, size=(rounds, n_edges))
+    samples = rng.normal(model.mu_ms, DELAY_SIGMA_MS, size=(rounds, n_edges))
     np.clip(samples, 0.0, None, out=samples)
     if nodes:
         # intra-node messages are free; same per-message draws either way
@@ -217,13 +205,20 @@ def simulate_comm_delay(
 
 
 def run_experiment(scenario: Scenario) -> Metrics:
+    """Run the scenario's controller over the horizon. Trip times left on
+    the flow's vehicles by an earlier run are cleared first."""
     net = scenario.network
     cfg = scenario.sim
     vehicles = resolve_flow(scenario)
+    for v in vehicles:
+        v.enter_time = v.exit_time = None
     flow = Flow(vehicles, cfg.tau, net)
-    controller = make_controller(scenario)
-    budget_wall = scenario.planner.budget.wall_ms if controller.needs_order else None
-    delay_model = scenario.delay if controller.needs_order else None
+    decide = make_controller(scenario)
+    order = budget_wall = delay_model = None
+    if scenario.controller in ("nlcoor", "emc"):
+        order = network_order(net)
+        budget_wall = scenario.planner.budget.wall_ms
+        delay_model = scenario.delay
 
     state = initial_state(net)
     # total queue, balance, decision ms and modeled delay ms per period
@@ -232,38 +227,20 @@ def run_experiment(scenario: Scenario) -> Metrics:
     for t in range(cfg.horizon):
         turning = estimate_turning(state, net, flow)
         t0 = time.perf_counter()
-        decision = controller.decide(state, turning, t)
+        decision, rounds = decide(state, turning, t)
         decision_ms = (time.perf_counter() - t0) * 1e3
         if budget_wall is not None and decision_ms > 10 * budget_wall:
             raise BudgetOverrunError(
                 f"controller took {decision_ms:.0f} ms against a {budget_wall:.0f} ms budget"
             )
         comm_ms = 0.0
-        if delay_model is not None and controller.rounds_last > 0:
-            per_period = DelayModel(delay_model.mu_ms, delay_model.sigma_ms, delay_seed + t)
-            comm_ms = modeled_delay_ms(controller.order, controller.rounds_last, per_period)
+        if delay_model is not None and rounds > 0:
+            comm_ms = modeled_delay_ms(order, rounds, DelayModel(delay_model.mu_ms, delay_seed + t))
         state = step(state, decision, net, cfg, flow=flow)
         columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, comm_ms)
 
-    total_queue, balance, decision_ms, comm_ms = columns
-    base = travel_time_metrics(
-        vehicles,
-        end_time=cfg.horizon * cfg.tau,
-        balance_series=balance.tolist(),
-        queue_series=total_queue.tolist(),
-    )
-    return Metrics(
-        avg_travel_time_s=base.avg_travel_time_s,
-        throughput=base.throughput,
-        mean_balance=base.mean_balance,
-        max_total_queue=base.max_total_queue,
-        mean_decision_ms=float(np.mean(decision_ms)),
-        mean_comm_delay_ms=float(np.mean(comm_ms)),
-        total_queue=total_queue,
-        balance=balance,
-        decision_ms=decision_ms,
-        comm_delay_ms=comm_ms,
-    )
+    trips = travel_time_metrics(vehicles, end_time=cfg.horizon * cfg.tau)
+    return Metrics(trips.avg_travel_time_s, trips.throughput, *columns)
 
 
 def write_metrics_csv(metrics: Metrics, path: str) -> None:

@@ -28,28 +28,27 @@ from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 # full forward+reverse message cycles the planner runs at most per period
 MAX_CYCLES = 2
+# best-response sweeps the planner runs at most per period
+MAX_SWEEPS = 4
 
 
 @dataclass
 class PlannerConfig:
-    """Budget split for the two stages plus the sweep cap.
+    """Budget split for the two stages.
 
     `epsilon` is the fraction of the budget spent on message passing; the
-    rest goes to best-response sweeps. Message passing is also capped at
-    `MAX_CYCLES` cycles in rounds, so identical inputs give identical
-    decisions regardless of hardware; the wall-clock budget still applies on
-    top.
+    rest goes to best-response sweeps, so `epsilon=1.0` runs none. Message
+    passing is also capped at `MAX_CYCLES` cycles in rounds and the sweeps
+    at `MAX_SWEEPS`, so identical inputs give identical decisions regardless
+    of hardware; the wall-clock budget still applies on top.
     """
 
     budget: CoorBudget = field(default_factory=lambda: CoorBudget.wall_clock(3000.0))
     epsilon: float = 0.8
-    max_sweeps: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be >= 0")
 
 
 def local_improvement(
@@ -58,7 +57,6 @@ def local_improvement(
     net: RoadNetwork,
     turning: TurningModel,
     budget: Optional[CoorBudget] = None,
-    max_sweeps: int = 4,
     *,
     model: Optional[PeriodModel] = None,
 ) -> JointAssignment:
@@ -67,7 +65,8 @@ def local_improvement(
     Every sweep, each agent picks the phase that minimizes its own predicted
     balance (`PeriodModel.sweep_scores`) given the previous sweep's actions,
     keeping its current phase on ties and otherwise the lowest index. Stops
-    on budget exhaustion, the sweep cap, or a sweep that changes nothing.
+    after `MAX_SWEEPS` sweeps, or sooner on a sweep that changes nothing or
+    when `budget` runs out; a rounds cap counts sweeps.
     `init` must cover every agent. `model` may pass in the `period_model`
     of the same inputs when the caller has it.
     """
@@ -83,7 +82,7 @@ def local_improvement(
     except KeyError:
         missing = [a for a in agents if a not in init]
         raise ValueError(f"init is missing agents {missing}") from None
-    sweeps = max_sweeps
+    sweeps = MAX_SWEEPS
     if budget is not None and budget.rounds is not None:
         sweeps = min(sweeps, budget.rounds)
     for _ in range(sweeps):
@@ -134,7 +133,6 @@ def plan_phases_detailed(
         net,
         turning,
         budget=sweep_budget,
-        max_sweeps=cfg.max_sweeps,
         model=model,
     )
     return PlanResult(final, coord)

@@ -488,8 +488,8 @@ def _parse_phase(value, name: str) -> Optional[Phase]:
     if value is None:
         return None
     try:
-        return Phase(int(value))
-    except (TypeError, ValueError):
+        return Phase(_integer(value))
+    except (TypeError, ValueError, OverflowError):
         raise LoadError(f"{name}: invalid phase value {value!r}") from None
 
 

@@ -126,7 +126,8 @@ class Flow:
     is p + 1. `departures_by_period` maps a period to the first-hop
     positions of the vehicles departing in it, in flow order, and `delay` is
     `link_delay_periods` of the network. A route must run from the origin
-    over movements of the network to an exit link, the destination.
+    over movements of the network to an exit link, the destination, and a
+    vehicle must depart at a finite time >= 0.
     """
 
     def __init__(self, vehicles: Sequence[Vehicle], tau: float, net: RoadNetwork):
@@ -137,8 +138,13 @@ class Flow:
         if len({v.id for v in vs}) != n:
             raise ValueError("duplicate vehicle ids in flow")
         hops = np.fromiter((len(v.route) - 1 for v in vs), np.intp, n)
-        period = np.floor(np.fromiter((v.depart_s for v in vs), float, n) / tau)
-        _reject(vs, (hops > 0) & np.isfinite(period), "needs a route of two or more links, finite depart_s")
+        depart = np.fromiter((v.depart_s for v in vs), float, n)
+        _reject(
+            vs,
+            (hops > 0) & (depart >= 0) & np.isfinite(depart),
+            "needs a route of two or more links, finite depart_s >= 0",
+        )
+        period = np.floor(depart / tau)
         ends = np.fromiter((v.route[0] == v.origin and v.route[-1] == v.destination for v in vs), bool, n)
         _reject(vs, ends, "route does not run from the origin to the destination")
 
@@ -393,16 +399,9 @@ def generate_uniform_flow(
 class TravelMetrics:
     avg_travel_time_s: float
     throughput: int
-    mean_balance: float
-    max_total_queue: float
 
 
-def travel_time_metrics(
-    vehicles: Sequence[Vehicle],
-    end_time: float,
-    balance_series: Optional[Sequence[float]] = None,
-    queue_series: Optional[Sequence[float]] = None,
-) -> TravelMetrics:
+def travel_time_metrics(vehicles: Sequence[Vehicle], end_time: float) -> TravelMetrics:
     """Average travel time over all vehicles, counting unfinished ones up to
     `end_time`."""
     if not vehicles:
@@ -418,8 +417,6 @@ def travel_time_metrics(
     return TravelMetrics(
         avg_travel_time_s=total / len(vehicles),
         throughput=finished,
-        mean_balance=float(np.mean(balance_series)) if balance_series else 0.0,
-        max_total_queue=float(max(queue_series)) if queue_series else 0.0,
     )
 
 
@@ -462,6 +459,8 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         name = "flow rate spec"
         rate, duration = _finite(doc, "rate_vps", name), _finite(doc, "duration_s", name)
         return generate_uniform_flow(net, rate, duration, _value(doc, "seed", name, _integer, seed))
+    if not isinstance(doc, list):
+        raise LoadError(f"flow file {path} must hold a vehicle array or a rate spec object, got {doc!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))
     dist: dict[int, list[int]] = {}
     seen: set[int] = set()

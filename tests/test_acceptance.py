@@ -151,7 +151,7 @@ def test_criterion_05_worked_example_reproduced(fig_two):
 
     actions = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
     args = (fig_two.state, fig_two.net, fig_two.turning)
-    choice = local_improvement(actions, *args, max_sweeps=1)[fig_two.i]
+    choice = local_improvement(actions, *args, budget=CoorBudget.from_rounds(1))[fig_two.i]
     assert choice == Phase.WE_STRAIGHT
     assert choice == oracle.best_response(fig_two.i, actions, *args)
     model = period_model(fig_two.net, fig_two.state, fig_two.turning)

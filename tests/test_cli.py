@@ -138,6 +138,18 @@ def test_run_rejects_a_flow_file_with_a_bad_vehicle(tmp_path, capsys):
     assert "'id': 3" in err
 
 
+@pytest.mark.parametrize("doc", [3, None])
+def test_run_rejects_a_flow_file_that_is_no_array_or_object(tmp_path, capsys, doc):
+    net_path, flow_path = tmp_path / "net.json", tmp_path / "flow.json"
+    save_network(build_grid(2, 2), str(net_path))
+    flow_path.write_text(json.dumps(doc))
+    code = cli_main(["run", "--roadnet", str(net_path), "--flow", str(flow_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "vehicle array or a rate spec object" in err[0]
+
+
 def test_missing_roadnet_file(capsys):
     code = cli_main(["run", "--roadnet", "missing.json", "--rate", "1", "--duration", "50"])
     capsys.readouterr()

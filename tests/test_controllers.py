@@ -5,35 +5,20 @@ import pytest
 
 import oracle
 from conftest import macro_state_with, mov, random_macro_state, random_turning
-from netsignal.controllers import FixedTimeConfig, fixed_time, max_pressure, phase_pressures
-from netsignal.network import LinkKind, Phase, build_grid
+from netsignal.controllers import fixed_time, max_pressure, phase_pressures
+from netsignal.network import PHASES, LinkKind, Phase, build_grid
 from netsignal.simulation import initial_state
 
 
 def test_fixed_time_first_period():
-    cfg = FixedTimeConfig()
-    out = fixed_time(0, cfg, range(4))
+    out = fixed_time(0, range(4))
     assert out == {i: Phase.WE_STRAIGHT for i in range(4)}
 
 
 def test_fixed_time_modular_schedule():
-    cfg = FixedTimeConfig()
-    assert fixed_time(5, cfg, [0])[0] == Phase.WE_LEFT
-    cycle = [fixed_time(t, cfg, [0])[0] for t in range(8)]
-    assert cycle == list(cfg.sequence) * 2
-
-
-def test_fixed_time_phase_duration():
-    cfg = FixedTimeConfig(phase_duration=3)
-    phases = [fixed_time(t, cfg, [0])[0] for t in range(6)]
-    assert phases == [Phase.WE_STRAIGHT] * 3 + [Phase.WE_LEFT] * 3
-
-
-def test_fixed_time_validation():
-    with pytest.raises(ValueError):
-        FixedTimeConfig(sequence=())
-    with pytest.raises(ValueError):
-        FixedTimeConfig(phase_duration=0)
+    assert fixed_time(5, [0])[0] == Phase.WE_LEFT
+    cycle = [fixed_time(t, [0])[0] for t in range(8)]
+    assert cycle == list(PHASES) * 2
 
 
 def test_pressure_exit_link_has_no_downstream():

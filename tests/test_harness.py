@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from netsignal.harness import (
+    DELAY_SIGMA_MS,
     BudgetOverrunError,
     DelayModel,
     RateSpec,
     Scenario,
     modeled_delay_ms,
     network_order,
+    resolve_flow,
     run_experiment,
     simulate_comm_delay,
     write_comparison_csv,
@@ -55,6 +59,18 @@ def test_determinism_identical_series():
     assert [(r.total_queue, r.balance) for r in a.rows] != [
         (r.total_queue, r.balance) for r in c.rows
     ]
+
+
+def test_reused_vehicles_start_without_trip_times():
+    # a run leaves exit times on the vehicles it was given
+    scenario = replace(small_scenario("emc", horizon=30, rate=1.0), network=build_grid(3, 3))
+    vehicles = resolve_flow(scenario)
+    run_experiment(replace(scenario, flow=vehicles))
+    fixed = replace(scenario, controller="fixedtime")
+    reused = run_experiment(replace(fixed, flow=vehicles))
+    fresh = run_experiment(fixed)
+    assert reused.throughput == fresh.throughput
+    assert reused.avg_travel_time_s == fresh.avg_travel_time_s
 
 
 def test_zero_vehicle_flow_is_metrics_error():
@@ -117,7 +133,7 @@ def test_delay_model_validation():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"mu_ms": float("nan")}, {"mu_ms": float("inf")}, {"mu_ms": 1.0, "sigma_ms": float("nan")}],
+    [{"mu_ms": float("nan")}, {"mu_ms": float("inf")}],
 )
 def test_delay_model_rejects_values_that_are_not_finite(fields):
     with pytest.raises(ValueError, match="nan|inf"):
@@ -163,10 +179,10 @@ def test_coordinated_beats_fixed_time_smoke():
 def test_modeled_delay_mu_zero_is_noise_scale():
     # with zero mean, only the clamped sigma-noise contributes per round
     order = network_order(build_grid(2, 2))
-    model = DelayModel(mu_ms=0.0, sigma_ms=3.0, seed=4)
+    model = DelayModel(mu_ms=0.0, seed=4)
     rounds = 2 * order.diameter
     total = simulate_comm_delay(order, passes=2, model=model)
-    assert total <= rounds * 5 * model.sigma_ms
+    assert total <= rounds * 5 * DELAY_SIGMA_MS
 
 
 def test_balance_ranking_matches_travel_time_on_default_grid():

@@ -34,7 +34,7 @@ def test_best_response_two_intersections(fig_two):
     assert own[Phase.WE_STRAIGHT] == pytest.approx(4)
     assert kernel_scores(actions, *args)[fig_two.i] == pytest.approx(own)
     assert best_response(fig_two.i, actions, *args) == Phase.WE_STRAIGHT
-    assert local_improvement(actions, *args, max_sweeps=1)[fig_two.i] == Phase.WE_STRAIGHT
+    assert local_improvement(actions, *args, budget=CoorBudget.from_rounds(1))[fig_two.i] == Phase.WE_STRAIGHT
 
 
 def test_best_response_all_tie_keeps_current():
@@ -44,7 +44,7 @@ def test_best_response_all_tie_keeps_current():
     turning.d = np.zeros_like(turning.d)
     actions = all_phase(net, Phase.SN_LEFT)
     assert best_response(0, actions, state, net, turning) == Phase.SN_LEFT
-    assert local_improvement(actions, state, net, turning, max_sweeps=1) == actions
+    assert local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1)) == actions
 
 
 def test_best_response_matches_full_prediction():
@@ -57,7 +57,7 @@ def test_best_response_matches_full_prediction():
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         agent = int(rng.integers(4))
         got = best_response(agent, actions, state, net, turning)
-        swept = local_improvement(actions, state, net, turning, max_sweeps=1)[agent]
+        swept = local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1))[agent]
         scores = {}
         for p in Phase:
             joint = dict(actions)
@@ -90,7 +90,7 @@ def test_best_response_never_increases_own_balance():
         state = random_macro_state(net, rng)
         turning = random_turning(net, rng)
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        swept = local_improvement(actions, state, net, turning, max_sweeps=1)
+        swept = local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1))
         kernel = kernel_scores(actions, state, net, turning)
         for agent in net.intersections:
             chosen = swept[agent]
@@ -134,16 +134,18 @@ def test_local_improvement_sweep_cap():
     state = random_macro_state(net, rng)
     turning = random_turning(net, rng)
     init = {i: Phase(0) for i in net.intersections}
-    capped = local_improvement(init, state, net, turning, max_sweeps=1)
+    capped = local_improvement(init, state, net, turning, budget=CoorBudget.from_rounds(1))
     one_sweep = {i: best_response(i, init, state, net, turning) for i in sorted(net.intersections)}
     assert capped == one_sweep
 
 
 def test_plan_epsilon_one_is_pure_coordination(fig_two):
-    cfg = PlannerConfig(budget=CoorBudget.from_rounds(8), epsilon=1.0)
-    detail = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg)
-    assert detail.assignment == detail.coordination.assignment
-    assert detail.assignment[fig_two.i] == Phase.WE_LEFT
+    # the sweeps get a zero budget under a rounds cap and under a wall clock
+    for budget in (CoorBudget.from_rounds(8), CoorBudget.wall_clock(3000.0)):
+        cfg = PlannerConfig(budget=budget, epsilon=1.0)
+        detail = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg)
+        assert detail.assignment == detail.coordination.assignment
+        assert detail.assignment[fig_two.i] == Phase.WE_LEFT
 
 
 def test_plan_epsilon_zero_seeds_from_own_costs(fig_two):
@@ -166,5 +168,3 @@ def test_plan_default_split_two_intersections(fig_two):
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        PlannerConfig(max_sweeps=-1)

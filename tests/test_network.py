@@ -295,6 +295,18 @@ def _null_intersection(doc):
     return r"intersections\[2\]: expected an object, got null"
 
 
+def _phase(value):
+    """A corruption that sets the first phased movement's phase to `value`."""
+
+    def corrupt(doc):
+        m = next(m for m in doc["movements"] if m.get("phase") is not None)
+        m["phase"] = value
+        return rf"movement \({m['from']}->{m['to']}\): invalid phase value {value!r}"
+
+    corrupt.__name__ = f"_phase_{value}"
+    return corrupt
+
+
 def _nan_speed(doc):
     link = _first(doc, "links", "internal")
     link["speed_mps"] = float("nan")
@@ -335,6 +347,9 @@ def _no_movements(doc):
         _text_length,
         _fractional_id,
         _null_intersection,
+        _phase(2.9),
+        _phase(True),
+        _phase(float("inf")),
         _nan_speed,
         _infinite_length,
         _nan_sat_flow,

@@ -527,7 +527,8 @@ def test_flow_rejects_routes_that_are_not_movement_chains():
         v = Vehicle(k, route[0], 0.0, route[-1], route)
         with pytest.raises(ValueError, match=f"vehicle {k}: "):
             Flow([Vehicle(99, entry, 0.0, exit_link, (entry, exit_link)), v], 10.0, net)
-    with pytest.raises(ValueError, match="finite depart_s"):
-        Flow([Vehicle(0, entry, float("nan"), exit_link, (entry, exit_link))], 10.0, net)
+    for depart in (float("nan"), -50.0):
+        with pytest.raises(ValueError, match="vehicle 7: .*finite depart_s >= 0"):
+            Flow([Vehicle(7, entry, depart, exit_link, (entry, exit_link))], 10.0, net)
     with pytest.raises(ValueError, match="duplicate vehicle ids"):
         Flow([Vehicle(0, entry, 0.0, exit_link, (entry, exit_link))] * 2, 10.0, net)
