@@ -13,7 +13,6 @@ from netsignal.coordination import (
     CoordinationGraph,
     brute_force_optimum,
     build_cg,
-    dump_edge_costs,
     global_cost,
 )
 from netsignal.harness import (
@@ -22,16 +21,15 @@ from netsignal.harness import (
     Metrics,
     RateSpec,
     Scenario,
+    modeled_delay_ms,
     network_order,
     run_experiment,
-    simulate_comm_delay,
     write_comparison_csv,
     write_metrics_csv,
 )
 from netsignal.improvement import (
     PlannerConfig,
     local_improvement,
-    plan_phases,
     plan_phases_detailed,
 )
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
@@ -99,7 +97,6 @@ __all__ = [
     "build_cg",
     "build_grid",
     "coordinate",
-    "dump_edge_costs",
     "estimate_turning",
     "fixed_time",
     "generate_uniform_flow",
@@ -110,15 +107,14 @@ __all__ = [
     "local_improvement",
     "max_pressure",
     "min_diameter_dag",
+    "modeled_delay_ms",
     "network_order",
     "phase_pressures",
-    "plan_phases",
     "plan_phases_detailed",
     "predict_next_queues",
     "run_experiment",
     "save_flow",
     "save_network",
-    "simulate_comm_delay",
     "step",
     "travel_time_metrics",
     "validate",

@@ -14,9 +14,9 @@ from netsignal.harness import (
     Metrics,
     RateSpec,
     Scenario,
+    modeled_delay_ms,
     network_order,
     run_experiment,
-    simulate_comm_delay,
     write_comparison_csv,
     write_metrics_csv,
 )
@@ -106,8 +106,8 @@ def _load_net(args):
 
 
 def _build_scenario(args, controller: str) -> Scenario:
-    if args.duration is not None and not math.isfinite(args.duration):
-        raise LoadError(f"--duration must be finite, got {args.duration}")
+    if args.duration is not None and not 0 < args.duration < math.inf:
+        raise LoadError(f"--duration must be positive and finite, got {args.duration}")
     if not 0 < args.tau < math.inf:
         raise LoadError(f"--tau must be positive and finite, got {args.tau}")
     net = _load_net(args)
@@ -128,8 +128,8 @@ def _build_scenario(args, controller: str) -> Scenario:
         flow=flow,
         sim=SimConfig(tau=args.tau, horizon=horizon, seed=args.seed),
         controller=controller,
-        planner=PlannerConfig(budget=CoorBudget.wall_clock(args.budget_ms), epsilon=args.epsilon),
-        delay=None if args.mu is None else DelayModel(mu_ms=args.mu, seed=args.seed),
+        planner=PlannerConfig(budget=CoorBudget(wall_ms=args.budget_ms), epsilon=args.epsilon),
+        delay=None if args.mu is None else DelayModel(mu_ms=args.mu),
     )
 
 
@@ -176,14 +176,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             save_flow(vehicles, args.out)
             print(f"wrote {args.out} ({len(vehicles)} vehicles)")
         elif args.command == "comm-delay":
+            if args.passes < 0:
+                raise LoadError(f"--passes must be >= 0, got {args.passes}")
             net = _load_net(args)
             order = network_order(net)
-            model = DelayModel(mu_ms=args.mu, seed=args.seed)
-            total = simulate_comm_delay(order, args.passes, model, nodes=args.nodes)
-            print(
-                f"agents {len(net.intersections)}  rounds {args.passes * order.diameter}  "
-                f"modeled delay {total / 1e3:.3f} s"
-            )
+            rounds = args.passes * order.diameter
+            total = modeled_delay_ms(order, rounds, DelayModel(mu_ms=args.mu), args.seed, nodes=args.nodes)
+            print(f"agents {len(net.intersections)}  rounds {rounds}  modeled delay {total / 1e3:.3f} s")
     except (LoadError, MetricsError, ValueError, OSError, BudgetOverrunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ the layout `build_cg` computes and the message-passing engine reads.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -143,14 +142,3 @@ def brute_force_optimum(cg: CoordinationGraph) -> tuple[JointAssignment, float]:
     best = int(np.argmin(costs))
     assignment = {a: Phase(int(assign[k, best])) for k, a in enumerate(cg.agents)}
     return assignment, float(costs[best])
-
-
-def dump_edge_costs(cg: CoordinationGraph, path: str) -> None:
-    """Debug CSV of every edge-cost entry."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent_i", "agent_j", "x_i", "x_j", "cost"])
-        for (i, j), table in zip(cg.edges, cg.edge_costs):
-            for xi in range(NUM_PHASES):
-                for xj in range(NUM_PHASES):
-                    writer.writerow([i, j, xi, xj, table[xi, xj]])

@@ -3,9 +3,9 @@
 One experiment steps the micro simulator over the horizon, asking the
 selected controller for a joint phase decision each period from the true
 queue state and the route-estimated turning model. Everything except the
-wall-clock columns is deterministic given the scenario seed; randomness
-flows through named substreams so flow generation and delay sampling cannot
-perturb each other.
+wall-clock columns is deterministic given the scenario's seeds: a rate spec
+draws its flow from its own seed, and delay sampling from a named substream
+of the simulation seed, so the two cannot perturb each other.
 """
 from __future__ import annotations
 
@@ -51,18 +51,21 @@ def substream_seed(seed: int, name: str) -> int:
 
 @dataclass
 class RateSpec:
+    """Uniform arrivals at `rate_vps` over `duration_s` seconds, drawn by
+    `generate_uniform_flow` from `seed`."""
+
     rate_vps: float
     duration_s: float
-    seed: Optional[int] = None
+    seed: int
 
 
 @dataclass
 class DelayModel:
     """Per-message latency N(mu, `DELAY_SIGMA_MS`^2) in milliseconds,
-    clamped at zero."""
+    clamped at zero. The draws come from the seed `modeled_delay_ms` is
+    given."""
 
     mu_ms: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.mu_ms < np.inf:
@@ -155,30 +158,30 @@ def make_controller(scenario: Scenario) -> Controller:
 
 
 def resolve_flow(scenario: Scenario) -> list[Vehicle]:
-    if isinstance(scenario.flow, RateSpec):
-        seed = scenario.flow.seed
-        if seed is None:
-            seed = substream_seed(scenario.sim.seed, "flow")
-        return generate_uniform_flow(
-            scenario.network, scenario.flow.rate_vps, scenario.flow.duration_s, seed
-        )
-    return list(scenario.flow)
+    flow = scenario.flow
+    if isinstance(flow, RateSpec):
+        return generate_uniform_flow(scenario.network, flow.rate_vps, flow.duration_s, flow.seed)
+    return list(flow)
 
 
 def modeled_delay_ms(
     order: DagOrder,
     rounds: int,
     model: DelayModel,
+    seed: int,
     nodes: Optional[int] = None,
 ) -> float:
-    """Virtual-clock total: per round, the slowest message on the critical
-    path; intra-node messages are free under a partition into `nodes` >= 1."""
+    """Modeled communication time (ms) of `rounds` message rounds on a
+    virtual clock: per round, the slowest message on the critical path, with
+    every draw taken from `seed`. Under a seeded partition of the agents
+    into `nodes` >= 1, intra-node messages are free. A full pass takes
+    `order.diameter` rounds."""
     if nodes is not None and nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
     n_edges = len(order.edges)
     if rounds <= 0 or n_edges == 0:
         return 0.0
-    rng = np.random.default_rng(np.random.SeedSequence([model.seed, 0xD31A]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD31A]))
     samples = rng.normal(model.mu_ms, DELAY_SIGMA_MS, size=(rounds, n_edges))
     np.clip(samples, 0.0, None, out=samples)
     if nodes:
@@ -192,18 +195,6 @@ def modeled_delay_ms(
     return float(samples.max(axis=1).sum())
 
 
-def simulate_comm_delay(
-    order: DagOrder,
-    passes: int,
-    model: DelayModel,
-    nodes: Optional[int] = None,
-) -> float:
-    """Modeled communication time (ms) for `passes` >= 0 full message passes."""
-    if passes < 0:
-        raise ValueError(f"passes must be >= 0, got {passes}")
-    return modeled_delay_ms(order, passes * order.diameter, model, nodes)
-
-
 def run_experiment(scenario: Scenario) -> Metrics:
     """Run the scenario's controller over the horizon. Trip times left on
     the flow's vehicles by an earlier run are cleared first."""
@@ -211,7 +202,7 @@ def run_experiment(scenario: Scenario) -> Metrics:
     cfg = scenario.sim
     vehicles = resolve_flow(scenario)
     for v in vehicles:
-        v.enter_time = v.exit_time = None
+        v.exit_time = None
     flow = Flow(vehicles, cfg.tau, net)
     decide = make_controller(scenario)
     order = budget_wall = delay_model = None
@@ -235,7 +226,7 @@ def run_experiment(scenario: Scenario) -> Metrics:
             )
         comm_ms = 0.0
         if delay_model is not None and rounds > 0:
-            comm_ms = modeled_delay_ms(order, rounds, DelayModel(delay_model.mu_ms, delay_seed + t))
+            comm_ms = modeled_delay_ms(order, rounds, delay_model, delay_seed + t)
         state = step(state, decision, net, cfg, flow=flow)
         columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, comm_ms)
 

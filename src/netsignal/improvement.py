@@ -8,8 +8,9 @@ recovers the throughput such "clean-out" assignments give up. Each sweep
 scores every agent's four phases at once from the period's prediction
 arrays (`PeriodModel.sweep_scores`).
 
-`plan_phases` is the full per-period pipeline: build the coordination graph,
-message-pass under a fraction of the time budget, then sweep the remainder.
+`plan_phases_detailed` is the full per-period pipeline: build the
+coordination graph, message-pass under a fraction of the time budget, then
+sweep the remainder.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class PlannerConfig:
     of hardware; the wall-clock budget still applies on top.
     """
 
-    budget: CoorBudget = field(default_factory=lambda: CoorBudget.wall_clock(3000.0))
+    budget: CoorBudget = field(default_factory=lambda: CoorBudget(wall_ms=3000.0))
     epsilon: float = 0.8
 
     def __post_init__(self):
@@ -136,12 +137,3 @@ def plan_phases_detailed(
         model=model,
     )
     return PlanResult(final, coord)
-
-
-def plan_phases(
-    state: QueueState,
-    net: RoadNetwork,
-    turning: TurningModel,
-    cfg: Optional[PlannerConfig] = None,
-) -> JointAssignment:
-    return plan_phases_detailed(state, net, turning, cfg).assignment

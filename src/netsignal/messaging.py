@@ -51,14 +51,6 @@ class CoorBudget:
         if self.wall_ms is not None and not 0 <= self.wall_ms < np.inf:
             raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms}")
 
-    @classmethod
-    def from_rounds(cls, n: int) -> "CoorBudget":
-        return cls(rounds=n)
-
-    @classmethod
-    def wall_clock(cls, ms: float) -> "CoorBudget":
-        return cls(wall_ms=ms)
-
     def scaled(self, fraction: float) -> "CoorBudget":
         return CoorBudget(
             rounds=None if self.rounds is None else int(self.rounds * fraction),

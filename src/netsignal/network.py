@@ -426,6 +426,9 @@ def validate(net: RoadNetwork) -> list[str]:
             if link.end is None or link.end not in net.intersections:
                 violations.append(f"link {lid}: internal link missing valid end intersection")
                 bad_links.add(lid)
+            if lid not in bad_links and link.start == link.end:
+                violations.append(f"link {lid}: internal link starts and ends at intersection {link.start}")
+                bad_links.add(lid)
 
     seen_keys: set[tuple[int, int]] = set()
     # phases used per (intersection, input link), to catch geometry conflicts

@@ -16,7 +16,7 @@ transit and follows its own route.
 State is arrays in `MovementArrays` order: the queue vector of a state, the
 turning shares and the entry demand. `step` and `estimate_turning` are
 whole-network numpy passes over them; per-vehicle Python work is limited to
-writing the enter and exit times of the vehicles that move.
+writing the exit times of the vehicles that leave.
 """
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ class Vehicle:
     depart_s: float
     destination: int
     route: tuple[int, ...] = ()
-    enter_time: Optional[float] = None
     exit_time: Optional[float] = None
 
 
@@ -275,27 +274,14 @@ def step(
     due = arrive <= t + 1
 
     departing = flow.departures_by_period.get(t, _NONE)
-    for row in flow.route_vehicle[departing].tolist():
-        flow.vehicles[row].enter_time = (t + 1) * tau
     waiting = np.concatenate((waiting[stays], transit[due], departing))
     q = np.bincount(route_mov[waiting], minlength=arr.n_mov).astype(float)
     return QueueState(t + 1, q, waiting, transit[~due], arrive[~due])
 
 
-def balance_index(
-    state: QueueState,
-    net: Optional[RoadNetwork] = None,
-    intersection: Optional[int] = None,
-) -> float:
-    """Sum of squared movement queues, network-wide or for one intersection."""
-    q = state.q
-    if intersection is None:
-        return float(q @ q)
-    if net is None:
-        raise ValueError("intersection scope requires the network")
-    arr = movement_arrays(net)
-    mine = q[arr.mov_agent == arr.agent_index[intersection]]
-    return float(mine @ mine)
+def balance_index(state: QueueState) -> float:
+    """Sum of squared movement queues over the network."""
+    return float(state.q @ state.q)
 
 
 def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> TurningModel:
@@ -363,13 +349,13 @@ def generate_uniform_flow(
     Origins cycle round-robin through a seeded shuffle of the entry links;
     destinations are drawn uniformly over the exit links reachable from the
     origin; routes are shortest by hop count with seeded tie-breaks. Raises
-    `ValueError` naming a rate or duration that is not finite, or the entry
-    links that reach no exit.
+    `ValueError` naming a rate or duration that is not positive and finite,
+    or the entry links that reach no exit.
     """
     if not 0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate}")
-    if not math.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     entries = net.entry_links()
     exits = net.exit_links()
     if not entries or not exits:
@@ -446,7 +432,8 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
 
     Every vehicle needs a unique integer id, an entry link as origin, an exit
     link it can reach as destination and a finite `depart_s` >= 0, and a rate
-    spec finite numbers; anything else raises a `LoadError` naming the entry.
+    spec a positive, finite rate and duration; anything else raises a
+    `LoadError` naming the entry.
     Routes are shortest by hop count, ties drawn from one seeded stream in
     file order.
     """
@@ -458,7 +445,11 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     if isinstance(doc, dict):
         name = "flow rate spec"
         rate, duration = _finite(doc, "rate_vps", name), _finite(doc, "duration_s", name)
-        return generate_uniform_flow(net, rate, duration, _value(doc, "seed", name, _integer, seed))
+        seed = _value(doc, "seed", name, _integer, seed)
+        try:
+            return generate_uniform_flow(net, rate, duration, seed)
+        except ValueError as exc:
+            raise LoadError(f"{name}: {exc}") from None
     if not isinstance(doc, list):
         raise LoadError(f"flow file {path} must hold a vehicle array or a rate spec object, got {doc!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))

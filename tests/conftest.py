@@ -18,15 +18,14 @@ def micro_state_with(net, queued, period=0):
     """Build a micro QueueState holding the given vehicles per movement.
 
     `queued` maps movement keys to lists of Vehicle objects whose routes pass
-    through that movement; they join in the order given. The vehicles are
-    marked as already entered at time 0 and left out of the flow's
-    departures, so the flow does not re-inject them. Returns (state, flow).
+    through that movement; they join in the order given. The vehicles depart
+    at time 0 and are left out of the flow's departures, so the flow does
+    not re-inject them. Returns (state, flow).
     """
     pairs = [(key, v) for key, vs in queued.items() for v in vs]
     vehicles = [v for _, v in pairs]
     for v in vehicles:
         v.depart_s = 0.0
-        v.enter_time = 0.0
     flow = Flow(vehicles, 10.0, net)
     flow.departures_by_period.clear()
     # a vehicle's hop from link l is its first hop's position plus l's place in its route

@@ -2,8 +2,9 @@
 
 `ScalarGraph` reads a `CoordinationGraph` through per-agent neighbour lists
 built from its edges and applies the min-sum message rule one edge at a
-time. `predicted_own_balance` and `best_response` evaluate one agent's
-next-period balance, and `phase_pressure` one phase's max-pressure value
+time. `own_balance` is one agent's balance in a state,
+`predicted_own_balance` and `best_response` evaluate its next-period
+balance, and `phase_pressure` one phase's max-pressure value
 (`phase_pressure_table` all of them), by walking the road network's links
 and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
@@ -95,6 +96,12 @@ def topology(net):
 def queue_view(state, net):
     """A state's queue vector as a dict by movement key."""
     return dict(zip(movement_arrays(net).keys, state.q.tolist()))
+
+
+def own_balance(state, net, agent):
+    """Sum of squared queues over one intersection's movements."""
+    queues = queue_view(state, net)
+    return sum(queues[m.key] ** 2 for m in net.movements if m.intersection == agent)
 
 
 def turning_view(turning, net):
@@ -565,7 +572,6 @@ def step(state, decision, net, cfg, flow):
         if nxt is None:
             raise ValueError(f"vehicle {v.id}: route has no continuation from origin {v.origin}")
         fifo[(v.origin, nxt)] = fifo[(v.origin, nxt)] + (v.id,)
-        v.enter_time = (t + 1) * tau
 
     q = {key: float(len(ids)) for key, ids in fifo.items()}
     return ScalarState(period=t + 1, q=q, fifo=fifo, transit=tuple(pending), next_seq=seq)

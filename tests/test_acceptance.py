@@ -23,12 +23,12 @@ from netsignal.harness import (
     DelayModel,
     RateSpec,
     Scenario,
+    modeled_delay_ms,
     network_order,
     resolve_flow,
     run_experiment,
-    simulate_comm_delay,
 )
-from netsignal.improvement import PlannerConfig, local_improvement
+from netsignal.improvement import PlannerConfig, local_improvement, plan_phases_detailed
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag
@@ -88,7 +88,7 @@ def test_criterion_02_exact_on_acyclic_graphs():
         n = 8 if seed % 2 == 0 else int(rng.integers(2, 9))
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
-        result = coordinate(cg, order, CoorBudget.from_rounds(2 * max(order.diameter, 1)))
+        result = coordinate(cg, order, CoorBudget(rounds=2 * max(order.diameter, 1)))
         _, best = brute_force_optimum(cg)
         got = global_cost(cg, result.assignment)
         worst_gap = max(worst_gap, abs(got - best))
@@ -151,7 +151,7 @@ def test_criterion_05_worked_example_reproduced(fig_two):
 
     actions = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
     args = (fig_two.state, fig_two.net, fig_two.turning)
-    choice = local_improvement(actions, *args, budget=CoorBudget.from_rounds(1))[fig_two.i]
+    choice = local_improvement(actions, *args, budget=CoorBudget(rounds=1))[fig_two.i]
     assert choice == Phase.WE_STRAIGHT
     assert choice == oracle.best_response(fig_two.i, actions, *args)
     model = period_model(fig_two.net, fig_two.state, fig_two.turning)
@@ -163,10 +163,8 @@ def test_criterion_05_worked_example_reproduced(fig_two):
         oracle.predicted_own_balance(fig_two.i, Phase.WE_STRAIGHT, actions, *args)
     )
 
-    cfg = PlannerConfig(budget=CoorBudget.from_rounds(64), epsilon=0.8)
-    from netsignal.improvement import plan_phases
-
-    final = plan_phases(fig_two.state, fig_two.net, fig_two.turning, cfg)
+    cfg = PlannerConfig(budget=CoorBudget(rounds=64), epsilon=0.8)
+    final = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg).assignment
     assert final[fig_two.i] == Phase.WE_STRAIGHT
     print(
         "ACCEPTANCE 5 PASS - worked two-intersection example: "
@@ -198,7 +196,7 @@ def test_criterion_06_balance_dominance():
         for t in range(cfg.horizon):
             turning = estimate_turning(state, net, flow)
             cg = build_cg(state, net, turning)
-            nl_dec = coordinate(cg, order, CoorBudget.from_rounds(4 * order.diameter)).assignment
+            nl_dec = coordinate(cg, order, CoorBudget(rounds=4 * order.diameter)).assignment
             mp_dec = max_pressure(state, net, turning)
             nl_next.append(balance_index(predict_next_queues(state, nl_dec, net, turning)))
             mp_next.append(balance_index(predict_next_queues(state, mp_dec, net, turning)))
@@ -308,19 +306,17 @@ def test_criterion_09_stability_soak():
 
 def test_criterion_10_comm_delay_model():
     orders = {dims: network_order(build_grid(*dims)) for dims in ((3, 3), (4, 4), (15, 15), (20, 20))}
-    model = DelayModel(mu_ms=20.0, seed=0)
-    total = simulate_comm_delay(orders[(20, 20)], passes=2, model=model, nodes=10)
+    model = DelayModel(mu_ms=20.0)
+
+    def two_passes(order, model):
+        return modeled_delay_ms(order, 2 * order.diameter, model, 0, nodes=10)
+
+    total = two_passes(orders[(20, 20)], model)
     assert 0.5 * 1230.0 <= total <= 1.5 * 1230.0
 
-    by_mu = [
-        simulate_comm_delay(orders[(20, 20)], 2, DelayModel(mu_ms=mu, seed=0), nodes=10)
-        for mu in (0.0, 10.0, 20.0)
-    ]
+    by_mu = [two_passes(orders[(20, 20)], DelayModel(mu_ms=mu)) for mu in (0.0, 10.0, 20.0)]
     assert by_mu[0] <= by_mu[1] <= by_mu[2]
-    by_size = [
-        simulate_comm_delay(orders[dims], 2, model, nodes=10)
-        for dims in ((3, 3), (4, 4), (15, 15), (20, 20))
-    ]
+    by_size = [two_passes(orders[dims], model) for dims in ((3, 3), (4, 4), (15, 15), (20, 20))]
     assert all(a <= b for a, b in zip(by_size, by_size[1:]))
     print(
         f"ACCEPTANCE 10 PASS - modeled delay {total:.0f} ms vs 1230 ms reference (+/-50%); "

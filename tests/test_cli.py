@@ -201,6 +201,10 @@ def test_comm_delay_command(capsys):
         (["comm-delay", "--grid", "3x3", "--mu", "nan"], "nan"),
         (["comm-delay", "--grid", "3x3", "--mu", "20", "--passes", "-1"], "-1"),
         (["comm-delay", "--grid", "3x3", "--mu", "20", "--nodes", "0"], "0"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "-100"], "-100"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "0"], "0.0"),
+        (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "-100"], "-100"),
+        (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "0"], "0.0"),
     ],
 )
 def test_values_that_switch_a_check_off_exit_with_one_line(tmp_path, capsys, argv, named):

@@ -9,7 +9,6 @@ from netsignal.coordination import (
     CoordinationGraph,
     brute_force_optimum,
     build_cg,
-    dump_edge_costs,
     global_cost,
 )
 from netsignal.network import Phase, build_grid
@@ -177,14 +176,6 @@ def test_brute_force_agent_cap():
     cg = random_cg(rng, 11, [(k, k + 1) for k in range(10)])
     with pytest.raises(ValueError, match="capped"):
         brute_force_optimum(cg)
-
-
-def test_dump_edge_costs(tmp_path):
-    cg = random_cg(np.random.default_rng(3), 3, [(0, 1), (1, 2)])
-    path = tmp_path / "costs.csv"
-    dump_edge_costs(cg, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 16
 
 
 @pytest.mark.parametrize(

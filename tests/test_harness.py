@@ -12,7 +12,6 @@ from netsignal.harness import (
     network_order,
     resolve_flow,
     run_experiment,
-    simulate_comm_delay,
     write_comparison_csv,
     write_metrics_csv,
 )
@@ -84,18 +83,18 @@ def test_zero_vehicle_flow_is_metrics_error():
 
 def test_budget_safety_valve():
     scenario = small_scenario("emc")
-    scenario.planner = PlannerConfig(budget=CoorBudget.wall_clock(1e-4))
+    scenario.planner = PlannerConfig(budget=CoorBudget(wall_ms=1e-4))
     with pytest.raises(BudgetOverrunError):
         run_experiment(scenario)
 
 
 def test_comm_delay_recorded_for_message_controllers():
     scenario = small_scenario("emc", horizon=10)
-    scenario.delay = DelayModel(mu_ms=20.0, seed=1)
+    scenario.delay = DelayModel(mu_ms=20.0)
     metrics = run_experiment(scenario)
     assert metrics.mean_comm_delay_ms > 0
     fixed = small_scenario("fixedtime", horizon=10)
-    fixed.delay = DelayModel(mu_ms=20.0, seed=1)
+    fixed.delay = DelayModel(mu_ms=20.0)
     assert run_experiment(fixed).mean_comm_delay_ms == 0
 
 
@@ -103,9 +102,9 @@ def test_modeled_delay_deterministic_and_monotone_in_mu():
     order = network_order(build_grid(3, 3))
     totals = []
     for mu in (0.0, 10.0, 20.0):
-        model = DelayModel(mu_ms=mu, seed=5)
-        a = simulate_comm_delay(order, passes=2, model=model)
-        b = simulate_comm_delay(order, passes=2, model=model)
+        model = DelayModel(mu_ms=mu)
+        a = modeled_delay_ms(order, 2 * order.diameter, model, 5)
+        b = modeled_delay_ms(order, 2 * order.diameter, model, 5)
         assert a == b
         totals.append(a)
     assert totals[0] < totals[1] < totals[2]
@@ -113,15 +112,16 @@ def test_modeled_delay_deterministic_and_monotone_in_mu():
 
 def test_modeled_delay_zero_rounds():
     order = network_order(build_grid(2, 2))
-    assert modeled_delay_ms(order, 0, DelayModel(mu_ms=20.0)) == 0.0
+    assert modeled_delay_ms(order, 0, DelayModel(mu_ms=20.0), 0) == 0.0
 
 
 def test_modeled_delay_partition_free_intranode():
     order = network_order(build_grid(4, 4))
-    model = DelayModel(mu_ms=20.0, seed=9)
-    charged_all = simulate_comm_delay(order, 2, model)
-    partitioned = simulate_comm_delay(order, 2, model, nodes=10)
-    single_node = simulate_comm_delay(order, 2, model, nodes=1)
+    model = DelayModel(mu_ms=20.0)
+    rounds = 2 * order.diameter
+    charged_all = modeled_delay_ms(order, rounds, model, 9)
+    partitioned = modeled_delay_ms(order, rounds, model, 9, nodes=10)
+    single_node = modeled_delay_ms(order, rounds, model, 9, nodes=1)
     assert partitioned <= charged_all
     assert single_node == 0.0
 
@@ -140,13 +140,11 @@ def test_delay_model_rejects_values_that_are_not_finite(fields):
         DelayModel(**fields)
 
 
-@pytest.mark.parametrize(
-    "passes, nodes, named", [(2, 0, "nodes"), (2, -2, "nodes"), (-1, None, "passes")]
-)
+@pytest.mark.parametrize("passes, nodes, named", [(2, 0, "nodes"), (2, -2, "nodes")])
 def test_comm_delay_rejects_negative_passes_and_empty_partitions(passes, nodes, named):
     order = network_order(build_grid(3, 3))
     with pytest.raises(ValueError, match=f"{named} must be"):
-        simulate_comm_delay(order, passes, DelayModel(mu_ms=20.0), nodes=nodes)
+        modeled_delay_ms(order, passes * order.diameter, DelayModel(mu_ms=20.0), 0, nodes=nodes)
 
 
 def test_metrics_csv(tmp_path):
@@ -179,9 +177,8 @@ def test_coordinated_beats_fixed_time_smoke():
 def test_modeled_delay_mu_zero_is_noise_scale():
     # with zero mean, only the clamped sigma-noise contributes per round
     order = network_order(build_grid(2, 2))
-    model = DelayModel(mu_ms=0.0, seed=4)
     rounds = 2 * order.diameter
-    total = simulate_comm_delay(order, passes=2, model=model)
+    total = modeled_delay_ms(order, rounds, DelayModel(mu_ms=0.0), 4)
     assert total <= rounds * 5 * DELAY_SIGMA_MS
 
 

@@ -13,3 +13,10 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves_once():
+    import netsignal
+
+    assert len(set(netsignal.__all__)) == len(netsignal.__all__)
+    assert [name for name in netsignal.__all__ if not hasattr(netsignal, name)] == []

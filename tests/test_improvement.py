@@ -6,15 +6,14 @@ from netsignal.coordination import build_cg
 from netsignal.improvement import (
     PlannerConfig,
     local_improvement,
-    plan_phases,
     plan_phases_detailed,
 )
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag
 from netsignal.prediction import period_model
-from netsignal.simulation import balance_index, initial_state, predict_next_queues
-from oracle import best_response, predicted_own_balance
+from netsignal.simulation import initial_state, predict_next_queues
+from oracle import best_response, own_balance, predicted_own_balance
 
 
 def kernel_scores(actions, state, net, turning):
@@ -34,7 +33,7 @@ def test_best_response_two_intersections(fig_two):
     assert own[Phase.WE_STRAIGHT] == pytest.approx(4)
     assert kernel_scores(actions, *args)[fig_two.i] == pytest.approx(own)
     assert best_response(fig_two.i, actions, *args) == Phase.WE_STRAIGHT
-    assert local_improvement(actions, *args, budget=CoorBudget.from_rounds(1))[fig_two.i] == Phase.WE_STRAIGHT
+    assert local_improvement(actions, *args, budget=CoorBudget(rounds=1))[fig_two.i] == Phase.WE_STRAIGHT
 
 
 def test_best_response_all_tie_keeps_current():
@@ -44,7 +43,7 @@ def test_best_response_all_tie_keeps_current():
     turning.d = np.zeros_like(turning.d)
     actions = all_phase(net, Phase.SN_LEFT)
     assert best_response(0, actions, state, net, turning) == Phase.SN_LEFT
-    assert local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1)) == actions
+    assert local_improvement(actions, state, net, turning, budget=CoorBudget(rounds=1)) == actions
 
 
 def test_best_response_matches_full_prediction():
@@ -57,13 +56,13 @@ def test_best_response_matches_full_prediction():
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         agent = int(rng.integers(4))
         got = best_response(agent, actions, state, net, turning)
-        swept = local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1))[agent]
+        swept = local_improvement(actions, state, net, turning, budget=CoorBudget(rounds=1))[agent]
         scores = {}
         for p in Phase:
             joint = dict(actions)
             joint[agent] = p
             predicted = predict_next_queues(state, joint, net, turning)
-            scores[p] = balance_index(predicted, net, agent)
+            scores[p] = own_balance(predicted, net, agent)
         best = min(scores.values())
         assert scores[got] == pytest.approx(best)
         assert scores[swept] == pytest.approx(best)
@@ -90,7 +89,7 @@ def test_best_response_never_increases_own_balance():
         state = random_macro_state(net, rng)
         turning = random_turning(net, rng)
         actions = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        swept = local_improvement(actions, state, net, turning, budget=CoorBudget.from_rounds(1))
+        swept = local_improvement(actions, state, net, turning, budget=CoorBudget(rounds=1))
         kernel = kernel_scores(actions, state, net, turning)
         for agent in net.intersections:
             chosen = swept[agent]
@@ -114,7 +113,7 @@ def test_local_improvement_zero_traffic_fixed_point():
 def test_local_improvement_zero_budget_returns_init(fig_two):
     init = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.SN_LEFT}
     out = local_improvement(
-        init, fig_two.state, fig_two.net, fig_two.turning, budget=CoorBudget.from_rounds(0)
+        init, fig_two.state, fig_two.net, fig_two.turning, budget=CoorBudget(rounds=0)
     )
     assert out == init
 
@@ -122,7 +121,7 @@ def test_local_improvement_zero_budget_returns_init(fig_two):
 def test_local_improvement_flips_clean_out_phase(fig_two):
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
     order = min_diameter_dag(cg)
-    coordinated = coordinate(cg, order, CoorBudget.from_rounds(4)).assignment
+    coordinated = coordinate(cg, order, CoorBudget(rounds=4)).assignment
     assert coordinated[fig_two.i] == Phase.WE_LEFT
     improved = local_improvement(coordinated, fig_two.state, fig_two.net, fig_two.turning)
     assert improved[fig_two.i] == Phase.WE_STRAIGHT
@@ -134,14 +133,14 @@ def test_local_improvement_sweep_cap():
     state = random_macro_state(net, rng)
     turning = random_turning(net, rng)
     init = {i: Phase(0) for i in net.intersections}
-    capped = local_improvement(init, state, net, turning, budget=CoorBudget.from_rounds(1))
+    capped = local_improvement(init, state, net, turning, budget=CoorBudget(rounds=1))
     one_sweep = {i: best_response(i, init, state, net, turning) for i in sorted(net.intersections)}
     assert capped == one_sweep
 
 
 def test_plan_epsilon_one_is_pure_coordination(fig_two):
     # the sweeps get a zero budget under a rounds cap and under a wall clock
-    for budget in (CoorBudget.from_rounds(8), CoorBudget.wall_clock(3000.0)):
+    for budget in (CoorBudget(rounds=8), CoorBudget(wall_ms=3000.0)):
         cfg = PlannerConfig(budget=budget, epsilon=1.0)
         detail = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg)
         assert detail.assignment == detail.coordination.assignment
@@ -149,7 +148,7 @@ def test_plan_epsilon_one_is_pure_coordination(fig_two):
 
 
 def test_plan_epsilon_zero_seeds_from_own_costs(fig_two):
-    cfg = PlannerConfig(budget=CoorBudget.from_rounds(8), epsilon=0.0)
+    cfg = PlannerConfig(budget=CoorBudget(rounds=8), epsilon=0.0)
     detail = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg)
     assert detail.coordination.rounds == 0
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
@@ -160,8 +159,8 @@ def test_plan_epsilon_zero_seeds_from_own_costs(fig_two):
 
 
 def test_plan_default_split_two_intersections(fig_two):
-    cfg = PlannerConfig(budget=CoorBudget.from_rounds(100), epsilon=0.8)
-    assignment = plan_phases(fig_two.state, fig_two.net, fig_two.turning, cfg)
+    cfg = PlannerConfig(budget=CoorBudget(rounds=100), epsilon=0.8)
+    assignment = plan_phases_detailed(fig_two.state, fig_two.net, fig_two.turning, cfg).assignment
     assert assignment[fig_two.i] == Phase.WE_STRAIGHT
 
 

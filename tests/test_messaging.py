@@ -139,7 +139,7 @@ def test_coordinate_exact_on_arterial_path():
     rng = np.random.default_rng(11)
     cg = random_cg(rng, 8, [(k, k + 1) for k in range(7)])
     order = min_diameter_dag(cg)
-    result = coordinate(cg, order, CoorBudget.from_rounds(2 * order.diameter))
+    result = coordinate(cg, order, CoorBudget(rounds=2 * order.diameter))
     _, best = brute_force_optimum(cg)
     assert global_cost(cg, result.assignment) == pytest.approx(best)
     assert result.passes == 2
@@ -151,7 +151,7 @@ def test_coordinate_exact_on_random_trees():
         n = int(rng.integers(2, 9))
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
-        result = coordinate(cg, order, CoorBudget.from_rounds(4 * max(order.diameter, 1)))
+        result = coordinate(cg, order, CoorBudget(rounds=4 * max(order.diameter, 1)))
         _, best = brute_force_optimum(cg)
         assert global_cost(cg, result.assignment) == pytest.approx(best)
 
@@ -159,7 +159,7 @@ def test_coordinate_exact_on_random_trees():
 def test_coordinate_zero_budget_decides_from_own_costs():
     rng = np.random.default_rng(23)
     cg = random_cg(rng, 5, random_tree_edges(rng, 5))
-    result = coordinate(cg, min_diameter_dag(cg), CoorBudget.from_rounds(0))
+    result = coordinate(cg, min_diameter_dag(cg), CoorBudget(rounds=0))
     expected = {a: Phase(int(np.argmin(cg.individual[k]))) for k, a in enumerate(cg.agents)}
     assert result.assignment == expected
     assert result.rounds == 0 and result.passes == 0
@@ -168,7 +168,7 @@ def test_coordinate_zero_budget_decides_from_own_costs():
 def test_coordinate_two_intersections_clears_exit_queue(fig_two):
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
     order = min_diameter_dag(cg)
-    result = coordinate(cg, order, CoorBudget.from_rounds(4 * max(order.diameter, 1)))
+    result = coordinate(cg, order, CoorBudget(rounds=4 * max(order.diameter, 1)))
     assert result.assignment[fig_two.i] == Phase.WE_LEFT
     assert global_cost(cg, result.assignment) == pytest.approx(16)
 
@@ -178,7 +178,7 @@ def test_coordinate_interrupted_mid_pass_returns_snapshot():
     cg = random_cg(rng, 6, [(k, k + 1) for k in range(5)])
     order = min_diameter_dag(cg)
     assert order.diameter >= 2
-    result = coordinate(cg, order, CoorBudget.from_rounds(order.diameter + 1))
+    result = coordinate(cg, order, CoorBudget(rounds=order.diameter + 1))
     assert result.passes == 1
     assert not result.converged
     assert set(result.assignment) == set(cg.agents)
@@ -187,7 +187,7 @@ def test_coordinate_interrupted_mid_pass_returns_snapshot():
 def test_coordinate_wall_clock_zero_still_complete():
     rng = np.random.default_rng(37)
     cg = random_cg(rng, 4, random_tree_edges(rng, 4))
-    result = coordinate(cg, min_diameter_dag(cg), CoorBudget.wall_clock(0))
+    result = coordinate(cg, min_diameter_dag(cg), CoorBudget(wall_ms=0))
     assert set(result.assignment) == set(cg.agents)
     assert result.rounds == 0
 
@@ -196,7 +196,7 @@ def test_coordinate_converges_and_stops_on_trees():
     rng = np.random.default_rng(41)
     cg = random_cg(rng, 7, random_tree_edges(rng, 7))
     order = min_diameter_dag(cg)
-    result = coordinate(cg, order, CoorBudget.from_rounds(100 * order.diameter))
+    result = coordinate(cg, order, CoorBudget(rounds=100 * order.diameter))
     assert result.converged
     # two cycles are enough to detect the fixpoint on trees
     assert result.passes <= 4
@@ -212,7 +212,7 @@ def test_snapshot_costs_monotone_on_trees():
         coordinate(
             cg,
             order,
-            CoorBudget.from_rounds(8 * max(order.diameter, 1)),
+            CoorBudget(rounds=8 * max(order.diameter, 1)),
             trace=lambda p, r, x: costs.append(global_cost(cg, x)),
         )
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
@@ -228,7 +228,7 @@ def test_cycle_gap_reported_not_asserted(capsys):
         edges = [(k, (k + 1) % n) for k in range(n)]
         cg = random_cg(rng, n, edges)
         order = min_diameter_dag(cg)
-        result = coordinate(cg, order, CoorBudget.from_rounds(20 * order.diameter))
+        result = coordinate(cg, order, CoorBudget(rounds=20 * order.diameter))
         _, best = brute_force_optimum(cg)
         got = global_cost(cg, result.assignment)
         assert set(result.assignment) == set(cg.agents)
@@ -241,8 +241,8 @@ def test_budget_validation():
         CoorBudget()
     with pytest.raises(ValueError):
         CoorBudget(rounds=-1)
-    assert CoorBudget.from_rounds(0).rounds == 0
-    assert CoorBudget.wall_clock(100).wall_ms == 100
+    assert CoorBudget(rounds=0).rounds == 0
+    assert CoorBudget(wall_ms=100).wall_ms == 100
     scaled = CoorBudget(rounds=10, wall_ms=1000).scaled(0.8)
     assert scaled.rounds == 8 and scaled.wall_ms == 800
 
@@ -254,7 +254,7 @@ def test_engine_rejects_an_orientation_of_another_graph():
     with pytest.raises(ValueError, match="different coordination graph"):
         _Engine(cg, min_diameter_dag(other))
     with pytest.raises(ValueError, match="different coordination graph"):
-        coordinate(cg, min_diameter_dag(other), CoorBudget.from_rounds(4))
+        coordinate(cg, min_diameter_dag(other), CoorBudget(rounds=4))
     assert _Engine(cg, reverse(min_diameter_dag(cg))).agents == cg.agents
 
 

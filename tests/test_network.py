@@ -340,6 +340,13 @@ def _no_movements(doc):
     return "intersection 3: no movements"
 
 
+def _self_loop(doc):
+    link = dict(_first(doc, "links", "internal"), id=max(l["id"] for l in doc["links"]) + 1)
+    link["end"] = link["start"]
+    doc["links"].append(link)
+    return f"link {link['id']}: internal link starts and ends at intersection {link['start']}"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -356,6 +363,7 @@ def _no_movements(doc):
         _duplicate_link,
         _duplicate_intersection,
         _no_movements,
+        _self_loop,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )

@@ -107,11 +107,11 @@ def test_one_level_pass_is_a_fixpoint(net):
 def test_decisions_map_rows_to_ids(net):
     order = network_order(net)
     for _, _, cg, _ in random_cgs(net, 4, 5):
-        result = coordinate(cg, order, CoorBudget.from_rounds(0))
+        result = coordinate(cg, order, CoorBudget(rounds=0))
         assert result.assignment == {
             a: Phase(int(np.argmin(cg.individual[k]))) for k, a in enumerate(cg.agents)
         }
-        result = coordinate(cg, order, CoorBudget.from_rounds(4 * order.diameter))
+        result = coordinate(cg, order, CoorBudget(rounds=4 * order.diameter))
         assert result.passes == 4
         assert set(result.assignment) == set(IDS)
 

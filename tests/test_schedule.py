@@ -86,7 +86,7 @@ def test_coordinate_matches_synchronous_rounds_on_grids(rows, cols):
     dia = order.diameter
     caps = [k * dia for k in range(1, 5)] + [dia + max(1, dia // 2)]
     for cap in caps:
-        got = coordinate(cg, order, CoorBudget.from_rounds(cap))
+        got = coordinate(cg, order, CoorBudget(rounds=cap))
         want, passes, rounds, converged = sync_coordinate(cg, order, cap)
         assert got.assignment == want, cap
         assert (got.passes, got.rounds, got.converged) == (passes, rounds, converged), cap
@@ -117,7 +117,7 @@ def test_rounds_per_pass_equal_longest_directed_path(cg):
     result = coordinate(
         cg,
         order,
-        CoorBudget.from_rounds(6 * order.diameter),
+        CoorBudget(rounds=6 * order.diameter),
         trace=lambda passes, rounds, x: seen.append((passes, rounds)),
     )
     assert seen and all(rounds == passes * order.diameter for passes, rounds in seen)
@@ -130,7 +130,7 @@ def test_one_cycle_is_optimal_on_trees(seed, n):
     rng = np.random.default_rng(seed)
     cg = random_cg(rng, n, random_tree_edges(rng, n))
     order = min_diameter_dag(cg)
-    result = coordinate(cg, order, CoorBudget.from_rounds(2 * order.diameter))
+    result = coordinate(cg, order, CoorBudget(rounds=2 * order.diameter))
     assert result.passes == 2
     _, best = brute_force_optimum(cg)
     assert global_cost(cg, result.assignment) == pytest.approx(best, abs=1e-9)

@@ -142,9 +142,9 @@ def test_balance_examples(fig_two):
     state = macro_state_with(net, {net.movements[0].key: 4, net.movements[1].key: 2})
     assert balance_index(state) == 20
     assert balance_index(initial_state(net)) == 0
-    # intersection scope equals network scope on the loaded intersection
-    assert balance_index(fig_two.state, fig_two.net, fig_two.i) == 20
-    assert balance_index(fig_two.state, fig_two.net, fig_two.j) == 0
+    # one intersection's share equals the network total on the loaded intersection
+    assert oracle.own_balance(fig_two.state, fig_two.net, fig_two.i) == 20
+    assert oracle.own_balance(fig_two.state, fig_two.net, fig_two.j) == 0
 
 
 def test_non_negative_queues_under_random_decisions():
@@ -170,7 +170,7 @@ def test_vehicle_conservation_every_period():
     for t in range(60):
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         state = step(state, decision, net, cfg, flow=flow)
-        entered = sum(1 for v in vehicles if v.enter_time is not None)
+        entered = sum(1 for v in vehicles if v.depart_s < (t + 1) * cfg.tau)
         exited = sum(1 for v in vehicles if v.exit_time is not None)
         queued = int(state.total_queue())
         assert entered == exited + queued + len(state.transit)
@@ -426,6 +426,8 @@ def test_flow_file_rejects_ids_that_are_not_integers(tmp_path, field, value):
         (math.nan, 100.0, "rate"),
         (1.0, math.inf, "duration"),
         (1.0, math.nan, "duration"),
+        (1.0, 0.0, "duration"),
+        (1.0, -100.0, "duration"),
     ],
 )
 def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, duration, named):
@@ -435,7 +437,7 @@ def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, du
         generate_uniform_flow(net, rate, duration)
     path = tmp_path / "rate.json"
     path.write_text(json.dumps({"rate_vps": rate, "duration_s": duration}))
-    with pytest.raises(LoadError, match="must be finite"):
+    with pytest.raises(LoadError, match=f"{named}.* must be .*finite, got {value}"):
         load_flow(str(path), net)
 
 
