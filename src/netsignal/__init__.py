@@ -9,12 +9,7 @@ against fixed-time and max-pressure baselines.
 """
 
 from netsignal.controllers import fixed_time, max_pressure, phase_pressures
-from netsignal.coordination import (
-    CoordinationGraph,
-    brute_force_optimum,
-    build_cg,
-    global_cost,
-)
+from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.harness import (
     BudgetOverrunError,
     DelayModel,
@@ -93,7 +88,6 @@ __all__ = [
     "TurningModel",
     "Vehicle",
     "balance_index",
-    "brute_force_optimum",
     "build_cg",
     "build_grid",
     "coordinate",

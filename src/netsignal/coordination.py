@@ -5,8 +5,8 @@ predicted next-period squared-queue load of every link is charged to exactly
 one cost term: internal links to the edge between their two endpoint agents,
 entry links to the individual cost of their boundary agent. Summing all
 terms under a joint assignment therefore reproduces the network-wide
-predicted balance exactly, which is what `brute_force_optimum` and the
-message-passing solver minimize.
+predicted balance exactly, which is what the message-passing solver
+minimizes.
 
 The graph holds its tables as arrays in sorted agent and edge order: one
 (E, 4, 4) stack of edge tables and one (N, 4) matrix of individual costs,
@@ -20,11 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, Phase, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
-
-BRUTE_FORCE_AGENT_CAP = 10
 
 
 @dataclass(eq=False)
@@ -92,21 +90,20 @@ def build_cg(
         model = period_model(net, state, turning)
     n = arr.n_mov
 
-    # every per-movement input below carries a zero row at n for padding
+    # every per-movement input below carries a zero row (or column) at n,
+    # which padding entries of the gather tables point at
     vectors = np.zeros((n + 1, NUM_PHASES))
     inflow = model.demand[arr.mov_from] * model.r
     np.square(model.drained + inflow[:, None], out=vectors[:-1])
     individual = segment_sum(vectors, arr.entry_table)
 
-    # a flipped movement's table is stored transposed, so its drained
-    # vector runs along the first axis and its incoming one along the second
-    incoming = model.release_onto[arr.mov_from] * model.r[:, None]
-    first = np.where(arr.mov_edge_flip, model.drained, incoming)
-    second = np.where(arr.mov_edge_flip, incoming, model.drained)
-    contrib = np.zeros((n + 1, NUM_PHASES, NUM_PHASES))
-    np.add(first[:, :, None], second[:, None, :], out=contrib[:-1])
+    # phase-major, indexed [x_start][x_end][movement] by the phases at the
+    # two ends of the movement's input link
+    incoming = model.release_onto[arr.mov_from].T * model.r
+    contrib = np.zeros((NUM_PHASES, NUM_PHASES, n + 1))
+    np.add(incoming[:, None], model.drained.T, out=contrib[:, :, :-1])
     np.square(contrib, out=contrib)
-    edge_stack = segment_sum(contrib, arr.edge_table)
+    edge_stack = segment_sum(contrib.ravel(), arr.edge_table).reshape(-1, NUM_PHASES, NUM_PHASES)
 
     return CoordinationGraph(tuple(arr.agent_ids), arr.edges, edge_stack, individual)
 
@@ -123,22 +120,3 @@ def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:
         total += float(cg.edge_costs[e, int(x[i]), int(x[j])])
     return total
 
-
-def brute_force_optimum(cg: CoordinationGraph) -> tuple[JointAssignment, float]:
-    """Exact argmin of `global_cost` by enumeration; lexicographic tie-break.
-
-    Capped at 10 agents (4^10 evaluations).
-    """
-    n = len(cg.agents)
-    if n > BRUTE_FORCE_AGENT_CAP:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_AGENT_CAP} agents, got {n}")
-    index_of = {a: k for k, a in enumerate(cg.agents)}
-    assign = np.indices((NUM_PHASES,) * n).reshape(n, -1)
-    costs = np.zeros(assign.shape[1])
-    for k in range(n):
-        costs += cg.individual[k][assign[k]]
-    for e, (i, j) in enumerate(cg.edges):
-        costs += cg.edge_costs[e][assign[index_of[i]], assign[index_of[j]]]
-    best = int(np.argmin(costs))
-    assignment = {a: Phase(int(assign[k, best])) for k, a in enumerate(cg.agents)}
-    return assignment, float(costs[best])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class _Engine:
     contribution. `update` recomputes a contiguous range of one direction's
     rows from the buffer as it stands; a pass applies it to one level at a
     time. The graph's tables are read as they are: its individual costs are
-    already in agent order, and one gather by `table_rows` puts its edge
-    tables in forward-row order.
+    already in agent order, and one gather per direction by the sweep's
+    `cost_cells` lays its edge tables out [x_sender][row][x_receiver], the
+    min running over the leading axis.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
@@ -83,18 +84,11 @@ class _Engine:
         self.agents = sched.agents
         self.c_ind = cg.individual
         self.buffer = np.zeros((2 * sched.n_edges + 1, NUM_PHASES))
-        fwd, rev = sched.forward, sched.reverse
-        cost = cg.edge_costs[sched.table_rows]
-        cost[sched.table_flipped] = cost[sched.table_flipped].transpose(0, 2, 1)
-        # Per direction, keyed by `forward`: the sweep, each row's edge table
-        # indexed [x_sender][row][x_receiver] (the min runs over the leading
-        # axis), and each row's sender's own cost.
-        self.sweeps = {True: fwd, False: rev}
-        self.cost = {
-            True: np.ascontiguousarray(cost.transpose(1, 0, 2)),
-            False: np.ascontiguousarray(cost[rev.excluded].transpose(2, 0, 1)),
-        }
-        self.c_sender = {True: self.c_ind[fwd.sender], False: self.c_ind[rev.sender]}
+        # per direction, keyed by `forward`: the sweep, its edge costs and
+        # each row's sender's own cost
+        self.sweeps = {True: sched.forward, False: sched.reverse}
+        self.cost = {d: np.take(cg.edge_costs, sweep.cost_cells) for d, sweep in self.sweeps.items()}
+        self.c_sender = {d: self.c_ind[sweep.sender] for d, sweep in self.sweeps.items()}
 
     def _incoming_sums(self, slots: np.ndarray) -> np.ndarray:
         """Sum of the messages in each column of `slots`, added from 0.0 in
@@ -128,12 +122,7 @@ class CoordResult:
     converged: bool
 
 
-def coordinate(
-    cg: CoordinationGraph,
-    order: DagOrder,
-    budget: CoorBudget,
-    trace: Optional[Callable[[int, int, JointAssignment], None]] = None,
-) -> CoordResult:
+def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
     """Alternating forward/reverse passes under a budget; anytime.
 
     A complete joint decision is snapshotted after every finished pass; an
@@ -168,8 +157,6 @@ def coordinate(
             rounds_done += 1
         passes += 1
         snapshot = engine.picks()
-        if trace is not None:
-            trace(passes, rounds_done, engine.assignment(snapshot))
         if not forward:
             cycle = engine.buffer.copy()
             if previous_cycle is not None and np.allclose(

@@ -157,9 +157,14 @@ class MovementArrays:
     - `phase_table` (K, agents * 4): phased movements by (agent, phase) at
       `agent * 4 + phase`, in movement order; right turns are in no column.
     - `entry_table` (K, agents): movements from entry links by intersection.
-    - `edge_table` (K, edges): movements queueing on an internal link by the
-      edge of its two endpoints, the links running from lower to higher id
-      first, then the others, each in movement order.
+    - `edge_table` (K, edges * 16): flat positions into a phase-major
+      (4, 4, n_mov + 1) contribution, indexed [x_start][x_end][movement] by
+      the phases at the start and end of the movement's internal input link,
+      by the edge-table cell they add into, `(edge * 4 + x_i) * 4 + x_j` for
+      an edge (i < j). A link running from j to i reads the transposed cell
+      [x_j][x_i]. Per cell, the links running from lower to higher id come
+      first, then the others, each in movement order; padding reads the
+      zero column `n_mov`.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -205,30 +210,28 @@ class MovementArrays:
         # one edge per neighboring pair, the endpoints of some internal link;
         # movements queueing on internal links accumulate into their pair's
         # table
-        ends = [(l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
-        edges = sorted({(min(a, b), max(a, b)) for a, b in ends})
+        ends = [(l.id, l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
+        for lid, a, b in ends:
+            if a == b:
+                raise ValueError(_self_loop(lid, a))
+        edges = sorted({(min(a, b), max(a, b)) for _, a, b in ends})
         edge_index = {e: k for k, e in enumerate(edges)}
         mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
-        mov_edge_flip = np.zeros(self.n_mov, dtype=bool)
+        flipped = np.zeros(self.n_mov, dtype=bool)
         for k, m in enumerate(movements):
             link = net.links[m.frm]
             if link.kind is not LinkKind.INTERNAL:
                 continue
             a, b = link.start, link.end
             mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
-            mov_edge_flip[k] = a > b  # contribution axes are [x_start][x_end]
+            flipped[k] = a > b  # the link runs from the higher id
         self.edges = tuple(edges)
-        # whether a movement's edge table holds its contribution transposed,
-        # as a column so that it picks whole phase vectors
-        self.mov_edge_flip = mov_edge_flip[:, None]
 
         n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
         entry = np.flatnonzero(from_entry)
         internal = np.flatnonzero(mov_edge >= 0)
-        on_edges = np.concatenate(
-            (internal[~mov_edge_flip[internal]], internal[mov_edge_flip[internal]])
-        )
+        on_edges = np.concatenate((internal[~flipped[internal]], internal[flipped[internal]]))
         pad = self.n_mov
         self.from_link_table = gather_table(every, self.mov_from, self.n_links, pad)
         self.to_link_table = gather_table(every, self.mov_to, self.n_links, pad)
@@ -236,13 +239,26 @@ class MovementArrays:
         phase_slot = self.mov_agent[phased] * NUM_PHASES + self.mov_phase[phased]
         self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
         self.entry_table = gather_table(entry, self.mov_agent[entry], n_agents, pad)
-        self.edge_table = gather_table(on_edges, mov_edge[on_edges], len(edges), pad)
+        # edge-table cell (x_i, x_j) reads the contribution cell [x_i][x_j] of
+        # a movement on a link i -> j and [x_j][x_i] of one on j -> i
+        n_cells = NUM_PHASES * NUM_PHASES
+        x_i, x_j = np.divmod(np.arange(n_cells), NUM_PHASES)
+        cells = np.stack((x_i * NUM_PHASES + x_j, x_j * NUM_PHASES + x_i)) * (pad + 1)
+        by_edge = gather_table(on_edges, mov_edge[on_edges], len(edges), pad)
+        edge_table = cells[np.append(flipped, False)[by_edge].astype(np.intp)]
+        edge_table += by_edge[:, :, None]
+        self.edge_table = edge_table.reshape(len(by_edge), len(edges) * n_cells)
 
         self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
         self.up_link_rows: list[list[int]] = [[] for _ in link_ids]
         for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
             self.down_link_rows[l].append(h)
             self.up_link_rows[h].append(l)
+
+
+def _self_loop(lid: int, intersection: int) -> str:
+    """How `validate` and `MovementArrays` name a link that is a loop."""
+    return f"link {lid}: internal link starts and ends at intersection {intersection}"
 
 
 def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
@@ -427,7 +443,7 @@ def validate(net: RoadNetwork) -> list[str]:
                 violations.append(f"link {lid}: internal link missing valid end intersection")
                 bad_links.add(lid)
             if lid not in bad_links and link.start == link.end:
-                violations.append(f"link {lid}: internal link starts and ends at intersection {link.start}")
+                violations.append(_self_loop(lid, link.start))
                 bad_links.add(lid)
 
     seen_keys: set[tuple[int, int]] = set()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import RoadNetwork, gather_table, movement_arrays
+from netsignal.network import NUM_PHASES, RoadNetwork, gather_table, movement_arrays
 
 
 class TopologyError(ValueError):
@@ -34,8 +34,10 @@ class Sweep(NamedTuple):
     `pairs[p]` is the (sender, receiver) of row `offset + p`; `levels` are
     the (start, stop) row ranges of each level; `sender` is each row's
     sender by agent position; column p of `inputs` is the slot row of that
-    sender; and `excluded` the buffer row of the message its receiver sends
-    back over the same edge.
+    sender; `excluded` the buffer row of the message its receiver sends
+    back over the same edge; and `cost_cells[x_s, p, x_r]` the flat
+    `edge_costs` position of that edge's cost when the sender plays x_s and
+    the receiver x_r, whichever end of the (i < j) table each sits at.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -44,6 +46,7 @@ class Sweep(NamedTuple):
     sender: np.ndarray
     inputs: np.ndarray
     excluded: np.ndarray
+    cost_cells: np.ndarray
 
 
 class LevelSchedule:
@@ -65,9 +68,8 @@ class LevelSchedule:
     not depend on how rows are grouped into levels.
 
     `edges` are the order's edges as (i < j) pairs, which is the edge order
-    of the `CoordinationGraph` it was built from; `table_rows` is the
-    `edge_costs` row of each forward row's table, and `table_flipped` marks
-    the rows whose sender is the higher id, whose table is stored transposed.
+    of the `CoordinationGraph` it was built from, so each sweep's
+    `cost_cells` read that graph's `edge_costs` as they are.
     """
 
     def __init__(self, order: "DagOrder"):
@@ -84,18 +86,22 @@ class LevelSchedule:
         fwd_row, rev_row = row[:n_edges], row[n_edges:]
         self.slots = gather_table(row, np.concatenate((receiver, sender)), n_agents, 2 * n_edges).T
 
-        def sweep(pairs, senders, offset, levels, excluded) -> Sweep:
+        def sweep(pairs, edges, senders, receivers, offset, levels, excluded) -> Sweep:
             inputs = np.ascontiguousarray(self.slots[senders].T)
-            return Sweep(pairs, offset, levels, senders, inputs, excluded)
+            x_r = np.arange(NUM_PHASES)
+            x_s = x_r[:, None, None]
+            # an (i < j) edge's table is indexed [x_i][x_j], by agent position
+            low_first = (senders < receivers)[:, None]
+            cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
+            cost_cells = edges[:, None] * NUM_PHASES * NUM_PHASES + cells
+            return Sweep(pairs, offset, levels, senders, inputs, excluded, cost_cells)
 
         # id pairs are built from the order's own, so they share its id objects
         forward_pairs = tuple(map(order.edges.__getitem__, fwd.tolist()))
         reverse_pairs = tuple((v, u) for u, v in map(order.edges.__getitem__, rev.tolist()))
-        self.forward = sweep(forward_pairs, sender[fwd], 0, fwd_levels, rev_row[fwd])
-        self.reverse = sweep(reverse_pairs, receiver[rev], n_edges, rev_levels, fwd_row[rev])
+        self.forward = sweep(forward_pairs, fwd, sender[fwd], receiver[fwd], 0, fwd_levels, rev_row[fwd])
+        self.reverse = sweep(reverse_pairs, rev, receiver[rev], sender[rev], n_edges, rev_levels, fwd_row[rev])
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
-        self.table_rows = fwd
-        self.table_flipped = sender[fwd] > receiver[fwd]
 
 
 def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:

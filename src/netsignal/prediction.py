@@ -24,12 +24,11 @@ class PeriodModel:
 
     `drained[m, x]` is movement m's queue after its intersection picks phase
     x (before arrivals); `release_onto[l, x]` is the volume released onto
-    link l when its upstream intersection picks x; `inflow_scalar[m]` is the
-    phase-independent arrival term (entry demand split by turning).
+    link l when its upstream intersection picks x; `r` (per movement) and
+    `demand` (per link) are the turning model's `r` and `d`.
     """
 
     arrays: MovementArrays
-    q: np.ndarray
     r: np.ndarray
     drained: np.ndarray
     release_onto: np.ndarray
@@ -58,7 +57,6 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     np.multiply(arr.act, cap[:, None], out=released[:-1])
     return PeriodModel(
         arrays=arr,
-        q=q,
         r=turning.r,
         drained=q[:, None] - released[:-1],
         release_onto=segment_sum(released, arr.to_link_table),

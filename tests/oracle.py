@@ -2,7 +2,8 @@
 
 `ScalarGraph` reads a `CoordinationGraph` through per-agent neighbour lists
 built from its edges and applies the min-sum message rule one edge at a
-time. `own_balance` is one agent's balance in a state,
+time; `brute_force_optimum` is a graph's exact optimum by enumeration.
+`own_balance` is one agent's balance in a state,
 `predicted_own_balance` and `best_response` evaluate its next-period
 balance, and `phase_pressure` one phase's max-pressure value
 (`phase_pressure_table` all of them), by walking the road network's links
@@ -40,6 +41,8 @@ import numpy as np
 
 from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
 from netsignal.ordering import TopologyError
+
+BRUTE_FORCE_AGENT_CAP = 10
 
 
 class Topology:
@@ -176,6 +179,26 @@ class ScalarGraph:
         """One synchronous round: every pair's message from `messages`."""
         new = {(u, v): self.message(u, v, messages) for u, v in pairs}
         return {**messages, **new}
+
+
+def brute_force_optimum(cg):
+    """Exact argmin of `global_cost` by enumeration; lexicographic tie-break.
+
+    Capped at `BRUTE_FORCE_AGENT_CAP` agents (4^10 evaluations).
+    """
+    n = len(cg.agents)
+    if n > BRUTE_FORCE_AGENT_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_AGENT_CAP} agents, got {n}")
+    index_of = {a: k for k, a in enumerate(cg.agents)}
+    assign = np.indices((NUM_PHASES,) * n).reshape(n, -1)
+    costs = np.zeros(assign.shape[1])
+    for k in range(n):
+        costs += cg.individual[k][assign[k]]
+    for e, (i, j) in enumerate(cg.edges):
+        costs += cg.edge_costs[e][assign[index_of[i]], assign[index_of[j]]]
+    best = int(np.argmin(costs))
+    assignment = {a: Phase(int(assign[k, best])) for k, a in enumerate(cg.agents)}
+    return assignment, float(costs[best])
 
 
 def predicted_own_balance(agent, candidate, actions, state, net, turning):

@@ -18,7 +18,7 @@ from conftest import (
     random_turning,
 )
 from netsignal.controllers import max_pressure
-from netsignal.coordination import brute_force_optimum, build_cg, global_cost
+from netsignal.coordination import build_cg, global_cost
 from netsignal.harness import (
     DelayModel,
     RateSpec,
@@ -89,7 +89,7 @@ def test_criterion_02_exact_on_acyclic_graphs():
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
         result = coordinate(cg, order, CoorBudget(rounds=2 * max(order.diameter, 1)))
-        _, best = brute_force_optimum(cg)
+        _, best = oracle.brute_force_optimum(cg)
         got = global_cost(cg, result.assignment)
         worst_gap = max(worst_gap, abs(got - best))
         assert got == pytest.approx(best, abs=1e-9)
@@ -145,7 +145,7 @@ def test_criterion_04_sink_has_minimum_eccentricity():
 
 def test_criterion_05_worked_example_reproduced(fig_two):
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
-    optimum, cost = brute_force_optimum(cg)
+    optimum, cost = oracle.brute_force_optimum(cg)
     assert optimum[fig_two.i] == Phase.WE_LEFT
     assert cost == pytest.approx(16.0)
 

@@ -5,7 +5,9 @@ the layer expectations of the real workloads. A traced run checks vehicle
 conservation after every period, one complete decision per period, exact
 cost decomposition on sampled planner states and the traced layers, so a
 change to the simulator's or the planner's state that breaks any of them
-fails here rather than in the benchmark.
+fails here rather than in the benchmark. Each run's behaviour fingerprint
+and decision hash are pinned, so a change meant to keep behaviour (a new
+table layout, a faster kernel) that alters any decision fails here too.
 """
 import json
 import sys
@@ -26,6 +28,13 @@ def bench():
     return module
 
 
+# (fingerprint, decision hash) of each workload's run on 3x3, 40 periods, seed 1
+PINNED = {
+    "grid20_emc": ("43376bba0d030930", "c66a81bb72b67dc8"),
+    "grid15_maxpressure": ("059fd265c6815ed5", "fdb35b36eb2df22e"),
+}
+
+
 @pytest.mark.parametrize("workload", ["grid20_emc", "grid15_maxpressure"])
 def test_traced_run_passes_the_bench_checks(bench, workload):
     spec = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"][workload]
@@ -35,3 +44,4 @@ def test_traced_run_passes_the_bench_checks(bench, workload):
     assert run.errors == []
     assert len(run.metrics.rows) == 40
     assert len(run.tracer.kept["step"]) == 40
+    assert (run.fingerprint, run.decisions) == PINNED[workload]

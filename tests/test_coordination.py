@@ -5,12 +5,7 @@ import pytest
 
 import oracle
 from conftest import random_cg, random_macro_state, random_turning
-from netsignal.coordination import (
-    CoordinationGraph,
-    brute_force_optimum,
-    build_cg,
-    global_cost,
-)
+from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.network import Phase, build_grid
 from netsignal.simulation import balance_index, initial_state, predict_next_queues
 
@@ -140,14 +135,14 @@ def test_global_cost_missing_agent():
 
 def test_brute_force_single_agent_vector():
     cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [[3.0, 1.0, 2.0, 5.0]])
-    assignment, cost = brute_force_optimum(cg)
+    assignment, cost = oracle.brute_force_optimum(cg)
     assert assignment == {0: Phase(1)}
     assert cost == 1
 
 
 def test_brute_force_two_intersections(fig_two):
     cg = build_cg(fig_two.state, fig_two.net, fig_two.turning)
-    assignment, cost = brute_force_optimum(cg)
+    assignment, cost = oracle.brute_force_optimum(cg)
     assert assignment[fig_two.i] == Phase.WE_LEFT
     assert cost == 16
 
@@ -155,7 +150,7 @@ def test_brute_force_two_intersections(fig_two):
 def test_brute_force_matches_exhaustive_cycle():
     rng = np.random.default_rng(13)
     cg = random_cg(rng, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assignment, cost = brute_force_optimum(cg)
+    assignment, cost = oracle.brute_force_optimum(cg)
     best = min(
         global_cost(cg, {k: Phase(v) for k, v in enumerate(xs)})
         for xs in itertools.product(range(4), repeat=4)
@@ -166,7 +161,7 @@ def test_brute_force_matches_exhaustive_cycle():
 
 def test_brute_force_tie_break_lexicographic():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
-    assignment, cost = brute_force_optimum(cg)
+    assignment, cost = oracle.brute_force_optimum(cg)
     assert assignment == {0: Phase(0), 1: Phase(0)}
     assert cost == 0
 
@@ -175,7 +170,7 @@ def test_brute_force_agent_cap():
     rng = np.random.default_rng(1)
     cg = random_cg(rng, 11, [(k, k + 1) for k in range(10)])
     with pytest.raises(ValueError, match="capped"):
-        brute_force_optimum(cg)
+        oracle.brute_force_optimum(cg)
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import engine_messages, forward_messages, random_cg, random_tree_edges
-from netsignal.coordination import CoordinationGraph, brute_force_optimum, build_cg, global_cost
+from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase
 from netsignal.ordering import min_diameter_dag
-from oracle import ScalarGraph, reverse
+from oracle import ScalarGraph, brute_force_optimum, reverse
 
 
 def reference_rounds(cg, order, rounds):
@@ -208,13 +208,12 @@ def test_snapshot_costs_monotone_on_trees():
         n = int(rng.integers(3, 9))
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
-        costs = []
-        coordinate(
-            cg,
-            order,
-            CoorBudget(rounds=8 * max(order.diameter, 1)),
-            trace=lambda p, r, x: costs.append(global_cost(cg, x)),
-        )
+        # under a cap of k passes' rounds, the decision is pass k's snapshot
+        d = max(order.diameter, 1)
+        costs = [
+            global_cost(cg, coordinate(cg, order, CoorBudget(rounds=k * d)).assignment)
+            for k in range(1, 9)
+        ]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 

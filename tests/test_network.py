@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracle import topology
+from netsignal.harness import network_order
 from netsignal.network import (
     Link,
     LinkKind,
@@ -374,3 +375,18 @@ def test_load_rejects_bad_entry_by_name(tmp_path, corrupt):
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(LoadError, match=message):
         load_network(str(path))
+
+
+def test_movement_arrays_reject_a_self_loop_built_in_code():
+    # only `load_network` runs `validate`; a network built in code reaches
+    # the orientation through `MovementArrays`, whose longest-path search
+    # would never finish on a (0, 0) edge
+    net = build_grid(1, 2)
+    loop = Link(14, LinkKind.INTERNAL, 0, 0, 100.0, 10.0)
+    net = RoadNetwork(net.intersections, [*net.links.values(), loop], net.movements)
+    message = "link 14: internal link starts and ends at intersection 0"
+    assert validate(net) == [message]
+    with pytest.raises(ValueError, match=message):
+        movement_arrays(net)
+    with pytest.raises(ValueError, match=message):
+        network_order(net)

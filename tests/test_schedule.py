@@ -21,11 +21,11 @@ from conftest import (
     random_tree_edges,
     random_turning,
 )
-from netsignal.coordination import brute_force_optimum, build_cg, global_cost
+from netsignal.coordination import build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import build_grid
 from netsignal.ordering import min_diameter_dag
-from oracle import ScalarGraph, longest_directed_path
+from oracle import ScalarGraph, brute_force_optimum, longest_directed_path
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -113,14 +113,11 @@ def test_rounds_per_pass_equal_longest_directed_path(cg):
     assert order.diameter == longest_directed_path(order)
     sched = order.schedule
     assert len(sched.forward.levels) == len(sched.reverse.levels) == order.diameter
-    seen = []
-    result = coordinate(
-        cg,
-        order,
-        CoorBudget(rounds=6 * order.diameter),
-        trace=lambda passes, rounds, x: seen.append((passes, rounds)),
-    )
+    # the run capped at k passes' rounds stops at the end of pass k
+    results = [coordinate(cg, order, CoorBudget(rounds=k * order.diameter)) for k in range(1, 7)]
+    seen = [(r.passes, r.rounds) for r in results]
     assert seen and all(rounds == passes * order.diameter for passes, rounds in seen)
+    result = results[-1]
     assert result.rounds == result.passes * order.diameter
 
 

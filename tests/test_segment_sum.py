@@ -18,7 +18,14 @@ import oracle
 from conftest import random_macro_state, random_turning
 from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg
-from netsignal.network import build_grid, gather_table, load_network, segment_sum
+from netsignal.network import (
+    NUM_PHASES,
+    build_grid,
+    gather_table,
+    load_network,
+    movement_arrays,
+    segment_sum,
+)
 from netsignal.prediction import period_model
 from test_nongrid_roadnet import write_roadnet
 
@@ -85,7 +92,12 @@ def networks(tmp_path_factory):
 
 def test_call_sites_equal_their_add_at_references(tmp_path_factory):
     rng = np.random.default_rng(11)
+    padded = []
     for net in networks(tmp_path_factory):
+        arr = movement_arrays(net)
+        pads = arr.edge_table % (arr.n_mov + 1) == arr.n_mov
+        cells = pads.reshape(len(pads), len(arr.edges), NUM_PHASES**2)
+        padded += [arr.edges[e] for e in np.flatnonzero(cells.any(axis=(0, 2)))]
         for _ in range(3):
             state = random_macro_state(net, rng)
             turning = random_turning(net, rng)
@@ -106,6 +118,9 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
 
             pressures = phase_pressures(state, net, turning)
             assert pressures.tobytes() == oracle.phase_pressures_at(state, net, turning).tobytes()
+    # the non-grid diagonal runs one way, so its table takes unflipped terms
+    # only and its gather columns are padded; every grid edge takes six terms
+    assert padded == [(10, 50)]
 
 
 def test_package_has_no_ufunc_at():
