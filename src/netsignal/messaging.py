@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, PHASES, segment_sum
+from netsignal.network import NUM_PHASES, PHASES, _is_count, segment_sum
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
 
@@ -46,8 +46,8 @@ class CoorBudget:
     def __post_init__(self):
         if self.rounds is None and self.wall_ms is None:
             raise ValueError("budget needs a rounds or wall-clock cap")
-        if self.rounds is not None and not self.rounds >= 0:
-            raise ValueError(f"rounds cap must be >= 0, got {self.rounds}")
+        if self.rounds is not None and not (_is_count(self.rounds) and self.rounds >= 0):
+            raise ValueError(f"rounds cap must be an integer >= 0, got {self.rounds!r}")
         if self.wall_ms is not None and not 0 <= self.wall_ms < np.inf:
             raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms}")
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
@@ -301,30 +302,23 @@ def movement_arrays(net: RoadNetwork) -> MovementArrays:
     return cached
 
 
-# Compass handling for grid construction. Directions are indexed N, E, S, W;
-# an approach direction is the side an input link enters from, so traffic
-# approaching from W heads E.
-_DIRS = ("N", "E", "S", "W")
-_OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
-_LEFT_OF = {"W": "N", "E": "S", "S": "W", "N": "E"}
-_RIGHT_OF = {"W": "S", "E": "N", "S": "E", "N": "W"}
-_STRAIGHT_PHASE = {"W": Phase.WE_STRAIGHT, "E": Phase.WE_STRAIGHT, "S": Phase.SN_STRAIGHT, "N": Phase.SN_STRAIGHT}
-_LEFT_PHASE = {"W": Phase.WE_LEFT, "E": Phase.WE_LEFT, "S": Phase.SN_LEFT, "N": Phase.SN_LEFT}
+# (row, col) step to the neighbour on each side N, E, S, W = 0..3 of a grid
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def build_grid(
-    rows: int,
-    cols: int,
-    h_len: float = 300.0,
-    v_len: float = 300.0,
-    sat_flow: float = DEFAULT_SAT_FLOW,
+    rows: int, cols: int, h_len: float = 300.0, v_len: float = 300.0, sat_flow: float = DEFAULT_SAT_FLOW
 ) -> RoadNetwork:
     """Build a rows x cols grid of bi-directional 4-way intersections.
 
-    Boundary intersections get entry/exit stubs on approaches without an
-    internal neighbor, so every intersection keeps the full 12-movement
-    structure (4 approaches x straight/left/right). Links run at
-    `DEFAULT_SPEED_MPS` and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`.
+    Intersection r * cols + c sits at (c * h_len, r * v_len). Its sides are
+    numbered N, E, S, W = 0..3, north facing row r + 1 and east column c + 1.
+    Traffic approaching from side d leaves straight on side d + 2, left on
+    d + 1 and right on d + 3 (mod 4). Even sides are the SN axis: their links
+    are `v_len` long and their straight and left turns run under the SN
+    phases. Sides without a neighbour get an entry and an exit stub, so every
+    intersection keeps all 12 movements. Links run at `DEFAULT_SPEED_MPS`
+    and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
@@ -333,79 +327,32 @@ def build_grid(
     if not 0 <= sat_flow < math.inf:
         raise ValueError(f"sat_flow must be finite and >= 0, got {sat_flow}")
 
-    def iid(r: int, c: int) -> int:
-        return r * cols + c
-
-    intersections = [iid(r, c) for r in range(rows) for c in range(cols)]
-    coords = {iid(r, c): (c * h_len, r * v_len) for r in range(rows) for c in range(cols)}
-
-    links: list[Link] = []
-    # per intersection: direction -> (in_link_id, out_link_id)
-    ports: dict[int, dict[str, tuple[int, int]]] = {i: {} for i in intersections}
-    next_id = 0
-
-    def neighbor(r: int, c: int, d: str) -> Optional[int]:
-        if d == "N" and r + 1 < rows:
-            return iid(r + 1, c)
-        if d == "S" and r - 1 >= 0:
-            return iid(r - 1, c)
-        if d == "E" and c + 1 < cols:
-            return iid(r, c + 1)
-        if d == "W" and c - 1 >= 0:
-            return iid(r, c - 1)
-        return None
-
-    def length_for(d: str) -> float:
-        return v_len if d in ("N", "S") else h_len
-
-    # Internal links: one per ordered adjacent pair, created from the start
-    # side so ids are deterministic.
-    internal_out: dict[tuple[int, str], int] = {}
-    for r in range(rows):
-        for c in range(cols):
-            i = iid(r, c)
-            for d in _DIRS:
-                j = neighbor(r, c, d)
-                if j is not None:
-                    links.append(Link(next_id, LinkKind.INTERNAL, i, j, length_for(d)))
-                    internal_out[(i, d)] = next_id
-                    next_id += 1
-    for r in range(rows):
-        for c in range(cols):
-            i = iid(r, c)
-            for d in _DIRS:
-                j = neighbor(r, c, d)
-                if j is not None:
-                    out_id = internal_out[(i, d)]
-                    in_id = internal_out[(j, _OPPOSITE[d])]
-                    ports[i][d] = (in_id, out_id)
-
-    # Entry/exit stubs on missing approaches.
-    for r in range(rows):
-        for c in range(cols):
-            i = iid(r, c)
-            for d in _DIRS:
-                if neighbor(r, c, d) is None:
-                    links.append(Link(next_id, LinkKind.ENTRY, None, i, length_for(d)))
-                    entry_id = next_id
-                    next_id += 1
-                    links.append(Link(next_id, LinkKind.EXIT, i, None, length_for(d)))
-                    ports[i][d] = (entry_id, next_id)
-                    next_id += 1
-
-    movements: list[Movement] = []
-    for i in intersections:
-        for d in _DIRS:  # approach side
-            in_id = ports[i][d][0]
-            movements.append(
-                Movement(in_id, ports[i][_OPPOSITE[d]][1], i, _STRAIGHT_PHASE[d], sat_flow)
-            )
-            movements.append(
-                Movement(in_id, ports[i][_LEFT_OF[d]][1], i, _LEFT_PHASE[d], sat_flow)
-            )
-            movements.append(Movement(in_id, ports[i][_RIGHT_OF[d]][1], i, None, DEFAULT_RIGHT_TURN_FLOW))
-
-    return RoadNetwork(intersections, links, movements, coords)
+    # (intersection, side, neighbour or None), row-major
+    sides = [
+        (r * cols + c, d, (r + dr) * cols + c + dc if 0 <= r + dr < rows and 0 <= c + dc < cols else None)
+        for r in range(rows)
+        for c in range(cols)
+        for d, (dr, dc) in enumerate(_STEPS)
+    ]
+    length, links, movements = (v_len, h_len), [], []
+    # the input and output link on side d of intersection i, at 4 * i + d
+    inp, out = [0] * len(sides), [0] * len(sides)
+    for i, d, j in sides:  # internal links, numbered from their start side
+        if j is not None:
+            out[4 * i + d] = inp[4 * j + (d + 2) % 4] = len(links)
+            links.append(Link(len(links), LinkKind.INTERNAL, i, j, length[d % 2]))
+    for i, d, j in sides:  # entry and exit stubs on sides without a neighbour
+        if j is None:
+            inp[4 * i + d], out[4 * i + d] = len(links), len(links) + 1
+            links.append(Link(len(links), LinkKind.ENTRY, None, i, length[d % 2]))
+            links.append(Link(len(links), LinkKind.EXIT, i, None, length[d % 2]))
+    for i, d, _ in sides:
+        at, straight = 4 * i, Phase.SN_STRAIGHT if d % 2 == 0 else Phase.WE_STRAIGHT
+        movements.append(Movement(inp[at + d], out[at + (d + 2) % 4], i, straight, sat_flow))
+        movements.append(Movement(inp[at + d], out[at + (d + 1) % 4], i, PHASES[straight + 1], sat_flow))
+        movements.append(Movement(inp[at + d], out[at + (d + 3) % 4], i, None, DEFAULT_RIGHT_TURN_FLOW))
+    coords = {r * cols + c: (c * h_len, r * v_len) for r in range(rows) for c in range(cols)}
+    return RoadNetwork(range(rows * cols), links, movements, coords)
 
 
 def validate(net: RoadNetwork) -> list[str]:
@@ -544,8 +491,20 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _is_count(value) -> bool:
+    """Whether `value` has an integer type, as a count must; a bool has none."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    """`value` as a number; a string or a bool is no number."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(value)
+    return float(value)
+
+
 def _finite(entry: dict, key: str, name: str, default=None) -> float:
-    value = _value(entry, key, name, float, default)
+    value = _value(entry, key, name, _number, default)
     if not math.isfinite(value):
         raise LoadError(f"{name}: {key} must be finite, got {value}")
     return value

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from netsignal.network import LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
-from netsignal.network import _finite, _integer, _value
+from netsignal.network import _finite, _integer, _is_count, _number, _value
 
 MovementKey = tuple[int, int]
 JointAssignment = dict[int, Phase]
@@ -50,8 +50,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not _is_count(self.horizon) or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
 
 
 @dataclass
@@ -388,22 +388,23 @@ class TravelMetrics:
 
 
 def travel_time_metrics(vehicles: Sequence[Vehicle], end_time: float) -> TravelMetrics:
-    """Average travel time over all vehicles, counting unfinished ones up to
-    `end_time`."""
-    if not vehicles:
-        raise MetricsError("no vehicles: travel time undefined")
+    """Average travel time over the vehicles that departed before
+    `end_time`, counting unfinished ones up to `end_time`; raises
+    `MetricsError` if none did."""
     total = 0.0
-    finished = 0
+    departed = finished = 0
     for v in vehicles:
+        if v.depart_s >= end_time:
+            continue
+        departed += 1
         if v.exit_time is not None:
             total += v.exit_time - v.depart_s
             finished += 1
         else:
-            total += max(0.0, end_time - v.depart_s)
-    return TravelMetrics(
-        avg_travel_time_s=total / len(vehicles),
-        throughput=finished,
-    )
+            total += end_time - v.depart_s
+    if not departed:
+        raise MetricsError(f"no vehicle departed before {end_time} s: travel time undefined")
+    return TravelMetrics(avg_travel_time_s=total / departed, throughput=finished)
 
 
 def _trip_problem(
@@ -463,7 +464,7 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         v = Vehicle(
             id=_value(entry, "id", name, _integer),
             origin=_value(entry, "origin", name, _integer),
-            depart_s=_value(entry, "depart_s", name, float),
+            depart_s=_value(entry, "depart_s", name, _number),
             destination=_value(entry, "destination", name, _integer),
         )
         problem = _trip_problem(net, v, seen, dist)

@@ -18,7 +18,7 @@ from netsignal.harness import (
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget
 from netsignal.network import build_grid
-from netsignal.simulation import MetricsError, SimConfig
+from netsignal.simulation import MetricsError, SimConfig, generate_uniform_flow
 
 
 def small_scenario(controller, seed=3, horizon=60, rate=0.6):
@@ -70,6 +70,17 @@ def test_reused_vehicles_start_without_trip_times():
     fresh = run_experiment(fixed)
     assert reused.throughput == fresh.throughput
     assert reused.avg_travel_time_s == fresh.avg_travel_time_s
+
+
+def test_vehicles_that_never_departed_do_not_dilute_travel_time():
+    # an hour of flow over a 600 s horizon: 3000 vehicles never depart
+    net = build_grid(3, 3)
+    vehicles = generate_uniform_flow(net, 1.0, 3600.0)
+    full = Scenario(network=net, flow=vehicles, sim=SimConfig(tau=10.0, horizon=60), controller="maxpressure")
+    cut = replace(full, flow=[v for v in vehicles if v.depart_s < 600.0])
+    a, b = run_experiment(full), run_experiment(cut)
+    assert len(cut.flow) == 600
+    assert (a.avg_travel_time_s, a.throughput) == (b.avg_travel_time_s, b.throughput)
 
 
 def test_zero_vehicle_flow_is_metrics_error():

@@ -240,6 +240,10 @@ def test_budget_validation():
         CoorBudget()
     with pytest.raises(ValueError):
         CoorBudget(rounds=-1)
+    for rounds in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"rounds cap must be an integer >= 0, got {rounds}"):
+            CoorBudget(rounds=rounds)
+    assert CoorBudget(rounds=np.int64(3)).rounds == 3
     assert CoorBudget(rounds=0).rounds == 0
     assert CoorBudget(wall_ms=100).wall_ms == 100
     scaled = CoorBudget(rounds=10, wall_ms=1000).scaled(0.8)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -42,6 +44,32 @@ def test_4x4_internal_link_count():
 def test_20x20_intersections():
     net = build_grid(20, 20, 300, 300, 5)
     assert len(net.intersections) == 400
+
+
+@pytest.mark.parametrize(
+    "rows, cols, params, digest",
+    [
+        (1, 1, {}, "b9cdf28be390e7f502b6787b11e9c16d79dedec5473becc1414508fe4eaa7962"),
+        (1, 5, {}, "e383bab4cbeee8d116cd718de9f9228b7089e0afbaf6ca610da5a0ea8365f0c0"),
+        (5, 1, {}, "696137e97159d31fd05002b5720d15ca0ac848739ec8dc40a5afdca5c3341def"),
+        (3, 7, {}, "30672f1e57a5630b081e7521c44293bb17a40ef90b0e2eb177aa56841268fddb"),
+        (6, 4, {}, "27bc6bfd55c4ff2e3d0de896205b78e54f0b43fc2a43aff0148d6ffe62cf2587"),
+        (
+            4,
+            3,
+            {"h_len": 150, "v_len": 420.5, "sat_flow": 3.5},
+            "94782ab9b11bee8bc1a3a5b4786815db341bf8fa97a19637bc965bcac54839fb",
+        ),
+    ],
+)
+def test_grid_layout_unchanged(rows, cols, params, digest):
+    # `to_dict` sorts movements, so the movement list is hashed in its own
+    # order too: it fixes every gather table and every summation order
+    net = build_grid(rows, cols, **params)
+    layout = hashlib.sha256(json.dumps(net.to_dict(), sort_keys=True).encode())
+    movements = [(m.frm, m.to, m.intersection, m.phase, m.sat_flow) for m in net.movements]
+    layout.update(json.dumps(movements).encode())
+    assert layout.hexdigest() == digest
 
 
 def test_zero_dimension_rejected():
@@ -285,6 +313,23 @@ def _text_length(doc):
     return f"link {link['id']}: invalid length_m 'long'"
 
 
+def _numeric_text_length(doc):
+    link = _first(doc, "links")
+    link["length_m"] = "300"
+    return f"link {link['id']}: invalid length_m '300'"
+
+
+def _bool_sat_flow(doc):
+    m = doc["movements"][5]
+    m["sat_flow"] = True
+    return rf"movement \({m['from']}->{m['to']}\): invalid sat_flow True"
+
+
+def _bool_coordinate(doc):
+    doc["intersections"][1]["x"] = False
+    return f"intersection {doc['intersections'][1]['id']}: invalid x False"
+
+
 def _fractional_id(doc):
     m = doc["movements"][0]
     m["from"] += 0.7
@@ -353,6 +398,9 @@ def _self_loop(doc):
     [
         _drop_length,
         _text_length,
+        _numeric_text_length,
+        _bool_sat_flow,
+        _bool_coordinate,
         _fractional_id,
         _null_intersection,
         _phase(2.9),

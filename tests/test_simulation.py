@@ -371,15 +371,39 @@ def test_travel_metrics_mean():
 
 
 def test_travel_metrics_unfinished_counts_elapsed():
-    vehicles = [Vehicle(0, 0, 3500.0, 1, (0, 1))]
+    # vehicles due at or after the end never departed and do not count
+    vehicles = [
+        Vehicle(0, 0, 3500.0, 1, (0, 1)),
+        Vehicle(1, 0, 3600.0, 1, (0, 1)),
+        Vehicle(2, 0, 9000.0, 1, (0, 1)),
+    ]
     m = travel_time_metrics(vehicles, end_time=3600)
     assert m.avg_travel_time_s == 100
     assert m.throughput == 0
+    with pytest.raises(MetricsError, match="no vehicle departed before 3600"):
+        travel_time_metrics(vehicles[1:], end_time=3600)
 
 
 def test_travel_metrics_empty_is_error():
     with pytest.raises(MetricsError):
         travel_time_metrics([], end_time=100)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tau": 0.0}, "tau must be positive and finite, got 0.0"),
+        ({"tau": math.nan}, "tau must be positive and finite, got nan"),
+        ({"horizon": 0}, "horizon must be an integer >= 1, got 0"),
+        ({"horizon": 2.5}, r"horizon must be an integer >= 1, got 2\.5"),
+        ({"horizon": 3.0}, r"horizon must be an integer >= 1, got 3\.0"),
+        ({"horizon": True}, "horizon must be an integer >= 1, got True"),
+    ],
+)
+def test_sim_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)
+    assert SimConfig(horizon=np.int64(3)).horizon == 3
 
 
 def test_flow_file_roundtrip(tmp_path):
@@ -441,6 +465,20 @@ def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, du
         load_flow(str(path), net)
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"rate_vps": "1.5", "duration_s": 100}, "rate_vps"),
+        ({"rate_vps": 1.5, "duration_s": True}, "duration_s"),
+    ],
+)
+def test_flow_rate_spec_rejects_values_that_are_not_numbers(tmp_path, spec, field):
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(LoadError, match=f"flow rate spec: invalid {field} {spec[field]!r}"):
+        load_flow(str(path), build_grid(2, 2))
+
+
 def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
     net = build_grid(3, 3)
     vehicles = generate_uniform_flow(net, 0.5, 400, seed=4)
@@ -487,6 +525,8 @@ def bad_flow_case(case):
         "negative-depart": (dict(bad, depart_s=-5.0), r"depart_s -5.0 is not a finite time >= 0"),
         "nan-depart": (dict(bad, depart_s=float("nan")), r"depart_s nan is not a finite time >= 0"),
         "duplicate-id": (dict(bad, id=0, depart_s=5.0), "duplicate vehicle id 0"),
+        "text-depart": (dict(bad, depart_s="5"), "invalid depart_s '5'"),
+        "bool-depart": (dict(bad, depart_s=True), "invalid depart_s True"),
     }[case]
     return net, [good, pattern[0]], pattern[1]
 
@@ -499,6 +539,8 @@ BAD_FLOW_CASES = [
     "negative-depart",
     "nan-depart",
     "duplicate-id",
+    "text-depart",
+    "bool-depart",
 ]
 
 
