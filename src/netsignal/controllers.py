@@ -13,14 +13,14 @@ from typing import Iterable
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, PHASES, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 
 def fixed_time(period: int, intersections: Iterable[int]) -> JointAssignment:
     """Every intersection shows the same phase, cycling `PHASES` one period each."""
-    phase = PHASES[period % NUM_PHASES]
-    return {i: phase for i in intersections}
+    agents = tuple(sorted(intersections))
+    return JointAssignment(agents, np.full(len(agents), period % NUM_PHASES, dtype=np.intp))
 
 
 def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) -> np.ndarray:
@@ -49,4 +49,4 @@ def max_pressure(state: QueueState, net: RoadNetwork, turning: TurningModel) -> 
     """Independently per intersection, the highest-pressure phase (lowest
     index on ties)."""
     best = np.argmax(phase_pressures(state, net, turning), axis=1)
-    return {a: PHASES[p] for a, p in zip(movement_arrays(net).agent_ids, best.tolist())}
+    return JointAssignment(movement_arrays(net).agent_ids, best)

@@ -22,7 +22,7 @@ import numpy as np
 
 from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
 from netsignal.prediction import PeriodModel
-from netsignal.simulation import JointAssignment, QueueState, TurningModel
+from netsignal.simulation import JointAssignment, QueueState, TurningModel, _ascending, phase_indices
 
 
 @dataclass(eq=False)
@@ -58,10 +58,13 @@ class CoordinationGraph:
 def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
     """What is wrong with an agent and edge layout, or None. A planner
     builds one graph per period on the same layout, so the answer is kept."""
-    if any(a >= b for a, b in zip(agents, agents[1:])):
+    if not _ascending(agents):
         return "agents must be sorted and distinct"
     if any(i >= j for i, j in edges) or any(e >= f for e, f in zip(edges, edges[1:])):
         return "edges must be sorted, distinct (i, j) pairs with i < j"
+    known = set(agents)
+    if any(i not in known or j not in known for i, j in edges):
+        return "edges must join agents"
     return None
 
 
@@ -105,18 +108,14 @@ def build_cg(
     np.square(contrib, out=contrib)
     edge_stack = segment_sum(contrib.ravel(), arr.edge_table).reshape(-1, NUM_PHASES, NUM_PHASES)
 
-    return CoordinationGraph(tuple(arr.agent_ids), arr.edges, edge_stack, individual)
+    return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack, individual)
 
 
 def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:
     """Sum of individual costs and edge costs under the joint assignment."""
-    missing = set(cg.agents) - x.keys()
-    if missing:
-        raise ValueError(f"assignment missing agents: {sorted(missing)}")
-    total = 0.0
-    for k, a in enumerate(cg.agents):
-        total += float(cg.individual[k, int(x[a])])
-    for e, (i, j) in enumerate(cg.edges):
-        total += float(cg.edge_costs[e, int(x[i]), int(x[j])])
-    return total
+    phase = phase_indices(x, cg.agents)
+    ends = np.searchsorted(cg.agents, np.reshape(cg.edges, (-1, 2)))
+    own = cg.individual[np.arange(len(phase)), phase]
+    shared = cg.edge_costs[np.arange(len(ends)), phase[ends[:, 0]], phase[ends[:, 1]]]
+    return float(own.sum() + shared.sum())
 

@@ -34,6 +34,7 @@ from netsignal.simulation import (
     initial_state,
     step,
     travel_time_metrics,
+    _seeded_rng,
 )
 
 CONTROLLERS = ("fixedtime", "maxpressure", "nlcoor", "emc")
@@ -181,7 +182,7 @@ def modeled_delay_ms(
     n_edges = len(order.edges)
     if rounds <= 0 or n_edges == 0:
         return 0.0
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD31A]))
+    rng = _seeded_rng(seed, 0xD31A)
     samples = rng.normal(model.mu_ms, DELAY_SIGMA_MS, size=(rounds, n_edges))
     np.clip(samples, 0.0, None, out=samples)
     if nodes:

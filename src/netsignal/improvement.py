@@ -22,10 +22,10 @@ import numpy as np
 
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
-from netsignal.network import PHASES, RoadNetwork, movement_arrays
+from netsignal.network import RoadNetwork, movement_arrays
 from netsignal.ordering import network_order
 from netsignal.prediction import PeriodModel
-from netsignal.simulation import JointAssignment, QueueState, TurningModel
+from netsignal.simulation import JointAssignment, QueueState, TurningModel, phase_indices
 
 # full forward+reverse message cycles the planner runs at most per period
 MAX_CYCLES = 2
@@ -77,12 +77,7 @@ def local_improvement(
     arr = movement_arrays(net)
     if model is None:
         model = period_model(net, state, turning)
-    agents = arr.agent_ids
-    try:
-        actions = np.fromiter(map(init.__getitem__, agents), dtype=np.intp, count=len(agents))
-    except KeyError:
-        missing = [a for a in agents if a not in init]
-        raise ValueError(f"init is missing agents {missing}") from None
+    actions = phase_indices(init, arr.agent_ids)
     sweeps = MAX_SWEEPS
     if budget is not None and budget.rounds is not None:
         sweeps = min(sweeps, budget.rounds)
@@ -100,7 +95,7 @@ def local_improvement(
         if np.array_equal(proposal, actions):
             break
         actions = proposal
-    return dict(zip(agents, map(PHASES.__getitem__, actions.tolist())))
+    return JointAssignment(arr.agent_ids, actions)
 
 
 @dataclass

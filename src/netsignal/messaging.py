@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, PHASES, _is_count, segment_sum
+from netsignal.network import NUM_PHASES, _is_count, segment_sum
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
 
@@ -110,9 +110,6 @@ class _Engine:
         totals = self.c_ind + self._incoming_sums(self.schedule.slots.T)
         return np.argmin(totals, axis=1)
 
-    def assignment(self, picks: np.ndarray) -> JointAssignment:
-        return {a: PHASES[p] for a, p in zip(self.agents, picks.tolist())}
-
 
 @dataclass
 class CoordResult:
@@ -133,7 +130,7 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     start = time.perf_counter()
     engine = _Engine(cg, order)
     if not order.edges:
-        return CoordResult(engine.assignment(engine.picks()), 0, 0, True)
+        return CoordResult(JointAssignment(cg.agents, engine.picks()), 0, 0, True)
 
     def exhausted(done: int) -> bool:
         if budget.rounds is not None and done >= budget.rounds:
@@ -152,7 +149,7 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
             if exhausted(rounds_done):
                 if snapshot is None:
                     snapshot = engine.picks()
-                return CoordResult(engine.assignment(snapshot), passes, rounds_done, False)
+                return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, False)
             engine.update(forward, level_start, level_stop)
             rounds_done += 1
         passes += 1
@@ -162,6 +159,6 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
             if previous_cycle is not None and np.allclose(
                 cycle, previous_cycle, rtol=0.0, atol=1e-9
             ):
-                return CoordResult(engine.assignment(snapshot), passes, rounds_done, True)
+                return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, True)
             previous_cycle = cycle
         forward = not forward

@@ -172,7 +172,7 @@ class MovementArrays:
         movements = net.movements
         self.keys = [m.key for m in movements]
         self.n_mov = len(movements)
-        self.agent_ids = sorted(net.intersections)
+        self.agent_ids = tuple(sorted(net.intersections))
         agent_index = {a: k for k, a in enumerate(self.agent_ids)}
         self.agent_index = agent_index
         self.mov_agent = np.array([agent_index[m.intersection] for m in movements], dtype=np.intp)

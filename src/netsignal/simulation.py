@@ -22,19 +22,94 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from itertools import chain
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from netsignal.network import LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
+from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
 from netsignal.network import _finite, _integer, _is_count, _number, _value
 
 MovementKey = tuple[int, int]
-JointAssignment = dict[int, Phase]
 
 _NONE = np.zeros(0, dtype=np.intp)
+
+
+class JointAssignment(Mapping):
+    """A joint decision, one phase per agent, read as an `{id: Phase}` map.
+
+    `agents` is the sorted tuple of agent ids and `phases` the read-only
+    (N,) array of their phase indices in that order; `view[id]` finds the
+    id by binary search. Every controller returns one, and `phase_indices`
+    reads it back without a copy.
+    """
+
+    __slots__ = ("agents", "phases")
+
+    def __init__(self, agents: Sequence[int], phases: np.ndarray):
+        agents = tuple(agents)
+        if not _ascending(agents):
+            raise ValueError(f"agents must be sorted and distinct, got {agents}")
+        phases = np.asarray(phases)
+        if (
+            phases.shape != (len(agents),)
+            or phases.dtype.kind not in "iu"
+            or (len(agents) and (phases.min() < 0 or phases.max() >= NUM_PHASES))
+        ):
+            raise ValueError(f"phases must be {len(agents)} integers in 0..3, got {phases!r}")
+        phases = phases.astype(np.intp, copy=False).view()
+        phases.flags.writeable = False
+        self.agents = agents
+        self.phases = phases
+
+    def __getitem__(self, agent) -> Phase:
+        try:
+            k = bisect_left(self.agents, agent)
+        except TypeError:
+            raise KeyError(agent) from None
+        if k == len(self.agents) or self.agents[k] != agent:
+            raise KeyError(agent)
+        return PHASES[self.phases[k]]
+
+    def __iter__(self):
+        return iter(self.agents)
+
+    def __len__(self) -> int:
+        return len(self.agents)
+
+    def __repr__(self) -> str:
+        return f"JointAssignment({dict(self)!r})"
+
+
+@lru_cache(maxsize=16)
+def _ascending(ids: tuple) -> bool:
+    """Whether `ids` are sorted and distinct. Decisions of one network
+    share one id tuple, so the answer is kept."""
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+def phase_indices(decision: Mapping, agents: tuple[int, ...]) -> np.ndarray:
+    """The phase index of each of `agents` (sorted ids) under `decision`.
+
+    A `JointAssignment` over the same agents gives its own `phases`; any
+    other mapping is read id by id. Raises `ValueError` naming the agents
+    the decision misses, or an agent whose phase is not an integer in 0..3
+    (a bool is none).
+    """
+    if isinstance(decision, JointAssignment) and (decision.agents is agents or decision.agents == agents):
+        return decision.phases
+    missing = [a for a in agents if a not in decision]
+    if missing:
+        raise ValueError(f"decision is missing agents {missing}")
+    phases = [decision[a] for a in agents]
+    for a, p in zip(agents, phases):
+        if not (_is_count(p) and 0 <= p < NUM_PHASES):
+            raise ValueError(f"decision gives agent {a} the phase {p!r}, expected an integer in 0..3")
+    return np.array(phases, dtype=np.intp)
 
 
 class MetricsError(ValueError):
@@ -48,10 +123,30 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        self.tau = _positive_finite(self.tau, "tau")
         if not _is_count(self.horizon) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+
+
+def _positive_finite(value, name: str) -> float:
+    """`value` as a number in (0, inf); raises `ValueError` naming it."""
+    try:
+        number = _number(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not 0 < number < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _seeded_rng(seed: int, salt: int) -> np.random.Generator:
+    """The random stream `salt` of `seed`; raises `ValueError` naming a
+    seed that is not an integer >= 0."""
+    if not (_is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
 @dataclass
@@ -175,12 +270,6 @@ def initial_state(net: RoadNetwork) -> QueueState:
     return QueueState(period=0, q=np.zeros(movement_arrays(net).n_mov))
 
 
-def _check_decision(decision: JointAssignment, net: RoadNetwork) -> None:
-    missing = net.intersections - decision.keys()
-    if missing:
-        raise ValueError(f"decision missing intersections: {sorted(missing)}")
-
-
 def predict_next_queues(
     state: QueueState,
     decision: JointAssignment,
@@ -195,8 +284,8 @@ def predict_next_queues(
     Scalar on purpose, over dict views of the arrays: it is the reference
     the cost tables are checked against.
     """
-    _check_decision(decision, net)
     arr = movement_arrays(net)
+    phase = phase_indices(decision, arr.agent_ids).tolist()
     q = dict(zip(arr.keys, state.q.tolist()))
     r = dict(zip(arr.keys, turning.r.tolist()))
     d = dict(zip(arr.link_ids, turning.d.tolist()))
@@ -204,7 +293,7 @@ def predict_next_queues(
     inflow: dict[int, float] = {l: 0.0 for l in net.links}
     for m in net.movements:
         served = 0.0
-        if m.phase is None or m.phase == decision[m.intersection]:
+        if m.phase is None or m.phase == phase[arr.agent_index[m.intersection]]:
             served = min(m.sat_flow, q[m.key])
         out[m.key] = served
         inflow[m.to] += served
@@ -238,11 +327,7 @@ def step(
     arr = movement_arrays(net)
     if flow.arrays is not arr:
         raise ValueError("flow was built for another network")
-    try:
-        phase = np.array([decision[a] for a in arr.agent_ids], dtype=np.intp)
-    except KeyError:
-        _check_decision(decision, net)
-        raise
+    phase = phase_indices(decision, arr.agent_ids)
     t = state.period
     tau = cfg.tau
     route_mov = flow.route_mov
@@ -349,13 +434,12 @@ def generate_uniform_flow(
     Origins cycle round-robin through a seeded shuffle of the entry links;
     destinations are drawn uniformly over the exit links reachable from the
     origin; routes are shortest by hop count with seeded tie-breaks. Raises
-    `ValueError` naming a rate or duration that is not positive and finite,
-    or the entry links that reach no exit.
+    `ValueError` naming a rate or duration that is not a positive, finite
+    number, a seed that is not an integer >= 0, or the entry links that
+    reach no exit.
     """
-    if not 0 < rate < math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-    if not 0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration}")
+    rate = _positive_finite(rate, "rate")
+    duration = _positive_finite(duration, "duration")
     entries = net.entry_links()
     exits = net.exit_links()
     if not entries or not exits:
@@ -367,7 +451,7 @@ def generate_uniform_flow(
     if stranded:
         raise ValueError(f"entry links {stranded} reach no exit link")
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x665F]))
+    rng = _seeded_rng(seed, 0x665F)
     shuffled = list(entries)
     rng.shuffle(shuffled)
     n = int(rate * duration)
@@ -453,7 +537,7 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
             raise LoadError(f"{name}: {exc}") from None
     if not isinstance(doc, list):
         raise LoadError(f"flow file {path} must hold a vehicle array or a rate spec object, got {doc!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x72E5]))
+    rng = _seeded_rng(seed, 0x72E5)
     dist: dict[int, list[int]] = {}
     seen: set[int] = set()
     vehicles = []

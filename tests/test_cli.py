@@ -205,6 +205,12 @@ def test_comm_delay_command(capsys):
         (["run", "--grid", "2x2", "--rate", "1", "--duration", "0"], "0.0"),
         (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "-100"], "-100"),
         (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "0"], "0.0"),
+        (["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
+        (["gen-flow", "--grid", "2x2", "--rate", "1", "--duration", "100", "--seed", "-3"],
+         "seed must be an integer >= 0, got -3"),
+        (["comm-delay", "--grid", "3x3", "--mu", "20", "--seed", "-2"],
+         "seed must be an integer >= 0, got -2"),
     ],
 )
 def test_values_that_switch_a_check_off_exit_with_one_line(tmp_path, capsys, argv, named):

@@ -1,5 +1,7 @@
+import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from netsignal.harness import (
@@ -45,6 +47,34 @@ def test_run_experiment_produces_metrics(controller):
     assert metrics.avg_travel_time_s > 0
     assert metrics.throughput > 0
     assert metrics.max_total_queue >= 0
+
+
+# sha256 prefix of each controller's metrics on 3x3 at 0.6 veh/s, 40
+# periods, seed 1: the total-queue and balance series, the average travel
+# time and the throughput
+PINNED_METRICS = {
+    "fixedtime": "28f59c9224effead",
+    "maxpressure": "60299d7ec5747b32",
+    "nlcoor": "ec04a148872d9c9f",
+    "emc": "71d4cadb317692f0",
+}
+
+
+@pytest.mark.parametrize("controller", sorted(PINNED_METRICS))
+def test_controller_metrics_are_pinned(controller):
+    scenario = Scenario(
+        network=build_grid(3, 3),
+        flow=RateSpec(rate_vps=0.6, duration_s=400.0, seed=1),
+        sim=SimConfig(tau=10.0, horizon=40, seed=1),
+        controller=controller,
+        planner=PlannerConfig(budget=CoorBudget(rounds=10**6, wall_ms=3000.0)),
+    )
+    m = run_experiment(scenario)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(m.total_queue).tobytes())
+    h.update(np.ascontiguousarray(m.balance).tobytes())
+    h.update(repr((m.avg_travel_time_s, m.throughput)).encode())
+    assert h.hexdigest()[:16] == PINNED_METRICS[controller]
 
 
 def test_determinism_identical_series():

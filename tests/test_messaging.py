@@ -6,6 +6,7 @@ from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase
 from netsignal.ordering import min_diameter_dag
+from netsignal.simulation import JointAssignment
 from oracle import ScalarGraph, brute_force_optimum, reverse
 
 
@@ -115,13 +116,13 @@ def test_grid_fixpoint_in_exactly_diameter_rounds():
 def test_decide_empty_table_uses_own_cost():
     cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [[3.0, 1.0, 2.0, 5.0]])
     engine = _Engine(cg, min_diameter_dag(cg))
-    assert engine.assignment(engine.picks()) == {0: Phase(1)}
+    assert JointAssignment(cg.agents, engine.picks()) == {0: Phase(1)}
 
 
 def test_decide_tie_break_lowest_index():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
     engine = _Engine(cg, min_diameter_dag(cg))
-    assert engine.assignment(engine.picks()) == {0: Phase(0), 1: Phase(0)}
+    assert JointAssignment(cg.agents, engine.picks()) == {0: Phase(0), 1: Phase(0)}
 
 
 def test_decide_after_convergence_matches_brute_force():
@@ -129,7 +130,7 @@ def test_decide_after_convergence_matches_brute_force():
     for _ in range(200):
         cg = two_agent_cg(rng)
         engine = one_cycle(cg)
-        joint = engine.assignment(engine.picks())
+        joint = JointAssignment(cg.agents, engine.picks())
         assert joint == ScalarGraph(cg).decisions(engine_messages(engine))
         _, best = brute_force_optimum(cg)
         assert global_cost(cg, joint) == pytest.approx(best)

@@ -5,11 +5,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle
-from conftest import all_phase, macro_state_with, micro_state_with, mov, turning_model
+from conftest import (
+    all_phase,
+    macro_state_with,
+    micro_state_with,
+    mov,
+    random_macro_state,
+    random_turning,
+    turning_model,
+)
 from netsignal import simulation
+from netsignal.coordination import build_cg, global_cost
+from netsignal.harness import RateSpec, Scenario, resolve_flow
+from netsignal.improvement import local_improvement
 from netsignal.network import (
+    PHASES,
     LinkKind,
     LoadError,
     Phase,
@@ -20,6 +34,7 @@ from netsignal.network import (
 )
 from netsignal.simulation import (
     Flow,
+    JointAssignment,
     MetricsError,
     SimConfig,
     Vehicle,
@@ -133,6 +148,90 @@ def test_step_requires_full_decision():
     state = initial_state(net)
     with pytest.raises(ValueError, match="missing"):
         step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], 10.0, net))
+
+
+# every function that reads a joint decision, called on a 1x2 grid
+DECISION_READERS = {
+    "step": lambda x, net, state, turning: step(state, x, net, SimConfig(), flow=Flow([], 10.0, net)),
+    "global_cost": lambda x, net, state, turning: global_cost(build_cg(state, net, turning), x),
+    "local_improvement": lambda x, net, state, turning: local_improvement(x, state, net, turning),
+    "predict_next_queues": lambda x, net, state, turning: predict_next_queues(state, x, net, turning),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DECISION_READERS))
+@pytest.mark.parametrize(
+    "decision, message",
+    [
+        ({0: Phase(0), 1: 7}, "agent 1 the phase 7,"),
+        ({0: Phase(0), 1: -1}, "agent 1 the phase -1,"),
+        ({0: Phase(0), 1: 2.5}, r"agent 1 the phase 2\.5,"),
+        ({0: Phase(0), 1: True}, "agent 1 the phase True,"),
+        ({0: Phase(0)}, r"missing agents \[1\]"),
+    ],
+    ids=["7", "-1", "2.5", "True", "missing"],
+)
+def test_decision_readers_reject_bad_phases_by_agent(reader, decision, message):
+    net = build_grid(1, 2)
+    rng = np.random.default_rng(2)
+    state, turning = random_macro_state(net, rng), random_turning(net, rng)
+    with pytest.raises(ValueError, match=message):
+        DECISION_READERS[reader](decision, net, state, turning)
+
+
+@given(st.data())
+def test_joint_assignment_reads_like_the_equal_dict(data):
+    agents = tuple(sorted(data.draw(st.sets(st.integers(-50, 50), max_size=20))))
+    picks = data.draw(st.lists(st.integers(0, 3), min_size=len(agents), max_size=len(agents)))
+    view = JointAssignment(agents, np.array(picks, dtype=np.intp))
+    plain = {a: PHASES[p] for a, p in zip(agents, picks)}
+    assert view == plain and plain == view
+    assert view.keys() == plain.keys() and set(view) == set(plain) and list(view) == list(plain)
+    for a in (*range(-52, 53), "a", None):
+        assert view.get(a, 255) == plain.get(a, 255)
+        assert (a in view) == (a in plain)
+    assert all(type(view[a]) is Phase for a in agents)
+    unknown = data.draw(st.integers(-60, 60).filter(lambda a: a not in plain))
+    with pytest.raises(KeyError):
+        view[unknown]
+    with pytest.raises(ValueError, match="read-only"):
+        view.phases[...] = 0
+
+
+@pytest.mark.parametrize("phases", [[0, 4], [0, -1], [0.0, 1.0], [True, False], [0]])
+def test_joint_assignment_rejects_phases_that_are_no_decision(phases):
+    with pytest.raises(ValueError, match="phases must"):
+        JointAssignment((3, 5), np.array(phases))
+
+
+@pytest.mark.parametrize("agents", [(5, 3), (3, 3)])
+def test_joint_assignment_needs_sorted_distinct_agents(agents):
+    with pytest.raises(ValueError, match="agents must be sorted and distinct"):
+        JointAssignment(agents, np.array([0, 1]))
+
+
+def test_decision_readers_agree_on_a_view_and_the_equal_dict():
+    net = build_grid(3, 3)
+    arr = movement_arrays(net)
+    rng = np.random.default_rng(4)
+    macro, turning = random_macro_state(net, rng), random_turning(net, rng)
+    cfg = SimConfig()
+    flow = Flow(generate_uniform_flow(net, 1.5, 300.0, seed=2), cfg.tau, net)
+    micro = initial_state(net)
+    for _ in range(12):
+        view = JointAssignment(arr.agent_ids, rng.integers(0, 4, len(arr.agent_ids)))
+        plain = dict(view)
+        assert type(plain) is dict
+        predicted = [predict_next_queues(macro, x, net, turning).q for x in (view, plain)]
+        assert predicted[0].tobytes() == predicted[1].tobytes()
+        cg = build_cg(macro, net, turning)
+        assert global_cost(cg, view) == global_cost(cg, plain)
+        swept = [local_improvement(x, macro, net, turning) for x in (view, plain)]
+        assert swept[0].phases.tobytes() == swept[1].phases.tobytes()
+        after = [step(micro, x, net, cfg, flow=flow) for x in (view, plain)]
+        for a, b in zip(after[0].__dict__.values(), after[1].__dict__.values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        micro = after[0]
 
 
 def test_balance_examples(fig_two):
@@ -398,6 +497,9 @@ def test_travel_metrics_empty_is_error():
         ({"horizon": 2.5}, r"horizon must be an integer >= 1, got 2\.5"),
         ({"horizon": 3.0}, r"horizon must be an integer >= 1, got 3\.0"),
         ({"horizon": True}, "horizon must be an integer >= 1, got True"),
+        ({"tau": "10"}, "tau must be positive and finite, got '10'"),
+        ({"seed": 2.5}, r"seed must be an integer, got 2\.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
     ],
 )
 def test_sim_config_rejects_bad_values(kwargs, message):
@@ -470,6 +572,8 @@ def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, du
     [
         ({"rate_vps": "1.5", "duration_s": 100}, "rate_vps"),
         ({"rate_vps": 1.5, "duration_s": True}, "duration_s"),
+        ({"rate_vps": "0.5", "duration_s": 100}, "rate_vps"),
+        ({"rate_vps": 0.5, "duration_s": "100"}, "duration_s"),
     ],
 )
 def test_flow_rate_spec_rejects_values_that_are_not_numbers(tmp_path, spec, field):
@@ -477,6 +581,22 @@ def test_flow_rate_spec_rejects_values_that_are_not_numbers(tmp_path, spec, fiel
     path.write_text(json.dumps(spec))
     with pytest.raises(LoadError, match=f"flow rate spec: invalid {field} {spec[field]!r}"):
         load_flow(str(path), build_grid(2, 2))
+    # the same values given in code
+    named = {"rate_vps": "rate", "duration_s": "duration"}[field]
+    scenario = Scenario(build_grid(2, 2), RateSpec(spec["rate_vps"], spec["duration_s"], 1), SimConfig())
+    with pytest.raises(ValueError, match=f"{named} must be positive and finite, got {spec[field]!r}"):
+        resolve_flow(scenario)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_flows_reject_seeds_that_are_not_counts(tmp_path, seed):
+    net = build_grid(2, 2)
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        generate_uniform_flow(net, 0.5, 100, seed)
+    path = tmp_path / "flow.json"
+    save_flow(generate_uniform_flow(net, 0.5, 100), str(path))
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        load_flow(str(path), net, seed=seed)
 
 
 def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
