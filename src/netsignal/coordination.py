@@ -45,13 +45,19 @@ class CoordinationGraph:
         self.edges = tuple(self.edges)
         self.edge_costs = np.asarray(self.edge_costs, dtype=float)
         self.individual = np.asarray(self.individual, dtype=float)
-        problem = _layout_problem(self.agents, self.edges)
+        try:
+            problem = _layout_problem(self.agents, self.edges)
+        except TypeError:  # an unhashable pair, such as a list read from JSON
+            problem = _EDGE_LAYOUT
         if problem is not None:
             raise ValueError(problem)
         shapes = (np.shape(self.edge_costs), np.shape(self.individual))
         want = ((len(self.edges), NUM_PHASES, NUM_PHASES), (len(self.agents), NUM_PHASES))
         if shapes != want:
             raise ValueError(f"table shapes {shapes}, expected {want}")
+
+
+_EDGE_LAYOUT = "edges must be sorted, distinct (i, j) pairs with i < j"
 
 
 @lru_cache(maxsize=16)
@@ -61,7 +67,7 @@ def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
     if not _ascending(agents):
         return "agents must be sorted and distinct"
     if any(i >= j for i, j in edges) or any(e >= f for e, f in zip(edges, edges[1:])):
-        return "edges must be sorted, distinct (i, j) pairs with i < j"
+        return _EDGE_LAYOUT
     known = set(agents)
     if any(i not in known or j not in known for i, j in edges):
         return "edges must join agents"

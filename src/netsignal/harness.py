@@ -19,7 +19,7 @@ import numpy as np
 
 from netsignal.controllers import fixed_time, max_pressure
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
-from netsignal.network import RoadNetwork
+from netsignal.network import RoadNetwork, _is_count, _number_or_nan
 from netsignal.ordering import DagOrder, network_order
 from netsignal.simulation import (
     Flow,
@@ -69,8 +69,8 @@ class DelayModel:
     mu_ms: float
 
     def __post_init__(self):
-        if not 0 <= self.mu_ms < np.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu_ms}")
+        if not 0 <= _number_or_nan(self.mu_ms) < np.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu_ms!r}")
 
 
 @dataclass
@@ -177,10 +177,12 @@ def modeled_delay_ms(
     every draw taken from `seed`. Under a seeded partition of the agents
     into `nodes` >= 1, intra-node messages are free. A full pass takes
     `order.diameter` rounds."""
-    if nodes is not None and nodes < 1:
-        raise ValueError(f"nodes must be >= 1, got {nodes}")
+    if not (_is_count(rounds) and rounds >= 0):
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
+    if nodes is not None and not (_is_count(nodes) and nodes >= 1):
+        raise ValueError(f"nodes must be an integer >= 1, got {nodes!r}")
     n_edges = len(order.edges)
-    if rounds <= 0 or n_edges == 0:
+    if rounds == 0 or n_edges == 0:
         return 0.0
     rng = _seeded_rng(seed, 0xD31A)
     samples = rng.normal(model.mu_ms, DELAY_SIGMA_MS, size=(rounds, n_edges))

@@ -22,7 +22,7 @@ import numpy as np
 
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
-from netsignal.network import RoadNetwork, movement_arrays
+from netsignal.network import RoadNetwork, _number_or_nan, movement_arrays
 from netsignal.ordering import network_order
 from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, phase_indices
@@ -48,8 +48,8 @@ class PlannerConfig:
     epsilon: float = 0.8
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+        if not 0.0 <= _number_or_nan(self.epsilon) <= 1.0:
+            raise ValueError(f"epsilon must be a number in [0, 1], got {self.epsilon!r}")
 
 
 def local_improvement(
@@ -78,15 +78,8 @@ def local_improvement(
     if model is None:
         model = period_model(net, state, turning)
     actions = phase_indices(init, arr.agent_ids)
-    sweeps = MAX_SWEEPS
-    if budget is not None and budget.rounds is not None:
-        sweeps = min(sweeps, budget.rounds)
-    for _ in range(sweeps):
-        if (
-            budget is not None
-            and budget.wall_ms is not None
-            and (time.perf_counter() - start) * 1e3 >= budget.wall_ms
-        ):
+    for done in range(MAX_SWEEPS):
+        if budget is not None and budget.exhausted(start, done):
             break
         scores = model.sweep_scores(actions)
         best = scores.min(axis=1)

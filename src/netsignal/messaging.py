@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, _is_count, segment_sum
+from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, segment_sum
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
 
@@ -48,14 +48,21 @@ class CoorBudget:
             raise ValueError("budget needs a rounds or wall-clock cap")
         if self.rounds is not None and not (_is_count(self.rounds) and self.rounds >= 0):
             raise ValueError(f"rounds cap must be an integer >= 0, got {self.rounds!r}")
-        if self.wall_ms is not None and not 0 <= self.wall_ms < np.inf:
-            raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms}")
+        if self.wall_ms is not None and not 0 <= _number_or_nan(self.wall_ms) < np.inf:
+            raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms!r}")
 
     def scaled(self, fraction: float) -> "CoorBudget":
         return CoorBudget(
             rounds=None if self.rounds is None else int(self.rounds * fraction),
             wall_ms=None if self.wall_ms is None else self.wall_ms * fraction,
         )
+
+    def exhausted(self, start: float, done: int) -> bool:
+        """Whether `done` rounds, or the time since the `time.perf_counter()`
+        reading `start`, use up the budget."""
+        if self.rounds is not None and done >= self.rounds:
+            return True
+        return self.wall_ms is not None and (time.perf_counter() - start) * 1e3 >= self.wall_ms
 
     def capped_rounds(self, cap: int) -> "CoorBudget":
         rounds = cap if self.rounds is None else min(self.rounds, cap)
@@ -68,12 +75,12 @@ class _Engine:
     All messages live in one buffer laid out by `DagOrder.schedule`: forward
     messages travel along `order.edges`, reverse messages against them, and
     both persist so each new message can exclude exactly the recipient's own
-    contribution. `update` recomputes a contiguous range of one direction's
-    rows from the buffer as it stands; a pass applies it to one level at a
-    time. The graph's tables are read as they are: its individual costs are
-    already in agent order, and one gather per direction by the sweep's
+    contribution. `update` recomputes a contiguous range of rows from the
+    buffer as it stands; a pass applies it to one level at a time. The
+    graph's tables are read as they are: one gather by the schedule's
     `cost_cells` lays its edge tables out [x_sender][row][x_receiver], the
-    min running over the leading axis.
+    min running over the leading axis, and one by `sender` gives each row
+    its sender's own cost.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
@@ -81,33 +88,22 @@ class _Engine:
         if cg.agents != sched.agents or cg.edges != sched.edges:
             raise ValueError("the orientation was built for a different coordination graph")
         self.schedule = sched
-        self.agents = sched.agents
         self.c_ind = cg.individual
-        self.buffer = np.zeros((2 * sched.n_edges + 1, NUM_PHASES))
-        # per direction, keyed by `forward`: the sweep, its edge costs and
-        # each row's sender's own cost
-        self.sweeps = {True: sched.forward, False: sched.reverse}
-        self.cost = {d: np.take(cg.edge_costs, sweep.cost_cells) for d, sweep in self.sweeps.items()}
-        self.c_sender = {d: self.c_ind[sweep.sender] for d, sweep in self.sweeps.items()}
+        self.buffer = np.zeros((len(sched.sender) + 1, NUM_PHASES))
+        self.cost = np.take(cg.edge_costs, sched.cost_cells)
+        self.c_sender = self.c_ind[sched.sender]
 
-    def _incoming_sums(self, slots: np.ndarray) -> np.ndarray:
-        """Sum of the messages in each column of `slots`, added from 0.0 in
-        slot order: `slots` is a gather table into the message buffer, whose
-        last row is the zero row its padding points at."""
-        return segment_sum(self.buffer, slots)
-
-    def update(self, forward: bool, start: int, stop: int) -> None:
-        """Recompute rows [start, stop) of one direction's sweep."""
-        sweep = self.sweeps[forward]
-        base = self._incoming_sums(sweep.inputs[:, start:stop])
-        base += self.c_sender[forward][start:stop]
-        base -= np.take(self.buffer, sweep.excluded[start:stop], axis=0)
-        scores = base.T[:, :, None] + self.cost[forward][:, start:stop]
-        rows = slice(sweep.offset + start, sweep.offset + stop)
-        np.minimum.reduce(scores, axis=0, out=self.buffer[rows])
+    def update(self, start: int, stop: int) -> None:
+        """Recompute buffer rows [start, stop)."""
+        sched = self.schedule
+        base = segment_sum(self.buffer, sched.inputs[:, start:stop])
+        base += self.c_sender[start:stop]
+        base -= np.take(self.buffer, sched.excluded[start:stop], axis=0)
+        scores = base.T[:, :, None] + self.cost[:, start:stop]
+        np.minimum.reduce(scores, axis=0, out=self.buffer[start:stop])
 
     def picks(self) -> np.ndarray:
-        totals = self.c_ind + self._incoming_sums(self.schedule.slots.T)
+        totals = self.c_ind + segment_sum(self.buffer, self.schedule.slots)
         return np.argmin(totals, axis=1)
 
 
@@ -132,33 +128,27 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     if not order.edges:
         return CoordResult(JointAssignment(cg.agents, engine.picks()), 0, 0, True)
 
-    def exhausted(done: int) -> bool:
-        if budget.rounds is not None and done >= budget.rounds:
-            return True
-        if budget.wall_ms is not None and (time.perf_counter() - start) * 1e3 >= budget.wall_ms:
-            return True
-        return False
-
+    levels, diameter = order.schedule.levels, order.diameter
+    # even passes run the forward levels, odd passes the reverse ones
+    directions = (levels[:diameter], levels[diameter:])
     rounds_done = 0
     passes = 0
     snapshot: Optional[np.ndarray] = None
     previous_cycle: Optional[np.ndarray] = None
-    forward = True
     while True:
-        for level_start, level_stop in engine.sweeps[forward].levels:
-            if exhausted(rounds_done):
+        for level_start, level_stop in directions[passes % 2]:
+            if budget.exhausted(start, rounds_done):
                 if snapshot is None:
                     snapshot = engine.picks()
                 return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, False)
-            engine.update(forward, level_start, level_stop)
+            engine.update(level_start, level_stop)
             rounds_done += 1
         passes += 1
         snapshot = engine.picks()
-        if not forward:
+        if passes % 2 == 0:
             cycle = engine.buffer.copy()
             if previous_cycle is not None and np.allclose(
                 cycle, previous_cycle, rtol=0.0, atol=1e-9
             ):
                 return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, True)
             previous_cycle = cycle
-        forward = not forward

@@ -320,12 +320,12 @@ def build_grid(
     intersection keeps all 12 movements. Links run at `DEFAULT_SPEED_MPS`
     and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
-    if not (0 < h_len < math.inf and 0 < v_len < math.inf):
-        raise ValueError(f"link lengths must be positive and finite, got {h_len} and {v_len}")
-    if not 0 <= sat_flow < math.inf:
-        raise ValueError(f"sat_flow must be finite and >= 0, got {sat_flow}")
+    if not (_is_count(rows) and _is_count(cols) and rows >= 1 and cols >= 1):
+        raise ValueError(f"grid dimensions must be integers >= 1, got {rows!r}x{cols!r}")
+    if not (0 < _number_or_nan(h_len) < math.inf and 0 < _number_or_nan(v_len) < math.inf):
+        raise ValueError(f"link lengths must be positive and finite, got {h_len!r} and {v_len!r}")
+    if not 0 <= _number_or_nan(sat_flow) < math.inf:
+        raise ValueError(f"sat_flow must be finite and >= 0, got {sat_flow!r}")
 
     # (intersection, side, neighbour or None), row-major
     sides = [
@@ -501,6 +501,15 @@ def _number(value) -> float:
     if isinstance(value, (str, bool)):
         raise TypeError(value)
     return float(value)
+
+
+def _number_or_nan(value) -> float:
+    """`value` as a number, or NaN, which fails every range check, where it
+    is no number."""
+    try:
+        return _number(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def _finite(entry: dict, key: str, name: str, default=None) -> float:

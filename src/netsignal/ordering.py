@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,27 +27,6 @@ class TopologyError(ValueError):
     """Raised when the coordination graph is not connected."""
 
 
-class Sweep(NamedTuple):
-    """Buffer rows of one message direction, in level order.
-
-    `pairs[p]` is the (sender, receiver) of row `offset + p`; `levels` are
-    the (start, stop) row ranges of each level; `sender` is each row's
-    sender by agent position; column p of `inputs` is the slot row of that
-    sender; `excluded` the buffer row of the message its receiver sends
-    back over the same edge; and `cost_cells[x_s, p, x_r]` the flat
-    `edge_costs` position of that edge's cost when the sender plays x_s and
-    the receiver x_r, whichever end of the (i < j) table each sits at.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    offset: int
-    levels: tuple[tuple[int, int], ...]
-    sender: np.ndarray
-    inputs: np.ndarray
-    excluded: np.ndarray
-    cost_cells: np.ndarray
-
-
 class LevelSchedule:
     """Index arrays that let a pass compute every message exactly once.
 
@@ -57,50 +35,57 @@ class LevelSchedule:
     reverse messages in rows [E, 2E) and a zero row at 2E. Forward rows are
     grouped by the longest-path depth of their sender, reverse rows by the
     height (longest path down to a sink) of their forward receiver; within a
-    level rows keep edge order. A message only reads messages of lower
-    levels in its own direction, so one sweep over the levels leaves every
-    message of that direction at its fixpoint.
+    level rows keep edge order. `levels` are the (start, stop) rows of the
+    `diameter` forward levels, then of the `diameter` reverse levels. A
+    message only reads messages of lower levels in its own direction, so one
+    sweep over a direction's levels leaves its messages at their fixpoint.
 
-    `slots[n]` lists the rows of all messages agent n receives: incoming
-    forward messages, then incoming reverse messages, each in edge order,
-    padded with the zero row; `slots.T` is the `gather_table` of those rows,
-    which `segment_sum` adds left to right. So an incoming-message sum does
+    Each row r has its (sender, receiver) ids in `pairs[r]`, its sender's
+    position in `sender[r]`, that sender's `slots` column in column r of
+    `inputs`, and in `excluded[r]` the row of the message its receiver sends
+    back over the same edge. `cost_cells[x_s, r, x_r]` is the flat
+    `edge_costs` position of the edge's cost when the sender plays x_s and
+    the receiver x_r, whichever end of the (i < j) table each sits at.
+
+    `slots` is the (K, N) `gather_table` of the rows each agent receives:
+    column n lists agent n's incoming forward messages, then its incoming
+    reverse messages, each in edge order, padded with the zero row, and
+    `segment_sum` adds them top to bottom. So an incoming-message sum does
     not depend on how rows are grouped into levels.
 
     `edges` are the order's edges as (i < j) pairs, which is the edge order
-    of the `CoordinationGraph` it was built from, so each sweep's
-    `cost_cells` read that graph's `edge_costs` as they are.
+    of the `CoordinationGraph` it was built from, so `cost_cells` read that
+    graph's `edge_costs` as they are.
     """
 
     def __init__(self, order: "DagOrder"):
         self.agents = tuple(sorted(order.dist))
         ids = np.array(self.agents, dtype=np.intp)
-        n_agents = len(ids)
-        self.n_edges = n_edges = len(order.edges)
+        n_agents, n_edges = len(ids), len(order.edges)
         sender, receiver = np.searchsorted(ids, np.array(order.edges, dtype=np.intp).reshape(-1, 2)).T
         fwd, fwd_levels = _level_order(_longest_paths(sender, receiver, n_agents)[sender])
         rev, rev_levels = _level_order(_longest_paths(receiver, sender, n_agents)[receiver])
-        # the buffer row of each edge's forward message, then of its reverse one
+        self.levels = fwd_levels + tuple((a + n_edges, b + n_edges) for a, b in rev_levels)
+        # message m < E runs along edge m, message E + m against it; `message`
+        # lists them in row order and `row` is its inverse
+        message = np.concatenate((fwd, rev + n_edges))
         row = np.empty(2 * n_edges, dtype=np.intp)
-        row[np.concatenate((fwd, n_edges + rev))] = np.arange(2 * n_edges)
-        fwd_row, rev_row = row[:n_edges], row[n_edges:]
-        self.slots = gather_table(row, np.concatenate((receiver, sender)), n_agents, 2 * n_edges).T
-
-        def sweep(pairs, edges, senders, receivers, offset, levels, excluded) -> Sweep:
-            inputs = np.ascontiguousarray(self.slots[senders].T)
-            x_r = np.arange(NUM_PHASES)
-            x_s = x_r[:, None, None]
-            # an (i < j) edge's table is indexed [x_i][x_j], by agent position
-            low_first = (senders < receivers)[:, None]
-            cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
-            cost_cells = edges[:, None] * NUM_PHASES * NUM_PHASES + cells
-            return Sweep(pairs, offset, levels, senders, inputs, excluded, cost_cells)
-
+        row[message] = np.arange(2 * n_edges)
+        source, target = np.concatenate((sender, receiver)), np.concatenate((receiver, sender))
+        self.slots = gather_table(row, target, n_agents, 2 * n_edges)
+        self.sender = source[message]
+        self.inputs = self.slots[:, self.sender]
+        self.excluded = row[(message + n_edges) % (2 * n_edges)]
+        x_r = np.arange(NUM_PHASES)
+        x_s = x_r[:, None, None]
+        # an (i < j) edge's table is indexed [x_i][x_j], by agent position
+        low_first = (self.sender < target[message])[:, None]
+        cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
+        self.cost_cells = (message % n_edges)[:, None] * NUM_PHASES * NUM_PHASES + cells
         # id pairs are built from the order's own, so they share its id objects
-        forward_pairs = tuple(map(order.edges.__getitem__, fwd.tolist()))
-        reverse_pairs = tuple((v, u) for u, v in map(order.edges.__getitem__, rev.tolist()))
-        self.forward = sweep(forward_pairs, fwd, sender[fwd], receiver[fwd], 0, fwd_levels, rev_row[fwd])
-        self.reverse = sweep(reverse_pairs, rev, receiver[rev], sender[rev], n_edges, rev_levels, fwd_row[rev])
+        self.pairs = tuple(
+            order.edges[m] if m < n_edges else order.edges[m - n_edges][::-1] for m in message.tolist()
+        )
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
 
 
@@ -185,7 +170,7 @@ class DagOrder:
 
     @property
     def diameter(self) -> int:
-        return len(self.schedule.forward.levels)
+        return len(self.schedule.levels) // 2
 
 
 def _orient(agents, edges) -> DagOrder:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
-from netsignal.network import _finite, _integer, _is_count, _number, _value
+from netsignal.network import _finite, _integer, _is_count, _number, _number_or_nan, _value
 
 MovementKey = tuple[int, int]
 
@@ -132,10 +132,7 @@ class SimConfig:
 
 def _positive_finite(value, name: str) -> float:
     """`value` as a number in (0, inf); raises `ValueError` naming it."""
-    try:
-        number = _number(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+    number = _number_or_nan(value)
     if not 0 < number < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return number

@@ -144,12 +144,7 @@ def random_cg(rng, n_agents, edge_pairs, scale=10.0):
 
 def engine_messages(engine):
     """Every message in an engine's buffer, keyed by (sender, receiver)."""
-    sched = engine.schedule
-    return {
-        pair: engine.buffer[sweep.offset + p].copy()
-        for sweep in (sched.forward, sched.reverse)
-        for p, pair in enumerate(sweep.pairs)
-    }
+    return {pair: engine.buffer[r].copy() for r, pair in enumerate(engine.schedule.pairs)}
 
 
 def forward_messages(cg, order, sync_rounds=0, level_pass=True):
@@ -161,10 +156,10 @@ def forward_messages(cg, order, sync_rounds=0, level_pass=True):
 
     engine = _Engine(cg, order)
     if level_pass:
-        for start, stop in order.schedule.forward.levels:
-            engine.update(True, start, stop)
+        for start, stop in order.schedule.levels[: order.diameter]:
+            engine.update(start, stop)
     for _ in range(sync_rounds):
-        engine.update(True, 0, len(order.edges))
+        engine.update(0, len(order.edges))
     messages = engine_messages(engine)
     return {pair: messages[pair] for pair in order.edges}
 

@@ -183,6 +183,7 @@ def test_brute_force_agent_cap():
         ((0, 1), ((0, 1), (0, 1)), 2),  # repeated edge
         ((0, 1, 2), ((0, 1),), 2),  # one table too many
         ((0, 2), ((0, 1),), 1),  # edge to no agent
+        ((0, 1, 2), [[0, 1], [1, 2]], 2),  # pairs as lists, as JSON reads them
     ],
 )
 def test_graph_rejects_non_canonical_layout(agents, edges, n_tables):

@@ -174,14 +174,18 @@ def test_delay_model_validation():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"mu_ms": float("nan")}, {"mu_ms": float("inf")}],
+    [{"mu_ms": float("nan")}, {"mu_ms": float("inf")}, {"mu_ms": "3"}, {"mu_ms": True}],
 )
 def test_delay_model_rejects_values_that_are_not_finite(fields):
-    with pytest.raises(ValueError, match="nan|inf"):
+    with pytest.raises(ValueError, match=f"mu must be finite and >= 0, got {fields['mu_ms']!r}"):
         DelayModel(**fields)
 
 
-@pytest.mark.parametrize("passes, nodes, named", [(2, 0, "nodes"), (2, -2, "nodes")])
+# a 3x3 grid's pass takes 2 rounds, so 1.25 passes are 2.5 rounds
+@pytest.mark.parametrize(
+    "passes, nodes, named",
+    [(2, 0, "nodes"), (2, -2, "nodes"), (2, 2.5, "nodes"), (2, True, "nodes"), (1.25, None, "rounds")],
+)
 def test_comm_delay_rejects_negative_passes_and_empty_partitions(passes, nodes, named):
     order = network_order(build_grid(3, 3))
     with pytest.raises(ValueError, match=f"{named} must be"):

@@ -167,3 +167,6 @@ def test_plan_default_split_two_intersections(fig_two):
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(epsilon=1.5)
+    for epsilon, named in ((True, "True"), ("0.5", "'0.5'"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=f"epsilon must be a number in \\[0, 1\\], got {named}"):
+            PlannerConfig(epsilon=epsilon)

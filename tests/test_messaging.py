@@ -1,10 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import engine_messages, forward_messages, random_cg, random_tree_edges
+from conftest import (
+    engine_messages,
+    forward_messages,
+    random_cg,
+    random_macro_state,
+    random_tree_edges,
+    random_turning,
+)
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
-from netsignal.network import Phase
+from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag
 from netsignal.simulation import JointAssignment
 from oracle import ScalarGraph, brute_force_optimum, reverse
@@ -23,9 +32,8 @@ def one_cycle(cg):
     """An engine after one forward and one reverse level pass."""
     order = min_diameter_dag(cg)
     engine = _Engine(cg, order)
-    for forward in (True, False):
-        for start, stop in engine.sweeps[forward].levels:
-            engine.update(forward, start, stop)
+    for start, stop in engine.schedule.levels:
+        engine.update(start, stop)
     return engine
 
 
@@ -203,6 +211,23 @@ def test_coordinate_converges_and_stops_on_trees():
     assert result.passes <= 4
 
 
+def test_coordinate_is_pinned_at_every_round_cap():
+    # Every cap from 0 to past two cycles: interruptions inside a pass, pass
+    # boundaries and the convergence stop on the chain. A rework of the
+    # engine or the schedule must keep these results bit for bit.
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for rows, cols in ((5, 4), (1, 6)):
+        net = build_grid(rows, cols)
+        cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+        order = min_diameter_dag(cg)
+        for k in range(4 * order.diameter + 2):
+            result = coordinate(cg, order, CoorBudget(rounds=k))
+            digest.update(repr((result.passes, result.rounds, result.converged)).encode())
+            digest.update(result.assignment.phases.tobytes())
+    assert digest.hexdigest()[:16] == "76bb3802011bf1e3"
+
+
 def test_snapshot_costs_monotone_on_trees():
     for seed in range(8):
         rng = np.random.default_rng(300 + seed)
@@ -259,11 +284,18 @@ def test_engine_rejects_an_orientation_of_another_graph():
         _Engine(cg, min_diameter_dag(other))
     with pytest.raises(ValueError, match="different coordination graph"):
         coordinate(cg, min_diameter_dag(other), CoorBudget(rounds=4))
-    assert _Engine(cg, reverse(min_diameter_dag(cg))).agents == cg.agents
+    assert _Engine(cg, reverse(min_diameter_dag(cg))).schedule.agents == cg.agents
 
 
 @pytest.mark.parametrize(
-    "caps", [{"wall_ms": float("nan")}, {"wall_ms": float("inf")}, {"rounds": float("nan")}]
+    "caps",
+    [
+        {"wall_ms": float("nan")},
+        {"wall_ms": float("inf")},
+        {"rounds": float("nan")},
+        {"wall_ms": True},
+        {"wall_ms": "5"},
+    ],
 )
 def test_budget_rejects_caps_that_switch_it_off(caps):
     with pytest.raises(ValueError, match="cap must be"):

@@ -203,12 +203,16 @@ def test_validate_flags_a_saturation_flow_that_is_not_finite(value):
         {"sat_flow": math.nan},
         {"sat_flow": math.inf},
         {"sat_flow": -1.0},
+        {"rows": 2.5},
+        {"cols": True},
+        {"h_len": "300"},
+        {"sat_flow": "1800"},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_build_grid_rejects_values_that_are_not_finite(kwargs):
     with pytest.raises(ValueError, match="must be"):
-        build_grid(2, 2, **kwargs)
+        build_grid(**{"rows": 2, "cols": 2, **kwargs})
 
 
 def test_validate_flags_phase_geometry_conflict():

@@ -197,8 +197,8 @@ def test_orientation_equals_the_all_bfs_oracle(cg):
     sink, edges, dist, diameter, forward, reverse_levels = min_diameter_order(cg)
     assert (order.sink, order.edges, order.dist, order.diameter) == (sink, edges, dist, diameter)
     sched = order.schedule
-    assert [sched.forward.pairs[a:b] for a, b in sched.forward.levels] == forward
-    assert [sched.reverse.pairs[a:b] for a, b in sched.reverse.levels] == reverse_levels
+    levels = [sched.pairs[a:b] for a, b in sched.levels]
+    assert levels[:diameter] == forward and levels[diameter:] == reverse_levels
 
 
 def test_network_order_is_oriented_once_per_network(monkeypatch):

@@ -23,7 +23,7 @@ from conftest import (
 )
 from netsignal.coordination import build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
-from netsignal.network import build_grid
+from netsignal.network import build_grid, segment_sum
 from netsignal.ordering import min_diameter_dag
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path
 
@@ -111,8 +111,13 @@ def test_one_forward_pass_is_a_fixpoint_on_loopy_graphs(cg):
 def test_rounds_per_pass_equal_longest_directed_path(cg):
     order = min_diameter_dag(cg)
     assert order.diameter == longest_directed_path(order)
-    sched = order.schedule
-    assert len(sched.forward.levels) == len(sched.reverse.levels) == order.diameter
+    # forward levels cover rows [0, E) and reverse levels rows [E, 2E)
+    n_edges = len(order.edges)
+    levels = order.schedule.levels
+    forward = [(a, b) for a, b in levels if b <= n_edges]
+    reverse = [(a, b) for a, b in levels if a >= n_edges]
+    assert len(forward) + len(reverse) == len(levels)
+    assert len(forward) == len(reverse) == longest_directed_path(order)
     # the run capped at k passes' rounds stops at the end of pass k
     results = [coordinate(cg, order, CoorBudget(rounds=k * order.diameter)) for k in range(1, 7)]
     seen = [(r.passes, r.rounds) for r in results]
@@ -144,13 +149,12 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     scales = 10.0 ** rng.integers(-3, 4, len(pairs))
     table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
     engine = _Engine(cg, order)
-    for sweep in (order.schedule.forward, order.schedule.reverse):
-        for p, pair in enumerate(sweep.pairs):
-            engine.buffer[sweep.offset + p] = table[pair]
-    index = {a: k for k, a in enumerate(engine.agents)}
+    for r, pair in enumerate(order.schedule.pairs):
+        engine.buffer[r] = table[pair]
+    index = {a: k for k, a in enumerate(cg.agents)}
     src = [index[u] for u, _ in order.edges]
     dst = [index[v] for _, v in order.edges]
-    want = np.zeros((len(engine.agents), 4))
+    want = np.zeros((len(cg.agents), 4))
     np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
     np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
-    assert np.array_equal(engine._incoming_sums(order.schedule.slots.T), want)
+    assert np.array_equal(segment_sum(engine.buffer, order.schedule.slots), want)
