@@ -45,12 +45,7 @@ class CoordinationGraph:
         self.edges = tuple(self.edges)
         self.edge_costs = np.asarray(self.edge_costs, dtype=float)
         self.individual = np.asarray(self.individual, dtype=float)
-        try:
-            problem = _layout_problem(self.agents, self.edges)
-        except TypeError:  # an unhashable pair, such as a list read from JSON
-            problem = _EDGE_LAYOUT
-        if problem is not None:
-            raise ValueError(problem)
+        _check_layout(self.agents, self.edges)
         shapes = (np.shape(self.edge_costs), np.shape(self.individual))
         want = ((len(self.edges), NUM_PHASES, NUM_PHASES), (len(self.agents), NUM_PHASES))
         if shapes != want:
@@ -58,6 +53,24 @@ class CoordinationGraph:
 
 
 _EDGE_LAYOUT = "edges must be sorted, distinct (i, j) pairs with i < j"
+# the (agents, edges) tuples that last passed `_check_layout`
+_checked = (None, None)
+
+
+def _check_layout(agents: tuple, edges: tuple) -> None:
+    """Raise a `ValueError` naming what is wrong with a layout. `build_cg`
+    passes the same tuples every period, which skip the check by identity;
+    any other layout is hashed for `_layout_problem`."""
+    global _checked
+    if agents is _checked[0] and edges is _checked[1]:
+        return
+    try:
+        problem = _layout_problem(agents, edges)
+    except TypeError:  # an unhashable pair, such as a list read from JSON
+        problem = _EDGE_LAYOUT
+    if problem is not None:
+        raise ValueError(problem)
+    _checked = (agents, edges)
 
 
 @lru_cache(maxsize=16)
@@ -107,12 +120,16 @@ def build_cg(
     individual = segment_sum(vectors, arr.entry_table)
 
     # phase-major, indexed [x_start][x_end][movement] by the phases at the
-    # two ends of the movement's input link
-    incoming = model.release_onto[arr.mov_from].T * model.r
-    contrib = np.zeros((NUM_PHASES, NUM_PHASES, n + 1))
-    np.add(incoming[:, None], model.drained.T, out=contrib[:, :, :-1])
-    np.square(contrib, out=contrib)
-    edge_stack = segment_sum(contrib.ravel(), arr.edge_table).reshape(-1, NUM_PHASES, NUM_PHASES)
+    # two ends of the movement's input link, written into the network's
+    # buffer, whose zero column stays as it is
+    incoming = np.take(model.release_onto.T, arr.mov_from, axis=1)
+    incoming *= model.r
+    contrib = arr.contribution
+    cells = contrib[:, :, :-1]
+    np.add(incoming[:, None], model.drained.T, out=cells)
+    np.square(cells, out=cells)
+    edge_stack = segment_sum(contrib.ravel(), arr.edge_table, arr.edge_gather)
+    edge_stack = edge_stack.reshape(-1, NUM_PHASES, NUM_PHASES)
 
     return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack, individual)
 

@@ -80,7 +80,9 @@ class _Engine:
     graph's tables are read as they are: one gather by the schedule's
     `cost_cells` lays its edge tables out [x_sender][row][x_receiver], the
     min running over the leading axis, and one by `sender` gives each row
-    its sender's own cost.
+    its sender's own cost. The first gather writes into the schedule's
+    `cost_buffer`, which every engine on that schedule shares, so only one
+    of them may be live at a time, as inside `coordinate`.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
@@ -90,7 +92,7 @@ class _Engine:
         self.schedule = sched
         self.c_ind = cg.individual
         self.buffer = np.zeros((len(sched.sender) + 1, NUM_PHASES))
-        self.cost = np.take(cg.edge_costs, sched.cost_cells)
+        self.cost = np.take(cg.edge_costs, sched.cost_cells, out=sched.cost_buffer, mode="clip")
         self.c_sender = self.c_ind[sched.sender]
 
     def update(self, start: int, stop: int) -> None:
@@ -102,8 +104,12 @@ class _Engine:
         scores = base.T[:, :, None] + self.cost[:, start:stop]
         np.minimum.reduce(scores, axis=0, out=self.buffer[start:stop])
 
-    def picks(self) -> np.ndarray:
-        totals = self.c_ind + segment_sum(self.buffer, self.schedule.slots)
+    def picks(self, messages: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each agent's argmin phase given `messages`, a buffer of this
+        engine's layout, or else the engine's own buffer."""
+        if messages is None:
+            messages = self.buffer
+        totals = self.c_ind + segment_sum(messages, self.schedule.slots)
         return np.argmin(totals, axis=1)
 
 
@@ -118,10 +124,10 @@ class CoordResult:
 def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
     """Alternating forward/reverse passes under a budget; anytime.
 
-    A complete joint decision is snapshotted after every finished pass; an
-    interruption mid-pass returns the latest snapshot, or a decision from
-    the partial messages if no pass ever finished. Stops early once a full
-    cycle no longer changes any message.
+    The messages are copied after every finished pass; an interruption
+    mid-pass returns the decision of the latest copy, or of the partial
+    messages if no pass ever finished. Stops early once a full cycle no
+    longer changes any message. Only the returned decision is computed.
     """
     start = time.perf_counter()
     engine = _Engine(cg, order)
@@ -133,22 +139,19 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     directions = (levels[:diameter], levels[diameter:])
     rounds_done = 0
     passes = 0
-    snapshot: Optional[np.ndarray] = None
+    finished: Optional[np.ndarray] = None  # the messages after the latest pass
     previous_cycle: Optional[np.ndarray] = None
     while True:
         for level_start, level_stop in directions[passes % 2]:
             if budget.exhausted(start, rounds_done):
-                if snapshot is None:
-                    snapshot = engine.picks()
-                return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, False)
+                return CoordResult(JointAssignment(cg.agents, engine.picks(finished)), passes, rounds_done, False)
             engine.update(level_start, level_stop)
             rounds_done += 1
         passes += 1
-        snapshot = engine.picks()
+        finished = engine.buffer.copy()
         if passes % 2 == 0:
-            cycle = engine.buffer.copy()
             if previous_cycle is not None and np.allclose(
-                cycle, previous_cycle, rtol=0.0, atol=1e-9
+                finished, previous_cycle, rtol=0.0, atol=1e-9
             ):
-                return CoordResult(JointAssignment(cg.agents, snapshot), passes, rounds_done, True)
-            previous_cycle = cycle
+                return CoordResult(JointAssignment(cg.agents, engine.picks()), passes, rounds_done, True)
+            previous_cycle = finished

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Optional
 
@@ -166,6 +167,10 @@ class MovementArrays:
       [x_j][x_i]. Per cell, the links running from lower to higher id come
       first, then the others, each in movement order; padding reads the
       zero column `n_mov`.
+
+    `contribution` and `edge_gather` are `build_cg`'s per-period buffers
+    for `edge_table`, made on first use, so runs that never build a
+    coordination graph carry neither.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -207,6 +212,9 @@ class MovementArrays:
                 self.link_upstream_agent[link_index[l]] = agent_index[link.start]
             if link.kind is LinkKind.ENTRY:
                 self.entry_link_mask[link_index[l]] = True
+        # the rows of the links that have an upstream agent, and its position
+        self.fed_links = np.flatnonzero(self.link_upstream_agent >= 0)
+        self.feeding_agent = self.link_upstream_agent[self.fed_links]
 
         # one edge per neighboring pair, the endpoints of some internal link;
         # movements queueing on internal links accumulate into their pair's
@@ -256,6 +264,18 @@ class MovementArrays:
             self.down_link_rows[l].append(h)
             self.up_link_rows[h].append(l)
 
+    @cached_property
+    def contribution(self) -> np.ndarray:
+        """The phase-major (4, 4, n_mov + 1) contribution `edge_table`
+        reads; `build_cg` rewrites the movement columns every period and
+        never writes the zero column `n_mov`."""
+        return np.zeros((NUM_PHASES, NUM_PHASES, self.n_mov + 1))
+
+    @cached_property
+    def edge_gather(self) -> np.ndarray:
+        """`segment_sum`'s gather buffer for `edge_table`."""
+        return np.empty(self.edge_table.shape)
+
 
 def _self_loop(lid: int, intersection: int) -> str:
     """How `validate` and `MovementArrays` name a link that is a loop."""
@@ -277,14 +297,18 @@ def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
     return table
 
 
-def segment_sum(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
+def segment_sum(padded: np.ndarray, table: np.ndarray, gathered: Optional[np.ndarray] = None) -> np.ndarray:
     """Per column of a gather table, the sum of the rows of `padded` it lists.
 
     Rows are added one at a time from 0.0, in table order, which is how
     `np.add.at` adds them, so the sums equal its sums bit for bit. Padding
     entries point at a zero row of `padded`; adding it changes no sum.
+    `gathered` may pass in a buffer of shape `table.shape + padded.shape[1:]`
+    to gather into. Tables index `padded` within its rows, so clipping the
+    indices changes none of them, and it lets numpy write into the buffer
+    without a temporary of its size.
     """
-    gathered = np.take(padded, table, axis=0)
+    gathered = np.take(padded, table, axis=0, out=gathered, mode="clip")
     if gathered.size == len(gathered) > 0:
         # numpy reduces a lone column as one run, which it sums pairwise;
         # an accumulation from a zero row adds its entries in order

@@ -40,12 +40,13 @@ class LevelSchedule:
     message only reads messages of lower levels in its own direction, so one
     sweep over a direction's levels leaves its messages at their fixpoint.
 
-    Each row r has its (sender, receiver) ids in `pairs[r]`, its sender's
-    position in `sender[r]`, that sender's `slots` column in column r of
-    `inputs`, and in `excluded[r]` the row of the message its receiver sends
-    back over the same edge. `cost_cells[x_s, r, x_r]` is the flat
-    `edge_costs` position of the edge's cost when the sender plays x_s and
-    the receiver x_r, whichever end of the (i < j) table each sits at.
+    Each row r has its sender's position in `sender[r]`, that sender's
+    `slots` column in column r of `inputs`, and in `excluded[r]` the row of
+    the message its receiver sends back over the same edge.
+    `cost_cells[x_s, r, x_r]` is the flat `edge_costs` position of the
+    edge's cost when the sender plays x_s and the receiver x_r, whichever
+    end of the (i < j) table each sits at; `cost_buffer` is the engine's
+    table of those costs, made on first use.
 
     `slots` is the (K, N) `gather_table` of the rows each agent receives:
     column n lists agent n's incoming forward messages, then its incoming
@@ -82,11 +83,13 @@ class LevelSchedule:
         low_first = (self.sender < target[message])[:, None]
         cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
         self.cost_cells = (message % n_edges)[:, None] * NUM_PHASES * NUM_PHASES + cells
-        # id pairs are built from the order's own, so they share its id objects
-        self.pairs = tuple(
-            order.edges[m] if m < n_edges else order.edges[m - n_edges][::-1] for m in message.tolist()
-        )
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
+
+    @cached_property
+    def cost_buffer(self) -> np.ndarray:
+        """The (4, 2E, 4) edge costs by `cost_cells`, rewritten by every
+        engine on this schedule."""
+        return np.empty(self.cost_cells.shape)
 
 
 def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:

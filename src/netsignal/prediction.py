@@ -11,6 +11,7 @@ turning model's arrays as they are. Sums per link and per agent are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ class PeriodModel:
     x (before arrivals); `release_onto[l, x]` is the volume released onto
     link l when its upstream intersection picks x; `r` (per movement) and
     `demand` (per link) are the turning model's `r` and `d`.
+    `entry_inflow` is `demand` on entry links and 0.0 elsewhere.
     """
 
     arrays: MovementArrays
@@ -34,15 +36,17 @@ class PeriodModel:
     release_onto: np.ndarray
     demand: np.ndarray
 
+    @cached_property
+    def entry_inflow(self) -> np.ndarray:
+        return np.where(self.arrays.entry_link_mask, self.demand, 0.0)
+
     def sweep_scores(self, actions: np.ndarray) -> np.ndarray:
         """Per-agent predicted own balance for each candidate phase, given
         every other agent plays `actions` (indexed by agent position)."""
         arr = self.arrays
-        upstream = arr.link_upstream_agent
-        inflow_link = np.where(arr.entry_link_mask, self.demand, 0.0)
-        has_upstream = upstream >= 0
-        rows = np.nonzero(has_upstream)[0]
-        inflow_link[rows] = self.release_onto[rows, actions[upstream[rows]]]
+        inflow_link = self.entry_inflow.copy()
+        rows = arr.fed_links
+        inflow_link[rows] = self.release_onto[rows, actions[arr.feeding_agent]]
         inflow_m = inflow_link[arr.mov_from] * self.r
         scores = np.zeros((arr.n_mov + 1, NUM_PHASES))
         np.square(self.drained + inflow_m[:, None], out=scores[:-1])

@@ -142,9 +142,16 @@ def random_cg(rng, n_agents, edge_pairs, scale=10.0):
     return CoordinationGraph(agents, edges, stack, individual)
 
 
+def row_pairs(sched):
+    """The (sender, receiver) ids of every message-buffer row of a schedule:
+    a row's receiver sends the row it excludes."""
+    senders = [sched.agents[s] for s in sched.sender.tolist()]
+    return tuple((senders[r], senders[x]) for r, x in enumerate(sched.excluded.tolist()))
+
+
 def engine_messages(engine):
     """Every message in an engine's buffer, keyed by (sender, receiver)."""
-    return {pair: engine.buffer[r].copy() for r, pair in enumerate(engine.schedule.pairs)}
+    return {pair: engine.buffer[r].copy() for r, pair in enumerate(row_pairs(engine.schedule))}
 
 
 def forward_messages(cg, order, sync_rounds=0, level_pass=True):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import oracle
 from conftest import random_cg, random_macro_state, random_turning
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
-from netsignal.network import Phase, build_grid
+from netsignal.network import NUM_PHASES, Phase, build_grid, movement_arrays
+from netsignal.prediction import period_model
 from netsignal.simulation import balance_index, initial_state, predict_next_queues
 
 
@@ -196,3 +198,33 @@ def test_graph_rejects_wrong_individual_shape():
         CoordinationGraph((0, 1), ((0, 1),), np.zeros((1, 4, 4)), np.zeros((1, 4)))
     with pytest.raises(ValueError, match="shapes"):
         CoordinationGraph((0, 1), ((0, 1),), np.zeros((1, 4, 3)), np.zeros((2, 4)))
+
+
+def test_build_cg_allocates_less_than_one_contribution():
+    # The contribution and the edge gather are the network's buffers, and
+    # numpy writes into them without a temporary of their size, so a period
+    # allocates only the smaller per-movement arrays and the tables.
+    net = build_grid(20, 20)
+    rng = np.random.default_rng(15)
+    state, turning = random_macro_state(net, rng), random_turning(net, rng)
+    model = period_model(net, state, turning)
+    build_cg(state, net, turning, model=model)
+    contribution = NUM_PHASES * NUM_PHASES * (movement_arrays(net).n_mov + 1) * 8
+    tracemalloc.start()
+    try:
+        build_cg(state, net, turning, model=model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < contribution
+
+
+def test_build_cg_graphs_keep_their_tables():
+    # a later period rewrites the network's buffers, never an earlier graph
+    net = build_grid(4, 5)
+    rng = np.random.default_rng(16)
+    first = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    tables = first.edge_costs.tobytes(), first.individual.tobytes()
+    second = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    assert second.edge_costs.tobytes() != tables[0]
+    assert (first.edge_costs.tobytes(), first.individual.tobytes()) == tables

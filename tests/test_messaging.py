@@ -14,7 +14,7 @@ from conftest import (
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase, build_grid
-from netsignal.ordering import min_diameter_dag
+from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
 from oracle import ScalarGraph, brute_force_optimum, reverse
 
@@ -226,6 +226,24 @@ def test_coordinate_is_pinned_at_every_round_cap():
             digest.update(repr((result.passes, result.rounds, result.converged)).encode())
             digest.update(result.assignment.phases.tobytes())
     assert digest.hexdigest()[:16] == "76bb3802011bf1e3"
+
+
+def test_coordinate_results_outlive_the_shared_cost_buffer():
+    # Engines on one order share its cost buffer. Graph A, then B, then A
+    # again give A's first results, at a cap inside a pass and at a cap
+    # past two cycles.
+    net = build_grid(4, 5)
+    order = network_order(net)
+    rng = np.random.default_rng(2025)
+    a, b = (build_cg(random_macro_state(net, rng), net, random_turning(net, rng)) for _ in range(2))
+    for rounds in (order.diameter + 1, 4 * order.diameter):
+        budget = CoorBudget(rounds=rounds)
+        first = coordinate(a, order, budget)
+        other = coordinate(b, order, budget)
+        again = coordinate(a, order, budget)
+        assert other.assignment != first.assignment
+        assert again.assignment.phases.tobytes() == first.assignment.phases.tobytes()
+        assert (again.passes, again.rounds, again.converged) == (first.passes, first.rounds, first.converged)
 
 
 def test_snapshot_costs_monotone_on_trees():

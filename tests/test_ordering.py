@@ -12,6 +12,7 @@ from conftest import (
     random_macro_state,
     random_tree_edges,
     random_turning,
+    row_pairs,
 )
 from netsignal.coordination import CoordinationGraph, build_cg
 from netsignal.improvement import plan_phases_detailed
@@ -197,7 +198,8 @@ def test_orientation_equals_the_all_bfs_oracle(cg):
     sink, edges, dist, diameter, forward, reverse_levels = min_diameter_order(cg)
     assert (order.sink, order.edges, order.dist, order.diameter) == (sink, edges, dist, diameter)
     sched = order.schedule
-    levels = [sched.pairs[a:b] for a, b in sched.levels]
+    pairs = row_pairs(sched)
+    levels = [pairs[a:b] for a, b in sched.levels]
     assert levels[:diameter] == forward and levels[diameter:] == reverse_levels
 
 

@@ -20,6 +20,7 @@ from conftest import (
     random_macro_state,
     random_tree_edges,
     random_turning,
+    row_pairs,
 )
 from netsignal.coordination import build_cg, global_cost
 from netsignal.messaging import CoorBudget, _Engine, coordinate
@@ -149,7 +150,7 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     scales = 10.0 ** rng.integers(-3, 4, len(pairs))
     table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
     engine = _Engine(cg, order)
-    for r, pair in enumerate(order.schedule.pairs):
+    for r, pair in enumerate(row_pairs(order.schedule)):
         engine.buffer[r] = table[pair]
     index = {a: k for k, a in enumerate(cg.agents)}
     src = [index[u] for u, _ in order.edges]

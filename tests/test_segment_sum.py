@@ -6,6 +6,7 @@ test compares the raw bytes: equal values and equal signs of zero. The
 call-site tests hold each per-period caller to its `np.add.at` reference in
 `oracle` on grids from 1x1 to 5x5 and on the non-grid roadnet.
 """
+import ast
 import re
 from pathlib import Path
 
@@ -133,3 +134,18 @@ def test_package_has_no_ufunc_at():
         if re.search(r"\.at\(", line)
     ]
     assert files and hits == []
+
+
+def test_package_takes_into_buffers_with_a_mode():
+    # Under the default mode="raise" numpy buffers `out`: it allocates a
+    # temporary of the buffer's size and copies it over, so every take into
+    # a buffer names its mode.
+    files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
+    into = {}  # the keywords of every take into a buffer, by file and line
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take":
+                keywords = {k.arg for k in node.keywords}
+                if "out" in keywords:
+                    into[f"{path.name}:{node.lineno}"] = keywords
+    assert into and [at for at, keywords in into.items() if "mode" not in keywords] == []
