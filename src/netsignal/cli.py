@@ -23,7 +23,7 @@ from netsignal.harness import (
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget
 from netsignal.network import LoadError, build_grid, load_network, save_network
-from netsignal.simulation import MetricsError, SimConfig, load_flow, save_flow
+from netsignal.simulation import MetricsError, SimConfig, generate_uniform_flow, load_flow, save_flow
 
 
 def grid_spec(text: str) -> tuple[int, int]:
@@ -170,8 +170,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {args.out}")
         elif args.command == "gen-flow":
             net = _load_net(args)
-            from netsignal.simulation import generate_uniform_flow
-
             vehicles = generate_uniform_flow(net, args.rate, args.duration, args.seed)
             save_flow(vehicles, args.out)
             print(f"wrote {args.out} ({len(vehicles)} vehicles)")

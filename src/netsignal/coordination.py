@@ -15,13 +15,12 @@ the layout `build_cg` computes and the message-passing engine reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from netsignal import prediction
 from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
-from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, _ascending, phase_indices
 
 
@@ -59,26 +58,27 @@ _checked = (None, None)
 
 def _check_layout(agents: tuple, edges: tuple) -> None:
     """Raise a `ValueError` naming what is wrong with a layout. `build_cg`
-    passes the same tuples every period, which skip the check by identity;
-    any other layout is hashed for `_layout_problem`."""
+    passes the same tuples every period, which skip the check by identity."""
     global _checked
     if agents is _checked[0] and edges is _checked[1]:
         return
     try:
         problem = _layout_problem(agents, edges)
-    except TypeError:  # an unhashable pair, such as a list read from JSON
+    except TypeError:  # ids that do not compare or hash
         problem = _EDGE_LAYOUT
     if problem is not None:
         raise ValueError(problem)
     _checked = (agents, edges)
 
 
-@lru_cache(maxsize=16)
 def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
-    """What is wrong with an agent and edge layout, or None. A planner
-    builds one graph per period on the same layout, so the answer is kept."""
+    """What is wrong with an agent and edge layout, or None. An edge must be
+    a tuple, which the engine compares with its schedule's edges; a list
+    such as JSON reads is none."""
     if not _ascending(agents):
         return "agents must be sorted and distinct"
+    if not all(type(e) is tuple for e in edges):
+        return _EDGE_LAYOUT
     if any(i >= j for i, j in edges) or any(e >= f for e, f in zip(edges, edges[1:])):
         return _EDGE_LAYOUT
     known = set(agents)
@@ -92,7 +92,7 @@ def build_cg(
     net: RoadNetwork,
     turning: TurningModel,
     *,
-    model: Optional[PeriodModel] = None,
+    model: Optional[prediction.PeriodModel] = None,
 ) -> CoordinationGraph:
     """Cost tables from the one-step queue prediction under each phase pair.
 
@@ -105,11 +105,9 @@ def build_cg(
     the order they are added in. `model` may pass in the `period_model` of
     the same inputs when the caller has it already.
     """
-    from netsignal.prediction import period_model
-
     arr = movement_arrays(net)
     if model is None:
-        model = period_model(net, state, turning)
+        model = prediction.period_model(net, state, turning)
     n = arr.n_mov
 
     # every per-movement input below carries a zero row (or column) at n,

@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from netsignal import prediction
 from netsignal.coordination import build_cg
 from netsignal.messaging import CoorBudget, CoordResult, coordinate
 from netsignal.network import RoadNetwork, _number_or_nan, movement_arrays
 from netsignal.ordering import network_order
-from netsignal.prediction import PeriodModel
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, phase_indices
 
 # full forward+reverse message cycles the planner runs at most per period
@@ -59,7 +59,7 @@ def local_improvement(
     turning: TurningModel,
     budget: Optional[CoorBudget] = None,
     *,
-    model: Optional[PeriodModel] = None,
+    model: Optional[prediction.PeriodModel] = None,
 ) -> JointAssignment:
     """Synchronized best-response sweeps from `init`.
 
@@ -71,12 +71,10 @@ def local_improvement(
     `init` must cover every agent. `model` may pass in the `period_model`
     of the same inputs when the caller has it.
     """
-    from netsignal.prediction import period_model
-
     start = time.perf_counter()
     arr = movement_arrays(net)
     if model is None:
-        model = period_model(net, state, turning)
+        model = prediction.period_model(net, state, turning)
     actions = phase_indices(init, arr.agent_ids)
     for done in range(MAX_SWEEPS):
         if budget is not None and budget.exhausted(start, done):
@@ -107,10 +105,8 @@ def plan_phases_detailed(
 
     Both stages share one one-step prediction; messages pass on `network_order`.
     """
-    from netsignal.prediction import period_model
-
     cfg = cfg or PlannerConfig()
-    model = period_model(net, state, turning)
+    model = prediction.period_model(net, state, turning)
     cg = build_cg(state, net, turning, model=model)
     order = network_order(net)
     nl_budget = cfg.budget.scaled(cfg.epsilon).capped_rounds(2 * MAX_CYCLES * max(order.diameter, 1))

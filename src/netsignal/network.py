@@ -143,9 +143,10 @@ class MovementArrays:
     sorted (i < j) endpoint pairs of the internal links, which are the
     neighbouring agents of the coordination graph. Queue, turning and demand
     vectors everywhere in the package use these orders. `down_link_rows[k]`
-    lists the rows of the links that movements from link k lead to, and
-    `up_link_rows[k]` those of the links whose movements lead onto it, each
-    in movement order; the route search walks them.
+    lists the rows of the links that movements from link k lead to, in
+    movement order; route walks step along them. `up_links` is the (K, links)
+    `gather_table` of the rows whose movements lead onto each link, padded
+    with `n_links`, which `hop_distances` searches for the hops to an exit.
 
     The `*_table` fields are gather tables for `segment_sum`: column t lists
     the movements that add into target t, in the order they are added, padded
@@ -258,11 +259,10 @@ class MovementArrays:
         edge_table += by_edge[:, :, None]
         self.edge_table = edge_table.reshape(len(by_edge), len(edges) * n_cells)
 
+        self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
-        self.up_link_rows: list[list[int]] = [[] for _ in link_ids]
         for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
             self.down_link_rows[l].append(h)
-            self.up_link_rows[h].append(l)
 
     @cached_property
     def contribution(self) -> np.ndarray:
@@ -315,6 +315,39 @@ def segment_sum(padded: np.ndarray, table: np.ndarray, gathered: Optional[np.nda
         gathered = np.concatenate((np.zeros_like(gathered[:1]), gathered))
         return np.add.accumulate(gathered, axis=0)[-1]
     return np.add.reduce(gathered, axis=0, initial=0.0)
+
+
+def hop_distances(neighbours: np.ndarray, sources) -> np.ndarray:
+    """Hop distance from each of `sources` to every node, as an (S, N)
+    int32 array (half the size of intp) with -1 where a node is unreachable.
+
+    `neighbours` is a (K, N) gather table padded with N: column n lists the
+    nodes one hop from node n. One frontier search runs for all sources at
+    once over the (source, node) cells of a table whose pad column counts
+    as reached. A cell that several frontier cells reach joins the next
+    frontier once: each candidate writes its own negative tag into the
+    cell, and the one whose tag survives is kept, in work proportional to
+    the frontier.
+    """
+    width = neighbours.shape[1] + 1
+    sources = np.asarray(sources, dtype=np.intp)
+    dist = np.full((len(sources), width), -1, dtype=np.int32)
+    dist[:, -1] = 0
+    cells = dist.reshape(-1)
+    frontier = np.arange(len(sources)) * width + sources
+    cells[frontier] = 0
+    hops = 0
+    while frontier.size:
+        hops += 1
+        node = frontier % width
+        reached = np.take(neighbours, node, axis=1)
+        reached += frontier - node
+        reached = reached[cells[reached] < 0]
+        tags = -2 - np.arange(reached.size, dtype=np.int32)
+        cells[reached] = tags
+        frontier = reached[cells[reached] == tags]
+        cells[frontier] = hops
+    return dist[:, :-1]
 
 
 def movement_arrays(net: RoadNetwork) -> MovementArrays:
@@ -379,6 +412,10 @@ def build_grid(
     return RoadNetwork(range(rows * cols), links, movements, coords)
 
 
+# the ids the array kernels can hold; a link id never reaches numpy
+_INT64 = np.iinfo(np.int64)
+
+
 def validate(net: RoadNetwork) -> list[str]:
     """Check all structural invariants; returns one message per violation.
 
@@ -386,6 +423,9 @@ def validate(net: RoadNetwork) -> list[str]:
     link yields a single violation rather than a cascade.
     """
     violations: list[str] = []
+    for i in sorted(net.intersections):
+        if not _INT64.min <= i <= _INT64.max:
+            violations.append(f"intersection {i}: id is outside the int64 range")
     bad_links: set[int] = set()
     for lid, link in net.links.items():
         if not 0 < link.length_m < math.inf:
@@ -453,22 +493,14 @@ def validate(net: RoadNetwork) -> list[str]:
             )
 
     if len(net.intersections) > 1:
-        adj: dict[int, set[int]] = {i: set() for i in net.intersections}
-        for link in net.links.values():
-            if link.kind is LinkKind.INTERNAL and link.start in adj and link.end in adj:
-                adj[link.start].add(link.end)
-                adj[link.end].add(link.start)
-        start = min(net.intersections)
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(net.intersections):
-            missing = sorted(net.intersections - seen)
+        ids = sorted(net.intersections)
+        at = {i: k for k, i in enumerate(ids)}
+        joined = [l for l in net.links.values() if l.kind is LinkKind.INTERNAL and l.start in at and l.end in at]
+        a, b = np.array([(at[l.start], at[l.end]) for l in joined], dtype=np.intp).reshape(-1, 2).T
+        neighbours = gather_table(np.concatenate((b, a)), np.concatenate((a, b)), len(ids), len(ids))
+        reached = hop_distances(neighbours, [0])[0] >= 0
+        if not reached.all():
+            missing = [i for i, ok in zip(ids, reached.tolist()) if not ok]
             violations.append(f"intersection graph disconnected, unreachable: {missing}")
 
     return violations

@@ -8,9 +8,11 @@ the same distance, so every directed path shortens the distance to the sink
 by one per hop and the longest path equals the sink's eccentricity. Elsewhere
 same-distance edges can chain, and the longest path may exceed it.
 
-All of it runs on agent positions (sorted-id order) as numpy arrays. The
-sink comes from eccentricity bounds (Takes & Kosters, Algorithms 6(1), 2013),
-which need a few breadth-first searches instead of one per agent.
+All of it runs on agent positions (sorted-id order) as numpy arrays. Every
+hop distance is a single-source `network.hop_distances` search over the
+graph's neighbour table. The sink comes from eccentricity bounds (Takes &
+Kosters, Algorithms 6(1), 2013), which need a few searches instead of one
+per agent.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, RoadNetwork, gather_table, movement_arrays
+from netsignal.network import NUM_PHASES, RoadNetwork, gather_table, hop_distances, movement_arrays
 
 
 class TopologyError(ValueError):
@@ -112,21 +114,6 @@ def _longest_paths(sender: np.ndarray, receiver: np.ndarray, n_agents: int) -> n
         depth[:-1] = relaxed
 
 
-def _hops(neighbours: np.ndarray, source: int) -> np.ndarray:
-    """Hop distance from position `source` to every agent (-1 where
-    unreachable), one frontier sweep per hop over a neighbour table padded
-    with the agent count."""
-    dist = np.full(neighbours.shape[1] + 1, -1, dtype=np.intp)
-    dist[[source, -1]] = 0  # the pad counts as reached, so it joins no frontier
-    frontier, hops = np.array([source], dtype=np.intp), 0
-    while frontier.size:
-        hops += 1
-        reached = neighbours[:, frontier].ravel()
-        dist[reached[dist[reached] < 0]] = hops
-        frontier = np.flatnonzero(dist == hops)
-    return dist[:-1]
-
-
 def _min_eccentricity_sink(neighbours: np.ndarray, ids: np.ndarray) -> int:
     """Position of the lowest-id agent of minimum eccentricity.
 
@@ -144,7 +131,7 @@ def _min_eccentricity_sink(neighbours: np.ndarray, ids: np.ndarray) -> int:
         source = int(np.argmin(candidates))
         if candidates[source] > best:
             return int(np.argmin(upper))
-        dist = _hops(neighbours, source)
+        dist = hop_distances(neighbours, [source])[0]
         if dist.min() < 0:
             missing = ids[dist < 0].tolist()
             raise TopologyError(f"coordination graph disconnected, unreachable from {ids[source]}: {missing}")
@@ -183,7 +170,7 @@ def _orient(agents, edges) -> DagOrder:
     low, high = np.searchsorted(ids, np.array(edges, dtype=np.intp).reshape(-1, 2)).T
     neighbours = gather_table(np.concatenate((high, low)), np.concatenate((low, high)), len(ids), len(ids))
     sink = _min_eccentricity_sink(neighbours, ids)
-    dist = _hops(neighbours, sink)
+    dist = hop_distances(neighbours, [sink])[0]
     # the farther end sends, and on a tie the higher id, which is `high`
     toward_low = dist[low] <= dist[high]
     sender, receiver = np.where(toward_low, high, low), np.where(toward_low, low, high)

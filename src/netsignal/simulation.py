@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork, movement_arrays
+from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork
+from netsignal.network import hop_distances, movement_arrays
 from netsignal.network import _finite, _integer, _is_count, _number, _number_or_nan, _value
 
 MovementKey = tuple[int, int]
@@ -383,31 +384,12 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
     return TurningModel(r=r, d=np.where(arr.entry_link_mask, entries, 0.0))
 
 
-def _route_distances(net: RoadNetwork, destination: int) -> list[int]:
-    """Hop distance over movements from every link row to the destination
-    link, -1 where it is unreachable."""
-    arr = movement_arrays(net)
-    up = arr.up_link_rows
-    end = arr.link_index[destination]
-    dist = [-1] * arr.n_links
-    dist[end] = 0
-    frontier = [end]
-    while frontier:
-        nxt: list[int] = []
-        for h in frontier:
-            for l in up[h]:
-                if dist[l] < 0:
-                    dist[l] = dist[h] + 1
-                    nxt.append(l)
-        frontier = nxt
-    return dist
-
-
 def _walk_route(
     net: RoadNetwork, origin: int, destination: int, dist: list[int], rng
 ) -> tuple[int, ...]:
-    """Follow `dist` (a `_route_distances` list) down to the destination,
-    drawing among equally short next links with the rng."""
+    """Follow `dist`, the hop distance of every link row to the
+    destination (-1 where unreachable), down to the destination, drawing
+    among equally short next links with the rng."""
     arr = movement_arrays(net)
     down = arr.down_link_rows
     current, end = arr.link_index[origin], arr.link_index[destination]
@@ -441,8 +423,9 @@ def generate_uniform_flow(
     exits = net.exit_links()
     if not entries or not exits:
         raise ValueError("network needs entry and exit links to generate flow")
-    dist = {x: _route_distances(net, x) for x in exits}
-    row = movement_arrays(net).link_index
+    arr = movement_arrays(net)
+    row = arr.link_index
+    dist = dict(zip(exits, hop_distances(arr.up_links, [row[x] for x in exits]).tolist()))
     reachable = {o: [x for x in exits if dist[x][row[o]] >= 0] for o in entries}
     stranded = [o for o in entries if not reachable[o]]
     if stranded:
@@ -492,7 +475,7 @@ def _trip_problem(
     net: RoadNetwork, v: Vehicle, seen: set[int], dist: dict[int, list[int]]
 ) -> Optional[str]:
     """Why a vehicle read from a flow file cannot run on the network, or
-    None. Adds the destination's `_route_distances` list to `dist`."""
+    None. Adds the destination's hop distances by link row to `dist`."""
     origin, destination = net.links.get(v.origin), net.links.get(v.destination)
     if v.id in seen:
         return f"duplicate vehicle id {v.id}"
@@ -502,9 +485,10 @@ def _trip_problem(
         return f"destination {v.destination} is not an exit link"
     if not 0.0 <= v.depart_s < math.inf:
         return f"depart_s {v.depart_s} is not a finite time >= 0"
+    arr = movement_arrays(net)
     if v.destination not in dist:
-        dist[v.destination] = _route_distances(net, v.destination)
-    if dist[v.destination][movement_arrays(net).link_index[v.origin]] < 0:
+        dist[v.destination] = hop_distances(arr.up_links, [arr.link_index[v.destination]])[0].tolist()
+    if dist[v.destination][arr.link_index[v.origin]] < 0:
         return f"no route from link {v.origin} to link {v.destination}"
     return None
 

@@ -209,3 +209,18 @@ def random_connected_edges(rng, n_agents, extra=0):
             edges.add((i, j))
             extra -= 1
     return sorted(edges)
+
+
+def shifted_grid_doc(rows, cols, shift):
+    """The roadnet document of `build_grid(rows, cols)` with every
+    intersection id moved up by `shift`."""
+    doc = build_grid(rows, cols).to_dict()
+    for d in doc["intersections"]:
+        d["id"] += shift
+    for d in doc["links"]:
+        for end in ("start", "end"):
+            if end in d:
+                d[end] += shift
+    for d in doc["movements"]:
+        d["intersection"] += shift
+    return doc

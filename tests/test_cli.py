@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import shifted_grid_doc
 from netsignal.cli import cli_main, grid_spec
 from netsignal.network import build_grid, save_network
 
@@ -229,3 +230,22 @@ def test_budget_overrun_exits_with_one_line(capsys):
     assert cli_main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: controller took")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--rate", "0.5", "--duration", "100", "--controller", "emc"],
+        ["run", "--rate", "0.5", "--duration", "100", "--controller", "nlcoor"],
+        ["comm-delay", "--mu", "1.0"],
+    ],
+    ids=["emc", "nlcoor", "comm-delay"],
+)
+def test_intersection_ids_outside_int64_are_a_load_error(tmp_path, capsys, command):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(shifted_grid_doc(2, 2, 10**20)))
+    code = cli_main([*command, "--roadnet", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"intersection {10**20}: id is outside the int64 range" in err

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import shifted_grid_doc
 from oracle import topology
 from netsignal.harness import network_order
 from netsignal.network import (
@@ -150,7 +151,8 @@ def test_movement_arrays_adjacency_equals_the_link_views(tmp_path, case):
     assert arr.edges == tuple((i, j) for i in sorted(topo.neighbors) for j in topo.neighbors[i] if i < j)
     ids = arr.link_ids
     assert [[ids[h] for h in hs] for hs in arr.down_link_rows] == [topo.down_links[l] for l in ids]
-    assert [[ids[l] for l in ls] for ls in arr.up_link_rows] == [topo.up_links[l] for l in ids]
+    up = [[ids[l] for l in col if l < arr.n_links] for col in arr.up_links.T.tolist()]
+    assert up == [topo.up_links[l] for l in ids]
 
 
 def test_all_small_grids_validate_clean():
@@ -235,7 +237,23 @@ def test_validate_flags_disconnected():
     a = Link(0, LinkKind.INTERNAL, 0, 1, 100.0)
     b = Link(1, LinkKind.INTERNAL, 1, 0, 100.0)
     net = RoadNetwork([0, 1, 2], [a, b], [])
-    assert any("disconnected" in p for p in validate(net))
+    assert "intersection graph disconnected, unreachable: [2]" in validate(net)
+
+
+def test_validate_flags_intersection_ids_outside_int64(tmp_path):
+    # the last id that fits is 2**63 - 1; the ids reach numpy in the planner
+    assert validate(network_from_dict(shifted_grid_doc(2, 2, 2**63 - 4))) == []
+    over = network_from_dict(shifted_grid_doc(2, 2, 2**63 - 3))
+    assert validate(over) == [f"intersection {2**63}: id is outside the int64 range"]
+    under = network_from_dict(shifted_grid_doc(2, 2, -(2**63) - 2))
+    assert validate(under) == [
+        f"intersection {-(2**63) - 2}: id is outside the int64 range",
+        f"intersection {-(2**63) - 1}: id is outside the int64 range",
+    ]
+    path = tmp_path / "roadnet.json"
+    path.write_text(json.dumps(shifted_grid_doc(2, 2, 10**20)))
+    with pytest.raises(LoadError, match=f"intersection {10**20}: id is outside the int64 range"):
+        load_network(str(path))
 
 
 def test_roundtrip_identity(tmp_path):

@@ -136,6 +136,21 @@ def test_package_has_no_ufunc_at():
     assert files and hits == []
 
 
+def test_package_has_one_frontier_search():
+    # every hop-distance search goes through `network.hop_distances`, so no
+    # other function keeps a frontier
+    files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
+    searches = set()
+    for path in files:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                bound |= {n.arg for n in ast.walk(fn) if isinstance(n, ast.arg)}
+                if "frontier" in bound:
+                    searches.add(f"{path.stem}.{fn.name}")
+    assert searches == {"network.hop_distances"}
+
+
 def test_package_takes_into_buffers_with_a_mode():
     # Under the default mode="raise" numpy buffers `out`: it allocates a
     # temporary of the buffer's size and copies it over, so every take into

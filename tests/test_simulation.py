@@ -616,13 +616,14 @@ def test_flow_file_runs_one_route_search_per_destination(tmp_path, monkeypatch):
     path = tmp_path / "flow.json"
     save_flow(vehicles, str(path))
     searched = []
-    search = simulation._route_distances
+    search = simulation.hop_distances
+    link_ids = movement_arrays(net).link_ids
 
-    def counting(net, destination):
-        searched.append(destination)
-        return search(net, destination)
+    def counting(neighbours, sources):
+        searched.extend(link_ids[s] for s in sources)
+        return search(neighbours, sources)
 
-    monkeypatch.setattr(simulation, "_route_distances", counting)
+    monkeypatch.setattr(simulation, "hop_distances", counting)
     load_flow(str(path), net)
     assert sorted(searched) == sorted({v.destination for v in vehicles})
 
