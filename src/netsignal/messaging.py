@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, segment_sum
+from netsignal.network import _is_count, _number_or_nan, segment_sum
 from netsignal.ordering import DagOrder
 from netsignal.simulation import JointAssignment
 
@@ -72,17 +72,17 @@ class CoorBudget:
 class _Engine:
     """Messages of one coordination graph in an orientation's level schedule.
 
-    All messages live in one buffer laid out by `DagOrder.schedule`: forward
-    messages travel along `order.edges`, reverse messages against them, and
-    both persist so each new message can exclude exactly the recipient's own
-    contribution. `update` recomputes a contiguous range of rows from the
-    buffer as it stands; a pass applies it to one level at a time. The
-    graph's tables are read as they are: one gather by the schedule's
-    `cost_cells` lays its edge tables out [x_sender][row][x_receiver], the
-    min running over the leading axis, and one by `sender` gives each row
-    its sender's own cost. The first gather writes into the schedule's
-    `cost_buffer`, which every engine on that schedule shares, so only one
-    of them may be live at a time, as inside `coordinate`.
+    The engine works in its schedule's `MessagePlan`: the phase-major
+    message buffer holds the forward messages (along `order.edges`) and the
+    reverse messages (against them) as columns, then the agents' own costs,
+    and both directions persist so each new message can exclude exactly the
+    recipient's own contribution. The graph's tables are read as they are:
+    one gather by the schedule's `cost_cells` lays its edge tables out
+    [x_sender][x_receiver][row], the min running over the leading axis.
+    `update` recomputes one level's columns from the buffer as it stands;
+    a pass applies it to each of a direction's levels in turn. Every engine
+    on a schedule rewrites the same message and cost buffers, so only one of
+    them may be live at a time, as inside `coordinate`.
     """
 
     def __init__(self, cg: CoordinationGraph, order: DagOrder):
@@ -90,27 +90,34 @@ class _Engine:
         if cg.agents != sched.agents or cg.edges != sched.edges:
             raise ValueError("the orientation was built for a different coordination graph")
         self.schedule = sched
-        self.c_ind = cg.individual
-        self.buffer = np.zeros((len(sched.sender) + 1, NUM_PHASES))
-        self.cost = np.take(cg.edge_costs, sched.cost_cells, out=sched.cost_buffer, mode="clip")
-        self.c_sender = self.c_ind[sched.sender]
+        self.plan = sched.plan
+        self.buffer = self.plan.messages
+        n_rows = len(sched.sender)
+        self.buffer[:, :n_rows] = 0.0
+        self.buffer[:, n_rows + 1 :] = cg.individual.T
+        np.take(cg.edge_costs, sched.cost_cells, out=self.plan.costs, mode="clip")
 
-    def update(self, start: int, stop: int) -> None:
-        """Recompute buffer rows [start, stop)."""
-        sched = self.schedule
-        base = segment_sum(self.buffer, sched.inputs[:, start:stop])
-        base += self.c_sender[start:stop]
-        base -= np.take(self.buffer, sched.excluded[start:stop], axis=0)
-        scores = base.T[:, :, None] + self.cost[:, start:stop]
-        np.minimum.reduce(scores, axis=0, out=self.buffer[start:stop])
+    def update(self, level: int) -> None:
+        """Recompute the message columns of level `level`: per row, the
+        sender's incoming messages and own cost added in slot order, less
+        the excluded message, plus each edge cost, minimized over the
+        sender's phase."""
+        table, gathered, summands, excluded, base, spread, cost, scores, out = self.plan.levels[level]
+        np.take(self.plan.flat, table, out=gathered, mode="clip")
+        # the slots lead and each holds 4 x n entries, so numpy adds them one
+        # at a time in slot order, as `segment_sum` does, for any level width
+        np.add.reduce(summands, axis=0, out=base, initial=0.0)
+        base -= excluded
+        np.add(spread, cost, out=scores)
+        np.minimum.reduce(scores, axis=0, out=out)
 
     def picks(self, messages: Optional[np.ndarray] = None) -> np.ndarray:
         """Each agent's argmin phase given `messages`, a buffer of this
         engine's layout, or else the engine's own buffer."""
         if messages is None:
             messages = self.buffer
-        totals = self.c_ind + segment_sum(messages, self.schedule.slots)
-        return np.argmin(totals, axis=1)
+        totals = segment_sum(messages.reshape(-1), self.plan.totals)
+        return np.argmin(totals, axis=0)
 
 
 @dataclass
@@ -134,18 +141,18 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     if not order.edges:
         return CoordResult(JointAssignment(cg.agents, engine.picks()), 0, 0, True)
 
-    levels, diameter = order.schedule.levels, order.diameter
+    diameter = order.diameter
     # even passes run the forward levels, odd passes the reverse ones
-    directions = (levels[:diameter], levels[diameter:])
+    directions = (range(diameter), range(diameter, 2 * diameter))
     rounds_done = 0
     passes = 0
     finished: Optional[np.ndarray] = None  # the messages after the latest pass
     previous_cycle: Optional[np.ndarray] = None
     while True:
-        for level_start, level_stop in directions[passes % 2]:
+        for level in directions[passes % 2]:
             if budget.exhausted(start, rounds_done):
                 return CoordResult(JointAssignment(cg.agents, engine.picks(finished)), passes, rounds_done, False)
-            engine.update(level_start, level_stop)
+            engine.update(level)
             rounds_done += 1
         passes += 1
         finished = engine.buffer.copy()

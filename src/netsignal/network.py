@@ -170,8 +170,9 @@ class MovementArrays:
       zero column `n_mov`.
 
     `contribution` and `edge_gather` are `build_cg`'s per-period buffers
-    for `edge_table`, made on first use, so runs that never build a
-    coordination graph carry neither.
+    for `edge_table`, and `phase_rows` and `phase_gather` those of
+    `period_model` and `PeriodModel.sweep_scores`. Each is made on first
+    use, so runs that never build a coordination graph carry none of them.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -275,6 +276,23 @@ class MovementArrays:
     def edge_gather(self) -> np.ndarray:
         """`segment_sum`'s gather buffer for `edge_table`."""
         return np.empty(self.edge_table.shape)
+
+    @cached_property
+    def phase_rows(self) -> np.ndarray:
+        """(n_mov + 1, 4) rows per movement and phase: `period_model`'s
+        releases and a sweep's squared queues. Each call rewrites the
+        movement rows and sums them before it returns, and none writes the
+        zero row `n_mov`."""
+        return np.zeros((self.n_mov + 1, NUM_PHASES))
+
+    def phase_gather(self, table: np.ndarray) -> np.ndarray:
+        """`segment_sum`'s gather buffer for `phase_rows` through `table`,
+        `to_link_table` or `agent_table`: a view of one buffer the two
+        share, made on first use."""
+        if not hasattr(self, "_phase_gather"):
+            size = max(self.to_link_table.size, self.agent_table.size) * NUM_PHASES
+            self._phase_gather = np.empty(size)
+        return self._phase_gather[: table.size * NUM_PHASES].reshape(*table.shape, NUM_PHASES)
 
 
 def _self_loop(lid: int, intersection: int) -> str:

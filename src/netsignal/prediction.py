@@ -6,7 +6,9 @@ choice drains its queue and how much upstream releases feed its link.
 `period_model` computes them for a whole period as numpy expressions over
 the network's `MovementArrays`, reading the state's queue vector and the
 turning model's arrays as they are. Sums per link and per agent are
-`segment_sum`s through the arrays' gather tables.
+`segment_sum`s through the arrays' gather tables. The temporaries that
+are never returned live in per-network buffers of the arrays; what a call
+returns is a fresh array.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import MovementArrays, RoadNetwork, movement_arrays, segment_sum
 from netsignal.simulation import QueueState, TurningModel
 
 
@@ -48,21 +50,21 @@ class PeriodModel:
         rows = arr.fed_links
         inflow_link[rows] = self.release_onto[rows, actions[arr.feeding_agent]]
         inflow_m = inflow_link[arr.mov_from] * self.r
-        scores = np.zeros((arr.n_mov + 1, NUM_PHASES))
-        np.square(self.drained + inflow_m[:, None], out=scores[:-1])
-        return segment_sum(scores, arr.agent_table)
+        terms = arr.phase_rows
+        np.square(self.drained + inflow_m[:, None], out=terms[:-1])
+        return segment_sum(terms, arr.agent_table, arr.phase_gather(arr.agent_table))
 
 
 def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> PeriodModel:
     arr = movement_arrays(net)
     q = state.q
     cap = np.minimum(arr.sat, q)
-    released = np.zeros((arr.n_mov + 1, NUM_PHASES))
+    released = arr.phase_rows
     np.multiply(arr.act, cap[:, None], out=released[:-1])
     return PeriodModel(
         arrays=arr,
         r=turning.r,
         drained=q[:, None] - released[:-1],
-        release_onto=segment_sum(released, arr.to_link_table),
+        release_onto=segment_sum(released, arr.to_link_table, arr.phase_gather(arr.to_link_table)),
         demand=turning.d,
     )

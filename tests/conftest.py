@@ -151,7 +151,20 @@ def row_pairs(sched):
 
 def engine_messages(engine):
     """Every message in an engine's buffer, keyed by (sender, receiver)."""
-    return {pair: engine.buffer[r].copy() for r, pair in enumerate(row_pairs(engine.schedule))}
+    return {pair: engine.buffer[:, r].copy() for r, pair in enumerate(row_pairs(engine.schedule))}
+
+
+def sync_round(engine, levels):
+    """Recompute the messages of `levels` all at once, each level from the
+    buffer as it stood before the round."""
+    before = engine.buffer.copy()
+    after = before.copy()
+    for level in levels:
+        engine.buffer[...] = before
+        engine.update(level)
+        start, stop = engine.schedule.levels[level]
+        after[:, start:stop] = engine.buffer[:, start:stop]
+    engine.buffer[...] = after
 
 
 def forward_messages(cg, order, sync_rounds=0, level_pass=True):
@@ -162,11 +175,12 @@ def forward_messages(cg, order, sync_rounds=0, level_pass=True):
     from netsignal.messaging import _Engine
 
     engine = _Engine(cg, order)
+    forward = range(order.diameter)
     if level_pass:
-        for start, stop in order.schedule.levels[: order.diameter]:
-            engine.update(start, stop)
+        for level in forward:
+            engine.update(level)
     for _ in range(sync_rounds):
-        engine.update(0, len(order.edges))
+        sync_round(engine, forward)
     messages = engine_messages(engine)
     return {pair: messages[pair] for pair in order.edges}
 

@@ -181,6 +181,35 @@ class ScalarGraph:
         return {**messages, **new}
 
 
+def row_major_messages(cg, order, passes):
+    """The (2E, 4) message rows after `passes` alternating level passes of
+    the engine's rule on a row-major buffer with a zero row at 2E.
+
+    Each row adds its sender's incoming rows one at a time from 0.0 in slot
+    order, then the sender's own cost; subtracts the excluded row; adds the
+    edge table [x_sender][x_receiver] and takes the minimum over the
+    sender's phase.
+    """
+    sched = order.schedule
+    ref = ScalarGraph(cg)
+    senders = [sched.agents[k] for k in sched.sender.tolist()]
+    tables = np.array(
+        [ref.edge_cost(senders[r], senders[x]) for r, x in enumerate(sched.excluded.tolist())]
+    ).reshape(-1, NUM_PHASES, NUM_PHASES)
+    inputs = sched.slots[:, sched.sender]
+    rows = np.zeros((len(senders) + 1, NUM_PHASES))
+    diameter = len(sched.levels) // 2
+    for p in range(passes):
+        for a, b in sched.levels[(p % 2) * diameter :][:diameter]:
+            base = np.zeros((b - a, NUM_PHASES))
+            for k in range(len(inputs)):
+                base += rows[inputs[k, a:b]]
+            base += cg.individual[sched.sender[a:b]]
+            base -= rows[sched.excluded[a:b]]
+            rows[a:b] = (base[:, :, None] + tables[a:b]).min(axis=1)
+    return rows[:-1]
+
+
 def brute_force_optimum(cg):
     """Exact argmin of `global_cost` by enumeration; lexicographic tie-break.
 

@@ -16,7 +16,7 @@ from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
-from oracle import ScalarGraph, brute_force_optimum, reverse
+from oracle import ScalarGraph, brute_force_optimum, reverse, row_major_messages
 
 
 def reference_rounds(cg, order, rounds):
@@ -32,8 +32,8 @@ def one_cycle(cg):
     """An engine after one forward and one reverse level pass."""
     order = min_diameter_dag(cg)
     engine = _Engine(cg, order)
-    for start, stop in engine.schedule.levels:
-        engine.update(start, stop)
+    for level in range(len(engine.schedule.levels)):
+        engine.update(level)
     return engine
 
 
@@ -119,6 +119,26 @@ def test_grid_fixpoint_in_exactly_diameter_rounds():
         not np.allclose(early[key], at_dia[key], atol=1e-9)
         for key in early
     )
+
+
+def test_engine_sums_a_hub_level_in_slot_order():
+    # A hub with eight leaves and a path of two sends its one forward message
+    # in a level of its own, from nine incoming messages and its own cost.
+    # numpy adds a lone contiguous run of ten pairwise; the engine must add
+    # them in slot order, as it adds every wider level.
+    edges = [(0, 1), (0, 2)] + [(1, leaf) for leaf in range(3, 11)]
+    for seed in range(20):
+        cg = random_cg(np.random.default_rng(500 + seed), 11, edges)
+        order = min_diameter_dag(cg)
+        sched = order.schedule
+        lone = [start for start, stop in sched.levels if stop - start == 1]
+        assert sched.sender[lone].tolist() == [1]
+        engine = _Engine(cg, order)
+        for _ in range(2):
+            for level in range(len(sched.levels)):
+                engine.update(level)
+        messages = np.ascontiguousarray(engine.buffer[:, : len(sched.sender)].T)
+        assert messages.tobytes() == row_major_messages(cg, order, 4).tobytes()
 
 
 def test_decide_empty_table_uses_own_cost():
@@ -229,14 +249,18 @@ def test_coordinate_is_pinned_at_every_round_cap():
 
 
 def test_coordinate_results_outlive_the_shared_cost_buffer():
-    # Engines on one order share its cost buffer. Graph A, then B, then A
-    # again give A's first results, at a cap inside a pass and at a cap
-    # past two cycles.
+    # Engines on one order share its plan: the message and cost buffers and
+    # the level scratch. Graph A, then B, then A again give A's first
+    # results, at a cap inside a pass after a finished pass and at caps at
+    # and past the end of two cycles, and no result shares the plan's memory.
     net = build_grid(4, 5)
     order = network_order(net)
+    plan = order.schedule.plan
+    buffers = [plan.messages, plan.costs]
+    buffers += [buf for level in plan.levels for buf in (level.gathered, level.base, level.scores)]
     rng = np.random.default_rng(2025)
     a, b = (build_cg(random_macro_state(net, rng), net, random_turning(net, rng)) for _ in range(2))
-    for rounds in (order.diameter + 1, 4 * order.diameter):
+    for rounds in (order.diameter + 1, 4 * order.diameter, 4 * order.diameter + 1):
         budget = CoorBudget(rounds=rounds)
         first = coordinate(a, order, budget)
         other = coordinate(b, order, budget)
@@ -244,6 +268,8 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
         assert other.assignment != first.assignment
         assert again.assignment.phases.tobytes() == first.assignment.phases.tobytes()
         assert (again.passes, again.rounds, again.converged) == (first.passes, first.rounds, first.converged)
+        for result in (first, other, again):
+            assert not any(np.shares_memory(result.assignment.phases, buf) for buf in buffers)
 
 
 def test_snapshot_costs_monotone_on_trees():

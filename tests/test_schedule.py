@@ -151,11 +151,11 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
     engine = _Engine(cg, order)
     for r, pair in enumerate(row_pairs(order.schedule)):
-        engine.buffer[r] = table[pair]
+        engine.buffer[:, r] = table[pair]
     index = {a: k for k, a in enumerate(cg.agents)}
     src = [index[u] for u, _ in order.edges]
     dst = [index[v] for _, v in order.edges]
     want = np.zeros((len(cg.agents), 4))
     np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
     np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
-    assert np.array_equal(segment_sum(engine.buffer, order.schedule.slots), want)
+    assert np.array_equal(segment_sum(engine.buffer.T, order.schedule.slots), want)
