@@ -100,35 +100,20 @@ def build_cg(
     phase and receives a's releases, so its squared next-period queue lands
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
-    individual vector. Each table is the `segment_sum` of its movements'
-    terms through `MovementArrays.edge_table` and `entry_table`, which fix
-    the order they are added in. `model` may pass in the `period_model` of
-    the same inputs when the caller has it already.
+    individual vector. Both read the period's pair terms
+    (`PeriodModel.pair_terms`): each table is the `segment_sum` of its
+    movements' terms through `MovementArrays.edge_table` and `entry_table`,
+    which fix the order they are added in. `model` may pass in the
+    `period_model` of the same inputs when the caller has it already.
     """
     arr = movement_arrays(net)
     if model is None:
         model = prediction.period_model(net, state, turning)
-    n = arr.n_mov
-
-    # every per-movement input below carries a zero row (or column) at n,
-    # which padding entries of the gather tables point at
-    vectors = np.zeros((n + 1, NUM_PHASES))
-    inflow = model.demand[arr.mov_from] * model.r
-    np.square(model.drained + inflow[:, None], out=vectors[:-1])
-    individual = segment_sum(vectors, arr.entry_table)
-
-    # phase-major, indexed [x_start][x_end][movement] by the phases at the
-    # two ends of the movement's input link, written into the network's
-    # buffer, whose zero column stays as it is
-    incoming = np.take(model.release_onto.T, arr.mov_from, axis=1)
-    incoming *= model.r
-    contrib = arr.contribution
-    cells = contrib[:, :, :-1]
-    np.add(incoming[:, None], model.drained.T, out=cells)
-    np.square(cells, out=cells)
-    edge_stack = segment_sum(contrib.ravel(), arr.edge_table, arr.edge_gather)
+    terms = model.pair_terms()
+    # an entry-link movement's terms are the same under every upstream phase
+    individual = segment_sum(terms[0].T, arr.entry_table)
+    edge_stack = segment_sum(terms.reshape(-1), arr.edge_table, arr.edge_gather)
     edge_stack = edge_stack.reshape(-1, NUM_PHASES, NUM_PHASES)
-
     return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack, individual)
 
 

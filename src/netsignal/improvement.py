@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -67,7 +68,9 @@ def local_improvement(
     balance (`PeriodModel.sweep_scores`) given the previous sweep's actions,
     keeping its current phase on ties and otherwise the lowest index. Stops
     after `MAX_SWEEPS` sweeps, or sooner on a sweep that changes nothing or
-    when `budget` runs out; a rounds cap counts sweeps.
+    when `budget` runs out; a rounds cap counts sweeps. A sweep is a gather
+    of the period's pair terms and a sum per agent; the scores are
+    phase-major (4, N), so the rule runs over their leading axis.
     `init` must cover every agent. `model` may pass in the `period_model`
     of the same inputs when the caller has it.
     """
@@ -76,16 +79,15 @@ def local_improvement(
     if model is None:
         model = prediction.period_model(net, state, turning)
     actions = phase_indices(init, arr.agent_ids)
+    positions = np.arange(len(actions))
     for done in range(MAX_SWEEPS):
         if budget is not None and budget.exhausted(start, done):
             break
         scores = model.sweep_scores(actions)
-        best = scores.min(axis=1)
-        keep = scores[np.arange(len(actions)), actions] <= best + 1e-9
-        proposal = np.where(keep, actions, np.argmin(scores, axis=1)).astype(np.intp)
-        if np.array_equal(proposal, actions):
+        keep = scores[actions, positions] <= scores.min(axis=0) + 1e-9
+        if keep.all():
             break
-        actions = proposal
+        actions = np.where(keep, actions, scores.argmin(axis=0))
     return JointAssignment(arr.agent_ids, actions)
 
 
@@ -109,9 +111,9 @@ def plan_phases_detailed(
     model = prediction.period_model(net, state, turning)
     cg = build_cg(state, net, turning, model=model)
     order = network_order(net)
-    nl_budget = cfg.budget.scaled(cfg.epsilon).capped_rounds(2 * MAX_CYCLES * max(order.diameter, 1))
+    cap = 2 * MAX_CYCLES * max(order.diameter, 1)
+    nl_budget, sweep_budget = _stage_budgets(cfg.budget, cfg.epsilon, cap)
     coord = coordinate(cg, order, nl_budget)
-    sweep_budget = cfg.budget.scaled(1.0 - cfg.epsilon)
     final = local_improvement(
         coord.assignment,
         state,
@@ -121,3 +123,11 @@ def plan_phases_detailed(
         model=model,
     )
     return PlanResult(final, coord)
+
+
+@lru_cache(maxsize=16)
+def _stage_budgets(budget: CoorBudget, epsilon: float, cap: int) -> tuple[CoorBudget, CoorBudget]:
+    """The coordination budget, `epsilon` of `budget` and at most `cap`
+    rounds, and the sweeps' budget, the rest of it; built once per
+    (budget, epsilon, cap), since budgets are frozen."""
+    return budget.scaled(epsilon).capped_rounds(cap), budget.scaled(1.0 - epsilon)

@@ -95,7 +95,7 @@ class _Engine:
         n_rows = len(sched.sender)
         self.buffer[:, :n_rows] = 0.0
         self.buffer[:, n_rows + 1 :] = cg.individual.T
-        np.take(cg.edge_costs, sched.cost_cells, out=self.plan.costs, mode="clip")
+        cg.edge_costs.take(sched.cost_cells, out=self.plan.costs, mode="clip")
 
     def update(self, level: int) -> None:
         """Recompute the message columns of level `level`: per row, the
@@ -103,7 +103,7 @@ class _Engine:
         the excluded message, plus each edge cost, minimized over the
         sender's phase."""
         table, gathered, summands, excluded, base, spread, cost, scores, out = self.plan.levels[level]
-        np.take(self.plan.flat, table, out=gathered, mode="clip")
+        self.plan.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
         # at a time in slot order, as `segment_sum` does, for any level width
         np.add.reduce(summands, axis=0, out=base, initial=0.0)
@@ -131,10 +131,12 @@ class CoordResult:
 def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
     """Alternating forward/reverse passes under a budget; anytime.
 
-    The messages are copied after every finished pass; an interruption
-    mid-pass returns the decision of the latest copy, or of the partial
-    messages if no pass ever finished. Stops early once a full cycle no
-    longer changes any message. Only the returned decision is computed.
+    The messages are copied after every finished pass, into the plan's
+    snapshot of that pass's parity; an interruption mid-pass returns the
+    decision of the latest copy, or of the partial messages if no pass ever
+    finished. Stops early once a full cycle no longer changes any message
+    by more than 1e-9 (`_cycle_closed`). Only the returned decision is
+    computed.
     """
     start = time.perf_counter()
     engine = _Engine(cg, order)
@@ -144,21 +146,29 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     diameter = order.diameter
     # even passes run the forward levels, odd passes the reverse ones
     directions = (range(diameter), range(diameter, 2 * diameter))
+    # snapshots[p % 2] holds the messages after the latest finished pass p
+    # of its parity, so a cycle compares with snapshots[0]
+    snapshots = engine.plan.snapshots
+    n_rows = 2 * len(order.edges)
     rounds_done = 0
     passes = 0
-    finished: Optional[np.ndarray] = None  # the messages after the latest pass
-    previous_cycle: Optional[np.ndarray] = None
     while True:
         for level in directions[passes % 2]:
             if budget.exhausted(start, rounds_done):
+                finished = snapshots[passes % 2] if passes else None
                 return CoordResult(JointAssignment(cg.agents, engine.picks(finished)), passes, rounds_done, False)
             engine.update(level)
             rounds_done += 1
         passes += 1
-        finished = engine.buffer.copy()
-        if passes % 2 == 0:
-            if previous_cycle is not None and np.allclose(
-                finished, previous_cycle, rtol=0.0, atol=1e-9
-            ):
-                return CoordResult(JointAssignment(cg.agents, engine.picks()), passes, rounds_done, True)
-            previous_cycle = finished
+        cycle_end = passes % 2 == 0 and passes > 2
+        if cycle_end and _cycle_closed(engine.buffer[:, :n_rows], snapshots[0, :, :n_rows]):
+            return CoordResult(JointAssignment(cg.agents, engine.picks()), passes, rounds_done, True)
+        np.copyto(snapshots[passes % 2], engine.buffer)
+
+
+def _cycle_closed(messages: np.ndarray, before: np.ndarray) -> bool:
+    """Whether every message is within 1e-9 of its value a cycle before, or
+    equal to it: `np.allclose(messages, before, rtol=0, atol=1e-9)`, whose
+    infinities count as close only to themselves and NaN to nothing."""
+    with np.errstate(invalid="ignore"):
+        return bool(((np.abs(messages - before) <= 1e-9) | (messages == before)).all())

@@ -169,10 +169,12 @@ class MovementArrays:
       first, then the others, each in movement order; padding reads the
       zero column `n_mov`.
 
-    `contribution` and `edge_gather` are `build_cg`'s per-period buffers
-    for `edge_table`, and `phase_rows` and `phase_gather` those of
-    `period_model` and `PeriodModel.sweep_scores`. Each is made on first
-    use, so runs that never build a coordination graph carry none of them.
+    `contribution` holds a period's pair terms (`PeriodModel.pair_terms`),
+    which `build_cg` sums through `edge_table` into `edge_gather` and each
+    sweep gathers through `sweep_tables`; `terms_stamp` names the write
+    that put them there. `phase_rows` and `phase_gather` are the buffers of
+    `period_model`. Each buffer is made on first use, so runs that never
+    build a coordination graph carry none of them.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -214,9 +216,7 @@ class MovementArrays:
                 self.link_upstream_agent[link_index[l]] = agent_index[link.start]
             if link.kind is LinkKind.ENTRY:
                 self.entry_link_mask[link_index[l]] = True
-        # the rows of the links that have an upstream agent, and its position
-        self.fed_links = np.flatnonzero(self.link_upstream_agent >= 0)
-        self.feeding_agent = self.link_upstream_agent[self.fed_links]
+        self.fed_link_mask = self.link_upstream_agent >= 0
 
         # one edge per neighboring pair, the endpoints of some internal link;
         # movements queueing on internal links accumulate into their pair's
@@ -264,12 +264,15 @@ class MovementArrays:
         self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
         for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
             self.down_link_rows[l].append(h)
+        self.terms_stamp = 0
 
     @cached_property
     def contribution(self) -> np.ndarray:
-        """The phase-major (4, 4, n_mov + 1) contribution `edge_table`
-        reads; `build_cg` rewrites the movement columns every period and
-        never writes the zero column `n_mov`."""
+        """The phase-major (4, 4, n_mov + 1) pair-term buffer, indexed
+        [x_start][x_end][movement] by the phases at the two ends of the
+        movement's input link, that `edge_table` and `sweep_tables` read.
+        `PeriodModel.pair_terms` rewrites the movement columns and never
+        writes the zero column `n_mov`."""
         return np.zeros((NUM_PHASES, NUM_PHASES, self.n_mov + 1))
 
     @cached_property
@@ -280,19 +283,47 @@ class MovementArrays:
     @cached_property
     def phase_rows(self) -> np.ndarray:
         """(n_mov + 1, 4) rows per movement and phase: `period_model`'s
-        releases and a sweep's squared queues. Each call rewrites the
-        movement rows and sums them before it returns, and none writes the
-        zero row `n_mov`."""
+        releases. Each call rewrites the movement rows and sums them before
+        it returns, and none writes the zero row `n_mov`."""
         return np.zeros((self.n_mov + 1, NUM_PHASES))
 
-    def phase_gather(self, table: np.ndarray) -> np.ndarray:
-        """`segment_sum`'s gather buffer for `phase_rows` through `table`,
-        `to_link_table` or `agent_table`: a view of one buffer the two
-        share, made on first use."""
+    def phase_gather(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A view of `shape` into one gather buffer, made on first use and
+        shared by the `segment_sum` of `phase_rows` through `to_link_table`,
+        shaped `to_link_table.shape + (4,)`, and the sweeps' (K, 4, agents)
+        gather through `agent_table`."""
         if not hasattr(self, "_phase_gather"):
             size = max(self.to_link_table.size, self.agent_table.size) * NUM_PHASES
             self._phase_gather = np.empty(size)
-        return self._phase_gather[: table.size * NUM_PHASES].reshape(*table.shape, NUM_PHASES)
+        return self._phase_gather[: math.prod(shape)].reshape(shape)
+
+    @cached_property
+    def sweep_tables(self) -> tuple[np.ndarray, ...]:
+        """`PeriodModel.sweep_scores`' tables and buffers, made on first use.
+
+        `upstream` (K, agents) gives, per `agent_table` entry, the position
+        of the agent upstream of its movement's input link, or agent 0 where
+        there is none and for padding: such terms are the same under every
+        upstream phase. `cells` (K, 4, agents) is the flat `contribution`
+        position of the entry's term under upstream phase 0 and own phase x
+        at [k, x, agent]. Then come the per-sweep buffers: each agent's
+        offset for its action, the (K, agents) gather of those offsets, the
+        (K, 4, agents) term positions and the terms' gather, a view of
+        `phase_gather`.
+        """
+        table = self.agent_table
+        n_rows, n_agents = table.shape
+        upstream = np.maximum(np.append(self.link_upstream_agent[self.mov_from], -1)[table], 0)
+        cells = np.arange(NUM_PHASES)[:, None] * (self.n_mov + 1) + table[:, None]
+        shape = (n_rows, NUM_PHASES, n_agents)
+        return (
+            upstream,
+            cells,
+            np.empty(n_agents, dtype=np.intp),
+            np.empty(table.shape, dtype=np.intp),
+            np.empty(shape, dtype=np.intp),
+            self.phase_gather(shape),
+        )
 
 
 def _self_loop(lid: int, intersection: int) -> str:
@@ -326,7 +357,7 @@ def segment_sum(padded: np.ndarray, table: np.ndarray, gathered: Optional[np.nda
     indices changes none of them, and it lets numpy write into the buffer
     without a temporary of its size.
     """
-    gathered = np.take(padded, table, axis=0, out=gathered, mode="clip")
+    gathered = padded.take(table, axis=0, out=gathered, mode="clip")
     if gathered.size == len(gathered) > 0:
         # numpy reduces a lone column as one run, which it sums pairwise;
         # an accumulation from a zero row adds its entries in order

@@ -125,7 +125,9 @@ class MessagePlan:
     column r, a zero column at 2E and agent n's own costs in column
     2E + 1 + n; `flat` is its flat view, which the gather tables index.
     `costs` is the (4, 4, 2E) table of edge costs by `cost_cells`, indexed
-    [x_sender][x_receiver][row]. `levels` holds a `LevelPlan` per level,
+    [x_sender][x_receiver][row]. `snapshots` holds two copies of
+    `messages`, where `coordinate` keeps the messages after the latest
+    finished even and odd pass. `levels` holds a `LevelPlan` per level,
     whose `gathered`, `base` and `scores` are contiguous views of scratch
     buffers all levels share, sized for the widest level. `totals` is the
     slot-major (K + 1, 4, N) gather table of each agent's incoming rows (its
@@ -138,6 +140,7 @@ class MessagePlan:
         own = n_rows + 1  # the first own-cost column
         self.messages = np.zeros((NUM_PHASES, own + n_agents))
         self.flat = self.messages.reshape(-1)
+        self.snapshots = np.zeros((2, *self.messages.shape))
         self.costs = np.empty(sched.cost_cells.shape)
         # column c of phase x sits at flat position x * width + c
         phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]

@@ -385,11 +385,12 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
 
 
 def _walk_route(
-    net: RoadNetwork, origin: int, destination: int, dist: list[int], rng
+    net: RoadNetwork, origin: int, destination: int, dist: Sequence[int], rng
 ) -> tuple[int, ...]:
     """Follow `dist`, the hop distance of every link row to the
-    destination (-1 where unreachable), down to the destination, drawing
-    among equally short next links with the rng."""
+    destination (-1 where unreachable), as a list or a `hop_distances` row,
+    down to the destination, drawing among equally short next links with
+    the rng."""
     arr = movement_arrays(net)
     down = arr.down_link_rows
     current, end = arr.link_index[origin], arr.link_index[destination]
@@ -471,11 +472,9 @@ def travel_time_metrics(vehicles: Sequence[Vehicle], end_time: float) -> TravelM
     return TravelMetrics(avg_travel_time_s=total / departed, throughput=finished)
 
 
-def _trip_problem(
-    net: RoadNetwork, v: Vehicle, seen: set[int], dist: dict[int, list[int]]
-) -> Optional[str]:
-    """Why a vehicle read from a flow file cannot run on the network, or
-    None. Adds the destination's hop distances by link row to `dist`."""
+def _trip_problem(net: RoadNetwork, v: Vehicle, seen: set[int]) -> Optional[str]:
+    """Why a vehicle read from a flow file cannot run on the network, its
+    route aside, or None."""
     origin, destination = net.links.get(v.origin), net.links.get(v.destination)
     if v.id in seen:
         return f"duplicate vehicle id {v.id}"
@@ -485,11 +484,6 @@ def _trip_problem(
         return f"destination {v.destination} is not an exit link"
     if not 0.0 <= v.depart_s < math.inf:
         return f"depart_s {v.depart_s} is not a finite time >= 0"
-    arr = movement_arrays(net)
-    if v.destination not in dist:
-        dist[v.destination] = hop_distances(arr.up_links, [arr.link_index[v.destination]])[0].tolist()
-    if dist[v.destination][arr.link_index[v.origin]] < 0:
-        return f"no route from link {v.origin} to link {v.destination}"
     return None
 
 
@@ -499,9 +493,9 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     Every vehicle needs a unique integer id, an entry link as origin, an exit
     link it can reach as destination and a finite `depart_s` >= 0, and a rate
     spec a positive, finite rate and duration; anything else raises a
-    `LoadError` naming the entry.
-    Routes are shortest by hop count, ties drawn from one seeded stream in
-    file order.
+    `LoadError` naming the entry, the first in file order.
+    Routes are shortest by hop count, from one `hop_distances` search over
+    every destination, ties drawn from one seeded stream in file order.
     """
     try:
         with open(path) as fh:
@@ -518,26 +512,40 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
             raise LoadError(f"{name}: {exc}") from None
     if not isinstance(doc, list):
         raise LoadError(f"flow file {path} must hold a vehicle array or a rate spec object, got {doc!r}")
-    rng = _seeded_rng(seed, 0x72E5)
-    dist: dict[int, list[int]] = {}
     seen: set[int] = set()
-    vehicles = []
-    for entry in doc:
-        name = f"bad flow entry {entry!r}"
-        if not isinstance(entry, dict):
-            raise LoadError(f"{name}: expected an object")
-        v = Vehicle(
-            id=_value(entry, "id", name, _integer),
-            origin=_value(entry, "origin", name, _integer),
-            depart_s=_value(entry, "depart_s", name, _number),
-            destination=_value(entry, "destination", name, _integer),
-        )
-        problem = _trip_problem(net, v, seen, dist)
-        if problem is not None:
-            raise LoadError(f"{name}: {problem}")
-        seen.add(v.id)
+    vehicles: list[Vehicle] = []  # vehicle k is entry k
+    problem = None
+    try:
+        for entry in doc:
+            name = f"bad flow entry {entry!r}"
+            if not isinstance(entry, dict):
+                raise LoadError(f"{name}: expected an object")
+            v = Vehicle(
+                id=_value(entry, "id", name, _integer),
+                origin=_value(entry, "origin", name, _integer),
+                depart_s=_value(entry, "depart_s", name, _number),
+                destination=_value(entry, "destination", name, _integer),
+            )
+            why = _trip_problem(net, v, seen)
+            if why is not None:
+                raise LoadError(f"{name}: {why}")
+            seen.add(v.id)
+            vehicles.append(v)
+    except LoadError as exc:
+        # an unroutable vehicle before this entry is the first problem
+        problem = exc
+    arr = movement_arrays(net)
+    row = arr.link_index
+    destinations = sorted({v.destination for v in vehicles})
+    dist = dict(zip(destinations, hop_distances(arr.up_links, [row[d] for d in destinations])))
+    for entry, v in zip(doc, vehicles):
+        if dist[v.destination][row[v.origin]] < 0:
+            raise LoadError(f"bad flow entry {entry!r}: no route from link {v.origin} to link {v.destination}")
+    if problem is not None:
+        raise problem
+    rng = _seeded_rng(seed, 0x72E5)
+    for v in vehicles:
         v.route = _walk_route(net, v.origin, v.destination, dist[v.destination], rng)
-        vehicles.append(v)
     return vehicles
 
 

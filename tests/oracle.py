@@ -2,7 +2,8 @@
 
 `ScalarGraph` reads a `CoordinationGraph` through per-agent neighbour lists
 built from its edges and applies the min-sum message rule one edge at a
-time; `brute_force_optimum` is a graph's exact optimum by enumeration.
+time; `brute_force_optimum` is a graph's exact optimum by enumeration, and
+`allclose_coordinate` the solver's stopping rule as `np.allclose` states it.
 `own_balance` is one agent's balance in a state,
 `predicted_own_balance` and `best_response` evaluate its next-period
 balance, and `phase_pressure` one phase's max-pressure value
@@ -39,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from netsignal.messaging import _Engine
 from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
 from netsignal.ordering import TopologyError
 
@@ -210,6 +212,29 @@ def row_major_messages(cg, order, passes):
     return rows[:-1]
 
 
+def allclose_coordinate(cg, order, rounds):
+    """`(passes, rounds, converged, phases)` of `coordinate` under a rounds
+    cap, run on the engine with a fresh copy of the whole buffer after each
+    pass and the cycle test `np.allclose(rtol=0, atol=1e-9)` over all of it,
+    own-cost and zero columns included."""
+    engine = _Engine(cg, order)
+    diameter = order.diameter
+    done = passes = 0
+    finished = previous = None
+    while True:
+        for level in range((passes % 2) * diameter, (passes % 2 + 1) * diameter):
+            if done >= rounds:
+                return passes, done, False, engine.picks(finished)
+            engine.update(level)
+            done += 1
+        passes += 1
+        finished = engine.buffer.copy()
+        if passes % 2 == 0:
+            if previous is not None and np.allclose(finished, previous, rtol=0.0, atol=1e-9):
+                return passes, done, True, engine.picks()
+            previous = finished
+
+
 def brute_force_optimum(cg):
     """Exact argmin of `global_cost` by enumeration; lexicographic tie-break.
 
@@ -313,7 +338,7 @@ def period_model_at(net, state, turning):
 
 
 def sweep_scores_at(model, actions):
-    """`PeriodModel.sweep_scores(actions)`."""
+    """`PeriodModel.sweep_scores(actions)`, transposed: one row per agent."""
     arr = model.arrays
     upstream = arr.link_upstream_agent
     inflow_link = np.where(arr.entry_link_mask, model.demand, 0.0)

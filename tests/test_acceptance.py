@@ -157,7 +157,7 @@ def test_criterion_05_worked_example_reproduced(fig_two):
     model = period_model(fig_two.net, fig_two.state, fig_two.turning)
     row = model.arrays.agent_index[fig_two.i]
     picks = np.array([int(actions[a]) for a in model.arrays.agent_ids], dtype=np.intp)
-    own = model.sweep_scores(picks)[row, Phase.WE_STRAIGHT]
+    own = model.sweep_scores(picks)[Phase.WE_STRAIGHT, row]
     assert own == pytest.approx(4.0)
     assert own == pytest.approx(
         oracle.predicted_own_balance(fig_two.i, Phase.WE_STRAIGHT, actions, *args)

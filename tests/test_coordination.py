@@ -219,6 +219,32 @@ def test_build_cg_allocates_less_than_one_contribution():
     assert peak < contribution
 
 
+def test_models_of_one_network_never_read_each_others_pair_terms():
+    # Every model of a network writes its pair terms into the network's one
+    # buffer. Models and graphs of states A and B, in the order A, B, A, give
+    # A's tables of a fresh network, whichever of A's readers comes first.
+    rng = np.random.default_rng(17)
+    net = build_grid(4, 5)
+    states = [(random_macro_state(net, rng), random_turning(net, rng)) for _ in range(2)]
+    actions = rng.integers(0, NUM_PHASES, 20).astype(np.intp)
+
+    def tables(net, model, state, turning, sweep_first):
+        if sweep_first:
+            scores = model.sweep_scores(actions).tobytes()
+        cg = build_cg(state, net, turning, model=model)
+        if not sweep_first:
+            scores = model.sweep_scores(actions).tobytes()
+        return cg.edge_costs.tobytes(), cg.individual.tobytes(), scores
+
+    fresh = build_grid(4, 5)
+    want = tables(fresh, period_model(fresh, *states[0]), *states[0], False)
+    a, b = (period_model(net, *state) for state in states)
+    for sweep_first in (False, True):
+        assert tables(net, a, *states[0], sweep_first) == want
+        assert tables(net, b, *states[1], sweep_first) != want
+        assert tables(net, a, *states[0], sweep_first) == want
+
+
 def test_build_cg_graphs_keep_their_tables():
     # a later period rewrites the network's buffers, never an earlier graph
     net = build_grid(4, 5)

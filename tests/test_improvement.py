@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from netsignal.improvement import (
     plan_phases_detailed,
 )
 from netsignal.messaging import CoorBudget, coordinate
-from netsignal.network import Phase, build_grid
+from netsignal.network import NUM_PHASES, Phase, build_grid, movement_arrays
 from netsignal.ordering import min_diameter_dag
 from netsignal.prediction import period_model
-from netsignal.simulation import initial_state, predict_next_queues
+from netsignal.simulation import JointAssignment, initial_state, predict_next_queues
 from oracle import best_response, own_balance, predicted_own_balance
 
 
@@ -22,7 +24,7 @@ def kernel_scores(actions, state, net, turning):
     model = period_model(net, state, turning)
     agents = model.arrays.agent_ids
     scores = model.sweep_scores(np.array([int(actions[a]) for a in agents], dtype=np.intp))
-    return dict(zip(agents, scores))
+    return dict(zip(agents, scores.T))
 
 
 def test_best_response_two_intersections(fig_two):
@@ -170,3 +172,25 @@ def test_planner_config_validation():
     for epsilon, named in ((True, "True"), ("0.5", "'0.5'"), (float("nan"), "nan")):
         with pytest.raises(ValueError, match=f"epsilon must be a number in \\[0, 1\\], got {named}"):
             PlannerConfig(epsilon=epsilon)
+
+
+def test_sweeps_allocate_less_than_one_row_table():
+    # A sweep gathers the period's pair terms through the network's buffers,
+    # so beyond its (4, N) scores it allocates per-agent arrays only, never a
+    # per-movement table.
+    net = build_grid(20, 20)
+    rng = np.random.default_rng(18)
+    state, turning = random_macro_state(net, rng), random_turning(net, rng)
+    model = period_model(net, state, turning)
+    arr = movement_arrays(net)
+    init = JointAssignment(arr.agent_ids, rng.integers(0, NUM_PHASES, len(arr.agent_ids)))
+    # flips in the first sweep, so more than one sweep runs
+    assert local_improvement(init, state, net, turning, model=model) != init
+    rows = (arr.n_mov + 1) * NUM_PHASES * 8
+    tracemalloc.start()
+    try:
+        local_improvement(init, state, net, turning, model=model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows

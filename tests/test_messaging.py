@@ -16,6 +16,7 @@ from netsignal.messaging import CoorBudget, _Engine, coordinate
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
+import oracle
 from oracle import ScalarGraph, brute_force_optimum, reverse, row_major_messages
 
 
@@ -256,7 +257,7 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
     net = build_grid(4, 5)
     order = network_order(net)
     plan = order.schedule.plan
-    buffers = [plan.messages, plan.costs]
+    buffers = [plan.messages, plan.costs, *plan.snapshots]
     buffers += [buf for level in plan.levels for buf in (level.gathered, level.base, level.scores)]
     rng = np.random.default_rng(2025)
     a, b = (build_cg(random_macro_state(net, rng), net, random_turning(net, rng)) for _ in range(2))
@@ -270,6 +271,32 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
         assert (again.passes, again.rounds, again.converged) == (first.passes, first.rounds, first.converged)
         for result in (first, other, again):
             assert not any(np.shares_memory(result.assignment.phases, buf) for buf in buffers)
+
+
+def test_coordinate_stops_by_the_allclose_rule():
+    # The cycle test reads the message columns only, as |a - b| <= 1e-9 or
+    # a == b. That is np.allclose(rtol=0, atol=1e-9) over the whole buffer,
+    # whose other columns never change within a call, with its cases for
+    # inf and NaN, which costs scaled towards float64's limit produce.
+    rng = np.random.default_rng(2026)
+    converged, finite = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols in ((1, 6), (3, 3), (2, 5)):
+            net = build_grid(rows, cols)
+            cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+            order = network_order(net)
+            for scale in (1.0, 1e150, 1e306, 1e308):
+                tables = CoordinationGraph(cg.agents, cg.edges, cg.edge_costs * scale, cg.individual * scale)
+                for cycles in (2, 4, 8):
+                    rounds = 2 * cycles * order.diameter
+                    got = coordinate(tables, order, CoorBudget(rounds=rounds))
+                    finite.append(np.isfinite(order.schedule.plan.messages).all())
+                    passes, done, closed, phases = oracle.allclose_coordinate(tables, order, rounds)
+                    assert (got.passes, got.rounds, got.converged) == (passes, done, closed)
+                    assert got.assignment.phases.tobytes() == phases.tobytes()
+                    converged.append(closed)
+    assert any(converged) and not all(converged)
+    assert any(finite) and not all(finite)
 
 
 def test_snapshot_costs_monotone_on_trees():

@@ -109,7 +109,7 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
 
             actions = rng.integers(0, 4, len(model.arrays.agent_ids)).astype(np.intp)
             scores = model.sweep_scores(actions)
-            assert scores.tobytes() == oracle.sweep_scores_at(model, actions).tobytes()
+            assert scores.tobytes() == oracle.sweep_scores_at(model, actions).T.tobytes()
 
             cg = build_cg(state, net, turning, model=model)
             edge_costs, individual = oracle.build_cg_at(net, model)
@@ -154,13 +154,17 @@ def test_package_has_one_frontier_search():
 def test_package_takes_into_buffers_with_a_mode():
     # Under the default mode="raise" numpy buffers `out`: it allocates a
     # temporary of the buffer's size and copies it over, so every take into
-    # a buffer names its mode.
+    # a buffer names its mode. Each is also the array's own `take` method:
+    # `np.take` first runs numpy's dispatch wrapper, ~1 us a call, which the
+    # per-level and per-sweep gathers would pay many times a period.
     files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
-    into = {}  # the keywords of every take into a buffer, by file and line
+    into = {}  # the keywords and owner of every take into a buffer, by file and line
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take":
                 keywords = {k.arg for k in node.keywords}
                 if "out" in keywords:
-                    into[f"{path.name}:{node.lineno}"] = keywords
-    assert into and [at for at, keywords in into.items() if "mode" not in keywords] == []
+                    owner = node.func.value.id if isinstance(node.func.value, ast.Name) else None
+                    into[f"{path.name}:{node.lineno}"] = keywords, owner
+    assert into and [at for at, (keywords, _) in into.items() if "mode" not in keywords] == []
+    assert [at for at, (_, owner) in into.items() if owner in ("np", "numpy")] == []

@@ -620,12 +620,13 @@ def test_flow_file_runs_one_route_search_per_destination(tmp_path, monkeypatch):
     link_ids = movement_arrays(net).link_ids
 
     def counting(neighbours, sources):
-        searched.extend(link_ids[s] for s in sources)
+        searched.append([link_ids[s] for s in sources])
         return search(neighbours, sources)
 
     monkeypatch.setattr(simulation, "hop_distances", counting)
     load_flow(str(path), net)
-    assert sorted(searched) == sorted({v.destination for v in vehicles})
+    assert len(searched) == 1
+    assert sorted(searched[0]) == sorted({v.destination for v in vehicles})
 
 
 def bad_flow_case(case):
@@ -673,6 +674,31 @@ def test_flow_file_rejects_bad_vehicle(tmp_path, case):
     with pytest.raises(LoadError, match=pattern) as caught:
         load_flow(str(path), net)
     assert repr(json.loads(json.dumps(entries[1]))) in str(caught.value)
+
+
+def test_flow_file_names_its_first_bad_vehicle_in_file_order(tmp_path):
+    # routes are searched after every entry is read, so an unroutable
+    # vehicle is still named before a malformed entry that follows it, and
+    # after one that comes first
+    net = one_way_1x2()
+    pairs = [(o, x) for o in net.entry_links() for x in net.exit_links()]
+    stuck = [(o, x) for o, x in pairs if o not in oracle.route_distances(net, x)]
+    good_pair = next(p for p in pairs if p not in stuck)
+    origin, destination = stuck[0]
+    good = {"id": 0, "origin": good_pair[0], "depart_s": 0.0, "destination": good_pair[1]}
+    unroutable = {"id": 1, "origin": origin, "depart_s": 1.0, "destination": destination}
+    malformed = {"id": 2, "origin": good_pair[0], "depart_s": "2", "destination": good_pair[1]}
+    no_route = f"no route from link {origin} to link {destination}"
+    for entries, pattern in (
+        ([good, unroutable, malformed], no_route),
+        ([good, malformed, unroutable], "invalid depart_s '2'"),
+        ([good, unroutable, dict(good)], no_route),
+        ([good, dict(good), unroutable], "duplicate vehicle id 0"),
+    ):
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(LoadError, match=pattern):
+            load_flow(str(path), net)
 
 
 def test_flow_rejects_routes_that_are_not_movement_chains():
