@@ -10,7 +10,7 @@ minimizes.
 
 The graph holds its tables as arrays in sorted agent and edge order: one
 (E, 4, 4) stack of edge tables and one (N, 4) matrix of individual costs,
-the layout `build_cg` computes and the message-passing engine reads.
+the layout `build_cg` computes and `messaging.MessagePlan.load` reads.
 """
 from __future__ import annotations
 
@@ -73,8 +73,8 @@ def _check_layout(agents: tuple, edges: tuple) -> None:
 
 def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
     """What is wrong with an agent and edge layout, or None. An edge must be
-    a tuple, which the engine compares with its schedule's edges; a list
-    such as JSON reads is none."""
+    a tuple, as a level schedule's edges are, for a message plan to accept
+    the graph; a list such as JSON reads is none."""
     if not _ascending(agents):
         return "agents must be sorted and distinct"
     if not all(type(e) is tuple for e in edges):
@@ -101,7 +101,7 @@ def build_cg(
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
     individual vector. Both read the period's pair terms
-    (`PeriodModel.pair_terms`): each table is the `segment_sum` of its
+    (`PeriodModel.terms`): each table is the `segment_sum` of its
     movements' terms through `MovementArrays.edge_table` and `entry_table`,
     which fix the order they are added in. `model` may pass in the
     `period_model` of the same inputs when the caller has it already.
@@ -109,7 +109,7 @@ def build_cg(
     arr = movement_arrays(net)
     if model is None:
         model = prediction.period_model(net, state, turning)
-    terms = model.pair_terms()
+    terms = model.terms
     # an entry-link movement's terms are the same under every upstream phase
     individual = segment_sum(terms[0].T, arr.entry_table)
     edge_stack = segment_sum(terms.reshape(-1), arr.edge_table, arr.edge_gather)

@@ -17,18 +17,23 @@ messages the sender has received from agents other than the receiver. A
 complete joint decision can be extracted at any time by per-agent argmin
 over own cost plus received messages, which is what makes the loop
 interruptible.
+
+The messages live in a `MessagePlan`, laid out by the orientation's
+`LevelSchedule` and kept with it: one buffer of every message and own
+cost, the edge costs gathered into message order, and a gather table per
+level. `coordinate` loads each period's graph into it and runs the passes.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import _is_count, _number_or_nan, segment_sum
-from netsignal.ordering import DagOrder
+from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, segment_sum
+from netsignal.ordering import DagOrder, LevelSchedule
 from netsignal.simulation import JointAssignment
 
 
@@ -69,41 +74,110 @@ class CoorBudget:
         return CoorBudget(rounds=rounds, wall_ms=self.wall_ms)
 
 
-class _Engine:
-    """Messages of one coordination graph in an orientation's level schedule.
+class LevelPlan(NamedTuple):
+    """One level's gather table and the buffers and views its update uses.
 
-    The engine works in its schedule's `MessagePlan`: the phase-major
-    message buffer holds the forward messages (along `order.edges`) and the
-    reverse messages (against them) as columns, then the agents' own costs,
-    and both directions persist so each new message can exclude exactly the
-    recipient's own contribution. The graph's tables are read as they are:
-    one gather by the schedule's `cost_cells` lays its edge tables out
-    [x_sender][x_receiver][row], the min running over the leading axis.
-    `update` recomputes one level's columns from the buffer as it stands;
-    a pass applies it to each of a direction's levels in turn. Every engine
-    on a schedule rewrites the same message and cost buffers, so only one of
-    them may be live at a time, as inside `coordinate`.
+    The level has n rows and the schedule K slots. `table[k, x, c]` is the
+    flat `messages` position that slot k of the level's row c reads for
+    phase x: the rows in the sender's `slots` column, then the sender's
+    own-cost column, then the `excluded` row. `summands` and `excluded` are
+    the first K + 1 slots and the last slot of the slot-major (K + 2, 4, n)
+    `gathered`; `spread` views the (4, n) `base` as (4, 1, n), which adds
+    into the (4, 4, n) `scores` with `cost`, the level's columns of the cost
+    buffer. `out` is the level's columns of the message buffer.
     """
 
-    def __init__(self, cg: CoordinationGraph, order: DagOrder):
-        sched = order.schedule
-        if cg.agents != sched.agents or cg.edges != sched.edges:
-            raise ValueError("the orientation was built for a different coordination graph")
-        self.schedule = sched
-        self.plan = sched.plan
-        self.buffer = self.plan.messages
-        n_rows = len(sched.sender)
-        self.buffer[:, :n_rows] = 0.0
-        self.buffer[:, n_rows + 1 :] = cg.individual.T
-        cg.edge_costs.take(sched.cost_cells, out=self.plan.costs, mode="clip")
+    table: np.ndarray
+    gathered: np.ndarray
+    summands: np.ndarray
+    excluded: np.ndarray
+    base: np.ndarray
+    spread: np.ndarray
+    cost: np.ndarray
+    scores: np.ndarray
+    out: np.ndarray
+
+
+class MessagePlan:
+    """The messages of one level schedule and the buffers a pass works in.
+
+    `messages` is the phase-major (4, 2E + 1 + N) buffer: message row r in
+    column r, a zero column at 2E and agent n's own costs in column
+    2E + 1 + n; `flat` is its flat view, which the gather tables index.
+    Both directions persist, so each new message can exclude exactly the
+    recipient's own contribution. `costs` is the (4, 4, 2E) table of edge
+    costs by the schedule's `cost_cells`, indexed
+    [x_sender][x_receiver][row], the min running over the leading axis.
+    `snapshots` holds two copies of `messages`, where `coordinate` keeps
+    the messages after the latest finished even and odd pass. `levels`
+    holds a `LevelPlan` per level, whose `gathered`, `base` and `scores`
+    are contiguous views of scratch buffers all levels share, sized for the
+    widest level. `totals` is the slot-major (K + 1, 4, N) gather table of
+    each agent's incoming rows (its `slots` column) and then its own-cost
+    column, whose `segment_sum` scores the agent's phases.
+
+    `load` puts a graph in the buffers, `update` recomputes one level and
+    `picks` reads a decision. Every graph loaded rewrites the same buffers,
+    so a plan serves one graph at a time, as inside `coordinate`.
+    """
+
+    def __init__(self, sched: LevelSchedule):
+        self.n_rows, n_agents = len(sched.sender), len(sched.agents)
+        own = self.n_rows + 1  # the first own-cost column
+        self.cost_cells = sched.cost_cells
+        # the (agents, edges) tuples that last passed `load`'s layout check
+        self._layout = (sched.agents, sched.edges)
+        self.messages = np.zeros((NUM_PHASES, own + n_agents))
+        self.flat = self.messages.reshape(-1)
+        self.snapshots = np.zeros((2, *self.messages.shape))
+        self.costs = np.empty(sched.cost_cells.shape)
+        # column c of phase x sits at flat position x * width + c
+        phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]
+        columns = np.vstack((sched.slots, own + np.arange(n_agents)))
+        self.totals = columns[:, None] + phase_start
+        columns = np.vstack((sched.slots[:, sched.sender], own + sched.sender, sched.excluded))
+        widest = max((b - a for a, b in sched.levels), default=0)
+        scratch = tuple(np.empty(k * NUM_PHASES * widest) for k in (len(columns), 1, NUM_PHASES))
+        self.levels = tuple(self._level(columns[:, None, a:b] + phase_start, a, b, scratch) for a, b in sched.levels)
+
+    def _level(self, table: np.ndarray, start: int, stop: int, scratch: tuple) -> LevelPlan:
+        n = stop - start
+        gathered = scratch[0][: table.size].reshape(table.shape)
+        base = scratch[1][: NUM_PHASES * n].reshape(NUM_PHASES, n)
+        scores = scratch[2][: NUM_PHASES * NUM_PHASES * n].reshape(NUM_PHASES, NUM_PHASES, n)
+        return LevelPlan(
+            table=table,
+            gathered=gathered,
+            summands=gathered[:-1],
+            excluded=gathered[-1],
+            base=base,
+            spread=base[:, None],
+            cost=self.costs[:, :, start:stop],
+            scores=scores,
+            out=self.messages[:, start:stop],
+        )
+
+    def load(self, cg: CoordinationGraph) -> None:
+        """Zero the messages and read `cg`'s tables as they are: its own
+        costs into their columns and, by one gather through `cost_cells`,
+        its edge tables into `costs`. The graph must have the schedule's
+        agents and edges; tuples that passed before pass by identity."""
+        agents, edges = self._layout
+        if cg.agents is not agents or cg.edges is not edges:
+            if cg.agents != agents or cg.edges != edges:
+                raise ValueError("the orientation was built for a different coordination graph")
+            self._layout = (cg.agents, cg.edges)
+        self.messages[:, : self.n_rows] = 0.0
+        self.messages[:, self.n_rows + 1 :] = cg.individual.T
+        cg.edge_costs.take(self.cost_cells, out=self.costs, mode="clip")
 
     def update(self, level: int) -> None:
         """Recompute the message columns of level `level`: per row, the
         sender's incoming messages and own cost added in slot order, less
         the excluded message, plus each edge cost, minimized over the
         sender's phase."""
-        table, gathered, summands, excluded, base, spread, cost, scores, out = self.plan.levels[level]
-        self.plan.flat.take(table, out=gathered, mode="clip")
+        table, gathered, summands, excluded, base, spread, cost, scores, out = self.levels[level]
+        self.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
         # at a time in slot order, as `segment_sum` does, for any level width
         np.add.reduce(summands, axis=0, out=base, initial=0.0)
@@ -113,11 +187,21 @@ class _Engine:
 
     def picks(self, messages: Optional[np.ndarray] = None) -> np.ndarray:
         """Each agent's argmin phase given `messages`, a buffer of this
-        engine's layout, or else the engine's own buffer."""
+        plan's layout, or else the plan's own buffer."""
         if messages is None:
-            messages = self.buffer
-        totals = segment_sum(messages.reshape(-1), self.plan.totals)
+            messages = self.messages
+        totals = segment_sum(messages.reshape(-1), self.totals)
         return np.argmin(totals, axis=0)
+
+
+def message_plan(order: DagOrder) -> MessagePlan:
+    """The message plan of an orientation's level schedule, made on first
+    use and kept with the schedule, so every `coordinate` call on the
+    orientation rewrites the same buffers."""
+    sched = order.schedule
+    if not hasattr(sched, "_plan"):
+        sched._plan = MessagePlan(sched)
+    return sched._plan
 
 
 @dataclass
@@ -139,31 +223,32 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     computed.
     """
     start = time.perf_counter()
-    engine = _Engine(cg, order)
+    plan = message_plan(order)
+    plan.load(cg)
     if not order.edges:
-        return CoordResult(JointAssignment(cg.agents, engine.picks()), 0, 0, True)
+        return CoordResult(JointAssignment(cg.agents, plan.picks()), 0, 0, True)
 
     diameter = order.diameter
     # even passes run the forward levels, odd passes the reverse ones
     directions = (range(diameter), range(diameter, 2 * diameter))
     # snapshots[p % 2] holds the messages after the latest finished pass p
     # of its parity, so a cycle compares with snapshots[0]
-    snapshots = engine.plan.snapshots
-    n_rows = 2 * len(order.edges)
+    snapshots = plan.snapshots
+    n_rows = plan.n_rows
     rounds_done = 0
     passes = 0
     while True:
         for level in directions[passes % 2]:
             if budget.exhausted(start, rounds_done):
                 finished = snapshots[passes % 2] if passes else None
-                return CoordResult(JointAssignment(cg.agents, engine.picks(finished)), passes, rounds_done, False)
-            engine.update(level)
+                return CoordResult(JointAssignment(cg.agents, plan.picks(finished)), passes, rounds_done, False)
+            plan.update(level)
             rounds_done += 1
         passes += 1
         cycle_end = passes % 2 == 0 and passes > 2
-        if cycle_end and _cycle_closed(engine.buffer[:, :n_rows], snapshots[0, :, :n_rows]):
-            return CoordResult(JointAssignment(cg.agents, engine.picks()), passes, rounds_done, True)
-        np.copyto(snapshots[passes % 2], engine.buffer)
+        if cycle_end and _cycle_closed(plan.messages[:, :n_rows], snapshots[0, :, :n_rows]):
+            return CoordResult(JointAssignment(cg.agents, plan.picks()), passes, rounds_done, True)
+        np.copyto(snapshots[passes % 2], plan.messages)
 
 
 def _cycle_closed(messages: np.ndarray, before: np.ndarray) -> bool:

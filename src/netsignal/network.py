@@ -161,20 +161,19 @@ class MovementArrays:
       `agent * 4 + phase`, in movement order; right turns are in no column.
     - `entry_table` (K, agents): movements from entry links by intersection.
     - `edge_table` (K, edges * 16): flat positions into a phase-major
-      (4, 4, n_mov + 1) contribution, indexed [x_start][x_end][movement] by
-      the phases at the start and end of the movement's internal input link,
-      by the edge-table cell they add into, `(edge * 4 + x_i) * 4 + x_j` for
-      an edge (i < j). A link running from j to i reads the transposed cell
-      [x_j][x_i]. Per cell, the links running from lower to higher id come
-      first, then the others, each in movement order; padding reads the
-      zero column `n_mov`.
+      (4, 4, n_mov + 1) pair-term table (`PeriodModel.terms`), indexed
+      [x_start][x_end][movement] by the phases at the start and end of the
+      movement's internal input link, by the edge-table cell they add into,
+      `(edge * 4 + x_i) * 4 + x_j` for an edge (i < j). A link running from
+      j to i reads the transposed cell [x_j][x_i]. Per cell, the links
+      running from lower to higher id come first, then the others, each in
+      movement order; padding reads the zero column `n_mov`.
 
-    `contribution` holds a period's pair terms (`PeriodModel.pair_terms`),
-    which `build_cg` sums through `edge_table` into `edge_gather` and each
-    sweep gathers through `sweep_tables`; `terms_stamp` names the write
-    that put them there. `phase_rows` and `phase_gather` are the buffers of
-    `period_model`. Each buffer is made on first use, so runs that never
-    build a coordination graph carry none of them.
+    `edge_gather` is `build_cg`'s buffer for that sum, `phase_rows` and
+    `phase_gather` are the buffers of `period_model`, and `sweep_tables`
+    holds the sweeps' tables and buffers. A buffer's contents never outlive
+    the call that writes them. Each is made on first use, so runs that
+    never build a coordination graph carry none of them.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -250,7 +249,7 @@ class MovementArrays:
         phase_slot = self.mov_agent[phased] * NUM_PHASES + self.mov_phase[phased]
         self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
         self.entry_table = gather_table(entry, self.mov_agent[entry], n_agents, pad)
-        # edge-table cell (x_i, x_j) reads the contribution cell [x_i][x_j] of
+        # edge-table cell (x_i, x_j) reads the pair-term cell [x_i][x_j] of
         # a movement on a link i -> j and [x_j][x_i] of one on j -> i
         n_cells = NUM_PHASES * NUM_PHASES
         x_i, x_j = np.divmod(np.arange(n_cells), NUM_PHASES)
@@ -264,16 +263,6 @@ class MovementArrays:
         self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
         for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
             self.down_link_rows[l].append(h)
-        self.terms_stamp = 0
-
-    @cached_property
-    def contribution(self) -> np.ndarray:
-        """The phase-major (4, 4, n_mov + 1) pair-term buffer, indexed
-        [x_start][x_end][movement] by the phases at the two ends of the
-        movement's input link, that `edge_table` and `sweep_tables` read.
-        `PeriodModel.pair_terms` rewrites the movement columns and never
-        writes the zero column `n_mov`."""
-        return np.zeros((NUM_PHASES, NUM_PHASES, self.n_mov + 1))
 
     @cached_property
     def edge_gather(self) -> np.ndarray:
@@ -304,7 +293,7 @@ class MovementArrays:
         `upstream` (K, agents) gives, per `agent_table` entry, the position
         of the agent upstream of its movement's input link, or agent 0 where
         there is none and for padding: such terms are the same under every
-        upstream phase. `cells` (K, 4, agents) is the flat `contribution`
+        upstream phase. `cells` (K, 4, agents) is the flat pair-term
         position of the entry's term under upstream phase 0 and own phase x
         at [k, x, agent]. Then come the per-sweep buffers: each agent's
         offset for its action, the (K, agents) gather of those offsets, the

@@ -12,13 +12,14 @@ All of it runs on agent positions (sorted-id order) as numpy arrays. Every
 hop distance is a single-source `network.hop_distances` search over the
 graph's neighbour table. The sink comes from eccentricity bounds (Takes &
 Kosters, Algorithms 6(1), 2013), which need a few searches instead of one
-per agent.
+per agent. The orientation's `LevelSchedule` numbers its messages as rows
+and groups them into levels; it holds index arrays only, and
+`messaging.MessagePlan` lays out the buffers a pass writes by it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,10 +58,7 @@ class LevelSchedule:
 
     `edges` are the order's edges as (i < j) pairs, which is the edge order
     of the `CoordinationGraph` it was built from, so `cost_cells` read that
-    graph's `edge_costs` as they are. `plan` holds the engine's message and
-    cost buffers and its per-level gather tables. Every engine on this
-    schedule rewrites the same buffers, so only one of them may be live at a
-    time.
+    graph's `edge_costs` as they are.
     """
 
     def __init__(self, order: "DagOrder"):
@@ -86,87 +84,6 @@ class LevelSchedule:
         cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
         self.cost_cells = (message % n_edges) * NUM_PHASES * NUM_PHASES + cells
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
-
-    @cached_property
-    def plan(self) -> "MessagePlan":
-        """The engine's buffers and per-level gather tables, made on first
-        use and rewritten by every engine on this schedule."""
-        return MessagePlan(self)
-
-
-class LevelPlan(NamedTuple):
-    """One level's gather table and the buffers and views its update uses.
-
-    The level has n rows and the schedule K slots. `table[k, x, c]` is the
-    flat `messages` position that slot k of the level's row c reads for
-    phase x: the rows in the sender's `slots` column, then the sender's
-    own-cost column, then the `excluded` row. `summands` and `excluded` are
-    the first K + 1 slots and the last slot of the slot-major (K + 2, 4, n)
-    `gathered`; `spread` views the (4, n) `base` as (4, 1, n), which adds
-    into the (4, 4, n) `scores` with `cost`, the level's columns of the cost
-    buffer. `out` is the level's columns of the message buffer.
-    """
-
-    table: np.ndarray
-    gathered: np.ndarray
-    summands: np.ndarray
-    excluded: np.ndarray
-    base: np.ndarray
-    spread: np.ndarray
-    cost: np.ndarray
-    scores: np.ndarray
-    out: np.ndarray
-
-
-class MessagePlan:
-    """The buffers one engine of a schedule works in.
-
-    `messages` is the phase-major (4, 2E + 1 + N) buffer: message row r in
-    column r, a zero column at 2E and agent n's own costs in column
-    2E + 1 + n; `flat` is its flat view, which the gather tables index.
-    `costs` is the (4, 4, 2E) table of edge costs by `cost_cells`, indexed
-    [x_sender][x_receiver][row]. `snapshots` holds two copies of
-    `messages`, where `coordinate` keeps the messages after the latest
-    finished even and odd pass. `levels` holds a `LevelPlan` per level,
-    whose `gathered`, `base` and `scores` are contiguous views of scratch
-    buffers all levels share, sized for the widest level. `totals` is the
-    slot-major (K + 1, 4, N) gather table of each agent's incoming rows (its
-    `slots` column) and then its own-cost column, whose `segment_sum`
-    scores the agent's phases.
-    """
-
-    def __init__(self, sched: LevelSchedule):
-        n_rows, n_agents = len(sched.sender), len(sched.agents)
-        own = n_rows + 1  # the first own-cost column
-        self.messages = np.zeros((NUM_PHASES, own + n_agents))
-        self.flat = self.messages.reshape(-1)
-        self.snapshots = np.zeros((2, *self.messages.shape))
-        self.costs = np.empty(sched.cost_cells.shape)
-        # column c of phase x sits at flat position x * width + c
-        phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]
-        columns = np.vstack((sched.slots, own + np.arange(n_agents)))
-        self.totals = columns[:, None] + phase_start
-        columns = np.vstack((sched.slots[:, sched.sender], own + sched.sender, sched.excluded))
-        widest = max((b - a for a, b in sched.levels), default=0)
-        scratch = tuple(np.empty(k * NUM_PHASES * widest) for k in (len(columns), 1, NUM_PHASES))
-        self.levels = tuple(self._level(columns[:, None, a:b] + phase_start, a, b, scratch) for a, b in sched.levels)
-
-    def _level(self, table: np.ndarray, start: int, stop: int, scratch: tuple) -> LevelPlan:
-        n = stop - start
-        gathered = scratch[0][: table.size].reshape(table.shape)
-        base = scratch[1][: NUM_PHASES * n].reshape(NUM_PHASES, n)
-        scores = scratch[2][: NUM_PHASES * NUM_PHASES * n].reshape(NUM_PHASES, NUM_PHASES, n)
-        return LevelPlan(
-            table=table,
-            gathered=gathered,
-            summands=gathered[:-1],
-            excluded=gathered[-1],
-            base=base,
-            spread=base[:, None],
-            cost=self.costs[:, :, start:stop],
-            scores=scores,
-            out=self.messages[:, start:stop],
-        )
 
 
 def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import topology
+from netsignal.messaging import message_plan
 from netsignal.network import Phase, RoadNetwork, build_grid, movement_arrays
 from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
 
@@ -149,22 +150,30 @@ def row_pairs(sched):
     return tuple((senders[r], senders[x]) for r, x in enumerate(sched.excluded.tolist()))
 
 
-def engine_messages(engine):
-    """Every message in an engine's buffer, keyed by (sender, receiver)."""
-    return {pair: engine.buffer[:, r].copy() for r, pair in enumerate(row_pairs(engine.schedule))}
+def loaded_plan(cg, order):
+    """The orientation's message plan with `cg` loaded."""
+    plan = message_plan(order)
+    plan.load(cg)
+    return plan
 
 
-def sync_round(engine, levels):
+def plan_messages(plan, order):
+    """Every message in the buffer of an orientation's message plan, keyed
+    by (sender, receiver)."""
+    return {pair: plan.messages[:, r].copy() for r, pair in enumerate(row_pairs(order.schedule))}
+
+
+def sync_round(plan, order, levels):
     """Recompute the messages of `levels` all at once, each level from the
     buffer as it stood before the round."""
-    before = engine.buffer.copy()
+    before = plan.messages.copy()
     after = before.copy()
     for level in levels:
-        engine.buffer[...] = before
-        engine.update(level)
-        start, stop = engine.schedule.levels[level]
-        after[:, start:stop] = engine.buffer[:, start:stop]
-    engine.buffer[...] = after
+        plan.messages[...] = before
+        plan.update(level)
+        start, stop = order.schedule.levels[level]
+        after[:, start:stop] = plan.messages[:, start:stop]
+    plan.messages[...] = after
 
 
 def forward_messages(cg, order, sync_rounds=0, level_pass=True):
@@ -172,16 +181,14 @@ def forward_messages(cg, order, sync_rounds=0, level_pass=True):
     level by level as `coordinate` takes it) and then `sync_rounds` rounds
     that recompute every forward message at once from the previous round's.
     """
-    from netsignal.messaging import _Engine
-
-    engine = _Engine(cg, order)
+    plan = loaded_plan(cg, order)
     forward = range(order.diameter)
     if level_pass:
         for level in forward:
-            engine.update(level)
+            plan.update(level)
     for _ in range(sync_rounds):
-        sync_round(engine, forward)
-    messages = engine_messages(engine)
+        sync_round(plan, order, forward)
+    messages = plan_messages(plan, order)
     return {pair: messages[pair] for pair in order.edges}
 
 

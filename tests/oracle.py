@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from netsignal.messaging import _Engine
+from netsignal.messaging import message_plan
 from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
 from netsignal.ordering import TopologyError
 
@@ -185,7 +185,7 @@ class ScalarGraph:
 
 def row_major_messages(cg, order, passes):
     """The (2E, 4) message rows after `passes` alternating level passes of
-    the engine's rule on a row-major buffer with a zero row at 2E.
+    the message plan's rule on a row-major buffer with a zero row at 2E.
 
     Each row adds its sender's incoming rows one at a time from 0.0 in slot
     order, then the sender's own cost; subtracts the excluded row; adds the
@@ -214,24 +214,25 @@ def row_major_messages(cg, order, passes):
 
 def allclose_coordinate(cg, order, rounds):
     """`(passes, rounds, converged, phases)` of `coordinate` under a rounds
-    cap, run on the engine with a fresh copy of the whole buffer after each
-    pass and the cycle test `np.allclose(rtol=0, atol=1e-9)` over all of it,
-    own-cost and zero columns included."""
-    engine = _Engine(cg, order)
+    cap, run on the message plan with a fresh copy of the whole buffer after
+    each pass and the cycle test `np.allclose(rtol=0, atol=1e-9)` over all of
+    it, own-cost and zero columns included."""
+    plan = message_plan(order)
+    plan.load(cg)
     diameter = order.diameter
     done = passes = 0
     finished = previous = None
     while True:
         for level in range((passes % 2) * diameter, (passes % 2 + 1) * diameter):
             if done >= rounds:
-                return passes, done, False, engine.picks(finished)
-            engine.update(level)
+                return passes, done, False, plan.picks(finished)
+            plan.update(level)
             done += 1
         passes += 1
-        finished = engine.buffer.copy()
+        finished = plan.messages.copy()
         if passes % 2 == 0:
             if previous is not None and np.allclose(finished, previous, rtol=0.0, atol=1e-9):
-                return passes, done, True, engine.picks()
+                return passes, done, True, plan.picks()
             previous = finished
 
 

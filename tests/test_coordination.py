@@ -201,28 +201,29 @@ def test_graph_rejects_wrong_individual_shape():
 
 
 def test_build_cg_allocates_less_than_one_contribution():
-    # The contribution and the edge gather are the network's buffers, and
-    # numpy writes into them without a temporary of their size, so a period
-    # allocates only the smaller per-movement arrays and the tables.
+    # The pair terms are the model's and the edge gather is the network's
+    # buffer, which numpy writes without a temporary of its size, so a graph
+    # allocates only the tables, less than one pair-term table.
     net = build_grid(20, 20)
     rng = np.random.default_rng(15)
     state, turning = random_macro_state(net, rng), random_turning(net, rng)
     model = period_model(net, state, turning)
     build_cg(state, net, turning, model=model)
-    contribution = NUM_PHASES * NUM_PHASES * (movement_arrays(net).n_mov + 1) * 8
+    one_table = NUM_PHASES * NUM_PHASES * (movement_arrays(net).n_mov + 1) * 8
     tracemalloc.start()
     try:
         build_cg(state, net, turning, model=model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < contribution
+    assert peak < one_table
 
 
 def test_models_of_one_network_never_read_each_others_pair_terms():
-    # Every model of a network writes its pair terms into the network's one
-    # buffer. Models and graphs of states A and B, in the order A, B, A, give
-    # A's tables of a fresh network, whichever of A's readers comes first.
+    # Each model owns its pair terms, and the readers share the network's
+    # other buffers. Models and graphs of states A and B, in the order A, B,
+    # A, give A's tables of a fresh network, whichever of A's readers comes
+    # first.
     rng = np.random.default_rng(17)
     net = build_grid(4, 5)
     states = [(random_macro_state(net, rng), random_turning(net, rng)) for _ in range(2)]
@@ -243,6 +244,9 @@ def test_models_of_one_network_never_read_each_others_pair_terms():
         assert tables(net, a, *states[0], sweep_first) == want
         assert tables(net, b, *states[1], sweep_first) != want
         assert tables(net, a, *states[0], sweep_first) == want
+    arr = movement_arrays(net)
+    buffers = [v for v in vars(arr).values() if isinstance(v, np.ndarray)] + list(arr.sweep_tables)
+    assert not any(np.shares_memory(a.terms, buf) for buf in [b.terms, *buffers])
 
 
 def test_build_cg_graphs_keep_their_tables():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (
-    engine_messages,
     forward_messages,
+    loaded_plan,
+    plan_messages,
     random_cg,
     random_macro_state,
     random_tree_edges,
     random_turning,
 )
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
-from netsignal.messaging import CoorBudget, _Engine, coordinate
+from netsignal.messaging import CoorBudget, coordinate, message_plan
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
@@ -30,12 +31,13 @@ def reference_rounds(cg, order, rounds):
 
 
 def one_cycle(cg):
-    """An engine after one forward and one reverse level pass."""
+    """The messages of `cg` after one forward and one reverse level pass,
+    keyed by (sender, receiver), and the plan that holds them."""
     order = min_diameter_dag(cg)
-    engine = _Engine(cg, order)
-    for level in range(len(engine.schedule.levels)):
-        engine.update(level)
-    return engine
+    plan = loaded_plan(cg, order)
+    for level in range(len(order.schedule.levels)):
+        plan.update(level)
+    return plan_messages(plan, order), plan
 
 
 def two_agent_cg(rng):
@@ -44,7 +46,7 @@ def two_agent_cg(rng):
 
 def test_message_zero_costs():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
-    messages = engine_messages(one_cycle(cg))
+    messages, _ = one_cycle(cg)
     assert np.array_equal(messages[(0, 1)], np.zeros(4))
     assert np.array_equal(messages[(1, 0)], np.zeros(4))
 
@@ -53,7 +55,7 @@ def test_message_constant_edge_cost():
     cg = CoordinationGraph(
         (0, 1), ((0, 1),), np.zeros((1, 4, 4)), [[3.0, 1.0, 2.0, 5.0], [0.0] * 4]
     )
-    msg = engine_messages(one_cycle(cg))[(0, 1)]
+    msg = one_cycle(cg)[0][(0, 1)]
     assert np.array_equal(msg, np.full(4, 1.0))
     assert np.array_equal(msg, ScalarGraph(cg).message(0, 1, {}))
 
@@ -62,7 +64,7 @@ def test_two_agent_chain_reaches_global_min():
     rng = np.random.default_rng(1)
     for _ in range(200):
         cg = two_agent_cg(rng)
-        msg = engine_messages(one_cycle(cg))[(0, 1)]
+        msg = one_cycle(cg)[0][(0, 1)]
         assert np.allclose(msg, ScalarGraph(cg).message(0, 1, {}), rtol=0.0, atol=1e-9)
         chained = float(np.min(cg.individual[1] + msg))
         _, best = brute_force_optimum(cg)
@@ -73,7 +75,7 @@ def test_message_passing_single_agent_empty():
     cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [np.arange(4.0)])
     order = min_diameter_dag(cg)
     assert forward_messages(cg, order, sync_rounds=order.diameter) == {}
-    assert engine_messages(_Engine(cg, order)) == {}
+    assert plan_messages(loaded_plan(cg, order), order) == {}
 
 
 def test_three_agent_path_fixpoint_after_one_round():
@@ -125,7 +127,7 @@ def test_grid_fixpoint_in_exactly_diameter_rounds():
 def test_engine_sums_a_hub_level_in_slot_order():
     # A hub with eight leaves and a path of two sends its one forward message
     # in a level of its own, from nine incoming messages and its own cost.
-    # numpy adds a lone contiguous run of ten pairwise; the engine must add
+    # numpy adds a lone contiguous run of ten pairwise; the plan must add
     # them in slot order, as it adds every wider level.
     edges = [(0, 1), (0, 2)] + [(1, leaf) for leaf in range(3, 11)]
     for seed in range(20):
@@ -134,33 +136,33 @@ def test_engine_sums_a_hub_level_in_slot_order():
         sched = order.schedule
         lone = [start for start, stop in sched.levels if stop - start == 1]
         assert sched.sender[lone].tolist() == [1]
-        engine = _Engine(cg, order)
+        plan = loaded_plan(cg, order)
         for _ in range(2):
             for level in range(len(sched.levels)):
-                engine.update(level)
-        messages = np.ascontiguousarray(engine.buffer[:, : len(sched.sender)].T)
+                plan.update(level)
+        messages = np.ascontiguousarray(plan.messages[:, : len(sched.sender)].T)
         assert messages.tobytes() == row_major_messages(cg, order, 4).tobytes()
 
 
 def test_decide_empty_table_uses_own_cost():
     cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [[3.0, 1.0, 2.0, 5.0]])
-    engine = _Engine(cg, min_diameter_dag(cg))
-    assert JointAssignment(cg.agents, engine.picks()) == {0: Phase(1)}
+    plan = loaded_plan(cg, min_diameter_dag(cg))
+    assert JointAssignment(cg.agents, plan.picks()) == {0: Phase(1)}
 
 
 def test_decide_tie_break_lowest_index():
     cg = random_cg(np.random.default_rng(0), 2, [(0, 1)], scale=0.0)
-    engine = _Engine(cg, min_diameter_dag(cg))
-    assert JointAssignment(cg.agents, engine.picks()) == {0: Phase(0), 1: Phase(0)}
+    plan = loaded_plan(cg, min_diameter_dag(cg))
+    assert JointAssignment(cg.agents, plan.picks()) == {0: Phase(0), 1: Phase(0)}
 
 
 def test_decide_after_convergence_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(200):
         cg = two_agent_cg(rng)
-        engine = one_cycle(cg)
-        joint = JointAssignment(cg.agents, engine.picks())
-        assert joint == ScalarGraph(cg).decisions(engine_messages(engine))
+        messages, plan = one_cycle(cg)
+        joint = JointAssignment(cg.agents, plan.picks())
+        assert joint == ScalarGraph(cg).decisions(messages)
         _, best = brute_force_optimum(cg)
         assert global_cost(cg, joint) == pytest.approx(best)
 
@@ -235,7 +237,7 @@ def test_coordinate_converges_and_stops_on_trees():
 def test_coordinate_is_pinned_at_every_round_cap():
     # Every cap from 0 to past two cycles: interruptions inside a pass, pass
     # boundaries and the convergence stop on the chain. A rework of the
-    # engine or the schedule must keep these results bit for bit.
+    # message plan or the schedule must keep these results bit for bit.
     digest = hashlib.sha256()
     rng = np.random.default_rng(2024)
     for rows, cols in ((5, 4), (1, 6)):
@@ -250,13 +252,14 @@ def test_coordinate_is_pinned_at_every_round_cap():
 
 
 def test_coordinate_results_outlive_the_shared_cost_buffer():
-    # Engines on one order share its plan: the message and cost buffers and
-    # the level scratch. Graph A, then B, then A again give A's first
-    # results, at a cap inside a pass after a finished pass and at caps at
-    # and past the end of two cycles, and no result shares the plan's memory.
+    # Every call on one order works in its plan: the message and cost
+    # buffers and the level scratch. Graph A, then B, then A again give A's
+    # first results, at a cap inside a pass after a finished pass and at caps
+    # at and past the end of two cycles, and no result shares the plan's
+    # memory.
     net = build_grid(4, 5)
     order = network_order(net)
-    plan = order.schedule.plan
+    plan = message_plan(order)
     buffers = [plan.messages, plan.costs, *plan.snapshots]
     buffers += [buf for level in plan.levels for buf in (level.gathered, level.base, level.scores)]
     rng = np.random.default_rng(2025)
@@ -290,7 +293,7 @@ def test_coordinate_stops_by_the_allclose_rule():
                 for cycles in (2, 4, 8):
                     rounds = 2 * cycles * order.diameter
                     got = coordinate(tables, order, CoorBudget(rounds=rounds))
-                    finite.append(np.isfinite(order.schedule.plan.messages).all())
+                    finite.append(np.isfinite(message_plan(order).messages).all())
                     passes, done, closed, phases = oracle.allclose_coordinate(tables, order, rounds)
                     assert (got.passes, got.rounds, got.converged) == (passes, done, closed)
                     assert got.assignment.phases.tobytes() == phases.tobytes()
@@ -352,10 +355,32 @@ def test_engine_rejects_an_orientation_of_another_graph():
     cg = random_cg(rng, 4, [(0, 1), (1, 2), (2, 3)])
     other = random_cg(rng, 4, [(0, 1), (1, 2), (1, 3)])
     with pytest.raises(ValueError, match="different coordination graph"):
-        _Engine(cg, min_diameter_dag(other))
+        message_plan(min_diameter_dag(other)).load(cg)
     with pytest.raises(ValueError, match="different coordination graph"):
         coordinate(cg, min_diameter_dag(other), CoorBudget(rounds=4))
-    assert _Engine(cg, reverse(min_diameter_dag(cg))).schedule.agents == cg.agents
+    order = reverse(min_diameter_dag(cg))
+    message_plan(order).load(cg)
+    assert order.schedule.agents == cg.agents
+
+
+def test_plan_checks_a_new_edges_tuple_after_the_networks_graph():
+    # The network's graph passes the layout check by identity once it has
+    # loaded; a graph that shares only its agents tuple is still compared.
+    net = build_grid(3, 4)
+    rng = np.random.default_rng(44)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    order = network_order(net)
+    plan = message_plan(order)
+    plan.load(cg)
+    fewer = CoordinationGraph(cg.agents, cg.edges[1:], cg.edge_costs[1:], cg.individual)
+    assert fewer.agents is cg.agents
+    with pytest.raises(ValueError, match="different coordination graph"):
+        plan.load(fewer)
+    with pytest.raises(ValueError, match="different coordination graph"):
+        coordinate(fewer, order, CoorBudget(rounds=4))
+    # equal tuples that are other objects pass, and so does the graph again
+    plan.load(CoordinationGraph(tuple(list(cg.agents)), tuple(list(cg.edges)), cg.edge_costs, cg.individual))
+    plan.load(cg)
 
 
 @pytest.mark.parametrize(

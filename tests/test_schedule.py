@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     forward_messages,
     is_bipartite,
+    loaded_plan,
     random_cg,
     random_connected_edges,
     random_macro_state,
@@ -23,7 +24,7 @@ from conftest import (
     row_pairs,
 )
 from netsignal.coordination import build_cg, global_cost
-from netsignal.messaging import CoorBudget, _Engine, coordinate
+from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import build_grid, segment_sum
 from netsignal.ordering import min_diameter_dag
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path
@@ -149,13 +150,13 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     pairs = [*order.edges, *((v, u) for u, v in order.edges)]
     scales = 10.0 ** rng.integers(-3, 4, len(pairs))
     table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
-    engine = _Engine(cg, order)
+    plan = loaded_plan(cg, order)
     for r, pair in enumerate(row_pairs(order.schedule)):
-        engine.buffer[:, r] = table[pair]
+        plan.messages[:, r] = table[pair]
     index = {a: k for k, a in enumerate(cg.agents)}
     src = [index[u] for u, _ in order.edges]
     dst = [index[v] for _, v in order.edges]
     want = np.zeros((len(cg.agents), 4))
     np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
     np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
-    assert np.array_equal(segment_sum(engine.buffer.T, order.schedule.slots), want)
+    assert np.array_equal(segment_sum(plan.messages.T, order.schedule.slots), want)
