@@ -47,6 +47,6 @@ def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) 
 
 def max_pressure(state: QueueState, net: RoadNetwork, turning: TurningModel) -> JointAssignment:
     """Independently per intersection, the highest-pressure phase (lowest
-    index on ties)."""
-    best = np.argmax(phase_pressures(state, net, turning), axis=1)
-    return JointAssignment(movement_arrays(net).agent_ids, best)
+    index on ties), as an unchecked view: an argmax over four columns."""
+    best = phase_pressures(state, net, turning).argmax(axis=1)
+    return JointAssignment._unchecked(movement_arrays(net).agent_ids, best)

@@ -72,7 +72,9 @@ def local_improvement(
     of the period's pair terms and a sum per agent; the scores are
     phase-major (4, N), so the rule runs over their leading axis.
     `init` must cover every agent. `model` may pass in the `period_model`
-    of the same inputs when the caller has it.
+    of the same inputs when the caller has it. The decision is an unchecked
+    view over `arr.agent_ids`: `phase_indices` checks `init`, and each flip
+    is an argmin over four rows.
     """
     start = time.perf_counter()
     arr = movement_arrays(net)
@@ -84,11 +86,11 @@ def local_improvement(
         if budget is not None and budget.exhausted(start, done):
             break
         scores = model.sweep_scores(actions)
-        keep = scores[actions, positions] <= scores.min(axis=0) + 1e-9
-        if keep.all():
+        keep = scores[actions, positions] <= np.minimum.reduce(scores, axis=0) + 1e-9
+        if np.logical_and.reduce(keep):
             break
         actions = np.where(keep, actions, scores.argmin(axis=0))
-    return JointAssignment(arr.agent_ids, actions)
+    return JointAssignment._unchecked(arr.agent_ids, actions)
 
 
 @dataclass

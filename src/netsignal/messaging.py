@@ -191,7 +191,7 @@ class MessagePlan:
         if messages is None:
             messages = self.messages
         totals = segment_sum(messages.reshape(-1), self.totals)
-        return np.argmin(totals, axis=0)
+        return totals.argmin(axis=0)
 
 
 def message_plan(order: DagOrder) -> MessagePlan:
@@ -220,13 +220,14 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     decision of the latest copy, or of the partial messages if no pass ever
     finished. Stops early once a full cycle no longer changes any message
     by more than 1e-9 (`_cycle_closed`). Only the returned decision is
-    computed.
+    computed. `cg.agents` passed the graph's layout check, and each phase is
+    an argmin over four rows, so the decision is an unchecked view.
     """
     start = time.perf_counter()
     plan = message_plan(order)
     plan.load(cg)
     if not order.edges:
-        return CoordResult(JointAssignment(cg.agents, plan.picks()), 0, 0, True)
+        return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), 0, 0, True)
 
     diameter = order.diameter
     # even passes run the forward levels, odd passes the reverse ones
@@ -241,19 +242,29 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
         for level in directions[passes % 2]:
             if budget.exhausted(start, rounds_done):
                 finished = snapshots[passes % 2] if passes else None
-                return CoordResult(JointAssignment(cg.agents, plan.picks(finished)), passes, rounds_done, False)
+                decision = JointAssignment._unchecked(cg.agents, plan.picks(finished))
+                return CoordResult(decision, passes, rounds_done, False)
             plan.update(level)
             rounds_done += 1
         passes += 1
         cycle_end = passes % 2 == 0 and passes > 2
         if cycle_end and _cycle_closed(plan.messages[:, :n_rows], snapshots[0, :, :n_rows]):
-            return CoordResult(JointAssignment(cg.agents, plan.picks()), passes, rounds_done, True)
+            return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds_done, True)
         np.copyto(snapshots[passes % 2], plan.messages)
 
 
 def _cycle_closed(messages: np.ndarray, before: np.ndarray) -> bool:
     """Whether every message is within 1e-9 of its value a cycle before, or
     equal to it: `np.allclose(messages, before, rtol=0, atol=1e-9)`, whose
-    infinities count as close only to themselves and NaN to nothing."""
+    infinities count as close only to themselves and NaN to nothing.
+
+    One cell is compared first, as Python floats, whose arithmetic sets no
+    numpy warning: a gap above 1e-9 shows the cell moved, so the cycle did
+    not close. A close cell, or a NaN gap from an infinity or NaN, falls
+    through to the whole buffer.
+    """
+    if abs(messages.item(0) - before.item(0)) > 1e-9:
+        return False
     with np.errstate(invalid="ignore"):
-        return bool(((np.abs(messages - before) <= 1e-9) | (messages == before)).all())
+        close = (np.abs(messages - before) <= 1e-9) | (messages == before)
+    return bool(np.logical_and.reduce(close, axis=None))

@@ -189,12 +189,13 @@ class MovementArrays:
         self.release_cap = np.array([int(m.sat_flow) for m in movements], dtype=np.intp)
 
         # each movement's phase, -1 for right turns, which run under every
-        # phase; `act` is its activation under each phase of its intersection
+        # phase; `act[x, m]` is movement m's activation under phase x of its
+        # intersection, phase-major like every per-period array over phases
         self.mov_phase = np.array(
             [-1 if m.phase is None else int(m.phase) for m in movements], dtype=np.intp
         )
-        phases = np.arange(NUM_PHASES)
-        self.act = ((self.mov_phase[:, None] < 0) | (self.mov_phase[:, None] == phases)).astype(float)
+        phases = np.arange(NUM_PHASES)[:, None]
+        self.act = ((self.mov_phase < 0) | (self.mov_phase == phases)).astype(float)
 
         link_ids = sorted(net.links)
         link_index = {l: k for k, l in enumerate(link_ids)}
@@ -271,16 +272,16 @@ class MovementArrays:
 
     @cached_property
     def phase_rows(self) -> np.ndarray:
-        """(n_mov + 1, 4) rows per movement and phase: `period_model`'s
-        releases. Each call rewrites the movement rows and sums them before
-        it returns, and none writes the zero row `n_mov`."""
-        return np.zeros((self.n_mov + 1, NUM_PHASES))
+        """(4, n_mov + 1) rows per phase and movement: `period_model`'s
+        releases. Each call rewrites the movement columns and sums them
+        before it returns, and none writes the zero column `n_mov`."""
+        return np.zeros((NUM_PHASES, self.n_mov + 1))
 
     def phase_gather(self, shape: tuple[int, ...]) -> np.ndarray:
         """A view of `shape` into one gather buffer, made on first use and
-        shared by the `segment_sum` of `phase_rows` through `to_link_table`,
-        shaped `to_link_table.shape + (4,)`, and the sweeps' (K, 4, agents)
-        gather through `agent_table`."""
+        shared by `period_model`'s (4, K, links) gather of `phase_rows`
+        through `to_link_table` and the sweeps' (K, 4, agents) gather
+        through `agent_table`."""
         if not hasattr(self, "_phase_gather"):
             size = max(self.to_link_table.size, self.agent_table.size) * NUM_PHASES
             self._phase_gather = np.empty(size)

@@ -5,8 +5,11 @@ Both evaluate the same quantities for every movement: how much a phase
 choice drains its queue and how much upstream releases feed its link.
 `period_model` computes them for a whole period as numpy expressions over
 the network's `MovementArrays`, reading the state's queue vector and the
-turning model's arrays as they are. Sums per link are `segment_sum`s
-through the arrays' gather tables. The model squares every movement's
+turning model's arrays as they are. Every intermediate is phase-major,
+(4, M) over movements or (4, L) over links, so each ufunc runs along the
+movements or links rather than over 4-element rows; the release onto each
+link is a gather through `to_link_table` summed over its slots in table
+order, as `segment_sum` sums. The model squares every movement's
 next-period queue under each pair of upstream and own phase once, into a
 pair-term table it owns, from which `build_cg` sums its cost tables and
 each sweep gathers its scores. The temporaries that are never returned
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork, movement_arrays
 from netsignal.simulation import QueueState, TurningModel
 
 
@@ -29,8 +32,9 @@ class PeriodModel:
 
     `drained[m, x]` is movement m's queue after its intersection picks phase
     x (before arrivals); `release_onto[l, x]` is the volume released onto
-    link l when its upstream intersection picks x; `r` (per movement) and
-    `demand` (per link) are the turning model's `r` and `d`.
+    link l when its upstream intersection picks x. Both are transposed
+    views of the phase-major arrays `period_model` computes. `r` (per
+    movement) and `demand` (per link) are the turning model's `r` and `d`.
 
     `terms` is the phase-major (4, 4, n_mov + 1) table of movement m's
     squared next-period queue at [x_up][x][m], when the intersection
@@ -68,17 +72,21 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     q = state.q
     cap = np.minimum(arr.sat, q)
     released = arr.phase_rows
-    np.multiply(arr.act, cap[:, None], out=released[:-1])
-    drained = q[:, None] - released[:-1]
-    gathered = arr.phase_gather((*arr.to_link_table.shape, NUM_PHASES))
-    release_onto = segment_sum(released, arr.to_link_table, gathered)
+    np.multiply(arr.act, cap, out=released[:, :-1])
+    drained = q - released[:, :-1]
+    gathered = arr.phase_gather((NUM_PHASES, *arr.to_link_table.shape))
+    released.take(arr.to_link_table, axis=1, out=gathered, mode="clip")
+    # numpy adds the slots one at a time in table order from 0.0, as
+    # `segment_sum` does, because the links, not the slots, run innermost:
+    # a movement joins two links, so a table with slots has two or more
+    release_onto = np.add.reduce(gathered, axis=1, initial=0.0)
     entry_inflow = np.where(arr.entry_link_mask, turning.d, 0.0)
-    inflow = np.where(arr.fed_link_mask, release_onto.T, entry_inflow)
+    inflow = np.where(arr.fed_link_mask, release_onto, entry_inflow)
     incoming = inflow.take(arr.mov_from, axis=1)
     incoming *= turning.r
     terms = np.empty((NUM_PHASES, NUM_PHASES, arr.n_mov + 1))
     terms[:, :, -1] = 0.0
     cells = terms[:, :, :-1]
-    np.add(incoming[:, None], drained.T, out=cells)
+    np.add(incoming[:, None], drained, out=cells)
     np.square(cells, out=cells)
-    return PeriodModel(arr, turning.r, drained, release_onto, turning.d, terms)
+    return PeriodModel(arr, turning.r, drained.T, release_onto.T, turning.d, terms)

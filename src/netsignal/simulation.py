@@ -47,6 +47,9 @@ class JointAssignment(Mapping):
     (N,) array of their phase indices in that order; `view[id]` finds the
     id by binary search. Every controller returns one, and `phase_indices`
     reads it back without a copy.
+
+    The constructor checks both fields. `_unchecked` skips the checks for
+    the planner's own decisions, which are valid by construction.
     """
 
     __slots__ = ("agents", "phases")
@@ -66,6 +69,20 @@ class JointAssignment(Mapping):
         phases.flags.writeable = False
         self.agents = agents
         self.phases = phases
+
+    @classmethod
+    def _unchecked(cls, agents: tuple[int, ...], phases: np.ndarray) -> "JointAssignment":
+        """The view of `phases` over `agents`, without the constructor's
+        checks: `agents` is a sorted tuple of distinct ids, and `phases` an
+        (N,) intp array of phases in 0..3 that nothing writes afterwards,
+        marked read-only in place. `coordinate`, `local_improvement` and
+        `max_pressure` build their decisions so, over their graph's or
+        network's own agent tuple."""
+        view = cls.__new__(cls)
+        phases.flags.writeable = False
+        view.agents = agents
+        view.phases = phases
+        return view
 
     def __getitem__(self, agent) -> Phase:
         try:

@@ -332,9 +332,10 @@ def period_model_at(net, state, turning):
     arr = movement_arrays(net)
     q = state.q
     cap = np.minimum(arr.sat, q)
-    drained = q[:, None] - arr.act * cap[:, None]
+    act = arr.act.T  # (n_mov, 4)
+    drained = q[:, None] - act * cap[:, None]
     release_onto = np.zeros((arr.n_links, NUM_PHASES))
-    np.add.at(release_onto, arr.mov_to, arr.act * cap[:, None])
+    np.add.at(release_onto, arr.mov_to, act * cap[:, None])
     return drained, release_onto
 
 

@@ -13,7 +13,7 @@ from conftest import (
     random_turning,
 )
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
-from netsignal.messaging import CoorBudget, coordinate, message_plan
+from netsignal.messaging import CoorBudget, _cycle_closed, coordinate, message_plan
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
@@ -300,6 +300,37 @@ def test_coordinate_stops_by_the_allclose_rule():
                     converged.append(closed)
     assert any(converged) and not all(converged)
     assert any(finite) and not all(finite)
+
+
+# (now, a cycle before) of the first cell, which `_cycle_closed` reads first
+PROBES = {
+    "equal": (3.5, 3.5),
+    "close": (1.0, 1.0 + 5e-10),
+    "far": (1.0, 2.0),
+    "inf-now": (np.inf, 1.0),
+    "inf-before": (1.0, -np.inf),
+    "inf-both": (np.inf, np.inf),
+    "inf-opposite": (np.inf, -np.inf),
+    "nan": (np.nan, 1.0),
+    "nan-both": (np.nan, np.nan),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rest", ["equal", "moved"])
+@pytest.mark.parametrize("probe", PROBES)
+def test_cycle_closed_is_allclose(probe, rest):
+    # the first cell's test decides alone only where allclose is false, and
+    # neither part lets a warning out; the buffers are column views, as in
+    # `coordinate`
+    rng = np.random.default_rng(9)
+    now, before = rng.random((2, 4, 9))[:, :, :7]
+    before[...] = now
+    if rest == "moved":
+        now[3, 5] += 1.0
+    now[0, 0], before[0, 0] = PROBES[probe]
+    want = np.allclose(now, before, rtol=0, atol=1e-9)
+    assert _cycle_closed(now, before) is want
 
 
 def test_snapshot_costs_monotone_on_trees():

@@ -21,13 +21,19 @@ from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg
 from netsignal.network import (
     NUM_PHASES,
+    Link,
+    LinkKind,
+    Movement,
+    RoadNetwork,
     build_grid,
     gather_table,
     load_network,
     movement_arrays,
     segment_sum,
+    validate,
 )
 from netsignal.prediction import period_model
+from netsignal.simulation import QueueState, TurningModel
 from test_nongrid_roadnet import write_roadnet
 
 # mixed magnitudes make the sum depend on the order of the additions
@@ -124,6 +130,23 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
     assert padded == [(10, 50)]
 
 
+def test_period_model_adds_many_slots_in_table_order():
+    # ten entry links turn onto one exit link, whose `to_link_table` column
+    # then has ten slots: summed pairwise, as numpy sums a run of 8 or more,
+    # their releases would total 1e16 + 8; in table order the ones vanish
+    links = [Link(k, LinkKind.ENTRY, None, 0, 100.0) for k in range(10)]
+    links.append(Link(10, LinkKind.EXIT, 0, None, 100.0))
+    net = RoadNetwork([0], links, [Movement(k, 10, 0, None, 1e17) for k in range(10)])
+    assert validate(net) == [] and movement_arrays(net).to_link_table.shape == (10, 11)
+    q = np.array([1e16] + [1.0] * 9)
+    assert np.add.reduce(q) != sum(q.tolist())
+    state, turning = QueueState(0, q), TurningModel(np.ones(10), np.zeros(11))
+    model = period_model(net, state, turning)
+    release_onto = oracle.period_model_at(net, state, turning)[1]
+    assert model.release_onto.tobytes() == release_onto.tobytes()
+    assert model.release_onto[10].tolist() == [sum(q.tolist())] * NUM_PHASES
+
+
 def test_package_has_no_ufunc_at():
     # every scatter-add goes through `segment_sum`'s precomputed tables
     files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
@@ -168,3 +191,21 @@ def test_package_takes_into_buffers_with_a_mode():
                     into[f"{path.name}:{node.lineno}"] = keywords, owner
     assert into and [at for at, (keywords, _) in into.items() if "mode" not in keywords] == []
     assert [at for at, (_, owner) in into.items() if owner in ("np", "numpy")] == []
+
+
+def test_per_period_modules_call_no_numpy_wrappers():
+    # `np.argmin`, `np.argmax` and the array methods `min`, `max`, `all`,
+    # `any` and `sum` each run a Python wrapper in numpy, ~1 us a call. The
+    # modules that run every period call the array's own `argmin`/`argmax`
+    # and the ufuncs' `reduce` instead.
+    root = Path(__file__).parent.parent / "src" / "netsignal"
+    hits = []
+    for name in ("messaging.py", "improvement.py", "prediction.py", "controllers.py"):
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            by_np = isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+            if attr in ("min", "max", "all", "any", "sum") or (by_np and attr in ("argmin", "argmax")):
+                hits.append(f"{name}:{node.lineno}")
+    assert hits == []

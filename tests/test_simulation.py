@@ -14,14 +14,18 @@ from conftest import (
     macro_state_with,
     micro_state_with,
     mov,
+    random_cg,
+    random_connected_edges,
     random_macro_state,
     random_turning,
     turning_model,
 )
 from netsignal import simulation
+from netsignal.controllers import max_pressure
 from netsignal.coordination import build_cg, global_cost
 from netsignal.harness import RateSpec, Scenario, resolve_flow
 from netsignal.improvement import local_improvement
+from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import (
     PHASES,
     LinkKind,
@@ -32,6 +36,7 @@ from netsignal.network import (
     network_from_dict,
     validate,
 )
+from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import (
     Flow,
     JointAssignment,
@@ -208,6 +213,39 @@ def test_joint_assignment_rejects_phases_that_are_no_decision(phases):
 def test_joint_assignment_needs_sorted_distinct_agents(agents):
     with pytest.raises(ValueError, match="agents must be sorted and distinct"):
         JointAssignment(agents, np.array([0, 1]))
+
+
+def assert_checked_view(view, agents):
+    """`view` is what the public constructor makes of its fields, over the
+    tuple `agents` itself, with read-only intp phases."""
+    assert JointAssignment(view.agents, view.phases.copy()) == view
+    assert view.phases.dtype == np.intp and not view.phases.flags.writeable
+    assert view.agents is agents
+
+
+def test_planner_decisions_pass_the_public_constructor():
+    # `coordinate`, `local_improvement` and `max_pressure` build their
+    # decisions without the constructor's checks, on grids and on loopy
+    # graphs, at every round cap up to two cycles and under a zero wall cap
+    rng = np.random.default_rng(20)
+    graphs = []
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            net = build_grid(rows, cols)
+            state, turning = random_macro_state(net, rng), random_turning(net, rng)
+            agents = movement_arrays(net).agent_ids
+            pressure = max_pressure(state, net, turning)
+            assert_checked_view(pressure, agents)
+            for init in (pressure, dict(pressure)):
+                assert_checked_view(local_improvement(init, state, net, turning), agents)
+            graphs.append((build_cg(state, net, turning), network_order(net)))
+    for n in range(1, 9):
+        cg = random_cg(rng, n, random_connected_edges(rng, n, extra=n))
+        graphs.append((cg, min_diameter_dag(cg)))
+    for cg, order in graphs:
+        budgets = [CoorBudget(rounds=k) for k in range(4 * order.diameter + 1)]
+        for budget in budgets + [CoorBudget(wall_ms=0)]:
+            assert_checked_view(coordinate(cg, order, budget).assignment, cg.agents)
 
 
 def test_decision_readers_agree_on_a_view_and_the_equal_dict():
