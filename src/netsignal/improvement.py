@@ -28,8 +28,10 @@ from netsignal.network import RoadNetwork, _number_or_nan, movement_arrays
 from netsignal.ordering import network_order
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, phase_indices
 
-# full forward+reverse message cycles the planner runs at most per period
-MAX_CYCLES = 2
+# full forward+reverse message cycles the planner runs at most per period;
+# with normalized messages one cycle is exact on trees, and a second one
+# moved closed-loop travel time by under 0.1% on 20x20 and 30x30 grids
+MAX_CYCLES = 1
 # best-response sweeps the planner runs at most per period
 MAX_SWEEPS = 4
 
@@ -40,9 +42,11 @@ class PlannerConfig:
 
     `epsilon` is the fraction of the budget spent on message passing; the
     rest goes to best-response sweeps, so `epsilon=1.0` runs none. Message
-    passing is also capped at `MAX_CYCLES` cycles in rounds and the sweeps
-    at `MAX_SWEEPS`, so identical inputs give identical decisions regardless
-    of hardware; the wall-clock budget still applies on top.
+    passing is also capped at `MAX_CYCLES` cycles in rounds, one forward and
+    one reverse pass, and the sweeps at `MAX_SWEEPS`, so identical inputs
+    give identical decisions regardless of hardware; the wall-clock budget
+    still applies on top. Under this cap `coordinate` never reaches its
+    cycle test, so its `converged` is False on every graph with an edge.
     """
 
     budget: CoorBudget = field(default_factory=lambda: CoorBudget(wall_ms=3000.0))

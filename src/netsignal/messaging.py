@@ -18,6 +18,16 @@ complete joint decision can be extracted at any time by per-agent argmin
 over own cost plus received messages, which is what makes the loop
 interruptible.
 
+Each new message is shifted so that its phase-0 entry is 0 (Kok & Vlassis
+normalize max-plus on cyclic graphs the same way). The shift is a
+per-message constant, so it changes no argmin in exact arithmetic: exactness
+on trees, the one-pass fixpoint and the decision at any interruption all
+hold. Without it a message grows by the costs it sums at every level, and
+on a graph with cycles it outgrows every cost until the costs are lost to
+rounding: one pass on a 100x100 grid already reaches 2.7e28. So the shift
+happens per level, not per pass, and keeps every message within the range
+of one edge table.
+
 The messages live in a `MessagePlan`, laid out by the orientation's
 `LevelSchedule` and kept with it: one buffer of every message and own
 cost, the edge costs gathered into message order, and a gather table per
@@ -175,7 +185,10 @@ class MessagePlan:
         """Recompute the message columns of level `level`: per row, the
         sender's incoming messages and own cost added in slot order, less
         the excluded message, plus each edge cost, minimized over the
-        sender's phase."""
+        sender's phase, less that minimum's phase-0 entry. The shift comes
+        at every level, since messages outgrow their costs within one pass
+        (see the module docstring); it reuses `base`, which the level no
+        longer needs once `scores` is formed."""
         table, gathered, summands, excluded, base, spread, cost, scores, out = self.levels[level]
         self.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
@@ -183,7 +196,8 @@ class MessagePlan:
         np.add.reduce(summands, axis=0, out=base, initial=0.0)
         base -= excluded
         np.add(spread, cost, out=scores)
-        np.minimum.reduce(scores, axis=0, out=out)
+        np.minimum.reduce(scores, axis=0, out=base)
+        np.subtract(base, base[:1], out=out)
 
     def picks(self, messages: Optional[np.ndarray] = None) -> np.ndarray:
         """Each agent's argmin phase given `messages`, a buffer of this

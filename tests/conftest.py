@@ -180,6 +180,8 @@ def forward_messages(cg, order, sync_rounds=0, level_pass=True):
     """Forward messages of the shipped kernel after one level pass (taken
     level by level as `coordinate` takes it) and then `sync_rounds` rounds
     that recompute every forward message at once from the previous round's.
+    Each message is normalized as the kernel normalizes it: its phase-0
+    entry is 0.
     """
     plan = loaded_plan(cg, order)
     forward = range(order.diameter)

@@ -153,7 +153,8 @@ class ScalarGraph:
         return self.cg.edge_costs[self.edge[(j, i)]].T
 
     def message(self, sender, receiver, messages):
-        """Message vector over the receiver's phases."""
+        """Message vector over the receiver's phases, shifted so that its
+        phase-0 entry is 0."""
         u = self.individual(sender).copy()
         for k in self.neighbors[sender]:
             if k == receiver:
@@ -162,7 +163,8 @@ class ScalarGraph:
             if incoming is not None:
                 u = u + incoming
         pair = self.edge_cost(sender, receiver)  # [x_sender][x_receiver]
-        return (u[:, None] + pair).min(axis=0)
+        best = (u[:, None] + pair).min(axis=0)
+        return best - best[0]
 
     def decide(self, agent, messages):
         """Phase minimizing own cost plus all received messages; lowest
@@ -189,8 +191,8 @@ def row_major_messages(cg, order, passes):
 
     Each row adds its sender's incoming rows one at a time from 0.0 in slot
     order, then the sender's own cost; subtracts the excluded row; adds the
-    edge table [x_sender][x_receiver] and takes the minimum over the
-    sender's phase.
+    edge table [x_sender][x_receiver], takes the minimum over the sender's
+    phase and subtracts the result's phase-0 entry.
     """
     sched = order.schedule
     ref = ScalarGraph(cg)
@@ -208,7 +210,8 @@ def row_major_messages(cg, order, passes):
                 base += rows[inputs[k, a:b]]
             base += cg.individual[sched.sender[a:b]]
             base -= rows[sched.excluded[a:b]]
-            rows[a:b] = (base[:, :, None] + tables[a:b]).min(axis=1)
+            best = (base[:, :, None] + tables[a:b]).min(axis=1)
+            rows[a:b] = best - best[:, :1]
     return rows[:-1]
 
 

@@ -30,7 +30,7 @@ def bench():
 
 # (fingerprint, decision hash) of each workload's run on 3x3, 40 periods, seed 1
 PINNED = {
-    "grid20_emc": ("43376bba0d030930", "c66a81bb72b67dc8"),
+    "grid20_emc": ("dfb30c844c45088c", "d88b4738f0487e4e"),
     "grid15_maxpressure": ("059fd265c6815ed5", "fdb35b36eb2df22e"),
 }
 

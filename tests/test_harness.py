@@ -55,8 +55,8 @@ def test_run_experiment_produces_metrics(controller):
 PINNED_METRICS = {
     "fixedtime": "28f59c9224effead",
     "maxpressure": "60299d7ec5747b32",
-    "nlcoor": "ec04a148872d9c9f",
-    "emc": "71d4cadb317692f0",
+    "nlcoor": "217834bb8ff815fe",
+    "emc": "ba3d138fb931053d",
 }
 
 

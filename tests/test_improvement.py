@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import all_phase, random_macro_state, random_turning
-from netsignal.coordination import build_cg
+from netsignal.controllers import max_pressure
+from netsignal.coordination import build_cg, global_cost
 from netsignal.improvement import (
     PlannerConfig,
     local_improvement,
@@ -12,9 +13,18 @@ from netsignal.improvement import (
 )
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import NUM_PHASES, Phase, build_grid, movement_arrays
-from netsignal.ordering import min_diameter_dag
+from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.prediction import period_model
-from netsignal.simulation import JointAssignment, initial_state, predict_next_queues
+from netsignal.simulation import (
+    Flow,
+    JointAssignment,
+    SimConfig,
+    estimate_turning,
+    generate_uniform_flow,
+    initial_state,
+    predict_next_queues,
+    step,
+)
 from oracle import best_response, own_balance, predicted_own_balance
 
 
@@ -194,3 +204,35 @@ def test_sweeps_allocate_less_than_one_row_table():
     finally:
         tracemalloc.stop()
     assert peak < rows
+
+
+def test_coordination_beats_max_pressure_under_the_planner_cap():
+    # The benchmark's 20x20 grid at 0.77 veh/s, seed 1, run closed loop by
+    # the planner. After a 5-period warm-up, `coordinate`'s own decision
+    # predicts a lower balance than max-pressure's in 78 of 95 periods, an
+    # equal one in 15 and a higher one in 2 (78-84 lower and 1-4 higher at
+    # seeds 0-3 and 7919). Unnormalized messages, which reach 1e21 on this
+    # run, gave a higher one in 95 of 95.
+    net = build_grid(20, 20)
+    sim = SimConfig(tau=10.0, horizon=100, seed=1)
+    flow = Flow(generate_uniform_flow(net, 0.77, sim.horizon * sim.tau, 1), sim.tau, net)
+    cfg = PlannerConfig(budget=CoorBudget(rounds=10**6))
+    diameter = network_order(net).diameter
+    state = initial_state(net)
+    lower = higher = 0
+    runs = set()
+    for t in range(sim.horizon):
+        turning = estimate_turning(state, net, flow)
+        detail = plan_phases_detailed(state, net, turning, cfg)
+        coord = detail.coordination
+        runs.add((coord.passes, coord.rounds))
+        if t >= 5:
+            cg = build_cg(state, net, turning)
+            ours = global_cost(cg, coord.assignment)
+            theirs = global_cost(cg, max_pressure(state, net, turning))
+            lower += ours < theirs
+            higher += ours > theirs
+        state = step(state, detail.assignment, net, sim, flow=flow)
+    assert lower >= 70 and higher <= 5, (lower, higher)
+    # one forward and one reverse pass, every period
+    assert runs == {(2, 2 * diameter)}

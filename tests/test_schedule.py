@@ -26,7 +26,7 @@ from conftest import (
 from netsignal.coordination import build_cg, global_cost
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import build_grid, segment_sum
-from netsignal.ordering import min_diameter_dag
+from netsignal.ordering import min_diameter_dag, network_order
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path
 
 PROPERTY_SETTINGS = settings(
@@ -106,6 +106,37 @@ def test_one_forward_pass_is_a_fixpoint_on_loopy_graphs(cg):
     rounds = forward_messages(cg, order, sync_rounds=order.diameter, level_pass=False)
     for pair in order.edges:
         assert np.array_equal(rounds[pair], table[pair])
+
+
+def assert_messages_bounded(cg, order, passes=8):
+    """Run `passes` alternating level passes on the message plan and check
+    after each that every message is finite and at most the graph's largest
+    edge cost plus its largest own cost in size. A message shifted to 0 at
+    phase 0 is a difference of two entries of one edge table, in exact
+    arithmetic; the own cost is slack for rounding."""
+    plan = loaded_plan(cg, order)
+    bound = cg.edge_costs.max(initial=0.0) + cg.individual.max(initial=0.0)
+    diameter = order.diameter
+    for p in range(passes):
+        for level in range((p % 2) * diameter, (p % 2 + 1) * diameter):
+            plan.update(level)
+        messages = plan.messages[:, : plan.n_rows]
+        assert np.isfinite(messages).all(), p
+        assert np.abs(messages).max(initial=0.0) <= bound, p
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (5, 5), (10, 10), (20, 20), (50, 50), (100, 100)])
+def test_messages_stay_bounded_on_grids(rows, cols):
+    net = build_grid(rows, cols)
+    rng = np.random.default_rng(100 * rows + cols)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    assert_messages_bounded(cg, network_order(net))
+
+
+@PROPERTY_SETTINGS
+@given(loopy_graphs())
+def test_messages_stay_bounded_on_loopy_graphs(cg):
+    assert_messages_bounded(cg, min_diameter_dag(cg))
 
 
 @PROPERTY_SETTINGS
