@@ -9,8 +9,10 @@ predicted balance exactly, which is what the message-passing solver
 minimizes.
 
 The graph holds its tables as arrays in sorted agent and edge order: one
-(E, 4, 4) stack of edge tables and one (N, 4) matrix of individual costs,
-the layout `build_cg` computes and `messaging.MessagePlan.load` reads.
+(E, 4, 4) stack of edge tables and one (N, 4) matrix of individual costs.
+`build_cg` computes both phase-major, (4, 4, E) and (4, N), and hands the
+graph their transposed views, whose phase-major bases
+`messaging.MessagePlan.load` reads.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal import prediction
-from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, slot_sum
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, _ascending, phase_indices
 
 
@@ -100,21 +102,25 @@ def build_cg(
     phase and receives a's releases, so its squared next-period queue lands
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
-    individual vector. Both read the period's pair terms
-    (`PeriodModel.terms`): each table is the `segment_sum` of its
-    movements' terms through `MovementArrays.edge_table` and `entry_table`,
-    which fix the order they are added in. `model` may pass in the
-    `period_model` of the same inputs when the caller has it already.
+    individual vector. Both are `slot_sum`s of the period's pair terms
+    (`PeriodModel.terms`), whose columns `MovementArrays.term_columns`
+    numbers edge by edge: the individual costs sum a phase-major gather of
+    the entry-link terms through its `entry_table`, and the edge tables sum
+    the slots of its edge block. Each table adds its terms in movement
+    order, the unflipped links' first. The sums come out phase-major,
+    (4, N) and (4, 4, E), and the graph holds their transposed views.
+    `model` may pass in the `period_model` of the same inputs when the
+    caller has it already.
     """
     arr = movement_arrays(net)
     if model is None:
         model = prediction.period_model(net, state, turning)
-    terms = model.terms
+    terms, cols = model.terms, arr.term_columns
     # an entry-link movement's terms are the same under every upstream phase
-    individual = segment_sum(terms[0].T, arr.entry_table)
-    edge_stack = segment_sum(terms.reshape(-1), arr.edge_table, arr.edge_gather)
-    edge_stack = edge_stack.reshape(-1, NUM_PHASES, NUM_PHASES)
-    return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack, individual)
+    individual = slot_sum(terms[0].take(cols.entry_table, axis=1, mode="clip"), axis=1)
+    block = terms[:, :, cols.edge_start : cols.edge_start + cols.slots * len(arr.edges)]
+    edge_stack = slot_sum(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, len(arr.edges)), axis=2)
+    return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack.transpose(2, 0, 1), individual.T)
 
 
 def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:

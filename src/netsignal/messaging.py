@@ -169,9 +169,11 @@ class MessagePlan:
 
     def load(self, cg: CoordinationGraph) -> None:
         """Zero the messages and read `cg`'s tables as they are: its own
-        costs into their columns and, by one gather through `cost_cells`,
-        its edge tables into `costs`. The graph must have the schedule's
-        agents and edges; tuples that passed before pass by identity."""
+        costs into their columns and, by one gather through `cost_cells`
+        from the phase-major stack of its edge tables, which is what
+        `build_cg`'s graphs hold, its edge tables into `costs`. The graph
+        must have the schedule's agents and edges; tuples that passed before
+        pass by identity."""
         agents, edges = self._layout
         if cg.agents is not agents or cg.edges is not edges:
             if cg.agents != agents or cg.edges != edges:
@@ -179,7 +181,7 @@ class MessagePlan:
             self._layout = (cg.agents, cg.edges)
         self.messages[:, : self.n_rows] = 0.0
         self.messages[:, self.n_rows + 1 :] = cg.individual.T
-        cg.edge_costs.take(self.cost_cells, out=self.costs, mode="clip")
+        cg.edge_costs.transpose(1, 2, 0).take(self.cost_cells, out=self.costs, mode="clip")
 
     def update(self, level: int) -> None:
         """Recompute the message columns of level `level`: per row, the
@@ -229,13 +231,15 @@ class CoordResult:
 def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
     """Alternating forward/reverse passes under a budget; anytime.
 
-    The messages are copied after every finished pass, into the plan's
-    snapshot of that pass's parity; an interruption mid-pass returns the
-    decision of the latest copy, or of the partial messages if no pass ever
-    finished. Stops early once a full cycle no longer changes any message
-    by more than 1e-9 (`_cycle_closed`). Only the returned decision is
-    computed. `cg.agents` passed the graph's layout check, and each phase is
-    an argmin over four rows, so the decision is an unchecked view.
+    The messages are copied after every finished pass that leaves budget
+    for the next, into the plan's snapshot of that pass's parity; an
+    interruption mid-pass returns the decision of the latest copy, or of the
+    partial messages if no pass ever finished, and one at the end of a pass
+    the decision of the live messages. Stops early once a full cycle no
+    longer changes any message by more than 1e-9 (`_cycle_closed`). Only
+    the returned decision is computed. `cg.agents` passed the graph's layout
+    check, and each phase is an argmin over four rows, so the decision is an
+    unchecked view.
     """
     start = time.perf_counter()
     plan = message_plan(order)
@@ -264,6 +268,9 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
         cycle_end = passes % 2 == 0 and passes > 2
         if cycle_end and _cycle_closed(plan.messages[:, :n_rows], snapshots[0, :, :n_rows]):
             return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds_done, True)
+        if budget.exhausted(start, rounds_done):
+            # the live messages are this pass's, which a copy would only repeat
+            return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds_done, False)
         np.copyto(snapshots[passes % 2], plan.messages)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -159,21 +159,14 @@ class MovementArrays:
     - `agent_table` (K, agents): movements by intersection, in movement order.
     - `phase_table` (K, agents * 4): phased movements by (agent, phase) at
       `agent * 4 + phase`, in movement order; right turns are in no column.
-    - `entry_table` (K, agents): movements from entry links by intersection.
-    - `edge_table` (K, edges * 16): flat positions into a phase-major
-      (4, 4, n_mov + 1) pair-term table (`PeriodModel.terms`), indexed
-      [x_start][x_end][movement] by the phases at the start and end of the
-      movement's internal input link, by the edge-table cell they add into,
-      `(edge * 4 + x_i) * 4 + x_j` for an edge (i < j). A link running from
-      j to i reads the transposed cell [x_j][x_i]. Per cell, the links
-      running from lower to higher id come first, then the others, each in
-      movement order; padding reads the zero column `n_mov`.
 
-    `edge_gather` is `build_cg`'s buffer for that sum, `phase_rows` and
-    `phase_gather` are the buffers of `period_model`, and `sweep_tables`
-    holds the sweeps' tables and buffers. A buffer's contents never outlive
-    the call that writes them. Each is made on first use, so runs that
-    never build a coordination graph carry none of them.
+    `mov_edge[m]` is the edge of movement m's internal input link (-1 for
+    none) and `mov_flipped[m]` whether that link runs from the higher id.
+    `term_columns` numbers the planner's pair terms edge by edge.
+    `phase_rows` and `phase_gather` are the buffers of `period_model`, and
+    `sweep_tables` holds the sweeps' tables and buffers. A buffer's contents
+    never outlive the call that writes them. Each is made on first use, so
+    runs that never build a coordination graph carry none of them.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -204,7 +197,6 @@ class MovementArrays:
         self.n_links = len(link_ids)
         self.mov_from = np.array([link_index[m.frm] for m in movements], dtype=np.intp)
         self.mov_to = np.array([link_index[m.to] for m in movements], dtype=np.intp)
-        from_entry = np.array([net.links[m.frm].kind is LinkKind.ENTRY for m in movements], dtype=bool)
         self.to_exit = np.array([net.links[m.to].kind is LinkKind.EXIT for m in movements], dtype=bool)
         # the turning share of each movement when its link carries no vehicles
         self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]
@@ -227,38 +219,25 @@ class MovementArrays:
                 raise ValueError(_self_loop(lid, a))
         edges = sorted({(min(a, b), max(a, b)) for _, a, b in ends})
         edge_index = {e: k for k, e in enumerate(edges)}
-        mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
-        flipped = np.zeros(self.n_mov, dtype=bool)
+        self.mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
+        self.mov_flipped = np.zeros(self.n_mov, dtype=bool)
         for k, m in enumerate(movements):
             link = net.links[m.frm]
             if link.kind is not LinkKind.INTERNAL:
                 continue
             a, b = link.start, link.end
-            mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
-            flipped[k] = a > b  # the link runs from the higher id
+            self.mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
+            self.mov_flipped[k] = a > b  # the link runs from the higher id
         self.edges = tuple(edges)
 
         n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
-        entry = np.flatnonzero(from_entry)
-        internal = np.flatnonzero(mov_edge >= 0)
-        on_edges = np.concatenate((internal[~flipped[internal]], internal[flipped[internal]]))
         pad = self.n_mov
         self.from_link_table = gather_table(every, self.mov_from, self.n_links, pad)
         self.to_link_table = gather_table(every, self.mov_to, self.n_links, pad)
         self.agent_table = gather_table(every, self.mov_agent, n_agents, pad)
         phase_slot = self.mov_agent[phased] * NUM_PHASES + self.mov_phase[phased]
         self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
-        self.entry_table = gather_table(entry, self.mov_agent[entry], n_agents, pad)
-        # edge-table cell (x_i, x_j) reads the pair-term cell [x_i][x_j] of
-        # a movement on a link i -> j and [x_j][x_i] of one on j -> i
-        n_cells = NUM_PHASES * NUM_PHASES
-        x_i, x_j = np.divmod(np.arange(n_cells), NUM_PHASES)
-        cells = np.stack((x_i * NUM_PHASES + x_j, x_j * NUM_PHASES + x_i)) * (pad + 1)
-        by_edge = gather_table(on_edges, mov_edge[on_edges], len(edges), pad)
-        edge_table = cells[np.append(flipped, False)[by_edge].astype(np.intp)]
-        edge_table += by_edge[:, :, None]
-        self.edge_table = edge_table.reshape(len(by_edge), len(edges) * n_cells)
 
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
@@ -266,16 +245,41 @@ class MovementArrays:
             self.down_link_rows[l].append(h)
 
     @cached_property
-    def edge_gather(self) -> np.ndarray:
-        """`segment_sum`'s gather buffer for `edge_table`."""
-        return np.empty(self.edge_table.shape)
+    def term_columns(self) -> "TermColumns":
+        """The column order of the planner's pair-term tables, made on first
+        use (see `TermColumns`)."""
+        n_edges = len(self.edges)
+        free = np.flatnonzero(self.mov_edge < 0)
+        sides = (np.flatnonzero((self.mov_edge >= 0) & ~self.mov_flipped), np.flatnonzero(self.mov_flipped))
+        blocks = [gather_table(side, self.mov_edge[side], n_edges, -1) for side in sides]
+        movement = np.concatenate((free, *(block.reshape(-1) for block in blocks)))
+        n_cols = len(movement)
+        real = np.flatnonzero(movement >= 0)
+        column = np.full(self.n_mov + 1, n_cols, dtype=np.intp)
+        column[movement[real]] = real
+        pads = np.flatnonzero(movement < 0)
+        movement[pads] = 0
+        entry = np.flatnonzero(self.entry_link_mask[self.mov_from])
+        return TermColumns(
+            movement=movement,
+            column=column,
+            pads=pads if pads.size else None,
+            sat=self.sat.take(movement),
+            act=self.act.take(movement, axis=1),
+            mov_from=self.mov_from.take(movement),
+            to_link_table=column.take(self.to_link_table),
+            entry_table=gather_table(column.take(entry), self.mov_agent.take(entry), len(self.agent_ids), n_cols),
+            edge_start=len(free),
+            flip_start=len(free) + blocks[0].size,
+            slots=len(blocks[0]) + len(blocks[1]),
+        )
 
     @cached_property
     def phase_rows(self) -> np.ndarray:
-        """(4, n_mov + 1) rows per phase and movement: `period_model`'s
-        releases. Each call rewrites the movement columns and sums them
-        before it returns, and none writes the zero column `n_mov`."""
-        return np.zeros((NUM_PHASES, self.n_mov + 1))
+        """(4, C + 1) rows per phase and term column: `period_model`'s
+        releases. Each call rewrites the term columns and sums them before
+        it returns, and none writes the zero column C."""
+        return np.zeros((NUM_PHASES, len(self.term_columns.movement) + 1))
 
     def phase_gather(self, shape: tuple[int, ...]) -> np.ndarray:
         """A view of `shape` into one gather buffer, made on first use and
@@ -294,26 +298,71 @@ class MovementArrays:
         `upstream` (K, agents) gives, per `agent_table` entry, the position
         of the agent upstream of its movement's input link, or agent 0 where
         there is none and for padding: such terms are the same under every
-        upstream phase. `cells` (K, 4, agents) is the flat pair-term
-        position of the entry's term under upstream phase 0 and own phase x
-        at [k, x, agent]. Then come the per-sweep buffers: each agent's
-        offset for its action, the (K, agents) gather of those offsets, the
-        (K, 4, agents) term positions and the terms' gather, a view of
+        upstream phase. `stride` (K, agents) is how far apart the entry's
+        terms under two successive upstream phases lie in the flat pair-term
+        table, and `cells` (K, 4, agents) is the flat position of its term
+        under upstream phase 0 and own phase x at [k, x, agent]; a flipped
+        column holds its terms transposed (see `TermColumns`). Then come the
+        per-sweep buffers: the (K, agents) offsets of the upstream actions,
+        the (K, 4, agents) term positions and the terms' gather, a view of
         `phase_gather`.
         """
         table = self.agent_table
         n_rows, n_agents = table.shape
         upstream = np.maximum(np.append(self.link_upstream_agent[self.mov_from], -1)[table], 0)
-        cells = np.arange(NUM_PHASES)[:, None] * (self.n_mov + 1) + table[:, None]
+        cols = self.term_columns
+        col = cols.column[table]
+        width = len(cols.movement) + 1
+        flipped = (col >= cols.flip_start) & (col < width - 1)
+        stride = np.where(flipped, width, NUM_PHASES * width)
+        own = np.where(flipped, NUM_PHASES * width, width)
+        cells = np.arange(NUM_PHASES)[:, None] * own[:, None] + col[:, None]
         shape = (n_rows, NUM_PHASES, n_agents)
         return (
             upstream,
+            stride,
             cells,
-            np.empty(n_agents, dtype=np.intp),
             np.empty(table.shape, dtype=np.intp),
             np.empty(shape, dtype=np.intp),
             self.phase_gather(shape),
         )
+
+
+class TermColumns(NamedTuple):
+    """The column order of the pair-term tables (`PeriodModel.terms`): C
+    columns and then the zero column C, which the gather tables' padding
+    reads.
+
+    The movements that sit on no edge come first, in movement order; the
+    entry-link movements among them feed the individual costs. From
+    `edge_start` on, each edge's movements follow slot by slot, so that
+    column `edge_start + k * E + e` holds the k-th term of edge e and each
+    edge table is a sum over the `slots` axis of one (slots, E) block:
+    first the edge's unflipped movements (on a link from the lower id to
+    the higher), then from `flip_start` on its flipped ones, each in
+    movement order and padded to the most any edge has. A flipped column
+    holds its terms transposed, at [x_own][x_up], which is the edge table's
+    [x_i][x_j]. `movement` (C,) gives each column's movement, 0 at the
+    `pads`, whose terms `period_model` zeroes; `pads` is None where there
+    are none, as on grids, whose tables keep n_mov + 1 columns. `column`
+    (n_mov + 1,) is the inverse, with C for the zero row n_mov. `sat`, `act`
+    and `mov_from` are the movement arrays in column order, and
+    `to_link_table` and `entry_table` gather tables of term columns padded
+    with C: the movements by output link, and the entry-link movements by
+    intersection, each in movement order.
+    """
+
+    movement: np.ndarray
+    column: np.ndarray
+    pads: Optional[np.ndarray]
+    sat: np.ndarray
+    act: np.ndarray
+    mov_from: np.ndarray
+    to_link_table: np.ndarray
+    entry_table: np.ndarray
+    edge_start: int
+    flip_start: int
+    slots: int
 
 
 def _self_loop(lid: int, intersection: int) -> str:
@@ -336,24 +385,34 @@ def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
     return table
 
 
-def segment_sum(padded: np.ndarray, table: np.ndarray, gathered: Optional[np.ndarray] = None) -> np.ndarray:
+def segment_sum(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per column of a gather table, the sum of the rows of `padded` it lists.
 
-    Rows are added one at a time from 0.0, in table order, which is how
-    `np.add.at` adds them, so the sums equal its sums bit for bit. Padding
-    entries point at a zero row of `padded`; adding it changes no sum.
-    `gathered` may pass in a buffer of shape `table.shape + padded.shape[1:]`
-    to gather into. Tables index `padded` within its rows, so clipping the
-    indices changes none of them, and it lets numpy write into the buffer
-    without a temporary of its size.
+    Rows are added one at a time from 0.0, in table order (`slot_sum`),
+    which is how `np.add.at` adds them, so the sums equal its sums bit for
+    bit. Padding entries point at a zero row of `padded`; adding it changes
+    no sum. Tables index `padded` within its rows, so clipping the indices
+    changes none of them.
     """
-    gathered = padded.take(table, axis=0, out=gathered, mode="clip")
-    if gathered.size == len(gathered) > 0:
-        # numpy reduces a lone column as one run, which it sums pairwise;
-        # an accumulation from a zero row adds its entries in order
-        gathered = np.concatenate((np.zeros_like(gathered[:1]), gathered))
-        return np.add.accumulate(gathered, axis=0)[-1]
-    return np.add.reduce(gathered, axis=0, initial=0.0)
+    return slot_sum(padded.take(table, axis=0, mode="clip"))
+
+
+def slot_sum(gathered: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The sum of `gathered` over its slot axis `axis`, adding the slots one
+    at a time from 0.0 in order.
+
+    numpy adds a reduced axis in order while an axis of smaller stride runs
+    inside it, but it sums the axis pairwise once the axis runs innermost
+    and holds 8 or more slots. In the C-ordered gathers and views summed
+    here, the slot axis runs innermost when its stride is the element size,
+    that is when every later axis has length 1. There an accumulation from a
+    zero slot adds the slots in order.
+    """
+    if gathered.strides[axis] == gathered.itemsize and gathered.shape[axis]:
+        zero = np.zeros_like(gathered.take([0], axis=axis))
+        running = np.add.accumulate(np.concatenate((zero, gathered), axis=axis), axis=axis)
+        return running.take(-1, axis=axis)
+    return np.add.reduce(gathered, axis=axis, initial=0.0)
 
 
 def hop_distances(neighbours: np.ndarray, sources) -> np.ndarray:

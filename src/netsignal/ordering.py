@@ -46,9 +46,10 @@ class LevelSchedule:
 
     Each row r has its sender's position in `sender[r]` and in `excluded[r]`
     the row of the message its receiver sends back over the same edge.
-    `cost_cells[x_s, x_r, r]` is the flat `edge_costs` position of the
-    edge's cost when the sender plays x_s and the receiver x_r, whichever
-    end of the (i < j) table each sits at.
+    `cost_cells[x_s, x_r, r]` is the position of the edge's cost when the
+    sender plays x_s and the receiver x_r, whichever end of the (i < j)
+    table each sits at, in the flat phase-major (4, 4, E) stack of edge
+    tables, `edge_costs.transpose(1, 2, 0)`.
 
     `slots` is the (K, N) `gather_table` of the rows each agent receives:
     column n lists agent n's incoming forward messages, then its incoming
@@ -82,7 +83,7 @@ class LevelSchedule:
         # an (i < j) edge's table is indexed [x_i][x_j], by agent position
         low_first = self.sender < target[message]
         cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
-        self.cost_cells = (message % n_edges) * NUM_PHASES * NUM_PHASES + cells
+        self.cost_cells = cells * n_edges + message % n_edges
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
 
 

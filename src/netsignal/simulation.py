@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork
-from netsignal.network import hop_distances, movement_arrays
+from netsignal.network import MovementArrays, hop_distances, movement_arrays
 from netsignal.network import _finite, _integer, _is_count, _number, _number_or_nan, _value
 
 MovementKey = tuple[int, int]
@@ -402,13 +402,12 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
 
 
 def _walk_route(
-    net: RoadNetwork, origin: int, destination: int, dist: Sequence[int], rng
+    arr: MovementArrays, origin: int, destination: int, dist: Sequence[int], rng
 ) -> tuple[int, ...]:
-    """Follow `dist`, the hop distance of every link row to the
-    destination (-1 where unreachable), as a list or a `hop_distances` row,
-    down to the destination, drawing among equally short next links with
-    the rng."""
-    arr = movement_arrays(net)
+    """Follow `dist`, the hop distance of every link row of the network's
+    arrays to the destination (-1 where unreachable), as a list or a
+    `hop_distances` row, down to the destination, drawing among equally
+    short next links with the rng."""
     down = arr.down_link_rows
     current, end = arr.link_index[origin], arr.link_index[destination]
     route = [current]
@@ -458,7 +457,7 @@ def generate_uniform_flow(
         origin = shuffled[i % len(shuffled)]
         targets = reachable[origin]
         destination = targets[rng.integers(len(targets))]
-        route = _walk_route(net, origin, destination, dist[destination], rng)
+        route = _walk_route(arr, origin, destination, dist[destination], rng)
         vehicles.append(Vehicle(id=i, origin=origin, depart_s=i / rate, destination=destination, route=route))
     return vehicles
 
@@ -562,7 +561,7 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         raise problem
     rng = _seeded_rng(seed, 0x72E5)
     for v in vehicles:
-        v.route = _walk_route(net, v.origin, v.destination, dist[v.destination], rng)
+        v.route = _walk_route(arr, v.origin, v.destination, dist[v.destination], rng)
     return vehicles
 
 

@@ -102,9 +102,13 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
     padded = []
     for net in networks(tmp_path_factory):
         arr = movement_arrays(net)
-        pads = arr.edge_table % (arr.n_mov + 1) == arr.n_mov
-        cells = pads.reshape(len(pads), len(arr.edges), NUM_PHASES**2)
-        padded += [arr.edges[e] for e in np.flatnonzero(cells.any(axis=(0, 2)))]
+        cols = arr.term_columns
+        pads = np.zeros(0, dtype=np.intp) if cols.pads is None else cols.pads
+        assert len(cols.movement) == arr.n_mov + len(pads)
+        # pad columns sit in the edge block, where column edge_start + k * E + e
+        # is slot k of edge e
+        assert (pads >= cols.edge_start).all()
+        padded += [arr.edges[e] for e in np.unique((pads - cols.edge_start) % max(len(arr.edges), 1))]
         for _ in range(3):
             state = random_macro_state(net, rng)
             turning = random_turning(net, rng)
@@ -125,9 +129,67 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
 
             pressures = phase_pressures(state, net, turning)
             assert pressures.tobytes() == oracle.phase_pressures_at(state, net, turning).tobytes()
-    # the non-grid diagonal runs one way, so its table takes unflipped terms
-    # only and its gather columns are padded; every grid edge takes six terms
+    # the non-grid diagonal runs one way, so its edge takes unflipped terms
+    # only and its flipped slots are pad columns; every grid edge takes three
+    # terms each way, so grids have none
     assert padded == [(10, 50)]
+
+
+def chain(n):
+    """n intersections in a row, joined both ways, each with 8 exit links
+    and an entry link; every input link turns onto every output link, so
+    each edge carries 18 to 20 pair terms (from 3 intersections on, some of
+    its slots are pads) and each intersection 8 to 10 entry-link terms."""
+    links, outs, ins = [], {i: [] for i in range(n)}, {i: [] for i in range(n)}
+
+    def link(kind, start, end):
+        links.append(Link(len(links), kind, start, end, 100.0))
+        if start is not None:
+            outs[start].append(len(links) - 1)
+        if end is not None:
+            ins[end].append(len(links) - 1)
+
+    for i in range(n - 1):
+        link(LinkKind.INTERNAL, i, i + 1)
+        link(LinkKind.INTERNAL, i + 1, i)
+    for i in range(n):
+        link(LinkKind.ENTRY, None, i)
+        for _ in range(8):
+            link(LinkKind.EXIT, i, None)
+    movements = [Movement(l, h, i, None, 2.0) for i in range(n) for l in ins[i] for h in outs[i]]
+    return RoadNetwork(range(n), links, movements)
+
+
+def test_cost_tables_add_many_slots_in_order():
+    # A lone edge's slots run innermost in its (4, 4, slots, 1) block, and a
+    # lone agent's entry-link terms in its (4, slots, 1) gather, where numpy
+    # would sum 8 or more of them pairwise; `slot_sum` adds them in order
+    # there too, as `np.add.at` does. Queues of 1e8 beside ones make the two
+    # orders differ.
+    rng = np.random.default_rng(5)
+    pairwise = {1: 0, 2: 0}
+    for n in (1, 2, 3, 4):
+        net = chain(n)
+        arr = movement_arrays(net)
+        cols = arr.term_columns
+        assert validate(net) == [] and len(arr.edges) == n - 1
+        assert (np.bincount(arr.mov_edge[arr.mov_edge >= 0]) >= 8).all()
+        assert (cols.pads is not None) == (n > 2)
+        for _ in range(3):
+            q = rng.choice([0.0, 0.1, 1.0, 3.0, 1e8], arr.n_mov)
+            state, turning = QueueState(0, q), random_turning(net, rng)
+            model = period_model(net, state, turning)
+            cg = build_cg(state, net, turning, model=model)
+            edge_costs, individual = oracle.build_cg_at(net, model)
+            assert cg.edge_costs.tobytes() == edge_costs.tobytes()
+            assert cg.individual.tobytes() == individual.tobytes()
+            if n < 3:  # the same sums by plain reductions
+                block = model.terms[:, :, cols.edge_start : cols.edge_start + cols.slots * (n - 1)]
+                edges = np.add.reduce(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, n - 1), axis=2)
+                own = np.add.reduce(model.terms[0].take(cols.entry_table, axis=1), axis=1)
+                plain = edges.transpose(2, 0, 1).tobytes() + own.T.tobytes()
+                pairwise[n] += plain != edge_costs.tobytes() + individual.tobytes()
+    assert pairwise[1] > 0 and pairwise[2] > 0
 
 
 def test_period_model_adds_many_slots_in_table_order():
