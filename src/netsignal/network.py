@@ -142,11 +142,11 @@ class MovementArrays:
     agent a is `agent_ids[a]` (sorted ids) and edge e is `edges[e]`, the
     sorted (i < j) endpoint pairs of the internal links, which are the
     neighbouring agents of the coordination graph. Queue, turning and demand
-    vectors everywhere in the package use these orders. `down_link_rows[k]`
-    lists the rows of the links that movements from link k lead to, in
-    movement order; route walks step along them. `up_links` is the (K, links)
-    `gather_table` of the rows whose movements lead onto each link, padded
-    with `n_links`, which `hop_distances` searches for the hops to an exit.
+    vectors everywhere in the package use these orders. `up_links` is the
+    (K, links) `gather_table` of the rows whose movements lead onto each
+    link, padded with `n_links`, which `hop_distances` searches for the hops
+    to an exit; `down_links` lists the rows that movements from each link
+    lead to, in movement order, padded the same way, for route walks.
 
     The `*_table` fields are gather tables for `segment_sum`: column t lists
     the movements that add into target t, in the order they are added, padded
@@ -240,9 +240,7 @@ class MovementArrays:
         self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
 
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
-        self.down_link_rows: list[list[int]] = [[] for _ in link_ids]
-        for l, h in zip(self.mov_from.tolist(), self.mov_to.tolist()):
-            self.down_link_rows[l].append(h)
+        self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
 
     @cached_property
     def term_columns(self) -> "TermColumns":

@@ -401,22 +401,101 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
     return TurningModel(r=r, d=np.where(arr.entry_link_mask, entries, 0.0))
 
 
-def _walk_route(
-    arr: MovementArrays, origin: int, destination: int, dist: Sequence[int], rng
-) -> tuple[int, ...]:
-    """Follow `dist`, the hop distance of every link row of the network's
-    arrays to the destination (-1 where unreachable), as a list or a
-    `hop_distances` row, down to the destination, drawing among equally
-    short next links with the rng."""
-    down = arr.down_link_rows
-    current, end = arr.link_index[origin], arr.link_index[destination]
-    route = [current]
-    while current != end:
-        closer = dist[current] - 1
-        options = [h for h in down[current] if dist[h] == closer]
-        current = options[rng.integers(len(options))] if len(options) > 1 else options[0]
-        route.append(current)
-    return tuple(map(arr.link_ids.__getitem__, route))
+_DRAW_CHUNK = 4096
+
+
+def _bounded_draws(rng: np.random.Generator):
+    """`below(n)`, the draw `rng.integers(n)` would make next, for every
+    int n in [1, 2**32), from 32-bit words taken from `rng` in bulk.
+
+    The words are `rng.integers(2**32, size=_DRAW_CHUNK, dtype=np.uint32)`,
+    the stream numpy's scalar draws below 2**32 read, and each draw applies
+    numpy's rule for them (Lemire's multiply-and-reject): n == 1 reads no
+    word; otherwise m = word * n is redrawn while its low 32 bits are below
+    2**32 % n, and the draw is m >> 32. `rng` runs up to a chunk ahead of
+    the draws, so nothing else may draw from it afterwards.
+    """
+    refill = lambda: rng.integers(1 << 32, size=_DRAW_CHUNK, dtype=np.uint32).tolist()
+    words = chain.from_iterable(iter(refill, None))
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next(words) * n
+        if m & 0xFFFFFFFF < n:
+            reject = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < reject:
+                m = next(words) * n
+        return m >> 32
+
+    return below
+
+
+class _SetBits(dict):
+    """`self[mask]`: the positions of the set bits of the int `mask`, in
+    ascending order, made on first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+        return bits
+
+
+class _Routes:
+    """Shortest routes by hop count into the sources of one `hop_distances`
+    search, `destinations` (link ids) with `dist` its table, drawing among
+    equally short next links with `below` (`_bounded_draws`) in route
+    order. Equal routes are one tuple.
+
+    A walk reads its destination's `codes`: per link row, a mask with a bit
+    per slot of the network's `down_links` column that is one hop closer.
+    They come from one comparison of that table with the destination's
+    distances less one, the first time a walk heads there: one byte per
+    link on every network whose links lead to at most 8 others, else a
+    list of ints.
+    """
+
+    def __init__(self, arr: MovementArrays, dist: np.ndarray, destinations: Sequence[int], below):
+        self.arr, self.dist, self.below = arr, dist, below
+        self.search_row = {d: k for k, d in enumerate(destinations)}
+        self.down = arr.down_links.T.tolist()
+        slots = len(arr.down_links)
+        self.slot_bits = np.array([1 << j for j in range(slots)], dtype=np.uint8 if slots <= 8 else object)[:, None]
+        self.set_bits = _SetBits()
+        self.codes: dict[int, Sequence[int]] = {}
+        self.routes: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _codes(self, destination: int) -> Sequence[int]:
+        dist = self.dist[self.search_row[destination]]
+        # the pad row never matches: distances are -1 (unreachable) or more
+        closer = np.append(dist, np.int32(-3))[self.arr.down_links] == dist - 1
+        masks = np.add.reduce(closer * self.slot_bits, axis=0, dtype=self.slot_bits.dtype)
+        codes = self.codes[destination] = masks.tobytes() if masks.dtype == np.uint8 else masks.tolist()
+        return codes
+
+    def walk(self, origin: int, destination: int) -> tuple[int, ...]:
+        """The route from link `origin`, which reaches `destination`."""
+        codes = self.codes.get(destination)
+        if codes is None:
+            codes = self._codes(destination)
+        down, set_bits, below, link_ids = self.down, self.set_bits, self.below, self.arr.link_ids
+        current, end = self.arr.link_index[origin], self.arr.link_index[destination]
+        route = [origin]
+        while current != end:
+            slots = set_bits[codes[current]]
+            n = len(slots)
+            current = down[current][slots[0] if n == 1 else slots[below(n)]]
+            route.append(link_ids[current])
+        route = tuple(route)
+        return self.routes.setdefault(route, route)
+
+
+def _vehicle_count(rate: float, duration: float) -> int:
+    """Whole vehicles in `duration` seconds at `rate`: the product rounded
+    down, or to the nearest integer within a relative 1e-9 of it, since
+    0.29 * 100 is 28.999999999999996 in floating point."""
+    product = rate * duration
+    nearest = round(product)
+    return nearest if math.isclose(product, nearest, rel_tol=1e-9) else math.floor(product)
 
 
 def generate_uniform_flow(
@@ -429,10 +508,12 @@ def generate_uniform_flow(
 
     Origins cycle round-robin through a seeded shuffle of the entry links;
     destinations are drawn uniformly over the exit links reachable from the
-    origin; routes are shortest by hop count with seeded tie-breaks. Raises
-    `ValueError` naming a rate or duration that is not a positive, finite
-    number, a seed that is not an integer >= 0, or the entry links that
-    reach no exit.
+    origin; routes are shortest by hop count with seeded tie-breaks. The
+    shuffle and the draws, a destination and then the route's ties in
+    order for each vehicle, are those of `shuffle` and `integers(n)` on one
+    seeded `numpy.random.Generator` stream. Raises `ValueError` naming a
+    rate or duration that is not a positive, finite number, a seed that is
+    not an integer >= 0, or the entry links that reach no exit.
     """
     rate = _positive_finite(rate, "rate")
     duration = _positive_finite(duration, "duration")
@@ -442,8 +523,9 @@ def generate_uniform_flow(
         raise ValueError("network needs entry and exit links to generate flow")
     arr = movement_arrays(net)
     row = arr.link_index
-    dist = dict(zip(exits, hop_distances(arr.up_links, [row[x] for x in exits]).tolist()))
-    reachable = {o: [x for x in exits if dist[x][row[o]] >= 0] for o in entries}
+    dist = hop_distances(arr.up_links, [row[x] for x in exits])
+    reaches = (dist[:, [row[o] for o in entries]] >= 0).T.tolist()
+    reachable = {o: [x for x, ok in zip(exits, r) if ok] for o, r in zip(entries, reaches)}
     stranded = [o for o in entries if not reachable[o]]
     if stranded:
         raise ValueError(f"entry links {stranded} reach no exit link")
@@ -451,14 +533,14 @@ def generate_uniform_flow(
     rng = _seeded_rng(seed, 0x665F)
     shuffled = list(entries)
     rng.shuffle(shuffled)
-    n = int(rate * duration)
+    below = _bounded_draws(rng)
+    routes = _Routes(arr, dist, exits, below)
     vehicles: list[Vehicle] = []
-    for i in range(n):
+    for i in range(_vehicle_count(rate, duration)):
         origin = shuffled[i % len(shuffled)]
         targets = reachable[origin]
-        destination = targets[rng.integers(len(targets))]
-        route = _walk_route(arr, origin, destination, dist[destination], rng)
-        vehicles.append(Vehicle(id=i, origin=origin, depart_s=i / rate, destination=destination, route=route))
+        destination = targets[below(len(targets))]
+        vehicles.append(Vehicle(i, origin, i / rate, destination, routes.walk(origin, destination)))
     return vehicles
 
 
@@ -511,7 +593,8 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     spec a positive, finite rate and duration; anything else raises a
     `LoadError` naming the entry, the first in file order.
     Routes are shortest by hop count, from one `hop_distances` search over
-    every destination, ties drawn from one seeded stream in file order.
+    every destination, with ties drawn in file order and route order as
+    `integers(n)` draws of one seeded `numpy.random.Generator` stream.
     """
     try:
         with open(path) as fh:
@@ -553,15 +636,16 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
     arr = movement_arrays(net)
     row = arr.link_index
     destinations = sorted({v.destination for v in vehicles})
-    dist = dict(zip(destinations, hop_distances(arr.up_links, [row[d] for d in destinations])))
+    search_row = {d: k for k, d in enumerate(destinations)}
+    dist = hop_distances(arr.up_links, [row[d] for d in destinations])
     for entry, v in zip(doc, vehicles):
-        if dist[v.destination][row[v.origin]] < 0:
+        if dist[search_row[v.destination], row[v.origin]] < 0:
             raise LoadError(f"bad flow entry {entry!r}: no route from link {v.origin} to link {v.destination}")
     if problem is not None:
         raise problem
-    rng = _seeded_rng(seed, 0x72E5)
+    routes = _Routes(arr, dist, destinations, _bounded_draws(_seeded_rng(seed, 0x72E5)))
     for v in vehicles:
-        v.route = _walk_route(arr, v.origin, v.destination, dist[v.destination], rng)
+        v.route = routes.walk(v.origin, v.destination)
     return vehicles
 
 

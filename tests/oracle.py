@@ -25,6 +25,11 @@ built from `net.links` and `net.movements` alone. `shortest_route` is the
 per-vehicle route search on it, a breadth-first search over link ids;
 `reverse` flips an orientation and `followers` lists where its edges point.
 
+`generate_uniform_flow` is the package's flow generator as it was with one
+scalar `rng.integers` call per draw, and `flow_file_routes` the routes
+`load_flow` drew that way; both walk routes with `walk_route`, which reads a
+destination's whole distance list at every hop.
+
 `step` is the scalar micro simulator: dicts of per-movement vehicle-id
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
@@ -41,8 +46,9 @@ from typing import Optional
 import numpy as np
 
 from netsignal.messaging import message_plan
-from netsignal.network import NUM_PHASES, LinkKind, Phase, movement_arrays
+from netsignal.network import NUM_PHASES, LinkKind, Phase, hop_distances, movement_arrays
 from netsignal.ordering import TopologyError
+from netsignal.simulation import Vehicle, _positive_finite, _seeded_rng
 
 BRUTE_FORCE_AGENT_CAP = 10
 
@@ -530,6 +536,74 @@ def shortest_route(net, origin, destination, rng):
         options = [h for h in down[route[-1]] if dist.get(h, -1) == dist[route[-1]] - 1]
         route.append(options[rng.integers(len(options))] if len(options) > 1 else options[0])
     return tuple(route)
+
+
+def down_link_rows(net):
+    """Per link row of the network's arrays, the rows of the links that
+    movements from it lead to, in movement order."""
+    arr, down = movement_arrays(net), topology(net).down_links
+    return [[arr.link_index[h] for h in down[l]] for l in arr.link_ids]
+
+
+def walk_route(arr, down, origin, destination, dist, rng):
+    """Follow `dist`, the hop distance of every link row of the network's
+    arrays to the destination (-1 where unreachable), as a list or a
+    `hop_distances` row, down to the destination along `down_link_rows`,
+    drawing among equally short next links with the rng, one scalar
+    `rng.integers` draw a tie."""
+    current, end = arr.link_index[origin], arr.link_index[destination]
+    route = [current]
+    while current != end:
+        closer = dist[current] - 1
+        options = [h for h in down[current] if dist[h] == closer]
+        current = options[rng.integers(len(options))] if len(options) > 1 else options[0]
+        route.append(current)
+    return tuple(map(arr.link_ids.__getitem__, route))
+
+
+def generate_uniform_flow(net, rate, duration, seed=0):
+    """The package's flow generator as it was before its draws came in bulk:
+    one scalar `rng.integers` draw per destination and per tie, and walks
+    that read every exit's whole distance list. Counts `int(rate *
+    duration)` vehicles."""
+    rate = _positive_finite(rate, "rate")
+    duration = _positive_finite(duration, "duration")
+    entries = net.entry_links()
+    exits = net.exit_links()
+    if not entries or not exits:
+        raise ValueError("network needs entry and exit links to generate flow")
+    arr = movement_arrays(net)
+    row = arr.link_index
+    dist = dict(zip(exits, hop_distances(arr.up_links, [row[x] for x in exits]).tolist()))
+    reachable = {o: [x for x in exits if dist[x][row[o]] >= 0] for o in entries}
+    stranded = [o for o in entries if not reachable[o]]
+    if stranded:
+        raise ValueError(f"entry links {stranded} reach no exit link")
+
+    rng = _seeded_rng(seed, 0x665F)
+    shuffled = list(entries)
+    rng.shuffle(shuffled)
+    n = int(rate * duration)
+    down = down_link_rows(net)
+    vehicles = []
+    for i in range(n):
+        origin = shuffled[i % len(shuffled)]
+        targets = reachable[origin]
+        destination = targets[rng.integers(len(targets))]
+        route = walk_route(arr, down, origin, destination, dist[destination], rng)
+        vehicles.append(Vehicle(id=i, origin=origin, depart_s=i / rate, destination=destination, route=route))
+    return vehicles
+
+
+def flow_file_routes(net, vehicles, seed):
+    """The routes `load_flow` draws for routable `vehicles` read from a
+    vehicle-array file, as it drew them before its draws came in bulk."""
+    arr = movement_arrays(net)
+    row = arr.link_index
+    destinations = sorted({v.destination for v in vehicles})
+    dist = dict(zip(destinations, hop_distances(arr.up_links, [row[d] for d in destinations])))
+    rng, down = _seeded_rng(seed, 0x72E5), down_link_rows(net)
+    return [walk_route(arr, down, v.origin, v.destination, dist[v.destination], rng) for v in vehicles]
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,8 @@ def test_movement_arrays_adjacency_equals_the_link_views(tmp_path, case):
     topo = topology(net)
     assert arr.edges == tuple((i, j) for i in sorted(topo.neighbors) for j in topo.neighbors[i] if i < j)
     ids = arr.link_ids
-    assert [[ids[h] for h in hs] for hs in arr.down_link_rows] == [topo.down_links[l] for l in ids]
+    down = [[ids[h] for h in col if h < arr.n_links] for col in arr.down_links.T.tolist()]
+    assert down == [topo.down_links[l] for l in ids]
     up = [[ids[l] for l in col if l < arr.n_links] for col in arr.up_links.T.tolist()]
     assert up == [topo.up_links[l] for l in ids]
 

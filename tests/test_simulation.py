@@ -404,6 +404,17 @@ def test_flow_counts_match_rate():
     assert len(generate_uniform_flow(net20, 0.77, 3600, seed=1)) == 2772
 
 
+def test_flow_counts_products_a_rounding_error_below_a_whole_number():
+    # 0.29 * 100 and 0.57 * 100 fall a rounding error below 29 and 57
+    net = build_grid(2, 2)
+    assert 0.29 * 100 < 29 and 0.57 * 100 < 57
+    assert len(generate_uniform_flow(net, 0.29, 100)) == 29
+    assert len(generate_uniform_flow(net, 0.57, 100)) == 57
+    assert len(generate_uniform_flow(net, 0.2899999, 100)) == 28
+    assert len(generate_uniform_flow(net, 0.29, 99.99)) == 28
+    assert len(generate_uniform_flow(net, 1 / 3, 3)) == 1
+
+
 def test_flow_deterministic_per_seed():
     net = build_grid(2, 3)
     a = generate_uniform_flow(net, 0.5, 600, seed=42)
@@ -481,12 +492,16 @@ def test_flow_unchanged_where_every_exit_is_reachable():
         (15, 0.80, 7919, "f4b5a168220da6048f8e98a0be7383504508b6c7160f0fe33ffbf57724393f0b"),
         (20, 0.77, 1, "b2d703be2480c2083035213a25da0a50c8b0d56e7af22c79c36784119b95d7bb"),
         (20, 0.77, 7919, "4a4c3248becebee0f57463d1dd14496971bcc366a81ad81c6cd974e2e2113a4b"),
+        (4, 2.40, 1, "d338d8888aed819eec50d7e63dec61f861323aa05d0a6f3c99abfde1c5e1e713"),
+        (4, 2.40, 7919, "bc04bf175e31258468ccb9c0b7e0904db17523838a62ec9970950632472fb0d9"),
     ],
 )
 def test_flow_unchanged_on_the_bench_grids(rows, rate, seed, digest):
-    # (origin, destination, route) of every vehicle of an hour at the
-    # benchmark's rates; the benchmark's shorter flows are prefixes of these
-    vehicles = generate_uniform_flow(build_grid(rows, rows), rate, 3600, seed=seed)
+    # (origin, destination, route) of every vehicle at the benchmark's
+    # rates: an hour on 15x15 and 20x20, whose benchmark flows are prefixes
+    # of it, and grid4_peak_emc's whole two hours on 4x4
+    seconds = 7200 if rows == 4 else 3600
+    vehicles = generate_uniform_flow(build_grid(rows, rows), rate, seconds, seed=seed)
     trips = repr([(v.origin, v.destination, v.route) for v in vehicles]).encode()
     assert hashlib.sha256(trips).hexdigest() == digest
 
@@ -646,6 +661,23 @@ def test_flow_file_routes_equal_per_vehicle_shortest_routes(tmp_path):
     rng = np.random.default_rng(np.random.SeedSequence([9, 0x72E5]))
     expected = [oracle.shortest_route(net, v.origin, v.destination, rng) for v in vehicles]
     assert [v.route for v in loaded] == expected
+
+
+@pytest.mark.parametrize(
+    "rows, rate, digest",
+    [
+        (4, 1.76, "e0964810fbecbb1d41aaff0ada6a13e0d17f43c7f7340aad5933eaeb867896f9"),
+        (20, 0.77, "fb1a63e16eb66ae1cc90943374c077144154886680c72f776c5d158b94e60125"),
+    ],
+)
+def test_flow_file_routes_unchanged(tmp_path, rows, rate, digest):
+    # every route `load_flow` draws at seed 5 for an hour of the pinned
+    # seed-1 flows above, saved as a vehicle array
+    net = build_grid(rows, rows)
+    path = tmp_path / "flow.json"
+    save_flow(generate_uniform_flow(net, rate, 3600, seed=1), str(path))
+    routes = repr([v.route for v in load_flow(str(path), net, seed=5)]).encode()
+    assert hashlib.sha256(routes).hexdigest() == digest
 
 
 def test_flow_file_runs_one_route_search_per_destination(tmp_path, monkeypatch):
