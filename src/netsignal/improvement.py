@@ -45,8 +45,10 @@ class PlannerConfig:
     passing is also capped at `MAX_CYCLES` cycles in rounds, one forward and
     one reverse pass, and the sweeps at `MAX_SWEEPS`, so identical inputs
     give identical decisions regardless of hardware; the wall-clock budget
-    still applies on top. Under this cap `coordinate` never reaches its
-    cycle test, so its `converged` is False on every graph with an edge.
+    still applies on top, and where it stops message passing inside a pass
+    the decision comes from the messages as they stand. Under this cap
+    `coordinate` never reaches its cycle test, nor copies the messages for
+    it, so its `converged` is False on every graph with an edge.
     """
 
     budget: CoorBudget = field(default_factory=lambda: CoorBudget(wall_ms=3000.0))

@@ -16,7 +16,8 @@ the sender can do given it: its own cost, the shared edge cost, and all
 messages the sender has received from agents other than the receiver. A
 complete joint decision can be extracted at any time by per-agent argmin
 over own cost plus received messages, which is what makes the loop
-interruptible.
+interruptible: wherever the budget stops it, even inside a pass, the
+decision is read from the current messages, so every level run counts.
 
 Each new message is shifted so that its phase-0 entry is 0 (Kok & Vlassis
 normalize max-plus on cyclic graphs the same way). The shift is a
@@ -118,16 +119,15 @@ class MessagePlan:
     recipient's own contribution. `costs` is the (4, 4, 2E) table of edge
     costs by the schedule's `cost_cells`, indexed
     [x_sender][x_receiver][row], the min running over the leading axis.
-    `snapshots` holds two copies of `messages`, where `coordinate` keeps
-    the messages after the latest finished even and odd pass. `levels`
-    holds a `LevelPlan` per level, whose `gathered`, `base` and `scores`
-    are contiguous views of scratch buffers all levels share, sized for the
-    widest level. `totals` is the slot-major (K + 1, 4, N) gather table of
-    each agent's incoming rows (its `slots` column) and then its own-cost
-    column, whose `segment_sum` scores the agent's phases.
+    `levels` holds a `LevelPlan` per level, whose `gathered`, `base` and
+    `scores` are contiguous views of scratch buffers all levels share, sized
+    for the widest level. `totals` is the slot-major (K + 1, 4, N) gather
+    table of each agent's incoming rows (its `slots` column) and then its
+    own-cost column, whose `segment_sum` scores the agent's phases.
 
     `load` puts a graph in the buffers, `update` recomputes one level and
-    `picks` reads a decision. Every graph loaded rewrites the same buffers,
+    `picks` reads a decision from the messages as they stand, at any level
+    boundary. Every graph loaded rewrites the same buffers,
     so a plan serves one graph at a time, as inside `coordinate`.
     """
 
@@ -139,7 +139,6 @@ class MessagePlan:
         self._layout = (sched.agents, sched.edges)
         self.messages = np.zeros((NUM_PHASES, own + n_agents))
         self.flat = self.messages.reshape(-1)
-        self.snapshots = np.zeros((2, *self.messages.shape))
         self.costs = np.empty(sched.cost_cells.shape)
         # column c of phase x sits at flat position x * width + c
         phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]
@@ -201,13 +200,9 @@ class MessagePlan:
         np.minimum.reduce(scores, axis=0, out=base)
         np.subtract(base, base[:1], out=out)
 
-    def picks(self, messages: Optional[np.ndarray] = None) -> np.ndarray:
-        """Each agent's argmin phase given `messages`, a buffer of this
-        plan's layout, or else the plan's own buffer."""
-        if messages is None:
-            messages = self.messages
-        totals = segment_sum(messages.reshape(-1), self.totals)
-        return totals.argmin(axis=0)
+    def picks(self) -> np.ndarray:
+        """Each agent's argmin phase given the current messages."""
+        return segment_sum(self.flat, self.totals).argmin(axis=0)
 
 
 def message_plan(order: DagOrder) -> MessagePlan:
@@ -231,61 +226,40 @@ class CoordResult:
 def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
     """Alternating forward/reverse passes under a budget; anytime.
 
-    The messages are copied after every finished pass that leaves budget
-    for the next, into the plan's snapshot of that pass's parity; an
-    interruption mid-pass returns the decision of the latest copy, or of the
-    partial messages if no pass ever finished, and one at the end of a pass
-    the decision of the live messages. Stops early once a full cycle no
-    longer changes any message by more than 1e-9 (`_cycle_closed`). Only
-    the returned decision is computed. `cg.agents` passed the graph's layout
+    Whenever the budget runs out, at a pass end or between two levels, the
+    decision is each agent's argmin over the current messages. Stops early
+    once a full cycle changes no message by more than 1e-9, as
+    `np.allclose(rtol=0, atol=1e-9)` compares the message columns with a
+    copy from the cycle before; the copy is made only when the rounds cap
+    leaves room for another cycle. `cg.agents` passed the graph's layout
     check, and each phase is an argmin over four rows, so the decision is an
     unchecked view.
     """
     start = time.perf_counter()
     plan = message_plan(order)
     plan.load(cg)
-    if not order.edges:
-        return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), 0, 0, True)
+    passes, rounds, converged = _run_passes(plan, order.diameter, budget, start) if order.edges else (0, 0, True)
+    return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds, converged)
 
-    diameter = order.diameter
+
+def _run_passes(plan: MessagePlan, diameter: int, budget: CoorBudget, start: float) -> tuple[int, int, bool]:
+    """Run `coordinate`'s passes in `plan`; `(passes, rounds, converged)`."""
     # even passes run the forward levels, odd passes the reverse ones
     directions = (range(diameter), range(diameter, 2 * diameter))
-    # snapshots[p % 2] holds the messages after the latest finished pass p
-    # of its parity, so a cycle compares with snapshots[0]
-    snapshots = plan.snapshots
-    n_rows = plan.n_rows
-    rounds_done = 0
-    passes = 0
+    messages = plan.messages[:, : plan.n_rows]
+    before = None  # the message columns at the end of the last cycle
+    passes = rounds = 0
     while True:
         for level in directions[passes % 2]:
-            if budget.exhausted(start, rounds_done):
-                finished = snapshots[passes % 2] if passes else None
-                decision = JointAssignment._unchecked(cg.agents, plan.picks(finished))
-                return CoordResult(decision, passes, rounds_done, False)
+            if budget.exhausted(start, rounds):
+                return passes, rounds, False
             plan.update(level)
-            rounds_done += 1
+            rounds += 1
         passes += 1
-        cycle_end = passes % 2 == 0 and passes > 2
-        if cycle_end and _cycle_closed(plan.messages[:, :n_rows], snapshots[0, :, :n_rows]):
-            return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds_done, True)
-        if budget.exhausted(start, rounds_done):
-            # the live messages are this pass's, which a copy would only repeat
-            return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds_done, False)
-        np.copyto(snapshots[passes % 2], plan.messages)
-
-
-def _cycle_closed(messages: np.ndarray, before: np.ndarray) -> bool:
-    """Whether every message is within 1e-9 of its value a cycle before, or
-    equal to it: `np.allclose(messages, before, rtol=0, atol=1e-9)`, whose
-    infinities count as close only to themselves and NaN to nothing.
-
-    One cell is compared first, as Python floats, whose arithmetic sets no
-    numpy warning: a gap above 1e-9 shows the cell moved, so the cycle did
-    not close. A close cell, or a NaN gap from an infinity or NaN, falls
-    through to the whole buffer.
-    """
-    if abs(messages.item(0) - before.item(0)) > 1e-9:
-        return False
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(messages - before) <= 1e-9) | (messages == before)
-    return bool(np.logical_and.reduce(close, axis=None))
+        cycle_end = passes % 2 == 0
+        if cycle_end and before is not None and np.allclose(messages, before, rtol=0.0, atol=1e-9):
+            return passes, rounds, True
+        if budget.exhausted(start, rounds):
+            return passes, rounds, False
+        if cycle_end and (budget.rounds is None or rounds + 2 * diameter <= budget.rounds):
+            before = messages.copy()

@@ -177,9 +177,10 @@ class MovementArrays:
         agent_index = {a: k for k, a in enumerate(self.agent_ids)}
         self.agent_index = agent_index
         self.mov_agent = np.array([agent_index[m.intersection] for m in movements], dtype=np.intp)
-        self.sat = np.array([m.sat_flow for m in movements])
-        # whole vehicles a movement may release per period
-        self.release_cap = np.array([int(m.sat_flow) for m in movements], dtype=np.intp)
+        self.sat = np.array([m.sat_flow for m in movements], dtype=float)
+        # whole vehicles a movement may release per period, at most 2**53,
+        # which no queue reaches, so that any finite sat_flow fits an intp
+        self.release_cap = np.minimum(self.sat, 2.0**53).astype(np.intp)
 
         # each movement's phase, -1 for right turns, which run under every
         # phase; `act[x, m]` is movement m's activation under phase x of its

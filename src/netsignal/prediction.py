@@ -30,36 +30,22 @@ from netsignal.simulation import QueueState, TurningModel
 
 @dataclass
 class PeriodModel:
-    """One period's queue/turning data in array form.
-
-    `drained[m, x]` is movement m's queue after its intersection picks
-    phase x (before arrivals), read back by movement from `column_drained`,
-    the phase-major (4, C) array `period_model` computes in the network's
-    `TermColumns` order. `release_onto[l, x]` is the volume released onto
-    link l when its upstream intersection picks x, a transposed view of a
-    phase-major array. `r` (per movement) and `demand` (per link) are the
-    turning model's `r` and `d`.
+    """One period's pair terms, in the network's `TermColumns` order.
 
     `terms` is the phase-major (4, 4, C + 1) table of the movements'
     squared next-period queues, one term column each: at [x_up][x][c], when
     the intersection upstream of the movement's input link picks x_up and
-    its own picks x, the drained queue plus r times the release onto that
-    link. A flipped column holds the same terms transposed, at [x][x_up],
+    its own picks x, the movement's queue after phase x drains it, plus its
+    turning share r times the volume released onto its input link under
+    x_up. A flipped column holds the same terms transposed, at [x][x_up],
     which is its edge table's [x_i][x_j]. A movement whose input link has no
-    upstream intersection takes the link's demand inflow (`demand` on entry
-    links, else 0.0) under every x_up. Pad columns and column C are zero.
+    upstream intersection takes the link's demand inflow (the turning
+    model's `d` on entry links, else 0.0) under every x_up. Pad columns and
+    column C are zero.
     """
 
     arrays: MovementArrays
-    r: np.ndarray
-    column_drained: np.ndarray
-    release_onto: np.ndarray
-    demand: np.ndarray
     terms: np.ndarray
-
-    @property
-    def drained(self) -> np.ndarray:
-        return self.column_drained.take(self.arrays.term_columns.column[:-1], axis=1).T
 
     def sweep_scores(self, actions: np.ndarray) -> np.ndarray:
         """Per-agent predicted own balance for each candidate phase, given
@@ -102,4 +88,4 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     np.square(cells, out=cells)
     if cols.pads is not None:
         terms[:, :, cols.pads] = 0.0
-    return PeriodModel(arr, turning.r, drained, release_onto.T, turning.d, terms)
+    return PeriodModel(arr, terms)

@@ -492,8 +492,11 @@ class _Routes:
 def _vehicle_count(rate: float, duration: float) -> int:
     """Whole vehicles in `duration` seconds at `rate`: the product rounded
     down, or to the nearest integer within a relative 1e-9 of it, since
-    0.29 * 100 is 28.999999999999996 in floating point."""
+    0.29 * 100 is 28.999999999999996 in floating point. Raises `ValueError`
+    naming the two when their product overflows to infinity."""
     product = rate * duration
+    if product == math.inf:
+        raise ValueError(f"rate {rate} times duration {duration} is more vehicles than a float can count")
     nearest = round(product)
     return nearest if math.isclose(product, nearest, rel_tol=1e-9) else math.floor(product)
 
@@ -512,11 +515,13 @@ def generate_uniform_flow(
     shuffle and the draws, a destination and then the route's ties in
     order for each vehicle, are those of `shuffle` and `integers(n)` on one
     seeded `numpy.random.Generator` stream. Raises `ValueError` naming a
-    rate or duration that is not a positive, finite number, a seed that is
-    not an integer >= 0, or the entry links that reach no exit.
+    rate or duration that is not a positive, finite number or whose product
+    is not finite, a seed that is not an integer >= 0, or the entry links
+    that reach no exit.
     """
     rate = _positive_finite(rate, "rate")
     duration = _positive_finite(duration, "duration")
+    count = _vehicle_count(rate, duration)
     entries = net.entry_links()
     exits = net.exit_links()
     if not entries or not exits:
@@ -536,7 +541,7 @@ def generate_uniform_flow(
     below = _bounded_draws(rng)
     routes = _Routes(arr, dist, exits, below)
     vehicles: list[Vehicle] = []
-    for i in range(_vehicle_count(rate, duration)):
+    for i in range(count):
         origin = shuffled[i % len(shuffled)]
         targets = reachable[origin]
         destination = targets[below(len(targets))]

@@ -2,7 +2,9 @@
 
 `ScalarGraph` reads a `CoordinationGraph` through per-agent neighbour lists
 built from its edges and applies the min-sum message rule one edge at a
-time; `brute_force_optimum` is a graph's exact optimum by enumeration, and
+time; `row_major_messages` is the level passes' rule on a row-major buffer,
+stopped after any number of levels, and `row_major_picks` the decision read
+from it; `brute_force_optimum` is a graph's exact optimum by enumeration, and
 `allclose_coordinate` the solver's stopping rule as `np.allclose` states it.
 `own_balance` is one agent's balance in a state,
 `predicted_own_balance` and `best_response` evaluate its next-period
@@ -191,9 +193,10 @@ class ScalarGraph:
         return {**messages, **new}
 
 
-def row_major_messages(cg, order, passes):
-    """The (2E, 4) message rows after `passes` alternating level passes of
-    the message plan's rule on a row-major buffer with a zero row at 2E.
+def row_major_messages(cg, order, levels):
+    """The (2E, 4) message rows after the first `levels` levels of
+    alternating level passes of the message plan's rule, on a row-major
+    buffer with a zero row at 2E.
 
     Each row adds its sender's incoming rows one at a time from 0.0 in slot
     order, then the sender's own cost; subtracts the excluded row; adds the
@@ -209,40 +212,54 @@ def row_major_messages(cg, order, passes):
     inputs = sched.slots[:, sched.sender]
     rows = np.zeros((len(senders) + 1, NUM_PHASES))
     diameter = len(sched.levels) // 2
-    for p in range(passes):
-        for a, b in sched.levels[(p % 2) * diameter :][:diameter]:
-            base = np.zeros((b - a, NUM_PHASES))
-            for k in range(len(inputs)):
-                base += rows[inputs[k, a:b]]
-            base += cg.individual[sched.sender[a:b]]
-            base -= rows[sched.excluded[a:b]]
-            best = (base[:, :, None] + tables[a:b]).min(axis=1)
-            rows[a:b] = best - best[:, :1]
+    for k in range(levels if diameter else 0):
+        passes, level = divmod(k, diameter)
+        a, b = sched.levels[(passes % 2) * diameter + level]
+        base = np.zeros((b - a, NUM_PHASES))
+        for slot in range(len(inputs)):
+            base += rows[inputs[slot, a:b]]
+        base += cg.individual[sched.sender[a:b]]
+        base -= rows[sched.excluded[a:b]]
+        best = (base[:, :, None] + tables[a:b]).min(axis=1)
+        rows[a:b] = best - best[:, :1]
     return rows[:-1]
+
+
+def row_major_picks(cg, order, levels):
+    """Each agent's argmin phase over its incoming rows of
+    `row_major_messages(cg, order, levels)`, added one at a time from 0.0 in
+    slot order, and then its own cost."""
+    sched = order.schedule
+    rows = np.vstack((row_major_messages(cg, order, levels), np.zeros(NUM_PHASES)))
+    totals = np.zeros((len(sched.agents), NUM_PHASES))
+    for slot in sched.slots:
+        totals += rows[slot]
+    totals += cg.individual
+    return totals.argmin(axis=1)
 
 
 def allclose_coordinate(cg, order, rounds):
     """`(passes, rounds, converged, phases)` of `coordinate` under a rounds
-    cap, run on the message plan with a fresh copy of the whole buffer after
-    each pass and the cycle test `np.allclose(rtol=0, atol=1e-9)` over all of
-    it, own-cost and zero columns included."""
+    cap, run on the message plan with the decision read from its live buffer,
+    a fresh copy of the whole buffer after each cycle and the cycle test
+    `np.allclose(rtol=0, atol=1e-9)` over all of it, own-cost and zero
+    columns included."""
     plan = message_plan(order)
     plan.load(cg)
     diameter = order.diameter
     done = passes = 0
-    finished = previous = None
+    previous = None
     while True:
         for level in range((passes % 2) * diameter, (passes % 2 + 1) * diameter):
             if done >= rounds:
-                return passes, done, False, plan.picks(finished)
+                return passes, done, False, plan.picks()
             plan.update(level)
             done += 1
         passes += 1
-        finished = plan.messages.copy()
         if passes % 2 == 0:
-            if previous is not None and np.allclose(finished, previous, rtol=0.0, atol=1e-9):
+            if previous is not None and np.allclose(plan.messages, previous, rtol=0.0, atol=1e-9):
                 return passes, done, True, plan.picks()
-            previous = finished
+            previous = plan.messages.copy()
 
 
 def brute_force_optimum(cg):
@@ -337,7 +354,10 @@ def phase_pressure_table(state, net, turning):
 
 
 def period_model_at(net, state, turning):
-    """`(drained, release_onto)` of `period_model`."""
+    """`(drained, release_onto)`, the intermediates of `period_model`, by
+    movement and by link: `drained[m, x]` is movement m's queue after its
+    intersection picks phase x, and `release_onto[l, x]` the volume released
+    onto link l when its upstream intersection picks x."""
     arr = movement_arrays(net)
     q = state.q
     cap = np.minimum(arr.sat, q)
@@ -348,15 +368,17 @@ def period_model_at(net, state, turning):
     return drained, release_onto
 
 
-def sweep_scores_at(model, actions):
-    """`PeriodModel.sweep_scores(actions)`, transposed: one row per agent."""
-    arr = model.arrays
+def sweep_scores_at(net, state, turning, actions):
+    """`period_model(net, state, turning).sweep_scores(actions)`,
+    transposed: one row per agent."""
+    arr = movement_arrays(net)
+    drained, release_onto = period_model_at(net, state, turning)
     upstream = arr.link_upstream_agent
-    inflow_link = np.where(arr.entry_link_mask, model.demand, 0.0)
+    inflow_link = np.where(arr.entry_link_mask, turning.d, 0.0)
     rows = np.nonzero(upstream >= 0)[0]
-    inflow_link[rows] = model.release_onto[rows, actions[upstream[rows]]]
-    inflow_m = inflow_link[arr.mov_from] * model.r
-    scores_m = (model.drained + inflow_m[:, None]) ** 2
+    inflow_link[rows] = release_onto[rows, actions[upstream[rows]]]
+    inflow_m = inflow_link[arr.mov_from] * turning.r
+    scores_m = (drained + inflow_m[:, None]) ** 2
     agent_scores = np.zeros((len(arr.agent_ids), NUM_PHASES))
     np.add.at(agent_scores, arr.mov_agent, scores_m)
     return agent_scores
@@ -381,20 +403,22 @@ def _movement_edges(net):
     return entry, edge, flip
 
 
-def build_cg_at(net, model):
-    """`(edge_costs, individual)` of `build_cg` from the same period model:
+def build_cg_at(net, state, turning):
+    """`(edge_costs, individual)` of `build_cg(state, net, turning)`:
     unflipped contributions first, then the transposed flipped ones."""
     arr = movement_arrays(net)
+    drained, release_onto = period_model_at(net, state, turning)
+    r = turning.r
     entry, edge, flip = _movement_edges(net)
     individual = np.zeros((len(arr.agent_ids), NUM_PHASES))
-    inflow = model.demand[arr.mov_from[entry]] * model.r[entry]
-    vectors = (model.drained[entry] + inflow[:, None]) ** 2
+    inflow = turning.d[arr.mov_from[entry]] * r[entry]
+    vectors = (drained[entry] + inflow[:, None]) ** 2
     np.add.at(individual, arr.mov_agent[entry], vectors)
 
     edge_costs = np.zeros((len(arr.edges), NUM_PHASES, NUM_PHASES))
     sel = edge >= 0
-    incoming = model.release_onto[arr.mov_from[sel]] * model.r[sel][:, None]
-    contrib = (incoming[:, :, None] + model.drained[sel][:, None, :]) ** 2
+    incoming = release_onto[arr.mov_from[sel]] * r[sel][:, None]
+    contrib = (incoming[:, :, None] + drained[sel][:, None, :]) ** 2
     idx, flip = edge[sel], flip[sel]
     np.add.at(edge_costs, idx[~flip], contrib[~flip])
     np.add.at(edge_costs, idx[flip], contrib[flip].transpose(0, 2, 1))

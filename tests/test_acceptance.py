@@ -304,6 +304,40 @@ def test_criterion_09_stability_soak():
     )
 
 
+def test_anytime_decisions_improve_within_a_pass():
+    # The paper's agents decide from the current messages when the time
+    # limit is reached. Along an emc run on 10x10, each period's coordinate
+    # decision is scored by its predicted balance over max-pressure's, at
+    # the end of pass 1 and at each quarter of pass 2: every level run must
+    # count, so no quarter may be worse than the one before it.
+    start = time.perf_counter()
+    sc = scenario(10, 10, 1.0, "emc", seed=0, horizon=40)
+    net = sc.network
+    flow = Flow(resolve_flow(sc), sc.sim.tau, net)
+    order = network_order(net)
+    dia = order.diameter
+    caps = [dia + round(q * dia / 4) for q in range(5)]
+    ratios = []
+    state = initial_state(net)
+    for t in range(sc.sim.horizon):
+        turning = estimate_turning(state, net, flow)
+        if t >= 5:
+            cg = build_cg(state, net, turning)
+            greedy = global_cost(cg, max_pressure(state, net, turning))
+            ratios.append(
+                [global_cost(cg, coordinate(cg, order, CoorBudget(rounds=cap)).assignment) / greedy for cap in caps]
+            )
+        state = step(state, plan_phases_detailed(state, net, turning, sc.planner).assignment, net, sc.sim, flow)
+    profile = np.mean(ratios, axis=0)
+    assert all(b <= a for a, b in zip(profile, profile[1:]))
+    print(
+        "ACCEPTANCE anytime - predicted balance over max-pressure's on 10x10, periods 5-39: "
+        f"end of pass 1 {profile[0]:.3f}, pass 2 at 25/50/75/100% "
+        + " / ".join(f"{r:.3f}" for r in profile[1:])
+        + f" ({time.perf_counter() - start:.2f}s)"
+    )
+
+
 def test_criterion_10_comm_delay_model():
     orders = {dims: network_order(build_grid(*dims)) for dims in ((3, 3), (4, 4), (15, 15), (20, 20))}
     model = DelayModel(mu_ms=20.0)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import shifted_grid_doc
 from netsignal.cli import cli_main, grid_spec
-from netsignal.network import build_grid, save_network
+from netsignal.network import build_grid, load_network, movement_arrays, save_network
 
 
 def test_run_happy_path(tmp_path, capsys):
@@ -212,6 +212,10 @@ def test_comm_delay_command(capsys):
          "seed must be an integer >= 0, got -3"),
         (["comm-delay", "--grid", "3x3", "--mu", "20", "--seed", "-2"],
          "seed must be an integer >= 0, got -2"),
+        (["gen-flow", "--grid", "2x2", "--rate", "1e200", "--duration", "1e200"],
+         "rate 1e+200 times duration 1e+200"),
+        (["run", "--grid", "2x2", "--rate", "1e200", "--duration", "1e200"],
+         "rate 1e+200 times duration 1e+200"),
     ],
 )
 def test_values_that_switch_a_check_off_exit_with_one_line(tmp_path, capsys, argv, named):
@@ -249,3 +253,17 @@ def test_intersection_ids_outside_int64_are_a_load_error(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"intersection {10**20}: id is outside the int64 range" in err
+
+
+def test_a_huge_saturation_flow_loads_and_runs(tmp_path, capsys):
+    # a sat_flow above any intp: every queued vehicle may leave each period
+    doc = build_grid(2, 2).to_dict()
+    for d in doc["movements"]:
+        d["sat_flow"] = 1e20
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    arr = movement_arrays(load_network(str(path)))
+    assert (arr.release_cap == 2**53).all()
+    code = cli_main(["run", "--roadnet", str(path), "--rate", "0.5", "--duration", "200", "--controller", "emc"])
+    assert code == 0
+    assert "travel_time" in capsys.readouterr().out

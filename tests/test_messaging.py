@@ -13,7 +13,7 @@ from conftest import (
     random_turning,
 )
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
-from netsignal.messaging import CoorBudget, _cycle_closed, coordinate, message_plan
+from netsignal.messaging import CoorBudget, coordinate, message_plan
 from netsignal.network import Phase, build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from netsignal.simulation import JointAssignment
@@ -150,7 +150,7 @@ def test_engine_sums_a_hub_level_in_slot_order():
             for level in range(len(sched.levels)):
                 plan.update(level)
         messages = np.ascontiguousarray(plan.messages[:, : len(sched.sender)].T)
-        assert messages.tobytes() == row_major_messages(cg, order, 4).tobytes()
+        assert messages.tobytes() == row_major_messages(cg, order, 2 * len(sched.levels)).tobytes()
 
 
 def test_decide_empty_table_uses_own_cost():
@@ -214,7 +214,7 @@ def test_coordinate_two_intersections_clears_exit_queue(fig_two):
     assert global_cost(cg, result.assignment) == pytest.approx(16)
 
 
-def test_coordinate_interrupted_mid_pass_returns_snapshot():
+def test_coordinate_interrupted_mid_pass_decides_from_the_current_messages():
     rng = np.random.default_rng(31)
     cg = random_cg(rng, 6, [(k, k + 1) for k in range(5)])
     order = min_diameter_dag(cg)
@@ -223,6 +223,30 @@ def test_coordinate_interrupted_mid_pass_returns_snapshot():
     assert result.passes == 1
     assert not result.converged
     assert set(result.assignment) == set(cg.agents)
+    # the first reverse level's messages count, as the paper's anytime rule
+    # reads them
+    want = oracle.row_major_picks(cg, order, order.diameter + 1)
+    assert result.assignment.phases.tolist() == want.tolist()
+
+
+def test_a_wall_clock_interruption_decides_as_its_rounds_cap():
+    # Whatever level the clock stops at, the decision is the one a rounds
+    # cap at the same level gives: both read the messages as they stand.
+    net = build_grid(20, 20)
+    rng = np.random.default_rng(45)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    order = network_order(net)
+    cap = 8 * order.diameter
+    stopped = []
+    for wall_ms in np.geomspace(0.002, 2.0, 16):
+        result = coordinate(cg, order, CoorBudget(rounds=cap, wall_ms=float(wall_ms)))
+        again = coordinate(cg, order, CoorBudget(rounds=result.rounds))
+        assert again.assignment.phases.tobytes() == result.assignment.phases.tobytes(), wall_ms
+        assert (again.passes, again.rounds, again.converged) == (result.passes, result.rounds, result.converged)
+        if 0 < result.rounds < cap and not result.converged:
+            stopped.append(result.rounds)
+    # the clock stopped some runs part way, not only before the first level
+    assert stopped
 
 
 def test_coordinate_wall_clock_zero_still_complete():
@@ -247,7 +271,10 @@ def test_coordinate_is_pinned_at_every_round_cap():
     # Every cap from 0 to past two cycles: interruptions inside a pass, pass
     # boundaries and the convergence stop on the chain. A rework of the
     # message plan or the schedule must keep these results bit for bit.
-    digest = hashlib.sha256()
+    # `kept` holds what reading the live messages left as it was under the
+    # snapshot rule: the stop at every cap, and the decision at every cap
+    # inside the first pass or at a pass end.
+    digest, kept = hashlib.sha256(), hashlib.sha256()
     rng = np.random.default_rng(2024)
     for rows, cols in ((5, 4), (1, 6)):
         net = build_grid(rows, cols)
@@ -255,9 +282,14 @@ def test_coordinate_is_pinned_at_every_round_cap():
         order = min_diameter_dag(cg)
         for k in range(4 * order.diameter + 2):
             result = coordinate(cg, order, CoorBudget(rounds=k))
-            digest.update(repr((result.passes, result.rounds, result.converged)).encode())
+            stop = repr((result.passes, result.rounds, result.converged)).encode()
+            digest.update(stop)
             digest.update(result.assignment.phases.tobytes())
-    assert digest.hexdigest()[:16] == "76bb3802011bf1e3"
+            kept.update(stop)
+            if k <= order.diameter or k % order.diameter == 0:
+                kept.update(result.assignment.phases.tobytes())
+    assert digest.hexdigest()[:16] == "ba925254f77fd31e"
+    assert kept.hexdigest()[:16] == "f5febcd261990b33"
 
 
 def test_coordinate_results_outlive_the_shared_cost_buffer():
@@ -269,7 +301,7 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
     net = build_grid(4, 5)
     order = network_order(net)
     plan = message_plan(order)
-    buffers = [plan.messages, plan.costs, *plan.snapshots]
+    buffers = [plan.messages, plan.costs]
     buffers += [buf for level in plan.levels for buf in (level.gathered, level.base, level.scores)]
     rng = np.random.default_rng(2025)
     a, b = (build_cg(random_macro_state(net, rng), net, random_turning(net, rng)) for _ in range(2))
@@ -311,7 +343,7 @@ def test_coordinate_stops_by_the_allclose_rule():
     assert any(finite) and not all(finite)
 
 
-# (now, a cycle before) of the first cell, which `_cycle_closed` reads first
+# (now, a cycle before) of one message cell
 PROBES = {
     "equal": (3.5, 3.5),
     "close": (1.0, 1.0 + 5e-10),
@@ -329,17 +361,20 @@ PROBES = {
 @pytest.mark.parametrize("rest", ["equal", "moved"])
 @pytest.mark.parametrize("probe", PROBES)
 def test_cycle_closed_is_allclose(probe, rest):
-    # the first cell's test decides alone only where allclose is false, and
-    # neither part lets a warning out; the buffers are column views, as in
-    # `coordinate`
+    # `coordinate`'s cycle test, np.allclose(rtol=0, atol=1e-9) over column
+    # views of the message buffer, is |a - b| <= 1e-9 or a == b in every
+    # cell, with infinities close only to themselves and NaN to nothing, and
+    # lets no warning out on the inf and NaN that costs scaled towards
+    # float64's limit produce
     rng = np.random.default_rng(9)
     now, before = rng.random((2, 4, 9))[:, :, :7]
     before[...] = now
     if rest == "moved":
         now[3, 5] += 1.0
-    now[0, 0], before[0, 0] = PROBES[probe]
-    want = np.allclose(now, before, rtol=0, atol=1e-9)
-    assert _cycle_closed(now, before) is want
+    now[1, 2], before[1, 2] = PROBES[probe]
+    with np.errstate(invalid="ignore"):
+        want = bool(((np.abs(now - before) <= 1e-9) | (now == before)).all())
+    assert np.allclose(now, before, rtol=0.0, atol=1e-9) is want
 
 
 def test_snapshot_costs_monotone_on_trees():
@@ -348,7 +383,7 @@ def test_snapshot_costs_monotone_on_trees():
         n = int(rng.integers(3, 9))
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
-        # under a cap of k passes' rounds, the decision is pass k's snapshot
+        # under a cap of k passes' rounds, the decision is read at pass k's end
         d = max(order.diameter, 1)
         costs = [
             global_cost(cg, coordinate(cg, order, CoorBudget(rounds=k * d)).assignment)

@@ -4,8 +4,10 @@
 one direction's messages from the previous round's table with the scalar
 message rule of `oracle.ScalarGraph`, `diameter` rounds make a pass, and
 decisions come from its scalar `decide`. The level schedule must give the
-same decisions, passes, rounds and convergence under every round cap that
-lands in or after the first pass's end.
+same decisions, passes, rounds and convergence under every round cap at a
+pass end. Inside a pass the two differ, since a level pass has sent fewer
+messages than `diameter` synchronous rounds; there the decision must be
+the one `oracle.row_major_picks` reads after the same number of levels.
 """
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from netsignal.coordination import build_cg, global_cost
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import build_grid, segment_sum
 from netsignal.ordering import min_diameter_dag, network_order
-from oracle import ScalarGraph, brute_force_optimum, longest_directed_path
+from oracle import ScalarGraph, brute_force_optimum, longest_directed_path, row_major_picks
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -44,24 +46,21 @@ def sync_coordinate(cg, order, rounds_cap):
     directions = (order.edges, tuple((v, u) for u, v in order.edges))
     table = {}
     done = passes = 0
-    snapshot = previous = None
+    previous = None
     forward = True
     while True:
         for _ in range(order.diameter):
             if done >= rounds_cap:
-                if snapshot is None:
-                    snapshot = ref.decisions(table)
-                return snapshot, passes, done, False
+                return ref.decisions(table), passes, done, False
             table = ref.sync_round(directions[0 if forward else 1], table)
             done += 1
         passes += 1
-        snapshot = ref.decisions(table)
         if not forward:
             cycle = dict(table)
             if previous is not None and all(
                 np.allclose(cycle[k], previous[k], rtol=0.0, atol=1e-9) for k in cycle
             ):
-                return snapshot, passes, done, True
+                return ref.decisions(table), passes, done, True
             previous = cycle
         forward = not forward
 
@@ -85,13 +84,27 @@ def test_coordinate_matches_synchronous_rounds_on_grids(rows, cols):
     rng = np.random.default_rng(1000 * rows + cols)
     cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
     order = min_diameter_dag(cg)
-    dia = order.diameter
-    caps = [k * dia for k in range(1, 5)] + [dia + max(1, dia // 2)]
-    for cap in caps:
+    for cap in [k * order.diameter for k in range(1, 5)]:
         got = coordinate(cg, order, CoorBudget(rounds=cap))
         want, passes, rounds, converged = sync_coordinate(cg, order, cap)
         assert got.assignment == want, cap
         assert (got.passes, got.rounds, got.converged) == (passes, rounds, converged), cap
+
+
+@pytest.mark.parametrize("rows", range(2, 7))
+@pytest.mark.parametrize("cols", range(2, 7))
+def test_coordinate_decides_from_the_current_messages_at_every_cap(rows, cols):
+    # at every cap, inside a pass or at its end, the decision is the argmin
+    # of each agent's own cost plus the messages of the levels run so far
+    net = build_grid(rows, cols)
+    rng = np.random.default_rng(1000 * rows + cols)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    order = min_diameter_dag(cg)
+    for cap in range(4 * order.diameter + 2):
+        got = coordinate(cg, order, CoorBudget(rounds=cap))
+        assert got.rounds == cap or got.converged, cap
+        want = row_major_picks(cg, order, got.rounds)
+        assert got.assignment.phases.tolist() == want.tolist(), cap
 
 
 @PROPERTY_SETTINGS

@@ -113,16 +113,12 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
             state = random_macro_state(net, rng)
             turning = random_turning(net, rng)
             model = period_model(net, state, turning)
-            drained, release_onto = oracle.period_model_at(net, state, turning)
-            assert model.drained.tobytes() == drained.tobytes()
-            assert model.release_onto.tobytes() == release_onto.tobytes()
-
             actions = rng.integers(0, 4, len(model.arrays.agent_ids)).astype(np.intp)
             scores = model.sweep_scores(actions)
-            assert scores.tobytes() == oracle.sweep_scores_at(model, actions).T.tobytes()
+            assert scores.tobytes() == oracle.sweep_scores_at(net, state, turning, actions).T.tobytes()
 
             cg = build_cg(state, net, turning, model=model)
-            edge_costs, individual = oracle.build_cg_at(net, model)
+            edge_costs, individual = oracle.build_cg_at(net, state, turning)
             assert cg.edge_costs.shape == edge_costs.shape
             assert cg.edge_costs.tobytes() == edge_costs.tobytes()
             assert cg.individual.tobytes() == individual.tobytes()
@@ -180,7 +176,7 @@ def test_cost_tables_add_many_slots_in_order():
             state, turning = QueueState(0, q), random_turning(net, rng)
             model = period_model(net, state, turning)
             cg = build_cg(state, net, turning, model=model)
-            edge_costs, individual = oracle.build_cg_at(net, model)
+            edge_costs, individual = oracle.build_cg_at(net, state, turning)
             assert cg.edge_costs.tobytes() == edge_costs.tobytes()
             assert cg.individual.tobytes() == individual.tobytes()
             if n < 3:  # the same sums by plain reductions
@@ -193,20 +189,23 @@ def test_cost_tables_add_many_slots_in_order():
 
 
 def test_period_model_adds_many_slots_in_table_order():
-    # ten entry links turn onto one exit link, whose `to_link_table` column
-    # then has ten slots: summed pairwise, as numpy sums a run of 8 or more,
-    # their releases would total 1e16 + 8; in table order the ones vanish
+    # ten entry links turn onto the link from intersection 0 to 1, whose
+    # `to_link_table` column then has ten slots: summed pairwise, as numpy
+    # sums a run of 8 or more, their releases would total 1e16 + 8; in table
+    # order the ones vanish, and every cell of the edge's table is the
+    # square of that total, since the link's one movement starts empty
     links = [Link(k, LinkKind.ENTRY, None, 0, 100.0) for k in range(10)]
-    links.append(Link(10, LinkKind.EXIT, 0, None, 100.0))
-    net = RoadNetwork([0], links, [Movement(k, 10, 0, None, 1e17) for k in range(10)])
-    assert validate(net) == [] and movement_arrays(net).to_link_table.shape == (10, 11)
-    q = np.array([1e16] + [1.0] * 9)
-    assert np.add.reduce(q) != sum(q.tolist())
-    state, turning = QueueState(0, q), TurningModel(np.ones(10), np.zeros(11))
-    model = period_model(net, state, turning)
-    release_onto = oracle.period_model_at(net, state, turning)[1]
-    assert model.release_onto.tobytes() == release_onto.tobytes()
-    assert model.release_onto[10].tolist() == [sum(q.tolist())] * NUM_PHASES
+    links += [Link(10, LinkKind.INTERNAL, 0, 1, 100.0), Link(11, LinkKind.EXIT, 1, None, 100.0)]
+    movements = [Movement(k, 10, 0, None, 1e17) for k in range(10)] + [Movement(10, 11, 1, None, 1.0)]
+    net = RoadNetwork([0, 1], links, movements)
+    assert validate(net) == [] and movement_arrays(net).to_link_table.shape == (10, 12)
+    q = np.array([1e16] + [1.0] * 9 + [0.0])
+    assert np.add.reduce(q[:10]) != sum(q[:10].tolist())
+    state, turning = QueueState(0, q), TurningModel(np.ones(11), np.zeros(12))
+    cg = build_cg(state, net, turning, model=period_model(net, state, turning))
+    edge_costs, individual = oracle.build_cg_at(net, state, turning)
+    assert cg.edge_costs.tobytes() == edge_costs.tobytes()
+    assert cg.edge_costs.tolist() == [[[sum(q[:10].tolist()) ** 2] * NUM_PHASES] * NUM_PHASES]
 
 
 def test_package_has_no_ufunc_at():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -617,6 +618,18 @@ def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, du
     path = tmp_path / "rate.json"
     path.write_text(json.dumps({"rate_vps": rate, "duration_s": duration}))
     with pytest.raises(LoadError, match=f"{named}.* must be .*finite, got {value}"):
+        load_flow(str(path), net)
+
+
+def test_flow_rejects_a_vehicle_count_that_overflows(tmp_path):
+    # each value is finite, but their product is not
+    net = build_grid(2, 2)
+    named = re.escape("rate 1e+200 times duration 1e+200 is more vehicles than a float can count")
+    with pytest.raises(ValueError, match=named):
+        generate_uniform_flow(net, 1e200, 1e200)
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"rate_vps": 1e200, "duration_s": 1e200}))
+    with pytest.raises(LoadError, match=f"flow rate spec: {named}"):
         load_flow(str(path), net)
 
 
