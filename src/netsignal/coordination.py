@@ -75,8 +75,8 @@ def _check_layout(agents: tuple, edges: tuple) -> None:
 
 def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
     """What is wrong with an agent and edge layout, or None. An edge must be
-    a tuple, as a level schedule's edges are, for a message plan to accept
-    the graph; a list such as JSON reads is none."""
+    a tuple, as a message plan's edges are, for the plan to accept the
+    graph; a list such as JSON reads is none."""
     if not _ascending(agents):
         return "agents must be sorted and distinct"
     if not all(type(e) is tuple for e in edges):

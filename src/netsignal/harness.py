@@ -190,7 +190,7 @@ def modeled_delay_ms(
     if nodes:
         # intra-node messages are free; same per-message draws either way
         node = rng.permutation(len(order.dist)) % nodes
-        ends = np.searchsorted(order.schedule.agents, np.array(order.edges))
+        ends = np.searchsorted(sorted(order.dist), np.array(order.edges))
         mask = node[ends[:, 0]] != node[ends[:, 1]]
         if not mask.any():
             return 0.0

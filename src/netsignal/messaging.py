@@ -29,10 +29,11 @@ rounding: one pass on a 100x100 grid already reaches 2.7e28. So the shift
 happens per level, not per pass, and keeps every message within the range
 of one edge table.
 
-The messages live in a `MessagePlan`, laid out by the orientation's
-`LevelSchedule` and kept with it: one buffer of every message and own
-cost, the edge costs gathered into message order, and a gather table per
-level. `coordinate` loads each period's graph into it and runs the passes.
+The messages live in a `MessagePlan`, which lays them out by the
+orientation and is kept with it: message rows grouped into levels, one
+buffer of every message and own cost, the edge costs gathered into message
+order, and a gather table per level. `coordinate` loads each period's
+graph into it and runs the passes.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, segment_sum
-from netsignal.ordering import DagOrder, LevelSchedule
+from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, gather_table, segment_sum
+from netsignal.ordering import DagOrder, longest_paths
 from netsignal.simulation import JointAssignment
 
 
@@ -88,7 +89,7 @@ class CoorBudget:
 class LevelPlan(NamedTuple):
     """One level's gather table and the buffers and views its update uses.
 
-    The level has n rows and the schedule K slots. `table[k, x, c]` is the
+    The level has n rows and the plan K slots. `table[k, x, c]` is the
     flat `messages` position that slot k of the level's row c reads for
     phase x: the rows in the sender's `slots` column, then the sender's
     own-cost column, then the `excluded` row. `summands` and `excluded` are
@@ -110,14 +111,39 @@ class LevelPlan(NamedTuple):
 
 
 class MessagePlan:
-    """The messages of one level schedule and the buffers a pass works in.
+    """The message layout of one orientation and the buffers a pass works in.
+
+    Agents sit at their position in sorted-id order, as `agents` lists them.
+    Messages are numbered by row: the forward messages (along the
+    orientation) are rows [0, E), the reverse messages rows [E, 2E).
+    Forward rows are grouped by the longest-path depth of their sender,
+    reverse rows by the height (longest path down to a sink) of their
+    forward receiver; within a level rows keep edge order. `level_rows` are
+    the (start, stop) rows of the `diameter` forward levels, then of the
+    `diameter` reverse levels. A message only reads messages of lower levels
+    in its own direction, so one sweep over a direction's levels leaves its
+    messages at their fixpoint.
+
+    Each row r has its sender's position in `sender[r]` and in `excluded[r]`
+    the row of the message its receiver sends back over the same edge.
+    `slots` is the (K, N) `gather_table` of the rows each agent receives:
+    column n lists agent n's incoming forward messages, then its incoming
+    reverse messages, each in edge order, padded with the zero row 2E, and
+    they are added top to bottom. So an incoming-message sum does not depend
+    on how rows are grouped into levels. `edges` are the order's edges as
+    (i < j) pairs, which is the edge order of the `CoordinationGraph` it was
+    built from.
 
     `messages` is the phase-major (4, 2E + 1 + N) buffer: message row r in
-    column r, a zero column at 2E and agent n's own costs in column
+    column r, the zero column at 2E and agent n's own costs in column
     2E + 1 + n; `flat` is its flat view, which the gather tables index.
     Both directions persist, so each new message can exclude exactly the
-    recipient's own contribution. `costs` is the (4, 4, 2E) table of edge
-    costs by the schedule's `cost_cells`, indexed
+    recipient's own contribution. `cost_cells[x_s, x_r, r]` is the position
+    of the edge's cost when the sender plays x_s and the receiver x_r,
+    whichever end of the (i < j) table each sits at, in the flat
+    phase-major (4, 4, E) stack of edge tables,
+    `edge_costs.transpose(1, 2, 0)`, so they read a graph's `edge_costs` as
+    they are. `costs` is the (4, 4, 2E) table they gather, indexed
     [x_sender][x_receiver][row], the min running over the leading axis.
     `levels` holds a `LevelPlan` per level, whose `gathered`, `base` and
     `scores` are contiguous views of scratch buffers all levels share, sized
@@ -131,23 +157,47 @@ class MessagePlan:
     so a plan serves one graph at a time, as inside `coordinate`.
     """
 
-    def __init__(self, sched: LevelSchedule):
-        self.n_rows, n_agents = len(sched.sender), len(sched.agents)
-        own = self.n_rows + 1  # the first own-cost column
-        self.cost_cells = sched.cost_cells
+    def __init__(self, order: DagOrder):
+        self.agents = tuple(sorted(order.dist))
+        ids = np.array(self.agents, dtype=np.intp)
+        n_agents, n_edges = len(ids), len(order.edges)
+        self.n_rows = 2 * n_edges
+        sender, receiver = np.searchsorted(ids, np.array(order.edges, dtype=np.intp).reshape(-1, 2)).T
+        fwd, fwd_levels = _level_order(longest_paths(sender, receiver, n_agents)[sender])
+        rev, rev_levels = _level_order(longest_paths(receiver, sender, n_agents)[receiver])
+        self.level_rows = fwd_levels + tuple((a + n_edges, b + n_edges) for a, b in rev_levels)
+        # message m < E runs along edge m, message E + m against it; `message`
+        # lists them in row order and `row` is its inverse
+        message = np.concatenate((fwd, rev + n_edges))
+        row = np.empty(self.n_rows, dtype=np.intp)
+        row[message] = np.arange(self.n_rows)
+        source, target = np.concatenate((sender, receiver)), np.concatenate((receiver, sender))
+        self.slots = gather_table(row, target, n_agents, self.n_rows)
+        self.sender = source[message]
+        self.excluded = row[(message + n_edges) % self.n_rows]
+        x_s, x_r = np.arange(NUM_PHASES)[:, None, None], np.arange(NUM_PHASES)[:, None]
+        # an (i < j) edge's table is indexed [x_i][x_j], by agent position
+        low_first = self.sender < target[message]
+        cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
+        self.cost_cells = cells * n_edges + message % n_edges
+        self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
         # the (agents, edges) tuples that last passed `load`'s layout check
-        self._layout = (sched.agents, sched.edges)
+        self._layout = (self.agents, self.edges)
+
+        own = self.n_rows + 1  # the first own-cost column
         self.messages = np.zeros((NUM_PHASES, own + n_agents))
         self.flat = self.messages.reshape(-1)
-        self.costs = np.empty(sched.cost_cells.shape)
+        self.costs = np.empty(self.cost_cells.shape)
         # column c of phase x sits at flat position x * width + c
         phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]
-        columns = np.vstack((sched.slots, own + np.arange(n_agents)))
+        columns = np.vstack((self.slots, own + np.arange(n_agents)))
         self.totals = columns[:, None] + phase_start
-        columns = np.vstack((sched.slots[:, sched.sender], own + sched.sender, sched.excluded))
-        widest = max((b - a for a, b in sched.levels), default=0)
+        columns = np.vstack((self.slots[:, self.sender], own + self.sender, self.excluded))
+        widest = max((b - a for a, b in self.level_rows), default=0)
         scratch = tuple(np.empty(k * NUM_PHASES * widest) for k in (len(columns), 1, NUM_PHASES))
-        self.levels = tuple(self._level(columns[:, None, a:b] + phase_start, a, b, scratch) for a, b in sched.levels)
+        self.levels = tuple(
+            self._level(columns[:, None, a:b] + phase_start, a, b, scratch) for a, b in self.level_rows
+        )
 
     def _level(self, table: np.ndarray, start: int, stop: int, scratch: tuple) -> LevelPlan:
         n = stop - start
@@ -171,7 +221,7 @@ class MessagePlan:
         costs into their columns and, by one gather through `cost_cells`
         from the phase-major stack of its edge tables, which is what
         `build_cg`'s graphs hold, its edge tables into `costs`. The graph
-        must have the schedule's agents and edges; tuples that passed before
+        must have the plan's agents and edges; tuples that passed before
         pass by identity."""
         agents, edges = self._layout
         if cg.agents is not agents or cg.edges is not edges:
@@ -205,14 +255,22 @@ class MessagePlan:
         return segment_sum(self.flat, self.totals).argmin(axis=0)
 
 
+def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Edge indices sorted by level (edge order within a level) and the
+    (start, stop) positions of each level in that order."""
+    bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
+    return np.argsort(level, kind="stable"), tuple(zip(bounds[:-1], bounds[1:]))
+
+
 def message_plan(order: DagOrder) -> MessagePlan:
-    """The message plan of an orientation's level schedule, made on first
-    use and kept with the schedule, so every `coordinate` call on the
-    orientation rewrites the same buffers."""
-    sched = order.schedule
-    if not hasattr(sched, "_plan"):
-        sched._plan = MessagePlan(sched)
-    return sched._plan
+    """The orientation's message plan, made on first use and kept in the
+    order's `__dict__`, as `functools.cached_property` keeps a value on a
+    frozen dataclass, so every `coordinate` call on the orientation
+    rewrites the same buffers."""
+    plan = order.__dict__.get("_message_plan")
+    if plan is None:
+        plan = order.__dict__["_message_plan"] = MessagePlan(order)
+    return plan
 
 
 @dataclass

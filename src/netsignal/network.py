@@ -525,10 +525,10 @@ def validate(net: RoadNetwork) -> list[str]:
             violations.append(f"intersection {i}: id is outside the int64 range")
     bad_links: set[int] = set()
     for lid, link in net.links.items():
-        if not 0 < link.length_m < math.inf:
-            violations.append(f"link {lid}: length must be positive and finite, got {link.length_m}")
-        if not 0 < link.speed_mps < math.inf:
-            violations.append(f"link {lid}: speed must be positive and finite, got {link.speed_mps}")
+        if not 0 < _number_or_nan(link.length_m) < math.inf:
+            violations.append(f"link {lid}: length must be positive and finite, got {link.length_m!r}")
+        if not 0 < _number_or_nan(link.speed_mps) < math.inf:
+            violations.append(f"link {lid}: speed must be positive and finite, got {link.speed_mps!r}")
         if link.kind is LinkKind.ENTRY:
             if link.start is not None:
                 violations.append(f"link {lid}: entry link must not have a start intersection")
@@ -567,18 +567,21 @@ def validate(net: RoadNetwork) -> list[str]:
             violations.append(f"{name}: source is not an input link of intersection {m.intersection}")
         if m.to not in bad_links and (to is None or to.start != m.intersection):
             violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
-        if not 0 <= m.sat_flow < math.inf:
-            violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow}")
+        if not 0 <= _number_or_nan(m.sat_flow) < math.inf:
+            violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow!r}")
         if m.key in seen_keys:
             violations.append(f"{name}: duplicate movement")
         seen_keys.add(m.key)
-        if m.phase is not None:
-            group = axis_groups.setdefault((m.intersection, m.frm), set())
-            if m.phase in group:
-                violations.append(
-                    f"{name}: phase {m.phase.name} already used by another movement on link {m.frm}"
-                )
-            group.add(m.phase)
+        if m.phase is None:
+            continue
+        if not (_is_count(m.phase) and 0 <= m.phase < NUM_PHASES):
+            violations.append(f"{name}: phase must be None or an integer in 0..3, got {m.phase!r}")
+            continue
+        phase = Phase(m.phase)
+        group = axis_groups.setdefault((m.intersection, m.frm), set())
+        if phase in group:
+            violations.append(f"{name}: phase {phase.name} already used by another movement on link {m.frm}")
+        group.add(phase)
     for i in sorted(net.intersections - {m.intersection for m in net.movements}):
         violations.append(f"intersection {i}: no movements")
     we = {Phase.WE_STRAIGHT, Phase.WE_LEFT}

@@ -12,89 +12,23 @@ All of it runs on agent positions (sorted-id order) as numpy arrays. Every
 hop distance is a single-source `network.hop_distances` search over the
 graph's neighbour table. The sink comes from eccentricity bounds (Takes &
 Kosters, Algorithms 6(1), 2013), which need a few searches instead of one
-per agent. The orientation's `LevelSchedule` numbers its messages as rows
-and groups them into levels; it holds index arrays only, and
-`messaging.MessagePlan` lays out the buffers a pass writes by it.
+per agent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, RoadNetwork, gather_table, hop_distances, movement_arrays
+from netsignal.network import RoadNetwork, gather_table, hop_distances, movement_arrays
 
 
 class TopologyError(ValueError):
     """Raised when the coordination graph is not connected."""
 
 
-class LevelSchedule:
-    """Index arrays that let a pass compute every message exactly once.
-
-    Agents sit at their position in sorted-id order. Messages are numbered
-    by row: the forward messages (along the orientation) are rows [0, E),
-    the reverse messages rows [E, 2E). Forward rows are grouped by the
-    longest-path depth of their sender, reverse rows by the height (longest
-    path down to a sink) of their forward receiver; within a level rows keep
-    edge order. `levels` are the (start, stop) rows of the `diameter`
-    forward levels, then of the `diameter` reverse levels. A message only
-    reads messages of lower levels in its own direction, so one sweep over a
-    direction's levels leaves its messages at their fixpoint.
-
-    Each row r has its sender's position in `sender[r]` and in `excluded[r]`
-    the row of the message its receiver sends back over the same edge.
-    `cost_cells[x_s, x_r, r]` is the position of the edge's cost when the
-    sender plays x_s and the receiver x_r, whichever end of the (i < j)
-    table each sits at, in the flat phase-major (4, 4, E) stack of edge
-    tables, `edge_costs.transpose(1, 2, 0)`.
-
-    `slots` is the (K, N) `gather_table` of the rows each agent receives:
-    column n lists agent n's incoming forward messages, then its incoming
-    reverse messages, each in edge order, padded with the zero row 2E, and
-    they are added top to bottom. So an incoming-message sum does not depend
-    on how rows are grouped into levels.
-
-    `edges` are the order's edges as (i < j) pairs, which is the edge order
-    of the `CoordinationGraph` it was built from, so `cost_cells` read that
-    graph's `edge_costs` as they are.
-    """
-
-    def __init__(self, order: "DagOrder"):
-        self.agents = tuple(sorted(order.dist))
-        ids = np.array(self.agents, dtype=np.intp)
-        n_agents, n_edges = len(ids), len(order.edges)
-        sender, receiver = np.searchsorted(ids, np.array(order.edges, dtype=np.intp).reshape(-1, 2)).T
-        fwd, fwd_levels = _level_order(_longest_paths(sender, receiver, n_agents)[sender])
-        rev, rev_levels = _level_order(_longest_paths(receiver, sender, n_agents)[receiver])
-        self.levels = fwd_levels + tuple((a + n_edges, b + n_edges) for a, b in rev_levels)
-        # message m < E runs along edge m, message E + m against it; `message`
-        # lists them in row order and `row` is its inverse
-        message = np.concatenate((fwd, rev + n_edges))
-        row = np.empty(2 * n_edges, dtype=np.intp)
-        row[message] = np.arange(2 * n_edges)
-        source, target = np.concatenate((sender, receiver)), np.concatenate((receiver, sender))
-        self.slots = gather_table(row, target, n_agents, 2 * n_edges)
-        self.sender = source[message]
-        self.excluded = row[(message + n_edges) % (2 * n_edges)]
-        x_s, x_r = np.arange(NUM_PHASES)[:, None, None], np.arange(NUM_PHASES)[:, None]
-        # an (i < j) edge's table is indexed [x_i][x_j], by agent position
-        low_first = self.sender < target[message]
-        cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
-        self.cost_cells = cells * n_edges + message % n_edges
-        self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
-
-
-def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Edge indices sorted by level (edge order within a level) and the
-    (start, stop) positions of each level in that order."""
-    bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
-    return np.argsort(level, kind="stable"), tuple(zip(bounds[:-1], bounds[1:]))
-
-
-def _longest_paths(sender: np.ndarray, receiver: np.ndarray, n_agents: int) -> np.ndarray:
+def longest_paths(sender: np.ndarray, receiver: np.ndarray, n_agents: int) -> np.ndarray:
     """Edges on the longest directed path ending at each agent of a DAG,
     relaxed over every agent's incoming edges until nothing changes."""
     incoming = gather_table(sender, receiver, n_agents, n_agents)
@@ -139,21 +73,14 @@ class DagOrder:
 
     `edges` hold (sender, receiver) pairs; `dist` is hop distance to the
     sink; `diameter` is the number of edges on the longest directed path,
-    which is the number of levels, and so of rounds, in one message pass.
+    counted when the order is made, which is the number of levels, and so
+    of rounds, in one message pass. Reversing every edge keeps it.
     """
 
     sink: int
     edges: tuple[tuple[int, int], ...]
     dist: dict[int, int]
-
-    @cached_property
-    def schedule(self) -> LevelSchedule:
-        """The level schedule, built on first use and kept with the order."""
-        return LevelSchedule(self)
-
-    @property
-    def diameter(self) -> int:
-        return len(self.schedule.levels) // 2
+    diameter: int
 
 
 def _orient(agents, edges) -> DagOrder:
@@ -171,6 +98,7 @@ def _orient(agents, edges) -> DagOrder:
         sink=agents[sink],
         edges=tuple(zip(agents[sender].tolist(), agents[receiver].tolist())),
         dist=dict(zip(agents.tolist(), dist.tolist())),
+        diameter=int(longest_paths(sender, receiver, len(ids)).max(initial=0)),
     )
 
 

@@ -143,11 +143,11 @@ def random_cg(rng, n_agents, edge_pairs, scale=10.0):
     return CoordinationGraph(agents, edges, stack, individual)
 
 
-def row_pairs(sched):
-    """The (sender, receiver) ids of every message-buffer row of a schedule:
-    a row's receiver sends the row it excludes."""
-    senders = [sched.agents[s] for s in sched.sender.tolist()]
-    return tuple((senders[r], senders[x]) for r, x in enumerate(sched.excluded.tolist()))
+def row_pairs(plan):
+    """The (sender, receiver) ids of every message-buffer row of a message
+    plan: a row's receiver sends the row it excludes."""
+    senders = [plan.agents[s] for s in plan.sender.tolist()]
+    return tuple((senders[r], senders[x]) for r, x in enumerate(plan.excluded.tolist()))
 
 
 def loaded_plan(cg, order):
@@ -157,13 +157,13 @@ def loaded_plan(cg, order):
     return plan
 
 
-def plan_messages(plan, order):
-    """Every message in the buffer of an orientation's message plan, keyed
-    by (sender, receiver)."""
-    return {pair: plan.messages[:, r].copy() for r, pair in enumerate(row_pairs(order.schedule))}
+def plan_messages(plan):
+    """Every message in the buffer of a message plan, keyed by (sender,
+    receiver)."""
+    return {pair: plan.messages[:, r].copy() for r, pair in enumerate(row_pairs(plan))}
 
 
-def sync_round(plan, order, levels):
+def sync_round(plan, levels):
     """Recompute the messages of `levels` all at once, each level from the
     buffer as it stood before the round."""
     before = plan.messages.copy()
@@ -171,7 +171,7 @@ def sync_round(plan, order, levels):
     for level in levels:
         plan.messages[...] = before
         plan.update(level)
-        start, stop = order.schedule.levels[level]
+        start, stop = plan.level_rows[level]
         after[:, start:stop] = plan.messages[:, start:stop]
     plan.messages[...] = after
 
@@ -189,8 +189,8 @@ def forward_messages(cg, order, sync_rounds=0, level_pass=True):
         for level in forward:
             plan.update(level)
     for _ in range(sync_rounds):
-        sync_round(plan, order, forward)
-    messages = plan_messages(plan, order)
+        sync_round(plan, forward)
+    messages = plan_messages(plan)
     return {pair: messages[pair] for pair in order.edges}
 
 

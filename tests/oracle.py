@@ -14,7 +14,7 @@ and movements.
 `longest_directed_path` counts the edges on an orientation's longest path
 by recursion. `eccentricity` is one agent's breadth-first search over dict
 neighbour lists, and `min_diameter_order` orients a graph from such a
-search from every agent, with the level rows of its schedule.
+search from every agent, with the level rows of its message plan.
 
 `period_model_at`, `sweep_scores_at`, `build_cg_at` and `phase_pressures_at`
 are the per-period scatter-adds as `np.add.at` computes them, in movement
@@ -203,23 +203,23 @@ def row_major_messages(cg, order, levels):
     edge table [x_sender][x_receiver], takes the minimum over the sender's
     phase and subtracts the result's phase-0 entry.
     """
-    sched = order.schedule
+    plan = message_plan(order)
     ref = ScalarGraph(cg)
-    senders = [sched.agents[k] for k in sched.sender.tolist()]
+    senders = [plan.agents[k] for k in plan.sender.tolist()]
     tables = np.array(
-        [ref.edge_cost(senders[r], senders[x]) for r, x in enumerate(sched.excluded.tolist())]
+        [ref.edge_cost(senders[r], senders[x]) for r, x in enumerate(plan.excluded.tolist())]
     ).reshape(-1, NUM_PHASES, NUM_PHASES)
-    inputs = sched.slots[:, sched.sender]
+    inputs = plan.slots[:, plan.sender]
     rows = np.zeros((len(senders) + 1, NUM_PHASES))
-    diameter = len(sched.levels) // 2
+    diameter = len(plan.level_rows) // 2
     for k in range(levels if diameter else 0):
         passes, level = divmod(k, diameter)
-        a, b = sched.levels[(passes % 2) * diameter + level]
+        a, b = plan.level_rows[(passes % 2) * diameter + level]
         base = np.zeros((b - a, NUM_PHASES))
         for slot in range(len(inputs)):
             base += rows[inputs[slot, a:b]]
-        base += cg.individual[sched.sender[a:b]]
-        base -= rows[sched.excluded[a:b]]
+        base += cg.individual[plan.sender[a:b]]
+        base -= rows[plan.excluded[a:b]]
         best = (base[:, :, None] + tables[a:b]).min(axis=1)
         rows[a:b] = best - best[:, :1]
     return rows[:-1]
@@ -229,10 +229,10 @@ def row_major_picks(cg, order, levels):
     """Each agent's argmin phase over its incoming rows of
     `row_major_messages(cg, order, levels)`, added one at a time from 0.0 in
     slot order, and then its own cost."""
-    sched = order.schedule
+    plan = message_plan(order)
     rows = np.vstack((row_major_messages(cg, order, levels), np.zeros(NUM_PHASES)))
-    totals = np.zeros((len(sched.agents), NUM_PHASES))
-    for slot in sched.slots:
+    totals = np.zeros((len(plan.agents), NUM_PHASES))
+    for slot in plan.slots:
         totals += rows[slot]
     totals += cg.individual
     return totals.argmin(axis=1)
@@ -518,7 +518,7 @@ def _longest_path_depths(agents, edges):
 def min_diameter_order(cg):
     """`min_diameter_dag` by a BFS from every agent: the sink, the oriented
     edges, `dist`, `diameter`, and the (sender, receiver) pairs of each
-    forward and each reverse level of its schedule."""
+    forward and each reverse level of its message plan."""
     adj = _adjacency(cg)
     sink = min(cg.agents, key=lambda a: (eccentricity(cg, a), a))
     dist = _bfs_distances(adj, sink)

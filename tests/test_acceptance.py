@@ -304,19 +304,15 @@ def test_criterion_09_stability_soak():
     )
 
 
-def test_anytime_decisions_improve_within_a_pass():
-    # The paper's agents decide from the current messages when the time
-    # limit is reached. Along an emc run on 10x10, each period's coordinate
-    # decision is scored by its predicted balance over max-pressure's, at
-    # the end of pass 1 and at each quarter of pass 2: every level run must
-    # count, so no quarter may be worse than the one before it.
-    start = time.perf_counter()
-    sc = scenario(10, 10, 1.0, "emc", seed=0, horizon=40)
+def _anytime_profile(size, rate, seed, caps):
+    """Along an emc run on a size x size grid, each period's coordinate
+    decision under each rounds cap of `caps(diameter)`, scored by its
+    predicted balance over max-pressure's, as the mean over periods 5-39."""
+    sc = scenario(size, size, rate, "emc", seed=seed, horizon=40)
     net = sc.network
     flow = Flow(resolve_flow(sc), sc.sim.tau, net)
     order = network_order(net)
-    dia = order.diameter
-    caps = [dia + round(q * dia / 4) for q in range(5)]
+    budgets = [CoorBudget(rounds=cap) for cap in caps(order.diameter)]
     ratios = []
     state = initial_state(net)
     for t in range(sc.sim.horizon):
@@ -324,16 +320,38 @@ def test_anytime_decisions_improve_within_a_pass():
         if t >= 5:
             cg = build_cg(state, net, turning)
             greedy = global_cost(cg, max_pressure(state, net, turning))
-            ratios.append(
-                [global_cost(cg, coordinate(cg, order, CoorBudget(rounds=cap)).assignment) / greedy for cap in caps]
-            )
+            ratios.append([global_cost(cg, coordinate(cg, order, budget).assignment) / greedy for budget in budgets])
         state = step(state, plan_phases_detailed(state, net, turning, sc.planner).assignment, net, sc.sim, flow)
-    profile = np.mean(ratios, axis=0)
+    return np.mean(ratios, axis=0)
+
+
+def test_anytime_decisions_improve_within_a_pass():
+    # The paper's agents decide from the current messages when the time
+    # limit is reached. Along an emc run on 10x10, the decision at the end
+    # of pass 1 and at each quarter of pass 2: every level run must count,
+    # so no quarter may be worse than the one before it.
+    start = time.perf_counter()
+    profile = _anytime_profile(10, 1.0, 0, lambda dia: [dia + round(q * dia / 4) for q in range(5)])
     assert all(b <= a for a, b in zip(profile, profile[1:]))
     print(
         "ACCEPTANCE anytime - predicted balance over max-pressure's on 10x10, periods 5-39: "
         f"end of pass 1 {profile[0]:.3f}, pass 2 at 25/50/75/100% "
         + " / ".join(f"{r:.3f}" for r in profile[1:])
+        + f" ({time.perf_counter() - start:.2f}s)"
+    )
+
+
+def test_anytime_decisions_improve_at_every_quarter_on_20x20():
+    # The same profile on the 400-agent grid at each quarter of both passes.
+    start = time.perf_counter()
+    profile = _anytime_profile(20, 0.77, 1, lambda dia: [round(q * dia / 4) for q in range(1, 9)])
+    assert all(b <= a for a, b in zip(profile, profile[1:]))
+    print(
+        "ACCEPTANCE anytime - predicted balance over max-pressure's on 20x20, periods 5-39: "
+        "pass 1 at 25/50/75/100% "
+        + " / ".join(f"{r:.3f}" for r in profile[:4])
+        + ", pass 2 at 25/50/75/100% "
+        + " / ".join(f"{r:.3f}" for r in profile[4:])
         + f" ({time.perf_counter() - start:.2f}s)"
     )
 

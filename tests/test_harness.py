@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import shifted_grid_doc
 from netsignal.harness import (
     DELAY_SIGMA_MS,
     BudgetOverrunError,
@@ -19,7 +20,7 @@ from netsignal.harness import (
 )
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget
-from netsignal.network import build_grid
+from netsignal.network import build_grid, network_from_dict
 from netsignal.simulation import MetricsError, SimConfig, generate_uniform_flow
 
 
@@ -165,6 +166,18 @@ def test_modeled_delay_partition_free_intranode():
     single_node = modeled_delay_ms(order, rounds, model, 9, nodes=1)
     assert partitioned <= charged_all
     assert single_node == 0.0
+
+
+@pytest.mark.parametrize("nodes", [None, 1, 3, 10])
+def test_modeled_delay_does_not_depend_on_id_values(nodes):
+    # the partition draws by agent position, so ids that are not positions
+    # must give the grid's delays
+    model = DelayModel(mu_ms=20.0)
+    delays = []
+    for net in (build_grid(4, 4), network_from_dict(shifted_grid_doc(4, 4, 1000))):
+        order = network_order(net)
+        delays.append(modeled_delay_ms(order, 2 * order.diameter, model, 9, nodes=nodes))
+    assert delays[0] == delays[1]
 
 
 def test_delay_model_validation():

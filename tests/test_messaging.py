@@ -35,9 +35,9 @@ def one_cycle(cg):
     keyed by (sender, receiver), and the plan that holds them."""
     order = min_diameter_dag(cg)
     plan = loaded_plan(cg, order)
-    for level in range(len(order.schedule.levels)):
+    for level in range(len(plan.level_rows)):
         plan.update(level)
-    return plan_messages(plan, order), plan
+    return plan_messages(plan), plan
 
 
 def two_agent_cg(rng):
@@ -78,7 +78,7 @@ def test_message_passing_single_agent_empty():
     cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [np.arange(4.0)])
     order = min_diameter_dag(cg)
     assert forward_messages(cg, order, sync_rounds=order.diameter) == {}
-    assert plan_messages(loaded_plan(cg, order), order) == {}
+    assert plan_messages(loaded_plan(cg, order)) == {}
 
 
 def test_three_agent_path_fixpoint_after_one_round():
@@ -142,15 +142,14 @@ def test_engine_sums_a_hub_level_in_slot_order():
     for seed in range(20):
         cg = random_cg(np.random.default_rng(500 + seed), 11, edges)
         order = min_diameter_dag(cg)
-        sched = order.schedule
-        lone = [start for start, stop in sched.levels if stop - start == 1]
-        assert sched.sender[lone].tolist() == [1]
         plan = loaded_plan(cg, order)
+        lone = [start for start, stop in plan.level_rows if stop - start == 1]
+        assert plan.sender[lone].tolist() == [1]
         for _ in range(2):
-            for level in range(len(sched.levels)):
+            for level in range(len(plan.level_rows)):
                 plan.update(level)
-        messages = np.ascontiguousarray(plan.messages[:, : len(sched.sender)].T)
-        assert messages.tobytes() == row_major_messages(cg, order, 2 * len(sched.levels)).tobytes()
+        messages = np.ascontiguousarray(plan.messages[:, : len(plan.sender)].T)
+        assert messages.tobytes() == row_major_messages(cg, order, 2 * len(plan.level_rows)).tobytes()
 
 
 def test_decide_empty_table_uses_own_cost():
@@ -435,7 +434,7 @@ def test_engine_rejects_an_orientation_of_another_graph():
         coordinate(cg, min_diameter_dag(other), CoorBudget(rounds=4))
     order = reverse(min_diameter_dag(cg))
     message_plan(order).load(cg)
-    assert order.schedule.agents == cg.agents
+    assert message_plan(order).agents == cg.agents
 
 
 def test_plan_checks_a_new_edges_tuple_after_the_networks_graph():

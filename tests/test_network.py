@@ -173,29 +173,57 @@ def test_validate_flags_missing_end():
     assert str(lid) in problems[0]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+# a network built in code skips `load_network`'s parsing, so `validate` must
+# not trust its field types: each value after inf used to pass, or raise in
+# `validate`
+NOT_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 10**400, "300", True], ids=["nan", "inf", "beyond-float", "str", "bool"]
+)
+
+
+@NOT_FINITE
 def test_validate_flags_a_length_that_is_not_positive_and_finite(value):
     net = build_grid(2, 2)
     lid = net.internal_links()[1]
     net.links[lid].length_m = value
-    assert validate(net) == [f"link {lid}: length must be positive and finite, got {value}"]
+    assert validate(net) == [f"link {lid}: length must be positive and finite, got {value!r}"]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@NOT_FINITE
 def test_validate_flags_a_speed_that_is_not_positive_and_finite(value):
     net = build_grid(2, 2)
     lid = net.exit_links()[0]
     net.links[lid].speed_mps = value
-    assert validate(net) == [f"link {lid}: speed must be positive and finite, got {value}"]
+    assert validate(net) == [f"link {lid}: speed must be positive and finite, got {value!r}"]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@NOT_FINITE
 def test_validate_flags_a_saturation_flow_that_is_not_finite(value):
     net = build_grid(2, 2)
     m = net.movements[5]
     m.sat_flow = value
-    message = f"movement ({m.frm}->{m.to}): saturation flow must be finite and >= 0, got {value}"
+    message = f"movement ({m.frm}->{m.to}): saturation flow must be finite and >= 0, got {value!r}"
     assert validate(net) == [message]
+
+
+@pytest.mark.parametrize("value", [7, -1, 1.5, True, "1"], ids=["7", "-1", "fraction", "bool", "str"])
+def test_validate_flags_a_phase_outside_the_four(value):
+    # phase 7 would never be served and 1.5 would run as phase 1
+    net = build_grid(2, 2)
+    m = next(m for m in net.movements if m.phase is not None)
+    m.phase = value
+    message = f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {value!r}"
+    assert validate(net) == [message]
+
+
+def test_validate_accepts_a_phase_given_as_a_plain_integer():
+    net = build_grid(2, 2)
+    for m in net.movements:
+        m.phase = None if m.phase is None else int(m.phase)
+    assert validate(net) == []
+    m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
+    m.phase = int(Phase.WE_LEFT)
+    assert any("phase WE_LEFT already used" in p for p in validate(net))
 
 
 @pytest.mark.parametrize(

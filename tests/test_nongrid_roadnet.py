@@ -17,7 +17,7 @@ from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg, global_cost
 from netsignal.harness import CONTROLLERS, RateSpec, Scenario, network_order, run_experiment
 from netsignal.improvement import PlannerConfig
-from netsignal.messaging import CoorBudget, coordinate
+from netsignal.messaging import CoorBudget, coordinate, message_plan
 from netsignal.network import Phase, build_grid, load_network
 from netsignal.ordering import min_diameter_dag
 from netsignal.simulation import SimConfig, balance_index, predict_next_queues
@@ -90,7 +90,7 @@ def test_diameter_is_the_longest_directed_path(net):
     assert order.diameter == oracle.longest_directed_path(order)
     cg = next(random_cgs(net, 2, 1))[2]
     assert min_diameter_dag(cg) == order
-    assert order.schedule.edges == cg.edges
+    assert message_plan(order).edges == cg.edges
 
 
 def test_one_level_pass_is_a_fixpoint(net):

@@ -16,6 +16,7 @@ from conftest import (
 )
 from netsignal.coordination import CoordinationGraph, build_cg
 from netsignal.improvement import plan_phases_detailed
+from netsignal.messaging import message_plan
 from netsignal.network import build_grid
 from netsignal.ordering import TopologyError, min_diameter_dag, network_order
 from oracle import eccentricity, followers, min_diameter_order, reverse
@@ -197,9 +198,9 @@ def test_orientation_equals_the_all_bfs_oracle(cg):
     order = min_diameter_dag(cg)
     sink, edges, dist, diameter, forward, reverse_levels = min_diameter_order(cg)
     assert (order.sink, order.edges, order.dist, order.diameter) == (sink, edges, dist, diameter)
-    sched = order.schedule
-    pairs = row_pairs(sched)
-    levels = [pairs[a:b] for a, b in sched.levels]
+    plan = message_plan(order)
+    pairs = row_pairs(plan)
+    levels = [pairs[a:b] for a, b in plan.level_rows]
     assert levels[:diameter] == forward and levels[diameter:] == reverse_levels
 
 

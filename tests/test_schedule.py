@@ -26,7 +26,7 @@ from conftest import (
     row_pairs,
 )
 from netsignal.coordination import build_cg, global_cost
-from netsignal.messaging import CoorBudget, coordinate
+from netsignal.messaging import CoorBudget, coordinate, message_plan
 from netsignal.network import build_grid, segment_sum
 from netsignal.ordering import min_diameter_dag, network_order
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path, row_major_picks
@@ -159,7 +159,7 @@ def test_rounds_per_pass_equal_longest_directed_path(cg):
     assert order.diameter == longest_directed_path(order)
     # forward levels cover rows [0, E) and reverse levels rows [E, 2E)
     n_edges = len(order.edges)
-    levels = order.schedule.levels
+    levels = message_plan(order).level_rows
     forward = [(a, b) for a, b in levels if b <= n_edges]
     reverse = [(a, b) for a, b in levels if a >= n_edges]
     assert len(forward) + len(reverse) == len(levels)
@@ -195,7 +195,7 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     scales = 10.0 ** rng.integers(-3, 4, len(pairs))
     table = {pair: rng.random(4) * k for pair, k in zip(pairs, scales)}
     plan = loaded_plan(cg, order)
-    for r, pair in enumerate(row_pairs(order.schedule)):
+    for r, pair in enumerate(row_pairs(plan)):
         plan.messages[:, r] = table[pair]
     index = {a: k for k, a in enumerate(cg.agents)}
     src = [index[u] for u, _ in order.edges]
@@ -203,4 +203,4 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     want = np.zeros((len(cg.agents), 4))
     np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
     np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
-    assert np.array_equal(segment_sum(plan.messages.T, order.schedule.slots), want)
+    assert np.array_equal(segment_sum(plan.messages.T, plan.slots), want)
