@@ -2,8 +2,8 @@
 
 Each intersection is an agent on a coordination graph whose cost tables
 encode the predicted next-period squared-queue balance of the links between
-neighbors. Anytime alternating-direction min-sum message passing minimizes
-the network-wide balance, a few local best-response sweeps recover
+neighbors. One anytime forward-and-reverse cycle of min-sum message passing
+minimizes the network-wide balance, a few local best-response sweeps recover
 throughput, and a built-in queue-dynamics simulator evaluates the result
 against fixed-time and max-pressure baselines.
 """

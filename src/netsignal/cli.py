@@ -88,10 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen_flow.add_argument("--seed", type=int, default=0)
     gen_flow.add_argument("--out", required=True)
 
-    delay = sub.add_parser("comm-delay", help="model message-passing communication delay")
+    delay = sub.add_parser("comm-delay", help="model the communication delay of one message cycle")
     _add_network_args(delay)
     delay.add_argument("--mu", type=float, required=True, help="mean per-message delay, ms")
-    delay.add_argument("--passes", type=int, default=2)
     delay.add_argument("--nodes", type=int, default=None, help="partition agents over N nodes")
     delay.add_argument("--seed", type=int, default=0)
 
@@ -174,11 +173,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             save_flow(vehicles, args.out)
             print(f"wrote {args.out} ({len(vehicles)} vehicles)")
         elif args.command == "comm-delay":
-            if args.passes < 0:
-                raise LoadError(f"--passes must be >= 0, got {args.passes}")
             net = _load_net(args)
             order = network_order(net)
-            rounds = args.passes * order.diameter
+            rounds = 2 * order.diameter  # the one cycle `coordinate` runs
             total = modeled_delay_ms(order, rounds, DelayModel(mu_ms=args.mu), args.seed, nodes=args.nodes)
             print(f"agents {len(net.intersections)}  rounds {rounds}  modeled delay {total / 1e3:.3f} s")
     except (LoadError, MetricsError, ValueError, OSError, BudgetOverrunError) as exc:

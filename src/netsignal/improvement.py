@@ -9,8 +9,8 @@ scores every agent's four phases at once from the period's prediction
 arrays (`PeriodModel.sweep_scores`).
 
 `plan_phases_detailed` is the full per-period pipeline: build the
-coordination graph, message-pass under a fraction of the time budget, then
-sweep the remainder.
+coordination graph, run one message cycle under a fraction of the time
+budget, then sweep the remainder.
 """
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ from netsignal.network import RoadNetwork, _number_or_nan, movement_arrays
 from netsignal.ordering import network_order
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, phase_indices
 
-# full forward+reverse message cycles the planner runs at most per period;
-# with normalized messages one cycle is exact on trees, and a second one
-# moved closed-loop travel time by under 0.1% on 20x20 and 30x30 grids
-MAX_CYCLES = 1
 # best-response sweeps the planner runs at most per period
 MAX_SWEEPS = 4
 
@@ -42,13 +38,11 @@ class PlannerConfig:
 
     `epsilon` is the fraction of the budget spent on message passing; the
     rest goes to best-response sweeps, so `epsilon=1.0` runs none. Message
-    passing is also capped at `MAX_CYCLES` cycles in rounds, one forward and
-    one reverse pass, and the sweeps at `MAX_SWEEPS`, so identical inputs
-    give identical decisions regardless of hardware; the wall-clock budget
-    still applies on top, and where it stops message passing inside a pass
-    the decision comes from the messages as they stand. Under this cap
-    `coordinate` never reaches its cycle test, nor copies the messages for
-    it, so its `converged` is False on every graph with an edge.
+    passing runs at most one cycle, one forward and one reverse pass, and
+    the sweeps at most `MAX_SWEEPS`, so identical inputs give identical
+    decisions regardless of hardware; the wall-clock budget still applies
+    on top, and where it stops message passing inside a pass the decision
+    comes from the messages as they stand.
     """
 
     budget: CoorBudget = field(default_factory=lambda: CoorBudget(wall_ms=3000.0))
@@ -118,10 +112,8 @@ def plan_phases_detailed(
     cfg = cfg or PlannerConfig()
     model = prediction.period_model(net, state, turning)
     cg = build_cg(state, net, turning, model=model)
-    order = network_order(net)
-    cap = 2 * MAX_CYCLES * max(order.diameter, 1)
-    nl_budget, sweep_budget = _stage_budgets(cfg.budget, cfg.epsilon, cap)
-    coord = coordinate(cg, order, nl_budget)
+    nl_budget, sweep_budget = _stage_budgets(cfg.budget, cfg.epsilon)
+    coord = coordinate(cg, network_order(net), nl_budget)
     final = local_improvement(
         coord.assignment,
         state,
@@ -134,8 +126,8 @@ def plan_phases_detailed(
 
 
 @lru_cache(maxsize=16)
-def _stage_budgets(budget: CoorBudget, epsilon: float, cap: int) -> tuple[CoorBudget, CoorBudget]:
-    """The coordination budget, `epsilon` of `budget` and at most `cap`
-    rounds, and the sweeps' budget, the rest of it; built once per
-    (budget, epsilon, cap), since budgets are frozen."""
-    return budget.scaled(epsilon).capped_rounds(cap), budget.scaled(1.0 - epsilon)
+def _stage_budgets(budget: CoorBudget, epsilon: float) -> tuple[CoorBudget, CoorBudget]:
+    """The coordination budget, `epsilon` of `budget`, and the sweeps'
+    budget, the rest of it; built once per (budget, epsilon), since budgets
+    are frozen."""
+    return budget.scaled(epsilon), budget.scaled(1.0 - epsilon)

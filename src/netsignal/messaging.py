@@ -5,11 +5,11 @@ forward pass takes the edges in order of their sender's longest-path depth,
 a reverse pass in order of the height of their forward receiver. Each
 message is computed once per pass, from inputs that are already final for
 that pass, and one level counts as one round of the budget, so a pass is
-`diameter` rounds. Passes alternate directions until the budget runs out or
-a full forward+reverse cycle leaves every message unchanged. Messages
-persist across passes, so the second (reverse) pass combines each agent's
-own cost with everything learned on the first pass: on acyclic graphs one
-cycle yields exact min-marginals and the recovered joint action is optimal.
+`diameter` rounds. `coordinate` runs one cycle, the forward pass and then
+the reverse pass, unless its budget runs out first. The reverse pass
+combines each agent's own cost with everything learned on the forward pass:
+on acyclic graphs that one cycle yields exact min-marginals and the
+recovered joint action is optimal (Kok & Vlassis, JMLR 7, 2006).
 
 A message from sender to receiver scores each receiver phase with the best
 the sender can do given it: its own cost, the shared edge cost, and all
@@ -33,7 +33,7 @@ The messages live in a `MessagePlan`, which lays them out by the
 orientation and is kept with it: message rows grouped into levels, one
 buffer of every message and own cost, the edge costs gathered into message
 order, and a gather table per level. `coordinate` loads each period's
-graph into it and runs the passes.
+graph into it and runs the cycle.
 """
 from __future__ import annotations
 
@@ -80,10 +80,6 @@ class CoorBudget:
         if self.rounds is not None and done >= self.rounds:
             return True
         return self.wall_ms is not None and (time.perf_counter() - start) * 1e3 >= self.wall_ms
-
-    def capped_rounds(self, cap: int) -> "CoorBudget":
-        rounds = cap if self.rounds is None else min(self.rounds, cap)
-        return CoorBudget(rounds=rounds, wall_ms=self.wall_ms)
 
 
 class LevelPlan(NamedTuple):
@@ -282,42 +278,26 @@ class CoordResult:
 
 
 def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> CoordResult:
-    """Alternating forward/reverse passes under a budget; anytime.
+    """One forward pass, then one reverse pass, under a budget; anytime.
 
     Whenever the budget runs out, at a pass end or between two levels, the
-    decision is each agent's argmin over the current messages. Stops early
-    once a full cycle changes no message by more than 1e-9, as
-    `np.allclose(rtol=0, atol=1e-9)` compares the message columns with a
-    copy from the cycle before; the copy is made only when the rounds cap
-    leaves room for another cycle. `cg.agents` passed the graph's layout
-    check, and each phase is an argmin over four rows, so the decision is an
-    unchecked view.
+    decision is each agent's argmin over the current messages. `passes`
+    counts the passes finished. `converged` holds when the whole cycle ran
+    on a tree (E = N - 1 on the connected graphs an orientation is made
+    from), where one cycle is the message fixpoint. `cg.agents` passed the
+    graph's layout check, and each phase is an argmin over four rows, so
+    the decision is an unchecked view.
     """
     start = time.perf_counter()
     plan = message_plan(order)
     plan.load(cg)
-    passes, rounds, converged = _run_passes(plan, order.diameter, budget, start) if order.edges else (0, 0, True)
+    # the forward levels are 0..diameter-1 and the reverse ones follow, so
+    # round k runs level k
+    levels = len(plan.levels)
+    rounds = 0
+    while rounds < levels and not budget.exhausted(start, rounds):
+        plan.update(rounds)
+        rounds += 1
+    passes = rounds // order.diameter if order.diameter else 0
+    converged = rounds == levels and len(order.edges) == len(plan.agents) - 1
     return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds, converged)
-
-
-def _run_passes(plan: MessagePlan, diameter: int, budget: CoorBudget, start: float) -> tuple[int, int, bool]:
-    """Run `coordinate`'s passes in `plan`; `(passes, rounds, converged)`."""
-    # even passes run the forward levels, odd passes the reverse ones
-    directions = (range(diameter), range(diameter, 2 * diameter))
-    messages = plan.messages[:, : plan.n_rows]
-    before = None  # the message columns at the end of the last cycle
-    passes = rounds = 0
-    while True:
-        for level in directions[passes % 2]:
-            if budget.exhausted(start, rounds):
-                return passes, rounds, False
-            plan.update(level)
-            rounds += 1
-        passes += 1
-        cycle_end = passes % 2 == 0
-        if cycle_end and before is not None and np.allclose(messages, before, rtol=0.0, atol=1e-9):
-            return passes, rounds, True
-        if budget.exhausted(start, rounds):
-            return passes, rounds, False
-        if cycle_end and (budget.rounds is None or rounds + 2 * diameter <= budget.rounds):
-            before = messages.copy()

@@ -4,8 +4,7 @@
 built from its edges and applies the min-sum message rule one edge at a
 time; `row_major_messages` is the level passes' rule on a row-major buffer,
 stopped after any number of levels, and `row_major_picks` the decision read
-from it; `brute_force_optimum` is a graph's exact optimum by enumeration, and
-`allclose_coordinate` the solver's stopping rule as `np.allclose` states it.
+from it; `brute_force_optimum` is a graph's exact optimum by enumeration.
 `own_balance` is one agent's balance in a state,
 `predicted_own_balance` and `best_response` evaluate its next-period
 balance, and `phase_pressure` one phase's max-pressure value
@@ -236,30 +235,6 @@ def row_major_picks(cg, order, levels):
         totals += rows[slot]
     totals += cg.individual
     return totals.argmin(axis=1)
-
-
-def allclose_coordinate(cg, order, rounds):
-    """`(passes, rounds, converged, phases)` of `coordinate` under a rounds
-    cap, run on the message plan with the decision read from its live buffer,
-    a fresh copy of the whole buffer after each cycle and the cycle test
-    `np.allclose(rtol=0, atol=1e-9)` over all of it, own-cost and zero
-    columns included."""
-    plan = message_plan(order)
-    plan.load(cg)
-    diameter = order.diameter
-    done = passes = 0
-    previous = None
-    while True:
-        for level in range((passes % 2) * diameter, (passes % 2 + 1) * diameter):
-            if done >= rounds:
-                return passes, done, False, plan.picks()
-            plan.update(level)
-            done += 1
-        passes += 1
-        if passes % 2 == 0:
-            if previous is not None and np.allclose(plan.messages, previous, rtol=0.0, atol=1e-9):
-                return passes, done, True, plan.picks()
-            previous = plan.messages.copy()
 
 
 def brute_force_optimum(cg):

@@ -183,9 +183,10 @@ def test_compare_emits_table(tmp_path, capsys):
 
 
 def test_comm_delay_command(capsys):
-    code = cli_main(["comm-delay", "--grid", "3x3", "--mu", "20", "--passes", "2", "--seed", "2"])
+    # one cycle, 2 * diameter rounds, as `coordinate` runs it
+    code = cli_main(["comm-delay", "--grid", "3x3", "--mu", "20", "--seed", "2"])
     assert code == 0
-    assert "modeled delay" in capsys.readouterr().out
+    assert capsys.readouterr().out == "agents 9  rounds 4  modeled delay 0.100 s\n"
 
 
 @pytest.mark.parametrize(
@@ -200,7 +201,7 @@ def test_comm_delay_command(capsys):
         (["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--tau", "0"], "0.0"),
         (["run", "--grid", "2x2", "--rate", "1", "--duration", "100", "--budget-ms", "nan"], "nan"),
         (["comm-delay", "--grid", "3x3", "--mu", "nan"], "nan"),
-        (["comm-delay", "--grid", "3x3", "--mu", "20", "--passes", "-1"], "-1"),
+        (["comm-delay", "--grid", "3x3", "--mu", "20", "--nodes", "-1"], "-1"),
         (["comm-delay", "--grid", "3x3", "--mu", "20", "--nodes", "0"], "0"),
         (["run", "--grid", "2x2", "--rate", "1", "--duration", "-100"], "-100"),
         (["run", "--grid", "2x2", "--rate", "1", "--duration", "0"], "0.0"),

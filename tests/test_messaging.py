@@ -235,14 +235,14 @@ def test_a_wall_clock_interruption_decides_as_its_rounds_cap():
     rng = np.random.default_rng(45)
     cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
     order = network_order(net)
-    cap = 8 * order.diameter
+    cap = 2 * order.diameter
     stopped = []
     for wall_ms in np.geomspace(0.002, 2.0, 16):
         result = coordinate(cg, order, CoorBudget(rounds=cap, wall_ms=float(wall_ms)))
         again = coordinate(cg, order, CoorBudget(rounds=result.rounds))
         assert again.assignment.phases.tobytes() == result.assignment.phases.tobytes(), wall_ms
         assert (again.passes, again.rounds, again.converged) == (result.passes, result.rounds, result.converged)
-        if 0 < result.rounds < cap and not result.converged:
+        if 0 < result.rounds < cap:
             stopped.append(result.rounds)
     # the clock stopped some runs part way, not only before the first level
     assert stopped
@@ -262,40 +262,38 @@ def test_coordinate_converges_and_stops_on_trees():
     order = min_diameter_dag(cg)
     result = coordinate(cg, order, CoorBudget(rounds=100 * order.diameter))
     assert result.converged
-    # two cycles are enough to detect the fixpoint on trees
-    assert result.passes <= 4
+    # one cycle is the fixpoint on trees, and no cap runs more
+    assert (result.passes, result.rounds) == (2, 2 * order.diameter)
 
 
 def test_coordinate_is_pinned_at_every_round_cap():
-    # Every cap from 0 to past two cycles: interruptions inside a pass, pass
-    # boundaries and the convergence stop on the chain. A rework of the
-    # message plan or the schedule must keep these results bit for bit.
-    # `kept` holds what reading the live messages left as it was under the
-    # snapshot rule: the stop at every cap, and the decision at every cap
-    # inside the first pass or at a pass end.
-    digest, kept = hashlib.sha256(), hashlib.sha256()
+    # Every cap from 0 to one cycle: interruptions inside a pass and both
+    # pass ends. A rework of the message plan or the schedule must keep
+    # these results bit for bit. Any cap past the cycle gives the cycle's
+    # result.
+    digest = hashlib.sha256()
     rng = np.random.default_rng(2024)
     for rows, cols in ((5, 4), (1, 6)):
         net = build_grid(rows, cols)
         cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
         order = min_diameter_dag(cg)
-        for k in range(4 * order.diameter + 2):
+        cycle = 2 * order.diameter
+        for k in range(cycle + 1):
             result = coordinate(cg, order, CoorBudget(rounds=k))
-            stop = repr((result.passes, result.rounds, result.converged)).encode()
-            digest.update(stop)
+            digest.update(repr((result.passes, result.rounds)).encode())
             digest.update(result.assignment.phases.tobytes())
-            kept.update(stop)
-            if k <= order.diameter or k % order.diameter == 0:
-                kept.update(result.assignment.phases.tobytes())
-    assert digest.hexdigest()[:16] == "ba925254f77fd31e"
-    assert kept.hexdigest()[:16] == "f5febcd261990b33"
+        for k in (cycle + 1, 2 * cycle, 10**6):
+            again = coordinate(cg, order, CoorBudget(rounds=k))
+            assert (again.passes, again.rounds) == (result.passes, result.rounds), k
+            assert again.assignment.phases.tobytes() == result.assignment.phases.tobytes(), k
+    assert digest.hexdigest()[:16] == "a4766264f86a2703"
 
 
 def test_coordinate_results_outlive_the_shared_cost_buffer():
     # Every call on one order works in its plan: the message and cost
     # buffers and the level scratch. Graph A, then B, then A again give A's
     # first results, at a cap inside a pass after a finished pass and at caps
-    # at and past the end of two cycles, and no result shares the plan's
+    # at and past the end of the cycle, and no result shares the plan's
     # memory.
     net = build_grid(4, 5)
     order = network_order(net)
@@ -304,7 +302,7 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
     buffers += [buf for level in plan.levels for buf in (level.gathered, level.base, level.scores)]
     rng = np.random.default_rng(2025)
     a, b = (build_cg(random_macro_state(net, rng), net, random_turning(net, rng)) for _ in range(2))
-    for rounds in (order.diameter + 1, 4 * order.diameter, 4 * order.diameter + 1):
+    for rounds in (order.diameter + 1, 2 * order.diameter, 2 * order.diameter + 1):
         budget = CoorBudget(rounds=rounds)
         first = coordinate(a, order, budget)
         other = coordinate(b, order, budget)
@@ -316,33 +314,7 @@ def test_coordinate_results_outlive_the_shared_cost_buffer():
             assert not any(np.shares_memory(result.assignment.phases, buf) for buf in buffers)
 
 
-def test_coordinate_stops_by_the_allclose_rule():
-    # The cycle test reads the message columns only, as |a - b| <= 1e-9 or
-    # a == b. That is np.allclose(rtol=0, atol=1e-9) over the whole buffer,
-    # whose other columns never change within a call, with its cases for
-    # inf and NaN, which costs scaled towards float64's limit produce.
-    rng = np.random.default_rng(2026)
-    converged, finite = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols in ((1, 6), (3, 3), (2, 5)):
-            net = build_grid(rows, cols)
-            cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
-            order = network_order(net)
-            for scale in (1.0, 1e150, 1e306, 1e308):
-                tables = CoordinationGraph(cg.agents, cg.edges, cg.edge_costs * scale, cg.individual * scale)
-                for cycles in (2, 4, 8):
-                    rounds = 2 * cycles * order.diameter
-                    got = coordinate(tables, order, CoorBudget(rounds=rounds))
-                    finite.append(np.isfinite(message_plan(order).messages).all())
-                    passes, done, closed, phases = oracle.allclose_coordinate(tables, order, rounds)
-                    assert (got.passes, got.rounds, got.converged) == (passes, done, closed)
-                    assert got.assignment.phases.tobytes() == phases.tobytes()
-                    converged.append(closed)
-    assert any(converged) and not all(converged)
-    assert any(finite) and not all(finite)
-
-
-# (now, a cycle before) of one message cell
+# (now, before) of one message cell
 PROBES = {
     "equal": (3.5, 3.5),
     "close": (1.0, 1.0 + 5e-10),
@@ -360,11 +332,10 @@ PROBES = {
 @pytest.mark.parametrize("rest", ["equal", "moved"])
 @pytest.mark.parametrize("probe", PROBES)
 def test_cycle_closed_is_allclose(probe, rest):
-    # `coordinate`'s cycle test, np.allclose(rtol=0, atol=1e-9) over column
-    # views of the message buffer, is |a - b| <= 1e-9 or a == b in every
-    # cell, with infinities close only to themselves and NaN to nothing, and
-    # lets no warning out on the inf and NaN that costs scaled towards
-    # float64's limit produce
+    # The fixpoint tests compare messages by np.allclose(rtol=0, atol=1e-9):
+    # |a - b| <= 1e-9 or a == b in every cell, with infinities close only to
+    # themselves and NaN to nothing, and no warning let out on the inf and
+    # NaN that costs scaled towards float64's limit produce
     rng = np.random.default_rng(9)
     now, before = rng.random((2, 4, 9))[:, :, :7]
     before[...] = now
@@ -382,7 +353,8 @@ def test_snapshot_costs_monotone_on_trees():
         n = int(rng.integers(3, 9))
         cg = random_cg(rng, n, random_tree_edges(rng, n))
         order = min_diameter_dag(cg)
-        # under a cap of k passes' rounds, the decision is read at pass k's end
+        # under a cap of k passes' rounds, the decision is read at the end of
+        # pass min(k, 2)
         d = max(order.diameter, 1)
         costs = [
             global_cost(cg, coordinate(cg, order, CoorBudget(rounds=k * d)).assignment)

@@ -227,7 +227,8 @@ def assert_checked_view(view, agents):
 def test_planner_decisions_pass_the_public_constructor():
     # `coordinate`, `local_improvement` and `max_pressure` build their
     # decisions without the constructor's checks, on grids and on loopy
-    # graphs, at every round cap up to two cycles and under a zero wall cap
+    # graphs, at every round cap up to one past the cycle and under a zero
+    # wall cap
     rng = np.random.default_rng(20)
     graphs = []
     for rows in range(1, 6):
@@ -244,7 +245,7 @@ def test_planner_decisions_pass_the_public_constructor():
         cg = random_cg(rng, n, random_connected_edges(rng, n, extra=n))
         graphs.append((cg, min_diameter_dag(cg)))
     for cg, order in graphs:
-        budgets = [CoorBudget(rounds=k) for k in range(4 * order.diameter + 1)]
+        budgets = [CoorBudget(rounds=k) for k in range(2 * order.diameter + 2)]
         for budget in budgets + [CoorBudget(wall_ms=0)]:
             assert_checked_view(coordinate(cg, order, budget).assignment, cg.agents)
 
