@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from netsignal import prediction
-from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, slot_sum
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays
 from netsignal.simulation import JointAssignment, QueueState, TurningModel, _ascending, phase_indices
 
 
@@ -102,24 +102,15 @@ def build_cg(
     phase and receives a's releases, so its squared next-period queue lands
     in the (a, b) edge table with axes [x_a][x_b]. Entry-link movements
     depend only on their boundary intersection's phase and go to its
-    individual vector. Both are `slot_sum`s of the period's pair terms
-    (`PeriodModel.terms`), whose columns `MovementArrays.term_columns`
-    numbers edge by edge: the individual costs sum a phase-major gather of
-    the entry-link terms through its `entry_table`, and the edge tables sum
-    the slots of its edge block. Each table adds its terms in movement
-    order, the unflipped links' first. The sums come out phase-major,
-    (4, N) and (4, 4, E), and the graph holds their transposed views.
+    individual vector. `PeriodModel.cost_tables` sums both, phase-major,
+    (4, 4, E) and (4, N), and the graph holds their transposed views.
     `model` may pass in the `period_model` of the same inputs when the
     caller has it already.
     """
     arr = movement_arrays(net)
     if model is None:
         model = prediction.period_model(net, state, turning)
-    terms, cols = model.terms, arr.term_columns
-    # an entry-link movement's terms are the same under every upstream phase
-    individual = slot_sum(terms[0].take(cols.entry_table, axis=1, mode="clip"), axis=1)
-    block = terms[:, :, cols.edge_start : cols.edge_start + cols.slots * len(arr.edges)]
-    edge_stack = slot_sum(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, len(arr.edges)), axis=2)
+    edge_stack, individual = model.cost_tables()
     return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack.transpose(2, 0, 1), individual.T)
 
 
@@ -130,4 +121,3 @@ def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:
     own = cg.individual[np.arange(len(phase)), phase]
     shared = cg.edge_costs[np.arange(len(ends)), phase[ends[:, 0]], phase[ends[:, 1]]]
     return float(own.sum() + shared.sum())
-

@@ -188,8 +188,9 @@ def modeled_delay_ms(
     samples = rng.normal(model.mu_ms, DELAY_SIGMA_MS, size=(rounds, n_edges))
     np.clip(samples, 0.0, None, out=samples)
     if nodes:
-        # intra-node messages are free; same per-message draws either way
-        node = rng.permutation(len(order.dist)) % nodes
+        # intra-node messages are free; same per-message draws either way,
+        # and from `nodes` >= agents on, every agent is its own node
+        node = rng.permutation(len(order.dist)) % min(nodes, len(order.dist))
         ends = np.searchsorted(sorted(order.dist), np.array(order.edges))
         mask = node[ends[:, 0]] != node[ends[:, 1]]
         if not mask.any():

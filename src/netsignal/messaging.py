@@ -69,8 +69,9 @@ class CoorBudget:
             raise ValueError(f"wall-clock cap must be finite and >= 0, got {self.wall_ms!r}")
 
     def scaled(self, fraction: float) -> "CoorBudget":
+        # a cap above 2**53, which no run reaches, scales as 2**53, a float
         return CoorBudget(
-            rounds=None if self.rounds is None else int(self.rounds * fraction),
+            rounds=None if self.rounds is None else int(min(self.rounds, 2**53) * fraction),
             wall_ms=None if self.wall_ms is None else self.wall_ms * fraction,
         )
 

@@ -13,9 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
 from numbers import Integral
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -160,13 +159,8 @@ class MovementArrays:
     - `phase_table` (K, agents * 4): phased movements by (agent, phase) at
       `agent * 4 + phase`, in movement order; right turns are in no column.
 
-    `mov_edge[m]` is the edge of movement m's internal input link (-1 for
-    none) and `mov_flipped[m]` whether that link runs from the higher id.
-    `term_columns` numbers the planner's pair terms edge by edge.
-    `phase_rows` and `phase_gather` are the buffers of `period_model`, and
-    `sweep_tables` holds the sweeps' tables and buffers. A buffer's contents
-    never outlive the call that writes them. Each is made on first use, so
-    runs that never build a coordination graph carry none of them.
+    `prediction.PairColumns`, the planner's pair-term layout, is kept with
+    these arrays once a period is modelled.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -184,10 +178,14 @@ class MovementArrays:
 
         # each movement's phase, -1 for right turns, which run under every
         # phase; `act[x, m]` is movement m's activation under phase x of its
-        # intersection, phase-major like every per-period array over phases
-        self.mov_phase = np.array(
-            [-1 if m.phase is None else int(m.phase) for m in movements], dtype=np.intp
-        )
+        # intersection, phase-major like every per-period array over phases.
+        # A phase of another type than `Phase` must still be one of the four.
+        phase_of = [m.phase for m in movements]
+        if not set(map(type, phase_of)) <= {type(None), Phase}:
+            problem = next(filter(None, map(_bad_phase, movements)), None)
+            if problem is not None:
+                raise ValueError(problem)
+        self.mov_phase = np.array([-1 if p is None else int(p) for p in phase_of], dtype=np.intp)
         phases = np.arange(NUM_PHASES)[:, None]
         self.act = ((self.mov_phase < 0) | (self.mov_phase == phases)).astype(float)
 
@@ -218,18 +216,7 @@ class MovementArrays:
         for lid, a, b in ends:
             if a == b:
                 raise ValueError(_self_loop(lid, a))
-        edges = sorted({(min(a, b), max(a, b)) for _, a, b in ends})
-        edge_index = {e: k for k, e in enumerate(edges)}
-        self.mov_edge = np.full(self.n_mov, -1, dtype=np.intp)
-        self.mov_flipped = np.zeros(self.n_mov, dtype=bool)
-        for k, m in enumerate(movements):
-            link = net.links[m.frm]
-            if link.kind is not LinkKind.INTERNAL:
-                continue
-            a, b = link.start, link.end
-            self.mov_edge[k] = edge_index[(a, b) if a < b else (b, a)]
-            self.mov_flipped[k] = a > b  # the link runs from the higher id
-        self.edges = tuple(edges)
+        self.edges = tuple(sorted({(min(a, b), max(a, b)) for _, a, b in ends}))
 
         n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
@@ -243,130 +230,18 @@ class MovementArrays:
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
 
-    @cached_property
-    def term_columns(self) -> "TermColumns":
-        """The column order of the planner's pair-term tables, made on first
-        use (see `TermColumns`)."""
-        n_edges = len(self.edges)
-        free = np.flatnonzero(self.mov_edge < 0)
-        sides = (np.flatnonzero((self.mov_edge >= 0) & ~self.mov_flipped), np.flatnonzero(self.mov_flipped))
-        blocks = [gather_table(side, self.mov_edge[side], n_edges, -1) for side in sides]
-        movement = np.concatenate((free, *(block.reshape(-1) for block in blocks)))
-        n_cols = len(movement)
-        real = np.flatnonzero(movement >= 0)
-        column = np.full(self.n_mov + 1, n_cols, dtype=np.intp)
-        column[movement[real]] = real
-        pads = np.flatnonzero(movement < 0)
-        movement[pads] = 0
-        entry = np.flatnonzero(self.entry_link_mask[self.mov_from])
-        return TermColumns(
-            movement=movement,
-            column=column,
-            pads=pads if pads.size else None,
-            sat=self.sat.take(movement),
-            act=self.act.take(movement, axis=1),
-            mov_from=self.mov_from.take(movement),
-            to_link_table=column.take(self.to_link_table),
-            entry_table=gather_table(column.take(entry), self.mov_agent.take(entry), len(self.agent_ids), n_cols),
-            edge_start=len(free),
-            flip_start=len(free) + blocks[0].size,
-            slots=len(blocks[0]) + len(blocks[1]),
-        )
-
-    @cached_property
-    def phase_rows(self) -> np.ndarray:
-        """(4, C + 1) rows per phase and term column: `period_model`'s
-        releases. Each call rewrites the term columns and sums them before
-        it returns, and none writes the zero column C."""
-        return np.zeros((NUM_PHASES, len(self.term_columns.movement) + 1))
-
-    def phase_gather(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A view of `shape` into one gather buffer, made on first use and
-        shared by `period_model`'s (4, K, links) gather of `phase_rows`
-        through `to_link_table` and the sweeps' (K, 4, agents) gather
-        through `agent_table`."""
-        if not hasattr(self, "_phase_gather"):
-            size = max(self.to_link_table.size, self.agent_table.size) * NUM_PHASES
-            self._phase_gather = np.empty(size)
-        return self._phase_gather[: math.prod(shape)].reshape(shape)
-
-    @cached_property
-    def sweep_tables(self) -> tuple[np.ndarray, ...]:
-        """`PeriodModel.sweep_scores`' tables and buffers, made on first use.
-
-        `upstream` (K, agents) gives, per `agent_table` entry, the position
-        of the agent upstream of its movement's input link, or agent 0 where
-        there is none and for padding: such terms are the same under every
-        upstream phase. `stride` (K, agents) is how far apart the entry's
-        terms under two successive upstream phases lie in the flat pair-term
-        table, and `cells` (K, 4, agents) is the flat position of its term
-        under upstream phase 0 and own phase x at [k, x, agent]; a flipped
-        column holds its terms transposed (see `TermColumns`). Then come the
-        per-sweep buffers: the (K, agents) offsets of the upstream actions,
-        the (K, 4, agents) term positions and the terms' gather, a view of
-        `phase_gather`.
-        """
-        table = self.agent_table
-        n_rows, n_agents = table.shape
-        upstream = np.maximum(np.append(self.link_upstream_agent[self.mov_from], -1)[table], 0)
-        cols = self.term_columns
-        col = cols.column[table]
-        width = len(cols.movement) + 1
-        flipped = (col >= cols.flip_start) & (col < width - 1)
-        stride = np.where(flipped, width, NUM_PHASES * width)
-        own = np.where(flipped, NUM_PHASES * width, width)
-        cells = np.arange(NUM_PHASES)[:, None] * own[:, None] + col[:, None]
-        shape = (n_rows, NUM_PHASES, n_agents)
-        return (
-            upstream,
-            stride,
-            cells,
-            np.empty(table.shape, dtype=np.intp),
-            np.empty(shape, dtype=np.intp),
-            self.phase_gather(shape),
-        )
-
-
-class TermColumns(NamedTuple):
-    """The column order of the pair-term tables (`PeriodModel.terms`): C
-    columns and then the zero column C, which the gather tables' padding
-    reads.
-
-    The movements that sit on no edge come first, in movement order; the
-    entry-link movements among them feed the individual costs. From
-    `edge_start` on, each edge's movements follow slot by slot, so that
-    column `edge_start + k * E + e` holds the k-th term of edge e and each
-    edge table is a sum over the `slots` axis of one (slots, E) block:
-    first the edge's unflipped movements (on a link from the lower id to
-    the higher), then from `flip_start` on its flipped ones, each in
-    movement order and padded to the most any edge has. A flipped column
-    holds its terms transposed, at [x_own][x_up], which is the edge table's
-    [x_i][x_j]. `movement` (C,) gives each column's movement, 0 at the
-    `pads`, whose terms `period_model` zeroes; `pads` is None where there
-    are none, as on grids, whose tables keep n_mov + 1 columns. `column`
-    (n_mov + 1,) is the inverse, with C for the zero row n_mov. `sat`, `act`
-    and `mov_from` are the movement arrays in column order, and
-    `to_link_table` and `entry_table` gather tables of term columns padded
-    with C: the movements by output link, and the entry-link movements by
-    intersection, each in movement order.
-    """
-
-    movement: np.ndarray
-    column: np.ndarray
-    pads: Optional[np.ndarray]
-    sat: np.ndarray
-    act: np.ndarray
-    mov_from: np.ndarray
-    to_link_table: np.ndarray
-    entry_table: np.ndarray
-    edge_start: int
-    flip_start: int
-    slots: int
-
 
 def _self_loop(lid: int, intersection: int) -> str:
     """How `validate` and `MovementArrays` name a link that is a loop."""
     return f"link {lid}: internal link starts and ends at intersection {intersection}"
+
+
+def _bad_phase(m: Movement) -> Optional[str]:
+    """How `validate` and `MovementArrays` name a movement whose phase is
+    neither None nor an integer in 0..3; None for any other."""
+    if m.phase is None or (_is_count(m.phase) and 0 <= m.phase < NUM_PHASES):
+        return None
+    return f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {m.phase!r}"
 
 
 def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
@@ -574,8 +449,9 @@ def validate(net: RoadNetwork) -> list[str]:
         seen_keys.add(m.key)
         if m.phase is None:
             continue
-        if not (_is_count(m.phase) and 0 <= m.phase < NUM_PHASES):
-            violations.append(f"{name}: phase must be None or an integer in 0..3, got {m.phase!r}")
+        problem = _bad_phase(m)
+        if problem is not None:
+            violations.append(problem)
             continue
         phase = Phase(m.phase)
         group = axis_groups.setdefault((m.intersection, m.frm), set())

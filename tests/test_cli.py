@@ -189,6 +189,16 @@ def test_comm_delay_command(capsys):
     assert capsys.readouterr().out == "agents 9  rounds 4  modeled delay 0.100 s\n"
 
 
+def test_comm_delay_takes_more_nodes_than_agents(capsys):
+    # from one node per agent on, every agent is its own node, however many
+    # nodes there are, beyond the int64 range too
+    printed = []
+    for nodes in (9, 10, 10**6, 10**30):
+        assert cli_main(["comm-delay", "--grid", "3x3", "--mu", "2", "--seed", "4", "--nodes", str(nodes)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed == ["agents 9  rounds 4  modeled delay 0.022 s\n"] * 4
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

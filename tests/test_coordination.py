@@ -245,7 +245,7 @@ def test_models_of_one_network_never_read_each_others_pair_terms():
         assert tables(net, b, *states[1], sweep_first) != want
         assert tables(net, a, *states[0], sweep_first) == want
     arr = movement_arrays(net)
-    buffers = [v for v in vars(arr).values() if isinstance(v, np.ndarray)] + list(arr.sweep_tables)
+    buffers = [v for owner in (arr, a.columns) for v in vars(owner).values() if isinstance(v, np.ndarray)]
     assert not any(np.shares_memory(a.terms, buf) for buf in [b.terms, *buffers])
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import shifted_grid_doc
+from netsignal import prediction
 from netsignal.harness import (
     DELAY_SIGMA_MS,
     BudgetOverrunError,
@@ -20,7 +21,7 @@ from netsignal.harness import (
 )
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget
-from netsignal.network import build_grid, network_from_dict
+from netsignal.network import build_grid, movement_arrays, network_from_dict
 from netsignal.simulation import MetricsError, SimConfig, generate_uniform_flow
 
 
@@ -48,6 +49,31 @@ def test_run_experiment_produces_metrics(controller):
     assert metrics.avg_travel_time_s > 0
     assert metrics.throughput > 0
     assert metrics.max_total_queue >= 0
+
+
+def test_only_the_planner_builds_pair_columns_and_once(monkeypatch):
+    built, models = [], []
+
+    class Counted(prediction.PairColumns):
+        def __init__(self, net):
+            built.append(net)
+            super().__init__(net)
+
+    def recorded(*args):
+        models.append(model(*args))
+        return models[-1]
+
+    model = prediction.period_model
+    monkeypatch.setattr(prediction, "PairColumns", Counted)
+    monkeypatch.setattr(prediction, "period_model", recorded)
+    pressure = small_scenario("maxpressure", horizon=10)
+    run_experiment(pressure)
+    assert built == [] and "_pair_columns" not in vars(movement_arrays(pressure.network))
+    emc = small_scenario("emc", horizon=10)
+    run_experiment(emc)
+    columns = vars(movement_arrays(emc.network))["_pair_columns"]
+    assert built == [emc.network] and len(models) == 10  # one model a period
+    assert all(m.columns is columns for m in models)
 
 
 # sha256 prefix of each controller's metrics on 3x3 at 0.6 veh/s, 40

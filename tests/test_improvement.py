@@ -176,6 +176,20 @@ def test_plan_default_split_two_intersections(fig_two):
     assert assignment[fig_two.i] == Phase.WE_STRAIGHT
 
 
+def test_plan_takes_a_round_cap_beyond_the_float_range():
+    # a cap scales as at most 2**53 rounds, and none above 2 * diameter
+    # rounds or MAX_SWEEPS sweeps binds
+    net = build_grid(3, 3)
+    rng = np.random.default_rng(9)
+    state, turning = random_macro_state(net, rng), random_turning(net, rng)
+    huge, large = (
+        plan_phases_detailed(state, net, turning, PlannerConfig(budget=CoorBudget(rounds=rounds)))
+        for rounds in (10**400, 10**6)
+    )
+    assert huge.assignment == large.assignment
+    assert huge.coordination == large.coordination
+
+
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(epsilon=1.5)

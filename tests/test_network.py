@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -489,3 +490,25 @@ def test_movement_arrays_reject_a_self_loop_built_in_code():
         movement_arrays(net)
     with pytest.raises(ValueError, match=message):
         network_order(net)
+
+
+@pytest.mark.parametrize("phase", [7, -1, 1.5, True, "1"], ids=["7", "-1", "fraction", "bool", "str"])
+@pytest.mark.parametrize("agent", [0, 3], ids=["first", "last"])
+def test_movement_arrays_reject_a_phase_that_validate_rejects(agent, phase):
+    # a network built in code skips `validate`: there phase 7 added the
+    # movement's pressure to the next agent's phase 3, or indexed past the
+    # last agent's phases, and phase -1 ran as a right turn
+    net = build_grid(2, 2)
+    m = next(m for m in net.movements if m.intersection == agent and m.phase is not None)
+    m.phase = phase
+    message = f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {phase!r}"
+    assert validate(net) == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        movement_arrays(net)
+
+
+def test_movement_arrays_take_plain_integer_phases():
+    net = build_grid(2, 2)
+    for m in net.movements:
+        m.phase = None if m.phase is None else int(m.phase)
+    assert movement_arrays(net).mov_phase.tolist() == movement_arrays(build_grid(2, 2)).mov_phase.tolist()

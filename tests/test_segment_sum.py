@@ -32,7 +32,7 @@ from netsignal.network import (
     segment_sum,
     validate,
 )
-from netsignal.prediction import period_model
+from netsignal.prediction import PairColumns, period_model
 from netsignal.simulation import QueueState, TurningModel
 from test_nongrid_roadnet import write_roadnet
 
@@ -102,7 +102,7 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
     padded = []
     for net in networks(tmp_path_factory):
         arr = movement_arrays(net)
-        cols = arr.term_columns
+        cols = PairColumns(net)
         pads = np.zeros(0, dtype=np.intp) if cols.pads is None else cols.pads
         assert len(cols.movement) == arr.n_mov + len(pads)
         # pad columns sit in the edge block, where column edge_start + k * E + e
@@ -167,9 +167,11 @@ def test_cost_tables_add_many_slots_in_order():
     for n in (1, 2, 3, 4):
         net = chain(n)
         arr = movement_arrays(net)
-        cols = arr.term_columns
+        cols = PairColumns(net)
         assert validate(net) == [] and len(arr.edges) == n - 1
-        assert (np.bincount(arr.mov_edge[arr.mov_edge >= 0]) >= 8).all()
+        # edge e's terms sit in the columns edge_start + k * (n - 1) + e
+        on_edge = cols.column[:-1][cols.column[:-1] >= cols.edge_start] - cols.edge_start
+        assert (np.bincount(on_edge % max(n - 1, 1)) >= 8).all()
         assert (cols.pads is not None) == (n > 2)
         for _ in range(3):
             q = rng.choice([0.0, 0.1, 1.0, 3.0, 1e8], arr.n_mov)
