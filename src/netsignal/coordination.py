@@ -33,7 +33,8 @@ class CoordinationGraph:
     `agents` are sorted ids and `edges` the sorted (i, j) pairs with i < j.
     Row e of `edge_costs` (E, 4, 4) is the table of `edges[e]`, indexed
     [x_i][x_j]; row k of `individual` (N, 4) is the cost vector of
-    `agents[k]`.
+    `agents[k]`. The constructor checks all four; `_unchecked` skips the
+    checks for `build_cg`'s graphs, which are valid by construction.
     """
 
     agents: tuple[int, ...]
@@ -47,30 +48,35 @@ class CoordinationGraph:
         self.edge_costs = np.asarray(self.edge_costs, dtype=float)
         self.individual = np.asarray(self.individual, dtype=float)
         _check_layout(self.agents, self.edges)
-        shapes = (np.shape(self.edge_costs), np.shape(self.individual))
+        shapes = (self.edge_costs.shape, self.individual.shape)
         want = ((len(self.edges), NUM_PHASES, NUM_PHASES), (len(self.agents), NUM_PHASES))
         if shapes != want:
             raise ValueError(f"table shapes {shapes}, expected {want}")
 
+    @classmethod
+    def _unchecked(
+        cls, agents: tuple, edges: tuple, edge_costs: np.ndarray, individual: np.ndarray
+    ) -> "CoordinationGraph":
+        """The graph of the tables as they are, without the constructor's
+        checks: `agents` and `edges` are a network's `MovementArrays` tuples,
+        which its constructor checks, and the tables float arrays of the
+        shapes they give."""
+        cg = cls.__new__(cls)
+        cg.agents, cg.edges, cg.edge_costs, cg.individual = agents, edges, edge_costs, individual
+        return cg
+
 
 _EDGE_LAYOUT = "edges must be sorted, distinct (i, j) pairs with i < j"
-# the (agents, edges) tuples that last passed `_check_layout`
-_checked = (None, None)
 
 
 def _check_layout(agents: tuple, edges: tuple) -> None:
-    """Raise a `ValueError` naming what is wrong with a layout. `build_cg`
-    passes the same tuples every period, which skip the check by identity."""
-    global _checked
-    if agents is _checked[0] and edges is _checked[1]:
-        return
+    """Raise a `ValueError` naming what is wrong with a layout."""
     try:
         problem = _layout_problem(agents, edges)
     except TypeError:  # ids that do not compare or hash
         problem = _EDGE_LAYOUT
     if problem is not None:
         raise ValueError(problem)
-    _checked = (agents, edges)
 
 
 def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
@@ -111,7 +117,7 @@ def build_cg(
     if model is None:
         model = prediction.period_model(net, state, turning)
     edge_stack, individual = model.cost_tables()
-    return CoordinationGraph(arr.agent_ids, arr.edges, edge_stack.transpose(2, 0, 1), individual.T)
+    return CoordinationGraph._unchecked(arr.agent_ids, arr.edges, edge_stack.transpose(2, 0, 1), individual.T)
 
 
 def global_cost(cg: CoordinationGraph, x: JointAssignment) -> float:

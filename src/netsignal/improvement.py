@@ -30,6 +30,9 @@ from netsignal.simulation import JointAssignment, QueueState, TurningModel, phas
 
 # best-response sweeps the planner runs at most per period
 MAX_SWEEPS = 4
+# the sweeps' budget when none is given: `MAX_SWEEPS` caps them
+_NO_BUDGET = CoorBudget(rounds=MAX_SWEEPS)
+_min_reduce, _all = np.minimum.reduce, np.logical_and.reduce
 
 
 @dataclass
@@ -81,15 +84,17 @@ def local_improvement(
     if model is None:
         model = prediction.period_model(net, state, turning)
     actions = phase_indices(init, arr.agent_ids)
-    positions = np.arange(len(actions))
-    for done in range(MAX_SWEEPS):
-        if budget is not None and budget.exhausted(start, done):
-            break
+    positions = model.columns.positions
+    cap, deadline = (budget or _NO_BUDGET).limits(start, MAX_SWEEPS)
+    clock = time.perf_counter
+    done = 0
+    while done < cap and clock() < deadline:
         scores = model.sweep_scores(actions)
-        keep = scores[actions, positions] <= np.minimum.reduce(scores, axis=0) + 1e-9
-        if np.logical_and.reduce(keep):
+        keep = scores[actions, positions] <= _min_reduce(scores, axis=0) + 1e-9
+        if _all(keep):
             break
         actions = np.where(keep, actions, scores.argmin(axis=0))
+        done += 1
     return JointAssignment._unchecked(arr.agent_ids, actions)
 
 

@@ -37,6 +37,7 @@ graph into it and runs the cycle.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -75,12 +76,19 @@ class CoorBudget:
             wall_ms=None if self.wall_ms is None else self.wall_ms * fraction,
         )
 
-    def exhausted(self, start: float, done: int) -> bool:
-        """Whether `done` rounds, or the time since the `time.perf_counter()`
-        reading `start`, use up the budget."""
-        if self.rounds is not None and done >= self.rounds:
-            return True
-        return self.wall_ms is not None and (time.perf_counter() - start) * 1e3 >= self.wall_ms
+    def limits(self, start: float, most: int) -> tuple[int, float]:
+        """The budget of one run of at most `most` rounds, read once: the
+        rounds to run, `most` or the rounds cap if lower, and the deadline,
+        the `time.perf_counter()` reading `start` plus the wall-clock cap
+        (inf without one). A round starts only while the clock reads less
+        than the deadline, so a run stops at a round boundary."""
+        cap = most if self.rounds is None else min(most, self.rounds)
+        return cap, math.inf if self.wall_ms is None else start + self.wall_ms / 1e3
+
+
+# the level arithmetic's ufuncs, looked up once
+_add, _subtract = np.add, np.subtract
+_add_reduce, _min_reduce = np.add.reduce, np.minimum.reduce
 
 
 class LevelPlan(NamedTuple):
@@ -93,7 +101,8 @@ class LevelPlan(NamedTuple):
     the first K + 1 slots and the last slot of the slot-major (K + 2, 4, n)
     `gathered`; `spread` views the (4, n) `base` as (4, 1, n), which adds
     into the (4, 4, n) `scores` with `cost`, the level's columns of the cost
-    buffer. `out` is the level's columns of the message buffer.
+    buffer, and `first` views its phase-0 row. `out` is the level's columns
+    of the message buffer.
     """
 
     table: np.ndarray
@@ -102,6 +111,7 @@ class LevelPlan(NamedTuple):
     excluded: np.ndarray
     base: np.ndarray
     spread: np.ndarray
+    first: np.ndarray
     cost: np.ndarray
     scores: np.ndarray
     out: np.ndarray
@@ -129,7 +139,7 @@ class MessagePlan:
     they are added top to bottom. So an incoming-message sum does not depend
     on how rows are grouped into levels. `edges` are the order's edges as
     (i < j) pairs, which is the edge order of the `CoordinationGraph` it was
-    built from.
+    built from, and `tree` whether they form a tree.
 
     `messages` is the phase-major (4, 2E + 1 + N) buffer: message row r in
     column r, the zero column at 2E and agent n's own costs in column
@@ -180,6 +190,8 @@ class MessagePlan:
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
         # the (agents, edges) tuples that last passed `load`'s layout check
         self._layout = (self.agents, self.edges)
+        # E = N - 1 on the connected graphs an orientation is made from
+        self.tree = n_edges == n_agents - 1
 
         own = self.n_rows + 1  # the first own-cost column
         self.messages = np.zeros((NUM_PHASES, own + n_agents))
@@ -208,6 +220,7 @@ class MessagePlan:
             excluded=gathered[-1],
             base=base,
             spread=base[:, None],
+            first=base[:1],
             cost=self.costs[:, :, start:stop],
             scores=scores,
             out=self.messages[:, start:stop],
@@ -237,15 +250,15 @@ class MessagePlan:
         at every level, since messages outgrow their costs within one pass
         (see the module docstring); it reuses `base`, which the level no
         longer needs once `scores` is formed."""
-        table, gathered, summands, excluded, base, spread, cost, scores, out = self.levels[level]
+        table, gathered, summands, excluded, base, spread, first, cost, scores, out = self.levels[level]
         self.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
         # at a time in slot order, as `segment_sum` does, for any level width
-        np.add.reduce(summands, axis=0, out=base, initial=0.0)
+        _add_reduce(summands, axis=0, out=base, initial=0.0)
         base -= excluded
-        np.add(spread, cost, out=scores)
-        np.minimum.reduce(scores, axis=0, out=base)
-        np.subtract(base, base[:1], out=out)
+        _add(spread, cost, out=scores)
+        _min_reduce(scores, axis=0, out=base)
+        _subtract(base, first, out=out)
 
     def picks(self) -> np.ndarray:
         """Each agent's argmin phase given the current messages."""
@@ -286,8 +299,8 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     counts the passes finished. `converged` holds when the whole cycle ran
     on a tree (E = N - 1 on the connected graphs an orientation is made
     from), where one cycle is the message fixpoint. `cg.agents` passed the
-    graph's layout check, and each phase is an argmin over four rows, so
-    the decision is an unchecked view.
+    plan's layout check, and each phase is an argmin over four rows, so the
+    decision is an unchecked view.
     """
     start = time.perf_counter()
     plan = message_plan(order)
@@ -295,10 +308,12 @@ def coordinate(cg: CoordinationGraph, order: DagOrder, budget: CoorBudget) -> Co
     # the forward levels are 0..diameter-1 and the reverse ones follow, so
     # round k runs level k
     levels = len(plan.levels)
+    cap, deadline = budget.limits(start, levels)
+    clock, update = time.perf_counter, plan.update
     rounds = 0
-    while rounds < levels and not budget.exhausted(start, rounds):
-        plan.update(rounds)
+    while rounds < cap and clock() < deadline:
+        update(rounds)
         rounds += 1
     passes = rounds // order.diameter if order.diameter else 0
-    converged = rounds == levels and len(order.edges) == len(plan.agents) - 1
+    converged = rounds == levels and plan.tree
     return CoordResult(JointAssignment._unchecked(cg.agents, plan.picks()), passes, rounds, converged)

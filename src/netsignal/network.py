@@ -140,8 +140,10 @@ class MovementArrays:
     Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids),
     agent a is `agent_ids[a]` (sorted ids) and edge e is `edges[e]`, the
     sorted (i < j) endpoint pairs of the internal links, which are the
-    neighbouring agents of the coordination graph. Queue, turning and demand
-    vectors everywhere in the package use these orders. `up_links` is the
+    neighbouring agents of the coordination graph; an internal link that
+    does not join two distinct intersections raises a `ValueError` with
+    `validate`'s message for it. Queue, turning and demand vectors
+    everywhere in the package use these orders. `up_links` is the
     (K, links) `gather_table` of the rows whose movements lead onto each
     link, padded with `n_links`, which `hop_distances` searches for the hops
     to an exit; `down_links` lists the rows that movements from each link
@@ -199,6 +201,17 @@ class MovementArrays:
         self.to_exit = np.array([net.links[m.to].kind is LinkKind.EXIT for m in movements], dtype=bool)
         # the turning share of each movement when its link carries no vehicles
         self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]
+        # one edge per neighboring pair, the endpoints of some internal link;
+        # movements queueing on internal links accumulate into their pair's
+        # table
+        ends = [(l.id, l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
+        for lid, a, b in ends:
+            if a not in agent_index or b not in agent_index:
+                raise ValueError(_missing_end(lid, "start" if a not in agent_index else "end"))
+            if a == b:
+                raise ValueError(_self_loop(lid, a))
+        self.edges = tuple(sorted({(min(a, b), max(a, b)) for _, a, b in ends}))
+
         # upstream agent controlling releases onto each link (-1 for none)
         self.link_upstream_agent = np.full(self.n_links, -1, dtype=np.intp)
         self.entry_link_mask = np.zeros(self.n_links, dtype=bool)
@@ -208,15 +221,6 @@ class MovementArrays:
             if link.kind is LinkKind.ENTRY:
                 self.entry_link_mask[link_index[l]] = True
         self.fed_link_mask = self.link_upstream_agent >= 0
-
-        # one edge per neighboring pair, the endpoints of some internal link;
-        # movements queueing on internal links accumulate into their pair's
-        # table
-        ends = [(l.id, l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
-        for lid, a, b in ends:
-            if a == b:
-                raise ValueError(_self_loop(lid, a))
-        self.edges = tuple(sorted({(min(a, b), max(a, b)) for _, a, b in ends}))
 
         n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
@@ -229,6 +233,12 @@ class MovementArrays:
 
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
+
+
+def _missing_end(lid: int, end: str) -> str:
+    """How `validate` and `MovementArrays` name an internal link whose
+    `end`, "start" or "end", is not an intersection."""
+    return f"link {lid}: internal link missing valid {end} intersection"
 
 
 def _self_loop(lid: int, intersection: int) -> str:
@@ -420,10 +430,10 @@ def validate(net: RoadNetwork) -> list[str]:
                 bad_links.add(lid)
         else:
             if link.start is None or link.start not in net.intersections:
-                violations.append(f"link {lid}: internal link missing valid start intersection")
+                violations.append(_missing_end(lid, "start"))
                 bad_links.add(lid)
             if link.end is None or link.end not in net.intersections:
-                violations.append(f"link {lid}: internal link missing valid end intersection")
+                violations.append(_missing_end(lid, "end"))
                 bad_links.add(lid)
             if lid not in bad_links and link.start == link.end:
                 violations.append(_self_loop(lid, link.start))

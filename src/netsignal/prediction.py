@@ -64,6 +64,8 @@ class PairColumns:
       phase 0 and own phase x lies. `offsets` and `index` are the per-sweep
       buffers of those offsets and positions, and `sweep_gather` the
       terms' gather, which shares its memory with `release_gather`.
+      `positions` are the agent positions, 0..N-1, at which the sweeps read
+      each agent's score under its current phase.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -113,6 +115,7 @@ class PairColumns:
         self.cells = np.arange(NUM_PHASES)[:, None] * own[:, None] + col[:, None]
         self.offsets = np.empty(table.shape, dtype=np.intp)
         self.index = np.empty(self.cells.shape, dtype=np.intp)
+        self.positions = np.arange(n_agents)
 
         self.released = np.zeros((NUM_PHASES, width))
         release_shape = (NUM_PHASES, *self.to_link_table.shape)

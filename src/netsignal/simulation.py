@@ -15,8 +15,11 @@ transit and follows its own route.
 
 State is arrays in `MovementArrays` order: the queue vector of a state, the
 turning shares and the entry demand. `step` and `estimate_turning` are
-whole-network numpy passes over them; per-vehicle Python work is limited to
-writing the exit times of the vehicles that leave.
+whole-network numpy passes over them; within a period, per-vehicle Python
+work is limited to writing the exit times of the vehicles that leave. Once
+per run there is per-vehicle and per-hop Python work: `Flow` reads every
+vehicle's fields and maps every hop of its route to a movement through a
+dict, and `travel_time_metrics` loops over the vehicles.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 """Shared fixtures: small networks and hand-built traffic states."""
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,24 @@ class TwoIntersectionCase:
     state: QueueState
     flow: Flow
     turning: TurningModel
+
+
+# the seconds a `fake_clock` reading advances
+CLOCK_STEP_S = 1e-3
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """`time.perf_counter` replaced by a clock that advances
+    `CLOCK_STEP_S` per reading; the fixture counts the readings."""
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return len(readings) * CLOCK_STEP_S
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    return readings
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """What the benchmark in `perfbench/` reads from the package still works.
 
-Runs one traced benchmark run per controller kind on a small grid, with
-the layer expectations of the real workloads. A traced run checks vehicle
+Runs one traced benchmark run per workload on a small grid, with the
+controller, demand and layer expectations of the real workload. A traced run checks vehicle
 conservation after every period, one complete decision per period, exact
 cost decomposition on sampled planner states and the traced layers, so a
 change to the simulator's or the planner's state that breaks any of them
@@ -32,10 +32,11 @@ def bench():
 PINNED = {
     "grid20_emc": ("dfb30c844c45088c", "d88b4738f0487e4e"),
     "grid15_maxpressure": ("059fd265c6815ed5", "fdb35b36eb2df22e"),
+    "grid4_peak_emc": ("a1e0592a5b07ad67", "81a8a70f9cab44bd"),
 }
 
 
-@pytest.mark.parametrize("workload", ["grid20_emc", "grid15_maxpressure"])
+@pytest.mark.parametrize("workload", sorted(PINNED))
 def test_traced_run_passes_the_bench_checks(bench, workload):
     spec = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"][workload]
     w = bench.Workload(name=workload, **{**spec, "rows": 3, "cols": 3, "horizon": 40})

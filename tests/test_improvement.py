@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import all_phase, random_macro_state, random_turning
+from conftest import CLOCK_STEP_S, all_phase, random_macro_state, random_turning
 from netsignal.controllers import max_pressure
 from netsignal.coordination import build_cg, global_cost
 from netsignal.improvement import (
+    MAX_SWEEPS,
     PlannerConfig,
     local_improvement,
     plan_phases_detailed,
@@ -148,6 +149,26 @@ def test_local_improvement_sweep_cap():
     capped = local_improvement(init, state, net, turning, budget=CoorBudget(rounds=1))
     one_sweep = {i: best_response(i, init, state, net, turning) for i in sorted(net.intersections)}
     assert capped == one_sweep
+
+
+def test_a_wall_clock_cap_stops_the_sweeps_at_a_sweep_boundary(fake_clock):
+    # Each clock reading advances one step, and the sweeps read the clock
+    # once at their start and once before each sweep, so a cap of k + 1/2
+    # steps lets k sweeps run: the decision a cap of k sweeps gives.
+    net = build_grid(4, 4)
+    rng = np.random.default_rng(44)
+    state, turning = random_macro_state(net, rng), random_turning(net, rng)
+    init = all_phase(net, Phase(0))
+    decisions = set()
+    for k in range(MAX_SWEEPS + 1):
+        fake_clock.clear()
+        timed = local_improvement(init, state, net, turning, CoorBudget(wall_ms=(k + 0.5) * CLOCK_STEP_S * 1e3))
+        assert len(fake_clock) == 1 + k + (k < MAX_SWEEPS)
+        capped = local_improvement(init, state, net, turning, CoorBudget(rounds=k))
+        assert timed.phases.tobytes() == capped.phases.tobytes()
+        decisions.add(timed.phases.tobytes())
+    # every sweep the clock lets run changes the decision here
+    assert len(decisions) == MAX_SWEEPS + 1
 
 
 def test_plan_epsilon_one_is_pure_coordination(fig_two):

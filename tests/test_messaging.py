@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CLOCK_STEP_S,
     forward_messages,
     loaded_plan,
     plan_messages,
@@ -246,6 +247,32 @@ def test_a_wall_clock_interruption_decides_as_its_rounds_cap():
             stopped.append(result.rounds)
     # the clock stopped some runs part way, not only before the first level
     assert stopped
+
+
+def test_a_wall_clock_cap_stops_coordinate_at_a_level_boundary(fake_clock):
+    # Each clock reading advances one step, and `coordinate` reads the clock
+    # once at its start and once before each level, so a cap of k + 1/2
+    # steps lets k levels run: the run a cap of k rounds gives, decision
+    # and all.
+    net = build_grid(4, 4)
+    rng = np.random.default_rng(45)
+    cg = build_cg(random_macro_state(net, rng), net, random_turning(net, rng))
+    order = network_order(net)
+    levels = 2 * order.diameter
+    decisions = set()
+    for k in range(levels + 1):
+        fake_clock.clear()
+        timed = coordinate(cg, order, CoorBudget(wall_ms=(k + 0.5) * CLOCK_STEP_S * 1e3))
+        # the start, every level run and, if the clock stopped the run, the
+        # reading that stopped it
+        assert len(fake_clock) == 1 + k + (k < levels)
+        capped = coordinate(cg, order, CoorBudget(rounds=k))
+        assert (timed.rounds, timed.passes) == (capped.rounds, capped.passes) == (k, k // order.diameter)
+        assert timed.converged == capped.converged
+        assert timed.assignment.phases.tobytes() == capped.assignment.phases.tobytes()
+        decisions.add(timed.assignment.phases.tobytes())
+    # every level the clock lets run changes the decision here
+    assert len(decisions) == levels + 1
 
 
 def test_coordinate_wall_clock_zero_still_complete():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import shifted_grid_doc
 from oracle import topology
-from netsignal.harness import network_order
+from netsignal.harness import RateSpec, Scenario, network_order, run_experiment
 from netsignal.network import (
     Link,
     LinkKind,
@@ -21,6 +21,7 @@ from netsignal.network import (
     save_network,
     validate,
 )
+from netsignal.simulation import SimConfig
 from test_nongrid_roadnet import write_roadnet
 from test_simulation import one_way_1x2
 
@@ -490,6 +491,22 @@ def test_movement_arrays_reject_a_self_loop_built_in_code():
         movement_arrays(net)
     with pytest.raises(ValueError, match=message):
         network_order(net)
+
+
+@pytest.mark.parametrize("ends", [(0, 1000), (1000, 0), (None, 1), (0, None)], ids=["end", "start", "no-start", "no-end"])
+@pytest.mark.parametrize("controller", ["maxpressure", "emc"])
+def test_runs_reject_an_internal_link_off_the_intersections(ends, controller):
+    # a network built in code skips `validate`: there max-pressure ran such
+    # a network to the end and emc failed with a raw IndexError from the
+    # orientation's gather tables
+    net = build_grid(1, 2)
+    stray = Link(99, LinkKind.INTERNAL, *ends, 300.0)
+    net = RoadNetwork(net.intersections, [*net.links.values(), stray], net.movements)
+    message = f"link 99: internal link missing valid {'start' if ends[0] not in (0, 1) else 'end'} intersection"
+    assert validate(net) == [message]
+    scenario = Scenario(net, RateSpec(0.3, 100.0, 1), SimConfig(horizon=10), controller)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(scenario)
 
 
 @pytest.mark.parametrize("phase", [7, -1, 1.5, True, "1"], ids=["7", "-1", "fraction", "bool", "str"])
