@@ -93,7 +93,9 @@ def local_improvement(
         keep = scores[actions, positions] <= _min_reduce(scores, axis=0) + 1e-9
         if _all(keep):
             break
-        actions = np.where(keep, actions, scores.argmin(axis=0))
+        best = scores.argmin(axis=0)
+        np.copyto(best, actions, where=keep)
+        actions = best
         done += 1
     return JointAssignment._unchecked(arr.agent_ids, actions)
 

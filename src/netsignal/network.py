@@ -5,7 +5,10 @@ intersections, internal links connect intersections, exit links drain traffic
 out. A movement (l, h) is traffic crossing one intersection from input link l
 to output link h; phased movements are gated by one of four signal phases,
 right turns run unphased every period. `MovementArrays` flattens a network
-into index arrays over its movement list once, for every array kernel.
+into index arrays over its movement list once, for every array kernel, and
+is the one place a network is validated: every network a kernel reads,
+loaded or built in code, passes its rules or raises a `LoadError` naming
+each violation.
 """
 from __future__ import annotations
 
@@ -13,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import repeat
 from numbers import Integral
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -43,7 +48,12 @@ class LinkKind(Enum):
 
 
 class LoadError(ValueError):
-    """Raised when a network or flow file cannot be parsed or is invalid."""
+    """Raised when a network or flow file cannot be parsed or is invalid;
+    `violations` holds one message per rule an invalid network breaks."""
+
+    def __init__(self, message: str, violations: Iterable[str] = ()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 @dataclass
@@ -135,19 +145,26 @@ class RoadNetwork:
 
 class MovementArrays:
     """Static per-network index arrays over the movement list: the one
-    derived index of a `RoadNetwork`.
+    derived index of a `RoadNetwork`, and the one place a network is
+    validated.
+
+    The constructor reads each link and movement field once, an id that
+    names no intersection or link as -1, and checks `validate`'s rules as
+    array expressions over what it reads. A network that breaks any raises
+    a `LoadError` whose `violations` name each problem.
 
     Movement m is `net.movements[m]`; link k is `link_ids[k]` (sorted ids),
     agent a is `agent_ids[a]` (sorted ids) and edge e is `edges[e]`, the
     sorted (i < j) endpoint pairs of the internal links, which are the
-    neighbouring agents of the coordination graph; an internal link that
-    does not join two distinct intersections raises a `ValueError` with
-    `validate`'s message for it. Queue, turning and demand vectors
-    everywhere in the package use these orders. `up_links` is the
-    (K, links) `gather_table` of the rows whose movements lead onto each
-    link, padded with `n_links`, which `hop_distances` searches for the hops
-    to an exit; `down_links` lists the rows that movements from each link
-    lead to, in movement order, padded the same way, for route walks.
+    neighbouring agents of the coordination graph. Queue, turning and
+    demand vectors everywhere in the package use these orders. `link_edge`
+    is each link's edge (-1 for none), `link_flipped` whether it runs from
+    the higher id, and `link_length` and `link_speed` its fields as floats.
+    `up_links` is the (K, links) `gather_table` of the rows whose movements
+    lead onto each link, padded with `n_links`, which `hop_distances`
+    searches for the hops to an exit; `down_links` lists the rows that
+    movements from each link lead to, in movement order, padded the same
+    way, for route walks.
 
     The `*_table` fields are gather tables for `segment_sum`: column t lists
     the movements that add into target t, in the order they are added, padded
@@ -167,62 +184,65 @@ class MovementArrays:
 
     def __init__(self, net: RoadNetwork):
         movements = net.movements
-        self.keys = [m.key for m in movements]
         self.n_mov = len(movements)
-        self.agent_ids = tuple(sorted(net.intersections))
-        agent_index = {a: k for k, a in enumerate(self.agent_ids)}
-        self.agent_index = agent_index
-        self.mov_agent = np.array([agent_index[m.intersection] for m in movements], dtype=np.intp)
-        self.sat = np.array([m.sat_flow for m in movements], dtype=float)
+        self.agent_ids = ids = tuple(sorted(net.intersections))
+        self.agent_index = agent_index = {a: k for k, a in enumerate(ids)}
+        self.link_ids = link_ids = sorted(net.links)
+        self.link_index = link_index = {l: k for k, l in enumerate(link_ids)}
+        self.n_links, n_agents = len(link_ids), len(ids)
+
+        # every field read once: ids as positions, -1 where they name
+        # nothing and -2 for a link end that is None; numbers as floats
+        links = [net.links[l] for l in link_ids]
+        kind, start, end, length, speed = _fields(links, "kind", "start", "end", "length_m", "speed_mps")
+        frm, to, at, phase, sat = _fields(movements, "frm", "to", "intersection", "phase", "sat_flow")
+        self.link_kind = _positions(kind, _KINDS)
+        ends = {None: -2, **agent_index}
+        link_start, link_end = _positions(start, ends), _positions(end, ends)
+        self.link_length, self.link_speed, self.sat = _floats(length), _floats(speed), _floats(sat)
+        self.keys = list(zip(frm, to))
+        self.mov_agent = _positions(at, agent_index)
+        self.mov_from, self.mov_to = _positions(frm, link_index), _positions(to, link_index)
+        # each movement's phase, -1 for right turns, which run under every
+        # phase, and -2 for one that is neither None nor an integer in 0..3
+        if not set(map(type, phase)) <= {type(None), Phase, int}:
+            phase = [p if p is None or _is_count(p) else -2 for p in phase]
+        self.mov_phase = _positions(phase, _PHASES, -2)
+        # the agent pair each internal link joins, as low * agents + high,
+        # and those pairs each once, in order
+        joined = (self.link_kind == _INTERNAL) & (link_start >= 0) & (link_end >= 0)
+        low, high = np.sort((link_start[joined], link_end[joined]), axis=0)
+        pair = low * n_agents + high
+        pairs = np.sort(pair)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        low, high = np.divmod(pairs, max(n_agents, 1))
+
+        problems = self._violations(links, movements, frm, to, link_start, link_end, low, high)
+        if problems:
+            raise LoadError("invalid network: " + "; ".join(problems), problems)
+
         # whole vehicles a movement may release per period, at most 2**53,
         # which no queue reaches, so that any finite sat_flow fits an intp
         self.release_cap = np.minimum(self.sat, 2.0**53).astype(np.intp)
-
-        # each movement's phase, -1 for right turns, which run under every
-        # phase; `act[x, m]` is movement m's activation under phase x of its
-        # intersection, phase-major like every per-period array over phases.
-        # A phase of another type than `Phase` must still be one of the four.
-        phase_of = [m.phase for m in movements]
-        if not set(map(type, phase_of)) <= {type(None), Phase}:
-            problem = next(filter(None, map(_bad_phase, movements)), None)
-            if problem is not None:
-                raise ValueError(problem)
-        self.mov_phase = np.array([-1 if p is None else int(p) for p in phase_of], dtype=np.intp)
+        # `act[x, m]` is movement m's activation under phase x of its
+        # intersection, phase-major like every per-period array over phases
         phases = np.arange(NUM_PHASES)[:, None]
         self.act = ((self.mov_phase < 0) | (self.mov_phase == phases)).astype(float)
-
-        link_ids = sorted(net.links)
-        link_index = {l: k for k, l in enumerate(link_ids)}
-        self.link_ids = link_ids
-        self.link_index = link_index
-        self.n_links = len(link_ids)
-        self.mov_from = np.array([link_index[m.frm] for m in movements], dtype=np.intp)
-        self.mov_to = np.array([link_index[m.to] for m in movements], dtype=np.intp)
-        self.to_exit = np.array([net.links[m.to].kind is LinkKind.EXIT for m in movements], dtype=bool)
+        self.to_exit = (self.link_kind == _EXIT)[self.mov_to]
         # the turning share of each movement when its link carries no vehicles
         self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]
-        # one edge per neighboring pair, the endpoints of some internal link;
-        # movements queueing on internal links accumulate into their pair's
-        # table
-        ends = [(l.id, l.start, l.end) for l in net.links.values() if l.kind is LinkKind.INTERNAL]
-        for lid, a, b in ends:
-            if a not in agent_index or b not in agent_index:
-                raise ValueError(_missing_end(lid, "start" if a not in agent_index else "end"))
-            if a == b:
-                raise ValueError(_self_loop(lid, a))
-        self.edges = tuple(sorted({(min(a, b), max(a, b)) for _, a, b in ends}))
-
+        # one edge per neighboring pair; movements queueing on internal links
+        # accumulate into their pair's table
+        self.edges = tuple((ids[i], ids[j]) for i, j in zip(low.tolist(), high.tolist()))
+        self.link_edge = np.full(self.n_links, -1, dtype=np.intp)
+        self.link_edge[joined] = np.searchsorted(pairs, pair)
+        self.link_flipped = joined & (link_start > link_end)
         # upstream agent controlling releases onto each link (-1 for none)
-        self.link_upstream_agent = np.full(self.n_links, -1, dtype=np.intp)
-        self.entry_link_mask = np.zeros(self.n_links, dtype=bool)
-        for l, link in net.links.items():
-            if link.start is not None:
-                self.link_upstream_agent[link_index[l]] = agent_index[link.start]
-            if link.kind is LinkKind.ENTRY:
-                self.entry_link_mask[link_index[l]] = True
+        self.link_upstream_agent = np.maximum(link_start, -1)
+        self.entry_link_mask = self.link_kind == _ENTRY
         self.fed_link_mask = self.link_upstream_agent >= 0
 
-        n_agents, every = len(self.agent_ids), np.arange(self.n_mov)
+        every = np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
         pad = self.n_mov
         self.from_link_table = gather_table(every, self.mov_from, self.n_links, pad)
@@ -234,24 +254,132 @@ class MovementArrays:
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
 
+    def _violations(self, links, movements, frm, to, start, end, low, high) -> list[str]:
+        """`validate`'s messages, in the order it documents."""
+        ids, agent, phase, sat, n_mov = self.agent_ids, self.mov_agent, self.mov_phase, self.sat, self.n_mov
+        # agent ids reach numpy in the planner; link ids never do
+        problems = [f"intersection {i}: id is outside the int64 range" for i in ids if not -(2**63) <= i < 2**63]
 
-def _missing_end(lid: int, end: str) -> str:
-    """How `validate` and `MovementArrays` name an internal link whose
-    `end`, "start" or "end", is not an intersection."""
-    return f"link {lid}: internal link missing valid {end} intersection"
+        entry, leave = self.link_kind == _ENTRY, self.link_kind == _EXIT
+        inner, has_start, has_end = ~(entry | leave), start >= 0, end >= 0
+        shape = [
+            (entry & (start != -2), "entry link must not have a start intersection"),
+            (entry & ~has_end, "entry link needs a valid end intersection"),
+            (leave & (end != -2), "exit link must not have an end intersection"),
+            (leave & ~has_start, "exit link needs a valid start intersection"),
+            (inner & ~has_start, "internal link missing valid start intersection"),
+            (inner & ~has_end, "internal link missing valid end intersection"),
+            (inner & has_start & (start == end), "internal link starts and ends at intersection {1.start}"),
+        ]
+        length, speed = self.link_length, self.link_speed
+        sizes = [
+            (~(np.isfinite(length) & (length > 0)), "length must be positive and finite, got {1.length_m!r}"),
+            (~(np.isfinite(speed) & (speed > 0)), "speed must be positive and finite, got {1.speed_mps!r}"),
+        ]
+        problems += _named(sizes + shape, "link {0}: ", lambda k: (self.link_ids[k], links[k]))
+
+        # an unknown link reads the pad after the links: it is not broken,
+        # and no end of it meets an agent
+        broken = np.append(np.logical_or.reduce([mask for mask, _ in shape]), False)
+        starts, ends = np.append(start, -3), np.append(end, -3)
+        known = agent >= 0
+        phased = known & (phase >= 0)
+        # link positions, then unknown link ids after them, so that two
+        # movements share a key where their ids are equal; `alone` keys none
+        width, alone = self.n_links + n_mov, -1 - np.arange(n_mov)
+        frm_ids, to_ids = _numbered(self.mov_from, frm, self.n_links), _numbered(self.mov_to, to, self.n_links)
+        group = agent * width + frm_ids
+        duplicate = _repeats(np.where(known, frm_ids * width + to_ids, alone))[1]
+        ranked, reused = _repeats(np.where(phased, group * NUM_PHASES + phase, alone))
+        rules = [
+            (~known, "unknown intersection {0.intersection}"),
+            (
+                known & ~broken[self.mov_from] & (ends[self.mov_from] != agent),
+                "source is not an input link of intersection {0.intersection}",
+            ),
+            (
+                known & ~broken[self.mov_to] & (starts[self.mov_to] != agent),
+                "target is not an output link of intersection {0.intersection}",
+            ),
+            (known & ~(np.isfinite(sat) & (sat >= 0)), "saturation flow must be finite and >= 0, got {0.sat_flow!r}"),
+            (duplicate, "duplicate movement"),
+            (known & (phase == -2), "phase must be None or an integer in 0..3, got {0.phase!r}"),
+            (reused, "phase {1} already used by another movement on link {0.frm}"),
+        ]
+        # the phase name is read only where the phase is one of the four
+        problems += _named(rules, "movement ({0.frm}->{0.to}): ", lambda k: (movements[k], PHASES[phase[k]].name))
+
+        idle = np.bincount(agent[known], minlength=len(ids)) == 0
+        problems += [f"intersection {ids[k]}: no movements" for k in np.flatnonzero(idle).tolist()]
+        # the phased (agent, link) groups in order, each's phases sorted: a
+        # group mixes WE and SN where the axis changes within it
+        grouped, axis = np.divmod(ranked[ranked >= 0], NUM_PHASES)
+        mixed = grouped[1:][(grouped[1:] == grouped[:-1]) & ((axis[1:] >= 2) != (axis[:-1] >= 2))]
+        for g in mixed.tolist():
+            m = movements[np.flatnonzero(phased & (group == g))[0]]
+            problems.append(
+                f"intersection {m.intersection}, link {m.frm}: movements mix WE and SN phases, conflicting turn geometry"
+            )
+
+        if len(ids) > 1:
+            neighbours = gather_table(np.concatenate((high, low)), np.concatenate((low, high)), len(ids), len(ids))
+            unreached = np.flatnonzero(hop_distances(neighbours, [0])[0] < 0).tolist()
+            if unreached:
+                problems.append(f"intersection graph disconnected, unreachable: {[ids[k] for k in unreached]}")
+        return problems
 
 
-def _self_loop(lid: int, intersection: int) -> str:
-    """How `validate` and `MovementArrays` name a link that is a loop."""
-    return f"link {lid}: internal link starts and ends at intersection {intersection}"
+# link kinds as `MovementArrays.link_kind` numbers them; a kind of another
+# type (-1) needs two distinct ends, as an internal link does, but is no edge
+_ENTRY, _INTERNAL, _EXIT = 0, 1, 2
+_KINDS = {LinkKind.ENTRY: _ENTRY, LinkKind.INTERNAL: _INTERNAL, LinkKind.EXIT: _EXIT}
+_PHASES = {None: -1, **{p: int(p) for p in PHASES}}
 
 
-def _bad_phase(m: Movement) -> Optional[str]:
-    """How `validate` and `MovementArrays` name a movement whose phase is
-    neither None nor an integer in 0..3; None for any other."""
-    if m.phase is None or (_is_count(m.phase) and 0 <= m.phase < NUM_PHASES):
-        return None
-    return f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {m.phase!r}"
+def _fields(items, *names) -> list[tuple]:
+    """The attributes `names` of every item, one tuple per name."""
+    return list(zip(*map(attrgetter(*names), items))) or [()] * len(names)
+
+
+def _positions(values, index: dict, missing: int = -1) -> np.ndarray:
+    """Each value's position in `index`, `missing` for a value it lacks."""
+    return np.fromiter(map(index.get, values, repeat(missing)), dtype=np.intp, count=len(values))
+
+
+def _floats(values) -> np.ndarray:
+    """`values` as floats, NaN for a value that is no number (a string, a
+    bool or an int beyond float range), which fails every range check."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int beyond float range
+            pass
+    return np.array([_number_or_nan(v) for v in values], dtype=float)
+
+
+def _numbered(positions: np.ndarray, values, first: int) -> np.ndarray:
+    """`positions`, with the values that have none numbered from `first`."""
+    unknown = np.flatnonzero(positions < 0).tolist()
+    numbers: dict = {}
+    numbered = positions.copy()
+    numbered[unknown] = [numbers.setdefault(values[k], first + len(numbers)) for k in unknown]
+    return numbered
+
+
+def _repeats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`keys` sorted, and a mask of the entries whose key an earlier entry has."""
+    order = np.argsort(keys, kind="stable")
+    ranked, repeat = keys[order], np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = ranked[1:] == ranked[:-1]
+    return ranked, repeat
+
+
+def _named(rules, prefix: str, fields) -> list[str]:
+    """The messages of `rules`, each a mask over entities and a format,
+    entity by entity and rule by rule within each: `prefix` and the format,
+    over the `fields(k)` of entity k."""
+    flagged = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
+    return [(prefix + text).format(*fields(k)) for k in flagged.tolist() for mask, text in rules if mask[k]]
 
 
 def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
@@ -394,102 +522,31 @@ def build_grid(
     return RoadNetwork(range(rows * cols), links, movements, coords)
 
 
-# the ids the array kernels can hold; a link id never reaches numpy
-_INT64 = np.iinfo(np.int64)
-
-
 def validate(net: RoadNetwork) -> list[str]:
-    """Check all structural invariants; returns one message per violation.
+    """One message per rule `net` breaks, [] for none: the `violations` of
+    the `LoadError` that `MovementArrays`, the one gate, raises on it.
 
-    Movement checks skip links already reported as broken, so a single bad
-    link yields a single violation rather than a cascade.
+    Intersection ids fit int64, each intersection has a movement, and the
+    internal links connect them all. Links have a positive, finite length
+    and speed; an entry link has only an end intersection, an exit link
+    only a start, an internal link two distinct ones. A movement sits at an
+    intersection, leads from one of its input links to one of its outputs,
+    has a finite saturation flow >= 0 and a phase that is None or an
+    integer in 0..3, shares its (from, to) pair with no other movement and
+    its phase with no other from its link, and the phases from one link are
+    all WE or all SN. A movement at an unknown intersection is named for
+    that alone, and none is named for a link already named as broken, so a
+    single bad link yields a single violation rather than a cascade.
+
+    The messages come in this order: intersection ids, each link's in id
+    order, each movement's in list order, intersections without movements,
+    links whose phases mix axes, and the connectivity.
     """
-    violations: list[str] = []
-    for i in sorted(net.intersections):
-        if not _INT64.min <= i <= _INT64.max:
-            violations.append(f"intersection {i}: id is outside the int64 range")
-    bad_links: set[int] = set()
-    for lid, link in net.links.items():
-        if not 0 < _number_or_nan(link.length_m) < math.inf:
-            violations.append(f"link {lid}: length must be positive and finite, got {link.length_m!r}")
-        if not 0 < _number_or_nan(link.speed_mps) < math.inf:
-            violations.append(f"link {lid}: speed must be positive and finite, got {link.speed_mps!r}")
-        if link.kind is LinkKind.ENTRY:
-            if link.start is not None:
-                violations.append(f"link {lid}: entry link must not have a start intersection")
-                bad_links.add(lid)
-            if link.end is None or link.end not in net.intersections:
-                violations.append(f"link {lid}: entry link needs a valid end intersection")
-                bad_links.add(lid)
-        elif link.kind is LinkKind.EXIT:
-            if link.end is not None:
-                violations.append(f"link {lid}: exit link must not have an end intersection")
-                bad_links.add(lid)
-            if link.start is None or link.start not in net.intersections:
-                violations.append(f"link {lid}: exit link needs a valid start intersection")
-                bad_links.add(lid)
-        else:
-            if link.start is None or link.start not in net.intersections:
-                violations.append(_missing_end(lid, "start"))
-                bad_links.add(lid)
-            if link.end is None or link.end not in net.intersections:
-                violations.append(_missing_end(lid, "end"))
-                bad_links.add(lid)
-            if lid not in bad_links and link.start == link.end:
-                violations.append(_self_loop(lid, link.start))
-                bad_links.add(lid)
-
-    seen_keys: set[tuple[int, int]] = set()
-    # phases used per (intersection, input link), to catch geometry conflicts
-    axis_groups: dict[tuple[int, int], set[Phase]] = {}
-    for m in net.movements:
-        name = f"movement ({m.frm}->{m.to})"
-        if m.intersection not in net.intersections:
-            violations.append(f"{name}: unknown intersection {m.intersection}")
-            continue
-        frm, to = net.links.get(m.frm), net.links.get(m.to)
-        if m.frm not in bad_links and (frm is None or frm.end != m.intersection):
-            violations.append(f"{name}: source is not an input link of intersection {m.intersection}")
-        if m.to not in bad_links and (to is None or to.start != m.intersection):
-            violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
-        if not 0 <= _number_or_nan(m.sat_flow) < math.inf:
-            violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow!r}")
-        if m.key in seen_keys:
-            violations.append(f"{name}: duplicate movement")
-        seen_keys.add(m.key)
-        if m.phase is None:
-            continue
-        problem = _bad_phase(m)
-        if problem is not None:
-            violations.append(problem)
-            continue
-        phase = Phase(m.phase)
-        group = axis_groups.setdefault((m.intersection, m.frm), set())
-        if phase in group:
-            violations.append(f"{name}: phase {phase.name} already used by another movement on link {m.frm}")
-        group.add(phase)
-    for i in sorted(net.intersections - {m.intersection for m in net.movements}):
-        violations.append(f"intersection {i}: no movements")
-    we = {Phase.WE_STRAIGHT, Phase.WE_LEFT}
-    sn = {Phase.SN_STRAIGHT, Phase.SN_LEFT}
-    for (i, l), phases in axis_groups.items():
-        if phases & we and phases & sn:
-            violations.append(
-                f"intersection {i}, link {l}: movements mix WE and SN phases, conflicting turn geometry"
-            )
-
-    if len(net.intersections) > 1:
-        ids = sorted(net.intersections)
-        at = {i: k for k, i in enumerate(ids)}
-        joined = [l for l in net.links.values() if l.kind is LinkKind.INTERNAL and l.start in at and l.end in at]
-        a, b = np.array([(at[l.start], at[l.end]) for l in joined], dtype=np.intp).reshape(-1, 2).T
-        neighbours = gather_table(np.concatenate((b, a)), np.concatenate((a, b)), len(ids), len(ids))
-        reached = hop_distances(neighbours, [0])[0] >= 0
-        if not reached.all():
-            missing = [i for i, ok in zip(ids, reached.tolist()) if not ok]
-            violations.append(f"intersection graph disconnected, unreachable: {missing}")
-
-    return violations
+    try:
+        MovementArrays(net)
+    except LoadError as exc:
+        return exc.violations
+    return []
 
 
 def _parse_phase(value, name: str) -> Optional[Phase]:
@@ -622,16 +679,18 @@ def network_from_dict(doc: dict) -> RoadNetwork:
 
 
 def load_network(path: str) -> RoadNetwork:
-    """Load and validate a roadnet JSON file; raise LoadError on any problem."""
+    """Load a roadnet JSON file and build its `movement_arrays`, the
+    validation gate, once; raise LoadError on any problem."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise LoadError(f"cannot read roadnet file {path}: {exc}") from exc
     net = network_from_dict(doc)
-    problems = validate(net)
-    if problems:
-        raise LoadError(f"invalid network in {path}: " + "; ".join(problems))
+    try:
+        movement_arrays(net)
+    except LoadError as exc:
+        raise LoadError(f"invalid network in {path}: " + "; ".join(exc.violations), exc.violations) from None
     return net
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, LinkKind, MovementArrays, RoadNetwork
+from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork
 from netsignal.network import gather_table, movement_arrays, slot_sum
 from netsignal.simulation import QueueState, TurningModel
 
@@ -70,17 +70,8 @@ class PairColumns:
 
     def __init__(self, net: RoadNetwork):
         arr = movement_arrays(net)
-        # each link's edge (-1 for none) and whether it runs from the higher
-        # id; a movement takes those of its input link
-        edge_of = {e: k for k, e in enumerate(arr.edges)}
-        links = net.links.values()
-        internal = [(arr.link_index[l.id], l.start, l.end) for l in links if l.kind is LinkKind.INTERNAL]
-        link_edge = np.full(arr.n_links, -1, dtype=np.intp)
-        link_flipped = np.zeros(arr.n_links, dtype=bool)
-        at = [k for k, _, _ in internal]
-        link_edge[at] = [edge_of[(a, b) if a < b else (b, a)] for _, a, b in internal]
-        link_flipped[at] = [a > b for _, a, b in internal]
-        mov_edge, mov_flipped = link_edge.take(arr.mov_from), link_flipped.take(arr.mov_from)
+        # a movement takes its input link's edge and orientation
+        mov_edge, mov_flipped = arr.link_edge.take(arr.mov_from), arr.link_flipped.take(arr.mov_from)
 
         n_edges, n_agents = len(arr.edges), len(arr.agent_ids)
         free = np.flatnonzero(mov_edge < 0)

@@ -222,11 +222,13 @@ class TurningModel:
 
 
 def link_delay_periods(net: RoadNetwork, tau: float) -> np.ndarray:
-    """Traversal time of every link in whole periods (at least one), in
-    `MovementArrays.link_ids` order."""
-    links = [net.links[l] for l in movement_arrays(net).link_ids]
-    length, speed = np.array([(l.length_m, l.speed_mps) for l in links]).reshape(-1, 2).T
-    return np.maximum(1, np.ceil(length / (speed * tau))).astype(np.intp)
+    """Traversal time of every link in whole periods, at least one and at
+    most 2**53, which no horizon reaches, in `MovementArrays.link_ids`
+    order."""
+    arr = movement_arrays(net)
+    with np.errstate(over="ignore"):
+        periods = np.ceil(arr.link_length / (arr.link_speed * tau))
+    return np.clip(periods, 1, 2.0**53).astype(np.intp)
 
 
 class Flow:

@@ -31,6 +31,11 @@ scalar `rng.integers` call per draw, and `flow_file_routes` the routes
 `load_flow` drew that way; both walk routes with `walk_route`, which reads a
 destination's whole distance list at every hop.
 
+`validate` is the network rules as one loop over the links and one over
+the movements, dict by dict, as the package checked them before
+`MovementArrays` became the one gate; the gate must name the same
+violations.
+
 `step` is the scalar micro simulator: dicts of per-movement vehicle-id
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
@@ -47,7 +52,8 @@ from typing import Optional
 import numpy as np
 
 from netsignal.messaging import message_plan
-from netsignal.network import NUM_PHASES, LinkKind, Phase, hop_distances, movement_arrays
+from netsignal.network import NUM_PHASES, LinkKind, Movement, Phase, gather_table, hop_distances, movement_arrays
+from netsignal.network import _is_count, _number_or_nan
 from netsignal.ordering import TopologyError
 from netsignal.simulation import Vehicle, _positive_finite, _seeded_rng
 
@@ -766,3 +772,120 @@ def estimate_turning(state, net, flow=None):
             if v.origin in d:
                 d[v.origin] += 1.0
     return r, d
+
+
+# the ids the array kernels can hold; a link id never reaches numpy
+_INT64 = np.iinfo(np.int64)
+
+
+def _missing_end(lid: int, end: str) -> str:
+    """How `validate` names an internal link whose `end`, "start" or
+    "end", is not an intersection."""
+    return f"link {lid}: internal link missing valid {end} intersection"
+
+
+def _self_loop(lid: int, intersection: int) -> str:
+    """How `validate` names a link that is a loop."""
+    return f"link {lid}: internal link starts and ends at intersection {intersection}"
+
+
+def _bad_phase(m: Movement) -> Optional[str]:
+    """How `validate` names a movement whose phase is neither None nor an
+    integer in 0..3; None for any other."""
+    if m.phase is None or (_is_count(m.phase) and 0 <= m.phase < NUM_PHASES):
+        return None
+    return f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {m.phase!r}"
+
+
+def validate(net) -> list[str]:
+    """Check all structural invariants; returns one message per violation.
+
+    Movement checks skip links already reported as broken, so a single bad
+    link yields a single violation rather than a cascade.
+    """
+    violations: list[str] = []
+    for i in sorted(net.intersections):
+        if not _INT64.min <= i <= _INT64.max:
+            violations.append(f"intersection {i}: id is outside the int64 range")
+    bad_links: set[int] = set()
+    for lid, link in net.links.items():
+        if not 0 < _number_or_nan(link.length_m) < math.inf:
+            violations.append(f"link {lid}: length must be positive and finite, got {link.length_m!r}")
+        if not 0 < _number_or_nan(link.speed_mps) < math.inf:
+            violations.append(f"link {lid}: speed must be positive and finite, got {link.speed_mps!r}")
+        if link.kind is LinkKind.ENTRY:
+            if link.start is not None:
+                violations.append(f"link {lid}: entry link must not have a start intersection")
+                bad_links.add(lid)
+            if link.end is None or link.end not in net.intersections:
+                violations.append(f"link {lid}: entry link needs a valid end intersection")
+                bad_links.add(lid)
+        elif link.kind is LinkKind.EXIT:
+            if link.end is not None:
+                violations.append(f"link {lid}: exit link must not have an end intersection")
+                bad_links.add(lid)
+            if link.start is None or link.start not in net.intersections:
+                violations.append(f"link {lid}: exit link needs a valid start intersection")
+                bad_links.add(lid)
+        else:
+            if link.start is None or link.start not in net.intersections:
+                violations.append(_missing_end(lid, "start"))
+                bad_links.add(lid)
+            if link.end is None or link.end not in net.intersections:
+                violations.append(_missing_end(lid, "end"))
+                bad_links.add(lid)
+            if lid not in bad_links and link.start == link.end:
+                violations.append(_self_loop(lid, link.start))
+                bad_links.add(lid)
+
+    seen_keys: set[tuple[int, int]] = set()
+    # phases used per (intersection, input link), to catch geometry conflicts
+    axis_groups: dict[tuple[int, int], set[Phase]] = {}
+    for m in net.movements:
+        name = f"movement ({m.frm}->{m.to})"
+        if m.intersection not in net.intersections:
+            violations.append(f"{name}: unknown intersection {m.intersection}")
+            continue
+        frm, to = net.links.get(m.frm), net.links.get(m.to)
+        if m.frm not in bad_links and (frm is None or frm.end != m.intersection):
+            violations.append(f"{name}: source is not an input link of intersection {m.intersection}")
+        if m.to not in bad_links and (to is None or to.start != m.intersection):
+            violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
+        if not 0 <= _number_or_nan(m.sat_flow) < math.inf:
+            violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow!r}")
+        if m.key in seen_keys:
+            violations.append(f"{name}: duplicate movement")
+        seen_keys.add(m.key)
+        if m.phase is None:
+            continue
+        problem = _bad_phase(m)
+        if problem is not None:
+            violations.append(problem)
+            continue
+        phase = Phase(m.phase)
+        group = axis_groups.setdefault((m.intersection, m.frm), set())
+        if phase in group:
+            violations.append(f"{name}: phase {phase.name} already used by another movement on link {m.frm}")
+        group.add(phase)
+    for i in sorted(net.intersections - {m.intersection for m in net.movements}):
+        violations.append(f"intersection {i}: no movements")
+    we = {Phase.WE_STRAIGHT, Phase.WE_LEFT}
+    sn = {Phase.SN_STRAIGHT, Phase.SN_LEFT}
+    for (i, l), phases in axis_groups.items():
+        if phases & we and phases & sn:
+            violations.append(
+                f"intersection {i}, link {l}: movements mix WE and SN phases, conflicting turn geometry"
+            )
+
+    if len(net.intersections) > 1:
+        ids = sorted(net.intersections)
+        at = {i: k for k, i in enumerate(ids)}
+        joined = [l for l in net.links.values() if l.kind is LinkKind.INTERNAL and l.start in at and l.end in at]
+        a, b = np.array([(at[l.start], at[l.end]) for l in joined], dtype=np.intp).reshape(-1, 2).T
+        neighbours = gather_table(np.concatenate((b, a)), np.concatenate((a, b)), len(ids), len(ids))
+        reached = hop_distances(neighbours, [0])[0] >= 0
+        if not reached.all():
+            missing = [i for i, ok in zip(ids, reached.tolist()) if not ok]
+            violations.append(f"intersection graph disconnected, unreachable: {missing}")
+
+    return violations

@@ -4,7 +4,10 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import shifted_grid_doc
 from oracle import topology
 from netsignal.harness import RateSpec, Scenario, network_order, run_experiment
@@ -12,6 +15,7 @@ from netsignal.network import (
     Link,
     LinkKind,
     LoadError,
+    Movement,
     Phase,
     RoadNetwork,
     build_grid,
@@ -478,50 +482,147 @@ def test_load_rejects_bad_entry_by_name(tmp_path, corrupt):
         load_network(str(path))
 
 
-def test_movement_arrays_reject_a_self_loop_built_in_code():
-    # only `load_network` runs `validate`; a network built in code reaches
-    # the orientation through `MovementArrays`, whose longest-path search
-    # would never finish on a (0, 0) edge
+# Each case is a network that breaks one rule of `validate`, built in code,
+# and the violations it names. A network built in code never passes through
+# `load_network`; before `MovementArrays` checked every rule, each of these
+# reached the kernels: max-pressure and emc ran the negative and NaN
+# saturation flows, the duplicate and misplaced movements, the mixed axes
+# and the negative length to the end, phase 7 added a movement's pressure to
+# the next agent's phase 3, a self-loop never finished the orientation, and
+# a link off the intersections ended emc in a raw IndexError.
+
+
+def _sat_flow(value):
+    net = build_grid(2, 2)
+    m = net.movements[5]
+    m.sat_flow = value
+    return net, [f"movement ({m.frm}->{m.to}): saturation flow must be finite and >= 0, got {value!r}"]
+
+
+def _duplicate_movement():
+    net = build_grid(2, 2)
+    m = next(m for m in net.movements if m.phase is None)
+    net.movements.append(Movement(m.frm, m.to, m.intersection, None, m.sat_flow))
+    return net, [f"movement ({m.frm}->{m.to}): duplicate movement"]
+
+
+def _wrong_intersection():
+    net = build_grid(2, 2)
+    m = net.movements[0]
+    m.intersection = other = (m.intersection + 1) % 4
+    return net, [
+        f"movement ({m.frm}->{m.to}): source is not an input link of intersection {other}",
+        f"movement ({m.frm}->{m.to}): target is not an output link of intersection {other}",
+    ]
+
+
+def _phase_mix():
+    net = build_grid(2, 2)
+    m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
+    m.phase = Phase.SN_STRAIGHT
+    message = f"intersection {m.intersection}, link {m.frm}: movements mix WE and SN phases, conflicting turn geometry"
+    return net, [message]
+
+
+def _duplicate_phase():
+    net = build_grid(2, 2)
+    m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
+    m.phase = Phase.WE_LEFT
+    later = next(x for x in net.movements if x.frm == m.frm and x.phase == Phase.WE_LEFT and x is not m)
+    return net, [f"movement ({later.frm}->{later.to}): phase WE_LEFT already used by another movement on link {m.frm}"]
+
+
+def _link_field(field, value):
+    net = build_grid(2, 2)
+    lid = net.internal_links()[1]
+    setattr(net.links[lid], field, value)
+    name = {"length_m": "length", "speed_mps": "speed"}[field]
+    return net, [f"link {lid}: {name} must be positive and finite, got {value!r}"]
+
+
+def _idle_intersection():
+    net = build_grid(2, 2)
+    net.movements = [m for m in net.movements if m.intersection != 3]
+    return net, ["intersection 3: no movements"]
+
+
+def _disconnected():
+    net = build_grid(2, 2)
+    net.intersections.add(99)
+    net.links[90] = Link(90, LinkKind.ENTRY, None, 99, 100.0)
+    net.links[91] = Link(91, LinkKind.EXIT, 99, None, 100.0)
+    net.movements.append(Movement(90, 91, 99, None, 3.0))
+    return net, ["intersection graph disconnected, unreachable: [99]"]
+
+
+def _id_outside_int64():
+    net = network_from_dict(shifted_grid_doc(2, 2, 2**63 - 3))
+    return net, [f"intersection {2**63}: id is outside the int64 range"]
+
+
+def _self_loop_link():
+    # the orientation's longest-path search would never finish on a (0, 0)
+    # edge
     net = build_grid(1, 2)
     loop = Link(14, LinkKind.INTERNAL, 0, 0, 100.0, 10.0)
     net = RoadNetwork(net.intersections, [*net.links.values(), loop], net.movements)
-    message = "link 14: internal link starts and ends at intersection 0"
-    assert validate(net) == [message]
-    with pytest.raises(ValueError, match=message):
-        movement_arrays(net)
-    with pytest.raises(ValueError, match=message):
-        network_order(net)
+    return net, ["link 14: internal link starts and ends at intersection 0"]
 
 
-@pytest.mark.parametrize("ends", [(0, 1000), (1000, 0), (None, 1), (0, None)], ids=["end", "start", "no-start", "no-end"])
-@pytest.mark.parametrize("controller", ["maxpressure", "emc"])
-def test_runs_reject_an_internal_link_off_the_intersections(ends, controller):
-    # a network built in code skips `validate`: there max-pressure ran such
-    # a network to the end and emc failed with a raw IndexError from the
-    # orientation's gather tables
+def _stray_link(start, end):
     net = build_grid(1, 2)
-    stray = Link(99, LinkKind.INTERNAL, *ends, 300.0)
+    stray = Link(99, LinkKind.INTERNAL, start, end, 300.0)
     net = RoadNetwork(net.intersections, [*net.links.values(), stray], net.movements)
-    message = f"link 99: internal link missing valid {'start' if ends[0] not in (0, 1) else 'end'} intersection"
-    assert validate(net) == [message]
-    scenario = Scenario(net, RateSpec(0.3, 100.0, 1), SimConfig(horizon=10), controller)
-    with pytest.raises(ValueError, match=message):
-        run_experiment(scenario)
+    return net, [f"link 99: internal link missing valid {'start' if start not in (0, 1) else 'end'} intersection"]
 
 
-@pytest.mark.parametrize("phase", [7, -1, 1.5, True, "1"], ids=["7", "-1", "fraction", "bool", "str"])
-@pytest.mark.parametrize("agent", [0, 3], ids=["first", "last"])
-def test_movement_arrays_reject_a_phase_that_validate_rejects(agent, phase):
-    # a network built in code skips `validate`: there phase 7 added the
-    # movement's pressure to the next agent's phase 3, or indexed past the
-    # last agent's phases, and phase -1 ran as a right turn
+def _bad_phase(agent, phase):
     net = build_grid(2, 2)
     m = next(m for m in net.movements if m.intersection == agent and m.phase is not None)
     m.phase = phase
-    message = f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {phase!r}"
-    assert validate(net) == [message]
-    with pytest.raises(ValueError, match=re.escape(message)):
+    return net, [f"movement ({m.frm}->{m.to}): phase must be None or an integer in 0..3, got {phase!r}"]
+
+
+GATE_CASES = [
+    pytest.param(_sat_flow, (-3,), id="sat-flow--3"),
+    pytest.param(_sat_flow, (math.nan,), id="sat-flow-nan"),
+    pytest.param(_duplicate_movement, (), id="duplicate-movement"),
+    pytest.param(_wrong_intersection, (), id="wrong-intersection"),
+    pytest.param(_phase_mix, (), id="phase-mix"),
+    pytest.param(_link_field, ("length_m", -5), id="length--5"),
+    pytest.param(_duplicate_phase, (), id="duplicate-phase"),
+    pytest.param(_link_field, ("speed_mps", 0.0), id="speed-0"),
+    pytest.param(_idle_intersection, (), id="no-movements"),
+    pytest.param(_disconnected, (), id="disconnected"),
+    pytest.param(_id_outside_int64, (), id="id-outside-int64"),
+    pytest.param(_self_loop_link, (), id="self-loop"),
+    *(
+        pytest.param(_stray_link, ends, id=f"missing-{name}")
+        for ends, name in [((0, 1000), "end"), ((1000, 0), "start"), ((None, 1), "no-start"), ((0, None), "no-end")]
+    ),
+    *(
+        pytest.param(_bad_phase, (agent, phase), id=f"phase-{where}-{name}")
+        for agent, where in [(0, "first"), (3, "last")]
+        for phase, name in [(7, "7"), (-1, "-1"), (1.5, "fraction"), (True, "bool"), ("1", "str")]
+    ),
+]
+
+
+@pytest.mark.parametrize("case, args", GATE_CASES)
+def test_the_gate_refuses_each_rule_of_validate(case, args):
+    net, messages = case(*args)
+    assert validate(net) == messages
+    assert sorted(oracle.validate(net)) == sorted(messages)
+    with pytest.raises(LoadError, match=re.escape(messages[0])) as caught:
         movement_arrays(net)
+    assert caught.value.violations == messages
+    with pytest.raises(LoadError, match=re.escape(messages[-1])):
+        network_order(net)
+    for controller in ("maxpressure", "emc"):
+        scenario = Scenario(net, RateSpec(0.3, 100.0, 1), SimConfig(horizon=10), controller)
+        with pytest.raises(LoadError, match=re.escape(messages[0])) as caught:
+            run_experiment(scenario)
+        assert caught.value.violations == messages
 
 
 def test_movement_arrays_take_plain_integer_phases():
@@ -529,3 +630,71 @@ def test_movement_arrays_take_plain_integer_phases():
     for m in net.movements:
         m.phase = None if m.phase is None else int(m.phase)
     assert movement_arrays(net).mov_phase.tolist() == movement_arrays(build_grid(2, 2)).mov_phase.tolist()
+
+
+# values of the numeric fields, bad ones (a string, a bool or an int beyond
+# float range is no number) with a good one among them
+NUMBERS = [-5, 0, 0.0, math.nan, math.inf, -math.inf, "300", True, 10**400, 2.5]
+PHASE_VALUES = [None, 7, -1, 1.5, True, "1", 2, *Phase]
+
+
+def _corrupt(net, data):
+    """Apply one corruption drawn from `data` to `net` in place."""
+    ids, links = sorted(net.intersections), sorted(net.links)
+    pick = lambda values: data.draw(st.sampled_from(values))
+    m = pick(net.movements) if net.movements else None
+    kind = pick(["link-number", "link-end", "link-kind", "drop-link", "self-loop", "sat-flow", "phase"]
+                + ["intersection", "movement-link", "duplicate", "drop-movement", "idle", "new-intersection"])
+    if kind == "link-number":
+        setattr(net.links[pick(links)], pick(["length_m", "speed_mps"]), pick(NUMBERS))
+    elif kind == "link-end":
+        setattr(net.links[pick(links)], pick(["start", "end"]), pick([None, 999, pick(ids)]))
+    elif kind == "link-kind":
+        net.links[pick(links)].kind = pick([*LinkKind, "internal"])
+    elif kind == "drop-link":
+        del net.links[pick(links)]
+    elif kind == "self-loop":
+        i = pick(ids)
+        net.links[max(links) + 1] = Link(max(links) + 1, LinkKind.INTERNAL, i, i, 100.0)
+    elif kind == "new-intersection":
+        net.intersections.add(pick([99, 2**63, -(2**63) - 1]))
+    elif kind == "idle":
+        gone = pick(ids)
+        net.movements = [x for x in net.movements if x.intersection != gone]
+    elif m is None:
+        return
+    elif kind == "sat-flow":
+        m.sat_flow = pick(NUMBERS)
+    elif kind == "phase":
+        m.phase = pick(PHASE_VALUES)
+    elif kind == "intersection":
+        m.intersection = pick([999, pick(ids)])
+    elif kind == "movement-link":
+        setattr(m, pick(["frm", "to"]), pick([998, 999, *links]))
+    elif kind == "duplicate":
+        net.movements.append(Movement(m.frm, m.to, m.intersection, pick(PHASE_VALUES), m.sat_flow))
+    else:
+        net.movements.remove(m)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), None]), count=st.integers(1, 3), data=st.data())
+def test_the_gate_names_what_the_reference_validator_names(tmp_path_factory, shape, count, data):
+    if shape is None:
+        doc = json.loads(open(write_roadnet(tmp_path_factory.mktemp("roadnet") / "roadnet.json")).read())
+        net = network_from_dict(doc)
+    else:
+        net = build_grid(*shape)
+    for _ in range(count):
+        _corrupt(net, data)
+    expected = oracle.validate(net)
+    problems = validate(net)
+    assert sorted(problems) == sorted(expected)
+    if len(expected) == 1:
+        assert problems == expected
+    if expected:
+        with pytest.raises(LoadError) as caught:
+            movement_arrays(net)
+        assert caught.value.violations == problems
+    else:
+        assert movement_arrays(net).n_mov == len(net.movements)

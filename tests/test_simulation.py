@@ -24,7 +24,7 @@ from conftest import (
 from netsignal import simulation
 from netsignal.controllers import max_pressure
 from netsignal.coordination import build_cg, global_cost
-from netsignal.harness import RateSpec, Scenario, resolve_flow
+from netsignal.harness import RateSpec, Scenario, resolve_flow, run_experiment
 from netsignal.improvement import local_improvement
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import (
@@ -131,6 +131,25 @@ def test_micro_transit_delay_matches_link_length(fig_two):
     state = step(state, decision, net, cfg, flow=fig_two.flow)
     assert state.q[l2_exit] == 0
     assert sum(1 for v in fig_two.flow.vehicles if v.exit_time is not None) == 4
+
+
+@pytest.mark.parametrize("controller", ["maxpressure", "emc"])
+def test_a_link_too_long_to_cross_holds_its_vehicles(controller):
+    # 1e300 m at 1e-10 m/s: the traversal overflows to infinitely many
+    # periods, whose cast to an integer gave a delay of -2**63, so vehicles
+    # crossed the link in no time
+    net = build_grid(1, 2)
+    lid = net.internal_links()[0]
+    net.links[lid].length_m, net.links[lid].speed_mps = 1e300, 1e-10
+    assert validate(net) == []
+    delay = link_delay_periods(net, 10.0)
+    assert delay.min() >= 1 and delay[movement_arrays(net).link_index[lid]] == 2**53
+    vehicles = generate_uniform_flow(net, 0.2, 300, seed=1)
+    crossing = [v for v in vehicles if lid in v.route]
+    assert crossing
+    run_experiment(Scenario(net, vehicles, SimConfig(horizon=40), controller))
+    assert all(v.exit_time is None for v in crossing)
+    assert any(v.exit_time is not None for v in vehicles)
 
 
 def test_predict_zero_fixed_point():
