@@ -31,9 +31,9 @@ of one edge table.
 
 The messages live in a `MessagePlan`, which lays them out by the
 orientation and is kept with it: message rows grouped into levels, one
-buffer of every message and own cost, the edge costs gathered into message
-order, and a gather table per level. `coordinate` loads each period's
-graph into it and runs the cycle.
+buffer of every message and own cost, the edge costs gathered into one
+contiguous block per level, and a C-ordered gather table per level.
+`coordinate` loads each period's graph into it and runs the cycle.
 """
 from __future__ import annotations
 
@@ -97,12 +97,14 @@ class LevelPlan(NamedTuple):
     The level has n rows and the plan K slots. `table[k, x, c]` is the
     flat `messages` position that slot k of the level's row c reads for
     phase x: the rows in the sender's `slots` column, then the sender's
-    own-cost column, then the `excluded` row. `summands` and `excluded` are
-    the first K + 1 slots and the last slot of the slot-major (K + 2, 4, n)
-    `gathered`; `spread` views the (4, n) `base` as (4, 1, n), which adds
-    into the (4, 4, n) `scores` with `cost`, the level's columns of the cost
-    buffer, and `first` views its phase-0 row. `out` is the level's columns
-    of the message buffer.
+    own-cost column, then the `excluded` row. The table is C-ordered, so
+    its one gather walks it in the order it fills `gathered`. `summands`
+    and `excluded` are the first K + 1 slots and the last slot of the
+    slot-major (K + 2, 4, n) `gathered`; `spread` views the (4, n) `base`
+    as (4, 1, n), which adds into the (4, 4, n) `scores` with `cost`, and
+    `first` views its phase-0 row. `cost` is the level's block of the cost
+    buffer, a C-contiguous (4, 4, n) view indexed [x_sender][x_receiver][c].
+    `out` is the level's columns of the message buffer.
     """
 
     table: np.ndarray
@@ -145,16 +147,18 @@ class MessagePlan:
     column r, the zero column at 2E and agent n's own costs in column
     2E + 1 + n; `flat` is its flat view, which the gather tables index.
     Both directions persist, so each new message can exclude exactly the
-    recipient's own contribution. `cost_cells[x_s, x_r, r]` is the position
-    of the edge's cost when the sender plays x_s and the receiver x_r,
-    whichever end of the (i < j) table each sits at, in the flat
-    phase-major (4, 4, E) stack of edge tables,
-    `edge_costs.transpose(1, 2, 0)`, so they read a graph's `edge_costs` as
-    they are. `costs` is the (4, 4, 2E) table they gather, indexed
-    [x_sender][x_receiver][row], the min running over the leading axis.
-    `levels` holds a `LevelPlan` per level, whose `gathered`, `base` and
-    `scores` are contiguous views of scratch buffers all levels share, sized
-    for the widest level. `totals` is the slot-major (K + 1, 4, N) gather
+    recipient's own contribution. `costs` holds every row's edge costs
+    level-major: the level of rows [a, b) owns the block [16a, 16b), a
+    C-ordered (4, 4, b - a) table indexed [x_sender][x_receiver][row - a],
+    the min running over the leading axis, which is the level's `cost`.
+    `cost_cells` lists, for each entry of `costs`, the position of that
+    edge cost, whichever end of the (i < j) table each agent sits at, in
+    the flat phase-major (4, 4, E) stack of edge tables,
+    `edge_costs.transpose(1, 2, 0)`, so one gather reads a graph's
+    `edge_costs` as they are into every level's block. `levels` holds a
+    `LevelPlan` per level, whose `gathered`, `base` and `scores` are
+    contiguous views of scratch buffers all levels share, sized for the
+    widest level. `totals` is the slot-major (K + 1, 4, N) gather
     table of each agent's incoming rows (its `slots` column) and then its
     own-cost column, whose `segment_sum` scores the agent's phases.
 
@@ -186,7 +190,10 @@ class MessagePlan:
         # an (i < j) edge's table is indexed [x_i][x_j], by agent position
         low_first = self.sender < target[message]
         cells = np.where(low_first, x_s * NUM_PHASES + x_r, x_r * NUM_PHASES + x_s)
-        self.cost_cells = cells * n_edges + message % n_edges
+        cells = cells * n_edges + message % n_edges
+        # level by level, each level's (4, 4, n) block C-ordered; none on E = 0
+        blocks = [cells[:, :, a:b].reshape(-1) for a, b in self.level_rows]
+        self.cost_cells = np.concatenate(blocks) if blocks else cells.reshape(-1)
         self.edges = tuple((u, v) if u < v else (v, u) for u, v in order.edges)
         # the (agents, edges) tuples that last passed `load`'s layout check
         self._layout = (self.agents, self.edges)
@@ -196,7 +203,7 @@ class MessagePlan:
         own = self.n_rows + 1  # the first own-cost column
         self.messages = np.zeros((NUM_PHASES, own + n_agents))
         self.flat = self.messages.reshape(-1)
-        self.costs = np.empty(self.cost_cells.shape)
+        self.costs = np.empty(self.cost_cells.size)
         # column c of phase x sits at flat position x * width + c
         phase_start = (np.arange(NUM_PHASES) * self.messages.shape[1])[:, None]
         columns = np.vstack((self.slots, own + np.arange(n_agents)))
@@ -205,7 +212,8 @@ class MessagePlan:
         widest = max((b - a for a, b in self.level_rows), default=0)
         scratch = tuple(np.empty(k * NUM_PHASES * widest) for k in (len(columns), 1, NUM_PHASES))
         self.levels = tuple(
-            self._level(columns[:, None, a:b] + phase_start, a, b, scratch) for a, b in self.level_rows
+            self._level(np.ascontiguousarray(columns[:, None, a:b] + phase_start), a, b, scratch)
+            for a, b in self.level_rows
         )
 
     def _level(self, table: np.ndarray, start: int, stop: int, scratch: tuple) -> LevelPlan:
@@ -221,7 +229,7 @@ class MessagePlan:
             base=base,
             spread=base[:, None],
             first=base[:1],
-            cost=self.costs[:, :, start:stop],
+            cost=self.costs[NUM_PHASES**2 * start : NUM_PHASES**2 * stop].reshape(scores.shape),
             scores=scores,
             out=self.messages[:, start:stop],
         )
@@ -230,9 +238,9 @@ class MessagePlan:
         """Zero the messages and read `cg`'s tables as they are: its own
         costs into their columns and, by one gather through `cost_cells`
         from the phase-major stack of its edge tables, which is what
-        `build_cg`'s graphs hold, its edge tables into `costs`. The graph
-        must have the plan's agents and edges; tuples that passed before
-        pass by identity."""
+        `build_cg`'s graphs hold, its edge tables into the level blocks of
+        `costs`. The graph must have the plan's agents and edges; tuples that
+        passed before pass by identity."""
         agents, edges = self._layout
         if cg.agents is not agents or cg.edges is not edges:
             if cg.agents != agents or cg.edges != edges:

@@ -461,7 +461,12 @@ def hop_distances(neighbours: np.ndarray, sources) -> np.ndarray:
 
 
 def movement_arrays(net: RoadNetwork) -> MovementArrays:
-    """The network's `MovementArrays`, built on first use and cached on it."""
+    """The network's `MovementArrays`, built on first use and cached on it.
+
+    The cache is never rebuilt, so a network must not be edited after its
+    first kernel call: the kernels would go on reading the arrays, and the
+    validation, of the network as it stood then.
+    """
     cached = getattr(net, "_movement_arrays", None)
     if cached is None:
         cached = MovementArrays(net)
@@ -679,8 +684,10 @@ def network_from_dict(doc: dict) -> RoadNetwork:
 
 
 def load_network(path: str) -> RoadNetwork:
-    """Load a roadnet JSON file and build its `movement_arrays`, the
-    validation gate, once; raise LoadError on any problem."""
+    """Load a roadnet JSON file and pass it through `MovementArrays`, the
+    validation gate; raise LoadError on any problem. The arrays built here
+    are not cached, so a network edited after loading is read, and checked
+    again, as it stands at its first kernel call."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -688,7 +695,7 @@ def load_network(path: str) -> RoadNetwork:
         raise LoadError(f"cannot read roadnet file {path}: {exc}") from exc
     net = network_from_dict(doc)
     try:
-        movement_arrays(net)
+        MovementArrays(net)
     except LoadError as exc:
         raise LoadError(f"invalid network in {path}: " + "; ".join(exc.violations), exc.violations) from None
     return net

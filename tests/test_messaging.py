@@ -9,9 +9,11 @@ from conftest import (
     loaded_plan,
     plan_messages,
     random_cg,
+    random_connected_edges,
     random_macro_state,
     random_tree_edges,
     random_turning,
+    row_pairs,
 )
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, coordinate, message_plan
@@ -314,6 +316,46 @@ def test_coordinate_is_pinned_at_every_round_cap():
             assert (again.passes, again.rounds) == (result.passes, result.rounds), k
             assert again.assignment.phases.tobytes() == result.assignment.phases.tobytes(), k
     assert digest.hexdigest()[:16] == "a4766264f86a2703"
+
+
+def layout_cases():
+    """(graph, orientation) pairs: every grid from 1x1 to 5x4 under its
+    network order, random trees and cyclic graphs, and one agent alone."""
+    rng = np.random.default_rng(2026)
+    for rows in range(1, 6):
+        for cols in range(1, 5):
+            net = build_grid(rows, cols)
+            yield build_cg(random_macro_state(net, rng), net, random_turning(net, rng)), network_order(net)
+    for n, extra in ((2, 0), (5, 0), (7, 3), (9, 6)):
+        cg = random_cg(rng, n, random_connected_edges(rng, n, extra))
+        yield cg, min_diameter_dag(cg)
+    cg = CoordinationGraph((0,), (), np.zeros((0, 4, 4)), [np.arange(4.0)])
+    yield cg, min_diameter_dag(cg)
+
+
+def test_levels_read_c_ordered_tables_and_contiguous_cost_blocks():
+    # Each level's gather table is C-ordered, and its edge costs are the
+    # C-contiguous (4, 4, n) block [16a, 16b) of `costs`, which `load` fills
+    # with the [x_sender][x_receiver] table of each row's edge.
+    for cg, order in layout_cases():
+        plan = loaded_plan(cg, order)
+        assert plan.costs.shape == (16 * plan.n_rows,) and plan.costs.flags.c_contiguous
+        edge = {pair: k for k, pair in enumerate(cg.edges)}
+        # the (4, 4, 2E) table the rows read, [x_sender][x_receiver][row]
+        want = np.empty((4, 4, plan.n_rows))
+        for r, (s, t) in enumerate(row_pairs(plan)):
+            table = cg.edge_costs[edge[min(s, t), max(s, t)]]
+            want[:, :, r] = table if s < t else table.T
+        assert len(plan.levels) == len(plan.level_rows)
+        for level, (a, b) in zip(plan.levels, plan.level_rows):
+            assert level.table.flags.c_contiguous
+            assert level.table.shape == (len(level.gathered), 4, b - a)
+            cost = level.cost
+            assert cost.shape == (4, 4, b - a) and cost.flags.c_contiguous
+            offset = cost.__array_interface__["data"][0] - plan.costs.__array_interface__["data"][0]
+            assert offset == 16 * a * plan.costs.itemsize
+            assert np.shares_memory(cost, plan.costs)
+            assert np.array_equal(cost, want[:, :, a:b])
 
 
 def test_coordinate_results_outlive_the_shared_cost_buffer():

@@ -633,6 +633,18 @@ def test_runs_reject_an_internal_link_off_the_intersections(ends, controller):
     _assert_gate_refuses(*_stray_link(*ends), controllers=(controller,))
 
 
+def test_a_loaded_network_edited_before_its_first_run_is_checked_as_it_stands(tmp_path):
+    # `load_network` used to cache the arrays it validated, so a loaded
+    # network edited before its first run ran 40 periods of max-pressure and
+    # emc on the arrays of the file as saved
+    path = tmp_path / "roadnet.json"
+    save_network(build_grid(2, 2), str(path))
+    net = load_network(str(path))
+    m = net.movements[5]
+    m.sat_flow = -3
+    _assert_gate_refuses(net, [f"movement ({m.frm}->{m.to}): saturation flow must be finite and >= 0, got -3"])
+
+
 def test_movement_arrays_take_plain_integer_phases():
     net = build_grid(2, 2)
     for m in net.movements:
