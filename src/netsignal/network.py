@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import repeat
+from itertools import filterfalse, repeat
 from numbers import Integral
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -183,6 +183,12 @@ class MovementArrays:
     """
 
     def __init__(self, net: RoadNetwork):
+        # an id that is no integer cannot be sorted: it is refused alone
+        odd = [f"intersection {i!r}" for i in sorted(filterfalse(_is_count, net.intersections), key=repr)]
+        odd += [f"link {l!r}" for l in filterfalse(_is_count, net.links)]
+        if odd:
+            problems = [f"{name}: id must be an integer" for name in odd]
+            raise LoadError("invalid network: " + "; ".join(problems), problems)
         movements = net.movements
         self.n_mov = len(movements)
         self.agent_ids = ids = tuple(sorted(net.intersections))
@@ -240,7 +246,6 @@ class MovementArrays:
         # upstream agent controlling releases onto each link (-1 for none)
         self.link_upstream_agent = np.maximum(link_start, -1)
         self.entry_link_mask = self.link_kind == _ENTRY
-        self.fed_link_mask = self.link_upstream_agent >= 0
 
         every = np.arange(self.n_mov)
         phased = np.flatnonzero(self.mov_phase >= 0)
@@ -261,8 +266,9 @@ class MovementArrays:
         problems = [f"intersection {i}: id is outside the int64 range" for i in ids if not -(2**63) <= i < 2**63]
 
         entry, leave = self.link_kind == _ENTRY, self.link_kind == _EXIT
-        inner, has_start, has_end = ~(entry | leave), start >= 0, end >= 0
+        inner, has_start, has_end = self.link_kind == _INTERNAL, start >= 0, end >= 0
         shape = [
+            (self.link_kind < 0, "kind must be a LinkKind, got {1.kind!r}"),
             (entry & (start != -2), "entry link must not have a start intersection"),
             (entry & ~has_end, "entry link needs a valid end intersection"),
             (leave & (end != -2), "exit link must not have an end intersection"),
@@ -329,8 +335,7 @@ class MovementArrays:
         return problems
 
 
-# link kinds as `MovementArrays.link_kind` numbers them; a kind of another
-# type (-1) needs two distinct ends, as an internal link does, but is no edge
+# link kinds as `MovementArrays.link_kind` numbers them, -1 for no `LinkKind`
 _ENTRY, _INTERNAL, _EXIT = 0, 1, 2
 _KINDS = {LinkKind.ENTRY: _ENTRY, LinkKind.INTERNAL: _INTERNAL, LinkKind.EXIT: _EXIT}
 _PHASES = {None: -1, **{p: int(p) for p in PHASES}}
@@ -531,36 +536,29 @@ def validate(net: RoadNetwork) -> list[str]:
     """One message per rule `net` breaks, [] for none: the `violations` of
     the `LoadError` that `MovementArrays`, the one gate, raises on it.
 
-    Intersection ids fit int64, each intersection has a movement, and the
-    internal links connect them all. Links have a positive, finite length
-    and speed; an entry link has only an end intersection, an exit link
-    only a start, an internal link two distinct ones. A movement sits at an
-    intersection, leads from one of its input links to one of its outputs,
-    has a finite saturation flow >= 0 and a phase that is None or an
-    integer in 0..3, shares its (from, to) pair with no other movement and
-    its phase with no other from its link, and the phases from one link are
-    all WE or all SN. A movement at an unknown intersection is named for
-    that alone, and none is named for a link already named as broken, so a
-    single bad link yields a single violation rather than a cascade.
+    Ids are integers, intersection ids fit int64, each intersection has a
+    movement, and the internal links connect them all. Links have a
+    `LinkKind` and a positive, finite length and speed; an entry link has
+    only an end intersection, an exit link only a start, an internal link
+    two distinct ones. A movement sits at an intersection, leads from one
+    of its input links to one of its outputs, has a finite saturation flow
+    >= 0 and a phase that is None or an integer in 0..3, shares its (from,
+    to) pair with no other movement and its phase with no other from its
+    link, and the phases from one link are all WE or all SN. A movement at
+    an unknown intersection is named for that alone, and none is named for
+    a link already named as broken, so a single bad link yields a single
+    violation rather than a cascade.
 
-    The messages come in this order: intersection ids, each link's in id
-    order, each movement's in list order, intersections without movements,
-    links whose phases mix axes, and the connectivity.
+    An id that is no integer is named alone, intersections by `repr` first.
+    Else the messages come in this order: intersection ids, each link's in
+    id order, each movement's in list order, intersections without
+    movements, links whose phases mix axes, and the connectivity.
     """
     try:
         MovementArrays(net)
     except LoadError as exc:
         return exc.violations
     return []
-
-
-def _parse_phase(value, name: str) -> Optional[Phase]:
-    if value is None:
-        return None
-    try:
-        return Phase(_integer(value))
-    except (TypeError, ValueError, OverflowError):
-        raise LoadError(f"{name}: invalid phase value {value!r}") from None
 
 
 def _entries(doc: dict, section: str) -> list[dict]:
@@ -597,7 +595,7 @@ def _integer(value) -> int:
 
 def _is_count(value) -> bool:
     """Whether `value` has an integer type, as a count must; a bool has none."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _number(value) -> float:
@@ -630,9 +628,10 @@ def _optional_id(entry: dict, key: str, name: str) -> Optional[int]:
 def network_from_dict(doc: dict) -> RoadNetwork:
     """Parse a roadnet document; raise LoadError naming the first bad entry.
 
-    Every field must be present (or have a default) and parse, ids must be
-    integers, numbers must be finite, and link and intersection ids must be
-    unique.
+    Sections are lists of objects, ids unique integers, kinds `LinkKind`
+    names and coordinates finite, and every link has a `length_m`. Lengths,
+    speeds, saturation flows and phases pass on as given, with defaults
+    where absent, for `MovementArrays` to judge.
     """
     inter_docs = _entries(doc, "intersections")
     link_docs = _entries(doc, "links")
@@ -656,38 +655,28 @@ def network_from_dict(doc: dict) -> RoadNetwork:
             kind = LinkKind(d.get("kind"))
         except ValueError as exc:
             raise LoadError(f"{name}: unknown kind {d.get('kind')!r}") from exc
-        links[lid] = Link(
-            id=lid,
-            kind=kind,
-            start=_optional_id(d, "start", name),
-            end=_optional_id(d, "end", name),
-            length_m=_finite(d, "length_m", name),
-            speed_mps=_finite(d, "speed_mps", name, DEFAULT_SPEED_MPS),
-        )
+        if "length_m" not in d:
+            raise LoadError(f"{name}: missing length_m")
+        start, end = _optional_id(d, "start", name), _optional_id(d, "end", name)
+        links[lid] = Link(lid, kind, start, end, d["length_m"], d.get("speed_mps", DEFAULT_SPEED_MPS))
 
     movements = []
     for k, d in enumerate(movement_docs):
         name = f"movements[{k}]"
         frm, to = _value(d, "from", name, _integer), _value(d, "to", name, _integer)
         name = f"movement ({frm}->{to})"
-        movements.append(
-            Movement(
-                frm=frm,
-                to=to,
-                intersection=_value(d, "intersection", name, _integer),
-                phase=_parse_phase(d.get("phase"), name),
-                sat_flow=_finite(d, "sat_flow", name, DEFAULT_SAT_FLOW),
-            )
-        )
+        at = _value(d, "intersection", name, _integer)
+        movements.append(Movement(frm, to, at, d.get("phase"), d.get("sat_flow", DEFAULT_SAT_FLOW)))
 
     return RoadNetwork(coords, links.values(), movements, coords)
 
 
 def load_network(path: str) -> RoadNetwork:
     """Load a roadnet JSON file and pass it through `MovementArrays`, the
-    validation gate; raise LoadError on any problem. The arrays built here
-    are not cached, so a network edited after loading is read, and checked
-    again, as it stands at its first kernel call."""
+    validation gate; raise LoadError naming the first parse error, or else
+    every violation. The arrays built here are not cached, so a network
+    edited after loading is read, and checked again, as it stands at its
+    first kernel call."""
     try:
         with open(path) as fh:
             doc = json.load(fh)

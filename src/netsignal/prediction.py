@@ -38,8 +38,8 @@ class PairColumns:
     never outlive the call that writes them.
 
     The tables have C term columns, then the zero column C that padding
-    reads. The movements on no edge come first, in movement order; a
-    movement is on the edge of its input link if that link is internal.
+    reads. The entry-link movements come first, in movement order; every
+    other movement is on the edge of its input link, which is internal.
     From `edge_start` on, column `edge_start + k * E + e` holds the k-th
     term of edge e, so each edge table sums the `slots` axis of one
     (slots, E) block: first the edge's unflipped movements (on a link from
@@ -53,7 +53,7 @@ class PairColumns:
       `column` (n_mov + 1,) is its inverse, C for the zero row n_mov. `sat`,
       `act` and `mov_from` are the movement arrays in column order;
       `to_link_table` and `entry_table`, padded with C, list the columns by
-      output link and the entry-link columns by intersection.
+      output link and the leading entry-link columns by intersection.
     - `released` (4, C + 1) holds `period_model`'s releases; no call writes
       its zero column. `release_gather` is their (4, K, links) gather.
     - The sweeps gather through `agent_table`. Per entry, `upstream` is the
@@ -74,26 +74,26 @@ class PairColumns:
         mov_edge, mov_flipped = arr.link_edge.take(arr.mov_from), arr.link_flipped.take(arr.mov_from)
 
         n_edges, n_agents = len(arr.edges), len(arr.agent_ids)
-        free = np.flatnonzero(mov_edge < 0)
+        # the entry-link movements are the ones on no edge
+        entry = np.flatnonzero(mov_edge < 0)
         sides = (np.flatnonzero((mov_edge >= 0) & ~mov_flipped), np.flatnonzero(mov_flipped))
         blocks = [gather_table(side, mov_edge[side], n_edges, -1) for side in sides]
-        movement = np.concatenate((free, *(block.reshape(-1) for block in blocks)))
+        movement = np.concatenate((entry, *(block.reshape(-1) for block in blocks)))
         n_cols = len(movement)
         real = np.flatnonzero(movement >= 0)
         column = np.full(arr.n_mov + 1, n_cols, dtype=np.intp)
         column[movement[real]] = real
         pads = np.flatnonzero(movement < 0)
         movement[pads] = 0
-        entry = np.flatnonzero(arr.entry_link_mask[arr.mov_from])
         self.movement, self.column = movement, column
         self.pads = pads if pads.size else None
         self.sat = arr.sat.take(movement)
         self.act = arr.act.take(movement, axis=1)
         self.mov_from = arr.mov_from.take(movement)
         self.to_link_table = column.take(arr.to_link_table)
-        self.entry_table = gather_table(column.take(entry), arr.mov_agent.take(entry), n_agents, n_cols)
-        self.edge_start = len(free)
-        self.flip_start = len(free) + blocks[0].size
+        self.entry_table = gather_table(np.arange(len(entry)), arr.mov_agent.take(entry), n_agents, n_cols)
+        self.edge_start = len(entry)
+        self.flip_start = len(entry) + blocks[0].size
         self.slots = len(blocks[0]) + len(blocks[1])
 
         table = arr.agent_table
@@ -125,10 +125,9 @@ class PeriodModel:
     its own picks x, the movement's queue after phase x drains it, plus its
     turning share r times the volume released onto its input link under
     x_up. A flipped column holds the same terms transposed, at [x][x_up],
-    which is its edge table's [x_i][x_j]. A movement whose input link has no
-    upstream intersection takes the link's demand inflow (the turning
-    model's `d` on entry links, else 0.0) under every x_up. Pad columns and
-    column C are zero.
+    which is its edge table's [x_i][x_j]. An entry-link movement takes its
+    link's demand inflow, the turning model's `d`, under every x_up. Pad
+    columns and column C are zero.
     """
 
     arrays: MovementArrays
@@ -178,8 +177,7 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     # `segment_sum` does, because the links, not the slots, run innermost:
     # a movement joins two links, so a table with slots has two or more
     release_onto = np.add.reduce(gathered, axis=1, initial=0.0)
-    entry_inflow = np.where(arr.entry_link_mask, turning.d, 0.0)
-    inflow = np.where(arr.fed_link_mask, release_onto, entry_inflow)
+    inflow = np.where(arr.entry_link_mask, turning.d, release_onto)
     incoming = inflow.take(cols.mov_from, axis=1)
     incoming *= r
     terms = np.empty((NUM_PHASES, NUM_PHASES, len(r) + 1))

@@ -36,7 +36,7 @@ import numpy as np
 
 from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork
 from netsignal.network import MovementArrays, hop_distances, movement_arrays
-from netsignal.network import _finite, _integer, _is_count, _number, _number_or_nan, _value
+from netsignal.network import _integer, _is_count, _number, _number_or_nan, _value
 
 MovementKey = tuple[int, int]
 
@@ -527,11 +527,11 @@ def generate_uniform_flow(
     rate = _positive_finite(rate, "rate")
     duration = _positive_finite(duration, "duration")
     count = _vehicle_count(rate, duration)
+    arr = movement_arrays(net)
     entries = net.entry_links()
     exits = net.exit_links()
     if not entries or not exits:
         raise ValueError("network needs entry and exit links to generate flow")
-    arr = movement_arrays(net)
     row = arr.link_index
     dist = hop_distances(arr.up_links, [row[x] for x in exits])
     reaches = (dist[:, [row[o] for o in entries]] >= 0).T.tolist()
@@ -613,7 +613,7 @@ def load_flow(path: str, net: RoadNetwork, seed: int = 0) -> list[Vehicle]:
         raise LoadError(f"cannot read flow file {path}: {exc}") from exc
     if isinstance(doc, dict):
         name = "flow rate spec"
-        rate, duration = _finite(doc, "rate_vps", name), _finite(doc, "duration_s", name)
+        rate, duration = _value(doc, "rate_vps", name, _number), _value(doc, "duration_s", name, _number)
         seed = _value(doc, "seed", name, _integer, seed)
         try:
             return generate_uniform_flow(net, rate, duration, seed)

@@ -801,9 +801,13 @@ def validate(net) -> list[str]:
     """Check all structural invariants; returns one message per violation.
 
     Movement checks skip links already reported as broken, so a single bad
-    link yields a single violation rather than a cascade.
+    link yields a single violation rather than a cascade. Ids that are no
+    integer are reported alone, since the others cannot be ordered.
     """
-    violations: list[str] = []
+    violations = [f"intersection {i!r}: id must be an integer" for i in net.intersections if not _is_count(i)]
+    violations += [f"link {l!r}: id must be an integer" for l in net.links if not _is_count(l)]
+    if violations:
+        return violations
     for i in sorted(net.intersections):
         if not _INT64.min <= i <= _INT64.max:
             violations.append(f"intersection {i}: id is outside the int64 range")
@@ -827,7 +831,7 @@ def validate(net) -> list[str]:
             if link.start is None or link.start not in net.intersections:
                 violations.append(f"link {lid}: exit link needs a valid start intersection")
                 bad_links.add(lid)
-        else:
+        elif link.kind is LinkKind.INTERNAL:
             if link.start is None or link.start not in net.intersections:
                 violations.append(_missing_end(lid, "start"))
                 bad_links.add(lid)
@@ -837,6 +841,9 @@ def validate(net) -> list[str]:
             if lid not in bad_links and link.start == link.end:
                 violations.append(_self_loop(lid, link.start))
                 bad_links.add(lid)
+        else:
+            violations.append(f"link {lid}: kind must be a LinkKind, got {link.kind!r}")
+            bad_links.add(lid)
 
     seen_keys: set[tuple[int, int]] = set()
     # phases used per (intersection, input link), to catch geometry conflicts
