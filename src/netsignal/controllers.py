@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays, segment_sum
+from netsignal.network import NUM_PHASES, RoadNetwork, movement_arrays
 from netsignal.simulation import JointAssignment, QueueState, TurningModel
 
 
@@ -30,19 +30,17 @@ def phase_pressures(state: QueueState, net: RoadNetwork, turning: TurningModel) 
     A phase's pressure sums its movements' sat_flow * (upstream queue -
     turning-weighted downstream queues). Right turns run regardless of phase
     and are excluded. Exit links have no downstream queues, so their term is
-    the upstream queue alone. Both sums are `segment_sum`s through the
-    movement arrays' `from_link_table` and `phase_table`, in movement order
-    from 0.0.
+    the upstream queue alone. Each sum is one `np.bincount` in movement
+    order, over the movement arrays' `mov_from` and `mov_phase_key`, which
+    adds from 0.0 as `np.add.at` does.
     """
     arr = movement_arrays(net)
-    q = state.q
-    # per-movement inputs carry a zero row for the tables' padding
-    weighted = np.zeros(arr.n_mov + 1)
-    np.multiply(turning.r, q, out=weighted[:-1])
-    downstream = segment_sum(weighted, arr.from_link_table)
-    pressure = np.zeros(arr.n_mov + 1)
-    np.multiply(arr.sat, q - downstream[arr.mov_to], out=pressure[:-1])
-    return segment_sum(pressure, arr.phase_table).reshape(len(arr.agent_ids), NUM_PHASES)
+    downstream = np.bincount(arr.mov_from, weights=turning.r * state.q, minlength=arr.n_links)
+    pressure = state.q - downstream.take(arr.mov_to)
+    pressure *= arr.sat
+    # right turns add into the key past the last phase, which is dropped
+    n_keys = len(arr.agent_ids) * NUM_PHASES
+    return np.bincount(arr.mov_phase_key, weights=pressure, minlength=n_keys + 1)[:n_keys].reshape(-1, NUM_PHASES)
 
 
 def max_pressure(state: QueueState, net: RoadNetwork, turning: TurningModel) -> JointAssignment:

@@ -70,29 +70,20 @@ _EDGE_LAYOUT = "edges must be sorted, distinct (i, j) pairs with i < j"
 
 
 def _check_layout(agents: tuple, edges: tuple) -> None:
-    """Raise a `ValueError` naming what is wrong with a layout."""
-    try:
-        problem = _layout_problem(agents, edges)
-    except TypeError:  # ids that do not compare or hash
-        problem = _EDGE_LAYOUT
-    if problem is not None:
-        raise ValueError(problem)
-
-
-def _layout_problem(agents: tuple, edges: tuple) -> Optional[str]:
-    """What is wrong with an agent and edge layout, or None. An edge must be
-    a tuple, as a message plan's edges are, for the plan to accept the
+    """Raise a `ValueError` naming what is wrong with a layout. An edge must
+    be a tuple, as a message plan's edges are, for the plan to accept the
     graph; a list such as JSON reads is none."""
     if not _ascending(agents):
-        return "agents must be sorted and distinct"
-    if not all(type(e) is tuple for e in edges):
-        return _EDGE_LAYOUT
-    if any(i >= j for i, j in edges) or any(e >= f for e, f in zip(edges, edges[1:])):
-        return _EDGE_LAYOUT
-    known = set(agents)
-    if any(i not in known or j not in known for i, j in edges):
-        return "edges must join agents"
-    return None
+        raise ValueError("agents must be sorted and distinct")
+    try:
+        if not (all(type(e) is tuple for e in edges) and all(i < j for i, j in edges) and _ascending(edges)):
+            raise ValueError(_EDGE_LAYOUT)
+        known = set(agents)
+        joined = all(i in known and j in known for i, j in edges)
+    except TypeError:  # edge ends that do not compare or hash
+        raise ValueError(_EDGE_LAYOUT) from None
+    if not joined:
+        raise ValueError("edges must join agents")
 
 
 def build_cg(

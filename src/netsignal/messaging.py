@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, gather_table, segment_sum
+from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, gather_table, slot_sum
 from netsignal.ordering import DagOrder, longest_paths
 from netsignal.simulation import JointAssignment
 
@@ -160,7 +160,7 @@ class MessagePlan:
     contiguous views of scratch buffers all levels share, sized for the
     widest level. `totals` is the slot-major (K + 1, 4, N) gather
     table of each agent's incoming rows (its `slots` column) and then its
-    own-cost column, whose `segment_sum` scores the agent's phases.
+    own-cost column; `slot_sum` of its gather scores the agent's phases.
 
     `load` puts a graph in the buffers, `update` recomputes one level and
     `picks` reads a decision from the messages as they stand, at any level
@@ -261,7 +261,7 @@ class MessagePlan:
         table, gathered, summands, excluded, base, spread, first, cost, scores, out = self.levels[level]
         self.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
-        # at a time in slot order, as `segment_sum` does, for any level width
+        # at a time in slot order, as `slot_sum` does, for any level width
         _add_reduce(summands, axis=0, out=base, initial=0.0)
         base -= excluded
         _add(spread, cost, out=scores)
@@ -270,7 +270,7 @@ class MessagePlan:
 
     def picks(self) -> np.ndarray:
         """Each agent's argmin phase given the current messages."""
-        return segment_sum(self.flat, self.totals).argmin(axis=0)
+        return slot_sum(self.flat.take(self.totals, axis=0, mode="clip")).argmin(axis=0)
 
 
 def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:

@@ -166,17 +166,16 @@ class MovementArrays:
     movements from each link lead to, in movement order, padded the same
     way, for route walks.
 
-    The `*_table` fields are gather tables for `segment_sum`: column t lists
-    the movements that add into target t, in the order they are added, padded
+    A sum over a fixed per-movement key is one `np.bincount` in movement
+    order, which adds each key's weights one at a time from 0.0 as
+    `np.add.at` does: per input link over `mov_from`, and per (agent, phase)
+    over `mov_phase_key`, `agent * 4 + phase`, with right turns at
+    `agents * 4`, past the last. Gather tables are kept only where a kernel
+    reuses its gather: `to_link_table` (K, links), for the planner's release
+    gather, and `agent_table` (K, agents), for the sweeps, list the
+    movements by output link and by intersection in movement order, padded
     with `n_mov`, the zero row every per-movement input carries after its
-    movements. They are built once here, so each per-period scatter-add is
-    one gather and one reduction:
-
-    - `from_link_table` (K, links): movements by input link, in movement order.
-    - `to_link_table` (K, links): movements by output link, in movement order.
-    - `agent_table` (K, agents): movements by intersection, in movement order.
-    - `phase_table` (K, agents * 4): phased movements by (agent, phase) at
-      `agent * 4 + phase`, in movement order; right turns are in no column.
+    movements.
 
     `prediction.PairColumns`, the planner's pair-term layout, is kept with
     these arrays once a period is modelled.
@@ -247,14 +246,10 @@ class MovementArrays:
         self.link_upstream_agent = np.maximum(link_start, -1)
         self.entry_link_mask = self.link_kind == _ENTRY
 
-        every = np.arange(self.n_mov)
-        phased = np.flatnonzero(self.mov_phase >= 0)
-        pad = self.n_mov
-        self.from_link_table = gather_table(every, self.mov_from, self.n_links, pad)
-        self.to_link_table = gather_table(every, self.mov_to, self.n_links, pad)
-        self.agent_table = gather_table(every, self.mov_agent, n_agents, pad)
-        phase_slot = self.mov_agent[phased] * NUM_PHASES + self.mov_phase[phased]
-        self.phase_table = gather_table(phased, phase_slot, n_agents * NUM_PHASES, pad)
+        key = self.mov_agent * NUM_PHASES + self.mov_phase
+        self.mov_phase_key = np.where(self.mov_phase >= 0, key, n_agents * NUM_PHASES)
+        self.to_link_table = gather_table(np.arange(self.n_mov), self.mov_to, self.n_links, self.n_mov)
+        self.agent_table = gather_table(np.arange(self.n_mov), self.mov_agent, n_agents, self.n_mov)
 
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
@@ -347,8 +342,11 @@ def _fields(items, *names) -> list[tuple]:
 
 
 def _positions(values, index: dict, missing: int = -1) -> np.ndarray:
-    """Each value's position in `index`, `missing` for a value it lacks."""
-    return np.fromiter(map(index.get, values, repeat(missing)), dtype=np.intp, count=len(values))
+    """Each value's position in `index`, `missing` for one it lacks or cannot hash."""
+    try:
+        return np.fromiter(map(index.get, values, repeat(missing)), dtype=np.intp, count=len(values))
+    except TypeError:
+        return _positions(list(map(_key, values)), index, missing)
 
 
 def _floats(values) -> np.ndarray:
@@ -367,8 +365,18 @@ def _numbered(positions: np.ndarray, values, first: int) -> np.ndarray:
     unknown = np.flatnonzero(positions < 0).tolist()
     numbers: dict = {}
     numbered = positions.copy()
-    numbered[unknown] = [numbers.setdefault(values[k], first + len(numbers)) for k in unknown]
+    numbered[unknown] = [numbers.setdefault(_key(values[k]), first + len(numbers)) for k in unknown]
     return numbered
+
+
+def _key(value):
+    """`value` as a dict key: itself, or where it does not hash a fresh
+    object, which names nothing and equals no other."""
+    try:
+        hash(value)
+    except TypeError:
+        return object()
+    return value
 
 
 def _repeats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,18 +408,6 @@ def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
     table = np.full((counts.max(initial=0), n_targets), pad, dtype=np.intp)
     table[rank, targets[order]] = sources[order]
     return table
-
-
-def segment_sum(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per column of a gather table, the sum of the rows of `padded` it lists.
-
-    Rows are added one at a time from 0.0, in table order (`slot_sum`),
-    which is how `np.add.at` adds them, so the sums equal its sums bit for
-    bit. Padding entries point at a zero row of `padded`; adding it changes
-    no sum. Tables index `padded` within its rows, so clipping the indices
-    changes none of them.
-    """
-    return slot_sum(padded.take(table, axis=0, mode="clip"))
 
 
 def slot_sum(gathered: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -10,7 +10,7 @@ each edge's movements slot by slot, and computes in that order. Every
 intermediate is phase-major, (4, C) over term columns or (4, L) over
 links, so each ufunc runs along the movements or links rather than over
 4-element rows; the release onto each link is a gather through
-`to_link_table` summed over its slots in table order, as `segment_sum`
+`to_link_table` summed over its slots in table order, as `slot_sum`
 sums. The model squares every movement's next-period queue under each pair
 of upstream and own phase once, into a pair-term table it owns, from which
 `PeriodModel.cost_tables` sums the coordination graph's tables and each
@@ -52,8 +52,8 @@ class PairColumns:
       terms `period_model` zeroes (None where there are none, as on grids);
       `column` (n_mov + 1,) is its inverse, C for the zero row n_mov. `sat`,
       `act` and `mov_from` are the movement arrays in column order;
-      `to_link_table` and `entry_table`, padded with C, list the columns by
-      output link and the leading entry-link columns by intersection.
+      `to_link_table`, padded with C, lists the columns by output link, and
+      `entry_key` keys the flat (4, edge_start) entry terms `phase * N + agent`.
     - `released` (4, C + 1) holds `period_model`'s releases; no call writes
       its zero column. `release_gather` is their (4, K, links) gather.
     - The sweeps gather through `agent_table`. Per entry, `upstream` is the
@@ -91,7 +91,7 @@ class PairColumns:
         self.act = arr.act.take(movement, axis=1)
         self.mov_from = arr.mov_from.take(movement)
         self.to_link_table = column.take(arr.to_link_table)
-        self.entry_table = gather_table(np.arange(len(entry)), arr.mov_agent.take(entry), n_agents, n_cols)
+        self.entry_key = (np.arange(NUM_PHASES)[:, None] * n_agents + arr.mov_agent.take(entry)).reshape(-1)
         self.edge_start = len(entry)
         self.flip_start = len(entry) + blocks[0].size
         self.slots = len(blocks[0]) + len(blocks[1])
@@ -137,15 +137,17 @@ class PeriodModel:
     def cost_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The coordination graph's tables, phase-major: the (4, 4, E) edge
         tables, each a `slot_sum` over the slots of its edge block, and the
-        (4, N) individual costs, each a `slot_sum` of its agent's
-        entry-link terms gathered through `entry_table`. Each table adds its
-        terms in movement order, the unflipped links' first."""
+        (4, N) individual costs, one `np.bincount` of the entry-link terms
+        over `entry_key`. Each table adds its terms in movement order, the
+        unflipped links' first."""
         cols, terms, n_edges = self.columns, self.terms, len(self.arrays.edges)
         block = terms[:, :, cols.edge_start : cols.edge_start + cols.slots * n_edges]
         edges = slot_sum(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, n_edges), axis=2)
-        # an entry-link movement's terms are the same under every upstream phase
-        individual = slot_sum(terms[0].take(cols.entry_table, axis=1, mode="clip"), axis=1)
-        return edges, individual
+        # an entry-link movement's terms are the same under every upstream
+        # phase; with no entry links at all, bincount's zeros are integers
+        n_keys = NUM_PHASES * len(self.arrays.agent_ids)
+        own = np.bincount(cols.entry_key, weights=terms[0, :, : cols.edge_start].reshape(-1), minlength=n_keys)
+        return edges, own.astype(float, copy=False).reshape(NUM_PHASES, -1)
 
     def sweep_scores(self, actions: np.ndarray) -> np.ndarray:
         """Per-agent predicted own balance for each candidate phase, given
@@ -174,7 +176,7 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     gathered = cols.release_gather
     released.take(cols.to_link_table, axis=1, out=gathered, mode="clip")
     # numpy adds the slots one at a time in table order from 0.0, as
-    # `segment_sum` does, because the links, not the slots, run innermost:
+    # `slot_sum` does, because the links, not the slots, run innermost:
     # a movement joins two links, so a table with slots has two or more
     release_onto = np.add.reduce(gathered, axis=1, initial=0.0)
     inflow = np.where(arr.entry_link_mask, turning.d, release_onto)

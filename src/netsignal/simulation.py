@@ -106,10 +106,17 @@ class JointAssignment(Mapping):
         return f"JointAssignment({dict(self)!r})"
 
 
-@lru_cache(maxsize=16)
 def _ascending(ids: tuple) -> bool:
-    """Whether `ids` are sorted and distinct. Decisions of one network
-    share one id tuple, so the answer is kept."""
+    """Whether `ids` are sorted and distinct; ids that do not compare or hash are not."""
+    try:
+        return _ascending_kept(ids)
+    except TypeError:
+        return False
+
+
+@lru_cache(maxsize=16)
+def _ascending_kept(ids: tuple) -> bool:
+    """`_ascending`, kept: decisions of one network share one id tuple."""
     return all(a < b for a, b in zip(ids, ids[1:]))
 
 

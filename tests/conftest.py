@@ -7,7 +7,7 @@ import pytest
 
 from oracle import topology
 from netsignal.messaging import message_plan
-from netsignal.network import Phase, RoadNetwork, build_grid, movement_arrays
+from netsignal.network import Link, LinkKind, Movement, Phase, RoadNetwork, build_grid, movement_arrays
 from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
 
 
@@ -266,3 +266,10 @@ def shifted_grid_doc(rows, cols, shift):
     for d in doc["movements"]:
         d["intersection"] += shift
     return doc
+
+
+def ring():
+    """Two intersections joined both ways and nothing else: a valid network
+    with no entry or exit link, so every movement is on an edge."""
+    links = [Link(0, LinkKind.INTERNAL, 0, 1, 100.0), Link(1, LinkKind.INTERNAL, 1, 0, 100.0)]
+    return RoadNetwork([0, 1], links, [Movement(0, 1, 1, None, 2.0), Movement(1, 0, 0, None, 2.0)])

@@ -778,6 +778,20 @@ def estimate_turning(state, net, flow=None):
 _INT64 = np.iinfo(np.int64)
 
 
+def _hashable(value) -> bool:
+    """Whether `value` hashes, as a dict key or set member must."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _has(collection, value) -> bool:
+    """`value in collection`; a value that does not hash names nothing."""
+    return _hashable(value) and value in collection
+
+
 def _missing_end(lid: int, end: str) -> str:
     """How `validate` names an internal link whose `end`, "start" or
     "end", is not an intersection."""
@@ -821,21 +835,21 @@ def validate(net) -> list[str]:
             if link.start is not None:
                 violations.append(f"link {lid}: entry link must not have a start intersection")
                 bad_links.add(lid)
-            if link.end is None or link.end not in net.intersections:
+            if link.end is None or not _has(net.intersections, link.end):
                 violations.append(f"link {lid}: entry link needs a valid end intersection")
                 bad_links.add(lid)
         elif link.kind is LinkKind.EXIT:
             if link.end is not None:
                 violations.append(f"link {lid}: exit link must not have an end intersection")
                 bad_links.add(lid)
-            if link.start is None or link.start not in net.intersections:
+            if link.start is None or not _has(net.intersections, link.start):
                 violations.append(f"link {lid}: exit link needs a valid start intersection")
                 bad_links.add(lid)
         elif link.kind is LinkKind.INTERNAL:
-            if link.start is None or link.start not in net.intersections:
+            if link.start is None or not _has(net.intersections, link.start):
                 violations.append(_missing_end(lid, "start"))
                 bad_links.add(lid)
-            if link.end is None or link.end not in net.intersections:
+            if link.end is None or not _has(net.intersections, link.end):
                 violations.append(_missing_end(lid, "end"))
                 bad_links.add(lid)
             if lid not in bad_links and link.start == link.end:
@@ -850,19 +864,21 @@ def validate(net) -> list[str]:
     axis_groups: dict[tuple[int, int], set[Phase]] = {}
     for m in net.movements:
         name = f"movement ({m.frm}->{m.to})"
-        if m.intersection not in net.intersections:
+        if not _has(net.intersections, m.intersection):
             violations.append(f"{name}: unknown intersection {m.intersection}")
             continue
-        frm, to = net.links.get(m.frm), net.links.get(m.to)
-        if m.frm not in bad_links and (frm is None or frm.end != m.intersection):
+        frm = net.links[m.frm] if _has(net.links, m.frm) else None
+        to = net.links[m.to] if _has(net.links, m.to) else None
+        if not _has(bad_links, m.frm) and (frm is None or frm.end != m.intersection):
             violations.append(f"{name}: source is not an input link of intersection {m.intersection}")
-        if m.to not in bad_links and (to is None or to.start != m.intersection):
+        if not _has(bad_links, m.to) and (to is None or to.start != m.intersection):
             violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
         if not 0 <= _number_or_nan(m.sat_flow) < math.inf:
             violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow!r}")
-        if m.key in seen_keys:
+        if _has(seen_keys, m.key):
             violations.append(f"{name}: duplicate movement")
-        seen_keys.add(m.key)
+        elif _hashable(m.key):
+            seen_keys.add(m.key)
         if m.phase is None:
             continue
         problem = _bad_phase(m)
@@ -870,11 +886,12 @@ def validate(net) -> list[str]:
             violations.append(problem)
             continue
         phase = Phase(m.phase)
-        group = axis_groups.setdefault((m.intersection, m.frm), set())
+        # a link id that does not hash names no link, and groups with none
+        group = axis_groups.setdefault((m.intersection, m.frm), set()) if _hashable(m.frm) else set()
         if phase in group:
             violations.append(f"{name}: phase {phase.name} already used by another movement on link {m.frm}")
         group.add(phase)
-    for i in sorted(net.intersections - {m.intersection for m in net.movements}):
+    for i in sorted(net.intersections - {m.intersection for m in net.movements if _hashable(m.intersection)}):
         violations.append(f"intersection {i}: no movements")
     we = {Phase.WE_STRAIGHT, Phase.WE_LEFT}
     sn = {Phase.SN_STRAIGHT, Phase.SN_LEFT}
@@ -887,7 +904,8 @@ def validate(net) -> list[str]:
     if len(net.intersections) > 1:
         ids = sorted(net.intersections)
         at = {i: k for k, i in enumerate(ids)}
-        joined = [l for l in net.links.values() if l.kind is LinkKind.INTERNAL and l.start in at and l.end in at]
+        internal = [l for l in net.links.values() if l.kind is LinkKind.INTERNAL]
+        joined = [l for l in internal if _has(at, l.start) and _has(at, l.end)]
         a, b = np.array([(at[l.start], at[l.end]) for l in joined], dtype=np.intp).reshape(-1, 2).T
         neighbours = gather_table(np.concatenate((b, a)), np.concatenate((a, b)), len(ids), len(ids))
         reached = hop_distances(neighbours, [0])[0] >= 0

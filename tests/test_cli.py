@@ -151,6 +151,14 @@ def test_run_rejects_a_flow_file_that_is_no_array_or_object(tmp_path, capsys, do
     assert err[0].startswith("error: ") and "vehicle array or a rate spec object" in err[0]
 
 
+def test_run_rejects_a_flow_file_without_vehicles(tmp_path, capsys):
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text("[]")
+    assert cli_main(["run", "--grid", "2x2", "--flow", str(flow_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: flow file {flow_path} holds no vehicles"]
+
+
 def test_missing_roadnet_file(capsys):
     code = cli_main(["run", "--roadnet", "missing.json", "--rate", "1", "--duration", "50"])
     capsys.readouterr()

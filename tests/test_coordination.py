@@ -186,11 +186,16 @@ def test_brute_force_agent_cap():
         ((0, 1, 2), ((0, 1),), 2),  # one table too many
         ((0, 2), ((0, 1),), 1),  # edge to no agent
         ((0, 1, 2), [[0, 1], [1, 2]], 2),  # pairs as lists, as JSON reads them
+        ((0, "a"), (), 0),  # agents that do not compare
     ],
 )
 def test_graph_rejects_non_canonical_layout(agents, edges, n_tables):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         CoordinationGraph(agents, edges, np.zeros((n_tables, 4, 4)), np.zeros((len(agents), 4)))
+    # a layout is named for its agents exactly when they are out of order,
+    # repeated or do not compare
+    ordered = all(type(a) is int for a in agents) and list(agents) == sorted(set(agents))
+    assert ("agents must be sorted and distinct" in str(caught.value)) != ordered
 
 
 def test_graph_rejects_wrong_individual_shape():

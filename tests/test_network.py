@@ -433,6 +433,31 @@ def _nan_sat_flow(doc):
     return rf"movement \({m['from']}->{m['to']}\): saturation flow must be finite and >= 0, got nan"
 
 
+def _missing_section(doc):
+    del doc["movements"]
+    return "roadnet document missing section: 'movements'"
+
+
+def _section_not_list(doc):
+    doc["links"] = {}
+    return "roadnet section 'links' must be a list"
+
+
+def _missing_link_id(doc):
+    del doc["links"][0]["id"]
+    return r"links\[0\]: missing id"
+
+
+def _infinite_coordinate(doc):
+    doc["intersections"][0]["x"] = float("inf")
+    return f"intersection {doc['intersections'][0]['id']}: x must be finite, got inf"
+
+
+def _unknown_kind(doc):
+    doc["links"][0]["kind"] = "road"
+    return f"link {doc['links'][0]['id']}: unknown kind 'road'"
+
+
 def _duplicate_link(doc):
     doc["links"].append(dict(doc["links"][3]))
     return f"link {doc['links'][3]['id']}: duplicate link id"
@@ -475,6 +500,11 @@ def _self_loop(doc):
         _duplicate_intersection,
         _no_movements,
         _self_loop,
+        _missing_section,
+        _section_not_list,
+        _missing_link_id,
+        _infinite_coordinate,
+        _unknown_kind,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )
@@ -641,6 +671,20 @@ def _fractional_intersection():
     return net, ["intersection 0.5: id must be an integer"]
 
 
+def _unhashable(field):
+    # a list does not hash: looking it up used to raise a raw TypeError
+    net = build_grid(2, 2)
+    link, m = net.links[0], net.movements[0]
+    messages = {
+        "kind": "link 0: kind must be a LinkKind, got [0]",
+        "start": "link 0: internal link missing valid start intersection",
+        "intersection": f"movement ({m.frm}->{m.to}): unknown intersection [0]",
+        "frm": f"movement ([0]->{m.to}): source is not an input link of intersection {m.intersection}",
+    }
+    setattr(link if field in ("kind", "start") else m, field, [0])
+    return net, [messages[field]]
+
+
 GATE_CASES = [
     pytest.param(_sat_flow, (-3,), id="sat-flow--3"),
     pytest.param(_sat_flow, (math.nan,), id="sat-flow-nan"),
@@ -658,6 +702,10 @@ GATE_CASES = [
     pytest.param(_text_intersection, (), id="text-intersection-id"),
     pytest.param(_text_link, (), id="text-link-id"),
     pytest.param(_fractional_intersection, (), id="fractional-intersection-id"),
+    pytest.param(_unhashable, ("kind",), id="list-kind"),
+    pytest.param(_unhashable, ("start",), id="list-start"),
+    pytest.param(_unhashable, ("intersection",), id="list-intersection"),
+    pytest.param(_unhashable, ("frm",), id="list-frm"),
     *(
         pytest.param(_bad_phase, (agent, phase), id=f"phase-{where}-{name}")
         for agent, where in [(0, "first"), (3, "last")]

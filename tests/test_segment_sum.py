@@ -1,12 +1,15 @@
-"""The gather-table segment sum against `np.add.at`, bit for bit.
+"""The package's two scatter-add rules against `np.add.at`, bit for bit.
 
-`segment_sum` is the package's one scatter-add kernel. It must add every
-target's sources in the order `np.add.at` does, from 0.0, so the property
-test compares the raw bytes: equal values and equal signs of zero. The
-call-site tests hold each per-period caller to its `np.add.at` reference in
-`oracle` on grids from 1x1 to 5x5 and on the non-grid roadnet.
+A sum over a fixed per-movement key is one `np.bincount` in key order, and
+a sum whose gather a kernel reuses is the `slot_sum` of a gather through a
+precomputed gather table. Both must add every target's sources in the
+order `np.add.at` does, from 0.0, so the property test compares the raw
+bytes: equal values and equal signs of zero. The call-site tests hold each
+per-period caller to its `np.add.at` reference in `oracle` on grids from
+1x1 to 5x5 and on the non-grid roadnet.
 """
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import random_macro_state, random_turning
+from conftest import random_macro_state, random_turning, ring
 from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg
 from netsignal.network import (
@@ -29,7 +32,7 @@ from netsignal.network import (
     gather_table,
     load_network,
     movement_arrays,
-    segment_sum,
+    slot_sum,
     validate,
 )
 from netsignal.prediction import PairColumns, period_model
@@ -47,13 +50,23 @@ LONE_COLUMN = np.array([1e16] + [1.0] * 8 + [-1e16] + [0.0] * 6)
 
 
 def scatter(targets, n_targets, values):
-    """`segment_sum` through a table built from `targets`, and `np.add.at`."""
-    n = len(targets)
+    """The sums of `values` by target under both rules, and `np.add.at`'s:
+    the `slot_sum` of a gather through a table built from `targets`, and one
+    `np.bincount` over a flat key that gives each trailing cell of each
+    target a bucket of its own, cell-major, as the cost tables key their
+    (phase, agent) buckets."""
+    n, tail = len(targets), values.shape[1:]
     table = gather_table(np.arange(n), targets, n_targets, n)
-    padded = np.concatenate((values, np.zeros((1,) + values.shape[1:])))
-    want = np.zeros((n_targets,) + values.shape[1:])
+    padded = np.concatenate((values, np.zeros((1,) + tail)))
+    gathered = slot_sum(padded.take(table, axis=0))
+    cells = math.prod(tail)
+    key = np.arange(cells)[:, None] * n_targets + targets
+    weights = values.reshape(n, cells).T
+    counted = np.bincount(key.reshape(-1), weights=weights.reshape(-1), minlength=cells * n_targets)
+    counted = counted.reshape(cells, n_targets).T.reshape((n_targets,) + tail)
+    want = np.zeros((n_targets,) + tail)
     np.add.at(want, targets, values)
-    return segment_sum(padded, table), want
+    return gathered, counted, want
 
 
 @st.composite
@@ -70,20 +83,21 @@ def cases(draw):
 # no sources at all
 @example((np.zeros(0, dtype=np.intp), 3, np.zeros((0, 4))))
 # one target with 16 sources, one value each: numpy would sum the lone
-# column pairwise if the kernel reduced it as it reduces wider arrays
+# column pairwise if `slot_sum` reduced it as it reduces wider arrays
 @example((np.zeros(16, dtype=np.intp), 1, LONE_COLUMN))
 # targets 1 and 3 get nothing; -0.0 sums to +0.0 from the 0.0 start
 @example((np.array([0, 2, 2, 0], dtype=np.intp), 4, np.array([-0.0, -0.0, 1.5, -0.0])))
 def test_segment_sum_equals_add_at(case):
-    got, want = scatter(*case)
-    assert got.shape == want.shape
-    assert (got == want).all()
-    assert got.tobytes() == want.tobytes()
+    *sums, want = scatter(*case)
+    for got in sums:
+        assert got.shape == want.shape
+        assert (got == want).all()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lone_column_example_tells_the_orders_apart():
     assert np.add.reduce(LONE_COLUMN) == 6.0
-    assert scatter(np.zeros(16, dtype=np.intp), 1, LONE_COLUMN)[1][0] == 0.0
+    assert scatter(np.zeros(16, dtype=np.intp), 1, LONE_COLUMN)[-1][0] == 0.0
 
 
 def test_gather_table_lists_sources_in_order_and_pads():
@@ -95,6 +109,7 @@ def test_gather_table_lists_sources_in_order_and_pads():
 def networks(tmp_path_factory):
     yield from (build_grid(rows, cols) for rows in range(1, 6) for cols in range(1, 6))
     yield load_network(write_roadnet(tmp_path_factory.mktemp("roadnet") / "roadnet.json"))
+    yield ring()
 
 
 def test_call_sites_equal_their_add_at_references(tmp_path_factory):
@@ -121,6 +136,7 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
             edge_costs, individual = oracle.build_cg_at(net, state, turning)
             assert cg.edge_costs.shape == edge_costs.shape
             assert cg.edge_costs.tobytes() == edge_costs.tobytes()
+            assert cg.individual.dtype == individual.dtype
             assert cg.individual.tobytes() == individual.tobytes()
 
             pressures = phase_pressures(state, net, turning)
@@ -157,13 +173,13 @@ def chain(n):
 
 
 def test_cost_tables_add_many_slots_in_order():
-    # A lone edge's slots run innermost in its (4, 4, slots, 1) block, and a
-    # lone agent's entry-link terms in its (4, slots, 1) gather, where numpy
-    # would sum 8 or more of them pairwise; `slot_sum` adds them in order
-    # there too, as `np.add.at` does. Queues of 1e8 beside ones make the two
-    # orders differ.
+    # A lone edge's slots run innermost in its (4, 4, slots, 1) block, where
+    # numpy would sum 8 or more of them pairwise; `slot_sum` adds them in
+    # order there too, as `np.add.at` does. Queues of 1e8 beside ones make
+    # the two orders differ. The individual costs are one `np.bincount`,
+    # which adds in order however many terms an agent has.
     rng = np.random.default_rng(5)
-    pairwise = {1: 0, 2: 0}
+    pairwise = 0
     for n in (1, 2, 3, 4):
         net = chain(n)
         arr = movement_arrays(net)
@@ -181,13 +197,11 @@ def test_cost_tables_add_many_slots_in_order():
             edge_costs, individual = oracle.build_cg_at(net, state, turning)
             assert cg.edge_costs.tobytes() == edge_costs.tobytes()
             assert cg.individual.tobytes() == individual.tobytes()
-            if n < 3:  # the same sums by plain reductions
-                block = model.terms[:, :, cols.edge_start : cols.edge_start + cols.slots * (n - 1)]
-                edges = np.add.reduce(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, n - 1), axis=2)
-                own = np.add.reduce(model.terms[0].take(cols.entry_table, axis=1), axis=1)
-                plain = edges.transpose(2, 0, 1).tobytes() + own.T.tobytes()
-                pairwise[n] += plain != edge_costs.tobytes() + individual.tobytes()
-    assert pairwise[1] > 0 and pairwise[2] > 0
+            if n == 2:  # the same sums by a plain reduction
+                block = model.terms[:, :, cols.edge_start : cols.edge_start + cols.slots]
+                edges = np.add.reduce(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, 1), axis=2)
+                pairwise += edges.transpose(2, 0, 1).tobytes() != edge_costs.tobytes()
+    assert pairwise > 0
 
 
 def test_period_model_adds_many_slots_in_table_order():
@@ -211,7 +225,9 @@ def test_period_model_adds_many_slots_in_table_order():
 
 
 def test_package_has_no_ufunc_at():
-    # every scatter-add goes through `segment_sum`'s precomputed tables
+    # every scatter-add is one `np.bincount` over a fixed key, or the
+    # `slot_sum` of a gather through a precomputed table where a kernel
+    # reuses the gather
     files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
     hits = [
         f"{path.name}:{k}: {line.strip()}"

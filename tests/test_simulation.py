@@ -19,6 +19,7 @@ from conftest import (
     random_connected_edges,
     random_macro_state,
     random_turning,
+    ring,
     turning_model,
 )
 from netsignal import simulation
@@ -175,6 +176,12 @@ def test_step_requires_full_decision():
         step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], 10.0, net))
 
 
+def test_step_refuses_another_networks_flow():
+    net, other = build_grid(2, 1), build_grid(2, 1)
+    with pytest.raises(ValueError, match="flow was built for another network"):
+        step(initial_state(net), all_phase(net, Phase.WE_STRAIGHT), net, SimConfig(), Flow([], 10.0, other))
+
+
 # every function that reads a joint decision, called on a 1x2 grid
 DECISION_READERS = {
     "step": lambda x, net, state, turning: step(state, x, net, SimConfig(), flow=Flow([], 10.0, net)),
@@ -229,7 +236,7 @@ def test_joint_assignment_rejects_phases_that_are_no_decision(phases):
         JointAssignment((3, 5), np.array(phases))
 
 
-@pytest.mark.parametrize("agents", [(5, 3), (3, 3)])
+@pytest.mark.parametrize("agents", [(5, 3), (3, 3), (0, "a")])
 def test_joint_assignment_needs_sorted_distinct_agents(agents):
     with pytest.raises(ValueError, match="agents must be sorted and distinct"):
         JointAssignment(agents, np.array([0, 1]))
@@ -641,6 +648,19 @@ def test_flow_rejects_rates_and_durations_that_are_not_finite(tmp_path, rate, du
         load_flow(str(path), net)
 
 
+def test_uniform_flow_needs_entry_and_exit_links():
+    net = ring()
+    assert validate(net) == []
+    with pytest.raises(ValueError, match="network needs entry and exit links to generate flow"):
+        generate_uniform_flow(net, 0.5, 100.0)
+
+
+def test_load_flow_names_a_file_it_cannot_read(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(LoadError, match=f"cannot read flow file {path}"):
+        load_flow(str(path), build_grid(2, 2))
+
+
 def test_flow_rejects_a_vehicle_count_that_overflows(tmp_path):
     # each value is finite, but their product is not
     net = build_grid(2, 2)
@@ -752,6 +772,7 @@ def bad_flow_case(case):
         "duplicate-id": (dict(bad, id=0, depart_s=5.0), "duplicate vehicle id 0"),
         "text-depart": (dict(bad, depart_s="5"), "invalid depart_s '5'"),
         "bool-depart": (dict(bad, depart_s=True), "invalid depart_s True"),
+        "null": (None, "bad flow entry None: expected an object"),
     }[case]
     return net, [good, pattern[0]], pattern[1]
 
@@ -766,6 +787,7 @@ BAD_FLOW_CASES = [
     "duplicate-id",
     "text-depart",
     "bool-depart",
+    "null",
 ]
 
 
