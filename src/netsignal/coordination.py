@@ -71,19 +71,18 @@ _EDGE_LAYOUT = "edges must be sorted, distinct (i, j) pairs with i < j"
 
 def _check_layout(agents: tuple, edges: tuple) -> None:
     """Raise a `ValueError` naming what is wrong with a layout. An edge must
-    be a tuple, as a message plan's edges are, for the plan to accept the
-    graph; a list such as JSON reads is none."""
+    be a 2-tuple, as a message plan's edges are, for the plan to accept the
+    graph; a list such as JSON reads is none. Ascending edges hash, so
+    their ends can be looked up, and ends that are agents compare."""
     if not _ascending(agents):
         raise ValueError("agents must be sorted and distinct")
-    try:
-        if not (all(type(e) is tuple for e in edges) and all(i < j for i, j in edges) and _ascending(edges)):
-            raise ValueError(_EDGE_LAYOUT)
-        known = set(agents)
-        joined = all(i in known and j in known for i, j in edges)
-    except TypeError:  # edge ends that do not compare or hash
-        raise ValueError(_EDGE_LAYOUT) from None
-    if not joined:
+    if not (all(type(e) is tuple and len(e) == 2 for e in edges) and _ascending(edges)):
+        raise ValueError(_EDGE_LAYOUT)
+    known = set(agents)
+    if not all(i in known and j in known for i, j in edges):
         raise ValueError("edges must join agents")
+    if not all(i < j for i, j in edges):
+        raise ValueError(_EDGE_LAYOUT)
 
 
 def build_cg(

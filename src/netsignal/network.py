@@ -222,7 +222,7 @@ class MovementArrays:
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         low, high = np.divmod(pairs, max(n_agents, 1))
 
-        problems = self._violations(links, movements, frm, to, link_start, link_end, low, high)
+        problems = self._violations(links, movements, link_start, link_end, low, high)
         if problems:
             raise LoadError("invalid network: " + "; ".join(problems), problems)
 
@@ -254,7 +254,7 @@ class MovementArrays:
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
 
-    def _violations(self, links, movements, frm, to, start, end, low, high) -> list[str]:
+    def _violations(self, links, movements, start, end, low, high) -> list[str]:
         """`validate`'s messages, in the order it documents."""
         ids, agent, phase, sat, n_mov = self.agent_ids, self.mov_agent, self.mov_phase, self.sat, self.n_mov
         # agent ids reach numpy in the planner; link ids never do
@@ -284,13 +284,13 @@ class MovementArrays:
         broken = np.append(np.logical_or.reduce([mask for mask, _ in shape]), False)
         starts, ends = np.append(start, -3), np.append(end, -3)
         known = agent >= 0
-        phased = known & (phase >= 0)
-        # link positions, then unknown link ids after them, so that two
-        # movements share a key where their ids are equal; `alone` keys none
-        width, alone = self.n_links + n_mov, -1 - np.arange(n_mov)
-        frm_ids, to_ids = _numbered(self.mov_from, frm, self.n_links), _numbered(self.mov_to, to, self.n_links)
-        group = agent * width + frm_ids
-        duplicate = _repeats(np.where(known, frm_ids * width + to_ids, alone))[1]
+        # only a movement whose intersection and links all exist is compared
+        # with others, by link positions; `alone` keys none
+        linked = known & (self.mov_from >= 0) & (self.mov_to >= 0)
+        phased = linked & (phase >= 0)
+        alone = -1 - np.arange(n_mov)
+        group = agent * self.n_links + self.mov_from
+        duplicate = _repeats(np.where(linked, self.mov_from * self.n_links + self.mov_to, alone))[1]
         ranked, reused = _repeats(np.where(phased, group * NUM_PHASES + phase, alone))
         rules = [
             (~known, "unknown intersection {0.intersection}"),
@@ -358,15 +358,6 @@ def _floats(values) -> np.ndarray:
         except OverflowError:  # an int beyond float range
             pass
     return np.array([_number_or_nan(v) for v in values], dtype=float)
-
-
-def _numbered(positions: np.ndarray, values, first: int) -> np.ndarray:
-    """`positions`, with the values that have none numbered from `first`."""
-    unknown = np.flatnonzero(positions < 0).tolist()
-    numbers: dict = {}
-    numbered = positions.copy()
-    numbered[unknown] = [numbers.setdefault(_key(values[k]), first + len(numbers)) for k in unknown]
-    return numbered
 
 
 def _key(value):
@@ -543,7 +534,8 @@ def validate(net: RoadNetwork) -> list[str]:
     link, and the phases from one link are all WE or all SN. A movement at
     an unknown intersection is named for that alone, and none is named for
     a link already named as broken, so a single bad link yields a single
-    violation rather than a cascade.
+    violation rather than a cascade. Movements are compared with each other
+    only where their intersection, source and target all exist.
 
     An id that is no integer is named alone, intersections by `repr` first.
     Else the messages come in this order: intersection ids, each link's in
@@ -561,7 +553,7 @@ def _entries(doc: dict, section: str) -> list[dict]:
     """The entries of one roadnet section, each checked to be an object."""
     try:
         entries = doc[section]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise LoadError(f"roadnet document missing section: {exc}") from exc
     if not isinstance(entries, list):
         raise LoadError(f"roadnet section {section!r} must be a list")
@@ -629,6 +621,8 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     speeds, saturation flows and phases pass on as given, with defaults
     where absent, for `MovementArrays` to judge.
     """
+    if not isinstance(doc, dict):
+        raise LoadError(f"roadnet document must be an object, got {json.dumps(doc, default=repr)}")
     inter_docs = _entries(doc, "intersections")
     link_docs = _entries(doc, "links")
     movement_docs = _entries(doc, "movements")

@@ -1,14 +1,27 @@
 """Shared fixtures: small networks and hand-built traffic states."""
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from oracle import topology
 from netsignal.messaging import message_plan
 from netsignal.network import Link, LinkKind, Movement, Phase, RoadNetwork, build_grid, movement_arrays
 from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
+
+# every property test runs the same examples each time, with no time limit
+# per example and no example database written to disk
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
+# Hypothesis caches the constants of local source files in its home directory
+# as it collects the tests, whatever the profile says: keep that cache in a
+# temporary directory, removed at exit, and out of the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def mov(net, key):

@@ -875,9 +875,11 @@ def validate(net) -> list[str]:
             violations.append(f"{name}: target is not an output link of intersection {m.intersection}")
         if not 0 <= _number_or_nan(m.sat_flow) < math.inf:
             violations.append(f"{name}: saturation flow must be finite and >= 0, got {m.sat_flow!r}")
-        if _has(seen_keys, m.key):
+        # only a movement whose links exist is compared with others
+        linked = frm is not None and to is not None
+        if linked and m.key in seen_keys:
             violations.append(f"{name}: duplicate movement")
-        elif _hashable(m.key):
+        elif linked:
             seen_keys.add(m.key)
         if m.phase is None:
             continue
@@ -885,9 +887,10 @@ def validate(net) -> list[str]:
         if problem is not None:
             violations.append(problem)
             continue
+        if not linked:
+            continue
         phase = Phase(m.phase)
-        # a link id that does not hash names no link, and groups with none
-        group = axis_groups.setdefault((m.intersection, m.frm), set()) if _hashable(m.frm) else set()
+        group = axis_groups.setdefault((m.intersection, m.frm), set())
         if phase in group:
             violations.append(f"{name}: phase {phase.name} already used by another movement on link {m.frm}")
         group.add(phase)

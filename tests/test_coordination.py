@@ -187,13 +187,20 @@ def test_brute_force_agent_cap():
         ((0, 2), ((0, 1),), 1),  # edge to no agent
         ((0, 1, 2), [[0, 1], [1, 2]], 2),  # pairs as lists, as JSON reads them
         ((0, "a"), (), 0),  # agents that do not compare
+        ((0, 1), ((0, 1, 2),), 1),  # an edge of three ends
+        ((0, 1), ((0,),), 1),  # an edge of one end
+        ((0, 1), ((0, "a"),), 1),  # an end that is no agent and does not compare
     ],
 )
 def test_graph_rejects_non_canonical_layout(agents, edges, n_tables):
     with pytest.raises(ValueError) as caught:
         CoordinationGraph(agents, edges, np.zeros((n_tables, 4, 4)), np.zeros((len(agents), 4)))
-    # a layout is named for its agents exactly when they are out of order,
-    # repeated or do not compare
+    # each is named by a layout message, or by the table shapes where only
+    # the table count is wrong; a layout is named for its agents exactly when
+    # they are out of order, repeated or do not compare
+    edges_named = "edges must be sorted, distinct (i, j) pairs with i < j"
+    layouts = ("agents must be sorted and distinct", edges_named, "edges must join agents")
+    assert str(caught.value) in layouts or str(caught.value).startswith("table shapes")
     ordered = all(type(a) is int for a in agents) and list(agents) == sorted(set(agents))
     assert ("agents must be sorted and distinct" in str(caught.value)) != ordered
 

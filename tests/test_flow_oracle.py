@@ -107,7 +107,7 @@ def nongrid_doc(tmp_path):
     return json.loads(Path(write_roadnet(tmp_path / "roadnet.json")).read_text())
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     dropped=st.sets(st.integers(0, 10**6), max_size=40),
     rate=st.integers(1, 24).map(lambda k: k / 8),

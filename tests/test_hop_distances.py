@@ -40,7 +40,7 @@ def neighbour_table(n, edges):
     return gather_table(np.concatenate((high, low)), np.concatenate((low, high)), n, n)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(graphs(), st.data())
 def test_hop_distances_equal_the_scalar_search_from_every_source(graph, data):
     n, edges = graph

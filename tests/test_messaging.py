@@ -401,10 +401,11 @@ PROBES = {
 @pytest.mark.parametrize("rest", ["equal", "moved"])
 @pytest.mark.parametrize("probe", PROBES)
 def test_cycle_closed_is_allclose(probe, rest):
-    # The fixpoint tests compare messages by np.allclose(rtol=0, atol=1e-9):
-    # |a - b| <= 1e-9 or a == b in every cell, with infinities close only to
-    # themselves and NaN to nothing, and no warning let out on the inf and
-    # NaN that costs scaled towards float64's limit produce
+    # Pins the comparator the fixpoint tests use on messages,
+    # np.allclose(rtol=0, atol=1e-9): |a - b| <= 1e-9 or a == b in every
+    # cell, with infinities close only to themselves and NaN to nothing, and
+    # no warning let out on the inf and NaN that costs scaled towards
+    # float64's limit produce
     rng = np.random.default_rng(9)
     now, before = rng.random((2, 4, 9))[:, :, :7]
     before[...] = now
@@ -416,7 +417,7 @@ def test_cycle_closed_is_allclose(probe, rest):
     assert np.allclose(now, before, rtol=0.0, atol=1e-9) is want
 
 
-def test_snapshot_costs_monotone_on_trees():
+def test_capped_costs_monotone_on_trees():
     for seed in range(8):
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(3, 9))

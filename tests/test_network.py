@@ -517,6 +517,15 @@ def test_load_rejects_bad_entry_by_name(tmp_path, corrupt):
         load_network(str(path))
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
+def test_load_rejects_a_document_that_is_no_object(tmp_path, text):
+    # the loader used to index such a document and report Python's error text
+    path = tmp_path / "roadnet.json"
+    path.write_text(text)
+    with pytest.raises(LoadError, match=re.escape(f"roadnet document must be an object, got {text}")):
+        load_network(str(path))
+
+
 def test_load_names_every_bad_value_at_once(tmp_path):
     # the loader used to judge values itself and stop at the first bad one
     doc = build_grid(2, 2).to_dict()
@@ -557,6 +566,20 @@ def _duplicate_movement():
     m = next(m for m in net.movements if m.phase is None)
     net.movements.append(Movement(m.frm, m.to, m.intersection, None, m.sat_flow))
     return net, [f"movement ({m.frm}->{m.to}): duplicate movement"]
+
+
+def _duplicate_on_a_missing_link():
+    # a movement on a missing link is named for that link alone: the gate
+    # used to number the missing id and name the copy a duplicate too
+    net = build_grid(1, 1)
+    del net.links[0]
+    m = next(m for m in net.movements if m.key == (0, 5))
+    net.movements.append(Movement(m.frm, m.to, m.intersection, m.phase, m.sat_flow))
+    return net, [
+        f"movement ({x.frm}->{x.to}): source is not an input link of intersection 0"
+        for x in net.movements
+        if x.frm == 0
+    ]
 
 
 def _wrong_intersection():
@@ -689,6 +712,7 @@ GATE_CASES = [
     pytest.param(_sat_flow, (-3,), id="sat-flow--3"),
     pytest.param(_sat_flow, (math.nan,), id="sat-flow-nan"),
     pytest.param(_duplicate_movement, (), id="duplicate-movement"),
+    pytest.param(_duplicate_on_a_missing_link, (), id="duplicate-on-a-missing-link"),
     pytest.param(_wrong_intersection, (), id="wrong-intersection"),
     pytest.param(_phase_mix, (), id="phase-mix"),
     pytest.param(_link_field, ("length_m", -5), id="length--5"),
@@ -823,7 +847,7 @@ def _corrupted(tmp_path_factory, shape, count, data):
 SHAPES = st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), None])
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(shape=SHAPES, count=st.integers(1, 3), data=st.data())
 def test_the_gate_names_what_the_reference_validator_names(tmp_path_factory, shape, count, data):
     net = _corrupted(tmp_path_factory, shape, count, data)
@@ -840,7 +864,7 @@ def test_the_gate_names_what_the_reference_validator_names(tmp_path_factory, sha
         assert movement_arrays(net).n_mov == len(net.movements)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(shape=SHAPES, count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_costs_decompose_exactly_on_every_network_the_gate_accepts(tmp_path_factory, shape, count, seed, data):
     # criterion 1's check, on every corrupted network `validate` accepts: a

@@ -186,13 +186,7 @@ def connected_graphs(draw):
     return CoordinationGraph(agents, pairs, np.zeros((len(pairs), 4, 4)), np.zeros((n, 4)))
 
 
-@settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.filter_too_much],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
 @given(connected_graphs())
 def test_orientation_equals_the_all_bfs_oracle(cg):
     order = min_diameter_dag(cg)

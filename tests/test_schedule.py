@@ -32,13 +32,7 @@ from netsignal.network import build_grid, slot_sum
 from netsignal.ordering import min_diameter_dag, network_order
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path, row_major_picks
 
-PROPERTY_SETTINGS = settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.filter_too_much],
-)
+PROPERTY_SETTINGS = settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
 
 
 def sync_coordinate(cg, order, rounds_cap):

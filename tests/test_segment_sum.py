@@ -78,7 +78,7 @@ def cases(draw):
     return np.array(targets, dtype=np.intp), n_targets, values
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(cases())
 # no sources at all
 @example((np.zeros(0, dtype=np.intp), 3, np.zeros((0, 4))))

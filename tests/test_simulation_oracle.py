@@ -69,7 +69,7 @@ def assert_same_run(net, vehicles, rng):
     assert any(v.exit_time is not None for v in mine)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(
     rows=st.integers(1, 5),
     cols=st.integers(1, 5),
