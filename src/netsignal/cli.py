@@ -16,6 +16,7 @@ from netsignal.harness import (
     Scenario,
     modeled_delay_ms,
     network_order,
+    resolve_flow,
     run_experiment,
     write_comparison_csv,
     write_metrics_csv,
@@ -155,6 +156,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"wrote {args.out}")
         elif args.command == "compare":
             scenario = _build_scenario(args, CONTROLLERS[0])
+            # one vehicle list for every controller: each run clears its exit times
+            scenario = replace(scenario, flow=resolve_flow(scenario))
             results = {}
             for controller in CONTROLLERS:
                 results[controller] = run_experiment(replace(scenario, controller=controller))

@@ -164,7 +164,9 @@ class MovementArrays:
     lead onto each link, padded with `n_links`, which `hop_distances`
     searches for the hops to an exit; `down_links` lists the rows that
     movements from each link lead to, in movement order, padded the same
-    way, for route walks.
+    way, for route walks, and `from_link_table` those movements in the same
+    slots, padded with `n_mov`, so that `Flow` finds a hop's movement in the
+    slot that holds its next row.
 
     A sum over a fixed per-movement key is one `np.bincount` in movement
     order, which adds each key's weights one at a time from 0.0 as
@@ -253,6 +255,7 @@ class MovementArrays:
 
         self.up_links = gather_table(self.mov_from, self.mov_to, self.n_links, self.n_links)
         self.down_links = gather_table(self.mov_to, self.mov_from, self.n_links, self.n_links)
+        self.from_link_table = gather_table(np.arange(self.n_mov), self.mov_from, self.n_links, self.n_mov)
 
     def _violations(self, links, movements, start, end, low, high) -> list[str]:
         """`validate`'s messages, in the order it documents."""

@@ -17,9 +17,8 @@ State is arrays in `MovementArrays` order: the queue vector of a state, the
 turning shares and the entry demand. `step` and `estimate_turning` are
 whole-network numpy passes over them; within a period, per-vehicle Python
 work is limited to writing the exit times of the vehicles that leave. Once
-per run there is per-vehicle and per-hop Python work: `Flow` reads every
-vehicle's fields and maps every hop of its route to a movement through a
-dict, and `travel_time_metrics` loops over the vehicles.
+per run, `Flow` reads every vehicle's fields and looks up the links of each
+distinct route object, and `travel_time_metrics` loops over the vehicles.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from itertools import chain
+from itertools import chain, repeat
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -248,7 +247,12 @@ class Flow:
     positions of the vehicles departing in it, in flow order, and `delay` is
     `link_delay_periods` of the network. A route must run from the origin
     over movements of the network to an exit link, the destination, and a
-    vehicle must depart at a finite time >= 0.
+    vehicle must depart at a finite time >= 0 in a finite period.
+
+    Hops are mapped once per distinct route object (equal routes that are
+    separate objects once each): a hop from link row l takes the movement
+    in the slot of `MovementArrays.from_link_table` where `down_links`
+    column l holds the next row. Vehicles take their route's hops.
     """
 
     def __init__(self, vehicles: Sequence[Vehicle], tau: float, net: RoadNetwork):
@@ -258,31 +262,44 @@ class Flow:
         vs, n = self.vehicles, len(self.vehicles)
         if len({v.id for v in vs}) != n:
             raise ValueError("duplicate vehicle ids in flow")
-        hops = np.fromiter((len(v.route) - 1 for v in vs), np.intp, n)
+        # the distinct route objects, each taken from one of its vehicles,
+        # and each vehicle's among them
+        routes = [v.route for v in vs]
+        found, distinct = np.unique(np.fromiter(map(id, routes), np.uint64, n), return_inverse=True)
+        holder = np.empty(len(found), dtype=np.intp)
+        holder[distinct] = np.arange(n)
+        unique = [routes[k] for k in holder.tolist()]
+        links = np.fromiter(map(len, unique), np.intp, len(unique))
+        hops = links[distinct] - 1
         depart = np.fromiter((v.depart_s for v in vs), float, n)
-        _reject(
-            vs,
-            (hops > 0) & (depart >= 0) & np.isfinite(depart),
-            "needs a route of two or more links, finite depart_s >= 0",
-        )
-        period = np.floor(depart / tau)
-        ends = np.fromiter((v.route[0] == v.origin and v.route[-1] == v.destination for v in vs), bool, n)
+        with np.errstate(over="ignore"):
+            period = np.floor(depart / tau)
+        why = "needs a route of two or more links, finite depart_s >= 0 and a finite period depart_s / tau"
+        _reject(vs, (hops > 0) & (depart >= 0) & np.isfinite(period), why)
+        ends = np.fromiter((r[0] == v.origin and r[-1] == v.destination for r, v in zip(routes, vs)), bool, n)
         _reject(vs, ends, "route does not run from the origin to the destination")
 
-        index = {key: m for m, key in enumerate(arr.keys)}
-        pairs = chain.from_iterable(zip(v.route, v.route[1:]) for v in vs)
-        try:
-            self.route_mov = np.fromiter(map(index.__getitem__, pairs), np.intp, int(hops.sum()))
-        except KeyError:
-            chains = (all(pair in index for pair in zip(v.route, v.route[1:])) for v in vs)
-            _reject(vs, np.fromiter(chains, bool, n), "route takes a turn that is no movement")
-        self.route_vehicle = np.repeat(np.arange(n, dtype=np.intp), hops)
+        # the distinct routes' links as rows, -1 for an id that names none;
+        # every pair of neighbouring rows is a hop but those across two routes
+        rows = np.fromiter(map(arr.link_index.get, chain.from_iterable(unique), repeat(-1)), np.intp, links.sum())
+        slots = arr.down_links.take(rows[:-1], axis=1) == rows[1:]
+        turns = slots.any(axis=0) & (rows[:-1] >= 0)
+        start = np.cumsum(links) - links
+        turns[start[1:] - 1] = True
+        _reject(vs, np.minimum.reduceat(turns, start)[distinct], "route takes a turn that is no movement")
+        # now one slot holds each hop's next row: the product finds it
+        mov = arr.from_link_table[np.arange(len(slots)) @ slots, rows[:-1]]
+
         first_hop = np.cumsum(hops) - hops
+        spread = np.repeat(start[distinct] - first_hop, hops)
+        self.route_mov = mov.take(np.arange(len(spread)) + spread)
+        self.route_vehicle = np.repeat(np.arange(n, dtype=np.intp), hops)
         _reject(vs, arr.to_exit[self.route_mov[first_hop + hops - 1]], "destination is not an exit link")
 
         order = np.argsort(period, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(period[order])) + 1) if n else []
-        self.departures_by_period = {int(period[g[0]]): first_hop[g] for g in groups}
+        starts = np.flatnonzero(np.diff(period[order], prepend=-1.0))
+        bounds, firsts = [*starts.tolist(), n], first_hop[order]
+        self.departures_by_period = {int(period[order[a]]): firsts[a:b] for a, b in zip(bounds, bounds[1:])}
         self.delay = link_delay_periods(net, tau)
 
 

@@ -36,6 +36,10 @@ the movements, dict by dict, as the package checked them before
 `MovementArrays` became the one gate; the gate must name the same
 violations.
 
+`route_table` is `Flow`'s hop table as `Flow` built it, one dict lookup
+per hop of every vehicle's route; `Flow`, which maps each distinct route
+once by array passes, must build the same tables and raise the same errors.
+
 `step` is the scalar micro simulator: dicts of per-movement vehicle-id
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
@@ -47,6 +51,7 @@ and `fifo_view`.
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -660,6 +665,53 @@ class ScalarFlow:
 
     def next_link(self, vehicle_id, link) -> Optional[int]:
         return self._next_link[vehicle_id].get(link)
+
+
+def route_table(vehicles, tau, net):
+    """`Flow`'s tables for `vehicles`, as `Flow` built them hop by hop: every
+    hop of every vehicle's route looked up in a `{(from, to): movement}`
+    dict, and the vehicles split into departure periods with `np.split`.
+    Returns `(route_mov, route_vehicle, departures_by_period, delay)` and
+    raises the `ValueError` `Flow` raises, naming the same vehicle."""
+    arr = movement_arrays(net)
+    vs, n = list(vehicles), len(vehicles)
+    if len({v.id for v in vs}) != n:
+        raise ValueError("duplicate vehicle ids in flow")
+    hops = np.fromiter((len(v.route) - 1 for v in vs), np.intp, n)
+    depart = np.fromiter((v.depart_s for v in vs), float, n)
+    with np.errstate(over="ignore"):
+        period = np.floor(depart / tau)
+    _reject(
+        vs,
+        (hops > 0) & (depart >= 0) & np.isfinite(period),
+        "needs a route of two or more links, finite depart_s >= 0 and a finite period depart_s / tau",
+    )
+    ends = np.fromiter((v.route[0] == v.origin and v.route[-1] == v.destination for v in vs), bool, n)
+    _reject(vs, ends, "route does not run from the origin to the destination")
+
+    index = {key: m for m, key in enumerate(arr.keys)}
+    pairs = chain.from_iterable(zip(v.route, v.route[1:]) for v in vs)
+    try:
+        route_mov = np.fromiter(map(index.__getitem__, pairs), np.intp, int(hops.sum()))
+    except KeyError:
+        chains = (all(pair in index for pair in zip(v.route, v.route[1:])) for v in vs)
+        _reject(vs, np.fromiter(chains, bool, n), "route takes a turn that is no movement")
+    route_vehicle = np.repeat(np.arange(n, dtype=np.intp), hops)
+    first_hop = np.cumsum(hops) - hops
+    _reject(vs, arr.to_exit[route_mov[first_hop + hops - 1]], "destination is not an exit link")
+
+    order = np.argsort(period, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(period[order])) + 1) if n else []
+    departures = {int(period[g[0]]): first_hop[g] for g in groups}
+    delay = np.array([link_delay_periods(net, l, tau) for l in arr.link_ids], dtype=np.intp)
+    return route_mov, route_vehicle, departures, delay
+
+
+def _reject(vehicles, ok, why):
+    """Raise a `ValueError` naming the first vehicle that is not `ok`."""
+    if not ok.all():
+        v = vehicles[int(np.argmin(ok))]
+        raise ValueError(f"vehicle {v.id}: {why}: route {v.route}, depart_s {v.depart_s}")
 
 
 def initial_state(net):

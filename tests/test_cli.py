@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import shifted_grid_doc
+from netsignal import harness
 from netsignal.cli import cli_main, grid_spec
 from netsignal.network import build_grid, load_network, movement_arrays, save_network
+from netsignal.simulation import SimConfig
 
 
 def test_run_happy_path(tmp_path, capsys):
@@ -286,3 +290,47 @@ def test_a_huge_saturation_flow_loads_and_runs(tmp_path, capsys):
     code = cli_main(["run", "--roadnet", str(path), "--rate", "0.5", "--duration", "200", "--controller", "emc"])
     assert code == 0
     assert "travel_time" in capsys.readouterr().out
+
+
+def test_run_rejects_a_departure_whose_period_overflows(tmp_path, capsys):
+    net = build_grid(2, 2)
+    net_path, flow_path = tmp_path / "net.json", tmp_path / "flow.json"
+    save_network(net, str(net_path))
+    assert cli_main(["gen-flow", "--roadnet", str(net_path), "--rate", "0.1", "--duration", "20", "--out", str(flow_path)]) == 0
+    doc = json.loads(flow_path.read_text())
+    doc[-1]["depart_s"] = 1e308
+    flow_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_main(["run", "--roadnet", str(net_path), "--flow", str(flow_path), "--tau", "0.1", "--duration", "100"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: vehicle {doc[-1]['id']}: ") and "finite period depart_s / tau" in err[0]
+
+
+def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsys, monkeypatch):
+    # a clock that advances 1 ms a call makes every decision_ms 1.0, so
+    # the printed rows and the CSV are the same bytes run after run
+    ticks = iter(range(10**9))
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
+    generated = []
+    generate = harness.generate_uniform_flow
+    monkeypatch.setattr(harness, "generate_uniform_flow", lambda *a: generated.append(a) or generate(*a))
+    flags = ["--grid", "2x2", "--rate", "0.4", "--duration", "200", "--seed", "5"]
+    out = tmp_path / "cmp.csv"
+    assert cli_main(["compare", *flags, "--out", str(out)]) == 0
+    assert len(generated) == 1
+    printed = capsys.readouterr().out.splitlines()
+
+    rows = []
+    for controller in harness.CONTROLLERS:
+        assert cli_main(["run", *flags, "--controller", controller]) == 0
+        rows += capsys.readouterr().out.splitlines()
+    assert len(generated) == 5
+    assert printed == rows + [f"wrote {out}"]
+    # the comparison table of four runs that each generate their own flow
+    net, spec = build_grid(2, 2), harness.RateSpec(rate_vps=0.4, duration_s=200.0, seed=5)
+    scenario = harness.Scenario(network=net, flow=spec, sim=SimConfig(tau=10.0, horizon=20, seed=5))
+    separate = {c: harness.run_experiment(replace(scenario, controller=c)) for c in harness.CONTROLLERS}
+    harness.write_comparison_csv(separate, str(tmp_path / "separate.csv"))
+    assert out.read_bytes() == (tmp_path / "separate.csv").read_bytes()

@@ -5,6 +5,11 @@ bulk and walk per-destination tables of closer next links; `oracle` draws
 one scalar `rng.integers` a time and walks each destination's whole
 distance list. Both must give the same vehicles, trip for trip, and the
 same errors.
+
+`Flow` maps each distinct route object's hops by array passes;
+`oracle.route_table` looks every hop of every vehicle up in a dict. Both
+must build the same tables and raise the same errors, naming the same
+vehicle.
 """
 import json
 from pathlib import Path
@@ -15,8 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from netsignal.network import build_grid, network_from_dict, validate
-from netsignal.simulation import _DRAW_CHUNK, _bounded_draws, generate_uniform_flow, load_flow, save_flow
+from netsignal.network import build_grid, load_network, movement_arrays, network_from_dict, validate
+from netsignal.simulation import Flow, Vehicle, _DRAW_CHUNK, _bounded_draws, generate_uniform_flow, load_flow, save_flow
 from test_nongrid_roadnet import write_roadnet
 from test_simulation import one_way_1x2
 
@@ -136,3 +141,128 @@ def test_flows_equal_the_oracle_on_nongrid_roadnets(tmp_path_factory, dropped, r
     loaded = load_flow(str(path), net, seed=seed)
     assert [v.route for v in loaded] == oracle.flow_file_routes(net, loaded, seed)
 
+
+
+@pytest.fixture(scope="module")
+def nongrid_net(tmp_path_factory):
+    return load_network(write_roadnet(tmp_path_factory.mktemp("roadnet") / "roadnet.json"))
+
+
+def route_forms(route):
+    """The same route as another object of each kind `Flow` must accept:
+    the object itself, an equal tuple, a list, and float and bool ids equal
+    to the link ids."""
+    return {
+        "same": route,
+        "equal": tuple(list(route)),
+        "list": list(route),
+        "float": tuple(float(l) for l in route),
+        "bool": tuple(bool(l) if l in (0, 1) else l for l in route),
+    }
+
+
+def corrupt(v, kind, others):
+    """`v` broken one way: each is refused by one of `Flow`'s checks."""
+    route = tuple(v.route)
+    if kind == "unknown-link":
+        v.route = route[:1] + (10**6,) + route[1:]
+    elif kind == "unknown-origin":
+        v.origin, v.route = 10**6, (10**6,) + route[1:]
+    elif kind == "no-movement":
+        # no movement leads from a link back onto itself
+        v.route = route[:1] + route[:1] + route[1:]
+    elif kind == "single-link":
+        v.route = route[:1]
+    elif kind == "wrong-ends":
+        v.origin = route[-1]
+    elif kind == "not-an-exit" and len(route) > 1:
+        v.route, v.destination = route[:-1], route[-2]
+    elif kind == "nan-depart":
+        v.depart_s = float("nan")
+    elif kind == "negative-depart":
+        v.depart_s = -5.0
+    elif kind == "huge-depart":
+        # a finite time whose period overflows for tau < 1
+        v.depart_s = 1e308
+    elif kind == "duplicate-id" and others:
+        v.id = others[0].id
+
+
+CORRUPTIONS = (
+    "unknown-link", "unknown-origin", "no-movement", "single-link", "wrong-ends", "not-an-exit",
+    "nan-depart", "negative-depart", "huge-depart", "duplicate-id",
+)
+
+
+NETS = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 4)))
+TAUS = st.sampled_from([10.0, 3.7, 0.25, 1e4])
+
+
+def draw_vehicles(data, net, seed, least):
+    """`least` to 40 picks of generated trips, so route objects repeat, in
+    every route form, departing in clumps and gaps."""
+    trips = generate_uniform_flow(net, 1.0, 60.0, seed)
+    n = data.draw(st.integers(least, 40))
+    picks = data.draw(st.lists(st.sampled_from(trips), min_size=n, max_size=n))
+    slots = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    forms = data.draw(st.lists(st.sampled_from(sorted(route_forms(()))), min_size=n, max_size=n))
+    return [
+        Vehicle(k, t.origin, slot * 7.5, t.destination, route_forms(t.route)[form])
+        for k, (t, slot, form) in enumerate(zip(picks, slots, forms))
+    ]
+
+
+def assert_flow_equals_the_oracle(vehicles, tau, net):
+    """`Flow` builds the oracle's tables, or raises its error."""
+    try:
+        route_mov, route_vehicle, departures, delay = oracle.route_table(vehicles, tau, net)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            Flow(vehicles, tau, net)
+        assert str(caught.value) == str(exc)
+        return False
+    flow = Flow(vehicles, tau, net)
+    for mine, theirs in ((flow.route_mov, route_mov), (flow.route_vehicle, route_vehicle), (flow.delay, delay)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert type(flow.departures_by_period) is dict
+    assert list(flow.departures_by_period) == list(departures)
+    assert all(type(p) is int for p in flow.departures_by_period)
+    for p, firsts in departures.items():
+        assert flow.departures_by_period[p].dtype == firsts.dtype
+        assert np.array_equal(flow.departures_by_period[p], firsts)
+    return True
+
+
+@settings(max_examples=120)
+@given(shape=NETS, tau=TAUS, seed=st.integers(0, 2**16), data=st.data())
+def test_flow_tables_equal_the_oracle(nongrid_net, shape, tau, seed, data):
+    net = nongrid_net if shape is None else build_grid(*shape)
+    vehicles = draw_vehicles(data, net, seed, 0)
+    assert assert_flow_equals_the_oracle(vehicles, tau, net)
+
+
+def test_a_link_that_is_none_leads_nowhere(nongrid_net):
+    # an id that names no link is row -1, and must not read the turns of
+    # the last link row, which on this roadnet leads on
+    arr = movement_arrays(nongrid_net)
+    last = arr.link_ids[-1]
+    assert (arr.down_links[:, -1] < arr.n_links).any()
+    trip = next(v for v in generate_uniform_flow(nongrid_net, 1.0, 60.0, 0) if last in v.route[:-1])
+    route = (10**6,) + trip.route[trip.route.index(last) + 1 :]
+    vehicles = [trip, Vehicle(1, 10**6, 0.0, trip.destination, route)]
+    assert assert_flow_equals_the_oracle(vehicles, 10.0, nongrid_net) is False
+    with pytest.raises(ValueError, match="vehicle 1: route takes a turn that is no movement"):
+        Flow(vehicles, 10.0, nongrid_net)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=30)
+@given(shape=NETS, tau=TAUS, seed=st.integers(0, 2**16), data=st.data())
+def test_flow_errors_equal_the_oracle(nongrid_net, kind, shape, tau, seed, data):
+    # corrupted `kind`'s way, and up to two more
+    net = nongrid_net if shape is None else build_grid(*shape)
+    vehicles = draw_vehicles(data, net, seed, 1)
+    for how in (kind, *data.draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2))):
+        k = data.draw(st.integers(0, len(vehicles) - 1))
+        corrupt(vehicles[k], how, vehicles[:k])
+    assert_flow_equals_the_oracle(vehicles, tau, net)

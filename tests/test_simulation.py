@@ -848,3 +848,15 @@ def test_flow_rejects_routes_that_are_not_movement_chains():
             Flow([Vehicle(7, entry, depart, exit_link, (entry, exit_link))], 10.0, net)
     with pytest.raises(ValueError, match="duplicate vehicle ids"):
         Flow([Vehicle(0, entry, 0.0, exit_link, (entry, exit_link))] * 2, 10.0, net)
+
+
+@pytest.mark.parametrize("depart, tau", [(1e308, 0.1), (math.inf, 10.0), (1.7e308, 0.5)])
+def test_flow_rejects_a_departure_whose_period_is_not_finite(depart, tau):
+    net = build_grid(1, 1)
+    entry = net.entry_links()[0]
+    exit_link = oracle.topology(net).down_links[entry][0]
+    ok = Vehicle(0, entry, 0.0, exit_link, (entry, exit_link))
+    late = Vehicle(8, entry, depart, exit_link, (entry, exit_link))
+    with pytest.raises(ValueError, match="vehicle 8: .*finite period depart_s / tau") as caught:
+        Flow([ok, late], tau, net)
+    assert f"depart_s {depart}" in str(caught.value)
