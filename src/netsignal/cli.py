@@ -122,6 +122,8 @@ def _build_scenario(args, controller: str) -> Scenario:
             raise LoadError(f"flow file {args.flow} holds no vehicles")
         flow = vehicles
         duration = args.duration or max(v.depart_s for v in vehicles) + 600.0
+    if not duration / args.tau < math.inf:
+        raise LoadError(f"duration {duration} s / --tau {args.tau} s gives no finite number of periods")
     horizon = max(1, math.ceil(duration / args.tau))
     return Scenario(
         network=net,

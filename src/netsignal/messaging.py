@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from netsignal.coordination import CoordinationGraph
-from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, gather_table, slot_sum
+from netsignal.network import NUM_PHASES, _is_count, _number_or_nan, gather_table
 from netsignal.ordering import DagOrder, longest_paths
 from netsignal.simulation import JointAssignment
 
@@ -160,7 +160,8 @@ class MessagePlan:
     contiguous views of scratch buffers all levels share, sized for the
     widest level. `totals` is the slot-major (K + 1, 4, N) gather
     table of each agent's incoming rows (its `slots` column) and then its
-    own-cost column; `slot_sum` of its gather scores the agent's phases.
+    own-cost column; its gather, summed over the leading slot axis, scores
+    the agent's phases.
 
     `load` puts a graph in the buffers, `update` recomputes one level and
     `picks` reads a decision from the messages as they stand, at any level
@@ -261,7 +262,7 @@ class MessagePlan:
         table, gathered, summands, excluded, base, spread, first, cost, scores, out = self.levels[level]
         self.flat.take(table, out=gathered, mode="clip")
         # the slots lead and each holds 4 x n entries, so numpy adds them one
-        # at a time in slot order, as `slot_sum` does, for any level width
+        # at a time in slot order, for any level width
         _add_reduce(summands, axis=0, out=base, initial=0.0)
         base -= excluded
         _add(spread, cost, out=scores)
@@ -270,7 +271,8 @@ class MessagePlan:
 
     def picks(self) -> np.ndarray:
         """Each agent's argmin phase given the current messages."""
-        return slot_sum(self.flat.take(self.totals, axis=0, mode="clip")).argmin(axis=0)
+        gather = self.flat.take(self.totals, axis=0, mode="clip")
+        return _add_reduce(gather, axis=0, initial=0.0).argmin(axis=0)
 
 
 def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:

@@ -177,7 +177,10 @@ class MovementArrays:
     gather, and `agent_table` (K, agents), for the sweeps, list the
     movements by output link and by intersection in movement order, padded
     with `n_mov`, the zero row every per-movement input carries after its
-    movements.
+    movements. A gather is summed by `np.add.reduce` from 0.0 over a slot
+    axis with a later axis of length >= 2 inside it, which numpy adds one
+    slot at a time, in order; an innermost slot axis of 8 or more it would
+    sum pairwise.
 
     `prediction.PairColumns`, the planner's pair-term layout, is kept with
     these arrays once a period is modelled.
@@ -402,24 +405,6 @@ def gather_table(sources, targets, n_targets: int, pad: int) -> np.ndarray:
     table = np.full((counts.max(initial=0), n_targets), pad, dtype=np.intp)
     table[rank, targets[order]] = sources[order]
     return table
-
-
-def slot_sum(gathered: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The sum of `gathered` over its slot axis `axis`, adding the slots one
-    at a time from 0.0 in order.
-
-    numpy adds a reduced axis in order while an axis of smaller stride runs
-    inside it, but it sums the axis pairwise once the axis runs innermost
-    and holds 8 or more slots. In the C-ordered gathers and views summed
-    here, the slot axis runs innermost when its stride is the element size,
-    that is when every later axis has length 1. There an accumulation from a
-    zero slot adds the slots in order.
-    """
-    if gathered.strides[axis] == gathered.itemsize and gathered.shape[axis]:
-        zero = np.zeros_like(gathered.take([0], axis=axis))
-        running = np.add.accumulate(np.concatenate((zero, gathered), axis=axis), axis=axis)
-        return running.take(-1, axis=axis)
-    return np.add.reduce(gathered, axis=axis, initial=0.0)
 
 
 def hop_distances(neighbours: np.ndarray, sources) -> np.ndarray:

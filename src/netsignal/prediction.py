@@ -10,13 +10,13 @@ each edge's movements slot by slot, and computes in that order. Every
 intermediate is phase-major, (4, C) over term columns or (4, L) over
 links, so each ufunc runs along the movements or links rather than over
 4-element rows; the release onto each link is a gather through
-`to_link_table` summed over its slots in table order, as `slot_sum`
-sums. The model squares every movement's next-period queue under each pair
-of upstream and own phase once, into a pair-term table it owns, from which
-`PeriodModel.cost_tables` sums the coordination graph's tables and each
-sweep gathers its scores. The temporaries that are never returned live in
-the buffers of the network's `PairColumns`; what a call returns, the model
-and its pair terms among it, is a fresh array.
+`to_link_table` summed over its slots in table order, by the rule that
+`MovementArrays` states. The model squares every movement's next-period
+queue under each pair of upstream and own phase once, into a pair-term
+table it owns, from which `PeriodModel.cost_tables` sums the coordination
+graph's tables and each sweep gathers its scores. The temporaries that are
+never returned live in the buffers of the network's `PairColumns`; what a
+call returns, the model and its pair terms among it, is a fresh array.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from netsignal.network import NUM_PHASES, MovementArrays, RoadNetwork
-from netsignal.network import gather_table, movement_arrays, slot_sum
+from netsignal.network import gather_table, movement_arrays
 from netsignal.simulation import QueueState, TurningModel
 
 
@@ -40,16 +40,19 @@ class PairColumns:
     The tables have C term columns, then the zero column C that padding
     reads. The entry-link movements come first, in movement order; every
     other movement is on the edge of its input link, which is internal.
-    From `edge_start` on, column `edge_start + k * E + e` holds the k-th
-    term of edge e, so each edge table sums the `slots` axis of one
-    (slots, E) block: first the edge's unflipped movements (on a link from
-    the lower id to the higher), then from `flip_start` on its flipped ones,
-    each in movement order and padded to the most any edge has. A flipped
-    column holds its terms transposed, at [x_own][x_up], which is the edge
-    table's [x_i][x_j].
+    The edge block is W = `width` = max(E, 2) columns wide: from
+    `edge_start` on, column `edge_start + k * W + e` holds the k-th term of
+    edge e, so each edge table sums the `slots` axis of one (slots, W)
+    block: first the edge's unflipped movements (on a link from the lower
+    id to the higher), then from `flip_start` on its flipped ones, each in
+    movement order and padded to the most any edge has. With W >= 2 the
+    slot axis never runs innermost, so a plain reduction adds the slots in
+    order (see `MovementArrays`). A flipped column holds its terms
+    transposed, at [x_own][x_up], which is the edge table's [x_i][x_j].
 
     - `movement` (C,) is each column's movement, 0 at the `pads`, whose
-      terms `period_model` zeroes (None where there are none, as on grids);
+      terms `period_model` zeroes (None where there are none, as on grids
+      with two edges or more; a single-edge network has one pad per slot);
       `column` (n_mov + 1,) is its inverse, C for the zero row n_mov. `sat`,
       `act` and `mov_from` are the movement arrays in column order;
       `to_link_table`, padded with C, lists the columns by output link, and
@@ -73,11 +76,13 @@ class PairColumns:
         # a movement takes its input link's edge and orientation
         mov_edge, mov_flipped = arr.link_edge.take(arr.mov_from), arr.link_flipped.take(arr.mov_from)
 
-        n_edges, n_agents = len(arr.edges), len(arr.agent_ids)
+        n_agents = len(arr.agent_ids)
+        # two columns at least, so no block's slot axis runs innermost
+        self.width = max(len(arr.edges), 2)
         # the entry-link movements are the ones on no edge
         entry = np.flatnonzero(mov_edge < 0)
         sides = (np.flatnonzero((mov_edge >= 0) & ~mov_flipped), np.flatnonzero(mov_flipped))
-        blocks = [gather_table(side, mov_edge[side], n_edges, -1) for side in sides]
+        blocks = [gather_table(side, mov_edge[side], self.width, -1) for side in sides]
         movement = np.concatenate((entry, *(block.reshape(-1) for block in blocks)))
         n_cols = len(movement)
         real = np.flatnonzero(movement >= 0)
@@ -136,13 +141,14 @@ class PeriodModel:
 
     def cost_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The coordination graph's tables, phase-major: the (4, 4, E) edge
-        tables, each a `slot_sum` over the slots of its edge block, and the
-        (4, N) individual costs, one `np.bincount` of the entry-link terms
-        over `entry_key`. Each table adds its terms in movement order, the
-        unflipped links' first."""
-        cols, terms, n_edges = self.columns, self.terms, len(self.arrays.edges)
-        block = terms[:, :, cols.edge_start : cols.edge_start + cols.slots * n_edges]
-        edges = slot_sum(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, n_edges), axis=2)
+        tables, one reduction over the slot axis of the (slots, W) edge
+        block less its pad columns e >= E, and the (4, N) individual costs,
+        one `np.bincount` of the entry-link terms over `entry_key`. Each
+        table adds its terms in movement order, the unflipped links' first."""
+        cols, terms, width = self.columns, self.terms, self.columns.width
+        block = terms[:, :, cols.edge_start : cols.edge_start + cols.slots * width]
+        block = block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, width)
+        edges = np.add.reduce(block, axis=2, initial=0.0)[:, :, : len(self.arrays.edges)]
         # an entry-link movement's terms are the same under every upstream
         # phase; with no entry links at all, bincount's zeros are integers
         n_keys = NUM_PHASES * len(self.arrays.agent_ids)
@@ -175,9 +181,9 @@ def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> 
     drained = q - released[:, :-1]
     gathered = cols.release_gather
     released.take(cols.to_link_table, axis=1, out=gathered, mode="clip")
-    # numpy adds the slots one at a time in table order from 0.0, as
-    # `slot_sum` does, because the links, not the slots, run innermost:
-    # a movement joins two links, so a table with slots has two or more
+    # numpy adds the slots one at a time in table order from 0.0 because
+    # the links, not the slots, run innermost: a movement joins two links,
+    # so a table with slots has two or more
     release_onto = np.add.reduce(gathered, axis=1, initial=0.0)
     inflow = np.where(arr.entry_link_mask, turning.d, release_onto)
     incoming = inflow.take(cols.mov_from, axis=1)

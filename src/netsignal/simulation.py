@@ -28,7 +28,6 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import chain, repeat
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,15 +107,10 @@ class JointAssignment(Mapping):
 def _ascending(ids: tuple) -> bool:
     """Whether `ids` are sorted and distinct; ids that do not compare or hash are not."""
     try:
-        return _ascending_kept(ids)
+        hash(ids)
+        return all(a < b for a, b in zip(ids, ids[1:]))
     except TypeError:
         return False
-
-
-@lru_cache(maxsize=16)
-def _ascending_kept(ids: tuple) -> bool:
-    """`_ascending`, kept: decisions of one network share one id tuple."""
-    return all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def phase_indices(decision: Mapping, agents: tuple[int, ...]) -> np.ndarray:

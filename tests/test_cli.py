@@ -308,6 +308,32 @@ def test_run_rejects_a_departure_whose_period_overflows(tmp_path, capsys):
     assert err[0].startswith(f"error: vehicle {doc[-1]['id']}: ") and "finite period depart_s / tau" in err[0]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["run", "--flow", "late.json", "--tau", "0.1"],
+        ["compare", "--flow", "late.json", "--tau", "0.1"],
+        ["run", "--rate", "0.3", "--duration", "100", "--tau", "1e-320"],
+        ["run", "--rate", "0.3", "--duration", "1e308", "--tau", "1e-10"],
+        ["run", "--flow", "f.json", "--tau", "1e-320"],
+    ],
+)
+def test_a_horizon_of_infinitely_many_periods_exits_with_one_line(tmp_path, capsys, monkeypatch, flags):
+    # duration / tau overflows to inf before any period is counted
+    monkeypatch.chdir(tmp_path)
+    save_network(build_grid(2, 2), "g.json")
+    assert cli_main(["gen-flow", "--roadnet", "g.json", "--rate", "0.1", "--duration", "20", "--out", "f.json"]) == 0
+    doc = json.loads((tmp_path / "f.json").read_text())
+    doc[-1]["depart_s"] = 1e308
+    (tmp_path / "late.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main([*flags, "--roadnet", "g.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: duration ") and "gives no finite number of periods" in err[0]
+    assert f"--tau {float(flags[-1])}" in err[0]
+
+
 def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsys, monkeypatch):
     # a clock that advances 1 ms a call makes every decision_ms 1.0, so
     # the printed rows and the CSV are the same bytes run after run

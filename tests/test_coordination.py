@@ -190,6 +190,7 @@ def test_brute_force_agent_cap():
         ((0, 1), ((0, 1, 2),), 1),  # an edge of three ends
         ((0, 1), ((0,),), 1),  # an edge of one end
         ((0, 1), ((0, "a"),), 1),  # an end that is no agent and does not compare
+        (([0], [1]), (), 0),  # agents that compare but do not hash
     ],
 )
 def test_graph_rejects_non_canonical_layout(agents, edges, n_tables):

@@ -28,7 +28,7 @@ from conftest import (
 )
 from netsignal.coordination import CoordinationGraph, build_cg, global_cost
 from netsignal.messaging import CoorBudget, coordinate, message_plan
-from netsignal.network import build_grid, slot_sum
+from netsignal.network import build_grid
 from netsignal.ordering import min_diameter_dag, network_order
 from oracle import ScalarGraph, brute_force_optimum, longest_directed_path, row_major_picks
 
@@ -197,4 +197,4 @@ def test_incoming_sums_follow_edge_order(cg, seed):
     want = np.zeros((len(cg.agents), 4))
     np.add.at(want, dst, np.array([table[(u, v)] for u, v in order.edges]))
     np.add.at(want, src, np.array([table[(v, u)] for u, v in order.edges]))
-    assert np.array_equal(slot_sum(plan.messages.T.take(plan.slots, axis=0)), want)
+    assert np.array_equal(np.add.reduce(plan.messages.T.take(plan.slots, axis=0), axis=0, initial=0.0), want)

@@ -1,12 +1,13 @@
 """The package's two scatter-add rules against `np.add.at`, bit for bit.
 
 A sum over a fixed per-movement key is one `np.bincount` in key order, and
-a sum whose gather a kernel reuses is the `slot_sum` of a gather through a
-precomputed gather table. Both must add every target's sources in the
-order `np.add.at` does, from 0.0, so the property test compares the raw
-bytes: equal values and equal signs of zero. The call-site tests hold each
-per-period caller to its `np.add.at` reference in `oracle` on grids from
-1x1 to 5x5 and on the non-grid roadnet.
+a sum whose gather a kernel reuses is `np.add.reduce` from 0.0 over the
+leading slot axis of a gather through a precomputed gather table, with a
+later axis of length >= 2 inside it. Both must add every target's sources
+in the order `np.add.at` does, from 0.0, so the property test compares the
+raw bytes: equal values and equal signs of zero. The call-site tests hold
+each per-period caller to its `np.add.at` reference in `oracle` on grids
+from 1x1 to 5x5, on the non-grid roadnet and on a ring.
 """
 import ast
 import math
@@ -32,7 +33,6 @@ from netsignal.network import (
     gather_table,
     load_network,
     movement_arrays,
-    slot_sum,
     validate,
 )
 from netsignal.prediction import PairColumns, period_model
@@ -50,15 +50,16 @@ LONE_COLUMN = np.array([1e16] + [1.0] * 8 + [-1e16] + [0.0] * 6)
 
 
 def scatter(targets, n_targets, values):
-    """The sums of `values` by target under both rules, and `np.add.at`'s:
-    the `slot_sum` of a gather through a table built from `targets`, and one
-    `np.bincount` over a flat key that gives each trailing cell of each
-    target a bucket of its own, cell-major, as the cost tables key their
-    (phase, agent) buckets."""
+    """The sums of `values` by target under both rules, and `np.add.at`'s
+    last: one `np.bincount` over a flat key that gives each trailing cell
+    of each target a bucket of its own, cell-major, as the cost tables key
+    their (phase, agent) buckets, and, where each value has 4 or 16 cells,
+    `np.add.reduce` from 0.0 over the slot axis of a gather through a table
+    built from `targets`, which then has an axis of length 4 inside it."""
     n, tail = len(targets), values.shape[1:]
     table = gather_table(np.arange(n), targets, n_targets, n)
     padded = np.concatenate((values, np.zeros((1,) + tail)))
-    gathered = slot_sum(padded.take(table, axis=0))
+    gathered = [np.add.reduce(padded.take(table, axis=0), axis=0, initial=0.0)] if tail else []
     cells = math.prod(tail)
     key = np.arange(cells)[:, None] * n_targets + targets
     weights = values.reshape(n, cells).T
@@ -66,7 +67,7 @@ def scatter(targets, n_targets, values):
     counted = counted.reshape(cells, n_targets).T.reshape((n_targets,) + tail)
     want = np.zeros((n_targets,) + tail)
     np.add.at(want, targets, values)
-    return gathered, counted, want
+    return *gathered, counted, want
 
 
 @st.composite
@@ -82,9 +83,11 @@ def cases(draw):
 @given(cases())
 # no sources at all
 @example((np.zeros(0, dtype=np.intp), 3, np.zeros((0, 4))))
-# one target with 16 sources, one value each: numpy would sum the lone
-# column pairwise if `slot_sum` reduced it as it reduces wider arrays
+# one target with 16 sources, one value each: numpy sums a lone column
+# pairwise, but not the same column in every cell of a (4,) value, since
+# the cells then run inside the slots
 @example((np.zeros(16, dtype=np.intp), 1, LONE_COLUMN))
+@example((np.zeros(16, dtype=np.intp), 1, np.repeat(LONE_COLUMN[:, None], NUM_PHASES, axis=1)))
 # targets 1 and 3 get nothing; -0.0 sums to +0.0 from the 0.0 start
 @example((np.array([0, 2, 2, 0], dtype=np.intp), 4, np.array([-0.0, -0.0, 1.5, -0.0])))
 def test_segment_sum_equals_add_at(case):
@@ -96,8 +99,12 @@ def test_segment_sum_equals_add_at(case):
 
 
 def test_lone_column_example_tells_the_orders_apart():
-    assert np.add.reduce(LONE_COLUMN) == 6.0
+    # the rule of `MovementArrays`: a slot axis reduced with an axis of
+    # length >= 2 inside it is added in order, an innermost one pairwise
+    assert np.add.reduce(LONE_COLUMN, initial=0.0) == 6.0
     assert scatter(np.zeros(16, dtype=np.intp), 1, LONE_COLUMN)[-1][0] == 0.0
+    beside = np.stack((LONE_COLUMN, LONE_COLUMN), axis=1)
+    assert np.add.reduce(beside, axis=0, initial=0.0).tolist() == [0.0, 0.0]
 
 
 def test_gather_table_lists_sources_in_order_and_pads():
@@ -120,10 +127,14 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
         cols = PairColumns(net)
         pads = np.zeros(0, dtype=np.intp) if cols.pads is None else cols.pads
         assert len(cols.movement) == arr.n_mov + len(pads)
-        # pad columns sit in the edge block, where column edge_start + k * E + e
-        # is slot k of edge e
+        # the edge block is W = max(E, 2) columns wide, so no slot axis runs
+        # innermost: column edge_start + k * W + e is slot k of edge e
+        n_edges, width = len(arr.edges), max(len(arr.edges), 2)
+        assert cols.width == width
+        assert len(cols.movement) - cols.edge_start == cols.slots * width
+        assert (cols.flip_start - cols.edge_start) % width == 0
         assert (pads >= cols.edge_start).all()
-        padded += [arr.edges[e] for e in np.unique((pads - cols.edge_start) % max(len(arr.edges), 1))]
+        padded += [arr.edges[e] for e in np.unique((pads - cols.edge_start) % width) if e < n_edges]
         for _ in range(3):
             state = random_macro_state(net, rng)
             turning = random_turning(net, rng)
@@ -143,7 +154,8 @@ def test_call_sites_equal_their_add_at_references(tmp_path_factory):
             assert pressures.tobytes() == oracle.phase_pressures_at(state, net, turning).tobytes()
     # the non-grid diagonal runs one way, so its edge takes unflipped terms
     # only and its flipped slots are pad columns; every grid edge takes three
-    # terms each way, so grids have none
+    # terms each way, so a grid's only pads are the second columns of a
+    # lone edge's block (1x2 and 2x1), which belong to no edge
     assert padded == [(10, 50)]
 
 
@@ -173,11 +185,12 @@ def chain(n):
 
 
 def test_cost_tables_add_many_slots_in_order():
-    # A lone edge's slots run innermost in its (4, 4, slots, 1) block, where
-    # numpy would sum 8 or more of them pairwise; `slot_sum` adds them in
-    # order there too, as `np.add.at` does. Queues of 1e8 beside ones make
-    # the two orders differ. The individual costs are one `np.bincount`,
-    # which adds in order however many terms an agent has.
+    # A lone edge's slots would run innermost in an unpadded (4, 4, slots, 1)
+    # block, where numpy sums 8 or more of them pairwise; the block's pad
+    # column keeps them off the innermost axis, so they add in order, as
+    # `np.add.at` does. Queues of 1e8 beside ones make the two orders
+    # differ. The individual costs are one `np.bincount`, which adds in
+    # order however many terms an agent has.
     rng = np.random.default_rng(5)
     pairwise = 0
     for n in (1, 2, 3, 4):
@@ -185,10 +198,10 @@ def test_cost_tables_add_many_slots_in_order():
         arr = movement_arrays(net)
         cols = PairColumns(net)
         assert validate(net) == [] and len(arr.edges) == n - 1
-        # edge e's terms sit in the columns edge_start + k * (n - 1) + e
+        # edge e's terms sit in the columns edge_start + k * max(n - 1, 2) + e
         on_edge = cols.column[:-1][cols.column[:-1] >= cols.edge_start] - cols.edge_start
-        assert (np.bincount(on_edge % max(n - 1, 1)) >= 8).all()
-        assert (cols.pads is not None) == (n > 2)
+        assert (np.bincount(on_edge % max(n - 1, 2)) >= 8).all()
+        assert (cols.pads is not None) == (n >= 2)
         for _ in range(3):
             q = rng.choice([0.0, 0.1, 1.0, 3.0, 1e8], arr.n_mov)
             state, turning = QueueState(0, q), random_turning(net, rng)
@@ -197,9 +210,11 @@ def test_cost_tables_add_many_slots_in_order():
             edge_costs, individual = oracle.build_cg_at(net, state, turning)
             assert cg.edge_costs.tobytes() == edge_costs.tobytes()
             assert cg.individual.tobytes() == individual.tobytes()
-            if n == 2:  # the same sums by a plain reduction
-                block = model.terms[:, :, cols.edge_start : cols.edge_start + cols.slots]
-                edges = np.add.reduce(block.reshape(NUM_PHASES, NUM_PHASES, cols.slots, 1), axis=2)
+            if n == 2:  # the same sums by a reduction of the unpadded block
+                start, stop = cols.edge_start, cols.edge_start + cols.slots * cols.width
+                block = model.terms[:, :, start : stop : cols.width]
+                block = np.ascontiguousarray(block).reshape(NUM_PHASES, NUM_PHASES, cols.slots, 1)
+                edges = np.add.reduce(block, axis=2, initial=0.0)
                 pairwise += edges.transpose(2, 0, 1).tobytes() != edge_costs.tobytes()
     assert pairwise > 0
 
@@ -225,9 +240,9 @@ def test_period_model_adds_many_slots_in_table_order():
 
 
 def test_package_has_no_ufunc_at():
-    # every scatter-add is one `np.bincount` over a fixed key, or the
-    # `slot_sum` of a gather through a precomputed table where a kernel
-    # reuses the gather
+    # every scatter-add is one `np.bincount` over a fixed key, or a reduction
+    # over the slot axis of a gather through a precomputed table where a
+    # kernel reuses the gather
     files = sorted((Path(__file__).parent.parent / "src" / "netsignal").rglob("*.py"))
     hits = [
         f"{path.name}:{k}: {line.strip()}"
@@ -288,3 +303,34 @@ def test_per_period_modules_call_no_numpy_wrappers():
             if attr in ("min", "max", "all", "any", "sum") or (by_np and attr in ("argmin", "argmax")):
                 hits.append(f"{name}:{node.lineno}")
     assert hits == []
+
+
+def test_per_period_slot_sums_reduce_from_zero():
+    # every per-period slot sum is `np.add.reduce` from 0.0 (directly or
+    # through `messaging`'s `_add_reduce`), which keeps an empty slot axis
+    # and -0.0 terms as `np.add.at` has them, and no module accumulates.
+    # `simulation`'s integer reduction of route codes sums no slots.
+    root = Path(__file__).parent.parent / "src" / "netsignal"
+
+    def is_add(node, name):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "add"
+        )
+
+    reduces, accumulates = {}, []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            at = f"{path.name}:{node.lineno}"
+            if is_add(node.func, "accumulate"):
+                accumulates.append(at)
+            by_alias = isinstance(node.func, ast.Name) and node.func.id == "_add_reduce"
+            per_period = path.name in ("messaging.py", "prediction.py")
+            if per_period and (is_add(node.func, "reduce") or by_alias):
+                reduces[at] = {k.arg: ast.unparse(k.value) for k in node.keywords}.get("initial")
+    assert accumulates == []
+    assert len(reduces) >= 5 and [at for at, initial in reduces.items() if initial != "0.0"] == []

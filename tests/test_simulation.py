@@ -236,7 +236,8 @@ def test_joint_assignment_rejects_phases_that_are_no_decision(phases):
         JointAssignment((3, 5), np.array(phases))
 
 
-@pytest.mark.parametrize("agents", [(5, 3), (3, 3), (0, "a")])
+# lists compare but do not hash, so they are no agents either
+@pytest.mark.parametrize("agents", [(5, 3), (3, 3), (0, "a"), ([0], [1])])
 def test_joint_assignment_needs_sorted_distinct_agents(agents):
     with pytest.raises(ValueError, match="agents must be sorted and distinct"):
         JointAssignment(agents, np.array([0, 1]))
