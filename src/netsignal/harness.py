@@ -1,7 +1,7 @@
 """Experiment orchestration: controller loop, metrics, delay modeling.
 
 One experiment steps the micro simulator over the horizon, asking the
-selected controller for a joint phase decision each period from the true
+run's `Planner` for a joint phase decision each period from the true
 queue state and the route-estimated turning model. Everything except the
 wall-clock columns is deterministic given the scenario's seeds: a rate spec
 draws its flow from its own seed, and delay sampling from a named substream
@@ -13,12 +13,13 @@ import csv
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from netsignal.controllers import fixed_time, max_pressure
 from netsignal.improvement import PlannerConfig, plan_phases_detailed
+from netsignal.messaging import CoordResult
 from netsignal.network import RoadNetwork, _is_count, _number_or_nan
 from netsignal.ordering import DagOrder, network_order
 from netsignal.simulation import (
@@ -133,29 +134,37 @@ class Metrics:
         return [PeriodRow(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
-Controller = Callable[[QueueState, TurningModel, int], tuple[JointAssignment, int]]
+class Planner:
+    """One run's controller, and the only reader of its name. `decide(state,
+    turning, period)` returns the joint decision and the period's record: a
+    `CoordResult`, or `None` for the baselines, which keep no config, order,
+    `wall_ms` (the safety valve's budget) or delay. Per-run state lives here."""
 
+    def __init__(self, scenario: Scenario):
+        self.net, kind = scenario.network, scenario.controller
+        self.config = self.order = self.wall_ms = self.delay = None
+        if kind in ("nlcoor", "emc"):
+            # nlcoor is coordination only: the whole budget to message passing, no sweeps
+            self.config = replace(scenario.planner, epsilon=1.0) if kind == "nlcoor" else scenario.planner
+            self.order, self.wall_ms = network_order(self.net), self.config.budget.wall_ms
+            self.delay, self.delay_seed = scenario.delay, substream_seed(scenario.sim.seed, "delay")
+        self.decide = {"fixedtime": self._fixed_time, "maxpressure": self._max_pressure}.get(kind, self._plan)
 
-def make_controller(scenario: Scenario) -> Controller:
-    """The scenario's controller as `decide(state, turning, period)`, which
-    returns the joint decision and the message rounds it took (0 for the
-    baselines)."""
-    net = scenario.network
-    if scenario.controller == "fixedtime":
-        agents = sorted(net.intersections)
-        return lambda state, turning, period: (fixed_time(period, agents), 0)
-    if scenario.controller == "maxpressure":
-        return lambda state, turning, period: (max_pressure(state, net, turning), 0)
-    planner = scenario.planner
-    if scenario.controller == "nlcoor":
-        # coordination only: the whole budget to message passing, no sweeps
-        planner = replace(planner, epsilon=1.0)
+    def _fixed_time(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, None]:
+        return fixed_time(period, self.net.intersections), None
 
-    def decide(state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, int]:
-        detail = plan_phases_detailed(state, net, turning, planner)
-        return detail.assignment, detail.coordination.rounds
+    def _max_pressure(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, None]:
+        return max_pressure(state, self.net, turning), None
 
-    return decide
+    def _plan(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, CoordResult]:
+        detail = plan_phases_detailed(state, self.net, turning, self.config)
+        return detail.assignment, detail.coordination
+
+    def comm_ms(self, record: Optional[CoordResult], period: int) -> float:
+        """Modeled delay of the period's message rounds; 0.0 without a model."""
+        if self.delay is None:
+            return 0.0
+        return modeled_delay_ms(self.order, record.rounds, self.delay, self.delay_seed + period)
 
 
 def resolve_flow(scenario: Scenario) -> list[Vehicle]:
@@ -208,31 +217,24 @@ def run_experiment(scenario: Scenario) -> Metrics:
     for v in vehicles:
         v.exit_time = None
     flow = Flow(vehicles, cfg.tau, net)
-    decide = make_controller(scenario)
-    order = budget_wall = delay_model = None
-    if scenario.controller in ("nlcoor", "emc"):
-        order = network_order(net)
-        budget_wall = scenario.planner.budget.wall_ms
-        delay_model = scenario.delay
-
+    planner = Planner(scenario)
     state = initial_state(net)
-    # total queue, balance, decision ms and modeled delay ms per period
-    columns = np.empty((4, cfg.horizon))
-    delay_seed = substream_seed(cfg.seed, "delay")
+    try:
+        # total queue, balance, decision ms and modeled delay ms per period
+        columns = np.empty((4, cfg.horizon))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"a horizon of {cfg.horizon} periods leaves no room for its per-period metrics") from exc
     for t in range(cfg.horizon):
         turning = estimate_turning(state, net, flow)
         t0 = time.perf_counter()
-        decision, rounds = decide(state, turning, t)
+        decision, record = planner.decide(state, turning, t)
         decision_ms = (time.perf_counter() - t0) * 1e3
-        if budget_wall is not None and decision_ms > 10 * budget_wall:
+        if planner.wall_ms is not None and decision_ms > 10 * planner.wall_ms:
             raise BudgetOverrunError(
-                f"controller took {decision_ms:.0f} ms against a {budget_wall:.0f} ms budget"
+                f"controller took {decision_ms:.0f} ms against a {planner.wall_ms:.0f} ms budget"
             )
-        comm_ms = 0.0
-        if delay_model is not None and rounds > 0:
-            comm_ms = modeled_delay_ms(order, rounds, delay_model, delay_seed + t)
         state = step(state, decision, net, cfg, flow=flow)
-        columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, comm_ms)
+        columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, planner.comm_ms(record, t))
 
     trips = travel_time_metrics(vehicles, end_time=cfg.horizon * cfg.tau)
     return Metrics(trips.avg_travel_time_s, trips.throughput, *columns)

@@ -284,9 +284,9 @@ def _level_order(level: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], 
 
 def message_plan(order: DagOrder) -> MessagePlan:
     """The orientation's message plan, made on first use and kept in the
-    order's `__dict__`, as `functools.cached_property` keeps a value on a
-    frozen dataclass, so every `coordinate` call on the orientation
-    rewrites the same buffers."""
+    order's `__dict__` as `functools.cached_property` would on a frozen
+    dataclass: topology-derived arrays and scratch buffers that no period
+    reads back, as in every per-network cache; a run's planner owns the rest."""
     plan = order.__dict__.get("_message_plan")
     if plan is None:
         plan = order.__dict__["_message_plan"] = MessagePlan(order)

@@ -117,9 +117,9 @@ def min_diameter_dag(cg: CoordinationGraph) -> DagOrder:
 
 
 def network_order(net: RoadNetwork) -> DagOrder:
-    """Message-passing orientation of a network; it depends on the topology
-    only, so it is computed once and kept with the network's
-    `MovementArrays`, which this builds on first use."""
+    """Message-passing orientation of a network, computed once and kept with
+    the network's `MovementArrays` (built here on first use): topology-derived
+    arrays only, as in every per-network cache; a run's planner owns the rest."""
     arr = movement_arrays(net)
     if not hasattr(arr, "_order"):
         arr._order = _orient(arr.agent_ids, arr.edges)

@@ -169,6 +169,8 @@ class PeriodModel:
 
 
 def period_model(net: RoadNetwork, state: QueueState, turning: TurningModel) -> PeriodModel:
+    """The period's pair terms. The `PairColumns` kept on the arrays hold only topology-derived
+    arrays and scratch buffers that no period reads back; a run's planner owns everything else."""
     arr = movement_arrays(net)
     if not hasattr(arr, "_pair_columns"):
         arr._pair_columns = PairColumns(net)

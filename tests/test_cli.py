@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -332,6 +333,22 @@ def test_a_horizon_of_infinitely_many_periods_exits_with_one_line(tmp_path, caps
     assert len(err) == 1
     assert err[0].startswith("error: duration ") and "gives no finite number of periods" in err[0]
     assert f"--tau {float(flags[-1])}" in err[0]
+
+
+@pytest.mark.parametrize("command, depart_s", [("run", 1e17), ("compare", 1e17), ("run", 1e18)])
+def test_a_horizon_too_long_for_its_metrics_exits_with_one_line(tmp_path, capsys, monkeypatch, command, depart_s):
+    # a finite number of periods whose four metric columns fit in no memory
+    monkeypatch.chdir(tmp_path)
+    save_network(build_grid(2, 2), "g.json")
+    assert cli_main(["gen-flow", "--roadnet", "g.json", "--rate", "0.1", "--duration", "20", "--out", "f.json"]) == 0
+    doc = json.loads((tmp_path / "f.json").read_text())
+    doc[-1]["depart_s"] = depart_s
+    (tmp_path / "far.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main([command, "--roadnet", "g.json", "--flow", "far.json", "--tau", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    horizon = math.ceil(depart_s + 600.0)
+    assert err == [f"error: a horizon of {horizon} periods leaves no room for its per-period metrics"]
 
 
 def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsys, monkeypatch):

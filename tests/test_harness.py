@@ -7,6 +7,7 @@ import pytest
 from conftest import shifted_grid_doc
 from netsignal import prediction
 from netsignal.harness import (
+    CONTROLLERS,
     DELAY_SIGMA_MS,
     BudgetOverrunError,
     DelayModel,
@@ -16,6 +17,7 @@ from netsignal.harness import (
     network_order,
     resolve_flow,
     run_experiment,
+    substream_seed,
     write_comparison_csv,
     write_metrics_csv,
 )
@@ -157,13 +159,48 @@ def test_budget_safety_valve():
 
 
 def test_comm_delay_recorded_for_message_controllers():
-    scenario = small_scenario("emc", horizon=10)
-    scenario.delay = DelayModel(mu_ms=20.0)
-    metrics = run_experiment(scenario)
-    assert metrics.mean_comm_delay_ms > 0
-    fixed = small_scenario("fixedtime", horizon=10)
-    fixed.delay = DelayModel(mu_ms=20.0)
-    assert run_experiment(fixed).mean_comm_delay_ms == 0
+    # a rounds cap above the cycle: every period runs 2 * diameter rounds,
+    # each period's delay drawn from the run's delay substream plus the period
+    model = DelayModel(mu_ms=20.0)
+    for controller in CONTROLLERS:
+        scenario = small_scenario(controller, horizon=10)
+        scenario.delay = model
+        got = run_experiment(scenario).comm_delay_ms.tolist()
+        if controller in ("fixedtime", "maxpressure"):
+            assert got == [0.0] * 10
+            continue
+        order = network_order(scenario.network)
+        seed = substream_seed(scenario.sim.seed, "delay")
+        assert 2 * order.diameter < scenario.planner.budget.rounds
+        assert got == [modeled_delay_ms(order, 2 * order.diameter, model, seed + t) for t in range(10)]
+        assert min(got) > 0
+
+
+def _outcome(metrics):
+    return metrics.total_queue.tolist(), metrics.balance.tolist(), metrics.avg_travel_time_s, metrics.throughput
+
+
+@pytest.mark.parametrize("rounds", [3, 10**6])
+def test_runs_on_one_shared_network_are_independent(rounds):
+    # the per-network caches carry nothing from one run to the next: each run
+    # on a network that earlier runs used reads what it reads on a fresh one,
+    # also under a rounds cap that stops inside the cycle
+    def scenario(net, controller):
+        return Scenario(
+            network=net,
+            flow=RateSpec(rate_vps=0.6, duration_s=300.0, seed=2),
+            sim=SimConfig(tau=10.0, horizon=30, seed=2),
+            controller=controller,
+            planner=PlannerConfig(budget=CoorBudget(rounds=rounds, wall_ms=3000.0)),
+            delay=DelayModel(mu_ms=5.0),
+        )
+
+    shared = build_grid(3, 3)
+    for controller in ("emc", "maxpressure", "nlcoor", "emc"):
+        again = run_experiment(scenario(shared, controller))
+        fresh = run_experiment(scenario(build_grid(3, 3), controller))
+        assert _outcome(again) == _outcome(fresh)
+        assert again.comm_delay_ms.tolist() == fresh.comm_delay_ms.tolist()
 
 
 def test_modeled_delay_deterministic_and_monotone_in_mu():
