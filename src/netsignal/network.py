@@ -166,7 +166,11 @@ class MovementArrays:
     movements from each link lead to, in movement order, padded the same
     way, for route walks, and `from_link_table` those movements in the same
     slots, padded with `n_mov`, so that `Flow` finds a hop's movement in the
-    slot that holds its next row.
+    slot that holds its next row. `quota` is the (4, M) intp table of the
+    whole vehicles each movement may release per period under each phase
+    of its intersection: `release_cap` (sat_flow floored, at most 2**53)
+    where `act` is 1, which for a right turn is every row, and 0 elsewhere;
+    `step` reads it flat at `phase * n_mov + m`.
 
     A sum over a fixed per-movement key is one `np.bincount` in movement
     order, which adds each key's weights one at a time from 0.0 as
@@ -237,7 +241,10 @@ class MovementArrays:
         # `act[x, m]` is movement m's activation under phase x of its
         # intersection, phase-major like every per-period array over phases
         phases = np.arange(NUM_PHASES)[:, None]
-        self.act = ((self.mov_phase < 0) | (self.mov_phase == phases)).astype(float)
+        active = (self.mov_phase < 0) | (self.mov_phase == phases)
+        self.act = active.astype(float)
+        # `quota[x, m]`: the vehicles movement m may release under phase x
+        self.quota = np.where(active, self.release_cap, 0)
         self.to_exit = (self.link_kind == _EXIT)[self.mov_to]
         # the turning share of each movement when its link carries no vehicles
         self.uniform_turn = 1.0 / np.bincount(self.mov_from, minlength=self.n_links)[self.mov_from]

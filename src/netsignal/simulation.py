@@ -14,11 +14,17 @@ micro simulator a vehicle spends ceil(length / (speed * tau)) periods in
 transit and follows its own route.
 
 State is arrays in `MovementArrays` order: the queue vector of a state, the
-turning shares and the entry demand. `step` and `estimate_turning` are
-whole-network numpy passes over them; within a period, per-vehicle Python
-work is limited to writing the exit times of the vehicles that leave. Once
-per run, `Flow` reads every vehicle's fields and looks up the links of each
-distinct route object, and `travel_time_metrics` loops over the vehicles.
+turning shares and the entry demand. `estimate_turning` is a whole-network
+numpy pass over them. `step` works over the vehicles on the network instead:
+each waiting vehicle looks its movement's release quota up in
+`MovementArrays.quota` and each released one its transit time in
+`Flow.mov_delay`, so the new queue count is its only pass over every
+movement. Within a period, per-vehicle Python work is limited to
+writing the exit times of the vehicles that leave. Once per run, `Flow`
+reads every vehicle's fields and looks up the links of each distinct route
+object, and `travel_time_metrics` loops over the vehicles. Both per-period
+functions refuse a `Flow` built for another network, and `step` one built
+at another `tau` than its config's.
 """
 from __future__ import annotations
 
@@ -202,7 +208,7 @@ class QueueState:
 
     def __post_init__(self):
         for a in (self.q, self.waiting, self.transit, self.arrive):
-            a.flags.writeable = False
+            a.setflags(write=False)
 
     def total_queue(self) -> float:
         return float(self.q.sum())
@@ -238,9 +244,11 @@ class Flow:
     (its movement index) and `route_vehicle` (its vehicle's row in
     `vehicles`); a route's hops are consecutive, so the hop after position p
     is p + 1. `departures_by_period` maps a period to the first-hop
-    positions of the vehicles departing in it, in flow order, and `delay` is
-    `link_delay_periods` of the network. A route must run from the origin
-    over movements of the network to an exit link, the destination, and a
+    positions of the vehicles departing in it, in flow order. `delay` is
+    `link_delay_periods` of the network at the flow's `tau`, and
+    `mov_delay[m]` that of movement m's output link, the periods a vehicle
+    it releases spends in transit. A route must run from the origin over
+    movements of the network to an exit link, the destination, and a
     vehicle must depart at a finite time >= 0 in a finite period.
 
     Hops are mapped once per distinct route object (equal routes that are
@@ -251,7 +259,7 @@ class Flow:
 
     def __init__(self, vehicles: Sequence[Vehicle], tau: float, net: RoadNetwork):
         arr = movement_arrays(net)
-        self.arrays = arr
+        self.arrays, self.tau = arr, tau
         self.vehicles: list[Vehicle] = list(vehicles)
         vs, n = self.vehicles, len(self.vehicles)
         if len({v.id for v in vs}) != n:
@@ -295,6 +303,7 @@ class Flow:
         bounds, firsts = [*starts.tolist(), n], first_hop[order]
         self.departures_by_period = {int(period[order[a]]): firsts[a:b] for a, b in zip(bounds, bounds[1:])}
         self.delay = link_delay_periods(net, tau)
+        self.mov_delay = self.delay.take(arr.mov_to)
 
 
 def _reject(vehicles: Sequence[Vehicle], ok: np.ndarray, why: str) -> None:
@@ -346,6 +355,15 @@ def predict_next_queues(
     return QueueState(period=state.period + 1, q=np.array(new_q))
 
 
+def _flow_arrays(net: RoadNetwork, flow: Flow) -> MovementArrays:
+    """The network's arrays, which `flow` must have been built on; raises
+    `ValueError` otherwise."""
+    arr = movement_arrays(net)
+    if flow.arrays is not arr:
+        raise ValueError("flow was built for another network")
+    return arr
+
+
 def step(
     state: QueueState,
     decision: JointAssignment,
@@ -361,44 +379,49 @@ def step(
     through an exit link or traverse their next link; traversals that end
     this period join their next queue in (arrival period, release order),
     then this period's departures join their entry queue in flow order.
+
+    Apart from the new queue count, the work grows with the vehicles on the
+    network, not the movements: each waiting vehicle reads its movement's
+    quota from `MovementArrays.quota` and each released one its transit
+    time from `Flow.mov_delay`. Raises `ValueError` for a flow built for
+    another network or at another `tau` than `cfg`'s.
     """
-    arr = movement_arrays(net)
-    if flow.arrays is not arr:
-        raise ValueError("flow was built for another network")
+    arr = _flow_arrays(net, flow)
+    if cfg.tau != flow.tau:
+        raise ValueError(f"config tau {cfg.tau} differs from the flow's tau {flow.tau}")
     phase = phase_indices(decision, arr.agent_ids)
     t = state.period
-    tau = cfg.tau
     route_mov = flow.route_mov
 
     # FIFO release: rank each waiting vehicle within its movement's queue
     # by join order, and release the ranks under the movement's quota.
-    active = (arr.mov_phase < 0) | (arr.mov_phase == phase[arr.mov_agent])
-    quota = np.where(active, arr.release_cap, 0)
     waiting = state.waiting
-    mov = route_mov[waiting]
-    order = np.argsort(mov, kind="stable")
-    sorted_mov = mov[order]
-    rank = np.arange(len(order)) - np.searchsorted(sorted_mov, sorted_mov)
-    out = rank < quota[sorted_mov]
-    released = waiting[order[out]]  # by movement, then FIFO
+    mov = route_mov.take(waiting)
+    order = mov.argsort(kind="stable")
+    sorted_mov = mov.take(order)
+    rank = np.arange(len(order)) - sorted_mov.searchsorted(sorted_mov)
+    quota = arr.quota.take(phase.take(arr.mov_agent.take(sorted_mov)) * arr.n_mov + sorted_mov)
+    out = rank < quota
+    released = waiting.take(order[out])  # by movement, then FIFO
     released_mov = sorted_mov[out]
-    stays = np.ones(len(waiting), dtype=bool)
-    stays[order[out]] = False
+    stays = np.empty(len(waiting), dtype=bool)
+    stays[order] = ~out
 
-    exits = arr.to_exit[released_mov]
-    for row in flow.route_vehicle[released[exits]].tolist():
-        flow.vehicles[row].exit_time = (t + 1) * tau
+    exits = arr.to_exit.take(released_mov)
+    exit_s = (t + 1) * cfg.tau
+    for row in flow.route_vehicle.take(released[exits]).tolist():
+        flow.vehicles[row].exit_time = exit_s
     moving = ~exits
     # Every earlier traversal ends at t + 1 or later and was released
     # before this period's, so `transit` stays in (arrival, release) order
     # for the vehicles due at t + 1.
     transit = np.concatenate((state.transit, released[moving] + 1))
-    arrive = np.concatenate((state.arrive, t + flow.delay[arr.mov_to[released_mov[moving]]]))
+    arrive = np.concatenate((state.arrive, t + flow.mov_delay.take(released_mov[moving])))
     due = arrive <= t + 1
 
     departing = flow.departures_by_period.get(t, _NONE)
     waiting = np.concatenate((waiting[stays], transit[due], departing))
-    q = np.bincount(route_mov[waiting], minlength=arr.n_mov).astype(float)
+    q = np.bincount(route_mov.take(waiting), minlength=arr.n_mov).astype(float)
     return QueueState(t + 1, q, waiting, transit[~due], arrive[~due])
 
 
@@ -414,8 +437,9 @@ def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> Turning
     its share is that count over its input link's total. Links carrying no
     vehicles fall back to a uniform split over their movements. Entry
     demand d(l) counts vehicles scheduled to appear on l next period.
+    Raises `ValueError` for a flow built for another network.
     """
-    arr = movement_arrays(net)
+    arr = _flow_arrays(net, flow)
     counts = state.q + np.bincount(flow.route_mov[state.transit], minlength=arr.n_mov)
     total = np.bincount(arr.mov_from, weights=counts, minlength=arr.n_links)[arr.mov_from]
     r = np.divide(counts, total, out=arr.uniform_turn.copy(), where=total > 0)
@@ -540,7 +564,8 @@ def generate_uniform_flow(
     seeded `numpy.random.Generator` stream. Raises `ValueError` naming a
     rate or duration that is not a positive, finite number or whose product
     is not finite, a seed that is not an integer >= 0, or the entry links
-    that reach no exit.
+    that reach no exit, and naming the rate, the duration and the vehicle
+    count when the vehicles do not fit in memory.
     """
     rate = _positive_finite(rate, "rate")
     duration = _positive_finite(duration, "duration")
@@ -564,11 +589,16 @@ def generate_uniform_flow(
     below = _bounded_draws(rng)
     routes = _Routes(arr, dist, exits, below)
     vehicles: list[Vehicle] = []
-    for i in range(count):
-        origin = shuffled[i % len(shuffled)]
-        targets = reachable[origin]
-        destination = targets[below(len(targets))]
-        vehicles.append(Vehicle(i, origin, i / rate, destination, routes.walk(origin, destination)))
+    try:
+        for i in range(count):
+            origin = shuffled[i % len(shuffled)]
+            targets = reachable[origin]
+            destination = targets[below(len(targets))]
+            vehicles.append(Vehicle(i, origin, i / rate, destination, routes.walk(origin, destination)))
+    except MemoryError:
+        # free the vehicles built so far before the message is formatted
+        vehicles.clear()
+        raise ValueError(f"rate {rate} for duration {duration} is {count} vehicles, more than fit in memory") from None
     return vehicles
 
 

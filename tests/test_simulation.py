@@ -182,6 +182,19 @@ def test_step_refuses_another_networks_flow():
         step(initial_state(net), all_phase(net, Phase.WE_STRAIGHT), net, SimConfig(), Flow([], 10.0, other))
 
 
+def test_estimate_turning_refuses_another_networks_flow():
+    net, other = build_grid(3, 3), build_grid(2, 2)
+    with pytest.raises(ValueError, match="flow was built for another network"):
+        estimate_turning(initial_state(net), net, Flow([], 10.0, other))
+
+
+def test_step_refuses_a_config_at_another_tau():
+    net = build_grid(2, 2)
+    flow = Flow(generate_uniform_flow(net, 0.5, 100.0), 10.0, net)
+    with pytest.raises(ValueError, match=re.escape("config tau 5.0 differs from the flow's tau 10.0")):
+        step(initial_state(net), all_phase(net, Phase.WE_STRAIGHT), net, SimConfig(tau=5.0), flow)
+
+
 # every function that reads a joint decision, called on a 1x2 grid
 DECISION_READERS = {
     "step": lambda x, net, state, turning: step(state, x, net, SimConfig(), flow=Flow([], 10.0, net)),
@@ -672,6 +685,22 @@ def test_flow_rejects_a_vehicle_count_that_overflows(tmp_path):
     path.write_text(json.dumps({"rate_vps": 1e200, "duration_s": 1e200}))
     with pytest.raises(LoadError, match=f"flow rate spec: {named}"):
         load_flow(str(path), net)
+
+
+def test_flow_names_a_vehicle_count_that_does_not_fit_in_memory(monkeypatch):
+    # memory runs out at the fourth vehicle; nothing here allocates much
+    made = []
+
+    def vehicle(*fields):
+        if len(made) == 3:
+            raise MemoryError
+        made.append(Vehicle(*fields))
+        return made[-1]
+
+    monkeypatch.setattr(simulation, "Vehicle", vehicle)
+    named = re.escape("rate 0.5 for duration 100.0 is 50 vehicles, more than fit in memory")
+    with pytest.raises(ValueError, match=named):
+        generate_uniform_flow(build_grid(2, 2), 0.5, 100.0)
 
 
 @pytest.mark.parametrize(

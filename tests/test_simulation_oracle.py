@@ -3,13 +3,15 @@
 Both simulators run the same random flow under the same random decisions,
 each on its own copy of the vehicles. Every period the queue vector, the
 FIFO contents, the transit count, the turning estimate and the exit times
-must be equal with `==`, not approximately.
+must be equal with `==`, not approximately. The saturation flows cover
+every kind of release quota: none, a fraction floored, one larger than
+any queue, and right turns that release nothing.
 """
 import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -45,13 +47,26 @@ def random_vehicles(net, rng, n):
     return vehicles
 
 
-def assert_same_run(net, vehicles, rng):
+def grid_with_right_turns(rows, cols, h_len, v_len, sat_flow, right_turn):
+    """`build_grid` with `right_turn` as the right turns' saturation flow."""
+    net = build_grid(rows, cols, h_len, v_len, sat_flow)
+    for m in net.movements:
+        if m.phase is None:
+            m.sat_flow = right_turn
+    return net
+
+
+def assert_same_run(net, vehicles, rng, expect_exits=True):
+    """Run both simulators side by side; returns the queue vector each
+    period starts from."""
     arr = movement_arrays(net)
     cfg = SimConfig(tau=TAU, horizon=PERIODS)
     mine, theirs = [copy.copy(v) for v in vehicles], [copy.copy(v) for v in vehicles]
     flow, scalar_flow = Flow(mine, TAU, net), oracle.ScalarFlow(theirs, TAU)
     state, ref = initial_state(net), oracle.initial_state(net)
+    queues = []
     for _ in range(PERIODS):
+        queues.append(state.q)
         turning = estimate_turning(state, net, flow)
         r, d = oracle.estimate_turning(ref, net, scalar_flow)
         assert np.array_equal(turning.r, [r[k] for k in arr.keys])
@@ -66,7 +81,9 @@ def assert_same_run(net, vehicles, rng):
         assert len(state.transit) == len(ref.transit)
         assert state.total_queue() == ref.total_queue()
         assert [v.exit_time for v in mine] == [v.exit_time for v in theirs]
-    assert any(v.exit_time is not None for v in mine)
+    if expect_exits:
+        assert any(v.exit_time is not None for v in mine)
+    return queues
 
 
 @settings(max_examples=25)
@@ -75,18 +92,42 @@ def assert_same_run(net, vehicles, rng):
     cols=st.integers(1, 5),
     h_len=st.sampled_from([90.0, 250.0, 420.0]),
     v_len=st.sampled_from([100.0, 300.0]),
-    sat_flow=st.sampled_from([2.0, 3.0, 5.0]),
-    right_turn=st.sampled_from([1.0, 3.0]),
+    # 0.0 releases nothing, 2.5 floors to 2 and 1e20 clips to 2**53
+    sat_flow=st.sampled_from([0.0, 2.0, 2.5, 3.0, 5.0, 1e20]),
+    right_turn=st.sampled_from([0.0, 1.0, 3.0]),
     seed=st.integers(0, 2**16),
 )
+@example(rows=2, cols=3, h_len=90.0, v_len=100.0, sat_flow=0.0, right_turn=1.0, seed=1)
+@example(rows=2, cols=3, h_len=90.0, v_len=100.0, sat_flow=2.5, right_turn=1.0, seed=2)
+@example(rows=2, cols=3, h_len=90.0, v_len=100.0, sat_flow=1e20, right_turn=3.0, seed=3)
+@example(rows=2, cols=3, h_len=90.0, v_len=100.0, sat_flow=2.0, right_turn=0.0, seed=4)
 def test_step_and_turning_equal_the_oracle_on_grids(rows, cols, h_len, v_len, sat_flow, right_turn, seed):
-    net = build_grid(rows, cols, h_len, v_len, sat_flow)
-    for m in net.movements:
-        if m.phase is None:
-            m.sat_flow = right_turn
+    net = grid_with_right_turns(rows, cols, h_len, v_len, sat_flow, right_turn)
     rng = np.random.default_rng(seed)
     vehicles = random_vehicles(net, rng, int(rng.integers(10, 30 * rows * cols + 20)))
-    assert_same_run(net, vehicles, rng)
+    assert_same_run(net, vehicles, rng, expect_exits=sat_flow >= 1 and right_turn >= 1)
+
+
+def flooded_run(sat_flow, right_turn):
+    """3,000 vehicles on two intersections, checked against the oracle;
+    returns the network and the (periods, M) queues each period starts
+    from."""
+    net = grid_with_right_turns(1, 2, 90.0, 100.0, sat_flow, right_turn)
+    rng = np.random.default_rng(0)
+    return net, np.array(assert_same_run(net, random_vehicles(net, rng, 3000), rng))
+
+
+def test_step_equals_the_oracle_when_every_quota_binds():
+    net, queues = flooded_run(2.0, 1.0)
+    binds = (queues > movement_arrays(net).release_cap).all(axis=1)
+    assert binds.sum() >= 5
+
+
+def test_step_equals_the_oracle_when_quotas_exceed_every_queue():
+    # a sat flow of 1e20 clips to 2**53: active movements empty queues
+    # of a hundred vehicles and more
+    _, queues = flooded_run(1e20, 1e20)
+    assert queues.max() > 100
 
 
 @pytest.mark.parametrize("seed", range(4))
