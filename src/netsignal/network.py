@@ -200,7 +200,7 @@ class MovementArrays:
         movements = net.movements
         self.n_mov = len(movements)
         self.agent_ids = ids = tuple(sorted(net.intersections))
-        self.agent_index = agent_index = {a: k for k, a in enumerate(ids)}
+        agent_index = {a: k for k, a in enumerate(ids)}
         self.link_ids = link_ids = sorted(net.links)
         self.link_index = link_index = {l: k for k, l in enumerate(link_ids)}
         self.n_links, n_agents = len(link_ids), len(ids)
@@ -214,7 +214,6 @@ class MovementArrays:
         ends = {None: -2, **agent_index}
         link_start, link_end = _positions(start, ends), _positions(end, ends)
         self.link_length, self.link_speed, self.sat = _floats(length), _floats(speed), _floats(sat)
-        self.keys = list(zip(frm, to))
         self.mov_agent = _positions(at, agent_index)
         self.mov_from, self.mov_to = _positions(frm, link_index), _positions(to, link_index)
         # each movement's phase, -1 for right turns, which run under every
@@ -477,7 +476,10 @@ def build_grid(
     are `v_len` long and their straight and left turns run under the SN
     phases. Sides without a neighbour get an entry and an exit stub, so every
     intersection keeps all 12 movements. Links run at `DEFAULT_SPEED_MPS`
-    and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`.
+    and right turns discharge `DEFAULT_RIGHT_TURN_FLOW`. Raises `ValueError`
+    for dimensions that are not integers >= 1, lengths that are not positive
+    and finite, a sat flow that is not finite and >= 0, and, naming the
+    dimensions, a grid that does not fit in memory.
     """
     if not (_is_count(rows) and _is_count(cols) and rows >= 1 and cols >= 1):
         raise ValueError(f"grid dimensions must be integers >= 1, got {rows!r}x{cols!r}")
@@ -485,7 +487,15 @@ def build_grid(
         raise ValueError(f"link lengths must be positive and finite, got {h_len!r} and {v_len!r}")
     if not 0 <= _number_or_nan(sat_flow) < math.inf:
         raise ValueError(f"sat_flow must be finite and >= 0, got {sat_flow!r}")
+    try:
+        return _grid(rows, cols, h_len, v_len, sat_flow)
+    except MemoryError:
+        pass  # out of the handler, the partial grid is freed before the message is built
+    raise ValueError(f"a {rows}x{cols} grid is {rows * cols} intersections, more than fit in memory")
 
+
+def _grid(rows: int, cols: int, h_len: float, v_len: float, sat_flow: float) -> RoadNetwork:
+    """`build_grid`'s network, from arguments it has checked."""
     # (intersection, side, neighbour or None), row-major
     sides = [
         (r * cols + c, d, (r + dr) * cols + c + dc if 0 <= r + dr < rows and 0 <= c + dc < cols else None)

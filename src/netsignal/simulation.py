@@ -3,8 +3,8 @@
 `step` is the micro simulator experiments measure travel time on: it moves
 individual vehicles through per-movement FIFO queues and link transit.
 `predict_next_queues` is the macro one-step update, propagating expected
-(fractional) queue counts; it is the scalar reference for the lookahead the
-planner's cost tables encode.
+(fractional) queue counts: the prediction whose balance the planner's cost
+tables add up to exactly.
 
 Per period, an active movement (l, h) discharges up to its saturation flow
 from queue (l, h); discharged vehicles either leave through an exit link or
@@ -14,17 +14,18 @@ micro simulator a vehicle spends ceil(length / (speed * tau)) periods in
 transit and follows its own route.
 
 State is arrays in `MovementArrays` order: the queue vector of a state, the
-turning shares and the entry demand. `estimate_turning` is a whole-network
-numpy pass over them. `step` works over the vehicles on the network instead:
-each waiting vehicle looks its movement's release quota up in
-`MovementArrays.quota` and each released one its transit time in
-`Flow.mov_delay`, so the new queue count is its only pass over every
-movement. Within a period, per-vehicle Python work is limited to
-writing the exit times of the vehicles that leave. Once per run, `Flow`
-reads every vehicle's fields and looks up the links of each distinct route
-object, and `travel_time_metrics` loops over the vehicles. Both per-period
-functions refuse a `Flow` built for another network, and `step` one built
-at another `tau` than its config's.
+turning shares and the entry demand. `predict_next_queues` and
+`estimate_turning` are whole-network numpy passes over them; no function
+here loops over the movements or links in Python. `step` works over the
+vehicles on the network instead: each waiting vehicle looks its
+movement's release quota up in `MovementArrays.quota` and each released
+one its transit time in `Flow.mov_delay`, so the new queue count is its
+only pass over every movement. Within a period, per-vehicle Python work
+is limited to writing the exit times of the vehicles that leave. Once per
+run, `Flow` reads every vehicle's fields and looks up the links of each
+distinct route object, and `travel_time_metrics` loops over the vehicles.
+Both per-period functions refuse a `Flow` built for another network, and
+`step` one built at another `tau` than its config's.
 """
 from __future__ import annotations
 
@@ -41,8 +42,6 @@ import numpy as np
 from netsignal.network import NUM_PHASES, PHASES, LinkKind, LoadError, Phase, RoadNetwork
 from netsignal.network import MovementArrays, hop_distances, movement_arrays
 from netsignal.network import _integer, _is_count, _number, _number_or_nan, _value
-
-MovementKey = tuple[int, int]
 
 _NONE = np.zeros(0, dtype=np.intp)
 
@@ -325,34 +324,22 @@ def predict_next_queues(
 ) -> QueueState:
     """Expected next-period queues: one deterministic macro update.
 
-    Every active movement discharges min(sat_flow, queue); discharged flow
-    from upstream movements lands on the downstream link's queues split by
-    the turning proportions, and entry links receive their exogenous demand.
-    Scalar on purpose, over dict views of the arrays: it is the reference
-    the cost tables are checked against.
+    Every active movement discharges min(sat_flow, queue); the volume
+    discharged onto each link lands on that link's queues split by the
+    turning proportions, and entry links receive their exogenous demand
+    instead. One pass over the movement arrays, whose release onto a link
+    is one `np.bincount` in movement order; `tests/oracle.py` holds the
+    movement-by-movement loop it must equal bit for bit. Raises the
+    `ValueError`s of `phase_indices` for a decision that misses an agent or
+    gives one a phase outside 0..3.
     """
     arr = movement_arrays(net)
-    phase = phase_indices(decision, arr.agent_ids).tolist()
-    q = dict(zip(arr.keys, state.q.tolist()))
-    r = dict(zip(arr.keys, turning.r.tolist()))
-    d = dict(zip(arr.link_ids, turning.d.tolist()))
-    out: dict[MovementKey, float] = {}
-    inflow: dict[int, float] = {l: 0.0 for l in net.links}
-    for m in net.movements:
-        served = 0.0
-        if m.phase is None or m.phase == phase[arr.agent_index[m.intersection]]:
-            served = min(m.sat_flow, q[m.key])
-        out[m.key] = served
-        inflow[m.to] += served
-    new_q: list[float] = []
-    for m in net.movements:
-        l = net.links[m.frm]
-        if l.kind is LinkKind.ENTRY:
-            arriving = d[m.frm] * r[m.key]
-        else:
-            arriving = inflow[m.frm] * r[m.key]
-        new_q.append(q[m.key] - out[m.key] + arriving)
-    return QueueState(period=state.period + 1, q=np.array(new_q))
+    phase = phase_indices(decision, arr.agent_ids)
+    q = state.q
+    served = arr.act[phase.take(arr.mov_agent), np.arange(arr.n_mov)] * np.minimum(arr.sat, q)
+    released = np.bincount(arr.mov_to, weights=served, minlength=arr.n_links)
+    inflow = np.where(arr.entry_link_mask, turning.d, released)
+    return QueueState(period=state.period + 1, q=q - served + inflow.take(arr.mov_from) * turning.r)
 
 
 def _flow_arrays(net: RoadNetwork, flow: Flow) -> MovementArrays:

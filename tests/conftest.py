@@ -8,7 +8,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oracle import topology
+from oracle import movement_keys, topology
+from netsignal import network
 from netsignal.messaging import message_plan
 from netsignal.network import Link, LinkKind, Movement, Phase, RoadNetwork, build_grid, movement_arrays
 from netsignal.simulation import Flow, QueueState, TurningModel, Vehicle
@@ -26,7 +27,21 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 def mov(net, key):
     """Index of the movement with this (from, to) key in the state arrays."""
-    return movement_arrays(net).keys.index(key)
+    return movement_keys(net).index(key)
+
+
+def memory_runs_out_at_link(monkeypatch, n):
+    """Make `build_grid` run out of memory at its `n`-th link, without
+    allocating much: `netsignal.network.Link` raises `MemoryError` there."""
+    made = []
+
+    def link(*fields):
+        if len(made) == n - 1:
+            raise MemoryError
+        made.append(Link(*fields))
+        return made[-1]
+
+    monkeypatch.setattr(network, "Link", link)
 
 
 def micro_state_with(net, queued, period=0):
@@ -53,7 +68,7 @@ def micro_state_with(net, queued, period=0):
 def macro_state_with(net, queues, period=0):
     """A queue-only state (no vehicles or transit) as `predict_next_queues`
     produces: every movement at 0 except the given queues."""
-    keys = movement_arrays(net).keys
+    keys = movement_keys(net)
     q = {k: 0.0 for k in keys}
     q.update({k: float(v) for k, v in queues.items()})
     return QueueState(period=period, q=np.array([q[k] for k in keys]))
@@ -67,9 +82,9 @@ def random_macro_state(net, rng, max_q=10):
 def turning_model(net, r, d):
     """A TurningModel from r by movement key and d by link id (missing
     entries are 0)."""
-    arr = movement_arrays(net)
     return TurningModel(
-        r=np.array([r.get(k, 0.0) for k in arr.keys]), d=np.array([d.get(l, 0.0) for l in arr.link_ids])
+        r=np.array([r.get(k, 0.0) for k in movement_keys(net)]),
+        d=np.array([d.get(l, 0.0) for l in movement_arrays(net).link_ids]),
     )
 
 

@@ -44,9 +44,12 @@ once by array passes, must build the same tables and raise the same errors.
 tuples, a tuple of transit entries and per-vehicle route dicts
 (`ScalarState`, `ScalarFlow`), moving one vehicle at a time;
 `estimate_turning` counts the same state vehicle by vehicle. The package's
-array `step` and `estimate_turning` must match them exactly. The scalar
-rules read the package's array states through `queue_view`, `turning_view`
-and `fifo_view`.
+array `step` and `estimate_turning` must match them exactly.
+`predict_next_queues` is the macro one-step update, one movement at a time
+into per-link dict sums; the package's single array pass must give the same
+bytes and raise the same errors. The scalar rules read the package's array
+states through `queue_view`, `turning_view` and `fifo_view`, keyed by
+`movement_keys`.
 """
 import math
 from dataclasses import dataclass, field, replace
@@ -60,7 +63,7 @@ from netsignal.messaging import message_plan
 from netsignal.network import NUM_PHASES, LinkKind, Movement, Phase, gather_table, hop_distances, movement_arrays
 from netsignal.network import _is_count, _number_or_nan
 from netsignal.ordering import TopologyError
-from netsignal.simulation import Vehicle, _positive_finite, _seeded_rng
+from netsignal.simulation import QueueState, Vehicle, _positive_finite, _seeded_rng, phase_indices
 
 BRUTE_FORCE_AGENT_CAP = 10
 
@@ -116,9 +119,15 @@ def topology(net):
     return net._topology
 
 
+def movement_keys(net):
+    """The (from, to) key of every movement, in the order of the package's
+    per-movement arrays, which is `net.movements` order."""
+    return [m.key for m in net.movements]
+
+
 def queue_view(state, net):
     """A state's queue vector as a dict by movement key."""
-    return dict(zip(movement_arrays(net).keys, state.q.tolist()))
+    return dict(zip(movement_keys(net), state.q.tolist()))
 
 
 def own_balance(state, net, agent):
@@ -129,13 +138,13 @@ def own_balance(state, net, agent):
 
 def turning_view(turning, net):
     """A turning model as (r by movement key, d by link id) dicts."""
-    arr = movement_arrays(net)
-    return dict(zip(arr.keys, turning.r.tolist())), dict(zip(arr.link_ids, turning.d.tolist()))
+    r = dict(zip(movement_keys(net), turning.r.tolist()))
+    return r, dict(zip(movement_arrays(net).link_ids, turning.d.tolist()))
 
 
 def fifo_view(state, net, flow):
     """Vehicle ids waiting per movement key, in FIFO order."""
-    keys = movement_arrays(net).keys
+    keys = movement_keys(net)
     fifo = {key: () for key in keys}
     for p in state.waiting.tolist():
         key = keys[flow.route_mov[p]]
@@ -689,7 +698,7 @@ def route_table(vehicles, tau, net):
     ends = np.fromiter((v.route[0] == v.origin and v.route[-1] == v.destination for v in vs), bool, n)
     _reject(vs, ends, "route does not run from the origin to the destination")
 
-    index = {key: m for m, key in enumerate(arr.keys)}
+    index = {key: m for m, key in enumerate(movement_keys(net))}
     pairs = chain.from_iterable(zip(v.route, v.route[1:]) for v in vs)
     try:
         route_mov = np.fromiter(map(index.__getitem__, pairs), np.intp, int(hops.sum()))
@@ -715,7 +724,7 @@ def _reject(vehicles, ok, why):
 
 
 def initial_state(net):
-    keys = [m.key for m in net.movements]
+    keys = movement_keys(net)
     return ScalarState(period=0, q={k: 0.0 for k in keys}, fifo={k: () for k in keys})
 
 
@@ -824,6 +833,34 @@ def estimate_turning(state, net, flow=None):
             if v.origin in d:
                 d[v.origin] += 1.0
     return r, d
+
+
+def predict_next_queues(state, decision, net, turning):
+    """The macro one-step update movement by movement, over dict views:
+    every active movement discharges min(sat_flow, queue) into a per-link
+    sum, and each movement's queue then gains its turning share of its
+    input link's sum, or of the link's demand on an entry link. Reads the
+    decision through `phase_indices`, so it raises the same errors."""
+    arr = movement_arrays(net)
+    phase = dict(zip(arr.agent_ids, phase_indices(decision, arr.agent_ids).tolist()))
+    q = queue_view(state, net)
+    r, d = turning_view(turning, net)
+    out = {}
+    inflow = {l: 0.0 for l in net.links}
+    for m in net.movements:
+        served = 0.0
+        if _movement_active(m.phase, phase[m.intersection]):
+            served = min(m.sat_flow, q[m.key])
+        out[m.key] = served
+        inflow[m.to] += served
+    new_q = []
+    for m in net.movements:
+        if net.links[m.frm].kind is LinkKind.ENTRY:
+            arriving = d[m.frm] * r[m.key]
+        else:
+            arriving = inflow[m.frm] * r[m.key]
+        new_q.append(q[m.key] - out[m.key] + arriving)
+    return QueueState(period=state.period + 1, q=np.array(new_q))
 
 
 # the ids the array kernels can hold; a link id never reaches numpy

@@ -156,7 +156,7 @@ def test_criterion_05_worked_example_reproduced(fig_two):
     assert choice == Phase.WE_STRAIGHT
     assert choice == oracle.best_response(fig_two.i, actions, *args)
     model = period_model(fig_two.net, fig_two.state, fig_two.turning)
-    row = model.arrays.agent_index[fig_two.i]
+    row = model.arrays.agent_ids.index(fig_two.i)
     picks = np.array([int(actions[a]) for a in model.arrays.agent_ids], dtype=np.intp)
     own = model.sweep_scores(picks)[Phase.WE_STRAIGHT, row]
     assert own == pytest.approx(4.0)

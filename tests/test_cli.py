@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import shifted_grid_doc
+from conftest import memory_runs_out_at_link, shifted_grid_doc
 from netsignal import harness
 from netsignal.cli import cli_main, grid_spec
 from netsignal.network import build_grid, load_network, movement_arrays, save_network
@@ -349,6 +349,23 @@ def test_a_horizon_too_long_for_its_metrics_exits_with_one_line(tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     horizon = math.ceil(depart_s + 600.0)
     assert err == [f"error: a horizon of {horizon} periods leaves no room for its per-period metrics"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", ["--rate", "1", "--duration", "10"]),
+        ("compare", ["--rate", "1", "--duration", "10"]),
+        ("gen-flow", ["--rate", "1", "--duration", "10", "--out", "f.json"]),
+        ("gen-grid", ["--out", "g.json"]),
+        ("comm-delay", ["--mu", "20"]),
+    ],
+)
+def test_a_grid_too_large_for_memory_exits_with_one_line(tmp_path, capsys, monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    memory_runs_out_at_link(monkeypatch, 40)
+    assert cli_main([command, "--grid", "30x30", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: a 30x30 grid is 900 intersections, more than fit in memory"]
 
 
 def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsys, monkeypatch):

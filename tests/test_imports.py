@@ -62,3 +62,24 @@ def test_no_module_imports_one_ranked_above_it():
         if above:
             upward[module] = above
     assert upward == {}
+
+
+def _iterated_fields(path):
+    """The lines of a source file where a `for` loop or a comprehension
+    iterates an expression that reads a `movements` or `links` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            read = {n.attr for n in ast.walk(node.iter) if isinstance(n, ast.Attribute)}
+            if read & {"movements", "links"}:
+                found.append(node.iter.lineno)
+    return sorted(found)
+
+
+def test_only_the_network_module_iterates_movements_or_links():
+    # every kernel runs over `MovementArrays`; a per-movement Python loop
+    # belongs in the test oracle, and only the gate that builds the arrays
+    # reads the network's own lists
+    package = SRC / "netsignal"
+    loops = {path.name: _iterated_fields(path) for path in sorted(package.glob("*.py")) if path.name != "network.py"}
+    assert {name: lines for name, lines in loops.items() if lines} == {}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import random_macro_state, random_turning, shifted_grid_doc
+from conftest import memory_runs_out_at_link, random_macro_state, random_turning, shifted_grid_doc
 from oracle import topology
 from netsignal.coordination import build_cg, global_cost
 from netsignal.harness import RateSpec, Scenario, network_order, run_experiment
@@ -252,6 +252,12 @@ def test_validate_accepts_a_phase_given_as_a_plain_integer():
 def test_build_grid_rejects_values_that_are_not_finite(kwargs):
     with pytest.raises(ValueError, match="must be"):
         build_grid(**{"rows": 2, "cols": 2, **kwargs})
+
+
+def test_build_grid_names_a_grid_that_does_not_fit_in_memory(monkeypatch):
+    memory_runs_out_at_link(monkeypatch, 5)
+    with pytest.raises(ValueError, match=re.escape("a 3x4 grid is 12 intersections, more than fit in memory")):
+        build_grid(3, 4)
 
 
 def test_validate_flags_phase_geometry_conflict():

@@ -6,6 +6,10 @@ FIFO contents, the transit count, the turning estimate and the exit times
 must be equal with `==`, not approximately. The saturation flows cover
 every kind of release quota: none, a fraction floored, one larger than
 any queue, and right turns that release nothing.
+
+The macro update `predict_next_queues` must give the oracle's queue
+vector byte for byte, over the same saturation flows, integer and
+fractional queues and either kind of decision, and raise its errors.
 """
 import copy
 
@@ -15,13 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import random_turning
 from netsignal.network import Phase, build_grid, load_network, movement_arrays
 from netsignal.simulation import (
     Flow,
+    JointAssignment,
+    QueueState,
     SimConfig,
     Vehicle,
     estimate_turning,
     initial_state,
+    predict_next_queues,
     step,
 )
 from test_nongrid_roadnet import write_roadnet
@@ -69,14 +77,14 @@ def assert_same_run(net, vehicles, rng, expect_exits=True):
         queues.append(state.q)
         turning = estimate_turning(state, net, flow)
         r, d = oracle.estimate_turning(ref, net, scalar_flow)
-        assert np.array_equal(turning.r, [r[k] for k in arr.keys])
+        assert np.array_equal(turning.r, [r[k] for k in oracle.movement_keys(net)])
         assert np.array_equal(turning.d, [d.get(l, 0.0) for l in arr.link_ids])
 
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
         state = step(state, decision, net, cfg, flow)
         ref = oracle.step(ref, decision, net, cfg, scalar_flow)
         assert state.period == ref.period
-        assert np.array_equal(state.q, [ref.q[k] for k in arr.keys])
+        assert np.array_equal(state.q, [ref.q[k] for k in oracle.movement_keys(net)])
         assert oracle.fifo_view(state, net, flow) == ref.fifo
         assert len(state.transit) == len(ref.transit)
         assert state.total_queue() == ref.total_queue()
@@ -157,3 +165,77 @@ def test_states_are_snapshots():
         for a, before in zip((s.q, s.waiting, s.transit, s.arrive), copies):
             assert not a.flags.writeable
             assert np.array_equal(a, before)
+
+
+
+def macro_network(shape, sat_flow, right_turn, tmp_path_factory):
+    """A rows x cols grid, or for `None` the non-grid roadnet, whose phased
+    movements discharge `sat_flow` and whose right turns `right_turn`."""
+    if shape is None:
+        net = load_network(write_roadnet(tmp_path_factory.mktemp("roadnet") / "roadnet.json"))
+    else:
+        net = build_grid(*shape)
+    for m in net.movements:
+        m.sat_flow = right_turn if m.phase is None else sat_flow
+    return net
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 4))),
+    # for phased movements and right turns alike, 0.0 releases nothing, 2.5
+    # binds below most queues and 1e20 above all; fractional releases make
+    # the order of a link's sum show
+    sat_flow=st.sampled_from([0.0, 2.5, 1e20]),
+    right_turn=st.sampled_from([0.0, 2.5, 1e20]),
+    fractional=st.booleans(),
+    plain=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=(1, 1), sat_flow=0.0, right_turn=0.0, fractional=False, plain=True, seed=1)
+@example(shape=(2, 3), sat_flow=2.5, right_turn=2.5, fractional=True, plain=False, seed=2)
+@example(shape=(4, 4), sat_flow=1e20, right_turn=1e20, fractional=True, plain=True, seed=3)
+@example(shape=None, sat_flow=2.5, right_turn=0.0, fractional=False, plain=False, seed=4)
+@example(shape=None, sat_flow=1e20, right_turn=1e20, fractional=True, plain=True, seed=5)
+def test_predict_next_queues_equals_the_oracle_byte_for_byte(
+    tmp_path_factory, shape, sat_flow, right_turn, fractional, plain, seed
+):
+    net = macro_network(shape, sat_flow, right_turn, tmp_path_factory)
+    agents = movement_arrays(net).agent_ids
+    rng = np.random.default_rng(seed)
+    q = rng.random(len(net.movements)) * 12 if fractional else rng.integers(0, 12, len(net.movements))
+    state = QueueState(period=0, q=q.astype(float))
+    # three chained updates, each from the last prediction under a new
+    # decision and turning model
+    for _ in range(3):
+        phases = rng.integers(0, 4, len(agents))
+        if plain:
+            decision = {a: Phase(int(p)) for a, p in zip(agents, phases)}
+        else:
+            decision = JointAssignment(agents, phases)
+        turning = random_turning(net, rng)
+        mine = predict_next_queues(state, decision, net, turning)
+        theirs = oracle.predict_next_queues(state, decision, net, turning)
+        assert mine.period == theirs.period == state.period + 1
+        assert mine.q.tobytes() == theirs.q.tobytes()
+        state = mine
+
+
+@pytest.mark.parametrize(
+    "decision, named",
+    [
+        ({0: 0, 1: 1, 2: 2}, "decision is missing agents [3]"),
+        ({0: 0, 1: 1, 2: 2, 3: 4}, "decision gives agent 3 the phase 4, expected an integer in 0..3"),
+        ({0: -1, 1: 1, 2: 2, 3: 3}, "decision gives agent 0 the phase -1, expected an integer in 0..3"),
+    ],
+)
+def test_predict_next_queues_raises_the_oracles_errors(decision, named):
+    net = build_grid(2, 2)
+    rng = np.random.default_rng(0)
+    state = QueueState(period=0, q=rng.integers(0, 5, len(net.movements)).astype(float))
+    turning = random_turning(net, rng)
+    with pytest.raises(ValueError) as mine:
+        predict_next_queues(state, decision, net, turning)
+    with pytest.raises(ValueError) as theirs:
+        oracle.predict_next_queues(state, decision, net, turning)
+    assert str(mine.value) == str(theirs.value) == named
