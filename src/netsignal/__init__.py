@@ -14,7 +14,6 @@ from netsignal.harness import (
     BudgetOverrunError,
     DelayModel,
     Metrics,
-    RateSpec,
     Scenario,
     modeled_delay_ms,
     network_order,
@@ -80,7 +79,6 @@ __all__ = [
     "Phase",
     "PlannerConfig",
     "QueueState",
-    "RateSpec",
     "RoadNetwork",
     "Scenario",
     "SimConfig",

@@ -12,11 +12,9 @@ from netsignal.harness import (
     BudgetOverrunError,
     DelayModel,
     Metrics,
-    RateSpec,
     Scenario,
     modeled_delay_ms,
     network_order,
-    resolve_flow,
     run_experiment,
     write_comparison_csv,
     write_metrics_csv,
@@ -114,25 +112,22 @@ def _build_scenario(args, controller: str) -> Scenario:
     if args.rate is not None:
         if args.duration is None:
             raise LoadError("--rate needs --duration")
-        flow = RateSpec(rate_vps=args.rate, duration_s=args.duration, seed=args.seed)
         duration = args.duration
     else:
         vehicles = load_flow(args.flow, net, seed=args.seed)
         if not vehicles:
             raise LoadError(f"flow file {args.flow} holds no vehicles")
-        flow = vehicles
         duration = args.duration or max(v.depart_s for v in vehicles) + 600.0
     if not duration / args.tau < math.inf:
         raise LoadError(f"duration {duration} s / --tau {args.tau} s gives no finite number of periods")
     horizon = max(1, math.ceil(duration / args.tau))
-    return Scenario(
-        network=net,
-        flow=flow,
-        sim=SimConfig(tau=args.tau, horizon=horizon, seed=args.seed),
-        controller=controller,
-        planner=PlannerConfig(budget=CoorBudget(wall_ms=args.budget_ms), epsilon=args.epsilon),
-        delay=None if args.mu is None else DelayModel(mu_ms=args.mu),
-    )
+    sim = SimConfig(tau=args.tau, horizon=horizon, seed=args.seed)
+    planner = PlannerConfig(budget=CoorBudget(wall_ms=args.budget_ms), epsilon=args.epsilon)
+    delay = None if args.mu is None else DelayModel(mu_ms=args.mu)
+    # drawn only once every other argument has passed its checks
+    if args.rate is not None:
+        vehicles = generate_uniform_flow(net, args.rate, duration, args.seed)
+    return Scenario(net, vehicles, sim, controller, planner, delay)
 
 
 def _print_metrics(name: str, m: Metrics) -> None:
@@ -157,9 +152,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 write_metrics_csv(metrics, args.out)
                 print(f"wrote {args.out}")
         elif args.command == "compare":
-            scenario = _build_scenario(args, CONTROLLERS[0])
             # one vehicle list for every controller: each run clears its exit times
-            scenario = replace(scenario, flow=resolve_flow(scenario))
+            scenario = _build_scenario(args, CONTROLLERS[0])
             results = {}
             for controller in CONTROLLERS:
                 results[controller] = run_experiment(replace(scenario, controller=controller))

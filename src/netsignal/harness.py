@@ -2,10 +2,12 @@
 
 One experiment steps the micro simulator over the horizon, asking the
 run's `Planner` for a joint phase decision each period from the true
-queue state and the route-estimated turning model. Everything except the
-wall-clock columns is deterministic given the scenario's seeds: a rate spec
-draws its flow from its own seed, and delay sampling from a named substream
-of the simulation seed, so the two cannot perturb each other.
+queue state and the route-estimated turning model. A scenario's flow is a
+vehicle list, drawn beforehand (`generate_uniform_flow` takes its own seed)
+or loaded; the run binds it to the network and `tau` once, as a `Flow`.
+Everything except the wall-clock columns is deterministic given the flow
+and the simulation seed; delay sampling draws from a named substream of
+that seed.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import csv
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from netsignal.simulation import (
     Vehicle,
     balance_index,
     estimate_turning,
-    generate_uniform_flow,
     initial_state,
     step,
     travel_time_metrics,
@@ -52,16 +53,6 @@ def substream_seed(seed: int, name: str) -> int:
 
 
 @dataclass
-class RateSpec:
-    """Uniform arrivals at `rate_vps` over `duration_s` seconds, drawn by
-    `generate_uniform_flow` from `seed`."""
-
-    rate_vps: float
-    duration_s: float
-    seed: int
-
-
-@dataclass
 class DelayModel:
     """Per-message latency N(mu, `DELAY_SIGMA_MS`^2) in milliseconds,
     clamped at zero. The draws come from the seed `modeled_delay_ms` is
@@ -77,7 +68,7 @@ class DelayModel:
 @dataclass
 class Scenario:
     network: RoadNetwork
-    flow: Union[Sequence[Vehicle], RateSpec]
+    flow: Sequence[Vehicle]
     sim: SimConfig
     controller: str = "emc"
     planner: PlannerConfig = field(default_factory=PlannerConfig)
@@ -124,10 +115,6 @@ class Metrics:
         return float(np.mean(self.decision_ms))
 
     @property
-    def mean_comm_delay_ms(self) -> float:
-        return float(np.mean(self.comm_delay_ms))
-
-    @property
     def rows(self) -> list[PeriodRow]:
         """The per-period table, built anew on each access."""
         columns = (self.total_queue, self.balance, self.decision_ms, self.comm_delay_ms)
@@ -136,9 +123,10 @@ class Metrics:
 
 class Planner:
     """One run's controller, and the only reader of its name. `decide(state,
-    turning, period)` returns the joint decision and the period's record: a
-    `CoordResult`, or `None` for the baselines, which keep no config, order,
-    `wall_ms` (the safety valve's budget) or delay. Per-run state lives here."""
+    turning)` returns the joint decision for the state's period and the
+    period's record: a `CoordResult`, or `None` for the baselines, which keep
+    no config, order, `wall_ms` (the safety valve's budget) or delay. Per-run
+    state lives here."""
 
     def __init__(self, scenario: Scenario):
         self.net, kind = scenario.network, scenario.controller
@@ -150,28 +138,22 @@ class Planner:
             self.delay, self.delay_seed = scenario.delay, substream_seed(scenario.sim.seed, "delay")
         self.decide = {"fixedtime": self._fixed_time, "maxpressure": self._max_pressure}.get(kind, self._plan)
 
-    def _fixed_time(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, None]:
-        return fixed_time(period, self.net.intersections), None
+    def _fixed_time(self, state: QueueState, turning: TurningModel) -> tuple[JointAssignment, None]:
+        return fixed_time(state.period, self.net.intersections), None
 
-    def _max_pressure(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, None]:
+    def _max_pressure(self, state: QueueState, turning: TurningModel) -> tuple[JointAssignment, None]:
         return max_pressure(state, self.net, turning), None
 
-    def _plan(self, state: QueueState, turning: TurningModel, period: int) -> tuple[JointAssignment, CoordResult]:
+    def _plan(self, state: QueueState, turning: TurningModel) -> tuple[JointAssignment, CoordResult]:
         detail = plan_phases_detailed(state, self.net, turning, self.config)
         return detail.assignment, detail.coordination
 
-    def comm_ms(self, record: Optional[CoordResult], period: int) -> float:
-        """Modeled delay of the period's message rounds; 0.0 without a model."""
+    def comm_ms(self, record: Optional[CoordResult], state: QueueState) -> float:
+        """Modeled delay of the message rounds of the decision on `state`;
+        0.0 without a model."""
         if self.delay is None:
             return 0.0
-        return modeled_delay_ms(self.order, record.rounds, self.delay, self.delay_seed + period)
-
-
-def resolve_flow(scenario: Scenario) -> list[Vehicle]:
-    flow = scenario.flow
-    if isinstance(flow, RateSpec):
-        return generate_uniform_flow(scenario.network, flow.rate_vps, flow.duration_s, flow.seed)
-    return list(flow)
+        return modeled_delay_ms(self.order, record.rounds, self.delay, self.delay_seed + state.period)
 
 
 def modeled_delay_ms(
@@ -211,12 +193,10 @@ def modeled_delay_ms(
 def run_experiment(scenario: Scenario) -> Metrics:
     """Run the scenario's controller over the horizon. Trip times left on
     the flow's vehicles by an earlier run are cleared first."""
-    net = scenario.network
-    cfg = scenario.sim
-    vehicles = resolve_flow(scenario)
-    for v in vehicles:
+    net, cfg = scenario.network, scenario.sim
+    flow = Flow(scenario.flow, cfg.tau, net)
+    for v in flow.vehicles:
         v.exit_time = None
-    flow = Flow(vehicles, cfg.tau, net)
     planner = Planner(scenario)
     state = initial_state(net)
     try:
@@ -225,18 +205,19 @@ def run_experiment(scenario: Scenario) -> Metrics:
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"a horizon of {cfg.horizon} periods leaves no room for its per-period metrics") from exc
     for t in range(cfg.horizon):
-        turning = estimate_turning(state, net, flow)
+        turning = estimate_turning(state, flow)
         t0 = time.perf_counter()
-        decision, record = planner.decide(state, turning, t)
+        decision, record = planner.decide(state, turning)
         decision_ms = (time.perf_counter() - t0) * 1e3
         if planner.wall_ms is not None and decision_ms > 10 * planner.wall_ms:
             raise BudgetOverrunError(
                 f"controller took {decision_ms:.0f} ms against a {planner.wall_ms:.0f} ms budget"
             )
-        state = step(state, decision, net, cfg, flow=flow)
-        columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, planner.comm_ms(record, t))
+        comm_ms = planner.comm_ms(record, state)
+        state = step(state, decision, flow)
+        columns[:, t] = (state.total_queue(), balance_index(state), decision_ms, comm_ms)
 
-    trips = travel_time_metrics(vehicles, end_time=cfg.horizon * cfg.tau)
+    trips = travel_time_metrics(flow.vehicles, end_time=cfg.horizon * cfg.tau)
     return Metrics(trips.avg_travel_time_s, trips.throughput, *columns)
 
 

@@ -22,10 +22,10 @@ movement's release quota up in `MovementArrays.quota` and each released
 one its transit time in `Flow.mov_delay`, so the new queue count is its
 only pass over every movement. Within a period, per-vehicle Python work
 is limited to writing the exit times of the vehicles that leave. Once per
-run, `Flow` reads every vehicle's fields and looks up the links of each
-distinct route object, and `travel_time_metrics` loops over the vehicles.
-Both per-period functions refuse a `Flow` built for another network, and
-`step` one built at another `tau` than its config's.
+run, `Flow` binds the vehicles to the network's arrays and the period
+length: it reads every vehicle's fields and looks up the links of each
+distinct route object, and `step` and `estimate_turning` read both from
+it. `travel_time_metrics` loops over the vehicles.
 """
 from __future__ import annotations
 
@@ -237,18 +237,19 @@ def link_delay_periods(net: RoadNetwork, tau: float) -> np.ndarray:
 
 
 class Flow:
-    """The vehicles of one run, with their routes as one flat hop table.
+    """The vehicles of one run, bound to the network's `arrays` and the
+    period length `tau`, with their routes as one flat hop table.
 
     Every hop (one movement) of every route has a position in `route_mov`
     (its movement index) and `route_vehicle` (its vehicle's row in
     `vehicles`); a route's hops are consecutive, so the hop after position p
     is p + 1. `departures_by_period` maps a period to the first-hop
-    positions of the vehicles departing in it, in flow order. `delay` is
-    `link_delay_periods` of the network at the flow's `tau`, and
-    `mov_delay[m]` that of movement m's output link, the periods a vehicle
-    it releases spends in transit. A route must run from the origin over
-    movements of the network to an exit link, the destination, and a
-    vehicle must depart at a finite time >= 0 in a finite period.
+    positions of the vehicles departing in it, in flow order.
+    `mov_delay[m]` is the `link_delay_periods` of movement m's output link
+    at `tau`, the periods a vehicle it releases spends in transit. A route
+    must run from the origin over movements of the network to an exit link,
+    the destination, and a vehicle must depart at a finite time >= 0 in a
+    finite period.
 
     Hops are mapped once per distinct route object (equal routes that are
     separate objects once each): a hop from link row l takes the movement
@@ -301,8 +302,7 @@ class Flow:
         starts = np.flatnonzero(np.diff(period[order], prepend=-1.0))
         bounds, firsts = [*starts.tolist(), n], first_hop[order]
         self.departures_by_period = {int(period[order[a]]): firsts[a:b] for a, b in zip(bounds, bounds[1:])}
-        self.delay = link_delay_periods(net, tau)
-        self.mov_delay = self.delay.take(arr.mov_to)
+        self.mov_delay = link_delay_periods(net, tau).take(arr.mov_to)
 
 
 def _reject(vehicles: Sequence[Vehicle], ok: np.ndarray, why: str) -> None:
@@ -342,24 +342,9 @@ def predict_next_queues(
     return QueueState(period=state.period + 1, q=q - served + inflow.take(arr.mov_from) * turning.r)
 
 
-def _flow_arrays(net: RoadNetwork, flow: Flow) -> MovementArrays:
-    """The network's arrays, which `flow` must have been built on; raises
-    `ValueError` otherwise."""
-    arr = movement_arrays(net)
-    if flow.arrays is not arr:
-        raise ValueError("flow was built for another network")
-    return arr
-
-
-def step(
-    state: QueueState,
-    decision: JointAssignment,
-    net: RoadNetwork,
-    cfg: SimConfig,
-    flow: Flow,
-) -> QueueState:
+def step(state: QueueState, decision: JointAssignment, flow: Flow) -> QueueState:
     """Advance the micro simulation one period under the given joint phase
-    decision.
+    decision, on the network and at the `tau` that `flow` was built for.
 
     Every active movement releases the first min(sat_flow, queue) vehicles
     that joined it, all reading the pre-step queues. Released vehicles leave
@@ -370,12 +355,9 @@ def step(
     Apart from the new queue count, the work grows with the vehicles on the
     network, not the movements: each waiting vehicle reads its movement's
     quota from `MovementArrays.quota` and each released one its transit
-    time from `Flow.mov_delay`. Raises `ValueError` for a flow built for
-    another network or at another `tau` than `cfg`'s.
+    time from `Flow.mov_delay`.
     """
-    arr = _flow_arrays(net, flow)
-    if cfg.tau != flow.tau:
-        raise ValueError(f"config tau {cfg.tau} differs from the flow's tau {flow.tau}")
+    arr = flow.arrays
     phase = phase_indices(decision, arr.agent_ids)
     t = state.period
     route_mov = flow.route_mov
@@ -395,7 +377,7 @@ def step(
     stays[order] = ~out
 
     exits = arr.to_exit.take(released_mov)
-    exit_s = (t + 1) * cfg.tau
+    exit_s = (t + 1) * flow.tau
     for row in flow.route_vehicle.take(released[exits]).tolist():
         flow.vehicles[row].exit_time = exit_s
     moving = ~exits
@@ -417,16 +399,16 @@ def balance_index(state: QueueState) -> float:
     return float(state.q @ state.q)
 
 
-def estimate_turning(state: QueueState, net: RoadNetwork, flow: Flow) -> TurningModel:
-    """Turning proportions from the routes of vehicles currently on each link.
+def estimate_turning(state: QueueState, flow: Flow) -> TurningModel:
+    """Turning proportions from the routes of vehicles currently on each
+    link of the network `flow` was built for.
 
     A movement's count is its queue plus the vehicles in transit towards it;
     its share is that count over its input link's total. Links carrying no
     vehicles fall back to a uniform split over their movements. Entry
     demand d(l) counts vehicles scheduled to appear on l next period.
-    Raises `ValueError` for a flow built for another network.
     """
-    arr = _flow_arrays(net, flow)
+    arr = flow.arrays
     counts = state.q + np.bincount(flow.route_mov[state.transit], minlength=arr.n_mov)
     total = np.bincount(arr.mov_from, weights=counts, minlength=arr.n_links)[arr.mov_from]
     r = np.divide(counts, total, out=arr.uniform_turn.copy(), where=total > 0)

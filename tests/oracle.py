@@ -680,8 +680,9 @@ def route_table(vehicles, tau, net):
     """`Flow`'s tables for `vehicles`, as `Flow` built them hop by hop: every
     hop of every vehicle's route looked up in a `{(from, to): movement}`
     dict, and the vehicles split into departure periods with `np.split`.
-    Returns `(route_mov, route_vehicle, departures_by_period, delay)` and
-    raises the `ValueError` `Flow` raises, naming the same vehicle."""
+    Returns `(route_mov, route_vehicle, departures_by_period, mov_delay)`,
+    the last the transit periods of each movement's output link, and raises
+    the `ValueError` `Flow` raises, naming the same vehicle."""
     arr = movement_arrays(net)
     vs, n = list(vehicles), len(vehicles)
     if len({v.id for v in vs}) != n:
@@ -712,8 +713,8 @@ def route_table(vehicles, tau, net):
     order = np.argsort(period, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(period[order])) + 1) if n else []
     departures = {int(period[g[0]]): first_hop[g] for g in groups}
-    delay = np.array([link_delay_periods(net, l, tau) for l in arr.link_ids], dtype=np.intp)
-    return route_mov, route_vehicle, departures, delay
+    mov_delay = np.array([link_delay_periods(net, to, tau) for _, to in movement_keys(net)], dtype=np.intp)
+    return route_mov, route_vehicle, departures, mov_delay
 
 
 def _reject(vehicles, ok, why):

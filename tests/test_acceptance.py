@@ -22,11 +22,9 @@ from netsignal.controllers import max_pressure
 from netsignal.coordination import build_cg, global_cost
 from netsignal.harness import (
     DelayModel,
-    RateSpec,
     Scenario,
     modeled_delay_ms,
     network_order,
-    resolve_flow,
     run_experiment,
 )
 from netsignal.improvement import PlannerConfig, local_improvement, plan_phases_detailed
@@ -39,6 +37,7 @@ from netsignal.simulation import (
     SimConfig,
     balance_index,
     estimate_turning,
+    generate_uniform_flow,
     initial_state,
     predict_next_queues,
     step,
@@ -48,9 +47,10 @@ T_CRIT_95_DF9 = 1.833  # one-sided Student t, 95%, 9 degrees of freedom
 
 
 def scenario(rows, cols, rate, controller, seed, horizon=360):
+    net = build_grid(rows, cols)
     return Scenario(
-        network=build_grid(rows, cols),
-        flow=RateSpec(rate_vps=rate, duration_s=horizon * 10.0, seed=seed),
+        network=net,
+        flow=generate_uniform_flow(net, rate, horizon * 10.0, seed),
         sim=SimConfig(tau=10.0, horizon=horizon, seed=seed),
         controller=controller,
         planner=PlannerConfig(budget=CoorBudget(rounds=10**6, wall_ms=3000.0)),
@@ -187,22 +187,21 @@ def test_criterion_06_balance_dominance():
     drift = {}
     for driver in ("nlcoor", "maxpressure"):
         sc = scenario(4, 4, 1.76, driver, seed=0)
-        vehicles = resolve_flow(sc)
-        flow = Flow(vehicles, 10.0, net)
+        flow = Flow(sc.flow, 10.0, net)
         cfg = sc.sim
         state = initial_state(net)
         realized = []
         nl_next = []
         mp_next = []
         for t in range(cfg.horizon):
-            turning = estimate_turning(state, net, flow)
+            turning = estimate_turning(state, flow)
             cg = build_cg(state, net, turning)
             nl_dec = coordinate(cg, order, CoorBudget(rounds=2 * order.diameter)).assignment
             mp_dec = max_pressure(state, net, turning)
             nl_next.append(balance_index(predict_next_queues(state, nl_dec, net, turning)))
             mp_next.append(balance_index(predict_next_queues(state, mp_dec, net, turning)))
             decision = nl_dec if driver == "nlcoor" else mp_dec
-            state = step(state, decision, net, cfg, flow=flow)
+            state = step(state, decision, flow)
             realized.append(balance_index(state))
         closed_loop[driver] = float(np.mean(realized))
         nl_mean, mp_mean = float(np.mean(nl_next)), float(np.mean(mp_next))
@@ -344,18 +343,18 @@ def _anytime_profile(size, rate, seed, caps):
     predicted balance over max-pressure's, as the mean over periods 5-39."""
     sc = scenario(size, size, rate, "emc", seed=seed, horizon=40)
     net = sc.network
-    flow = Flow(resolve_flow(sc), sc.sim.tau, net)
+    flow = Flow(sc.flow, sc.sim.tau, net)
     order = network_order(net)
     budgets = [CoorBudget(rounds=cap) for cap in caps(order.diameter)]
     ratios = []
     state = initial_state(net)
     for t in range(sc.sim.horizon):
-        turning = estimate_turning(state, net, flow)
+        turning = estimate_turning(state, flow)
         if t >= 5:
             cg = build_cg(state, net, turning)
             greedy = global_cost(cg, max_pressure(state, net, turning))
             ratios.append([global_cost(cg, coordinate(cg, order, budget).assignment) / greedy for budget in budgets])
-        state = step(state, plan_phases_detailed(state, net, turning, sc.planner).assignment, net, sc.sim, flow)
+        state = step(state, plan_phases_detailed(state, net, turning, sc.planner).assignment, flow)
     return np.mean(ratios, axis=0)
 
 

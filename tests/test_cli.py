@@ -1,12 +1,11 @@
 import json
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import memory_runs_out_at_link, shifted_grid_doc
-from netsignal import harness
+from netsignal import cli, harness
 from netsignal.cli import cli_main, grid_spec
 from netsignal.network import build_grid, load_network, movement_arrays, save_network
 from netsignal.simulation import SimConfig
@@ -374,8 +373,8 @@ def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsy
     ticks = iter(range(10**9))
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
     generated = []
-    generate = harness.generate_uniform_flow
-    monkeypatch.setattr(harness, "generate_uniform_flow", lambda *a: generated.append(a) or generate(*a))
+    generate = cli.generate_uniform_flow
+    monkeypatch.setattr(cli, "generate_uniform_flow", lambda *a: generated.append(a) or generate(*a))
     flags = ["--grid", "2x2", "--rate", "0.4", "--duration", "200", "--seed", "5"]
     out = tmp_path / "cmp.csv"
     assert cli_main(["compare", *flags, "--out", str(out)]) == 0
@@ -389,8 +388,10 @@ def test_compare_shares_one_flow_and_prints_what_four_runs_print(tmp_path, capsy
     assert len(generated) == 5
     assert printed == rows + [f"wrote {out}"]
     # the comparison table of four runs that each generate their own flow
-    net, spec = build_grid(2, 2), harness.RateSpec(rate_vps=0.4, duration_s=200.0, seed=5)
-    scenario = harness.Scenario(network=net, flow=spec, sim=SimConfig(tau=10.0, horizon=20, seed=5))
-    separate = {c: harness.run_experiment(replace(scenario, controller=c)) for c in harness.CONTROLLERS}
+    net, sim = build_grid(2, 2), SimConfig(tau=10.0, horizon=20, seed=5)
+    separate = {
+        c: harness.run_experiment(harness.Scenario(net, generate(net, 0.4, 200.0, 5), sim, c))
+        for c in harness.CONTROLLERS
+    }
     harness.write_comparison_csv(separate, str(tmp_path / "separate.csv"))
     assert out.read_bytes() == (tmp_path / "separate.csv").read_bytes()

@@ -215,14 +215,14 @@ def draw_vehicles(data, net, seed, least):
 def assert_flow_equals_the_oracle(vehicles, tau, net):
     """`Flow` builds the oracle's tables, or raises its error."""
     try:
-        route_mov, route_vehicle, departures, delay = oracle.route_table(vehicles, tau, net)
+        route_mov, route_vehicle, departures, mov_delay = oracle.route_table(vehicles, tau, net)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
             Flow(vehicles, tau, net)
         assert str(caught.value) == str(exc)
         return False
     flow = Flow(vehicles, tau, net)
-    for mine, theirs in ((flow.route_mov, route_mov), (flow.route_vehicle, route_vehicle), (flow.delay, delay)):
+    for mine, theirs in ((flow.route_mov, route_mov), (flow.route_vehicle, route_vehicle), (flow.mov_delay, mov_delay)):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     assert type(flow.departures_by_period) is dict
     assert list(flow.departures_by_period) == list(departures)

@@ -11,11 +11,9 @@ from netsignal.harness import (
     DELAY_SIGMA_MS,
     BudgetOverrunError,
     DelayModel,
-    RateSpec,
     Scenario,
     modeled_delay_ms,
     network_order,
-    resolve_flow,
     run_experiment,
     substream_seed,
     write_comparison_csv,
@@ -27,11 +25,11 @@ from netsignal.network import build_grid, movement_arrays, network_from_dict
 from netsignal.simulation import MetricsError, SimConfig, generate_uniform_flow
 
 
-def small_scenario(controller, seed=3, horizon=60, rate=0.6):
-    net = build_grid(2, 2)
+def small_scenario(controller, seed=3, horizon=60, rate=0.6, net=None):
+    net = net or build_grid(2, 2)
     return Scenario(
         network=net,
-        flow=RateSpec(rate_vps=rate, duration_s=horizon * 10.0, seed=seed),
+        flow=generate_uniform_flow(net, rate, horizon * 10.0, seed),
         sim=SimConfig(tau=10.0, horizon=horizon, seed=seed),
         controller=controller,
         planner=PlannerConfig(budget=CoorBudget(rounds=64, wall_ms=3000.0)),
@@ -91,9 +89,10 @@ PINNED_METRICS = {
 
 @pytest.mark.parametrize("controller", sorted(PINNED_METRICS))
 def test_controller_metrics_are_pinned(controller):
+    net = build_grid(3, 3)
     scenario = Scenario(
-        network=build_grid(3, 3),
-        flow=RateSpec(rate_vps=0.6, duration_s=400.0, seed=1),
+        network=net,
+        flow=generate_uniform_flow(net, 0.6, 400.0, 1),
         sim=SimConfig(tau=10.0, horizon=40, seed=1),
         controller=controller,
         planner=PlannerConfig(budget=CoorBudget(rounds=10**6, wall_ms=3000.0)),
@@ -121,12 +120,11 @@ def test_determinism_identical_series():
 
 def test_reused_vehicles_start_without_trip_times():
     # a run leaves exit times on the vehicles it was given
-    scenario = replace(small_scenario("emc", horizon=30, rate=1.0), network=build_grid(3, 3))
-    vehicles = resolve_flow(scenario)
-    run_experiment(replace(scenario, flow=vehicles))
-    fixed = replace(scenario, controller="fixedtime")
-    reused = run_experiment(replace(fixed, flow=vehicles))
-    fresh = run_experiment(fixed)
+    net = build_grid(3, 3)
+    emc = small_scenario("emc", horizon=30, rate=1.0, net=net)
+    run_experiment(emc)
+    reused = run_experiment(replace(emc, controller="fixedtime"))
+    fresh = run_experiment(small_scenario("fixedtime", horizon=30, rate=1.0, net=net))
     assert reused.throughput == fresh.throughput
     assert reused.avg_travel_time_s == fresh.avg_travel_time_s
 
@@ -188,7 +186,7 @@ def test_runs_on_one_shared_network_are_independent(rounds):
     def scenario(net, controller):
         return Scenario(
             network=net,
-            flow=RateSpec(rate_vps=0.6, duration_s=300.0, seed=2),
+            flow=generate_uniform_flow(net, 0.6, 300.0, 2),
             sim=SimConfig(tau=10.0, horizon=30, seed=2),
             controller=controller,
             planner=PlannerConfig(budget=CoorBudget(rounds=rounds, wall_ms=3000.0)),
@@ -312,7 +310,7 @@ def test_balance_ranking_matches_travel_time_on_default_grid():
     for controller in ("fixedtime", "maxpressure", "emc"):
         scenario = Scenario(
             network=net,
-            flow=RateSpec(rate_vps=1.76, duration_s=3600.0, seed=0),
+            flow=generate_uniform_flow(net, 1.76, 3600.0, 0),
             sim=SimConfig(tau=10.0, horizon=360, seed=0),
             controller=controller,
             planner=PlannerConfig(budget=CoorBudget(rounds=10**6, wall_ms=3000.0)),

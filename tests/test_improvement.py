@@ -257,7 +257,7 @@ def test_coordination_beats_max_pressure_under_the_planner_cap():
     lower = higher = 0
     runs = set()
     for t in range(sim.horizon):
-        turning = estimate_turning(state, net, flow)
+        turning = estimate_turning(state, flow)
         detail = plan_phases_detailed(state, net, turning, cfg)
         coord = detail.coordination
         runs.add((coord.passes, coord.rounds))
@@ -267,7 +267,7 @@ def test_coordination_beats_max_pressure_under_the_planner_cap():
             theirs = global_cost(cg, max_pressure(state, net, turning))
             lower += ours < theirs
             higher += ours > theirs
-        state = step(state, detail.assignment, net, sim, flow=flow)
+        state = step(state, detail.assignment, flow)
     assert lower >= 70 and higher <= 5, (lower, higher)
     # one forward and one reverse pass, every period
     assert runs == {(2, 2 * diameter)}

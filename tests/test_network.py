@@ -12,7 +12,7 @@ import oracle
 from conftest import memory_runs_out_at_link, random_macro_state, random_turning, shifted_grid_doc
 from oracle import topology
 from netsignal.coordination import build_cg, global_cost
-from netsignal.harness import RateSpec, Scenario, network_order, run_experiment
+from netsignal.harness import Scenario, network_order, run_experiment
 from netsignal.network import (
     Link,
     LinkKind,
@@ -752,8 +752,9 @@ def _assert_gate_refuses(net, messages, controllers=("maxpressure", "emc")):
     assert caught.value.violations == messages
     with pytest.raises(LoadError, match=re.escape(messages[-1])):
         network_order(net)
+    # no flow can be drawn on such a network, so the runs get none
     for controller in controllers:
-        scenario = Scenario(net, RateSpec(0.3, 100.0, 1), SimConfig(horizon=10), controller)
+        scenario = Scenario(net, [], SimConfig(horizon=10), controller)
         with pytest.raises(LoadError, match=re.escape(messages[0])) as caught:
             run_experiment(scenario)
         assert caught.value.violations == messages

@@ -15,12 +15,12 @@ from conftest import forward_messages, random_macro_state, random_turning
 from netsignal import harness
 from netsignal.controllers import phase_pressures
 from netsignal.coordination import build_cg, global_cost
-from netsignal.harness import CONTROLLERS, RateSpec, Scenario, network_order, run_experiment
+from netsignal.harness import CONTROLLERS, Scenario, network_order, run_experiment
 from netsignal.improvement import PlannerConfig
 from netsignal.messaging import CoorBudget, coordinate, message_plan
 from netsignal.network import Phase, build_grid, load_network
 from netsignal.ordering import min_diameter_dag
-from netsignal.simulation import SimConfig, balance_index, predict_next_queues
+from netsignal.simulation import SimConfig, balance_index, generate_uniform_flow, predict_next_queues
 
 IDS = (10, 20, 30, 40, 50, 60)
 
@@ -136,7 +136,7 @@ def test_run_experiment_decides_every_intersection(net, controller, monkeypatch)
     metrics = run_experiment(
         Scenario(
             network=net,
-            flow=RateSpec(rate_vps=0.6, duration_s=horizon * 10.0, seed=5),
+            flow=generate_uniform_flow(net, 0.6, horizon * 10.0, 5),
             sim=SimConfig(tau=10.0, horizon=horizon, seed=5),
             controller=controller,
             planner=PlannerConfig(budget=CoorBudget(rounds=64, wall_ms=3000.0)),

@@ -25,7 +25,7 @@ from conftest import (
 from netsignal import simulation
 from netsignal.controllers import max_pressure
 from netsignal.coordination import build_cg, global_cost
-from netsignal.harness import RateSpec, Scenario, resolve_flow, run_experiment
+from netsignal.harness import Scenario, run_experiment
 from netsignal.improvement import local_improvement
 from netsignal.messaging import CoorBudget, coordinate
 from netsignal.network import (
@@ -91,9 +91,8 @@ def test_inactive_phase_holds_queue():
 
 
 def test_micro_step_two_intersections(fig_two):
-    cfg = SimConfig(tau=10.0)
     decision = {fig_two.i: Phase.WE_LEFT, fig_two.j: Phase.WE_STRAIGHT}
-    out = step(fig_two.state, decision, fig_two.net, cfg, flow=fig_two.flow)
+    out = step(fig_two.state, decision, fig_two.flow)
     q = oracle.queue_view(out, fig_two.net)
     assert q[(fig_two.l1, fig_two.l3)] == 0
     assert q[(fig_two.l1, fig_two.l2)] == 4
@@ -107,7 +106,7 @@ def test_micro_release_is_fifo_and_capped():
     m = next(m for m in net.movements if m.phase == Phase.WE_STRAIGHT)
     vehicles = [Vehicle(k, m.frm, 0.0, m.to, (m.frm, m.to)) for k in range(5)]
     state, flow = micro_state_with(net, {m.key: vehicles})
-    out = step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=flow)
+    out = step(state, {0: Phase.WE_STRAIGHT}, flow)
     assert oracle.fifo_view(out, net, flow)[m.key] == (3, 4)
     assert [v.id for v in flow.vehicles if v.exit_time is not None] == [0, 1, 2]
 
@@ -117,19 +116,18 @@ def test_micro_transit_delay_matches_link_length(fig_two):
     net = fig_two.net
     assert link_delay_periods(net, 10.0)[movement_arrays(net).link_index[fig_two.l2]] == 3
     assert oracle.link_delay_periods(net, fig_two.l2, 10.0) == 3
-    cfg = SimConfig(tau=10.0)
     state = fig_two.state
     decision = {fig_two.i: Phase.WE_STRAIGHT, fig_two.j: Phase.WE_STRAIGHT}
     l1_l2, l2_exit = mov(net, (fig_two.l1, fig_two.l2)), mov(net, (fig_two.l2, fig_two.exit_j))
-    state = step(state, decision, net, cfg, flow=fig_two.flow)
+    state = step(state, decision, fig_two.flow)
     assert state.q[l1_l2] == 0
     assert len(state.transit) == 4
     # nothing readable on l2 until the traversal completes
-    state = step(state, decision, net, cfg, flow=fig_two.flow)
+    state = step(state, decision, fig_two.flow)
     assert state.q[l2_exit] == 0
-    state = step(state, decision, net, cfg, flow=fig_two.flow)
+    state = step(state, decision, fig_two.flow)
     assert state.q[l2_exit] == 4
-    state = step(state, decision, net, cfg, flow=fig_two.flow)
+    state = step(state, decision, fig_two.flow)
     assert state.q[l2_exit] == 0
     assert sum(1 for v in fig_two.flow.vehicles if v.exit_time is not None) == 4
 
@@ -173,31 +171,12 @@ def test_step_requires_full_decision():
     net = build_grid(2, 1)
     state = initial_state(net)
     with pytest.raises(ValueError, match="missing"):
-        step(state, {0: Phase.WE_STRAIGHT}, net, SimConfig(), flow=Flow([], 10.0, net))
-
-
-def test_step_refuses_another_networks_flow():
-    net, other = build_grid(2, 1), build_grid(2, 1)
-    with pytest.raises(ValueError, match="flow was built for another network"):
-        step(initial_state(net), all_phase(net, Phase.WE_STRAIGHT), net, SimConfig(), Flow([], 10.0, other))
-
-
-def test_estimate_turning_refuses_another_networks_flow():
-    net, other = build_grid(3, 3), build_grid(2, 2)
-    with pytest.raises(ValueError, match="flow was built for another network"):
-        estimate_turning(initial_state(net), net, Flow([], 10.0, other))
-
-
-def test_step_refuses_a_config_at_another_tau():
-    net = build_grid(2, 2)
-    flow = Flow(generate_uniform_flow(net, 0.5, 100.0), 10.0, net)
-    with pytest.raises(ValueError, match=re.escape("config tau 5.0 differs from the flow's tau 10.0")):
-        step(initial_state(net), all_phase(net, Phase.WE_STRAIGHT), net, SimConfig(tau=5.0), flow)
+        step(state, {0: Phase.WE_STRAIGHT}, Flow([], 10.0, net))
 
 
 # every function that reads a joint decision, called on a 1x2 grid
 DECISION_READERS = {
-    "step": lambda x, net, state, turning: step(state, x, net, SimConfig(), flow=Flow([], 10.0, net)),
+    "step": lambda x, net, state, turning: step(state, x, Flow([], 10.0, net)),
     "global_cost": lambda x, net, state, turning: global_cost(build_cg(state, net, turning), x),
     "local_improvement": lambda x, net, state, turning: local_improvement(x, state, net, turning),
     "predict_next_queues": lambda x, net, state, turning: predict_next_queues(state, x, net, turning),
@@ -295,8 +274,7 @@ def test_decision_readers_agree_on_a_view_and_the_equal_dict():
     arr = movement_arrays(net)
     rng = np.random.default_rng(4)
     macro, turning = random_macro_state(net, rng), random_turning(net, rng)
-    cfg = SimConfig()
-    flow = Flow(generate_uniform_flow(net, 1.5, 300.0, seed=2), cfg.tau, net)
+    flow = Flow(generate_uniform_flow(net, 1.5, 300.0, seed=2), 10.0, net)
     micro = initial_state(net)
     for _ in range(12):
         view = JointAssignment(arr.agent_ids, rng.integers(0, 4, len(arr.agent_ids)))
@@ -308,7 +286,7 @@ def test_decision_readers_agree_on_a_view_and_the_equal_dict():
         assert global_cost(cg, view) == global_cost(cg, plain)
         swept = [local_improvement(x, macro, net, turning) for x in (view, plain)]
         assert swept[0].phases.tobytes() == swept[1].phases.tobytes()
-        after = [step(micro, x, net, cfg, flow=flow) for x in (view, plain)]
+        after = [step(micro, x, flow) for x in (view, plain)]
         for a, b in zip(after[0].__dict__.values(), after[1].__dict__.values()):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         micro = after[0]
@@ -332,10 +310,9 @@ def test_non_negative_queues_under_random_decisions():
     vehicles = generate_uniform_flow(net, rate=1.0, duration=200, seed=5)
     flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
-    cfg = SimConfig(tau=10.0, horizon=40)
     for t in range(40):
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        state = step(state, decision, net, cfg, flow=flow)
+        state = step(state, decision, flow)
         assert np.all(state.q >= 0)
 
 
@@ -345,11 +322,10 @@ def test_vehicle_conservation_every_period():
     vehicles = generate_uniform_flow(net, rate=0.8, duration=300, seed=2)
     flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
-    cfg = SimConfig(tau=10.0, horizon=60)
     for t in range(60):
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        state = step(state, decision, net, cfg, flow=flow)
-        entered = sum(1 for v in vehicles if v.depart_s < (t + 1) * cfg.tau)
+        state = step(state, decision, flow)
+        entered = sum(1 for v in vehicles if v.depart_s < (t + 1) * flow.tau)
         exited = sum(1 for v in vehicles if v.exit_time is not None)
         queued = int(state.total_queue())
         assert entered == exited + queued + len(state.transit)
@@ -370,12 +346,11 @@ def test_macro_micro_agreement_single_route():
     micro = initial_state(net)
     macro = macro_state_with(net, {})
     r = {(l1, l2): 1.0, (l2, exit_j): 1.0}
-    cfg = SimConfig(tau=10.0)
     decision = all_phase(net, Phase.WE_STRAIGHT)
     for t in range(12):
         d = {l1: sum(1 for v in vehicles if math.floor(v.depart_s / 10.0) == t)}
         turning = turning_model(net, r, d)
-        micro = step(micro, decision, net, cfg, flow=flow)
+        micro = step(micro, decision, flow)
         macro = predict_next_queues(macro, decision, net, turning)
         for key in ((l1, l2), (l2, exit_j)):
             assert micro.q[mov(net, key)] == pytest.approx(macro.q[mov(net, key)])
@@ -402,7 +377,7 @@ def test_estimate_turning_counts_routes():
     vehicles = [Vehicle(k, entry, 0.0, h1, (entry, h1)) for k in range(3)]
     vehicles.append(Vehicle(3, entry, 0.0, h2, (entry, h2)))
     state, flow = micro_state_with(net, {(entry, h1): vehicles[:3], (entry, h2): vehicles[3:]})
-    model = estimate_turning(state, net, flow)
+    model = estimate_turning(state, flow)
     assert model.r[mov(net, (entry, h1))] == pytest.approx(0.75)
     assert model.r[mov(net, (entry, h2))] == pytest.approx(0.25)
     assert model.r[mov(net, moves[2].key)] == pytest.approx(0.0)
@@ -414,14 +389,14 @@ def test_estimate_turning_single_target():
     h = oracle.topology(net).movements_from[entry][0].to
     vehicles = [Vehicle(k, entry, 0.0, h, (entry, h)) for k in range(4)]
     state, flow = micro_state_with(net, {(entry, h): vehicles})
-    assert estimate_turning(state, net, flow).r[mov(net, (entry, h))] == 1.0
+    assert estimate_turning(state, flow).r[mov(net, (entry, h))] == 1.0
 
 
 def test_estimate_turning_uniform_fallback():
     net = build_grid(1, 1)
     entry = net.entry_links()[0]
     state = initial_state(net)
-    model = estimate_turning(state, net, Flow([], 10.0, net))
+    model = estimate_turning(state, Flow([], 10.0, net))
     for m in oracle.topology(net).movements_from[entry]:
         assert model.r[mov(net, m.key)] == pytest.approx(1 / 3)
 
@@ -434,9 +409,9 @@ def test_estimate_turning_demand_counts_next_period():
     flow = Flow(vehicles, 10.0, net)
     state = initial_state(net)
     k = movement_arrays(net).link_index[entry]
-    assert estimate_turning(state, net, flow).d[k] == 1.0
-    assert estimate_turning(replace(state, period=2), net, flow).d[k] == 1.0
-    assert estimate_turning(replace(state, period=1), net, flow).d[k] == 0.0
+    assert estimate_turning(state, flow).d[k] == 1.0
+    assert estimate_turning(replace(state, period=2), flow).d[k] == 1.0
+    assert estimate_turning(replace(state, period=1), flow).d[k] == 0.0
 
 
 def test_flow_counts_match_rate():
@@ -719,9 +694,8 @@ def test_flow_rate_spec_rejects_values_that_are_not_numbers(tmp_path, spec, fiel
         load_flow(str(path), build_grid(2, 2))
     # the same values given in code
     named = {"rate_vps": "rate", "duration_s": "duration"}[field]
-    scenario = Scenario(build_grid(2, 2), RateSpec(spec["rate_vps"], spec["duration_s"], 1), SimConfig())
     with pytest.raises(ValueError, match=f"{named} must be positive and finite, got {spec[field]!r}"):
-        resolve_flow(scenario)
+        generate_uniform_flow(build_grid(2, 2), spec["rate_vps"], spec["duration_s"], 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True])

@@ -75,13 +75,13 @@ def assert_same_run(net, vehicles, rng, expect_exits=True):
     queues = []
     for _ in range(PERIODS):
         queues.append(state.q)
-        turning = estimate_turning(state, net, flow)
+        turning = estimate_turning(state, flow)
         r, d = oracle.estimate_turning(ref, net, scalar_flow)
         assert np.array_equal(turning.r, [r[k] for k in oracle.movement_keys(net)])
         assert np.array_equal(turning.d, [d.get(l, 0.0) for l in arr.link_ids])
 
         decision = {i: Phase(int(rng.integers(4))) for i in net.intersections}
-        state = step(state, decision, net, cfg, flow)
+        state = step(state, decision, flow)
         ref = oracle.step(ref, decision, net, cfg, scalar_flow)
         assert state.period == ref.period
         assert np.array_equal(state.q, [ref.q[k] for k in oracle.movement_keys(net)])
@@ -151,11 +151,10 @@ def test_states_are_snapshots():
     rng = np.random.default_rng(8)
     vehicles = random_vehicles(net, rng, 200)
     flow = Flow(vehicles, TAU, net)
-    cfg = SimConfig(tau=TAU, horizon=PERIODS)
     state = initial_state(net)
     kept = []
     for t in range(PERIODS):
-        state = step(state, {i: Phase(int(rng.integers(4))) for i in net.intersections}, net, cfg, flow)
+        state = step(state, {i: Phase(int(rng.integers(4))) for i in net.intersections}, flow)
         if t % 10 == 5:
             arrays = (state.q, state.waiting, state.transit, state.arrive)
             kept.append((state, state.period, [a.copy() for a in arrays]))
